@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-ck fmt fmt-check test race bench bench-json bench-compare examples serve lint docs-check loadtest loadtest-restart loadtest-replica fuzz-smoke loadtest-race
+.PHONY: all build vet vet-ck fmt fmt-check test race bench bench-json bench-smoke examples serve lint docs-check loadtest loadtest-restart loadtest-replica fuzz-smoke loadtest-race
 
 all: build vet fmt-check test
 
@@ -134,28 +134,15 @@ loadtest-race:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
+## bench-smoke vets and smoke-tests the ckbench benchmark (mirrors the CI
+## test job). bench/ is a module of its own, so the root `go test ./...`
+## never compiles it; run this after changing any internal API it
+## imports. Its tests use tiny inputs (~5 s). Compare two builds with
+## `bash bench/run.sh compare BASE_DIR NEW_DIR` (see bench/README.md).
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 ## bench-json mirrors the CI bench job: one iteration of everything,
 ## emitted as a test2json stream for the perf trajectory.
 bench-json:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -json ./... | tee BENCH_local.json
-
-## bench-compare tracks the bucketization trajectory across PRs with
-## benchstat: each run rewrites BENCH_compare_new.txt with BENCH_COUNT
-## fresh samples; promote a baseline with
-## `mv BENCH_compare_new.txt BENCH_compare_old.txt` before changing code,
-## then re-run to see the delta. BENCH_PATTERN narrows the
-## sweep (default: the columnar-substrate benchmarks). benchstat is
-## fetched on demand via `go run` like the lint tools; x/perf publishes no
-## semver tags, so the version floats unless BENCHSTAT_VERSION is pinned
-## to a pseudo-version.
-BENCH_PATTERN ?= BenchmarkBucketize|BenchmarkEncodeTable|BenchmarkLatticeSweep|BenchmarkGridPlanned|BenchmarkAppendSmall|BenchmarkFollowerCatchup
-BENCHSTAT_VERSION ?= latest
-BENCH_COUNT ?= 6
-
-bench-compare:
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem -count=$(BENCH_COUNT) -run='^$$' . ./internal/replica/ | tee BENCH_compare_new.txt
-	@if [ -f BENCH_compare_old.txt ]; then \
-		$(GO) run golang.org/x/perf/cmd/benchstat@$(BENCHSTAT_VERSION) BENCH_compare_old.txt BENCH_compare_new.txt; \
-	else \
-		echo "no BENCH_compare_old.txt baseline; run 'mv BENCH_compare_new.txt BENCH_compare_old.txt' to set one"; \
-	fi

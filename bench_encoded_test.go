@@ -7,30 +7,14 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Columnar-substrate benchmarks: the encoded bucketization path against the
-// row-by-row string reference, plus the one-time encode cost. All report a
-// rows/s custom metric so the CI bench JSON artifact tracks throughput
-// across PRs (`make bench-compare` diffs runs with benchstat).
+// Columnar-substrate benchmarks: the encoded bucketization scan, the
+// one-time encode cost, and whole-lattice sweeps. All report a rows/s
+// custom metric so the CI bench JSON artifact tracks throughput.
 // ---------------------------------------------------------------------------
 
-// BenchmarkBucketizeLegacy is the reference: one string-path scan of the
-// full-size synthetic Adult table at the Figure 5 generalization.
-func BenchmarkBucketizeLegacy(b *testing.B) {
-	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bz, err := ckprivacy.Bucketize(tab, ckprivacy.AdultHierarchies(), fig5Levels())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkI = len(bz.Buckets)
-	}
-	reportRowsPerSec(b, float64(tab.Len()))
-}
-
-// BenchmarkBucketizeEncoded is the same partition computed over a
-// pre-encoded view: one LUT index per row and dimension, integer group
-// keys, code-space histograms.
+// BenchmarkBucketizeEncoded is one scan of the full-size synthetic Adult
+// table at the Figure 5 generalization over a pre-encoded view: one LUT
+// index per row and dimension, integer group keys, code-space histograms.
 func BenchmarkBucketizeEncoded(b *testing.B) {
 	tab := mustAdult(b, ckprivacy.AdultDefaultN)
 	enc := ckprivacy.EncodeTable(tab)
@@ -65,40 +49,36 @@ func BenchmarkEncodeTable(b *testing.B) {
 	reportRowsPerSec(b, float64(tab.Len()))
 }
 
-// BenchmarkLatticeSweepPath is the bucketization-dominated headline
-// compare: materialize every node of the 72-node Adult lattice on a fresh
-// Problem, legacy scan vs encoded scan + incremental coarsening. No
-// disclosure DP runs, so the ratio is purely the tentpole's work.
+// BenchmarkLatticeSweepPath materializes every node of the 72-node Adult
+// lattice on a fresh Problem node by node: each cache miss is a one-node
+// plan that coarsens from the cheapest cached finer node (one base scan in
+// total). No disclosure DP runs, so it times bucketization alone.
 func BenchmarkLatticeSweepPath(b *testing.B) {
 	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	run := func(b *testing.B, opts ...ckprivacy.ProblemOption) {
-		nodes := 0
-		for i := 0; i < b.N; i++ {
-			p, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(), opts...)
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		p, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI())
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = p.Space().Size()
+		for _, n := range p.Space().All() {
+			bz, err := p.Bucketize(n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			nodes = p.Space().Size()
-			for _, n := range p.Space().All() {
-				bz, err := p.Bucketize(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sinkI = len(bz.Buckets)
-			}
+			sinkI = len(bz.Buckets)
 		}
-		reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
 	}
-	b.Run("legacy", func(b *testing.B) { run(b, ckprivacy.WithLegacyBucketize()) })
-	b.Run("encoded", func(b *testing.B) { run(b) })
+	reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
 }
 
 // BenchmarkLatticeSweepPlanned materializes the same 72 Adult lattice
 // nodes as BenchmarkLatticeSweepPath, but as one planned sweep: the whole
 // node set is scheduled as a derivation DAG up front (one base scan at
 // the root, everything else coarsened from its cheapest parent through
-// pooled arenas) instead of each node greedily picking a source at its
-// own cache miss. Reports rows/s plus the arena pool's reuse ratio.
+// pooled arenas) instead of one plan per cache miss. Reports rows/s plus
+// the arena pool's reuse ratio.
 func BenchmarkLatticeSweepPlanned(b *testing.B) {
 	tab := mustAdult(b, ckprivacy.AdultDefaultN)
 	gets0, reuses0 := ckprivacy.ArenaStats()
@@ -130,30 +110,20 @@ func BenchmarkLatticeSweepPlanned(b *testing.B) {
 	reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
 }
 
-// BenchmarkGridPlanned is the (c,k) policy grid with and without the
-// sweep planner: planned pre-materializes the canonical chain as one DAG
-// (a single base scan plus one coarsening per link) before any cell
-// searches; pernode lets every cell's binary search materialize its own
-// probes through the greedy per-miss path.
+// BenchmarkGridPlanned is a small (c,k) policy grid: every cell's chain
+// search hands each probe round to the sweep planner.
 func BenchmarkGridPlanned(b *testing.B) {
 	tab := mustAdult(b, 4000)
-	run := func(b *testing.B, noPlanned bool) {
-		cfg := ckprivacy.GridConfig{
-			Cs: []float64{0.6, 0.8}, Ks: []int{1, 3, 5},
-			Workers: 1, NoPlannedSweeps: noPlanned,
+	cfg := ckprivacy.GridConfig{Cs: []float64{0.6, 0.8}, Ks: []int{1, 3, 5}, Workers: 1}
+	cells := len(cfg.Cs) * len(cfg.Ks)
+	for i := 0; i < b.N; i++ {
+		res, err := ckprivacy.RunSafetyGrid(tab, cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		cells := len(cfg.Cs) * len(cfg.Ks)
-		for i := 0; i < b.N; i++ {
-			res, err := ckprivacy.RunSafetyGrid(tab, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sinkI = len(res.Cells)
-		}
-		reportRowsPerSec(b, float64(tab.Len())*float64(cells))
+		sinkI = len(res.Cells)
 	}
-	b.Run("pernode", func(b *testing.B) { run(b, true) })
-	b.Run("planned", func(b *testing.B) { run(b, false) })
+	reportRowsPerSec(b, float64(tab.Len())*float64(cells))
 }
 
 // reportRowsPerSec attaches the rows/s custom metric (rows of work per

@@ -33,9 +33,9 @@ func BenchmarkBucketizeSharded(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc, chs, ok := bundle.Encoded()
-		if !ok {
-			b.Fatal("synthetic hierarchies failed to compile")
+		enc, chs, err := bundle.Encoded()
+		if err != nil {
+			b.Fatal(err)
 		}
 		for _, shards := range shardCounts {
 			b.Run(fmt.Sprintf("rows=%d/shards=%d", rows, shards), func(b *testing.B) {

@@ -72,8 +72,9 @@ func BenchmarkSafeSearchWorkers(b *testing.B) {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", method, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(),
-						ckprivacy.WithWorkers(workers))
+					o := ckprivacy.DefaultProblemOptions()
+					o.Workers = workers
+					p, err := ckprivacy.NewProblemWithOptions(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(), o)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -129,16 +129,18 @@ type (
 func FromValues(groups ...[]string) *Bucketization { return bucket.FromValues(groups...) }
 
 // Bucketize partitions a table by its quasi-identifiers generalized to the
-// given levels (missing attributes stay at level 0). This is the
-// row-by-row string-path reference; BucketizeEncoded computes the
-// byte-identical result over an encoded view.
+// given levels (missing attributes stay at level 0). It encodes the table,
+// compiles the hierarchies and scans once; a table value a hierarchy does
+// not cover, or hierarchy levels that are not nested, are errors naming
+// the attribute. To bucketize one table at many levels, encode it once
+// and use BucketizeEncoded (or a Problem).
 func Bucketize(t *Table, hs Hierarchies, levels Levels) (*Bucketization, error) {
-	return bucket.FromGeneralization(t, hs, levels)
+	return bucket.Bucketize(t, hs, levels)
 }
 
-// BucketizeEncoded is Bucketize over the columnar substrate: integer
+// BucketizeEncoded is Bucketize over an already-encoded table: integer
 // group keys (multi-radix packed when the dimensions fit 64 bits) and
-// code-space histograms, byte-identical to Bucketize.
+// code-space histograms.
 func BucketizeEncoded(enc *EncodedTable, chs CompiledHierarchies, levels Levels) (*Bucketization, error) {
 	return bucket.FromGeneralizationEncoded(enc, chs, levels)
 }
@@ -156,7 +158,7 @@ func BucketizeEncodedSharded(enc *EncodedTable, chs CompiledHierarchies, levels 
 // buckets instead of rescanning rows. The fine bucketization's levels
 // must be component-wise ≤ the requested ones.
 func CoarsenBucketization(fine *Bucketization, enc *EncodedTable, chs CompiledHierarchies, levels Levels) (*Bucketization, error) {
-	return bucket.Coarsen(fine, enc, chs, levels)
+	return bucket.CoarsenInto(fine, enc, chs, levels, nil)
 }
 
 // ExtendBucketization patches a bucketization of the table's first start
@@ -297,13 +299,9 @@ type (
 	// quasi-identifiers.
 	Problem = anonymize.Problem
 	// ProblemOptions configures a Problem: search worker budget, per-scan
-	// shard budget, disclosure-memo bound, engine injection, legacy path.
-	// Build from DefaultProblemOptions and override fields.
+	// shard budget, disclosure-memo bound, engine injection. Build from
+	// DefaultProblemOptions and override fields.
 	ProblemOptions = anonymize.Options
-	// ProblemOption configures a Problem through the legacy functional
-	// options (WithWorkers etc.); new code should fill a ProblemOptions
-	// and call NewProblemWithOptions.
-	ProblemOption = anonymize.Option
 	// Node is a generalization level per quasi-identifier.
 	Node = lattice.Node
 	// Space is the full-domain generalization lattice.
@@ -312,71 +310,36 @@ type (
 	SearchStats = lattice.Stats
 )
 
-// DefaultProblemOptions returns the configuration NewProblem uses when no
-// options are given: serial search, single-threaded scans, default memo
-// bound, encoded path on.
+// DefaultProblemOptions returns the configuration NewProblem uses: serial
+// search, single-threaded scans, default memo bound.
 func DefaultProblemOptions() ProblemOptions { return anonymize.DefaultOptions() }
 
-// NewProblem validates an anonymization task; qi fixes the lattice's
-// dimension order.
-func NewProblem(t *Table, hs Hierarchies, qi []string, opts ...ProblemOption) (*Problem, error) {
-	return anonymize.NewProblem(t, hs, qi, opts...)
+// NewProblem validates an anonymization task with the default options;
+// qi fixes the lattice's dimension order. The table is dictionary-encoded
+// once and the hierarchies are compiled over it: a table value a
+// hierarchy does not cover, or hierarchy levels that are not nested, are
+// errors naming the attribute.
+func NewProblem(t *Table, hs Hierarchies, qi []string) (*Problem, error) {
+	return anonymize.NewProblem(t, hs, qi)
 }
 
-// NewProblemWithOptions is NewProblem with the configuration spelled out
-// as a ProblemOptions struct.
+// NewProblemWithOptions is NewProblem with an explicit configuration:
+// ProblemOptions.Workers is the lattice searches' worker budget (each
+// level of the generalization lattice is safety-checked on up to that
+// many goroutines; <= 0 means one per CPU core), ShardWorkers splits each
+// full row scan into concurrent row shards, MemoMaxBytes bounds the
+// problem-scoped engine's memo and Engine injects one. The nodes returned
+// by every search are byte-identical at every worker count, and the
+// level-wise searches (MinimalSafe, MinimalSafeIncognito) also report
+// identical SearchStats; ChainSearch's multi-section variant probes
+// different chain positions per round, so its Evaluated count varies with
+// the budget.
 func NewProblemWithOptions(t *Table, hs Hierarchies, qi []string, o ProblemOptions) (*Problem, error) {
 	return anonymize.NewProblemWithOptions(t, hs, qi, o)
 }
 
-// WithWorkers sets ProblemOptions.Workers, the lattice searches' worker
-// budget: each level of the generalization lattice is safety-checked on up
-// to n goroutines (n <= 0 means one per CPU core; the default is 1). The
-// nodes returned by every search are byte-identical at every worker count,
-// and the level-wise searches (MinimalSafe, MinimalSafeIncognito) also
-// report identical SearchStats; ChainSearch's multi-section variant probes
-// different chain positions per round, so its Evaluated count varies with
-// the budget.
-//
-// Deprecated: set ProblemOptions.Workers and use NewProblemWithOptions.
-func WithWorkers(n int) ProblemOption { return anonymize.WithWorkers(n) }
-
-// WithShardWorkers sets ProblemOptions.ShardWorkers, the parallelism
-// budget within one bucketization: each full row scan splits into up to n
-// contiguous row shards scanned concurrently and merged byte-identically
-// (n <= 0 means one shard per CPU core; the default is 1).
-//
-// Deprecated: set ProblemOptions.ShardWorkers and use
-// NewProblemWithOptions.
-func WithShardWorkers(n int) ProblemOption { return anonymize.WithShardWorkers(n) }
-
-// WithMemoBytes sets ProblemOptions.MemoMaxBytes, bounding the
-// problem-scoped disclosure engine's memo (see EngineConfig.MemoMaxBytes);
-// Problem.Engine returns that engine for wiring into CKSafety criteria
-// checked against the problem.
-//
-// Deprecated: set ProblemOptions.MemoMaxBytes and use
-// NewProblemWithOptions.
-func WithMemoBytes(n int64) ProblemOption { return anonymize.WithMemoBytes(n) }
-
-// WithEngine sets ProblemOptions.Engine, injecting a fully configured (or
-// shared) engine as the problem-scoped engine and overriding
-// WithMemoBytes.
-//
-// Deprecated: set ProblemOptions.Engine and use NewProblemWithOptions.
-func WithEngine(e *Engine) ProblemOption { return anonymize.WithEngine(e) }
-
-// WithLegacyBucketize sets ProblemOptions.LegacyBucketize, disabling the
-// problem's columnar encoded path so every bucketization runs as a
-// row-by-row string scan. It exists for parity testing and benchmarking
-// against the reference implementation.
-//
-// Deprecated: set ProblemOptions.LegacyBucketize and use
-// NewProblemWithOptions.
-func WithLegacyBucketize() ProblemOption { return anonymize.WithLegacyBucketize() }
-
-// ProblemEncoding describes a problem's columnar state (whether the
-// encoded path is active and the per-attribute dictionary cardinalities).
+// ProblemEncoding describes a problem's columnar state: the
+// per-attribute dictionary cardinalities.
 type ProblemEncoding = anonymize.EncodingInfo
 
 // ProblemSnapshot is one pinned version of a Problem: every Bucketize

@@ -161,3 +161,53 @@ func TestPublicAPICompleteness(t *testing.T) {
 		t.Errorf("models = %d, want 2", got)
 	}
 }
+
+// splitting is a hierarchy that is not a nested coarsening: "a" and "b"
+// share a level-1 group but split again at level 2.
+type splitting struct{}
+
+func (splitting) Name() string { return "City" }
+func (splitting) Levels() int  { return 3 }
+func (splitting) Generalize(v string, level int) (string, error) {
+	switch {
+	case level == 0:
+		return v, nil
+	case level == 1 && v == "c":
+		return "y", nil
+	case level == 1:
+		return "x", nil
+	case v == "a":
+		return "p", nil
+	default:
+		return "q", nil
+	}
+}
+
+// TestBucketizeRejectsUncoveredOrNonNested checks the facade's
+// construction policy: Bucketize and NewProblem reject a hierarchy that
+// does not cover a table value, or whose levels are not nested, with an
+// error naming the attribute.
+func TestBucketizeRejectsUncoveredOrNonNested(t *testing.T) {
+	s, err := ckprivacy.NewSchema([]ckprivacy.Attribute{
+		{Name: "City", Kind: ckprivacy.Categorical, Domain: []string{"a", "b", "c"}},
+		{Name: "Disease", Kind: ckprivacy.Categorical, Domain: []string{"flu", "mumps"}},
+	}, "Disease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := ckprivacy.NewTable(s)
+	for _, r := range []ckprivacy.Row{{"a", "flu"}, {"b", "mumps"}, {"c", "flu"}} {
+		tab.MustAppend(r)
+	}
+	for name, hs := range map[string]ckprivacy.Hierarchies{
+		"uncovered":  {"City": ckprivacy.NewSuppressionHierarchy("City", []string{"a", "b"})},
+		"non-nested": {"City": splitting{}},
+	} {
+		if _, err := ckprivacy.Bucketize(tab, hs, ckprivacy.Levels{"City": 1}); err == nil || !strings.Contains(err.Error(), `"City"`) {
+			t.Errorf("%s: Bucketize error %v does not name attribute City", name, err)
+		}
+		if _, err := ckprivacy.NewProblem(tab, hs, []string{"City"}); err == nil || !strings.Contains(err.Error(), `"City"`) {
+			t.Errorf("%s: NewProblem error %v does not name attribute City", name, err)
+		}
+	}
+}

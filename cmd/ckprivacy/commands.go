@@ -96,8 +96,6 @@ func cmdSafe(args []string) error {
 	k := fs.Int("k", 3, "background knowledge bound")
 	method := fs.String("method", "incognito", "search method: naive | incognito | chain")
 	metricName := fs.String("utility", "discernibility", "utility metric: discernibility | avg | buckets")
-	legacy := fs.Bool("legacy", false,
-		"bucketize on the row-by-row string path instead of the encoded columnar path")
 	workers := workersFlag(fs)
 	shards := shardsFlag(fs)
 	if err := fs.Parse(args); err != nil {
@@ -110,7 +108,6 @@ func cmdSafe(args []string) error {
 	o := ckprivacy.DefaultProblemOptions()
 	o.Workers = *workers
 	o.ShardWorkers = *shards
-	o.LegacyBucketize = *legacy
 	p, err := ckprivacy.NewProblemWithOptions(b.Table, b.Hierarchies, b.QI, o)
 	if err != nil {
 		return err

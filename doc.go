@@ -19,7 +19,8 @@
 //     binary search on chains (Theorem 14), or Incognito.
 //
 // The lattice searches run level-wise parallel when given a worker budget
-// (NewProblem with WithWorkers, or -workers on the CLI): every
+// (ProblemOptions.Workers with NewProblemWithOptions, or -workers on the
+// CLI): every
 // not-yet-pruned node of one lattice height is evaluated concurrently and
 // monotone pruning acts as a barrier between levels, so results — node
 // sets, order, and search statistics — are byte-identical to the serial
@@ -52,10 +53,11 @@
 // histograms (BucketizeEncoded), with coarser lattice nodes derived from
 // finer materialized ones by merging buckets instead of rescanning rows
 // (CoarsenBucketization). NewProblem builds this state once per problem
-// and its searches use it transparently; the string path remains the
-// reference implementation (Bucketize, WithLegacyBucketize) and the two
-// are byte-identical — same bucket keys, tuple order, histograms, search
-// results and disclosure values — under randomized parity tests.
+// and its searches use it transparently; Bucketize is the one-shot form
+// (encode, compile, scan once). Every path is byte-identical — same bucket
+// keys, tuple order, histograms, search results and disclosure values —
+// to a row-by-row string-path reference bucketizer that lives only in the
+// tests, under randomized parity tests.
 //
 // Data streams in rather than arriving once: EncodedTable.Append grows
 // the dictionaries and code columns in place, and Problem.Append patches

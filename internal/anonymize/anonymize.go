@@ -26,8 +26,8 @@ import (
 )
 
 // state is one immutable version of a problem's data: a pinned row view,
-// the (optional) columnar substrate at that version, and the warm caches
-// built over it. Append never mutates a state — it builds the successor
+// the columnar substrate at that version, and the warm cache built over
+// it. Append never mutates a state — it builds the successor
 // and swaps the problem's current-state pointer, so every Snapshot keeps
 // computing on exactly the version it pinned.
 type state struct {
@@ -37,14 +37,12 @@ type state struct {
 	// tab is the pinned row view: exactly the rows of this version, backed
 	// by (a prefix of) the master table's storage.
 	tab *table.Table
-	// enc and compiled are the columnar substrate pinned at this version;
-	// nil when the problem runs the legacy string path.
+	// enc and compiled are the columnar substrate pinned at this version.
 	enc      *table.Encoded
 	compiled hierarchy.CompiledSet
-	// cache holds the version's materialized bucketizations; sources
-	// indexes them by full level vector for the coarsening derivation.
-	cache   *bucketizeCache
-	sources *coarsenIndex
+	// cache holds the version's materialized bucketizations, each with the
+	// level vector the sweep planner derives coarser nodes from.
+	cache *bucketizeCache
 }
 
 // Problem describes one anonymization task.
@@ -69,9 +67,9 @@ type Problem struct {
 	// makes the node×shard nesting deadlock-free (see parallel.Pool).
 	shardPool *parallel.Pool
 
-	// master is the append-only encoded view shared by all versions; nil
-	// when the problem runs the legacy string path. appendMu serializes
-	// Append; cur is the atomically swapped current version.
+	// master is the append-only encoded view shared by all versions.
+	// appendMu serializes Append; cur is the atomically swapped current
+	// version.
 	master   *table.Encoded
 	appendMu sync.Mutex
 	cur      atomic.Pointer[state]
@@ -116,28 +114,10 @@ type Options struct {
 	// Engine injects a fully configured (or shared) disclosure engine as
 	// the problem-scoped engine, overriding MemoMaxBytes.
 	Engine *core.Engine
-
-	// NoPlannedSweeps disables the sweep planner: lattice searches and
-	// MaterializeNodes evaluate node-by-node through the per-miss greedy
-	// coarsening path instead of planning each frontier's derivation DAG
-	// up front. The planned path is byte-identical (same nodes, stats and
-	// bucketizations); this switch exists for parity tests and benchmarks
-	// against the per-node path. The zero value — planner on — is the
-	// default. Implied by LegacyBucketize (the planner needs the encoded
-	// substrate).
-	NoPlannedSweeps bool
-
-	// LegacyBucketize disables the columnar encoded path: every
-	// bucketization runs the row-by-row string scan (and ShardWorkers is
-	// ignored — the legacy path never shards). The encoded path is
-	// byte-identical and much faster; this switch exists for parity tests
-	// and benchmarks against the reference implementation.
-	LegacyBucketize bool
 }
 
-// DefaultOptions returns the options NewProblem uses when none are given:
-// serial lattice search, single-threaded scans, default memo bound,
-// encoded path on.
+// DefaultOptions returns the options NewProblem uses: serial lattice
+// search, single-threaded scans, default memo bound.
 func DefaultOptions() Options {
 	return Options{Workers: 1, ShardWorkers: 1}
 }
@@ -150,64 +130,47 @@ func (o Options) resolved() Options {
 	return o
 }
 
-// Option configures a Problem at construction by mutating its Options.
-// The named With* constructors predate the Options struct and remain as
-// thin wrappers; new code should fill an Options and call
-// NewProblemWithOptions.
-type Option func(*Options)
-
-// WithWorkers sets Options.Workers.
-//
-// Deprecated: set Options.Workers and use NewProblemWithOptions.
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
+// NewProblem validates the inputs and precomputes the lattice shape with
+// DefaultOptions.
+func NewProblem(t *table.Table, hs hierarchy.Set, qi []string) (*Problem, error) {
+	return NewProblemWithOptions(t, hs, qi, DefaultOptions())
 }
 
-// WithShardWorkers sets Options.ShardWorkers.
-//
-// Deprecated: set Options.ShardWorkers and use NewProblemWithOptions.
-func WithShardWorkers(n int) Option {
-	return func(o *Options) { o.ShardWorkers = n }
-}
-
-// WithMemoBytes sets Options.MemoMaxBytes.
-//
-// Deprecated: set Options.MemoMaxBytes and use NewProblemWithOptions.
-func WithMemoBytes(n int64) Option {
-	return func(o *Options) { o.MemoMaxBytes = n }
-}
-
-// WithEngine sets Options.Engine.
-//
-// Deprecated: set Options.Engine and use NewProblemWithOptions.
-func WithEngine(e *core.Engine) Option {
-	return func(o *Options) { o.Engine = e }
-}
-
-// WithLegacyBucketize sets Options.LegacyBucketize.
-//
-// Deprecated: set Options.LegacyBucketize and use NewProblemWithOptions.
-func WithLegacyBucketize() Option {
-	return func(o *Options) { o.LegacyBucketize = true }
-}
-
-// NewProblem validates the inputs and precomputes the lattice shape,
-// configured by functional options over DefaultOptions.
-func NewProblem(t *table.Table, hs hierarchy.Set, qi []string, opts ...Option) (*Problem, error) {
-	o := DefaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return NewProblemWithOptions(t, hs, qi, o)
-}
-
-// newProblemCore validates the inputs and builds a Problem with its
-// lattice space, engine and shard pool — everything except the versioned
-// state, which the two constructors (fresh encode vs. recovered encoding)
-// wire differently.
-func newProblemCore(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*Problem, error) {
+// NewProblemWithOptions is NewProblem with the configuration spelled out
+// as a struct. The table is dictionary-encoded once and the hierarchies
+// are compiled over it; every bucketization, search and serving request
+// on the problem reuses that columnar view. A table value a hierarchy does
+// not cover, or hierarchy levels that are not nested coarsenings, are
+// rejected with an error naming the attribute: the lattice searches prune
+// by monotonicity (Theorem 14), which only holds on nested hierarchies.
+func NewProblemWithOptions(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*Problem, error) {
 	if t == nil || t.Len() == 0 {
 		return nil, fmt.Errorf("anonymize: empty table")
+	}
+	return newProblem(t.Encode(), hs, qi, 1, o)
+}
+
+// NewProblemFromEncoded builds a problem directly over an existing master
+// encoded view, resuming at the given dataset version. It is the durable
+// store's warm-boot path: the view (rebuilt from a columnar snapshot via
+// table.NewEncodedFromParts, then extended by WAL replay) becomes the
+// problem's master without re-encoding the rows, and version restores the
+// dataset version counter so versioned clients see no reset across a
+// restart.
+func NewProblemFromEncoded(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64, o Options) (*Problem, error) {
+	return newProblem(enc, hs, qi, version, o)
+}
+
+// newProblem validates the inputs and builds a Problem over a master
+// encoded view: lattice space, engine, shard pool, compiled hierarchies
+// and the first pinned version.
+func newProblem(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64, o Options) (*Problem, error) {
+	t := enc.Table
+	if t == nil || t.Len() == 0 {
+		return nil, fmt.Errorf("anonymize: empty table")
+	}
+	if version < 1 {
+		return nil, fmt.Errorf("anonymize: version %d < 1", version)
 	}
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("anonymize: no quasi-identifiers")
@@ -229,12 +192,17 @@ func newProblemCore(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*
 	if err != nil {
 		return nil, fmt.Errorf("anonymize: %w", err)
 	}
+	chs, err := bucket.CompileHierarchies(enc, hs)
+	if err != nil {
+		return nil, fmt.Errorf("anonymize: %w", err)
+	}
 	p := &Problem{
 		Table:       t,
 		Hierarchies: hs,
 		QI:          append([]string(nil), qi...),
 		space:       space,
 		opts:        o.resolved(),
+		master:      enc,
 	}
 	p.engine = p.opts.Engine
 	if p.engine == nil {
@@ -243,105 +211,34 @@ func newProblemCore(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*
 	if p.opts.ShardWorkers > 1 {
 		p.shardPool = parallel.NewPool(p.opts.ShardWorkers)
 	}
-	return p, nil
-}
-
-// NewProblemWithOptions is NewProblem with the configuration spelled out
-// as a struct.
-func NewProblemWithOptions(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*Problem, error) {
-	p, err := newProblemCore(t, hs, qi, o)
-	if err != nil {
-		return nil, err
-	}
-	// The version-1 row view is pinned ([:n:n]) on every path — including
-	// the legacy one — so a snapshot taken before the first Append can
-	// never observe rows the master table grows by.
-	st := &state{
-		version: 1,
-		tab:     &table.Table{Schema: t.Schema, Rows: t.Rows[:len(t.Rows):len(t.Rows)]},
-		cache:   newBucketizeCache(),
-	}
-	if !p.opts.LegacyBucketize {
-		// Encode once per problem; every bucketization, search and serving
-		// request on this problem reuses the columnar view. Compilation
-		// fails only when a table value is unknown to its hierarchy — the
-		// same inputs the string path rejects lazily at Bucketize time — so
-		// fall back to the reference path to preserve those semantics.
-		enc := t.Encode()
-		if chs, err := bucket.CompileHierarchies(enc, hs); err == nil {
-			p.master = enc
-			st.enc = enc.Snapshot()
-			st.tab = st.enc.Table
-			st.compiled = chs
-			st.sources = &coarsenIndex{}
-		}
-	}
-	p.cur.Store(st)
-	return p, nil
-}
-
-// NewProblemFromEncoded builds a problem directly over an existing master
-// encoded view, resuming at the given dataset version. It is the durable
-// store's warm-boot path: the view (rebuilt from a columnar snapshot via
-// table.NewEncodedFromParts, then extended by WAL replay) becomes the
-// problem's master without re-encoding the rows, and version restores the
-// PR-5 counter so versioned clients see no reset across a restart. Unlike
-// NewProblemWithOptions, hierarchy compilation failure is an error here —
-// a dataset persisted from the encoded path must recover onto it.
-func NewProblemFromEncoded(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64, o Options) (*Problem, error) {
-	t := enc.Table
-	if t == nil || t.Len() == 0 {
-		return nil, fmt.Errorf("anonymize: empty table")
-	}
-	if version < 1 {
-		return nil, fmt.Errorf("anonymize: version %d < 1", version)
-	}
-	if o.LegacyBucketize {
-		return nil, fmt.Errorf("anonymize: cannot recover an encoded problem onto the legacy path")
-	}
-	p, err := newProblemCore(t, hs, qi, o)
-	if err != nil {
-		return nil, err
-	}
-	chs, err := bucket.CompileHierarchies(enc, hs)
-	if err != nil {
-		return nil, fmt.Errorf("anonymize: recovered encoding does not compile: %w", err)
-	}
-	p.master = enc
-	st := &state{
+	// The pinned view ([:n:n]) keeps a snapshot taken before the first
+	// Append from ever observing rows the master grows by.
+	snap := enc.Snapshot()
+	p.cur.Store(&state{
 		version:  version,
-		enc:      enc.Snapshot(),
+		tab:      snap.Table,
+		enc:      snap,
 		compiled: chs,
 		cache:    newBucketizeCache(),
-		sources:  &coarsenIndex{},
-	}
-	st.tab = st.enc.Table
-	p.cur.Store(st)
+	})
 	return p, nil
 }
 
 // EncodingInfo describes a problem's columnar state.
 type EncodingInfo struct {
-	// Enabled reports whether the dictionary-encoded path is active.
-	Enabled bool
 	// Cardinalities is the per-attribute dictionary size (distinct ground
-	// values), keyed by attribute name; nil when Enabled is false.
+	// values), keyed by attribute name.
 	Cardinalities map[string]int
 }
 
-// Encoding reports whether the problem computes on the encoded substrate
-// and, if so, the current version's per-attribute dictionary
+// Encoding reports the current version's per-attribute dictionary
 // cardinalities.
 func (p *Problem) Encoding() EncodingInfo {
-	st := p.cur.Load()
-	if st.enc == nil {
-		return EncodingInfo{}
-	}
-	return EncodingInfo{Enabled: true, Cardinalities: st.enc.Cardinalities()}
+	return EncodingInfo{Cardinalities: p.cur.Load().enc.Cardinalities()}
 }
 
 // Engine returns the problem-scoped disclosure engine: a bounded,
-// concurrency-safe MINIMIZE1 memo sized by WithMemoBytes that callers
+// concurrency-safe MINIMIZE1 memo sized by Options.MemoMaxBytes that callers
 // should wire into (c,k)-safety criteria checked against this problem, so
 // lattice searches share warm DP state without growing without bound.
 // The engine spans versions — its memo is keyed by histogram content, so
@@ -435,9 +332,9 @@ func (s *Snapshot) Table() *table.Table { return s.st.tab }
 // Problem returns the problem the snapshot was taken from.
 func (s *Snapshot) Problem() *Problem { return s.p }
 
-// Encoded returns the pinned columnar view of this version, or nil when
-// the problem runs the legacy string path. The view is immutable; the
-// durable store serializes its dictionaries and code columns directly.
+// Encoded returns the pinned columnar view of this version. The view is
+// immutable; the durable store serializes its dictionaries and code
+// columns directly.
 func (s *Snapshot) Encoded() *table.Encoded { return s.st.enc }
 
 // Bucketize materializes the bucketization at a lattice node. Attributes
@@ -448,39 +345,32 @@ func (s *Snapshot) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 	if !s.p.space.Contains(node) {
 		return nil, fmt.Errorf("anonymize: node %v outside lattice %v", node, s.p.space.Dims())
 	}
-	subset := make([]int, len(s.p.QI))
-	for i := range subset {
-		subset[i] = i
-	}
-	return s.BucketizeSubset(subset, node)
+	return s.BucketizeSubset(identitySubset(len(s.p.QI)), node)
 }
 
 // BucketizeSubset materializes the bucketization induced by a subset of the
 // QI dimensions at the given (subset-aligned) levels; the remaining QI
 // attributes are fully suppressed. Incognito's subset lattices are checked
-// through this path.
+// through this path. A cache miss runs as a one-node sweep plan, so it
+// derives from the cheapest already-materialized finer node exactly like
+// a planned frontier does, and scans the rows only when none exists.
 func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
-	levels, err := s.subsetLevels(subset, node)
-	if err != nil {
-		return nil, err
-	}
 	key := cacheKey(subset, node)
 	if bz, ok := s.st.cache.get(key); ok {
 		return bz, nil
 	}
-	bz, err := s.materialize(levels)
-	if err != nil {
+	if err := s.prefetch([]subsetNode{{subset: subset, node: node}}); err != nil {
 		return nil, err
 	}
-	s.st.cache.put(key, bz, levels)
+	bz, _ := s.st.cache.peek(key)
 	return bz, nil
 }
 
 // subsetLevels expands a (subset, node) pair into the complete level
 // assignment it induces: subset dimensions at the node's levels, every
-// other QI — listed or schema-implied — at top-level suppression. Both
-// the per-node path and the sweep planner build their requests through
-// this, so they agree on what a cache key means.
+// other QI — listed or schema-implied — at top-level suppression. The
+// sweep planner builds every request through this, so a cache key means
+// one complete level assignment.
 func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels, error) {
 	p := s.p
 	if len(subset) != len(node) {
@@ -494,10 +384,9 @@ func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels,
 		}
 		levels[name] = h.Levels() - 1 // suppress by default
 	}
-	// Any schema QI attribute outside p.QI must also be neutralized;
-	// FromGeneralization groups by every non-sensitive attribute, so give
-	// them top-level suppression too when a hierarchy exists, and reject
-	// otherwise.
+	// Any schema QI attribute outside p.QI must also be neutralized: the
+	// scan groups by every schema QI attribute, so give them top-level
+	// suppression too when a hierarchy exists, and reject otherwise.
 	for _, col := range s.st.tab.Schema.QuasiIdentifiers() {
 		name := s.st.tab.Schema.Attrs[col].Name
 		if _, listed := levels[name]; listed {
@@ -516,35 +405,6 @@ func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels,
 		levels[p.QI[d]] = node[i]
 	}
 	return levels, nil
-}
-
-// materialize builds the bucketization for a complete level assignment
-// (every schema QI attribute present). On the encoded path it prefers
-// deriving the partition by coarsening the cheapest compatible
-// bucketization already materialized — O(buckets) instead of O(rows) —
-// and falls back to a single columnar scan; without an encoded view it
-// runs the reference string scan.
-func (s *Snapshot) materialize(levels bucket.Levels) (*bucket.Bucketization, error) {
-	st := s.st
-	if st.enc == nil {
-		return bucket.FromGeneralization(st.tab, s.p.Hierarchies, levels)
-	}
-	vec := levelVector(st.tab.Schema, levels)
-	var (
-		bz  *bucket.Bucketization
-		err error
-	)
-	if fine := st.sources.best(vec); fine != nil {
-		bz, err = bucket.Coarsen(fine, st.enc, st.compiled, levels)
-	} else {
-		bz, err = bucket.FromGeneralizationEncodedSharded(
-			st.enc, st.compiled, levels, s.scanShards(), s.p.shardPool)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.sources.add(vec, bz)
-	return bz, nil
 }
 
 // minRowsPerShard is the row count below which a sharded scan stops
@@ -583,23 +443,18 @@ func (s *Snapshot) Pred(crit privacy.Criterion) lattice.Pred {
 }
 
 // MinimalSafe returns all ⪯-minimal lattice nodes satisfying the criterion
-// using the bottom-up monotone search, evaluating each lattice level on the
-// problem's worker budget. The criterion's Satisfied must be safe for
-// concurrent calls when the budget exceeds 1 (all criteria in
-// internal/privacy are).
+// using the bottom-up monotone search: each lattice level is materialized
+// as one planned sweep, then evaluated on the problem's worker budget. The
+// criterion's Satisfied must be safe for concurrent calls when the budget
+// exceeds 1 (all criteria in internal/privacy are).
 func (s *Snapshot) MinimalSafe(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
-	if s.planned() {
-		return lattice.MinimalSatisfyingBatch(s.p.space, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
-	}
-	if s.p.opts.Workers == 1 {
-		return lattice.MinimalSatisfying(s.p.space, s.Pred(crit))
-	}
-	return lattice.MinimalSatisfyingParallel(s.p.space, s.Pred(crit), s.p.opts.Workers)
+	return lattice.MinimalSatisfyingBatch(s.p.space, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
 }
 
 // MinimalSafeIncognito returns the same minimal nodes via Incognito's
-// subset-pruned search, parallelized level-wise across same-size subset
-// lattices when the worker budget exceeds 1.
+// subset-pruned search: each layer across the same-size subset lattices is
+// materialized as one planned sweep, then evaluated on the problem's
+// worker budget.
 func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
 	check := func(subset []int, node lattice.Node) (bool, error) {
 		bz, err := s.BucketizeSubset(subset, node)
@@ -608,13 +463,7 @@ func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node,
 		}
 		return crit.Satisfied(bz)
 	}
-	if s.planned() {
-		return lattice.IncognitoBatch(s.p.space, check, s.subsetPrefetch(), s.p.opts.Workers)
-	}
-	if s.p.opts.Workers == 1 {
-		return lattice.Incognito(s.p.space, check)
-	}
-	return lattice.IncognitoParallel(s.p.space, check, s.p.opts.Workers)
+	return lattice.IncognitoBatch(s.p.space, check, s.subsetPrefetch(), s.p.opts.Workers)
 }
 
 // ChainSearch searches the canonical chain from the most specific to the
@@ -624,19 +473,7 @@ func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node,
 // multi-section search probing `workers` chain positions per round.
 func (s *Snapshot) ChainSearch(crit privacy.Criterion) (lattice.Node, bool, lattice.Stats, error) {
 	chain := s.p.space.Chain()
-	var (
-		idx   int
-		stats lattice.Stats
-		err   error
-	)
-	switch {
-	case s.planned():
-		idx, stats, err = lattice.BinarySearchChainBatch(chain, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
-	case s.p.opts.Workers == 1:
-		idx, stats, err = lattice.BinarySearchChain(chain, s.Pred(crit))
-	default:
-		idx, stats, err = lattice.BinarySearchChainParallel(chain, s.Pred(crit), s.p.opts.Workers)
-	}
+	idx, stats, err := lattice.BinarySearchChainBatch(chain, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
 	if err != nil {
 		return nil, false, stats, err
 	}
@@ -653,13 +490,11 @@ func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *
 	if len(nodes) == 0 {
 		return -1, nil, fmt.Errorf("anonymize: no candidate nodes")
 	}
-	if s.planned() {
-		// The candidates are one frontier: materialize them as a planned
-		// batch before ranking (usually they are cached from the search
-		// that produced them, in which case this is a no-op).
-		if err := s.nodePrefetch()(nodes); err != nil {
-			return -1, nil, err
-		}
+	// The candidates are one frontier: materialize them as a planned batch
+	// before ranking (usually they are cached from the search that
+	// produced them, in which case this is a no-op).
+	if err := s.nodePrefetch()(nodes); err != nil {
+		return -1, nil, err
 	}
 	bzs := make([]*bucket.Bucketization, len(nodes))
 	err := parallel.ForEach(s.p.opts.Workers, len(nodes), func(i int) error {
@@ -682,17 +517,6 @@ func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *
 // Snapshot directly when several calls must agree on one version).
 func (p *Problem) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 	return p.Snapshot().Bucketize(node)
-}
-
-// BucketizeSubset is Snapshot.BucketizeSubset on the current version.
-func (p *Problem) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
-	return p.Snapshot().BucketizeSubset(subset, node)
-}
-
-// Pred adapts a privacy criterion to a lattice predicate over full nodes,
-// evaluated on the current version at call time.
-func (p *Problem) Pred(crit privacy.Criterion) lattice.Pred {
-	return p.Snapshot().Pred(crit)
 }
 
 // MinimalSafe runs Snapshot.MinimalSafe on the version current when the
@@ -720,7 +544,7 @@ func (p *Problem) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *b
 }
 
 // levelVector flattens a complete level assignment into schema QI order —
-// the comparable form the coarsening index orders sources by.
+// the comparable form the sweep planner orders sources by.
 func levelVector(s *table.Schema, levels bucket.Levels) []int {
 	qi := s.QuasiIdentifiers()
 	vec := make([]int, len(qi))

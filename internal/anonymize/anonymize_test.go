@@ -108,7 +108,8 @@ func TestBucketizeSubset(t *testing.T) {
 	p := hospital(t)
 	// Subset {Sex} at level 0: grouping by sex alone → 2 buckets of 5,
 	// exactly like the full node with Zip and Age suppressed.
-	bz, err := p.BucketizeSubset([]int{2}, lattice.Node{0})
+	snap := p.Snapshot()
+	bz, err := snap.BucketizeSubset([]int{2}, lattice.Node{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +120,10 @@ func TestBucketizeSubset(t *testing.T) {
 	if len(bz.Buckets) != len(full.Buckets) {
 		t.Errorf("subset buckets %d != full buckets %d", len(bz.Buckets), len(full.Buckets))
 	}
-	if _, err := p.BucketizeSubset([]int{0, 1}, lattice.Node{0}); err == nil {
+	if _, err := snap.BucketizeSubset([]int{0, 1}, lattice.Node{0}); err == nil {
 		t.Error("mismatched subset/node accepted")
 	}
-	if _, err := p.BucketizeSubset([]int{7}, lattice.Node{0}); err == nil {
+	if _, err := snap.BucketizeSubset([]int{7}, lattice.Node{0}); err == nil {
 		t.Error("out-of-range subset accepted")
 	}
 }
@@ -147,7 +148,7 @@ func TestMinimalSafeMatchesIncognitoAndNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, _, err := lattice.NaiveMinimal(p.Space(), p.Pred(crit))
+			naive, _, err := lattice.NaiveMinimal(p.Space(), oraclePred(p.Snapshot(), crit))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +184,7 @@ func TestMinimalSafeCKSafetyHospital(t *testing.T) {
 		t.Errorf("paper node [1 1 0] not covered by minimal set %v", minimal)
 	}
 	// Every minimal node satisfies, every child of it fails.
-	pred := p.Pred(crit)
+	pred := oraclePred(p.Snapshot(), crit)
 	for _, n := range minimal {
 		ok, err := pred(n)
 		if err != nil || !ok {

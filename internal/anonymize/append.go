@@ -19,15 +19,13 @@ type AppendResult struct {
 	// Appended is the number of rows the batch added.
 	Appended int
 	// NewCodes counts the dictionary codes each attribute gained, keyed by
-	// attribute name; attributes absent saw no new values. Nil on the
-	// legacy string path, which keeps no dictionaries.
+	// attribute name; attributes absent saw no new values.
 	NewCodes map[string]int
 	// PatchedNodes counts warm cache entries refreshed in place by the
 	// incremental bucketization update.
 	PatchedNodes int
 	// InvalidatedNodes counts warm cache entries that had to be dropped
-	// (rebuilt lazily on next use) instead of patched — always the whole
-	// cache on the legacy path.
+	// (rebuilt lazily on next use) instead of patched.
 	InvalidatedNodes int
 }
 
@@ -39,8 +37,8 @@ type AppendResult struct {
 // version; calls made after Append see the grown dataset. Appends are
 // serialized with each other but never block snapshot readers.
 //
-// The batch is validated (schema and, on the encoded path, hierarchy
-// coverage of every new value) before anything mutates, so a rejected
+// The batch is validated (schema and hierarchy coverage of every new
+// value) before anything mutates, so a rejected
 // batch leaves the problem exactly as it was. The disclosure-engine memo
 // needs no maintenance: it is keyed by histogram content, not by dataset
 // version.
@@ -58,10 +56,6 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	if err := p.validateRows(rows); err != nil {
 		return AppendResult{}, err
 	}
-	if p.master == nil {
-		return p.appendLegacy(old, rows)
-	}
-
 	// Extend the compiled hierarchies over the batch's new values before
 	// committing anything: a value the hierarchy cannot generalize must
 	// reject the whole batch, not leave the dictionaries half-grown.
@@ -79,12 +73,10 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 
 	// Patch the warm state: every cached bucketization absorbs just the
 	// appended rows; entries a patch cannot serve are dropped and rebuilt
-	// lazily. The coarsening index is rebuilt from the patched entries, so
-	// the next cache miss still derives from the cheapest compatible
-	// source.
+	// lazily. Patched entries keep their level vectors, so the next cache
+	// miss still derives from the cheapest compatible source.
 	cache := newBucketizeCache()
 	cache.carryCounters(old.cache)
-	sources := &coarsenIndex{}
 	res := AppendResult{
 		Version:  old.version + 1,
 		Start:    delta.Start,
@@ -98,8 +90,7 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 			res.InvalidatedNodes++
 			return
 		}
-		cache.put(key, bz, e.levels)
-		sources.add(levelVector(snap.Table.Schema, e.levels), bz)
+		cache.put(key, cacheEntry{bz: bz, levels: e.levels, vec: e.vec})
 		res.PatchedNodes++
 	})
 	p.cur.Store(&state{
@@ -108,7 +99,6 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 		enc:      snap,
 		compiled: newCompiled,
 		cache:    cache,
-		sources:  sources,
 	})
 	return res, nil
 }
@@ -131,52 +121,6 @@ func (p *Problem) validateRows(rows []table.Row) error {
 		}
 	}
 	return nil
-}
-
-// appendLegacy is the string-path append: validated rows are added to the
-// master table, and the warm cache is dropped wholesale (there is no
-// encoded substrate to patch against). Hierarchy coverage is checked
-// first, like the encoded path's Extend: an append is irreversible, so a
-// schema-legal value no hierarchy can generalize must reject the batch
-// rather than permanently fail every later Bucketize of the dataset.
-func (p *Problem) appendLegacy(old *state, rows []table.Row) (AppendResult, error) {
-	s := p.Table.Schema
-	for name, h := range p.Hierarchies {
-		col := s.Index(name)
-		if col < 0 {
-			continue
-		}
-		checked := make(map[string]bool)
-		for i, r := range rows {
-			v := r[col]
-			if checked[v] {
-				continue
-			}
-			checked[v] = true
-			for l := 1; l < h.Levels(); l++ {
-				if _, err := h.Generalize(v, l); err != nil {
-					return AppendResult{}, fmt.Errorf("anonymize: append row %d: %w", i, err)
-				}
-			}
-		}
-	}
-	p.Table.Rows = append(p.Table.Rows, rows...)
-	n := len(p.Table.Rows)
-	res := AppendResult{
-		Version:          old.version + 1,
-		Start:            n - len(rows),
-		Rows:             n,
-		Appended:         len(rows),
-		InvalidatedNodes: old.cache.size(),
-	}
-	cache := newBucketizeCache()
-	cache.carryCounters(old.cache)
-	p.cur.Store(&state{
-		version: res.Version,
-		tab:     &table.Table{Schema: p.Table.Schema, Rows: p.Table.Rows[:n:n]},
-		cache:   cache,
-	})
-	return res, nil
 }
 
 // extendCompiled builds the next version's compiled-hierarchy set: for

@@ -6,35 +6,11 @@ import (
 	"reflect"
 	"testing"
 
-	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/table"
 )
-
-// requireBZIdentity asserts full byte-identity of two bucketizations:
-// keys, tuple order, histograms, signatures.
-func requireBZIdentity(t *testing.T, want, got *bucket.Bucketization, label string) {
-	t.Helper()
-	if len(want.Buckets) != len(got.Buckets) {
-		t.Fatalf("%s: %d buckets, want %d", label, len(got.Buckets), len(want.Buckets))
-	}
-	for i := range want.Buckets {
-		w, g := want.Buckets[i], got.Buckets[i]
-		if w.Key != g.Key {
-			t.Fatalf("%s: bucket %d key %q, want %q", label, i, g.Key, w.Key)
-		}
-		if !reflect.DeepEqual(w.Tuples, g.Tuples) {
-			t.Fatalf("%s: bucket %d tuples %v, want %v", label, i, g.Tuples, w.Tuples)
-		}
-		if !reflect.DeepEqual(w.Freq(), g.Freq()) {
-			t.Fatalf("%s: bucket %d freq %v, want %v", label, i, g.Freq(), w.Freq())
-		}
-		if !reflect.DeepEqual(w.Histogram(), g.Histogram()) {
-			t.Fatalf("%s: bucket %d histogram %v, want %v", label, i, g.Histogram(), w.Histogram())
-		}
-	}
-}
 
 // TestAppendParitySearches is the append-parity acceptance property: for
 // random tables and hierarchies, appending a suffix to a warm problem and
@@ -62,10 +38,7 @@ func TestAppendParitySearches(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("case %d cut %d (c=%v k=%d workers=%d)", i, cut, c, k, workers)
 
-			appended, err := NewProblem(base.Clone(), hs, qi, WithWorkers(workers))
-			if err != nil {
-				t.Fatalf("%s: base problem: %v", label, err)
-			}
+			appended := problemWithWorkers(t, base.Clone(), hs, qi, workers)
 			// Warm the whole lattice before appending so the patch path is
 			// what serves every post-append node.
 			for _, node := range appended.Space().All() {
@@ -84,10 +57,7 @@ func TestAppendParitySearches(t *testing.T) {
 				t.Fatalf("%s: version/rows %d/%d after append", label, appended.Version(), appended.Rows())
 			}
 
-			rebuilt, err := NewProblem(tab.Clone(), hs, qi, WithWorkers(workers))
-			if err != nil {
-				t.Fatalf("%s: rebuilt problem: %v", label, err)
-			}
+			rebuilt := problemWithWorkers(t, tab.Clone(), hs, qi, workers)
 
 			// Node-by-node bucketization identity and disclosure parity.
 			for _, node := range rebuilt.Space().All() {
@@ -99,7 +69,7 @@ func TestAppendParitySearches(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: appended bucketize %v: %v", label, node, err)
 				}
-				requireBZIdentity(t, want, got, fmt.Sprintf("%s node %v", label, node))
+				oracle.RequireIdentical(t, want, got, fmt.Sprintf("%s node %v", label, node))
 				wd, err := core.MaxDisclosure(want, k)
 				if err != nil {
 					t.Fatalf("%s: disclosure %v: %v", label, node, err)
@@ -154,9 +124,10 @@ func TestAppendParitySearches(t *testing.T) {
 	}
 }
 
-// TestAppendParityLegacyPath runs the append-parity property on the
-// string path: the cache is invalidated wholesale, and results still match
-// a from-scratch legacy problem on the concatenated table.
+// TestAppendParityLegacyPath runs the append-parity property against the
+// legacy string-path bucketizer, now oracle.Bucketize: after a warm
+// problem absorbs the second half of a table, every node's patched or
+// re-derived bucketization must equal the oracle's on the whole table.
 func TestAppendParityLegacyPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	tab, hs, qi := randomProblemCase(rng)
@@ -165,7 +136,7 @@ func TestAppendParityLegacyPath(t *testing.T) {
 	for _, r := range tab.Rows[:cut] {
 		base.MustAppend(r)
 	}
-	p, err := NewProblem(base.Clone(), hs, qi, WithLegacyBucketize())
+	p, err := NewProblem(base.Clone(), hs, qi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,26 +150,23 @@ func TestAppendParityLegacyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InvalidatedNodes != warm || res.PatchedNodes != 0 {
-		t.Fatalf("legacy append result %+v, want %d invalidated", res, warm)
+	if res.PatchedNodes+res.InvalidatedNodes != warm {
+		t.Fatalf("append result %+v, want %d warm entries accounted for", res, warm)
 	}
-	if p.CacheStats().Entries != 0 {
-		t.Fatalf("legacy append left %d cached entries", p.CacheStats().Entries)
-	}
-	rebuilt, err := NewProblem(tab.Clone(), hs, qi, WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
+	snap := p.Snapshot()
+	if snap.Rows() != tab.Len() {
+		t.Fatalf("appended problem has %d rows, want %d", snap.Rows(), tab.Len())
 	}
 	for _, node := range p.Space().All() {
-		want, err := rebuilt.Bucketize(node)
+		want, err := oracleBucketize(snap, node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Bucketize(node)
+		got, err := snap.Bucketize(node)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBZIdentity(t, want, got, fmt.Sprintf("legacy node %v", node))
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("appended node %v", node))
 	}
 }
 
@@ -233,7 +201,7 @@ func TestSnapshotPinsVersionAcrossAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireBZIdentity(t, before, after, "pinned snapshot")
+	oracle.RequireIdentical(t, before, after, "pinned snapshot")
 	if got := after.Size(); got != cut {
 		t.Fatalf("pinned snapshot bucketizes %d tuples, want %d", got, cut)
 	}
@@ -271,9 +239,6 @@ func TestAppendRejectsUncoveredValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Encoding().Enabled {
-		t.Fatal("fixture did not take the encoded path")
-	}
 	node := p.Space().All()[0]
 	if _, err := p.Bucketize(node); err != nil {
 		t.Fatal(err)
@@ -297,76 +262,6 @@ func TestAppendRejectsUncoveredValue(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotPinnedAcrossAppend pins the version-1 view on the
-// string path: even without an encoded substrate, a snapshot taken
-// before the first append must keep its row count and partitions.
-func TestLegacySnapshotPinnedAcrossAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	tab, hs, qi := randomProblemCase(rng)
-	cut := tab.Len() / 2
-	base := table.New(tab.Schema)
-	for _, r := range tab.Rows[:cut] {
-		base.MustAppend(r)
-	}
-	p, err := NewProblem(base, hs, qi, WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := p.Snapshot()
-	node := p.Space().All()[0]
-	if _, err := snap.Bucketize(node); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append(tab.Rows[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version() != 1 || snap.Rows() != cut {
-		t.Fatalf("legacy snapshot drifted to version %d rows %d, want 1/%d",
-			snap.Version(), snap.Rows(), cut)
-	}
-	bz, err := snap.Bucketize(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bz.Size() != cut {
-		t.Fatalf("legacy pinned snapshot bucketizes %d tuples, want %d", bz.Size(), cut)
-	}
-}
-
-// TestLegacyAppendRejectsUncoveredValue pins the string-path batch
-// atomicity: a schema-legal value no hierarchy can generalize must
-// reject the batch — committing it would permanently fail every later
-// Bucketize of the dataset.
-func TestLegacyAppendRejectsUncoveredValue(t *testing.T) {
-	s, err := table.NewSchema([]table.Attribute{
-		{Name: "City", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
-		{Name: "sens", Kind: table.Categorical, Domain: []string{"s0", "s1"}},
-	}, "sens")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := hierarchy.Set{"City": hierarchy.NewSuppression("City", []string{"a", "b"})}
-	tab := table.New(s)
-	tab.MustAppend(table.Row{"a", "s0"})
-	tab.MustAppend(table.Row{"b", "s1"})
-	p, err := NewProblem(tab, hs, []string{"City"}, WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append([]table.Row{{"a", "s1"}, {"c", "s0"}}); err == nil {
-		t.Fatal("legacy append accepted a value outside the hierarchy")
-	}
-	if p.Version() != 1 || p.Rows() != 2 {
-		t.Fatalf("rejected legacy append mutated the problem: version %d rows %d", p.Version(), p.Rows())
-	}
-	// The dataset still bucketizes at every node afterwards.
-	for _, node := range p.Space().All() {
-		if _, err := p.Bucketize(node); err != nil {
-			t.Fatalf("node %v broken after rejected append: %v", node, err)
-		}
-	}
-}
-
 // TestConcurrentAppendAndSearch drives appends while snapshot-pinned
 // searches and bucketizations run on other goroutines; the race detector
 // proves the copy-on-write versioning, and every observed bucketization
@@ -378,10 +273,7 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 	for _, r := range tab.Rows {
 		base.MustAppend(r)
 	}
-	p, err := NewProblem(base, hs, qi, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := problemWithWorkers(t, base, hs, qi, 2)
 	const rounds = 8
 	batch := make([]table.Row, 5)
 	for i := range batch {

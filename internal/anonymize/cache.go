@@ -14,12 +14,15 @@ import (
 const cacheShards = 32
 
 // cacheEntry is one cached bucketization together with the complete level
-// assignment (every schema QI attribute present) it was materialized at.
-// The levels are what let an append patch the entry in place:
-// bucket.AppendRows re-keys only the appended rows at exactly these levels.
+// assignment (every schema QI attribute present) it was materialized at,
+// as a map and as a level vector in schema QI order. The levels are what
+// let an append patch the entry in place (bucket.AppendRows re-keys only
+// the appended rows at exactly these levels); the vector is what lets the
+// sweep planner coarsen later nodes from the entry.
 type cacheEntry struct {
 	bz     *bucket.Bucketization
 	levels bucket.Levels
+	vec    []int
 }
 
 // bucketizeCache is a sharded, concurrency-safe map from (subset, node)
@@ -28,7 +31,7 @@ type cacheEntry struct {
 // fast path (read of an existing entry) off a single global lock.
 //
 // Entries are immutable once stored: a racing put of the same key is
-// harmless because FromGeneralization is deterministic, so both values are
+// harmless because bucketization is deterministic, so both values are
 // interchangeable. Each cache belongs to one problem version; an append
 // builds the next version's cache by patching this one's entries rather
 // than mutating them (snapshots pinned on this version keep reading it).
@@ -67,22 +70,20 @@ func (c *bucketizeCache) shard(key string) *struct {
 	return &c.shards[h.Sum32()%cacheShards]
 }
 
+// get is peek counting a hit. Misses are not counted here: the sweep
+// executor counts one per node it actually materializes, so a miss that a
+// racing sweep fills first costs no miss.
 func (c *bucketizeCache) get(key string) (*bucket.Bucketization, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	e, ok := s.m[key]
-	s.mu.RUnlock()
+	bz, ok := c.peek(key)
 	if ok {
 		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
 	}
-	return e.bz, ok
+	return bz, ok
 }
 
-// peek is get without touching the hit/miss counters: the sweep planner
-// probes the cache while deciding what to materialize, and a probe is
-// neither a serving-path hit nor a materialization.
+// peek looks a key up without touching the hit/miss counters: the sweep
+// planner probes the cache while deciding what to materialize, and a probe
+// is neither a serving-path hit nor a materialization.
 func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
@@ -92,32 +93,38 @@ func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
 }
 
 // countMiss attributes one materialization to the miss counter. The sweep
-// executor calls it per node it actually builds, so a planned sweep and a
-// per-node sweep report the same number of misses (= materializations).
+// executor calls it per node it actually builds, so misses count
+// materializations.
 func (c *bucketizeCache) countMiss() { c.misses.Add(1) }
 
-func (c *bucketizeCache) put(key string, bz *bucket.Bucketization, levels bucket.Levels) {
+func (c *bucketizeCache) put(key string, e cacheEntry) {
 	s := c.shard(key)
 	s.mu.Lock()
-	s.m[key] = cacheEntry{bz: bz, levels: levels}
+	s.m[key] = e
 	s.mu.Unlock()
 }
 
-// each calls fn on a point-in-time copy of every cached entry. Entries
-// added by racing readers after their shard is visited are simply missed —
-// for the append patcher that only costs a later cache miss, never
+// each calls fn on a point-in-time copy of every cached entry, outside
+// the shard locks. Entries added by racing readers after their shard is
+// visited are simply missed — for the append patcher that only costs a
+// later cache miss, and for the sweep planner a costlier source, never
 // correctness.
 func (c *bucketizeCache) each(fn func(key string, e cacheEntry)) {
+	type keyed struct {
+		key string
+		e   cacheEntry
+	}
+	var snapshot []keyed
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
-		snapshot := make(map[string]cacheEntry, len(s.m))
+		snapshot = snapshot[:0]
 		for k, e := range s.m {
-			snapshot[k] = e
+			snapshot = append(snapshot, keyed{k, e})
 		}
 		s.mu.RUnlock()
-		for k, e := range snapshot {
-			fn(k, e)
+		for _, ke := range snapshot {
+			fn(ke.key, ke.e)
 		}
 	}
 }
@@ -127,7 +134,8 @@ func (c *bucketizeCache) each(fn func(key string, e cacheEntry)) {
 type CacheStats struct {
 	// Hits counts Bucketize calls answered from the cache.
 	Hits uint64
-	// Misses counts calls that had to materialize the bucketization.
+	// Misses counts bucketizations materialized (scanned or coarsened)
+	// because no cached entry answered the request.
 	Misses uint64
 	// Entries is the number of cached bucketizations.
 	Entries int

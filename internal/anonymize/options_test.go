@@ -1,11 +1,12 @@
 package anonymize
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
-	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 )
@@ -32,10 +33,10 @@ func hospitalOptions(t *testing.T, o Options) *Problem {
 
 // TestOptionsResolution pins the struct-options surface: defaults, the
 // per-core resolution of non-positive budgets, the resolved view Options()
-// reports (including the problem-scoped engine), and that every legacy
-// With* wrapper writes through to the same struct.
+// reports (including the problem-scoped engine), and that NewProblem
+// builds with the defaults.
 func TestOptionsResolution(t *testing.T) {
-	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 || d.Engine != nil || d.LegacyBucketize {
+	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 || d.Engine != nil {
 		t.Fatalf("DefaultOptions() = %+v, want serial single-threaded defaults", d)
 	}
 
@@ -54,20 +55,17 @@ func TestOptionsResolution(t *testing.T) {
 		t.Fatalf("Options() = %+v, want per-core budgets (%d)", got, runtime.GOMAXPROCS(0))
 	}
 
-	// Every deprecated functional option must write through to Options.
+	// An injected engine becomes the problem-scoped engine.
 	eng := core.NewEngine()
-	base := hospital(t)
-	p, err := NewProblem(base.Table, base.Hierarchies, base.QI,
-		WithWorkers(2), WithShardWorkers(5), WithMemoBytes(-1), WithEngine(eng), WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = hospitalOptions(t, Options{Workers: 2, ShardWorkers: 5, MemoMaxBytes: -1, Engine: eng})
 	got = p.Options()
-	if got.Workers != 2 || got.ShardWorkers != 5 || got.MemoMaxBytes != -1 || got.Engine != eng || !got.LegacyBucketize {
-		t.Fatalf("Options() = %+v after functional options, want {2 5 -1 %p true}", got, eng)
+	if got.Workers != 2 || got.ShardWorkers != 5 || got.MemoMaxBytes != -1 || got.Engine != eng || p.Engine() != eng {
+		t.Fatalf("Options() = %+v, want {2 5 -1 %p}", got, eng)
 	}
-	if p.Encoding().Enabled {
-		t.Fatal("WithLegacyBucketize did not disable the encoded path")
+
+	// NewProblem is NewProblemWithOptions at the defaults.
+	if got := hospital(t).Options(); got.Workers != 1 || got.ShardWorkers != 1 || got.MemoMaxBytes != 0 {
+		t.Fatalf("NewProblem options = %+v, want the defaults", got)
 	}
 }
 
@@ -98,7 +96,7 @@ func TestShardedProblemParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameBuckets(t, want, got)
+				oracle.RequireIdentical(t, want, got, fmt.Sprintf("options %+v node %v", o, node))
 			}
 		}
 
@@ -152,26 +150,6 @@ func TestShardedAppendParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameBuckets(t, want, got)
-	}
-}
-
-// requireSameBuckets asserts byte-identity of two bucketizations.
-func requireSameBuckets(t *testing.T, want, got *bucket.Bucketization) {
-	t.Helper()
-	if len(want.Buckets) != len(got.Buckets) {
-		t.Fatalf("%d buckets, want %d", len(got.Buckets), len(want.Buckets))
-	}
-	for i := range want.Buckets {
-		w, g := want.Buckets[i], got.Buckets[i]
-		if w.Key != g.Key || w.Signature() != g.Signature() || len(w.Tuples) != len(g.Tuples) {
-			t.Fatalf("bucket %d: key %q sig %q size %d, want key %q sig %q size %d",
-				i, g.Key, g.Signature(), len(g.Tuples), w.Key, w.Signature(), len(w.Tuples))
-		}
-		for j := range w.Tuples {
-			if w.Tuples[j] != g.Tuples[j] {
-				t.Fatalf("bucket %d tuples %v, want %v", i, g.Tuples, w.Tuples)
-			}
-		}
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("appended node %v", node))
 	}
 }

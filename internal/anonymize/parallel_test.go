@@ -14,11 +14,7 @@ import (
 func hospitalWorkers(t *testing.T, workers int) *Problem {
 	t.Helper()
 	base := hospital(t)
-	p, err := NewProblem(base.Table, base.Hierarchies, base.QI, WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return problemWithWorkers(t, base.Table, base.Hierarchies, base.QI, workers)
 }
 
 func TestWithWorkersResolution(t *testing.T) {
@@ -183,8 +179,8 @@ func TestBoundedMemoSearchParity(t *testing.T) {
 	var refNodes []lattice.Node
 	var refStats lattice.Stats
 	for i, eng := range engines {
-		p, err := NewProblem(base.Table, base.Hierarchies, base.QI,
-			WithWorkers(4), WithEngine(eng))
+		p, err := NewProblemWithOptions(base.Table, base.Hierarchies, base.QI,
+			Options{Workers: 4, ShardWorkers: 1, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,17 +5,23 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/lattice"
+	"ckprivacy/internal/oracle"
+	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 )
 
 // Randomized search-parity harness: for random tables, hierarchies, QI
-// orders and (c,k) policies, a Problem on the encoded path must return
-// byte-identical search results — nodes, stats, disclosure values — to a
-// Problem forced onto the legacy string path, at every worker count.
+// orders and (c,k) policies, a Problem must return the search results —
+// nodes, bucketizations, disclosure values — that the string-path
+// reference bucketizer (oracle.Bucketize) implies, with identical nodes
+// and Stats at every worker count.
 
 // randomProblemCase draws a random table + hierarchy set (every QI gets a
 // hierarchy so subset searches can suppress attributes).
@@ -65,8 +71,125 @@ func randomProblemCase(rng *rand.Rand) (*table.Table, hierarchy.Set, []string) {
 	return tab, hs, qi
 }
 
-// TestSearchParityEncodedVsLegacy runs all three searches on both paths
-// and asserts identical nodes, stats and disclosure values.
+// oracleBucketize bucketizes a full lattice node with oracle.Bucketize,
+// the string-path reference, over the snapshot's pinned rows.
+func oracleBucketize(s *Snapshot, node lattice.Node) (*bucket.Bucketization, error) {
+	levels, err := s.subsetLevels(identitySubset(len(s.p.QI)), node)
+	if err != nil {
+		return nil, err
+	}
+	return oracle.Bucketize(s.Table(), s.p.Hierarchies, levels)
+}
+
+// oraclePred is crit evaluated on oracle bucketizations.
+func oraclePred(s *Snapshot, crit privacy.Criterion) lattice.Pred {
+	return func(n lattice.Node) (bool, error) {
+		bz, err := oracleBucketize(s, n)
+		if err != nil {
+			return false, err
+		}
+		return crit.Satisfied(bz)
+	}
+}
+
+// searchResult is everything the three searches report that must not
+// depend on the worker budget (ChainSearch's Evaluated count does, by
+// design, so its Stats are left out).
+type searchResult struct {
+	minimal, incognito           []lattice.Node
+	minimalStats, incognitoStats lattice.Stats
+	chain                        lattice.Node
+	chainOK                      bool
+}
+
+// checkAgainstOracle runs the three searches on the snapshot, then checks
+// them and every lattice node's bucketization against the oracle:
+// MinimalSafe and MinimalSafeIncognito must return lattice.NaiveMinimal's
+// nodes over oracle buckets, ChainSearch the lowest chain node the oracle
+// finds safe, and every bucketization and its disclosure must equal the
+// oracle's byte for byte.
+func checkAgainstOracle(t *testing.T, label string, s *Snapshot, c float64, k int) searchResult {
+	t.Helper()
+	crit := s.p.CKSafety(c, k)
+	var res searchResult
+	var err error
+	if res.minimal, res.minimalStats, err = s.MinimalSafe(crit); err != nil {
+		t.Fatalf("%s: MinimalSafe: %v", label, err)
+	}
+	if res.incognito, res.incognitoStats, err = s.MinimalSafeIncognito(crit); err != nil {
+		t.Fatalf("%s: Incognito: %v", label, err)
+	}
+	if res.chain, res.chainOK, _, err = s.ChainSearch(crit); err != nil {
+		t.Fatalf("%s: ChainSearch: %v", label, err)
+	}
+
+	want, _, err := lattice.NaiveMinimal(s.p.Space(), oraclePred(s, crit))
+	if err != nil {
+		t.Fatalf("%s: oracle search: %v", label, err)
+	}
+	if !sameNodeOrder(want, res.minimal) {
+		t.Fatalf("%s: MinimalSafe %v, oracle %v", label, res.minimal, want)
+	}
+	if !sameNodeOrder(want, res.incognito) {
+		t.Fatalf("%s: Incognito %v, oracle %v", label, res.incognito, want)
+	}
+	var wantChain lattice.Node
+	for _, n := range s.p.Space().Chain() {
+		ok, err := oraclePred(s, crit)(n)
+		if err != nil {
+			t.Fatalf("%s: oracle chain %v: %v", label, n, err)
+		}
+		if ok {
+			wantChain = n
+			break
+		}
+	}
+	if res.chainOK != (wantChain != nil) || (res.chainOK && res.chain.Key() != wantChain.Key()) {
+		t.Fatalf("%s: ChainSearch %v/%v, oracle %v", label, res.chain, res.chainOK, wantChain)
+	}
+
+	for _, node := range s.p.Space().All() {
+		want, err := oracleBucketize(s, node)
+		if err != nil {
+			t.Fatalf("%s: oracle bucketize %v: %v", label, node, err)
+		}
+		got, err := s.Bucketize(node)
+		if err != nil {
+			t.Fatalf("%s: bucketize %v: %v", label, node, err)
+		}
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("%s node %v", label, node))
+		wd, err := core.MaxDisclosure(want, k)
+		if err != nil {
+			t.Fatalf("%s: oracle disclosure %v: %v", label, node, err)
+		}
+		gd, err := core.MaxDisclosure(got, k)
+		if err != nil {
+			t.Fatalf("%s: disclosure %v: %v", label, node, err)
+		}
+		if wd != gd {
+			t.Fatalf("%s: disclosure at %v: %v, oracle %v", label, node, gd, wd)
+		}
+	}
+	return res
+}
+
+// problemWithWorkers builds a problem with the given lattice worker budget.
+func problemWithWorkers(t *testing.T, tab *table.Table, hs hierarchy.Set, qi []string, workers int) *Problem {
+	t.Helper()
+	o := DefaultOptions()
+	o.Workers = workers
+	p, err := NewProblemWithOptions(tab, hs, qi, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSearchParityEncodedVsLegacy checks all three searches on cold random
+// problems against the legacy string-path bucketizer, which now lives on
+// as oracle.Bucketize: nodes, bucketizations and disclosure values must
+// match the oracle, and nodes and Stats must be identical at worker
+// budgets 1 and 4.
 func TestSearchParityEncodedVsLegacy(t *testing.T) {
 	cases := 25
 	if testing.Short() {
@@ -77,81 +200,14 @@ func TestSearchParityEncodedVsLegacy(t *testing.T) {
 		tab, hs, qi := randomProblemCase(rng)
 		c := []float64{0.4, 0.6, 0.8}[rng.Intn(3)]
 		k := rng.Intn(3)
+		var ref searchResult
 		for _, workers := range []int{1, 4} {
-			legacy, err := NewProblem(tab, hs, qi, WithWorkers(workers), WithLegacyBucketize())
-			if err != nil {
-				t.Fatalf("case %d: legacy problem: %v", i, err)
-			}
-			encoded, err := NewProblem(tab, hs, qi, WithWorkers(workers))
-			if err != nil {
-				t.Fatalf("case %d: encoded problem: %v", i, err)
-			}
-			if legacy.Encoding().Enabled {
-				t.Fatalf("case %d: WithLegacyBucketize left encoding enabled", i)
-			}
-			if !encoded.Encoding().Enabled {
-				t.Fatalf("case %d: encoded problem did not encode", i)
-			}
 			label := fmt.Sprintf("case %d (c=%v k=%d workers=%d)", i, c, k, workers)
-
-			ln, ls, err := legacy.MinimalSafe(legacy.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: legacy MinimalSafe: %v", label, err)
-			}
-			en, es, err := encoded.MinimalSafe(encoded.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: encoded MinimalSafe: %v", label, err)
-			}
-			if !reflect.DeepEqual(ln, en) || ls != es {
-				t.Fatalf("%s: MinimalSafe mismatch: legacy %v %+v, encoded %v %+v", label, ln, ls, en, es)
-			}
-
-			ln, ls, err = legacy.MinimalSafeIncognito(legacy.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: legacy Incognito: %v", label, err)
-			}
-			en, es, err = encoded.MinimalSafeIncognito(encoded.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: encoded Incognito: %v", label, err)
-			}
-			if !reflect.DeepEqual(ln, en) || ls != es {
-				t.Fatalf("%s: Incognito mismatch: legacy %v %+v, encoded %v %+v", label, ln, ls, en, es)
-			}
-
-			lNode, lOK, lStats, err := legacy.ChainSearch(legacy.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: legacy ChainSearch: %v", label, err)
-			}
-			eNode, eOK, eStats, err := encoded.ChainSearch(encoded.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: encoded ChainSearch: %v", label, err)
-			}
-			if lOK != eOK || !reflect.DeepEqual(lNode, eNode) || lStats != eStats {
-				t.Fatalf("%s: ChainSearch mismatch: legacy %v/%v %+v, encoded %v/%v %+v",
-					label, lNode, lOK, lStats, eNode, eOK, eStats)
-			}
-
-			// Disclosure values over both paths' bucketizations, node by node.
-			for _, node := range legacy.Space().All() {
-				lbz, err := legacy.Bucketize(node)
-				if err != nil {
-					t.Fatalf("%s: legacy bucketize %v: %v", label, node, err)
-				}
-				ebz, err := encoded.Bucketize(node)
-				if err != nil {
-					t.Fatalf("%s: encoded bucketize %v: %v", label, node, err)
-				}
-				ld, err := core.MaxDisclosure(lbz, k)
-				if err != nil {
-					t.Fatalf("%s: legacy disclosure %v: %v", label, node, err)
-				}
-				ed, err := core.MaxDisclosure(ebz, k)
-				if err != nil {
-					t.Fatalf("%s: encoded disclosure %v: %v", label, node, err)
-				}
-				if ld != ed {
-					t.Fatalf("%s: disclosure at %v: legacy %v, encoded %v", label, node, ld, ed)
-				}
+			got := checkAgainstOracle(t, label, problemWithWorkers(t, tab, hs, qi, workers).Snapshot(), c, k)
+			if workers == 1 {
+				ref = got
+			} else if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("%s: searches differ from workers=1: %+v vs %+v", label, got, ref)
 			}
 		}
 	}
@@ -180,11 +236,12 @@ func (nonNested) Generalize(v string, level int) (string, error) {
 	}
 }
 
-// TestNonNestedHierarchyFallsBackToLegacy pins the safety net: a problem
-// over a law-violating custom hierarchy must not enable the encoded path
-// (whose coarsening derivation assumes the law) and must still produce
-// the string path's correct results.
-func TestNonNestedHierarchyFallsBackToLegacy(t *testing.T) {
+// TestRejectsNonNestedOrUncoveredHierarchy pins the construction policy:
+// the lattice searches' pruning is only sound on nested hierarchies
+// (Theorem 14), so a law-violating hierarchy, or a table value a
+// hierarchy does not cover, must fail NewProblem and the one-shot
+// bucketizer with an error naming the attribute.
+func TestRejectsNonNestedOrUncoveredHierarchy(t *testing.T) {
 	s, err := table.NewSchema([]table.Attribute{
 		{Name: "q0", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
 		{Name: "sens", Kind: table.Categorical, Domain: []string{"s0", "s1"}},
@@ -200,36 +257,23 @@ func TestNonNestedHierarchyFallsBackToLegacy(t *testing.T) {
 			[]string{"s0", "s1"}[rng.Intn(2)],
 		})
 	}
-	hs := hierarchy.Set{"q0": nonNested{}}
-	p, err := NewProblem(tab, hs, []string{"q0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Encoding().Enabled {
-		t.Fatal("encoded path enabled for a non-nested hierarchy")
-	}
-	legacy, err := NewProblem(tab, hs, []string{"q0"}, WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, node := range p.Space().All() {
-		want, err := legacy.Bucketize(node)
-		if err != nil {
-			t.Fatal(err)
+	for name, hs := range map[string]hierarchy.Set{
+		"non-nested": {"q0": nonNested{}},
+		"uncovered":  {"q0": hierarchy.NewSuppression("q0", []string{"a", "b"})},
+	} {
+		if _, err := NewProblem(tab, hs, []string{"q0"}); err == nil || !strings.Contains(err.Error(), `"q0"`) {
+			t.Errorf("%s: NewProblem error %v does not name attribute q0", name, err)
 		}
-		got, err := p.Bucketize(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("node %v: fallback bucketization differs from legacy", node)
+		if _, err := bucket.Bucketize(tab, hs, bucket.Levels{"q0": 1}); err == nil || !strings.Contains(err.Error(), `"q0"`) {
+			t.Errorf("%s: Bucketize error %v does not name attribute q0", name, err)
 		}
 	}
 }
 
 // TestCoarsenIndexSeeded checks the incremental derivation is actually in
-// play: after a full-lattice sweep, the problem has recorded one source
-// per materialized vector and a repeated sweep hits the cache.
+// play: a cold node-by-node sweep scans the rows once, derives every other
+// node by coarsening a cached finer one, matches the oracle at every
+// node, and a repeated sweep hits the cache.
 func TestCoarsenIndexSeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab, hs, qi := randomProblemCase(rng)
@@ -237,13 +281,24 @@ func TestCoarsenIndexSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := p.Snapshot()
 	for _, node := range p.Space().All() {
-		if _, err := p.Bucketize(node); err != nil {
+		got, err := snap.Bucketize(node)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := oracleBucketize(snap, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("node %v", node))
 	}
-	if got, want := p.cur.Load().sources.size(), p.Space().Size(); got != want {
-		t.Fatalf("coarsen index has %d entries, want %d", got, want)
+	size := uint64(p.Space().Size())
+	if ss := p.SweepStats(); ss.BaseScans != 1 || ss.Coarsened != size-1 || ss.PlannedNodes != size {
+		t.Fatalf("cold sweep stats %+v, want 1 base scan and %d coarsened", ss, size-1)
+	}
+	if got := p.CacheStats().Entries; got != p.Space().Size() {
+		t.Fatalf("cache has %d entries, want %d", got, p.Space().Size())
 	}
 	before := p.CacheStats()
 	for _, node := range p.Space().All() {

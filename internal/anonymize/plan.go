@@ -9,16 +9,17 @@ import (
 
 // This file plans a sweep: given the (subset, node) units a search is
 // about to evaluate — one lattice level, one Incognito layer, a chain's
-// probe set, or a whole lattice — it builds the derivation DAG the
-// executor in sweep.go then runs. Planning is the classic data-cube
-// scheduling problem: every requested node either coarsens from a parent
-// (a cheaper, finer node of the same sweep or an already-materialized
-// source) or falls back to a base row scan at the DAG's roots, and each
-// node picks the parent minimizing its predicted source bucket count,
-// since coarsening cost is linear in source buckets. Predictions combine
-// the two available bounds — the product of per-dimension generalized
-// cardinalities at the node's levels, and the parent's own (predicted or
-// actual) count — both capped by the row count.
+// probe set, a whole lattice, or the single node of a cache miss — it
+// builds the derivation DAG the executor in sweep.go then runs. Planning
+// is the classic data-cube scheduling problem: every requested node
+// either coarsens from a parent (a cheaper, finer node of the same sweep
+// or an already-cached source) or falls back to a base row scan at the
+// DAG's roots, and each node picks the parent minimizing its predicted
+// source bucket count, since coarsening cost is linear in source buckets.
+// Predictions combine the two available bounds — the product of
+// per-dimension generalized cardinalities at the node's levels, and the
+// parent's own (predicted or actual) count — both capped by the row
+// count.
 //
 // planNode values are written only here (the snapshotmut analyzer pins
 // the type to this file); the executor and its concurrent frontier
@@ -57,10 +58,11 @@ type sweepPlan struct {
 // assignment, and already-cached keys are dropped), then schedules each
 // node's derivation. Nodes are planned in (height, lexicographic) order,
 // so the plan is deterministic for a given cache state, and candidate
-// ties break the same way the per-miss coarsenIndex breaks them: fewest
-// buckets first, then lexicographically smallest vector, with recorded
-// sources preferred over same-cost planned predictions (their counts are
-// actual, not estimates).
+// ties break fewest buckets first, then lexicographically smallest
+// vector, with cached sources preferred over same-cost planned
+// predictions (their counts are actual, not estimates). Cache entries that
+// share a level vector tie exactly, so the first one seen serves: the
+// sources are deduplicated by vector.
 func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 	st := s.st
 	byVec := map[string]int{}
@@ -101,7 +103,8 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 		return lessVec(nodes[i].vec, nodes[j].vec)
 	})
 
-	sources := st.sources.snapshot()
+	var sources []cacheEntry
+	st.cache.each(func(_ string, e cacheEntry) { sources = append(sources, e) })
 	rows := st.tab.Len()
 	cards := s.levelCards()
 	for idx := range nodes {
@@ -168,6 +171,36 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 		pl.frontiers[last] = append(pl.frontiers[last], i)
 	}
 	return pl, nil
+}
+
+// leqVec reports a ≤ b component-wise.
+func leqVec(a, b []int) bool {
+	for i := range a {
+		if a[i] > b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lessVec reports a < b lexicographically (equal-length vectors).
+func lessVec(a, b []int) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+// vecHeight is the lattice height of a level vector: the sum of its
+// levels.
+func vecHeight(vec []int) int {
+	h := 0
+	for _, l := range vec {
+		h += l
+	}
+	return h
 }
 
 // containsKey reports whether keys already holds key (keys per node stay

@@ -12,11 +12,11 @@ import (
 // This file executes the derivation DAGs plan.go builds: frontiers run in
 // ascending height order, each frontier evaluated as one batch on the
 // problem's worker budget, every non-root node coarsening from its
-// parent's result through a pooled bucket.Arena. The executor's output is
-// byte-identical to materializing each node through the per-node
-// Bucketize path — planning changes which source each derivation uses and
-// when, never what it produces (bucket.Coarsen's contract: any
-// component-wise finer source yields the identical bucketization).
+// parent's result through a pooled bucket.Arena. Every materialization
+// goes through here, including a single cache miss (a one-node plan).
+// Planning changes which source each derivation uses and when, never what
+// it produces: bucket.CoarsenInto yields the identical bucketization from
+// any component-wise finer source, and that is the direct scan's result.
 
 // subsetNode pairs a QI-dimension subset with a node of its sub-lattice —
 // the unit of work a sweep materializes (full-lattice sweeps use the
@@ -43,7 +43,7 @@ type sweepCounters struct {
 // is to 1, the better its parent choices were.
 type SweepStats struct {
 	// Sweeps counts planned sweeps executed (one per non-empty frontier
-	// batch handed to the planner).
+	// batch handed to the planner, including one per cache miss).
 	Sweeps uint64
 	// PlannedNodes counts DAG nodes across all sweeps.
 	PlannedNodes uint64
@@ -54,7 +54,7 @@ type SweepStats struct {
 	// bucket.CoarsenInto.
 	Coarsened uint64
 	// Reused counts planned nodes that needed no work: their vector was
-	// already materialized (racing sweep or exact recorded source).
+	// already materialized (racing sweep or an exact cached source).
 	Reused uint64
 	// PredictedBuckets sums the planner's predicted bucket counts over
 	// materialized nodes.
@@ -77,15 +77,9 @@ func (p *Problem) SweepStats() SweepStats {
 	}
 }
 
-// planned reports whether sweeps on this snapshot run through the
-// planner: it needs the encoded substrate and is on unless opted out.
-func (s *Snapshot) planned() bool {
-	return s.st.enc != nil && !s.p.opts.NoPlannedSweeps
-}
-
 // prefetch plans and materializes one batch of units against the pinned
 // version's cache. It is the Snapshot side of the lattice searches'
-// frontier hand-off.
+// frontier hand-off, and the whole of a cache miss.
 func (s *Snapshot) prefetch(units []subsetNode) error {
 	if len(units) == 0 {
 		return nil
@@ -142,18 +136,15 @@ func (s *Snapshot) runPlan(pl *sweepPlan) error {
 				if err != nil {
 					return err
 				}
-				// A planned materialization counts as a cache miss, so the
-				// planned and per-node paths report the same number of
-				// misses (= materializations).
+				// Each materialization counts as one cache miss.
 				st.cache.countMiss()
 				ctr.predicted.Add(uint64(n.predicted))
 				ctr.actual.Add(uint64(len(bz.Buckets)))
 			}
 			results[idx] = bz
 			for _, k := range n.keys {
-				st.cache.put(k, bz, n.levels)
+				st.cache.put(k, cacheEntry{bz: bz, levels: n.levels, vec: n.vec})
 			}
-			st.sources.add(n.vec, bz)
 			return nil
 		})
 		if err != nil {
@@ -202,23 +193,12 @@ func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
 // nodes in one planned sweep: the whole set is scheduled as a derivation
 // DAG (base scans only at its roots, every other node coarsened from its
 // cheapest parent) and executed level by level on the problem's worker
-// budget. Afterwards Bucketize on any of the nodes is a cache hit. On a
-// problem without the planner (legacy path or NoPlannedSweeps) it simply
-// materializes the nodes one by one — the resulting cache contents are
-// identical either way.
+// budget. Afterwards Bucketize on any of the nodes is a cache hit.
 func (s *Snapshot) MaterializeNodes(nodes []lattice.Node) error {
 	for _, n := range nodes {
 		if !s.p.space.Contains(n) {
 			return fmt.Errorf("anonymize: node %v outside lattice %v", n, s.p.space.Dims())
 		}
-	}
-	if !s.planned() {
-		for _, n := range nodes {
-			if _, err := s.Bucketize(n); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	return s.nodePrefetch()(nodes)
 }

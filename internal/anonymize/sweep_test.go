@@ -7,18 +7,16 @@ import (
 	"strconv"
 	"testing"
 
-	"ckprivacy/internal/bucket"
-	"ckprivacy/internal/core"
+	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/table"
 )
 
 // Randomized full-sweep parity: a planned sweep (one derivation DAG,
-// frontier batches, pooled arenas) must produce byte-identical results to
-// the per-node greedy path and the legacy string path — same search
-// nodes and stats, same bucketizations, same disclosure values — at
-// every worker count, and again after an append patches the encoded
-// substrate between two sweeps (the planner must replan against the
-// patched cache, not reuse stale sources).
+// frontier batches, pooled arenas) must produce the oracle's
+// bucketizations, search nodes and disclosure values at every worker
+// count, and again after an append patches the encoded substrate between
+// two sweeps (the planner must replan against the patched cache, not
+// reuse stale sources).
 
 // cloneTable deep-copies a table so each problem under comparison owns
 // its rows — Append mutates the problem's table in place.
@@ -47,31 +45,6 @@ func randomRows(rng *rand.Rand, s *table.Schema, n int) []table.Row {
 	return rows
 }
 
-// assertSameBucketization compares two bucketizations bucket by bucket
-// through the public accessors (key, tuple ids, frequency table,
-// histogram) — the full observable surface of a bucket.
-func assertSameBucketization(t *testing.T, label string, a, b *bucket.Bucketization) {
-	t.Helper()
-	if len(a.Buckets) != len(b.Buckets) {
-		t.Fatalf("%s: %d buckets vs %d", label, len(a.Buckets), len(b.Buckets))
-	}
-	for i := range a.Buckets {
-		x, y := a.Buckets[i], b.Buckets[i]
-		if x.Key != y.Key {
-			t.Fatalf("%s: bucket %d key %q vs %q", label, i, x.Key, y.Key)
-		}
-		if !reflect.DeepEqual(x.Tuples, y.Tuples) {
-			t.Fatalf("%s: bucket %d (%s) tuples %v vs %v", label, i, x.Key, x.Tuples, y.Tuples)
-		}
-		if !reflect.DeepEqual(x.Freq(), y.Freq()) {
-			t.Fatalf("%s: bucket %d (%s) freq %v vs %v", label, i, x.Key, x.Freq(), y.Freq())
-		}
-		if !reflect.DeepEqual(x.Histogram(), y.Histogram()) {
-			t.Fatalf("%s: bucket %d (%s) hist %v vs %v", label, i, x.Key, x.Histogram(), y.Histogram())
-		}
-	}
-}
-
 // TestPlannedSweepParity is the full-sweep parity property test.
 func TestPlannedSweepParity(t *testing.T) {
 	cases := 8
@@ -84,137 +57,62 @@ func TestPlannedSweepParity(t *testing.T) {
 		extra := randomRows(rng, tab.Schema, 5+rng.Intn(20))
 		c := []float64{0.4, 0.6, 0.8}[rng.Intn(3)]
 		k := 1 + rng.Intn(2)
+		var refs [2]searchResult
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("case %d (c=%v k=%d workers=%d)", i, c, k, workers)
-
-			po := DefaultOptions()
-			po.Workers = workers
-			planned, err := NewProblemWithOptions(cloneTable(tab), hs, qi, po)
-			if err != nil {
-				t.Fatalf("%s: planned problem: %v", label, err)
-			}
-			po.NoPlannedSweeps = true
-			pernode, err := NewProblemWithOptions(cloneTable(tab), hs, qi, po)
-			if err != nil {
-				t.Fatalf("%s: per-node problem: %v", label, err)
-			}
-			legacy, err := NewProblem(cloneTable(tab), hs, qi, WithWorkers(workers), WithLegacyBucketize())
-			if err != nil {
-				t.Fatalf("%s: legacy problem: %v", label, err)
-			}
-			if !planned.Encoding().Enabled || !pernode.Encoding().Enabled {
-				t.Fatalf("%s: encoded path did not enable", label)
-			}
-
-			compareSweep(t, label, planned, pernode, legacy, c, k)
-
-			// Append the same rows to all three problems and sweep again:
-			// the planner must replan against the patched cache and stay
-			// byte-identical.
-			for _, p := range []*Problem{planned, pernode, legacy} {
-				if _, err := p.Append(extra); err != nil {
-					t.Fatalf("%s: append: %v", label, err)
+			p := problemWithWorkers(t, cloneTable(tab), hs, qi, workers)
+			var got [2]searchResult
+			for pass, when := range []string{"", " after append"} {
+				if pass == 1 {
+					if _, err := p.Append(extra); err != nil {
+						t.Fatalf("%s: append: %v", label, err)
+					}
 				}
+				snap := p.Snapshot()
+				if err := snap.MaterializeNodes(p.Space().All()); err != nil {
+					t.Fatalf("%s%s: planned sweep: %v", label, when, err)
+				}
+				got[pass] = checkAgainstOracle(t, label+when, snap, c, k)
 			}
-			compareSweep(t, label+" after append", planned, pernode, legacy, c, k)
-
-			// The planned problem really planned, and its per-node twin
-			// really did not.
-			if ss := planned.SweepStats(); ss.Sweeps == 0 || ss.PlannedNodes == 0 {
-				t.Fatalf("%s: planner never ran: %+v", label, ss)
+			if ss := p.SweepStats(); ss.Sweeps == 0 || ss.Coarsened == 0 {
+				t.Fatalf("%s: planner never coarsened: %+v", label, ss)
 			}
-			if ss := pernode.SweepStats(); ss.Sweeps != 0 {
-				t.Fatalf("%s: NoPlannedSweeps problem still planned: %+v", label, ss)
+			if workers == 1 {
+				refs = got
+			} else if !reflect.DeepEqual(refs, got) {
+				t.Fatalf("%s: searches differ from workers=1: %+v vs %+v", label, got, refs)
 			}
 		}
 	}
 }
 
-// compareSweep runs a full-lattice planned sweep plus all three searches
-// and asserts the three problems agree on everything observable.
-func compareSweep(t *testing.T, label string, planned, pernode, legacy *Problem, c float64, k int) {
-	t.Helper()
-	snap := planned.Snapshot()
-	nodes := planned.Space().All()
-	if err := snap.MaterializeNodes(nodes); err != nil {
-		t.Fatalf("%s: planned sweep: %v", label, err)
+// TestColdMissIsOneNodePlan pins the accounting of the miss path: a cold
+// Bucketize is a one-node plan (one cache miss, one planned node, one
+// sweep), and repeating it is one cache hit with no further miss or plan.
+func TestColdMissIsOneNodePlan(t *testing.T) {
+	p := hospital(t)
+	snap := p.Snapshot()
+	node := lattice.Node{1, 1, 0}
+	if _, err := snap.Bucketize(node); err != nil {
+		t.Fatal(err)
 	}
-	for _, node := range nodes {
-		pb, err := snap.Bucketize(node)
-		if err != nil {
-			t.Fatalf("%s: planned bucketize %v: %v", label, node, err)
-		}
-		nb, err := pernode.Bucketize(node)
-		if err != nil {
-			t.Fatalf("%s: per-node bucketize %v: %v", label, node, err)
-		}
-		assertSameBucketization(t, fmt.Sprintf("%s node %v", label, node), pb, nb)
-		lb, err := legacy.Bucketize(node)
-		if err != nil {
-			t.Fatalf("%s: legacy bucketize %v: %v", label, node, err)
-		}
-		pd, err := core.MaxDisclosure(pb, k)
-		if err != nil {
-			t.Fatalf("%s: planned disclosure %v: %v", label, node, err)
-		}
-		ld, err := core.MaxDisclosure(lb, k)
-		if err != nil {
-			t.Fatalf("%s: legacy disclosure %v: %v", label, node, err)
-		}
-		if pd != ld {
-			t.Fatalf("%s: disclosure at %v: planned %v, legacy %v", label, node, pd, ld)
-		}
+	cs, ss := p.CacheStats(), p.SweepStats()
+	if cs.Misses != 1 || cs.Hits != 0 || ss.PlannedNodes != 1 || ss.Sweeps != 1 || ss.BaseScans != 1 {
+		t.Fatalf("cold Bucketize: cache %+v, sweeps %+v; want 1 miss, 1 planned node, 1 base scan", cs, ss)
 	}
-
-	pn, ps, err := planned.MinimalSafe(planned.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: planned MinimalSafe: %v", label, err)
+	if _, err := snap.Bucketize(node); err != nil {
+		t.Fatal(err)
 	}
-	nn, ns, err := pernode.MinimalSafe(pernode.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: per-node MinimalSafe: %v", label, err)
+	cs, ss = p.CacheStats(), p.SweepStats()
+	if cs.Misses != 1 || cs.Hits != 1 || ss.PlannedNodes != 1 || ss.Sweeps != 1 {
+		t.Fatalf("repeat Bucketize: cache %+v, sweeps %+v; want 1 hit and no new miss or plan", cs, ss)
 	}
-	ln, ls, err := legacy.MinimalSafe(legacy.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: legacy MinimalSafe: %v", label, err)
+	// A cold coarser node derives from the cached one instead of scanning.
+	if _, err := snap.Bucketize(lattice.Node{2, 1, 0}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pn, nn) || ps != ns || !reflect.DeepEqual(pn, ln) || ps != ls {
-		t.Fatalf("%s: MinimalSafe mismatch: planned %v %+v, per-node %v %+v, legacy %v %+v",
-			label, pn, ps, nn, ns, ln, ls)
-	}
-
-	pn, ps, err = planned.MinimalSafeIncognito(planned.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: planned Incognito: %v", label, err)
-	}
-	nn, ns, err = pernode.MinimalSafeIncognito(pernode.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: per-node Incognito: %v", label, err)
-	}
-	ln, ls, err = legacy.MinimalSafeIncognito(legacy.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: legacy Incognito: %v", label, err)
-	}
-	if !reflect.DeepEqual(pn, nn) || ps != ns || !reflect.DeepEqual(pn, ln) || ps != ls {
-		t.Fatalf("%s: Incognito mismatch: planned %v %+v, per-node %v %+v, legacy %v %+v",
-			label, pn, ps, nn, ns, ln, ls)
-	}
-
-	pc, pok, pcs, err := planned.ChainSearch(planned.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: planned ChainSearch: %v", label, err)
-	}
-	nc, nok, ncs, err := pernode.ChainSearch(pernode.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: per-node ChainSearch: %v", label, err)
-	}
-	lc, lok, lcs, err := legacy.ChainSearch(legacy.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: legacy ChainSearch: %v", label, err)
-	}
-	if pok != nok || pok != lok || !reflect.DeepEqual(pc, nc) || !reflect.DeepEqual(pc, lc) ||
-		pcs != ncs || pcs != lcs {
-		t.Fatalf("%s: ChainSearch mismatch: planned %v/%v %+v, per-node %v/%v %+v, legacy %v/%v %+v",
-			label, pc, pok, pcs, nc, nok, ncs, lc, lok, lcs)
+	cs, ss = p.CacheStats(), p.SweepStats()
+	if cs.Misses != 2 || ss.PlannedNodes != 2 || ss.BaseScans != 1 || ss.Coarsened != 1 {
+		t.Fatalf("cold coarser Bucketize: cache %+v, sweeps %+v; want it coarsened from the cached node", cs, ss)
 	}
 }

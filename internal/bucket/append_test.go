@@ -1,4 +1,4 @@
-package bucket
+package bucket_test
 
 import (
 	"fmt"
@@ -6,7 +6,9 @@ import (
 	"strconv"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/table"
 )
 
@@ -28,7 +30,7 @@ func buildAppended(t *testing.T, s *table.Schema, hs hierarchy.Set, base, extra 
 		tab.MustAppend(r)
 	}
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -53,8 +55,8 @@ func buildAppended(t *testing.T, s *table.Schema, hs hierarchy.Set, base, extra 
 
 // TestAppendRowsParityRandom is the randomized append-parity property at
 // the bucketization layer: for random tables, hierarchies and levels,
-// bucketize(A) + AppendRows(B) must be byte-identical to a from-scratch
-// FromGeneralizationEncoded (and FromGeneralization) on A ++ B.
+// bucketize(A) + bucket.AppendRows(B) must be byte-identical to a from-scratch
+// bucket.FromGeneralizationEncoded and to oracle.Bucketize on A ++ B.
 func TestAppendRowsParityRandom(t *testing.T) {
 	cases := 150
 	if testing.Short() {
@@ -68,7 +70,7 @@ func TestAppendRowsParityRandom(t *testing.T) {
 		levels := randLevels(rng, hs, nil)
 		label := fmt.Sprintf("case %d cut %d levels %v", i, start, levels)
 
-		old, err := FromGeneralizationEncoded(enc.Snapshot(), chs, levels)
+		old, err := bucket.FromGeneralizationEncoded(enc.Snapshot(), chs, levels)
 		if err != nil {
 			// The snapshot spans all rows (append already ran); levels are
 			// valid by construction.
@@ -81,51 +83,51 @@ func TestAppendRowsParityRandom(t *testing.T) {
 			baseTab.MustAppend(r)
 		}
 		baseEnc := baseTab.Encode()
-		baseCHS, err := CompileHierarchies(baseEnc, hs)
+		baseCHS, err := bucket.CompileHierarchies(baseEnc, hs)
 		if err != nil {
 			t.Fatalf("%s: base compile: %v", label, err)
 		}
-		before, err := FromGeneralizationEncoded(baseEnc, baseCHS, levels)
+		before, err := bucket.FromGeneralizationEncoded(baseEnc, baseCHS, levels)
 		if err != nil {
 			t.Fatalf("%s: base scan: %v", label, err)
 		}
 
-		got, err := AppendRows(before, enc, chs, levels, start)
+		got, err := bucket.AppendRows(before, enc, chs, levels, start)
 		if err != nil {
-			t.Fatalf("%s: AppendRows: %v", label, err)
+			t.Fatalf("%s: bucket.AppendRows: %v", label, err)
 		}
-		requireIdentical(t, old, got, label+" (vs encoded rebuild)")
+		oracle.RequireIdentical(t, old, got, label+" (vs encoded rebuild)")
 
-		want, err := FromGeneralization(enc.Table, hs, levels)
+		want, err := oracle.Bucketize(enc.Table, hs, levels)
 		if err != nil {
-			t.Fatalf("%s: string rebuild: %v", label, err)
+			t.Fatalf("%s: oracle rebuild: %v", label, err)
 		}
-		requireIdentical(t, want, got, label+" (vs string rebuild)")
+		oracle.RequireIdentical(t, want, got, label+" (vs oracle rebuild)")
 
 		// The old bucketization must be untouched (copy-on-write).
-		requireIdentical(t, before, func() *Bucketization {
-			b, err := FromGeneralizationEncoded(baseEnc, baseCHS, levels)
+		oracle.RequireIdentical(t, before, func() *bucket.Bucketization {
+			b, err := bucket.FromGeneralizationEncoded(baseEnc, baseCHS, levels)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return b
 		}(), label+" (before intact)")
 
-		// An appended bucketization must keep working as a Coarsen source.
-		coarseLevels := Levels{}
+		// An appended bucketization must keep working as a CoarsenInto source.
+		coarseLevels := bucket.Levels{}
 		for name, lvl := range levels {
 			top := hs[name].Levels() - 1
 			coarseLevels[name] = lvl + rng.Intn(top-lvl+1)
 		}
-		wantCoarse, err := FromGeneralizationEncoded(enc, chs, coarseLevels)
+		wantCoarse, err := bucket.FromGeneralizationEncoded(enc, chs, coarseLevels)
 		if err != nil {
 			t.Fatalf("%s: coarse scan: %v", label, err)
 		}
-		gotCoarse, err := Coarsen(got, enc, chs, coarseLevels)
+		gotCoarse, err := bucket.CoarsenInto(got, enc, chs, coarseLevels, nil)
 		if err != nil {
 			t.Fatalf("%s: coarsen appended: %v", label, err)
 		}
-		requireIdentical(t, wantCoarse, gotCoarse, label+" (coarsen after append)")
+		oracle.RequireIdentical(t, wantCoarse, gotCoarse, label+" (coarsen after append)")
 	}
 }
 
@@ -136,24 +138,24 @@ func TestAppendRowsEmptyAndErrors(t *testing.T) {
 	tab := paperTable(t)
 	hs := paperHierarchies()
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := Levels{"Zip": 1, "Age": 1}
-	bz, err := FromGeneralizationEncoded(enc, chs, levels)
+	levels := bucket.Levels{"Zip": 1, "Age": 1}
+	bz, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := AppendRows(bz, enc, chs, levels, enc.Rows())
+	same, err := bucket.AppendRows(bz, enc, chs, levels, enc.Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, bz, same, "empty append")
-	if _, err := AppendRows(bz, enc, chs, levels, enc.Rows()+1); err == nil {
+	oracle.RequireIdentical(t, bz, same, "empty append")
+	if _, err := bucket.AppendRows(bz, enc, chs, levels, enc.Rows()+1); err == nil {
 		t.Fatal("accepted start beyond the table")
 	}
-	if _, err := AppendRows(bz, enc, chs, levels, -1); err == nil {
+	if _, err := bucket.AppendRows(bz, enc, chs, levels, -1); err == nil {
 		t.Fatal("accepted negative start")
 	}
 }
@@ -161,7 +163,7 @@ func TestAppendRowsEmptyAndErrors(t *testing.T) {
 // TestAppendRowsNewSensitiveCode pins the histogram-growth path: appended
 // rows introduce sensitive values the base table never saw, both into an
 // existing bucket and into a new one, and the merged dense histograms must
-// match a rebuild (including a subsequent Coarsen over the mixed-length
+// match a rebuild (including a subsequent CoarsenInto over the mixed-length
 // histograms).
 func TestAppendRowsNewSensitiveCode(t *testing.T) {
 	sdom := make([]string, 40)
@@ -179,41 +181,41 @@ func TestAppendRowsNewSensitiveCode(t *testing.T) {
 	base := []table.Row{{"11", "s00"}, {"12", "s01"}, {"21", "s00"}}
 	extra := []table.Row{{"13", "s05"}, {"31", "s06"}, {"11", "s05"}}
 	enc, chs, start := buildAppended(t, s, hs, base, extra)
-	for _, levels := range []Levels{{}, {"Age": 1}, {"Age": 2}} {
+	for _, levels := range []bucket.Levels{{}, {"Age": 1}, {"Age": 2}} {
 		baseTab := table.New(s)
 		for _, r := range base {
 			baseTab.MustAppend(r)
 		}
 		baseEnc := baseTab.Encode()
-		baseCHS, err := CompileHierarchies(baseEnc, hs)
+		baseCHS, err := bucket.CompileHierarchies(baseEnc, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, err := FromGeneralizationEncoded(baseEnc, baseCHS, levels)
+		before, err := bucket.FromGeneralizationEncoded(baseEnc, baseCHS, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendRows(before, enc, chs, levels, start)
+		got, err := bucket.AppendRows(before, enc, chs, levels, start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FromGeneralizationEncoded(enc, chs, levels)
+		want, err := oracle.Bucketize(enc.Table, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("new sensitive codes, levels %v", levels))
-		// Coarsen from the appended result: untouched buckets carry
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("new sensitive codes, levels %v", levels))
+		// Coarsen the appended result: untouched buckets carry
 		// pre-append (shorter) dense histograms, exercising the <= merge.
-		top := Levels{"Age": 2}
-		wantTop, err := FromGeneralizationEncoded(enc, chs, top)
+		top := bucket.Levels{"Age": 2}
+		wantTop, err := bucket.FromGeneralizationEncoded(enc, chs, top)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTop, err := Coarsen(got, enc, chs, top)
+		gotTop, err := bucket.CoarsenInto(got, enc, chs, top, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, wantTop, gotTop, fmt.Sprintf("coarsen mixed histograms from %v", levels))
+		oracle.RequireIdentical(t, wantTop, gotTop, fmt.Sprintf("coarsen mixed histograms from %v", levels))
 	}
 }
 
@@ -251,35 +253,35 @@ func TestAppendRowsFallbackKeyPath(t *testing.T) {
 		extra = append(extra, mkRow(r))
 	}
 	enc, chs, start := buildAppended(t, s, hs, base, extra)
-	dims, err := buildDims(enc, chs, Levels{})
+	packed, err := bucket.Packable(enc, chs, bucket.Levels{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packable(dims) {
+	if packed {
 		t.Fatal("fixture unexpectedly packable; fallback path not exercised")
 	}
-	for _, levels := range []Levels{{}, {"q0": 1, "q3": 1}, {"q0": 2, "q1": 2, "q2": 2}} {
+	for _, levels := range []bucket.Levels{{}, {"q0": 1, "q3": 1}, {"q0": 2, "q1": 2, "q2": 2}} {
 		baseTab := table.New(s)
 		for _, r := range base {
 			baseTab.MustAppend(r)
 		}
 		baseEnc := baseTab.Encode()
-		baseCHS, err := CompileHierarchies(baseEnc, hs)
+		baseCHS, err := bucket.CompileHierarchies(baseEnc, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, err := FromGeneralizationEncoded(baseEnc, baseCHS, levels)
+		before, err := bucket.FromGeneralizationEncoded(baseEnc, baseCHS, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AppendRows(before, enc, chs, levels, start)
+		got, err := bucket.AppendRows(before, enc, chs, levels, start)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := FromGeneralizationEncoded(enc, chs, levels)
+		want, err := oracle.Bucketize(enc.Table, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("fallback levels %v", levels))
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("fallback levels %v", levels))
 	}
 }

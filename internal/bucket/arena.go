@@ -9,17 +9,23 @@ import (
 	"ckprivacy/internal/table"
 )
 
-// This file is the batch-aware coarsening path the sweep planner executes
-// on: CoarsenInto derives a coarser bucketization from a finer one like
-// Coarsen, but merges into caller-provided scratch drawn from a pooled
-// Arena and precomputes every output size from the source bucketization,
-// so a planned sweep materializing dozens of lattice nodes allocates each
-// histogram and tuple slab exactly once and reuses its grouping maps,
-// permutation and key buffers across the nodes of a frontier slot.
+// This file is the coarsening path: CoarsenInto derives the bucketization
+// at coarser levels from an already-materialized finer one of the same
+// encoded table, without rescanning the rows. Every fine bucket is re-keyed
+// through its representative row (the hierarchies' nested-coarsening law
+// guarantees all its rows generalize identically), fine buckets with equal
+// coarse keys are merged, and their sensitive code histograms are summed.
+// The cost is proportional to the number of fine buckets, not the number
+// of rows — this is what makes lattice-wide sweeps cheap after the first
+// scan. It merges into scratch drawn from a pooled Arena and precomputes
+// every output size from the source bucketization, so a planned sweep
+// materializing dozens of lattice nodes allocates each histogram and tuple
+// slab exactly once and reuses its grouping maps, permutation and key
+// buffers across the nodes of a frontier slot.
 //
-// The output contract is Coarsen's, byte for byte: same keys, same bucket
-// order, same tuple order, same frequency tables. Three mechanical
-// differences make it cheaper, never different:
+// The output is byte-identical to a direct scan at the coarse levels: same
+// keys, same bucket order, same tuple order, same frequency tables. Three
+// mechanical choices make it cheap:
 //
 //   - groups that merge no fine buckets (one source bucket → one output
 //     bucket) share the source bucket's tuple, frequency and histogram
@@ -155,12 +161,18 @@ func (ar *Arena) buffers(n int) (cur []int, keys []string, perm []int) {
 	return ar.cursor[:n], ar.keys[:n], ar.perm[:n]
 }
 
-// CoarsenInto is Coarsen merging through a pooled Arena: byte-identical
-// output, with the grouping maps, row-tag array and ordering buffers drawn
-// from ar instead of allocated per call, exact-size tuple and histogram
-// slabs, and storage shared from fine buckets that coarsen alone. A nil ar
-// borrows one from the pool for the duration of the call. See Coarsen for
-// the derivation's precondition and the byte-identity contract.
+// CoarsenInto derives the bucketization at the given levels from fine,
+// merging through an Arena: the grouping maps, row-tag array and ordering
+// buffers come from ar instead of being allocated per call, tuple and
+// histogram slabs are exact-size, and fine buckets that coarsen alone
+// share their storage. A nil ar borrows one from the pool for the
+// duration of the call; sweeps that coarsen many nodes in a row should
+// hold one Arena across the calls instead.
+//
+// Precondition: fine partitions enc.Table at levels that are
+// component-wise ≤ the requested levels (on every schema QI attribute).
+// The result is then byte-identical to FromGeneralizationEncoded at the
+// requested levels.
 func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, ar *Arena) (*Bucketization, error) {
 	if ar == nil {
 		ar = GetArena()

@@ -9,11 +9,9 @@ package bucket
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
-	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/table"
 )
 
@@ -29,8 +27,9 @@ type Bucket struct {
 	prefix []int              // prefix[j] = sum of top-j counts
 	hist   []int              // counts only, aligned with freq
 	// scounts is the sensitive histogram over the encoded table's
-	// sensitive code space; nil for buckets built on the string path. The
-	// incremental coarsening path merges these without touching strings.
+	// sensitive code space; nil for buckets built from value lists or
+	// tuple groups. The incremental coarsening path merges these without
+	// touching strings.
 	scounts []int32
 }
 
@@ -175,103 +174,6 @@ func FromTupleGroups(src *table.Table, keys []string, groups [][]int) (*Bucketiz
 
 // Levels assigns a generalization level to each quasi-identifier by name.
 type Levels map[string]int
-
-// validateLevels rejects level assignments that the grouping loop would
-// otherwise silently ignore or default: attributes that do not exist in
-// the schema (typos), the sensitive attribute, and levels outside the
-// attribute's hierarchy range. hierLevels reports the named attribute's
-// level count, false when it has no hierarchy.
-func validateLevels(s *table.Schema, levels Levels, hierLevels func(name string) (int, bool)) error {
-	for name, lvl := range levels {
-		col := s.Index(name)
-		if col < 0 {
-			return fmt.Errorf("bucket: levels name unknown attribute %q", name)
-		}
-		if col == s.SensitiveIndex {
-			return fmt.Errorf("bucket: levels name the sensitive attribute %q, which cannot be generalized", name)
-		}
-		if lvl == 0 {
-			continue // identity needs no hierarchy
-		}
-		n, ok := hierLevels(name)
-		if !ok {
-			return fmt.Errorf("bucket: no hierarchy for attribute %q", name)
-		}
-		if lvl < 0 || lvl >= n {
-			return fmt.Errorf("bucket: level %d for attribute %q outside [0, %d)", lvl, name, n)
-		}
-	}
-	return nil
-}
-
-// FromGeneralization partitions t by the generalized values of its
-// quasi-identifiers: two tuples share a bucket iff they agree on every QI
-// attribute after generalization to the given level. Attributes absent from
-// levels default to level 0 (no generalization). This realizes the paper's
-// equivalence of full-domain generalization and bucketization under full
-// identification information.
-//
-// This is the string-path reference implementation; FromGeneralizationEncoded
-// computes the byte-identical result over an Encoded view of the table.
-func FromGeneralization(t *table.Table, hs hierarchy.Set, levels Levels) (*Bucketization, error) {
-	err := validateLevels(t.Schema, levels, func(name string) (int, bool) {
-		h, ok := hs[name]
-		if !ok {
-			return 0, false
-		}
-		return h.Levels(), true
-	})
-	if err != nil {
-		return nil, err
-	}
-	qi := t.Schema.QuasiIdentifiers()
-	type group struct {
-		tuples []int
-		counts map[string]int
-	}
-	groups := make(map[string]*group)
-	var keyParts []string
-	for row := 0; row < t.Len(); row++ {
-		keyParts = keyParts[:0]
-		for _, col := range qi {
-			name := t.Schema.Attrs[col].Name
-			lvl := levels[name]
-			val := t.Value(row, col)
-			if lvl != 0 {
-				h, ok := hs[name]
-				if !ok {
-					return nil, fmt.Errorf("bucket: no hierarchy for attribute %q", name)
-				}
-				g, err := h.Generalize(val, lvl)
-				if err != nil {
-					return nil, fmt.Errorf("bucket: row %d: %w", row, err)
-				}
-				val = g
-			}
-			keyParts = append(keyParts, val)
-		}
-		key := strings.Join(keyParts, "|")
-		g, ok := groups[key]
-		if !ok {
-			g = &group{counts: make(map[string]int)}
-			groups[key] = g
-		}
-		g.tuples = append(g.tuples, row)
-		g.counts[t.SensitiveValue(row)]++
-	}
-
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	bz := &Bucketization{Source: t}
-	for _, k := range keys {
-		g := groups[k]
-		bz.Buckets = append(bz.Buckets, newBucket(k, g.tuples, g.counts))
-	}
-	return bz, nil
-}
 
 // Merge returns a new bucketization with buckets i and j merged (a single
 // step up the paper's ⪯ partial order). The source table, if any, carries

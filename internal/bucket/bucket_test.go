@@ -1,4 +1,4 @@
-package bucket
+package bucket_test
 
 import (
 	"math"
@@ -7,7 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/table"
 )
 
@@ -53,7 +55,7 @@ func paperHierarchies() hierarchy.Set {
 }
 
 func TestFromValues(t *testing.T) {
-	bz := FromValues(
+	bz := bucket.FromValues(
 		[]string{"flu", "flu", "lung-cancer", "lung-cancer", "mumps"},
 		[]string{"flu", "flu", "breast-cancer", "ovarian-cancer", "heart-disease"},
 	)
@@ -97,7 +99,7 @@ func TestFromGeneralizationPaperExample(t *testing.T) {
 	tab := paperTable(t)
 	// Zip generalized to width 10 ("1485*"), Age to width 10 ("2*"), Sex
 	// kept: exactly the paper's Figure 2/3 partition into two buckets of 5.
-	bz, err := FromGeneralization(tab, paperHierarchies(), Levels{"Zip": 1, "Age": 1})
+	bz, err := bucket.Bucketize(tab, paperHierarchies(), bucket.Levels{"Zip": 1, "Age": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestFromGeneralizationPaperExample(t *testing.T) {
 		}
 	}
 	// The male bucket has histogram {flu:2, lung:2, mumps:1}.
-	var male *Bucket
+	var male *bucket.Bucket
 	for _, b := range bz.Buckets {
 		if b.Count("mumps") > 0 {
 			male = b
@@ -120,7 +122,7 @@ func TestFromGeneralizationPaperExample(t *testing.T) {
 		t.Fatalf("male bucket = %+v", male)
 	}
 	// Suppressing sex merges the two buckets.
-	bz2, err := FromGeneralization(tab, paperHierarchies(), Levels{"Zip": 1, "Age": 1, "Sex": 1})
+	bz2, err := bucket.Bucketize(tab, paperHierarchies(), bucket.Levels{"Zip": 1, "Age": 1, "Sex": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,26 +134,33 @@ func TestFromGeneralizationPaperExample(t *testing.T) {
 	}
 }
 
+// TestFromGeneralizationErrors checks that the production one-shot
+// bucketizer and the oracle reject the same bad inputs.
 func TestFromGeneralizationErrors(t *testing.T) {
 	tab := paperTable(t)
-	if _, err := FromGeneralization(tab, hierarchy.Set{}, Levels{"Zip": 1}); err == nil {
-		t.Error("missing hierarchy accepted")
-	}
-	if _, err := FromGeneralization(tab, paperHierarchies(), Levels{"Zip": 9}); err == nil {
-		t.Error("bad level accepted")
-	}
-	// Level 0 on everything: one bucket per distinct QI combination.
-	bz, err := FromGeneralization(tab, paperHierarchies(), Levels{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bz.Buckets) != 10 {
-		t.Errorf("ground partition has %d buckets, want 10", len(bz.Buckets))
+	for path, bucketize := range map[string]func(*table.Table, hierarchy.Set, bucket.Levels) (*bucket.Bucketization, error){
+		"production": bucket.Bucketize,
+		"oracle":     oracle.Bucketize,
+	} {
+		if _, err := bucketize(tab, hierarchy.Set{}, bucket.Levels{"Zip": 1}); err == nil {
+			t.Errorf("%s: missing hierarchy accepted", path)
+		}
+		if _, err := bucketize(tab, paperHierarchies(), bucket.Levels{"Zip": 9}); err == nil {
+			t.Errorf("%s: bad level accepted", path)
+		}
+		// Level 0 on everything: one bucket per distinct QI combination.
+		bz, err := bucketize(tab, paperHierarchies(), bucket.Levels{})
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(bz.Buckets) != 10 {
+			t.Errorf("%s: ground partition has %d buckets, want 10", path, len(bz.Buckets))
+		}
 	}
 }
 
 func TestMerge(t *testing.T) {
-	bz := FromValues([]string{"a", "a"}, []string{"b"}, []string{"c"})
+	bz := bucket.FromValues([]string{"a", "a"}, []string{"b"}, []string{"c"})
 	m, err := bz.Merge(0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +168,7 @@ func TestMerge(t *testing.T) {
 	if len(m.Buckets) != 2 {
 		t.Fatalf("merged buckets = %d", len(m.Buckets))
 	}
-	var merged *Bucket
+	var merged *bucket.Bucket
 	for _, b := range m.Buckets {
 		if b.Size() == 3 {
 			merged = b
@@ -189,23 +198,23 @@ func TestMerge(t *testing.T) {
 }
 
 func TestEntropy(t *testing.T) {
-	b := FromValues([]string{"a", "a", "b"}).Buckets[0]
+	b := bucket.FromValues([]string{"a", "a", "b"}).Buckets[0]
 	want := -(2.0/3.0)*math.Log(2.0/3.0) - (1.0/3.0)*math.Log(1.0/3.0)
 	if got := b.Entropy(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Entropy = %v, want %v", got, want)
 	}
-	u := FromValues([]string{"a", "b", "c", "d"}).Buckets[0]
+	u := bucket.FromValues([]string{"a", "b", "c", "d"}).Buckets[0]
 	if got := u.Entropy(); math.Abs(got-math.Log(4)) > 1e-12 {
 		t.Errorf("uniform entropy = %v, want ln 4", got)
 	}
-	one := FromValues([]string{"a", "a"}).Buckets[0]
+	one := bucket.FromValues([]string{"a", "a"}).Buckets[0]
 	if got := one.Entropy(); got != 0 {
 		t.Errorf("degenerate entropy = %v", got)
 	}
 }
 
 func TestBucketizationStats(t *testing.T) {
-	bz := FromValues(
+	bz := bucket.FromValues(
 		[]string{"a", "a", "b", "c"}, // entropy ln-ish, top 1/2
 		[]string{"a", "a", "a"},      // entropy 0, top 1
 	)
@@ -221,7 +230,7 @@ func TestBucketizationStats(t *testing.T) {
 	if got := bz.MaxTopFraction(); got != 1.0 {
 		t.Errorf("MaxTopFraction = %v", got)
 	}
-	empty := &Bucketization{}
+	empty := &bucket.Bucketization{}
 	if empty.MinEntropy() != 0 || empty.MinSize() != 0 || empty.MinDistinct() != 0 {
 		t.Error("empty bucketization stats not zero")
 	}
@@ -229,7 +238,7 @@ func TestBucketizationStats(t *testing.T) {
 
 func TestPublishPreservesMultisets(t *testing.T) {
 	tab := paperTable(t)
-	bz, err := FromGeneralization(tab, paperHierarchies(), Levels{"Zip": 1, "Age": 1})
+	bz, err := bucket.Bucketize(tab, paperHierarchies(), bucket.Levels{"Zip": 1, "Age": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +271,7 @@ func TestPublishPreservesMultisets(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromValues([]string{"a"}).Publish(rand.New(rand.NewSource(1))); err == nil {
+	if _, err := bucket.FromValues([]string{"a"}).Publish(rand.New(rand.NewSource(1))); err == nil {
 		t.Error("Publish without source accepted")
 	}
 }
@@ -290,7 +299,7 @@ func TestMergePreservesHistogramMass(t *testing.T) {
 		if len(g1) == 0 || len(g2) == 0 || len(g3) == 0 {
 			return true
 		}
-		bz := FromValues(g1, g2, g3)
+		bz := bucket.FromValues(g1, g2, g3)
 		i := int(pick) % 3
 		j := (i + 1) % 3
 		m, err := bz.Merge(i, j)
@@ -330,7 +339,7 @@ func TestHistogramSorted(t *testing.T) {
 		for i, r := range raw {
 			vals[i] = string(rune('a' + r%6))
 		}
-		b := FromValues(vals).Buckets[0]
+		b := bucket.FromValues(vals).Buckets[0]
 		h := b.Histogram()
 		total := 0
 		for i, c := range h {

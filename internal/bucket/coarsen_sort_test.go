@@ -1,37 +1,30 @@
-package bucket
+package bucket_test
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/table"
 )
 
-// Coarsen skips its final key sort when the fine→coarse re-key map is
+// CoarsenInto skips its final key sort when the fine→coarse re-key map is
 // monotone — the group keys already ascend in discovery order, which is
 // the fine bucketization's sorted key order. These tests pin parity
 // through both branches: a monotone re-key must take the skip and stay
 // byte-identical, an order-reversing re-key must take the sort.
 
-// discoveryKeys replays CoarsenInto's pass-1 group discovery: the
+// discoveryKeys replays bucket.CoarsenInto's pass-1 group discovery: the
 // coarse keys in order of each group's first fine bucket.
-func discoveryKeys(t *testing.T, fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) []string {
+func discoveryKeys(t *testing.T, fine *bucket.Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels bucket.Levels) []string {
 	t.Helper()
-	dims, err := buildDims(enc, chs, levels)
+	keys, err := bucket.DiscoveryKeys(fine, enc, chs, levels)
 	if err != nil {
 		t.Fatalf("discoveryKeys: %v", err)
-	}
-	parts := make([]string, len(dims))
-	seen := map[string]bool{}
-	var keys []string
-	for _, b := range fine.Buckets {
-		k := keyString(dims, b.Tuples[0], parts)
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
 	}
 	return keys
 }
@@ -45,23 +38,23 @@ func TestCoarsenSortSkipMonotone(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tab, hs := randCase(rng)
 		enc := tab.Encode()
-		chs, err := CompileHierarchies(enc, hs)
+		chs, err := bucket.CompileHierarchies(enc, hs)
 		if err != nil {
 			t.Fatalf("case %d: compile: %v", i, err)
 		}
 		levels := randLevels(rng, hs, nil)
-		fine, err := FromGeneralizationEncoded(enc, chs, levels)
+		fine, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 		if err != nil {
 			t.Fatalf("case %d: fine: %v", i, err)
 		}
-		if keys := discoveryKeys(t, fine, enc, chs, levels); !keysAreSorted(keys) {
+		if keys := discoveryKeys(t, fine, enc, chs, levels); !sort.StringsAreSorted(keys) {
 			t.Fatalf("case %d: identity re-key is not monotone: %v", i, keys)
 		}
-		got, err := Coarsen(fine, enc, chs, levels)
+		got, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
 		if err != nil {
 			t.Fatalf("case %d: coarsen: %v", i, err)
 		}
-		requireIdentical(t, fine, got, fmt.Sprintf("case %d identity %v", i, levels))
+		oracle.RequireIdentical(t, fine, got, fmt.Sprintf("case %d identity %v", i, levels))
 	}
 }
 
@@ -92,27 +85,27 @@ func TestCoarsenSortSkipReversed(t *testing.T) {
 	}
 	enc := tab.Encode()
 	hs := hierarchy.Set{"q0": h}
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := FromGeneralizationEncoded(enc, chs, Levels{"q0": 0})
+	fine, err := bucket.FromGeneralizationEncoded(enc, chs, bucket.Levels{"q0": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse := Levels{"q0": 1}
-	if keys := discoveryKeys(t, fine, enc, chs, coarse); keysAreSorted(keys) {
+	coarse := bucket.Levels{"q0": 1}
+	if keys := discoveryKeys(t, fine, enc, chs, coarse); sort.StringsAreSorted(keys) {
 		t.Fatalf("reversing re-key came out monotone (%v); the case no longer exercises the sort branch", keys)
 	}
-	want, err := FromGeneralizationEncoded(enc, chs, coarse)
+	want, err := oracle.Bucketize(tab, hs, coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Coarsen(fine, enc, chs, coarse)
+	got, err := bucket.CoarsenInto(fine, enc, chs, coarse, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireIdentical(t, want, got, "reversed re-key")
+	oracle.RequireIdentical(t, want, got, "reversed re-key")
 }
 
 // TestCoarsenSortSkipRandomBothBranches sweeps random coarsens, checks
@@ -128,30 +121,30 @@ func TestCoarsenSortSkipRandomBothBranches(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		tab, hs := randCase(rng)
 		enc := tab.Encode()
-		chs, err := CompileHierarchies(enc, hs)
+		chs, err := bucket.CompileHierarchies(enc, hs)
 		if err != nil {
 			t.Fatalf("case %d: compile: %v", i, err)
 		}
 		levels := randLevels(rng, hs, nil)
 		fineLevels := randLevels(rng, hs, levels)
-		fine, err := FromGeneralizationEncoded(enc, chs, fineLevels)
+		fine, err := bucket.FromGeneralizationEncoded(enc, chs, fineLevels)
 		if err != nil {
 			t.Fatalf("case %d: fine: %v", i, err)
 		}
-		if keysAreSorted(discoveryKeys(t, fine, enc, chs, levels)) {
+		if sort.StringsAreSorted(discoveryKeys(t, fine, enc, chs, levels)) {
 			sorted++
 		} else {
 			unsorted++
 		}
-		want, err := FromGeneralizationEncoded(enc, chs, levels)
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
 			t.Fatalf("case %d: want: %v", i, err)
 		}
-		got, err := Coarsen(fine, enc, chs, levels)
+		got, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
 		if err != nil {
 			t.Fatalf("case %d: coarsen: %v", i, err)
 		}
-		requireIdentical(t, want, got,
+		oracle.RequireIdentical(t, want, got,
 			fmt.Sprintf("case %d coarsen %v -> %v", i, fineLevels, levels))
 	}
 	if sorted == 0 || unsorted == 0 {

@@ -10,25 +10,28 @@ import (
 	"ckprivacy/internal/table"
 )
 
-// This file is the integer path of bucketization: it computes the exact
-// same partition as FromGeneralization, but over a columnar Encoded view
-// of the table and compiled hierarchies, so the per-row work is a handful
-// of array indexes instead of map lookups and string joins. Per-row
-// generalized codes are packed into a single uint64 group key when the
+// This file is the integer path of bucketization: it computes the
+// partition over a columnar Encoded view of the table and compiled
+// hierarchies, so the per-row work is a handful of array indexes instead
+// of map lookups and string joins. Per-row generalized codes are packed
+// into a single uint64 group key when the
 // per-dimension cardinalities fit 64 bits (multi-radix positional
 // packing), falling back to a byte-tuple key otherwise — the fallback is
 // exact, not a lossy hash, so both key paths group identically. Sensitive
 // histograms are counted over the sensitive dictionary's code space and
 // decoded to strings once per bucket.
 //
-// Byte-identity contract (relied on by the randomized parity tests and by
-// the lattice searches' caches): bucket keys, bucket order, tuple sets and
-// orders, and sensitive histograms are identical to the string path's.
+// Byte-identity contract (relied on by the randomized parity tests against
+// the string-path reference in internal/oracle, and by the lattice
+// searches' caches): bucket keys ("v1|v2|…" generalized values), bucket
+// order (by key), tuple sets and orders (by row), and sensitive histograms
+// (count desc, value asc) are identical to the reference's.
 
 // CompileHierarchies compiles every hierarchy that names a column of the
 // encoded table over that column's dictionary (in dictionary code order).
-// Hierarchies for attributes the table lacks are skipped, matching the
-// string path, which never consults them.
+// Hierarchies for attributes the table lacks are skipped: no scan consults
+// them. A table value the hierarchy does not cover, or levels that are not
+// nested coarsenings, fail with an error naming the attribute.
 func CompileHierarchies(enc *table.Encoded, hs hierarchy.Set) (hierarchy.CompiledSet, error) {
 	chs := make(hierarchy.CompiledSet, len(hs))
 	for name, h := range hs {
@@ -38,7 +41,7 @@ func CompileHierarchies(enc *table.Encoded, hs hierarchy.Set) (hierarchy.Compile
 		}
 		c, err := hierarchy.Compile(h, enc.Dicts[col].Values())
 		if err != nil {
-			return nil, fmt.Errorf("bucket: %w", err)
+			return nil, fmt.Errorf("bucket: attribute %q: %w", name, err)
 		}
 		chs[name] = c
 	}
@@ -70,14 +73,7 @@ func (d *dim) value(row int) string {
 // against the encoded view and the compiled hierarchies.
 func buildDims(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) ([]dim, error) {
 	s := enc.Table.Schema
-	err := validateLevels(s, levels, func(name string) (int, bool) {
-		c, ok := chs[name]
-		if !ok {
-			return 0, false
-		}
-		return c.Levels(), true
-	})
-	if err != nil {
+	if err := validateLevels(s, chs, levels); err != nil {
 		return nil, err
 	}
 	qi := s.QuasiIdentifiers()
@@ -87,10 +83,7 @@ func buildDims(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) ([]
 		lvl := levels[name]
 		d := dim{col: enc.Cols[col], level: lvl, dict: enc.Dicts[col]}
 		if lvl != 0 {
-			c, ok := chs[name]
-			if !ok {
-				return nil, fmt.Errorf("bucket: no hierarchy for attribute %q", name)
-			}
+			c := chs[name] // present: validateLevels checked every non-zero level
 			if covered := len(c.Lut(0)); covered < enc.Dicts[col].Len() {
 				// The dictionary grew past the compiled domain (an append
 				// without a matching Compiled.Extend); indexing the stale
@@ -108,6 +101,33 @@ func buildDims(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) ([]
 		dims[i] = d
 	}
 	return dims, nil
+}
+
+// validateLevels rejects level assignments that the grouping loop would
+// otherwise silently ignore or default: attributes that do not exist in
+// the schema (typos), the sensitive attribute, and levels outside the
+// attribute's hierarchy range.
+func validateLevels(s *table.Schema, chs hierarchy.CompiledSet, levels Levels) error {
+	for name, lvl := range levels {
+		col := s.Index(name)
+		if col < 0 {
+			return fmt.Errorf("bucket: levels name unknown attribute %q", name)
+		}
+		if col == s.SensitiveIndex {
+			return fmt.Errorf("bucket: levels name the sensitive attribute %q, which cannot be generalized", name)
+		}
+		if lvl == 0 {
+			continue // identity needs no hierarchy
+		}
+		c, ok := chs[name]
+		if !ok {
+			return fmt.Errorf("bucket: no hierarchy for attribute %q", name)
+		}
+		if lvl < 0 || lvl >= c.Levels() {
+			return fmt.Errorf("bucket: level %d for attribute %q outside [0, %d)", lvl, name, c.Levels())
+		}
+	}
+	return nil
 }
 
 // packable reports whether the dimensions' generalized-code product fits a
@@ -158,7 +178,7 @@ func appendTupleKey(dims []dim, row int, buf []byte) {
 // Above it (e.g. a near-unique sensitive column), dense slices would cost
 // O(buckets × cardinality) memory — quadratic at fine lattice nodes where
 // buckets ≈ rows — so groups fall back to sparse maps, keeping the total
-// O(rows) like the string path.
+// O(rows).
 const maxDenseSensitive = 256
 
 // egroup accumulates one bucket of the encoded grouping. Exactly one of
@@ -193,8 +213,8 @@ func (g *egroup) addRow(row int, sens []uint32) {
 }
 
 // keyString materializes the bucket key of a group from its
-// representative row — the same "v1|v2|…" string the legacy path builds
-// per row, built here once per bucket.
+// representative row: the generalized values joined as "v1|v2|…", built
+// once per bucket.
 func keyString(dims []dim, row int, parts []string) string {
 	for i := range dims {
 		parts[i] = dims[i].value(row)
@@ -205,9 +225,9 @@ func keyString(dims []dim, row int, parts []string) string {
 // bucket finalizes the group into a Bucket, decoding value strings
 // through the sensitive dictionary. Sorting matches table.SortCounts
 // (count desc, value asc), so the resulting freq slice is byte-identical
-// to the string path's. Dense groups keep their code histogram on the
-// bucket for later coarsening; sparse ones drop it (Coarsen recounts
-// their rows, which is still O(rows) total).
+// to one built from a count map. Dense groups keep their code histogram on
+// the bucket for later coarsening; sparse ones drop it (CoarsenInto
+// recounts their rows, which is still O(rows) total).
 func (g *egroup) bucket(key string, sdict *table.Dict) *Bucket {
 	freq := make([]table.ValueCount, 0, 8)
 	if g.scounts != nil {
@@ -233,8 +253,7 @@ func (g *egroup) bucket(key string, sdict *table.Dict) *Bucket {
 }
 
 // finishGroups materializes and orders the buckets of an encoded
-// grouping: keys decoded once per group, groups sorted by key exactly as
-// the string path sorts.
+// grouping: keys decoded once per group, groups sorted by key.
 func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketization {
 	type keyed struct {
 		key string
@@ -263,34 +282,28 @@ func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketizati
 	return bz
 }
 
-// FromGeneralizationEncoded is FromGeneralization over the encoded view:
-// the same partition, keys, tuple order and histograms, computed with one
-// LUT index per row and dimension instead of per-row map lookups and
-// string joins. It is the one-shard case of the row-sharded scan in
-// shard.go, which is the single scan-loop implementation for every shard
-// count.
+// FromGeneralizationEncoded partitions the encoded table by the generalized
+// values of its quasi-identifiers: two tuples share a bucket iff they agree
+// on every QI attribute after generalization to the given level.
+// Attributes absent from levels default to level 0 (no generalization).
+// This realizes the paper's equivalence of full-domain generalization and
+// bucketization under full identification information. It is the
+// one-shard case of the row-sharded scan in shard.go, which is the single
+// scan-loop implementation for every shard count.
 func FromGeneralizationEncoded(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
 	return FromGeneralizationEncodedSharded(enc, chs, levels, 1, nil)
 }
 
-// Coarsen derives the bucketization at the given levels from an
-// already-materialized finer bucketization of the same encoded table,
-// without rescanning the rows: every fine bucket is re-keyed through its
-// representative row (the hierarchies' nested-coarsening law guarantees
-// all its rows generalize identically), fine buckets with equal coarse
-// keys are merged, and their sensitive code histograms are summed. The
-// cost is proportional to the number of fine buckets, not the number of
-// rows — this is what makes lattice-wide sweeps cheap after the first
-// scan.
-//
-// Precondition: fine partitions enc.Table at levels that are
-// component-wise ≤ the requested levels (on every schema QI attribute).
-// The result is then byte-identical to FromGeneralizationEncoded at the
-// requested levels.
-//
-// Coarsen is the one-shot form of CoarsenInto (arena.go): it borrows a
-// pooled Arena for the duration of the call. Sweeps that coarsen many
-// nodes in a row should hold an Arena across the calls instead.
-func Coarsen(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
-	return CoarsenInto(fine, enc, chs, levels, nil)
+// Bucketize is the one-shot form of FromGeneralizationEncoded: it encodes
+// t, compiles hs over the encoding and scans once. Compilation rejects a
+// table value a hierarchy does not cover, or levels that are not nested
+// coarsenings, with an error naming the attribute. Callers that bucketize
+// one table at many levels should encode once (anonymize.Problem does).
+func Bucketize(t *table.Table, hs hierarchy.Set, levels Levels) (*Bucketization, error) {
+	enc := t.Encode()
+	chs, err := CompileHierarchies(enc, hs)
+	if err != nil {
+		return nil, err
+	}
+	return FromGeneralizationEncoded(enc, chs, levels)
 }

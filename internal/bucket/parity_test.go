@@ -1,21 +1,22 @@
-package bucket
+package bucket_test
 
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/table"
 )
 
 // This file is the randomized parity harness for the encoded path: random
 // tables, random hierarchies, random level vectors — the encoded scan and
 // the incremental coarsening derivation must be byte-identical to the
-// string-path reference (same bucket keys, same tuple sets and orders,
+// oracle.Bucketize reference (same bucket keys, same tuple sets and orders,
 // same histograms).
 
 // randNested builds a random levelled hierarchy over domain with 1–3
@@ -94,8 +95,8 @@ func randCase(rng *rand.Rand) (*table.Table, hierarchy.Set) {
 
 // randLevels draws a random level per hierarchy, bounded component-wise
 // by max when max is non-nil.
-func randLevels(rng *rand.Rand, hs hierarchy.Set, max Levels) Levels {
-	levels := Levels{}
+func randLevels(rng *rand.Rand, hs hierarchy.Set, max bucket.Levels) bucket.Levels {
+	levels := bucket.Levels{}
 	for name, h := range hs {
 		hi := h.Levels()
 		if max != nil {
@@ -106,35 +107,9 @@ func randLevels(rng *rand.Rand, hs hierarchy.Set, max Levels) Levels {
 	return levels
 }
 
-// requireIdentical asserts full byte-identity of two bucketizations.
-func requireIdentical(t *testing.T, want, got *Bucketization, label string) {
-	t.Helper()
-	if len(want.Buckets) != len(got.Buckets) {
-		t.Fatalf("%s: %d buckets, want %d", label, len(got.Buckets), len(want.Buckets))
-	}
-	for i := range want.Buckets {
-		w, g := want.Buckets[i], got.Buckets[i]
-		if w.Key != g.Key {
-			t.Fatalf("%s: bucket %d key %q, want %q", label, i, g.Key, w.Key)
-		}
-		if !reflect.DeepEqual(w.Tuples, g.Tuples) {
-			t.Fatalf("%s: bucket %d tuples %v, want %v", label, i, g.Tuples, w.Tuples)
-		}
-		if !reflect.DeepEqual(w.Freq(), g.Freq()) {
-			t.Fatalf("%s: bucket %d freq %v, want %v", label, i, g.Freq(), w.Freq())
-		}
-		if !reflect.DeepEqual(w.Histogram(), g.Histogram()) {
-			t.Fatalf("%s: bucket %d histogram %v, want %v", label, i, g.Histogram(), w.Histogram())
-		}
-		if w.Signature() != g.Signature() {
-			t.Fatalf("%s: bucket %d signature %q, want %q", label, i, g.Signature(), w.Signature())
-		}
-	}
-}
-
 // TestEncodedParityRandom is the randomized property test: on random
 // tables, hierarchies and level vectors, the encoded scan and the
-// coarsening derivation are byte-identical to the string path.
+// coarsening derivation are byte-identical to the oracle.
 func TestEncodedParityRandom(t *testing.T) {
 	cases := 200
 	if testing.Short() {
@@ -144,32 +119,32 @@ func TestEncodedParityRandom(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		tab, hs := randCase(rng)
 		enc := tab.Encode()
-		chs, err := CompileHierarchies(enc, hs)
+		chs, err := bucket.CompileHierarchies(enc, hs)
 		if err != nil {
 			t.Fatalf("case %d: compile: %v", i, err)
 		}
 		levels := randLevels(rng, hs, nil)
-		want, err := FromGeneralization(tab, hs, levels)
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
-			t.Fatalf("case %d: legacy: %v", i, err)
+			t.Fatalf("case %d: oracle: %v", i, err)
 		}
-		got, err := FromGeneralizationEncoded(enc, chs, levels)
+		got, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 		if err != nil {
 			t.Fatalf("case %d: encoded: %v", i, err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("case %d levels %v", i, levels))
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("case %d levels %v", i, levels))
 
 		// Coarsening from any finer vector must land on the same result.
 		fineLevels := randLevels(rng, hs, levels)
-		fine, err := FromGeneralizationEncoded(enc, chs, fineLevels)
+		fine, err := bucket.FromGeneralizationEncoded(enc, chs, fineLevels)
 		if err != nil {
 			t.Fatalf("case %d: fine: %v", i, err)
 		}
-		coarse, err := Coarsen(fine, enc, chs, levels)
+		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
 		if err != nil {
 			t.Fatalf("case %d: coarsen: %v", i, err)
 		}
-		requireIdentical(t, want, coarse,
+		oracle.RequireIdentical(t, want, coarse,
 			fmt.Sprintf("case %d coarsen %v -> %v", i, fineLevels, levels))
 	}
 }
@@ -180,25 +155,25 @@ func TestEncodedParityPaperExample(t *testing.T) {
 	tab := paperTable(t)
 	hs := paperHierarchies()
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, levels := range []Levels{
+	for _, levels := range []bucket.Levels{
 		{},
 		{"Zip": 1, "Age": 1},
 		{"Zip": 1, "Age": 1, "Sex": 1},
 		{"Zip": 2, "Age": 2, "Sex": 1},
 	} {
-		want, err := FromGeneralization(tab, hs, levels)
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FromGeneralizationEncoded(enc, chs, levels)
+		got, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("levels %v", levels))
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("levels %v", levels))
 	}
 }
 
@@ -240,43 +215,43 @@ func fallbackCase(t *testing.T) (*table.Table, hierarchy.Set) {
 func TestEncodedFallbackKeyPath(t *testing.T) {
 	tab, hs := fallbackCase(t)
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dims, err := buildDims(enc, chs, Levels{})
+	packed, err := bucket.Packable(enc, chs, bucket.Levels{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packable(dims) {
+	if packed {
 		t.Fatal("fixture unexpectedly packable; fallback path not exercised")
 	}
-	for _, levels := range []Levels{{}, {"q0": 1, "q3": 1}, {"q0": 2, "q1": 2, "q2": 2}} {
-		want, err := FromGeneralization(tab, hs, levels)
+	for _, levels := range []bucket.Levels{{}, {"q0": 1, "q3": 1}, {"q0": 2, "q1": 2, "q2": 2}} {
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FromGeneralizationEncoded(enc, chs, levels)
+		got, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("fallback levels %v", levels))
-		fine, err := FromGeneralizationEncoded(enc, chs, Levels{})
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("fallback levels %v", levels))
+		fine, err := bucket.FromGeneralizationEncoded(enc, chs, bucket.Levels{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, err := Coarsen(fine, enc, chs, levels)
+		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, coarse, fmt.Sprintf("fallback coarsen %v", levels))
+		oracle.RequireIdentical(t, want, coarse, fmt.Sprintf("fallback coarsen %v", levels))
 	}
 }
 
 // TestEncodedSparseSensitiveParity drives the sparse-histogram path (a
-// near-unique sensitive column, cardinality above maxDenseSensitive):
+// near-unique sensitive column, cardinality above bucket.MaxDenseSensitive):
 // per-group histograms must not allocate O(buckets × cardinality) dense
-// slices, and the result stays byte-identical to the string path, for
+// slices, and the result stays byte-identical to the oracle, for
 // the direct scan and for coarsening.
 func TestEncodedSparseSensitiveParity(t *testing.T) {
 	const rows = 400
@@ -306,33 +281,33 @@ func TestEncodedSparseSensitiveParity(t *testing.T) {
 		})
 	}
 	enc := tab.Encode()
-	if enc.SensitiveDict().Len() <= maxDenseSensitive {
+	if enc.SensitiveDict().Len() <= bucket.MaxDenseSensitive {
 		t.Fatalf("fixture cardinality %d does not exceed the dense threshold %d",
-			enc.SensitiveDict().Len(), maxDenseSensitive)
+			enc.SensitiveDict().Len(), bucket.MaxDenseSensitive)
 	}
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, levels := range []Levels{{}, {"Age": 1}, {"Age": 2, "Sex": 1}} {
-		want, err := FromGeneralization(tab, hs, levels)
+	for _, levels := range []bucket.Levels{{}, {"Age": 1}, {"Age": 2, "Sex": 1}} {
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := FromGeneralizationEncoded(enc, chs, levels)
+		got, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("sparse levels %v", levels))
-		fine, err := FromGeneralizationEncoded(enc, chs, Levels{})
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("sparse levels %v", levels))
+		fine, err := bucket.FromGeneralizationEncoded(enc, chs, bucket.Levels{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, err := Coarsen(fine, enc, chs, levels)
+		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, want, coarse, fmt.Sprintf("sparse coarsen %v", levels))
+		oracle.RequireIdentical(t, want, coarse, fmt.Sprintf("sparse coarsen %v", levels))
 	}
 }
 
@@ -340,7 +315,7 @@ func TestEncodedSparseSensitiveParity(t *testing.T) {
 // returns the one slice computed at construction, and Count answers from
 // the freq slice after the counts map is dropped.
 func TestHistogramCachedAndCountsDropped(t *testing.T) {
-	bz := FromValues([]string{"a", "a", "b"}, []string{"c"})
+	bz := bucket.FromValues([]string{"a", "a", "b"}, []string{"c"})
 	b := bz.Buckets[0]
 	h1, h2 := b.Histogram(), b.Histogram()
 	if &h1[0] != &h2[0] {
@@ -364,26 +339,26 @@ func TestLevelsValidation(t *testing.T) {
 	tab := paperTable(t)
 	hs := paperHierarchies()
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name   string
-		levels Levels
+		levels bucket.Levels
 		frag   string
 	}{
-		{"unknown attribute", Levels{"Zap": 1}, `"Zap"`},
-		{"unknown attribute at level 0", Levels{"Zap": 0}, `"Zap"`},
-		{"sensitive attribute", Levels{"Disease": 1}, `"Disease"`},
-		{"negative level", Levels{"Zip": -1}, `"Zip"`},
-		{"level out of range", Levels{"Age": 5}, `"Age"`},
+		{"unknown attribute", bucket.Levels{"Zap": 1}, `"Zap"`},
+		{"unknown attribute at level 0", bucket.Levels{"Zap": 0}, `"Zap"`},
+		{"sensitive attribute", bucket.Levels{"Disease": 1}, `"Disease"`},
+		{"negative level", bucket.Levels{"Zip": -1}, `"Zip"`},
+		{"level out of range", bucket.Levels{"Age": 5}, `"Age"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, errLegacy := FromGeneralization(tab, hs, tc.levels)
-			_, errEncoded := FromGeneralizationEncoded(enc, chs, tc.levels)
-			for path, err := range map[string]error{"legacy": errLegacy, "encoded": errEncoded} {
+			_, errOracle := oracle.Bucketize(tab, hs, tc.levels)
+			_, errEncoded := bucket.FromGeneralizationEncoded(enc, chs, tc.levels)
+			for path, err := range map[string]error{"oracle": errOracle, "encoded": errEncoded} {
 				if err == nil {
 					t.Fatalf("%s path accepted levels %v", path, tc.levels)
 				}

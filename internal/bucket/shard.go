@@ -198,7 +198,7 @@ func mergeShards(parts []shardScan, packed bool) []*egroup {
 // order, tuple order, histograms — at every shard count and on both key
 // paths; shards <= 1 is exactly the single-threaded scan. The returned
 // buckets carry their dense code-space histograms like the single scan's,
-// so Coarsen and AppendRows compose with sharded-built bucketizations
+// so CoarsenInto and AppendRows compose with sharded-built bucketizations
 // unchanged.
 func FromGeneralizationEncodedSharded(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, shards int, pool *parallel.Pool) (*Bucketization, error) {
 	dims, err := buildDims(enc, chs, levels)

@@ -1,4 +1,4 @@
-package bucket
+package bucket_test
 
 import (
 	"fmt"
@@ -6,16 +6,18 @@ import (
 	"strconv"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/table"
 )
 
 // This file is the parity harness of the row-sharded scan: at every shard
 // count — including counts exceeding the rows — and on both key paths,
-// FromGeneralizationEncodedSharded must be byte-identical to the
-// single-threaded scan and the string-path reference, and its results
-// must keep composing with Coarsen and AppendRows exactly like
+// bucket.FromGeneralizationEncodedSharded must be byte-identical to the
+// single-threaded scan and the oracle.Bucketize reference, and its results
+// must keep composing with bucket.CoarsenInto and bucket.AppendRows exactly like
 // single-threaded ones.
 
 // shardCounts are the shard widths every parity case runs at, per the
@@ -36,7 +38,7 @@ func pools() map[string]*parallel.Pool {
 
 // TestShardedParityRandom is the randomized property test: on random
 // tables, hierarchies and level vectors, the sharded scan at 1/4/8 shards
-// under every pool shape is byte-identical to the string path and the
+// under every pool shape is byte-identical to the oracle and the
 // single-threaded encoded path, and sharded-built fine bucketizations
 // coarsen to the same result.
 func TestShardedParityRandom(t *testing.T) {
@@ -49,16 +51,16 @@ func TestShardedParityRandom(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		tab, hs := randCase(rng)
 		enc := tab.Encode()
-		chs, err := CompileHierarchies(enc, hs)
+		chs, err := bucket.CompileHierarchies(enc, hs)
 		if err != nil {
 			t.Fatalf("case %d: compile: %v", i, err)
 		}
 		levels := randLevels(rng, hs, nil)
-		want, err := FromGeneralization(tab, hs, levels)
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
-			t.Fatalf("case %d: legacy: %v", i, err)
+			t.Fatalf("case %d: oracle: %v", i, err)
 		}
-		single, err := FromGeneralizationEncoded(enc, chs, levels)
+		single, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
 		if err != nil {
 			t.Fatalf("case %d: encoded: %v", i, err)
 		}
@@ -68,70 +70,72 @@ func TestShardedParityRandom(t *testing.T) {
 		pool := ps[poolName]
 		for _, shards := range shardCounts {
 			label := fmt.Sprintf("case %d levels %v shards %d %s", i, levels, shards, poolName)
-			got, err := FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
+			got, err := bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
 			if err != nil {
 				t.Fatalf("%s: sharded: %v", label, err)
 			}
-			requireIdentical(t, want, got, label+" (vs string path)")
-			requireIdentical(t, single, got, label+" (vs single-threaded)")
+			oracle.RequireIdentical(t, want, got, label+" (vs oracle)")
+			oracle.RequireIdentical(t, single, got, label+" (vs single-threaded)")
 
-			// A sharded-built fine bucketization must be a valid Coarsen
+			// A sharded-built fine bucketization must be a valid CoarsenInto
 			// source: derive a coarser vector from it and compare against a
 			// direct scan at that vector.
-			coarseLevels := Levels{}
+			coarseLevels := bucket.Levels{}
 			for name, lvl := range levels {
 				top := hs[name].Levels() - 1
 				coarseLevels[name] = lvl + rng.Intn(top-lvl+1)
 			}
-			wantCoarse, err := FromGeneralizationEncoded(enc, chs, coarseLevels)
+			wantCoarse, err := bucket.FromGeneralizationEncoded(enc, chs, coarseLevels)
 			if err != nil {
 				t.Fatalf("%s: coarse scan: %v", label, err)
 			}
-			gotCoarse, err := Coarsen(got, enc, chs, coarseLevels)
+			gotCoarse, err := bucket.CoarsenInto(got, enc, chs, coarseLevels, nil)
 			if err != nil {
 				t.Fatalf("%s: coarsen sharded: %v", label, err)
 			}
-			requireIdentical(t, wantCoarse, gotCoarse, label+" (coarsen from sharded)")
+			oracle.RequireIdentical(t, wantCoarse, gotCoarse, label+" (coarsen from sharded)")
 		}
 	}
 }
 
 // TestShardedFallbackKeyPath runs the sharded scan on the byte-tuple
 // fallback fixture (cardinality product overflows 64 bits): merging must
-// group identically across the string-keyed shard results too.
+// group identically to the oracle across the string-keyed shard results
+// too.
 func TestShardedFallbackKeyPath(t *testing.T) {
 	tab, hs := fallbackCase(t)
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dims, err := buildDims(enc, chs, Levels{})
+	packed, err := bucket.Packable(enc, chs, bucket.Levels{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packable(dims) {
+	if packed {
 		t.Fatal("fixture unexpectedly packable; fallback path not exercised")
 	}
 	pool := parallel.NewPool(4)
-	for _, levels := range []Levels{{}, {"q0": 1, "q3": 1}, {"q0": 2, "q1": 2, "q2": 2}} {
-		want, err := FromGeneralizationEncoded(enc, chs, levels)
+	for _, levels := range []bucket.Levels{{}, {"q0": 1, "q3": 1}, {"q0": 2, "q1": 2, "q2": 2}} {
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range shardCounts {
-			got, err := FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
+			got, err := bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, want, got, fmt.Sprintf("fallback levels %v shards %d", levels, shards))
+			oracle.RequireIdentical(t, want, got, fmt.Sprintf("fallback levels %v shards %d", levels, shards))
 		}
 	}
 }
 
 // TestShardedSparseSensitive drives the sparse-histogram merge: with a
 // sensitive cardinality above the dense threshold, per-shard groups carry
-// map histograms and the merge must fold them map-to-map.
+// map histograms and the merge must fold them map-to-map, landing on the
+// oracle's histograms.
 func TestShardedSparseSensitive(t *testing.T) {
 	const rows = 400
 	sdom := make([]string, rows)
@@ -160,32 +164,32 @@ func TestShardedSparseSensitive(t *testing.T) {
 		})
 	}
 	enc := tab.Encode()
-	if enc.SensitiveDict().Len() <= maxDenseSensitive {
+	if enc.SensitiveDict().Len() <= bucket.MaxDenseSensitive {
 		t.Fatalf("fixture cardinality %d does not exceed the dense threshold %d",
-			enc.SensitiveDict().Len(), maxDenseSensitive)
+			enc.SensitiveDict().Len(), bucket.MaxDenseSensitive)
 	}
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := parallel.NewPool(4)
-	for _, levels := range []Levels{{}, {"Age": 1}, {"Age": 2, "Sex": 1}} {
-		want, err := FromGeneralizationEncoded(enc, chs, levels)
+	for _, levels := range []bucket.Levels{{}, {"Age": 1}, {"Age": 2, "Sex": 1}} {
+		want, err := oracle.Bucketize(tab, hs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range shardCounts {
-			got, err := FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
+			got, err := bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, want, got, fmt.Sprintf("sparse levels %v shards %d", levels, shards))
+			oracle.RequireIdentical(t, want, got, fmt.Sprintf("sparse levels %v shards %d", levels, shards))
 		}
 	}
 }
 
 // TestShardedAppendRowsInteraction checks both directions of the
-// AppendRows composition: a sharded-built base accepts an append patch,
+// bucket.AppendRows composition: a sharded-built base accepts an append patch,
 // and the patched result matches a sharded rebuild of the grown table.
 func TestShardedAppendRowsInteraction(t *testing.T) {
 	cases := 40
@@ -205,31 +209,31 @@ func TestShardedAppendRowsInteraction(t *testing.T) {
 			baseTab.MustAppend(r)
 		}
 		baseEnc := baseTab.Encode()
-		baseCHS, err := CompileHierarchies(baseEnc, hs)
+		baseCHS, err := bucket.CompileHierarchies(baseEnc, hs)
 		if err != nil {
 			t.Fatalf("case %d: base compile: %v", i, err)
 		}
-		want, err := FromGeneralization(enc.Table, hs, levels)
+		want, err := oracle.Bucketize(enc.Table, hs, levels)
 		if err != nil {
 			t.Fatalf("case %d: string rebuild: %v", i, err)
 		}
 		for _, shards := range shardCounts {
 			label := fmt.Sprintf("case %d cut %d levels %v shards %d", i, start, levels, shards)
-			before, err := FromGeneralizationEncodedSharded(baseEnc, baseCHS, levels, shards, pool)
+			before, err := bucket.FromGeneralizationEncodedSharded(baseEnc, baseCHS, levels, shards, pool)
 			if err != nil {
 				t.Fatalf("%s: base scan: %v", label, err)
 			}
-			got, err := AppendRows(before, enc, chs, levels, start)
+			got, err := bucket.AppendRows(before, enc, chs, levels, start)
 			if err != nil {
-				t.Fatalf("%s: AppendRows: %v", label, err)
+				t.Fatalf("%s: bucket.AppendRows: %v", label, err)
 			}
-			requireIdentical(t, want, got, label+" (append onto sharded base)")
+			oracle.RequireIdentical(t, want, got, label+" (append onto sharded base)")
 
-			rebuilt, err := FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
+			rebuilt, err := bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, pool)
 			if err != nil {
 				t.Fatalf("%s: sharded rebuild: %v", label, err)
 			}
-			requireIdentical(t, want, rebuilt, label+" (sharded rebuild of grown table)")
+			oracle.RequireIdentical(t, want, rebuilt, label+" (sharded rebuild of grown table)")
 		}
 	}
 }
@@ -239,28 +243,28 @@ func TestShardedAppendRowsInteraction(t *testing.T) {
 func TestShardedDegenerateShapes(t *testing.T) {
 	tab, hs := randCase(rand.New(rand.NewSource(41)))
 	enc := tab.Encode()
-	chs, err := CompileHierarchies(enc, hs)
+	chs, err := bucket.CompileHierarchies(enc, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FromGeneralizationEncoded(enc, chs, Levels{})
+	want, err := bucket.FromGeneralizationEncoded(enc, chs, bucket.Levels{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{-3, 0, enc.Rows(), enc.Rows() + 7, 1 << 16} {
-		got, err := FromGeneralizationEncodedSharded(enc, chs, Levels{}, shards, parallel.NewPool(4))
+		got, err := bucket.FromGeneralizationEncodedSharded(enc, chs, bucket.Levels{}, shards, parallel.NewPool(4))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		requireIdentical(t, want, got, fmt.Sprintf("shards=%d", shards))
+		oracle.RequireIdentical(t, want, got, fmt.Sprintf("shards=%d", shards))
 	}
 
 	empty := table.New(enc.Table.Schema).Encode()
-	emptyCHS, err := CompileHierarchies(empty, hs)
+	emptyCHS, err := bucket.CompileHierarchies(empty, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bz, err := FromGeneralizationEncodedSharded(empty, emptyCHS, Levels{}, 8, parallel.NewPool(4))
+	bz, err := bucket.FromGeneralizationEncodedSharded(empty, emptyCHS, bucket.Levels{}, 8, parallel.NewPool(4))
 	if err != nil {
 		t.Fatal(err)
 	}

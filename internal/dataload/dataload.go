@@ -60,13 +60,14 @@ type Bundle struct {
 	encOnce  sync.Once
 	enc      *table.Encoded
 	compiled hierarchy.CompiledSet
+	encErr   error
 }
 
 // Encoded returns the bundle's dictionary-encoded view and compiled
-// hierarchies, building them on first use. ok is false when the
-// hierarchies fail to compile over the table's values — callers then use
-// the string path, which reports the offending row lazily.
-func (b *Bundle) Encoded() (enc *table.Encoded, chs hierarchy.CompiledSet, ok bool) {
+// hierarchies, building them on first use. The error is the compile
+// error, naming the attribute, when a table value is outside its
+// hierarchy or the hierarchy's levels are not nested.
+func (b *Bundle) Encoded() (*table.Encoded, hierarchy.CompiledSet, error) {
 	b.encOnce.Do(func() {
 		if b.enc != nil {
 			return // pre-seeded (the cached Adult bundle shares its view)
@@ -74,12 +75,13 @@ func (b *Bundle) Encoded() (enc *table.Encoded, chs hierarchy.CompiledSet, ok bo
 		enc := b.Table.Encode()
 		chs, err := bucket.CompileHierarchies(enc, b.Hierarchies)
 		if err != nil {
+			b.encErr = fmt.Errorf("dataload: %s: %w", b.Name, err)
 			return
 		}
 		b.enc = enc
 		b.compiled = chs
 	})
-	return b.enc, b.compiled, b.enc != nil
+	return b.enc, b.compiled, b.encErr
 }
 
 // Namer returns a non-nil row-id-to-name function.
@@ -91,8 +93,7 @@ func (b *Bundle) Namer() func(int) string {
 }
 
 // Bucketize partitions the bundle's table at the given levels (nil or
-// empty means DefaultLevels), over the bundle's encoded view when it is
-// available.
+// empty means DefaultLevels) over the bundle's encoded view.
 func (b *Bundle) Bucketize(levels bucket.Levels) (*bucket.Bucketization, error) {
 	return b.BucketizeSharded(levels, 1)
 }
@@ -100,14 +101,13 @@ func (b *Bundle) Bucketize(levels bucket.Levels) (*bucket.Bucketization, error) 
 // BucketizeSharded is Bucketize with the encoded scan split across shards
 // contiguous row ranges, scanned concurrently and merged byte-identically
 // with the serial result (values below 1 mean one shard per CPU core).
-// Bundles without an encoded view fall back to the serial string path.
 func (b *Bundle) BucketizeSharded(levels bucket.Levels, shards int) (*bucket.Bucketization, error) {
 	if len(levels) == 0 {
 		levels = b.DefaultLevels
 	}
-	enc, chs, ok := b.Encoded()
-	if !ok {
-		return bucket.FromGeneralization(b.Table, b.Hierarchies, levels)
+	enc, chs, err := b.Encoded()
+	if err != nil {
+		return nil, err
 	}
 	if shards < 1 {
 		shards = runtime.GOMAXPROCS(0)

@@ -12,7 +12,6 @@ import (
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataset/adult"
-	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/table"
 )
@@ -70,12 +69,10 @@ func RunFig5Config(tab *table.Table, cfg Fig5Config) (*Fig5Result, error) {
 	if maxK < 0 {
 		return nil, fmt.Errorf("experiments: negative maxK")
 	}
-	// Materialize the figure's generalization through the problem's planned
-	// sweep path (a one-node plan: encode once, base-scan at the DAG root),
-	// so fig5 exercises the same machinery the full-lattice sweeps run on.
-	// Tables whose values the hierarchies cannot compile fall back to the
-	// legacy string path inside NewProblem, preserving the lazy per-row
-	// error semantics of the reference implementation.
+	// Materialize the figure's generalization through the problem (a cold
+	// Bucketize is a one-node plan: encode once, base-scan at the DAG
+	// root), so fig5 exercises the same machinery the full-lattice sweeps
+	// run on.
 	p, err := anonymize.NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5: %w", err)
@@ -84,11 +81,7 @@ func RunFig5Config(tab *table.Table, cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5: %w", err)
 	}
-	snap := p.Snapshot()
-	if err := snap.MaterializeNodes([]lattice.Node{node}); err != nil {
-		return nil, fmt.Errorf("experiments: fig5 bucketize: %w", err)
-	}
-	bz, err := snap.Bucketize(node)
+	bz, err := p.Bucketize(node)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5 bucketize: %w", err)
 	}

@@ -93,15 +93,13 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 	// to the serial sweep.
 	nodes := p.Space().All()
 	snap := p.Snapshot()
-	if p.Encoding().Enabled {
-		// Materialize the whole lattice as one planned sweep first: one base
-		// scan at the bottom, everything else coarsened along the derivation
-		// DAG through pooled arenas. The per-node loop below then only ever
-		// hits the cache; results are byte-identical to bucketizing each
-		// node independently.
-		if err := snap.MaterializeNodes(nodes); err != nil {
-			return nil, fmt.Errorf("experiments: fig6 sweep: %w", err)
-		}
+	// Materialize the whole lattice as one planned sweep first: one base
+	// scan at the bottom, everything else coarsened along the derivation
+	// DAG through pooled arenas. The per-node loop below then only ever
+	// hits the cache; results are byte-identical to bucketizing each node
+	// independently.
+	if err := snap.MaterializeNodes(nodes); err != nil {
+		return nil, fmt.Errorf("experiments: fig6 sweep: %w", err)
 	}
 	res.Points = make([]Fig6Point, len(nodes))
 	err = parallel.ForEach(cfg.Workers, len(nodes), func(i int) error {

@@ -36,12 +36,6 @@ type GridConfig struct {
 	// means the Adult hierarchies over the Adult quasi-identifiers.
 	Hierarchies hierarchy.Set
 	QI          []string
-	// NoPlannedSweeps disables the sweep planner for the grid's problem:
-	// every cell's chain search bucketizes its probes through the greedy
-	// per-miss path instead of handing each probe round to the planner.
-	// Results are byte-identical either way; the switch exists for parity
-	// tests and the planned-vs-per-node grid benchmark.
-	NoPlannedSweeps bool
 }
 
 // GridCell is the outcome of one (c,k) policy: the lowest safe node on the
@@ -104,9 +98,7 @@ func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	if len(qi) == 0 {
 		qi = adult.QuasiIdentifiers()
 	}
-	po := anonymize.DefaultOptions()
-	po.NoPlannedSweeps = cfg.NoPlannedSweeps
-	p, err := anonymize.NewProblemWithOptions(tab, hs, qi, po)
+	p, err := anonymize.NewProblem(tab, hs, qi)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: grid: %w", err)
 	}

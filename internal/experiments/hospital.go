@@ -71,7 +71,7 @@ func (h *Hospital) Name(id int) string { return h.Names[id] }
 // Bucketize produces the Figure 2/3 partition: Zip and Age generalized one
 // level, Sex kept.
 func (h *Hospital) Bucketize() (*bucket.Bucketization, error) {
-	return bucketizeEncoded(h.Table, h.Hierarchies, bucket.Levels{"Zip": 1, "Age": 1})
+	return bucket.Bucketize(h.Table, h.Hierarchies, bucket.Levels{"Zip": 1, "Age": 1})
 }
 
 // Instance converts the Figure 2/3 bucketization into a random-worlds

@@ -7,19 +7,22 @@ import (
 	"ckprivacy/internal/parallel"
 )
 
-// This file holds the batch forms of the level-wise searches: identical to
-// the parallel searches in parallel.go — which are thin nil-prefetch
-// wrappers over these — except that each frontier (one lattice level, one
-// Incognito layer, one round of chain probes) is handed to a Prefetch
-// callback before any predicate runs. The callback is how a search hands
-// its whole frontier to the anonymize sweep planner at once: the planner
-// materializes every node of the batch along a derivation DAG, and the
-// predicates then evaluate against a warm cache. Prefetching is purely a
-// cache warm-up: node sets, node order and Stats are byte-identical with
-// or without it, at every worker count (the planner's results are
-// byte-identical to per-node materialization, and pruning marks only ever
-// point strictly upward, so nothing a prefetch computes can change what a
-// level decides).
+// This file holds the lattice searches. Each works frontier by frontier
+// (one lattice level, one Incognito layer, one round of chain probes): the
+// frontier is handed to a Prefetch callback, then its predicates run on up
+// to `workers` goroutines, then monotone pruning is applied as a barrier
+// before the next frontier. The key observation making this exact: every
+// pruning mark (markAncestors) points strictly upward in the lattice, so
+// within one frontier no node's status can influence another's. Node sets,
+// their order and the Stats counters are therefore identical to a serial
+// node-at-a-time search (the serial forms live in the tests as oracles);
+// only wall-clock changes.
+//
+// The Prefetch callback is how a search hands its whole frontier to the
+// anonymize sweep planner at once: the planner materializes every node of
+// the batch along a derivation DAG, and the predicates then evaluate
+// against a warm cache. Prefetching is purely a cache warm-up: nothing a
+// prefetch computes can change what a frontier decides.
 
 // Prefetch receives the full-lattice nodes a search is about to evaluate
 // concurrently. It may materialize them in any order or not at all; it
@@ -32,9 +35,12 @@ type Prefetch func(nodes []Node) error
 // are aligned and equal-length).
 type SubsetPrefetch func(subsets [][]int, nodes []Node) error
 
-// MinimalSatisfyingBatch is MinimalSatisfyingParallel with each level
-// offered to prefetch before evaluation. Result and Stats are identical
-// to the serial search.
+// MinimalSatisfyingBatch returns every ⪯-minimal node satisfying a
+// monotone predicate, evaluating bottom-up level by level and skipping
+// nodes already implied satisfied by a lower node. Each level is offered
+// to prefetch, then evaluated on up to `workers` goroutines (workers <= 0
+// means GOMAXPROCS); pred must be safe for concurrent calls. The returned
+// nodes are in (height, lexicographic) order.
 func MinimalSatisfyingBatch(s Space, pred Pred, prefetch Prefetch, workers int) ([]Node, Stats, error) {
 	workers = parallel.Workers(workers)
 	var stats Stats
@@ -83,10 +89,20 @@ func MinimalSatisfyingBatch(s Space, pred Pred, prefetch Prefetch, workers int) 
 	return minimal, stats, nil
 }
 
-// IncognitoBatch is IncognitoParallel with each layer — all unpruned
-// nodes of one height across all same-size subset lattices — offered to
-// prefetch before evaluation. Result and Stats are identical to serial
-// Incognito.
+// IncognitoBatch finds every minimal node of the full lattice satisfying a
+// criterion, using the Incognito algorithm [22]: it works through subsets
+// of the dimensions in increasing size, keeps the full satisfying set per
+// subset, prunes candidates whose projections already failed (subset
+// property), and propagates satisfaction upward without re-evaluation
+// (generalization property). Both properties hold for any criterion that
+// is monotone under bucket merging — k-anonymity, ℓ-diversity and, by
+// Theorem 14, (c,k)-safety.
+//
+// Subsets of equal size are independent (the subset property only
+// consults strictly smaller subsets), so one layer of the Incognito
+// meta-lattice — all unpruned nodes of one height across all same-size
+// subsets — is offered to prefetch and evaluated as one batch on up to
+// `workers` goroutines. check must be safe for concurrent calls.
 func IncognitoBatch(s Space, check SubsetPred, prefetch SubsetPrefetch, workers int) ([]Node, Stats, error) {
 	workers = parallel.Workers(workers)
 	var stats Stats
@@ -193,9 +209,19 @@ func IncognitoBatch(s Space, check SubsetPred, prefetch SubsetPrefetch, workers 
 	return minimal, stats, nil
 }
 
-// BinarySearchChainBatch is BinarySearchChainParallel with each round's
-// probe nodes offered to prefetch before evaluation. The returned index
-// and Stats match BinarySearchChainParallel at the same worker count.
+// BinarySearchChainBatch finds the lowest index in the chain whose node
+// satisfies the predicate, assuming the predicate is monotone along the
+// chain (Theorem 14 + the chain being ⪯-increasing); it returns -1 when no
+// node satisfies. The number of evaluations is O(log |chain|) — the
+// paper's §3.4 observation that a safe bucketization can be found in time
+// logarithmic in the lattice height.
+//
+// It is a multi-section search: each round offers up to `workers` evenly
+// spaced probes of the remaining interval to prefetch and evaluates them
+// concurrently, shrinking the interval by a factor of workers+1 instead of
+// 2. With one worker the probe sequence — and therefore the Stats — is
+// exactly the serial binary search's; the returned index is the same at
+// every worker count.
 func BinarySearchChainBatch(chain []Node, pred Pred, prefetch Prefetch, workers int) (int, Stats, error) {
 	workers = parallel.Workers(workers)
 	var stats Stats

@@ -2,12 +2,13 @@ package lattice
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-// sameNodeSeq requires equality including order — the parallel searches
+// sameNodeSeq requires equality including order — the batch searches
 // promise byte-identical output, not just set equality.
 func sameNodeSeq(a, b []Node) bool {
 	if len(a) != len(b) {
@@ -21,17 +22,70 @@ func sameNodeSeq(a, b []Node) bool {
 	return true
 }
 
-// TestMinimalSatisfyingParallelEquivalence is the parallel-vs-serial
-// property test: for random spaces, random monotone predicates and worker
-// counts 1..8, the parallel search must return the identical node sequence
-// and identical Stats (in particular, Evaluated never exceeds — in fact
-// equals — the serial count, including at workers=1).
+// batchWorkers are the worker budgets every batch search is checked at
+// against its serial oracle.
+var batchWorkers = []int{1, 2, 4}
+
+// prefetchLog records every node a search hands to its Prefetch callback,
+// so a test can require that each predicate evaluation was announced in
+// the same frontier before it ran.
+type prefetchLog struct {
+	mu   sync.Mutex
+	seen map[string]bool
+	late int // evaluations of nodes no prefetch announced
+}
+
+func newPrefetchLog() *prefetchLog { return &prefetchLog{seen: map[string]bool{}} }
+
+func (l *prefetchLog) prefetch(nodes []Node) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, n := range nodes {
+		l.seen[n.Key()] = true
+	}
+	return nil
+}
+
+func (l *prefetchLog) subsetPrefetch(subsets [][]int, nodes []Node) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, n := range nodes {
+		l.seen[Node(subsets[i]).Key()+"/"+n.Key()] = true
+	}
+	return nil
+}
+
+func (l *prefetchLog) pred(pred Pred) Pred {
+	return func(n Node) (bool, error) {
+		l.mu.Lock()
+		if !l.seen[n.Key()] {
+			l.late++
+		}
+		l.mu.Unlock()
+		return pred(n)
+	}
+}
+
+func (l *prefetchLog) check(check SubsetPred) SubsetPred {
+	return func(subset []int, n Node) (bool, error) {
+		l.mu.Lock()
+		if !l.seen[Node(subset).Key()+"/"+n.Key()] {
+			l.late++
+		}
+		l.mu.Unlock()
+		return check(subset, n)
+	}
+}
+
+// TestMinimalSatisfyingParallelEquivalence is the batch-vs-oracle property
+// test: for random spaces and random monotone predicates, the batch
+// search at workers 1, 2 and 4 must return the serial oracle's node
+// sequence and Stats, and must prefetch every node before evaluating it.
 func TestMinimalSatisfyingParallelEquivalence(t *testing.T) {
-	f := func(raw []uint8, w uint8) bool {
+	f := func(raw []uint8) bool {
 		if len(raw) < 4 {
 			return true
 		}
-		workers := int(w)%8 + 1
 		dims := []int{2 + int(raw[0])%3, 1 + int(raw[1])%3, 1 + int(raw[2])%2}
 		s := MustSpace(dims...)
 		all := s.All()
@@ -40,12 +94,18 @@ func TestMinimalSatisfyingParallelEquivalence(t *testing.T) {
 			gens = append(gens, all[int(raw[i])%len(all)])
 		}
 		pred := generatorPred(gens)
-		serial, sStats, err1 := MinimalSatisfying(s, pred)
-		par, pStats, err2 := MinimalSatisfyingParallel(s, pred, workers)
-		if err1 != nil || err2 != nil {
+		serial, sStats, err := MinimalSatisfying(s, pred)
+		if err != nil {
 			return false
 		}
-		return sameNodeSeq(serial, par) && sStats == pStats
+		for _, workers := range batchWorkers {
+			log := newPrefetchLog()
+			got, stats, err := MinimalSatisfyingBatch(s, log.pred(pred), log.prefetch, workers)
+			if err != nil || !sameNodeSeq(serial, got) || stats != sStats || log.late != 0 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -53,18 +113,23 @@ func TestMinimalSatisfyingParallelEquivalence(t *testing.T) {
 }
 
 func TestIncognitoParallelEquivalence(t *testing.T) {
-	f := func(w0, w1, w2, lim, w uint8) bool {
-		workers := int(w)%8 + 1
+	f := func(w0, w1, w2, lim uint8) bool {
 		s := MustSpace(4, 3, 2)
 		weights := []int{int(w0)%4 + 1, int(w1)%4 + 1, int(w2)%4 + 1}
 		limit := int(lim) % 12
 		check, _ := weightedCheck(s, weights, limit)
-		serial, sStats, err1 := Incognito(s, check)
-		par, pStats, err2 := IncognitoParallel(s, check, workers)
-		if err1 != nil || err2 != nil {
+		serial, sStats, err := Incognito(s, check)
+		if err != nil {
 			return false
 		}
-		return sameNodeSeq(serial, par) && sStats == pStats
+		for _, workers := range batchWorkers {
+			log := newPrefetchLog()
+			got, stats, err := IncognitoBatch(s, log.check(check), log.subsetPrefetch, workers)
+			if err != nil || !sameNodeSeq(serial, got) || stats != sStats || log.late != 0 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -81,12 +146,16 @@ func TestBinarySearchChainParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, stats, err := BinarySearchChainParallel(chain, pred, workers)
+			log := newPrefetchLog()
+			idx, stats, err := BinarySearchChainBatch(chain, log.pred(pred), log.prefetch, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if idx != wantIdx {
 				t.Errorf("workers=%d threshold=%d: idx = %d, want %d", workers, threshold, idx, wantIdx)
+			}
+			if log.late != 0 {
+				t.Errorf("workers=%d threshold=%d: %d probes evaluated without a prefetch", workers, threshold, log.late)
 			}
 			if workers == 1 && stats != wantStats {
 				t.Errorf("workers=1 threshold=%d: stats = %+v, want serial %+v", threshold, stats, wantStats)
@@ -125,7 +194,7 @@ func TestParallelSearchesActuallyRunConcurrently(t *testing.T) {
 		inFlight.Add(-1)
 		return false, nil
 	}
-	if _, _, err := MinimalSatisfyingParallel(s, pred, 4); err != nil {
+	if _, _, err := MinimalSatisfyingBatch(s, pred, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() < 2 {
@@ -144,7 +213,7 @@ func TestParallelSearchErrorIsDeterministic(t *testing.T) {
 	}
 	wantErr := fmt.Sprintf("lattice: evaluating %v: poisoned node", bad)
 	for workers := 1; workers <= 6; workers++ {
-		_, _, err := MinimalSatisfyingParallel(s, pred, workers)
+		_, _, err := MinimalSatisfyingBatch(s, pred, nil, workers)
 		if err == nil || err.Error() != wantErr {
 			t.Errorf("workers=%d: err = %v, want %q", workers, err, wantErr)
 		}

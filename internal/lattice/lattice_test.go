@@ -167,7 +167,7 @@ func TestMinimalSatisfyingMatchesNaive(t *testing.T) {
 			gens = append(gens, all[int(raw[i])%len(all)])
 		}
 		pred := generatorPred(gens)
-		fast, _, err1 := MinimalSatisfying(s, pred)
+		fast, _, err1 := MinimalSatisfyingBatch(s, pred, nil, 1)
 		slow, _, err2 := NaiveMinimal(s, pred)
 		if err1 != nil || err2 != nil {
 			return false
@@ -184,7 +184,7 @@ func TestMinimalSatisfyingPrunes(t *testing.T) {
 	// Generator at the bottom: everything satisfies; only one evaluation
 	// needed.
 	pred := generatorPred([]Node{s.Bottom()})
-	minimal, stats, err := MinimalSatisfying(s, pred)
+	minimal, stats, err := MinimalSatisfyingBatch(s, pred, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMinimalSatisfyingPrunes(t *testing.T) {
 
 func TestMinimalSatisfyingNone(t *testing.T) {
 	s := MustSpace(2, 2)
-	minimal, stats, err := MinimalSatisfying(s, generatorPred(nil))
+	minimal, stats, err := MinimalSatisfyingBatch(s, generatorPred(nil), nil, 1)
 	if err != nil || len(minimal) != 0 {
 		t.Errorf("minimal = %v, err %v", minimal, err)
 	}
@@ -212,7 +212,7 @@ func TestBinarySearchChain(t *testing.T) {
 	chain := s.Chain()
 	for threshold := 0; threshold <= s.MaxHeight()+1; threshold++ {
 		pred := func(n Node) (bool, error) { return n.Height() >= threshold, nil }
-		idx, stats, err := BinarySearchChain(chain, pred)
+		idx, stats, err := BinarySearchChainBatch(chain, pred, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 		weights := []int{int(w0)%4 + 1, int(w1)%4 + 1, int(w2)%4 + 1}
 		limit := int(lim) % 12
 		check, pred := weightedCheck(s, weights, limit)
-		inc, _, err1 := Incognito(s, check)
+		inc, _, err1 := IncognitoBatch(s, check, nil, 1)
 		naive, _, err2 := NaiveMinimal(s, pred)
 		if err1 != nil || err2 != nil {
 			return false
@@ -272,7 +272,7 @@ func TestIncognitoMatchesNaive(t *testing.T) {
 func TestIncognitoEvaluatesLessThanNaive(t *testing.T) {
 	s := MustSpace(6, 3, 2, 2)
 	check, _ := weightedCheck(s, []int{3, 2, 1, 1}, 6)
-	_, stats, err := Incognito(s, check)
+	_, stats, err := IncognitoBatch(s, check, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

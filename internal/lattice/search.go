@@ -1,9 +1,7 @@
 package lattice
 
-import "fmt"
-
 // Pred is a predicate over nodes; it must be monotone for the searches in
-// this file to be correct (if it holds at n, it holds at every n' ⪰ n).
+// this package to be correct (if it holds at n, it holds at every n' ⪰ n).
 // Theorem 14 establishes monotonicity for (c,k)-safety.
 type Pred func(Node) (bool, error)
 
@@ -14,33 +12,6 @@ type Stats struct {
 	// Inferred counts nodes whose status was derived from monotonicity
 	// without evaluation.
 	Inferred int
-}
-
-// MinimalSatisfying returns every ⪯-minimal node satisfying a monotone
-// predicate, evaluating bottom-up and skipping nodes already implied
-// satisfied by a lower node. The returned nodes are in (height,
-// lexicographic) order.
-func MinimalSatisfying(s Space, pred Pred) ([]Node, Stats, error) {
-	var stats Stats
-	satisfied := make(map[string]bool, s.Size())
-	var minimal []Node
-	for _, n := range s.All() {
-		if satisfied[n.Key()] {
-			stats.Inferred++
-			continue
-		}
-		ok, err := pred(n)
-		if err != nil {
-			return nil, stats, fmt.Errorf("lattice: evaluating %v: %w", n, err)
-		}
-		stats.Evaluated++
-		if !ok {
-			continue
-		}
-		minimal = append(minimal, n)
-		markAncestors(s, n, satisfied)
-	}
-	return minimal, stats, nil
 }
 
 // markAncestors marks every strict generalization of n as satisfied.
@@ -60,7 +31,7 @@ func markAncestors(s Space, n Node, satisfied map[string]bool) {
 
 // NaiveMinimal evaluates the predicate on every node and filters the
 // minimal satisfying ones pairwise. It makes no monotonicity assumption and
-// exists as the correctness oracle for MinimalSatisfying and Incognito.
+// exists as the correctness oracle for the pruning searches.
 func NaiveMinimal(s Space, pred Pred) ([]Node, Stats, error) {
 	var stats Stats
 	var sat []Node
@@ -104,32 +75,4 @@ func (s Space) Chain() []Node {
 		}
 	}
 	return chain
-}
-
-// BinarySearchChain finds the lowest index in the chain whose node
-// satisfies the predicate, assuming the predicate is monotone along the
-// chain (Theorem 14 + the chain being ⪯-increasing). It returns -1 when no
-// node satisfies. The number of evaluations is O(log |chain|) — the
-// paper's §3.4 observation that a safe bucketization can be found in time
-// logarithmic in the lattice height.
-func BinarySearchChain(chain []Node, pred Pred) (int, Stats, error) {
-	var stats Stats
-	lo, hi := 0, len(chain) // invariant: answer in [lo, hi]; hi means none
-	for lo < hi {
-		mid := (lo + hi) / 2
-		ok, err := pred(chain[mid])
-		if err != nil {
-			return -1, stats, fmt.Errorf("lattice: evaluating %v: %w", chain[mid], err)
-		}
-		stats.Evaluated++
-		if ok {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == len(chain) {
-		return -1, stats, nil
-	}
-	return lo, stats, nil
 }

@@ -168,8 +168,9 @@ type datasetInfo struct {
 	CacheEntries    int            `json:"cache_entries"`
 	// Releases is the number of retained recorded releases.
 	Releases int `json:"releases"`
-	// Encoded reports whether the dataset was dictionary-encoded at
-	// registration (the columnar fast path every request then computes on).
+	// Encoded is always true: every dataset is dictionary-encoded at
+	// registration (the columnar path every request computes on). The
+	// field stays for wire compatibility.
 	Encoded bool `json:"encoded"`
 	// DictCardinalities is the per-attribute dictionary size — the number
 	// of distinct ground values each column was encoded over. Present only
@@ -198,7 +199,6 @@ func describe(name string, ds *dataset) datasetInfo {
 	for _, qi := range b.QI {
 		levels[qi] = b.Hierarchies[qi].Levels()
 	}
-	encoding := ds.problem.Encoding()
 	snap := ds.problem.Snapshot()
 	rs, _ := ds.releases.snapshot()
 	info := datasetInfo{
@@ -212,8 +212,8 @@ func describe(name string, ds *dataset) datasetInfo {
 		LatticeSize:       ds.problem.Space().Size(),
 		CacheEntries:      ds.problem.CacheStats().Entries,
 		Releases:          len(rs),
-		Encoded:           encoding.Enabled,
-		DictCardinalities: encoding.Cardinalities,
+		Encoded:           true,
+		DictCardinalities: ds.problem.Encoding().Cardinalities,
 		Recovered:         ds.recovered,
 		Replication:       describeReplication(ds),
 	}
@@ -334,7 +334,7 @@ type appendRowsResponse struct {
 	// Start is the row index (person id) of the first appended row.
 	Start int `json:"start"`
 	// NewCodes counts new dictionary values per attribute (absent keys saw
-	// none); omitted on the legacy string path.
+	// none); omitted when no attribute gained one.
 	NewCodes map[string]int `json:"new_codes,omitempty"`
 	// PatchedNodes/InvalidatedNodes report warm bucketization-cache
 	// maintenance: patched entries were refreshed in O(appended + buckets),

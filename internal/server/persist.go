@@ -80,14 +80,14 @@ func writePersistFailure(w http.ResponseWriter, err error) {
 // buildSnapshotData materializes the dataset's current state as a store
 // snapshot: the pinned encoded columns, the bundle's rebuild source and
 // the release history. ok is false when the dataset cannot be persisted
-// (no rebuild source, or the problem runs the legacy string path).
-// Callers hold ds.appendMu so the version cannot advance mid-build.
+// (no rebuild source). Callers hold ds.appendMu so the version cannot
+// advance mid-build.
 func buildSnapshotData(ds *dataset) (*store.SnapshotData, bool, error) {
-	snap := ds.problem.Snapshot()
-	enc := snap.Encoded()
-	if enc == nil || ds.bundle.Source == nil {
+	if ds.bundle.Source == nil {
 		return nil, false, nil
 	}
+	snap := ds.problem.Snapshot()
+	enc := snap.Encoded()
 	srcJSON, err := dataload.MarshalSource(ds.bundle.Source)
 	if err != nil {
 		return nil, false, err
@@ -170,7 +170,7 @@ func recordToRelease(master *table.Table, rec *store.ReleaseRecord) (*release, e
 
 // persistNewDataset writes a fresh dataset's first snapshot + WAL. A nil
 // return with ds.persist still nil means the dataset is simply not
-// persistable (no source / legacy path) — not an error.
+// persistable (no rebuild source) — not an error.
 func (s *Server) persistNewDataset(name string, ds *dataset) error {
 	if s.store == nil {
 		return nil

@@ -36,8 +36,7 @@ type dataset struct {
 	appendMu sync.Mutex
 	releases releaseLog
 	// persist is the dataset's durable log; nil when the server runs
-	// without a store, the bundle has no rebuild source, or the problem
-	// fell back to the legacy string path.
+	// without a store or the bundle has no rebuild source.
 	persist *datasetStore
 	// recovered says how this dataset came to exist in this process:
 	// "cold" (registered fresh), "snapshot" (loaded with no WAL tail),

@@ -58,7 +58,7 @@ type Config struct {
 	// Default 256.
 	JobHistory int
 	// SearchWorkers is the per-search lattice worker budget (the library's
-	// WithWorkers knob) used by anonymization jobs, per-dataset
+	// ProblemOptions.Workers) used by anonymization jobs, per-dataset
 	// bucketization and Monte-Carlo estimates. Values below 1 — including
 	// the zero value — mean one worker per CPU core, matching the
 	// library-wide convention.

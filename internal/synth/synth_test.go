@@ -88,9 +88,9 @@ func TestBundleAnalyzable(t *testing.T) {
 	if b.Table.Len() != 2000 {
 		t.Fatalf("bundle has %d rows, want 2000", b.Table.Len())
 	}
-	enc, chs, ok := b.Encoded()
-	if !ok {
-		t.Fatal("hierarchies failed to compile over the generated table")
+	enc, chs, err := b.Encoded()
+	if err != nil {
+		t.Fatalf("hierarchies failed to compile over the generated table: %v", err)
 	}
 	bz, err := bucket.FromGeneralizationEncoded(enc, chs, b.DefaultLevels)
 	if err != nil {
@@ -152,8 +152,8 @@ func TestHierarchiesCoverEveryValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := b.Encoded(); !ok {
-			t.Fatalf("config %+v: hierarchies do not cover the generated values", cfg)
+		if _, _, err := b.Encoded(); err != nil {
+			t.Fatalf("config %+v: hierarchies do not cover the generated values: %v", cfg, err)
 		}
 		for name, h := range b.Hierarchies {
 			if h.Levels() < 2 {

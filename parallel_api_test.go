@@ -20,8 +20,9 @@ func TestPublicParallelAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(),
-		ckprivacy.WithWorkers(0))
+	o := ckprivacy.DefaultProblemOptions()
+	o.Workers = 0
+	par, err := ckprivacy.NewProblemWithOptions(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
