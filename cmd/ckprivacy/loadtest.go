@@ -179,11 +179,11 @@ func startReplica(ctx context.Context, leaderBase string) (string, error) {
 // serve the same version/rows/releases and disclosure numbers the leader
 // does.
 func verifyReplica(leaderBase, followerBase, dataset string, k int) error {
-	leaderInfo, err := getJSON(leaderBase + "/v1/datasets/" + dataset)
+	want, err := captureServed(leaderBase, dataset, k)
 	if err != nil {
-		return fmt.Errorf("replica: describing leader dataset: %w", err)
+		return fmt.Errorf("replica: leader: %w", err)
 	}
-	wantVersion, _ := leaderInfo["version"].(float64)
+	wantVersion, _ := want.info["version"].(float64)
 
 	// Bounded catch-up: poll the follower's replication block until it is
 	// caught up at (or past) the leader's post-workload version.
@@ -211,24 +211,12 @@ func verifyReplica(leaderBase, followerBase, dataset string, k int) error {
 	}
 	catchup := time.Since(begin).Round(time.Millisecond)
 
-	for _, field := range []string{"version", "rows", "releases", "dictionary_cardinalities"} {
-		if !reflect.DeepEqual(leaderInfo[field], followerInfo[field]) {
-			return fmt.Errorf("replica: dataset %s diverged: leader %v, follower %v",
-				field, leaderInfo[field], followerInfo[field])
-		}
-	}
-	leaderDisc, err := postJSON(leaderBase+"/v1/disclosure", map[string]any{"dataset": dataset, "k": k})
+	got, err := captureServed(followerBase, dataset, k)
 	if err != nil {
-		return fmt.Errorf("replica: leader disclosure: %w", err)
+		return fmt.Errorf("replica: follower: %w", err)
 	}
-	followerDisc, err := postJSON(followerBase+"/v1/disclosure", map[string]any{"dataset": dataset, "k": k})
-	if err != nil {
-		return fmt.Errorf("replica: follower disclosure: %w", err)
-	}
-	delete(leaderDisc, "elapsed_ms")
-	delete(followerDisc, "elapsed_ms")
-	if !reflect.DeepEqual(leaderDisc, followerDisc) {
-		return fmt.Errorf("replica: disclosure diverged:\nleader:   %v\nfollower: %v", leaderDisc, followerDisc)
+	if err := diverged(want, got, "leader", "follower"); err != nil {
+		return fmt.Errorf("replica: %w", err)
 	}
 	fmt.Fprintf(os.Stdout,
 		"replica: follower caught up to version %.0f in %s post-workload; zero record lag, version/rows/releases and disclosure identical\n",
@@ -240,13 +228,9 @@ func verifyReplica(leaderBase, followerBase, dataset string, k int) error {
 // daemon's answers, hard-stop it, recover a fresh daemon from the same
 // data directory and require identical answers.
 func verifyRestart(base, dir, dataset string, k, shards, rows int, crash func()) error {
-	infoBefore, err := getJSON(base + "/v1/datasets/" + dataset)
+	want, err := captureServed(base, dataset, k)
 	if err != nil {
-		return fmt.Errorf("restart: describing dataset pre-crash: %w", err)
-	}
-	discBefore, err := postJSON(base+"/v1/disclosure", map[string]any{"dataset": dataset, "k": k})
-	if err != nil {
-		return fmt.Errorf("restart: disclosure pre-crash: %w", err)
+		return fmt.Errorf("restart: pre-crash: %w", err)
 	}
 	crash()
 
@@ -275,30 +259,52 @@ func verifyRestart(base, dir, dataset string, k, shards, rows int, crash func())
 		_ = httpSrv.Shutdown(drainCtx)
 		_ = srv.Shutdown(drainCtx)
 	}()
-	newBase := "http://" + ln.Addr().String()
-
-	infoAfter, err := getJSON(newBase + "/v1/datasets/" + dataset)
+	got, err := captureServed("http://"+ln.Addr().String(), dataset, k)
 	if err != nil {
-		return fmt.Errorf("restart: describing dataset post-recovery: %w", err)
+		return fmt.Errorf("restart: post-recovery: %w", err)
 	}
-	for _, field := range []string{"version", "rows", "releases", "dictionary_cardinalities"} {
-		if !reflect.DeepEqual(infoBefore[field], infoAfter[field]) {
-			return fmt.Errorf("restart: dataset %s diverged: pre-crash %v, recovered %v",
-				field, infoBefore[field], infoAfter[field])
-		}
-	}
-	discAfter, err := postJSON(newBase+"/v1/disclosure", map[string]any{"dataset": dataset, "k": k})
-	if err != nil {
-		return fmt.Errorf("restart: disclosure post-recovery: %w", err)
-	}
-	delete(discBefore, "elapsed_ms")
-	delete(discAfter, "elapsed_ms")
-	if !reflect.DeepEqual(discBefore, discAfter) {
-		return fmt.Errorf("restart: disclosure diverged:\npre-crash: %v\nrecovered: %v", discBefore, discAfter)
+	if err := diverged(want, got, "pre-crash", "recovered"); err != nil {
+		return fmt.Errorf("restart: %w", err)
 	}
 	fmt.Fprintf(os.Stdout,
 		"restart: recovered %d dataset(s), %d wal record(s) replayed in %s; version/rows/releases and disclosure identical\n",
 		stats.Datasets, stats.Replayed, time.Since(begin).Round(time.Millisecond))
+	return nil
+}
+
+// served is what the -replica and -restart verdicts compare between two
+// daemons: a dataset's description and one disclosure answer, with the
+// timing field stripped.
+type served struct{ info, disc map[string]any }
+
+// captureServed reads a dataset's description and its k-disclosure
+// answer from the daemon at base.
+func captureServed(base, dataset string, k int) (served, error) {
+	info, err := getJSON(base + "/v1/datasets/" + dataset)
+	if err != nil {
+		return served{}, fmt.Errorf("describing dataset: %w", err)
+	}
+	disc, err := postJSON(base+"/v1/disclosure", map[string]any{"dataset": dataset, "k": k})
+	if err != nil {
+		return served{}, fmt.Errorf("disclosure: %w", err)
+	}
+	delete(disc, "elapsed_ms")
+	return served{info, disc}, nil
+}
+
+// diverged reports the first difference between two captures — the
+// dataset's version, rows, releases or dictionary cardinalities, then the
+// disclosure answer — naming the two sides by their labels.
+func diverged(want, got served, wantLabel, gotLabel string) error {
+	for _, field := range []string{"version", "rows", "releases", "dictionary_cardinalities"} {
+		if !reflect.DeepEqual(want.info[field], got.info[field]) {
+			return fmt.Errorf("dataset %s diverged: %s %v, %s %v",
+				field, wantLabel, want.info[field], gotLabel, got.info[field])
+		}
+	}
+	if !reflect.DeepEqual(want.disc, got.disc) {
+		return fmt.Errorf("disclosure diverged:\n%s: %v\n%s: %v", wantLabel, want.disc, gotLabel, got.disc)
+	}
 	return nil
 }
 

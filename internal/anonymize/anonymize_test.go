@@ -6,6 +6,7 @@ import (
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/lattice"
+	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 	"ckprivacy/internal/utility"
@@ -148,7 +149,7 @@ func TestMinimalSafeMatchesIncognitoAndNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, _, err := lattice.NaiveMinimal(p.Space(), oraclePred(p.Snapshot(), crit))
+			naive, err := oracle.NaiveMinimal(p.Space(), oraclePred(p.Snapshot(), crit))
 			if err != nil {
 				t.Fatal(err)
 			}

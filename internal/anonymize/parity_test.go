@@ -104,7 +104,7 @@ type searchResult struct {
 
 // checkAgainstOracle runs the three searches on the snapshot, then checks
 // them and every lattice node's bucketization against the oracle:
-// MinimalSafe and MinimalSafeIncognito must return lattice.NaiveMinimal's
+// MinimalSafe and MinimalSafeIncognito must return oracle.NaiveMinimal's
 // nodes over oracle buckets, ChainSearch the lowest chain node the oracle
 // finds safe, and every bucketization and its disclosure must equal the
 // oracle's byte for byte.
@@ -123,7 +123,7 @@ func checkAgainstOracle(t *testing.T, label string, s *Snapshot, c float64, k in
 		t.Fatalf("%s: ChainSearch: %v", label, err)
 	}
 
-	want, _, err := lattice.NaiveMinimal(s.p.Space(), oraclePred(s, crit))
+	want, err := oracle.NaiveMinimal(s.p.Space(), oraclePred(s, crit))
 	if err != nil {
 		t.Fatalf("%s: oracle search: %v", label, err)
 	}

@@ -86,37 +86,11 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 	sens := enc.SensitiveCol()
 	scard := enc.SensitiveDict().Len()
 
-	// Group only the appended rows, on whichever key path the current
-	// cardinalities select (the old bucketization's key path is irrelevant:
-	// matching below goes through the decoded string keys, which both
-	// paths share).
-	var groups []*egroup
-	if packable(dims) {
-		byKey := make(map[uint64]*egroup)
-		for row := start; row < rows; row++ {
-			key := packKey(dims, row)
-			g := byKey[key]
-			if g == nil {
-				g = newEgroup(row, scard)
-				byKey[key] = g
-				groups = append(groups, g)
-			}
-			g.addRow(row, sens)
-		}
-	} else {
-		byKey := make(map[string]*egroup)
-		buf := make([]byte, 4*len(dims))
-		for row := start; row < rows; row++ {
-			appendTupleKey(dims, row, buf)
-			g := byKey[string(buf)]
-			if g == nil {
-				g = newEgroup(row, scard)
-				byKey[string(buf)] = g
-				groups = append(groups, g)
-			}
-			g.addRow(row, sens)
-		}
-	}
+	// Group only the appended rows with the scan loop, on whichever key
+	// path the current cardinalities select (the old bucketization's key
+	// path is irrelevant: matching below goes through the decoded string
+	// keys, which both paths share).
+	groups := scanRange(dims, sens, scard, packable(dims), start, rows).groups
 
 	// Match each appended group to an existing bucket through the
 	// materialized string key (decoded once per group, not per row).

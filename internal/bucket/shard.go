@@ -90,9 +90,10 @@ type shardScan struct {
 	keysS  []string
 }
 
-// scanRange groups rows [lo, hi) of the encoded view. Exactly one key
-// path is used, chosen by the caller for all shards at once (packable is
-// a property of the dimensions, not of the rows).
+// scanRange groups rows [lo, hi) of the encoded view; it is the one
+// grouping loop, behind full scans, row shards and AppendRows. Exactly one
+// key path is used, chosen by the caller for all shards at once (packable
+// is a property of the dimensions, not of the rows).
 func scanRange(dims []dim, sens []uint32, scard int, packed bool, lo, hi int) shardScan {
 	sc := getScratch()
 	defer scratchPool.Put(sc)

@@ -1,9 +1,6 @@
 package lattice
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewSpaceValidation(t *testing.T) {
 	if _, err := NewSpace(nil); err == nil {
@@ -154,31 +151,6 @@ func generatorPred(gens []Node) Pred {
 	}
 }
 
-func TestMinimalSatisfyingMatchesNaive(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) < 4 {
-			return true
-		}
-		dims := []int{2 + int(raw[0])%3, 1 + int(raw[1])%3, 1 + int(raw[2])%2}
-		s := MustSpace(dims...)
-		all := s.All()
-		var gens []Node
-		for i := 3; i < len(raw) && i < 8; i++ {
-			gens = append(gens, all[int(raw[i])%len(all)])
-		}
-		pred := generatorPred(gens)
-		fast, _, err1 := MinimalSatisfyingBatch(s, pred, nil, 1)
-		slow, _, err2 := NaiveMinimal(s, pred)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return sameNodeSet(fast, slow)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMinimalSatisfyingPrunes(t *testing.T) {
 	s := MustSpace(4, 4)
 	// Generator at the bottom: everything satisfies; only one evaluation
@@ -249,24 +221,6 @@ func weightedCheck(s Space, weights []int, limit int) (SubsetPred, Pred) {
 	}
 	pred := func(n Node) (bool, error) { return badness(full, n) <= limit, nil }
 	return check, pred
-}
-
-func TestIncognitoMatchesNaive(t *testing.T) {
-	f := func(w0, w1, w2, lim uint8) bool {
-		s := MustSpace(4, 3, 2)
-		weights := []int{int(w0)%4 + 1, int(w1)%4 + 1, int(w2)%4 + 1}
-		limit := int(lim) % 12
-		check, pred := weightedCheck(s, weights, limit)
-		inc, _, err1 := IncognitoBatch(s, check, nil, 1)
-		naive, _, err2 := NaiveMinimal(s, pred)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return sameNodeSet(inc, naive)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestIncognitoEvaluatesLessThanNaive(t *testing.T) {

@@ -29,38 +29,6 @@ func markAncestors(s Space, n Node, satisfied map[string]bool) {
 	}
 }
 
-// NaiveMinimal evaluates the predicate on every node and filters the
-// minimal satisfying ones pairwise. It makes no monotonicity assumption and
-// exists as the correctness oracle for the pruning searches.
-func NaiveMinimal(s Space, pred Pred) ([]Node, Stats, error) {
-	var stats Stats
-	var sat []Node
-	for _, n := range s.All() {
-		ok, err := pred(n)
-		if err != nil {
-			return nil, stats, err
-		}
-		stats.Evaluated++
-		if ok {
-			sat = append(sat, n)
-		}
-	}
-	var minimal []Node
-	for i, n := range sat {
-		isMin := true
-		for j, m := range sat {
-			if i != j && Leq(m, n) {
-				isMin = false
-				break
-			}
-		}
-		if isMin {
-			minimal = append(minimal, n)
-		}
-	}
-	return minimal, stats, nil
-}
-
 // Chain returns the canonical maximal chain from Bottom to Top: dimension 0
 // is raised to its top, then dimension 1, and so on. Its length is
 // MaxHeight+1.

@@ -8,6 +8,11 @@
 // internal/bucket: it generalizes every row's values through the
 // hierarchies' Generalize, groups rows by the joined key strings, and
 // builds the result through the exported bucket.FromTupleGroups.
+//
+// NaiveMinimal is the lattice search with no pruning: it evaluates every
+// node and keeps the pairwise-minimal satisfying ones, so unlike the
+// production searches in internal/lattice it does not rely on the
+// predicate being monotone.
 package oracle
 
 import (
@@ -19,6 +24,7 @@ import (
 
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/table"
 )
 
@@ -103,4 +109,34 @@ func RequireIdentical(t testing.TB, want, got *bucket.Bucketization, label strin
 			t.Fatalf("%s: bucket %d (%s) signature %q, want %q", label, i, w.Key, g.Signature(), w.Signature())
 		}
 	}
+}
+
+// NaiveMinimal evaluates pred on every node of s and returns the
+// satisfying nodes no other satisfying node lies below, in the order
+// s.All() lists them.
+func NaiveMinimal(s lattice.Space, pred lattice.Pred) ([]lattice.Node, error) {
+	var sat []lattice.Node
+	for _, n := range s.All() {
+		ok, err := pred(n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			sat = append(sat, n)
+		}
+	}
+	var minimal []lattice.Node
+	for i, n := range sat {
+		isMin := true
+		for j, m := range sat {
+			if i != j && lattice.Leq(m, n) {
+				isMin = false
+				break
+			}
+		}
+		if isMin {
+			minimal = append(minimal, n)
+		}
+	}
+	return minimal, nil
 }

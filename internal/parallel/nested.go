@@ -43,13 +43,15 @@ func (p *Pool) Size() int { return cap(p.tokens) + 1 }
 // Workers pull indices from a shared counter, so uneven items balance.
 // If any calls fail, the error of the lowest failing index is returned
 // and no new indices are handed out once a failure is observed. A nil
-// pool runs the loop inline.
+// pool runs the loop inline, stopping at the first error.
 func (p *Pool) ForEach(n int, fn func(i int) error) error {
-	if n <= 0 {
+	if p == nil || n <= 1 || cap(p.tokens) == 0 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
 		return nil
-	}
-	if p == nil || n == 1 || cap(p.tokens) == 0 {
-		return ForEach(1, n, fn)
 	}
 
 	var (

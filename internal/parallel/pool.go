@@ -9,11 +9,7 @@
 // counterparts.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // Workers resolves a requested worker count: values below 1 mean "use all
 // available parallelism" (runtime.GOMAXPROCS). The result is always >= 1.
@@ -24,9 +20,10 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach runs fn(i) for every i in [0, n) using at most workers
-// goroutines. Workers pull indices from a shared counter, so uneven work
-// items balance automatically.
+// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines,
+// the calling one included: it is Pool.ForEach on a pool of its own, so
+// the two share one worker loop. Workers pull indices from a shared
+// counter, so uneven work items balance automatically.
 //
 // Error semantics are deterministic: if any calls fail, ForEach returns the
 // error of the lowest failing index, and stops handing out new indices once
@@ -34,54 +31,9 @@ func Workers(n int) int {
 // the loop runs inline on the calling goroutine and stops at the first
 // error, exactly like a hand-written serial loop.
 func ForEach(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
+	var p *Pool
+	if w := min(Workers(workers), n); w > 1 {
+		p = NewPool(w)
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errIdx = -1
-		first  error
-		wg     sync.WaitGroup
-	)
-	record := func(i int, err error) {
-		failed.Store(true)
-		mu.Lock()
-		if errIdx < 0 || i < errIdx {
-			errIdx, first = i, err
-		}
-		mu.Unlock()
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					record(i, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return p.ForEach(n, fn)
 }

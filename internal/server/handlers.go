@@ -17,7 +17,6 @@ import (
 	"ckprivacy/internal/dataload"
 	"ckprivacy/internal/logic"
 	"ckprivacy/internal/privacy"
-	"ckprivacy/internal/table"
 	"ckprivacy/internal/utility"
 	"ckprivacy/internal/worlds"
 )
@@ -276,24 +275,18 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("dataset has %d rows, above the %d-row limit", b.Table.Len(), s.cfg.MaxRows))
 		return
 	}
-	ds, err := s.registry.add(req.Name, b, s.cfg.problemOptions(), s.cfg.MaxReleases)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, ErrAlreadyRegistered) {
-			code = http.StatusConflict
-		}
-		writeError(w, code, err)
-		return
+	ds, err := s.register(req.Name, b)
+	var pe *persistError
+	switch {
+	case errors.Is(err, ErrAlreadyRegistered):
+		writeError(w, http.StatusConflict, err)
+	case errors.As(err, &pe):
+		writePersistFailure(w, pe.err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+	default:
+		writeJSON(w, http.StatusCreated, describe(req.Name, ds))
 	}
-	if err := s.persistNewDataset(req.Name, ds); err != nil {
-		// A dataset that cannot write its initial snapshot is backed out
-		// entirely: registration is all-or-nothing so a restart can never
-		// silently drop a dataset the client was told exists.
-		s.registry.remove(req.Name)
-		writePersistFailure(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, describe(req.Name, ds))
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
@@ -363,10 +356,7 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("rows must be a non-empty array"))
 		return
 	}
-	rows := make([]table.Row, len(req.Rows))
-	for i, r := range req.Rows {
-		rows[i] = table.Row(r)
-	}
+	rows := tableRows(req.Rows)
 	release, ok := s.acquireGate(w, r)
 	if !ok {
 		return

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -76,46 +79,68 @@ func (m *metrics) countJob(state string) {
 	m.mu.Unlock()
 }
 
+// expo writes the Prometheus text exposition format. It owns the syntax —
+// the HELP/TYPE header, %q-quoted label values and %v sample values (%d
+// for integers, %g for floats) — so a family costs one header call plus
+// one call per series.
+type expo struct{ w io.Writer }
+
+// header opens a family.
+func (e expo) header(name, typ, help string) {
+	fmt.Fprintf(e.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// sample writes one series; labels are name, value pairs.
+func (e expo) sample(name string, v any, labels ...string) {
+	io.WriteString(e.w, name)
+	for i := 0; i < len(labels); i += 2 {
+		sep := ","
+		if i == 0 {
+			sep = "{"
+		}
+		fmt.Fprintf(e.w, "%s%s=%q", sep, labels[i], labels[i+1])
+	}
+	if len(labels) > 0 {
+		io.WriteString(e.w, "}")
+	}
+	fmt.Fprintf(e.w, " %v\n", v)
+}
+
+// single writes a family with one unlabelled series.
+func (e expo) single(name, typ, help string, v any) {
+	e.header(name, typ, help)
+	e.sample(name, v)
+}
+
+// perDataset writes a family with one series per dataset, labelled
+// dataset="<name>".
+func (e expo) perDataset(name, typ, help string, infos []namedDataset, v func(*dataset) any) {
+	e.header(name, typ, help)
+	for _, info := range infos {
+		e.sample(name, v(info.ds), "dataset", info.name)
+	}
+}
+
 // writeTo renders the metrics for the /metrics endpoint. Families are
 // sorted so the output is deterministic (and therefore testable).
 func (m *metrics) writeTo(w io.Writer, s *Server) {
+	e := expo{w}
 	m.mu.Lock()
-	reqKeys := make([]requestKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Slice(reqKeys, func(i, j int) bool {
-		if reqKeys[i].pattern != reqKeys[j].pattern {
-			return reqKeys[i].pattern < reqKeys[j].pattern
-		}
-		return reqKeys[i].code < reqKeys[j].code
+	reqKeys := slices.SortedFunc(maps.Keys(m.requests), func(a, b requestKey) int {
+		return cmp.Or(cmp.Compare(a.pattern, b.pattern), cmp.Compare(a.code, b.code))
 	})
-	latKeys := make([]string, 0, len(m.latencySum))
-	for k := range m.latencySum {
-		latKeys = append(latKeys, k)
-	}
-	sort.Strings(latKeys)
-	jobKeys := make([]string, 0, len(m.jobs))
-	for k := range m.jobs {
-		jobKeys = append(jobKeys, k)
-	}
-	sort.Strings(jobKeys)
-
-	fmt.Fprintln(w, "# HELP ckprivacyd_requests_total Finished HTTP requests by route and status code.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_requests_total counter")
+	e.header("ckprivacyd_requests_total", "counter", "Finished HTTP requests by route and status code.")
 	for _, k := range reqKeys {
-		fmt.Fprintf(w, "ckprivacyd_requests_total{route=%q,code=\"%d\"} %d\n", k.pattern, k.code, m.requests[k])
+		e.sample("ckprivacyd_requests_total", m.requests[k], "route", k.pattern, "code", strconv.Itoa(k.code))
 	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_request_seconds Summed wall-clock request latency by route.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_request_seconds summary")
-	for _, k := range latKeys {
-		fmt.Fprintf(w, "ckprivacyd_request_seconds_sum{route=%q} %g\n", k, m.latencySum[k])
-		fmt.Fprintf(w, "ckprivacyd_request_seconds_count{route=%q} %d\n", k, m.latencyCount[k])
+	e.header("ckprivacyd_request_seconds", "summary", "Summed wall-clock request latency by route.")
+	for _, k := range slices.Sorted(maps.Keys(m.latencySum)) {
+		e.sample("ckprivacyd_request_seconds_sum", m.latencySum[k], "route", k)
+		e.sample("ckprivacyd_request_seconds_count", m.latencyCount[k], "route", k)
 	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_jobs_total Anonymization jobs by lifecycle event.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_jobs_total counter")
-	for _, k := range jobKeys {
-		fmt.Fprintf(w, "ckprivacyd_jobs_total{event=%q} %d\n", k, m.jobs[k])
+	e.header("ckprivacyd_jobs_total", "counter", "Anonymization jobs by lifecycle event.")
+	for _, k := range slices.Sorted(maps.Keys(m.jobs)) {
+		e.sample("ckprivacyd_jobs_total", m.jobs[k], "event", k)
 	}
 	m.mu.Unlock()
 
@@ -125,210 +150,108 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	// DP workers mid-request.
 	es := s.engine.Stats()
 	is := s.inline.Stats()
-	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_hits_total Disclosure-engine MINIMIZE1 memo hits.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_hits_total counter")
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_hits_total %d\n", es.Hits)
-	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_misses_total Disclosure-engine MINIMIZE1 memo misses.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_misses_total counter")
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_misses_total %d\n", es.Misses)
-	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_entries Distinct memoized (histogram, k) entries.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_entries gauge")
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_entries %d\n", es.Entries)
-	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_bytes Accounted resident bytes of the engine memo, by engine (shared = registered datasets, inline = client-chosen groups).")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_bytes gauge")
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_bytes{engine=\"shared\"} %d\n", es.Bytes)
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_bytes{engine=\"inline\"} %d\n", is.Bytes)
-	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_evictions_total Memo entries dropped by the CLOCK eviction policy, by engine.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_evictions_total counter")
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_evictions_total{engine=\"shared\"} %d\n", es.Evictions)
-	fmt.Fprintf(w, "ckprivacyd_engine_memo_evictions_total{engine=\"inline\"} %d\n", is.Evictions)
+	e.single("ckprivacyd_engine_memo_hits_total", "counter", "Disclosure-engine MINIMIZE1 memo hits.", es.Hits)
+	e.single("ckprivacyd_engine_memo_misses_total", "counter", "Disclosure-engine MINIMIZE1 memo misses.", es.Misses)
+	e.single("ckprivacyd_engine_memo_entries", "gauge", "Distinct memoized (histogram, k) entries.", es.Entries)
+	e.header("ckprivacyd_engine_memo_bytes", "gauge", "Accounted resident bytes of the engine memo, by engine (shared = registered datasets, inline = client-chosen groups).")
+	e.sample("ckprivacyd_engine_memo_bytes", es.Bytes, "engine", "shared")
+	e.sample("ckprivacyd_engine_memo_bytes", is.Bytes, "engine", "inline")
+	e.header("ckprivacyd_engine_memo_evictions_total", "counter", "Memo entries dropped by the CLOCK eviction policy, by engine.")
+	e.sample("ckprivacyd_engine_memo_evictions_total", es.Evictions, "engine", "shared")
+	e.sample("ckprivacyd_engine_memo_evictions_total", is.Evictions, "engine", "inline")
 
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_cache_hits_total Bucketization-cache hits by dataset.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_cache_hits_total counter")
 	infos := s.registry.list()
-	for _, info := range infos {
-		cs := info.ds.problem.CacheStats()
-		fmt.Fprintf(w, "ckprivacyd_dataset_cache_hits_total{dataset=%q} %d\n", info.name, cs.Hits)
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_cache_misses_total Bucketization-cache misses by dataset.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_cache_misses_total counter")
-	for _, info := range infos {
-		cs := info.ds.problem.CacheStats()
-		fmt.Fprintf(w, "ckprivacyd_dataset_cache_misses_total{dataset=%q} %d\n", info.name, cs.Misses)
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_cache_entries Cached bucketizations by dataset.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_cache_entries gauge")
-	for _, info := range infos {
-		cs := info.ds.problem.CacheStats()
-		fmt.Fprintf(w, "ckprivacyd_dataset_cache_entries{dataset=%q} %d\n", info.name, cs.Entries)
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_planned_sweeps_total Planned lattice sweeps executed by the dataset's sweep planner.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_planned_sweeps_total counter")
-	for _, info := range infos {
-		fmt.Fprintf(w, "ckprivacyd_dataset_planned_sweeps_total{dataset=%q} %d\n", info.name, info.ds.problem.SweepStats().Sweeps)
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_planned_nodes_total Derivation-DAG nodes scheduled by planned sweeps, by how each was materialized (base_scan = full row scan at a DAG root, coarsened = derived from a parent through a pooled arena, reused = already materialized).")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_planned_nodes_total counter")
+	e.perDataset("ckprivacyd_dataset_cache_hits_total", "counter", "Bucketization-cache hits by dataset.", infos,
+		func(ds *dataset) any { return ds.problem.CacheStats().Hits })
+	e.perDataset("ckprivacyd_dataset_cache_misses_total", "counter", "Bucketization-cache misses by dataset.", infos,
+		func(ds *dataset) any { return ds.problem.CacheStats().Misses })
+	e.perDataset("ckprivacyd_dataset_cache_entries", "gauge", "Cached bucketizations by dataset.", infos,
+		func(ds *dataset) any { return ds.problem.CacheStats().Entries })
+	e.perDataset("ckprivacyd_dataset_planned_sweeps_total", "counter", "Planned lattice sweeps executed by the dataset's sweep planner.", infos,
+		func(ds *dataset) any { return ds.problem.SweepStats().Sweeps })
+	e.header("ckprivacyd_dataset_planned_nodes_total", "counter", "Derivation-DAG nodes scheduled by planned sweeps, by how each was materialized (base_scan = full row scan at a DAG root, coarsened = derived from a parent through a pooled arena, reused = already materialized).")
 	for _, info := range infos {
 		ss := info.ds.problem.SweepStats()
-		fmt.Fprintf(w, "ckprivacyd_dataset_planned_nodes_total{dataset=%q,path=\"base_scan\"} %d\n", info.name, ss.BaseScans)
-		fmt.Fprintf(w, "ckprivacyd_dataset_planned_nodes_total{dataset=%q,path=\"coarsened\"} %d\n", info.name, ss.Coarsened)
-		fmt.Fprintf(w, "ckprivacyd_dataset_planned_nodes_total{dataset=%q,path=\"reused\"} %d\n", info.name, ss.Reused)
+		e.sample("ckprivacyd_dataset_planned_nodes_total", ss.BaseScans, "dataset", info.name, "path", "base_scan")
+		e.sample("ckprivacyd_dataset_planned_nodes_total", ss.Coarsened, "dataset", info.name, "path", "coarsened")
+		e.sample("ckprivacyd_dataset_planned_nodes_total", ss.Reused, "dataset", info.name, "path", "reused")
 	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_planned_buckets_total Bucket counts summed over planner-materialized nodes, predicted by the cost model vs actually produced (ratio near 1 means good parent choices).")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_planned_buckets_total counter")
+	e.header("ckprivacyd_dataset_planned_buckets_total", "counter", "Bucket counts summed over planner-materialized nodes, predicted by the cost model vs actually produced (ratio near 1 means good parent choices).")
 	for _, info := range infos {
 		ss := info.ds.problem.SweepStats()
-		fmt.Fprintf(w, "ckprivacyd_dataset_planned_buckets_total{dataset=%q,kind=\"predicted\"} %d\n", info.name, ss.PredictedBuckets)
-		fmt.Fprintf(w, "ckprivacyd_dataset_planned_buckets_total{dataset=%q,kind=\"actual\"} %d\n", info.name, ss.ActualBuckets)
+		e.sample("ckprivacyd_dataset_planned_buckets_total", ss.PredictedBuckets, "dataset", info.name, "kind", "predicted")
+		e.sample("ckprivacyd_dataset_planned_buckets_total", ss.ActualBuckets, "dataset", info.name, "kind", "actual")
 	}
 	arenaGets, arenaReuses := bucket.ArenaStats()
-	fmt.Fprintln(w, "# HELP ckprivacyd_arena_gets_total Scratch arenas borrowed from the process-wide coarsening pool.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_arena_gets_total counter")
-	fmt.Fprintf(w, "ckprivacyd_arena_gets_total %d\n", arenaGets)
-	fmt.Fprintln(w, "# HELP ckprivacyd_arena_reuses_total Arena borrows satisfied without a fresh allocation (gets minus allocs).")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_arena_reuses_total counter")
-	fmt.Fprintf(w, "ckprivacyd_arena_reuses_total %d\n", arenaReuses)
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_memo_bytes Accounted bytes of each dataset's problem-scoped engine memo (warmed by anonymize jobs).")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_memo_bytes gauge")
+	e.single("ckprivacyd_arena_gets_total", "counter", "Scratch arenas borrowed from the process-wide coarsening pool.", arenaGets)
+	e.single("ckprivacyd_arena_reuses_total", "counter", "Arena borrows satisfied without a fresh allocation (gets minus allocs).", arenaReuses)
+	e.perDataset("ckprivacyd_dataset_memo_bytes", "gauge", "Accounted bytes of each dataset's problem-scoped engine memo (warmed by anonymize jobs).", infos,
+		func(ds *dataset) any { return ds.problem.Engine().Stats().Bytes })
+	e.perDataset("ckprivacyd_dataset_version", "gauge", "Current dataset version (1 at registration, +1 per append).", infos,
+		func(ds *dataset) any { return ds.problem.Version() })
+	e.perDataset("ckprivacyd_dataset_rows", "gauge", "Row count of the current dataset version.", infos,
+		func(ds *dataset) any { return ds.problem.Rows() })
+	e.perDataset("ckprivacyd_dataset_releases", "gauge", "Retained recorded releases per dataset.", infos,
+		func(ds *dataset) any { rs, _ := ds.releases.snapshot(); return len(rs) })
+	e.header("ckprivacyd_dataset_recovered", "gauge", "How each dataset entered this process (cold, snapshot or wal_replay); always 1.")
 	for _, info := range infos {
-		fmt.Fprintf(w, "ckprivacyd_dataset_memo_bytes{dataset=%q} %d\n", info.name, info.ds.problem.Engine().Stats().Bytes)
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_version Current dataset version (1 at registration, +1 per append).")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_version gauge")
-	for _, info := range infos {
-		fmt.Fprintf(w, "ckprivacyd_dataset_version{dataset=%q} %d\n", info.name, info.ds.problem.Version())
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_rows Row count of the current dataset version.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_rows gauge")
-	for _, info := range infos {
-		fmt.Fprintf(w, "ckprivacyd_dataset_rows{dataset=%q} %d\n", info.name, info.ds.problem.Rows())
-	}
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_releases Retained recorded releases per dataset.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_releases gauge")
-	for _, info := range infos {
-		rs, _ := info.ds.releases.snapshot()
-		fmt.Fprintf(w, "ckprivacyd_dataset_releases{dataset=%q} %d\n", info.name, len(rs))
-	}
-
-	fmt.Fprintln(w, "# HELP ckprivacyd_dataset_recovered How each dataset entered this process (cold, snapshot or wal_replay); always 1.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_dataset_recovered gauge")
-	for _, info := range infos {
-		fmt.Fprintf(w, "ckprivacyd_dataset_recovered{dataset=%q,mode=%q} 1\n", info.name, info.ds.recovered)
+		e.sample("ckprivacyd_dataset_recovered", 1, "dataset", info.name, "mode", info.ds.recovered)
 	}
 
 	// Durability gauges for persisted datasets: live WAL size, compaction
 	// recency, boot replay cost and fsync latency.
-	persisted := make([]namedDataset, 0, len(infos))
-	for _, info := range infos {
-		if info.ds.persist != nil {
-			persisted = append(persisted, info)
-		}
-	}
+	persisted := slices.DeleteFunc(slices.Clone(infos), func(info namedDataset) bool { return info.ds.persist == nil })
 	if len(persisted) > 0 {
-		fmt.Fprintln(w, "# HELP ckprivacyd_wal_bytes Bytes in the dataset's live WAL segment (header included).")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_wal_bytes gauge")
-		for _, info := range persisted {
-			fmt.Fprintf(w, "ckprivacyd_wal_bytes{dataset=%q} %d\n", info.name, info.ds.persist.log.Bytes())
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_wal_records Append/release records in the dataset's live WAL segment.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_wal_records gauge")
-		for _, info := range persisted {
-			fmt.Fprintf(w, "ckprivacyd_wal_records{dataset=%q} %d\n", info.name, info.ds.persist.log.Records())
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_last_compaction_timestamp_seconds Unix time of the dataset's last WAL compaction; 0 if never compacted in this process.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_last_compaction_timestamp_seconds gauge")
-		for _, info := range persisted {
-			var ts float64
-			if lc := info.ds.persist.log.LastCompaction(); !lc.IsZero() {
-				ts = float64(lc.UnixNano()) / 1e9
-			}
-			fmt.Fprintf(w, "ckprivacyd_last_compaction_timestamp_seconds{dataset=%q} %g\n", info.name, ts)
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replay_seconds Boot recovery time per dataset (snapshot decode + WAL replay); 0 for datasets registered in this process.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replay_seconds gauge")
-		for _, info := range persisted {
-			fmt.Fprintf(w, "ckprivacyd_replay_seconds{dataset=%q} %g\n", info.name, info.ds.persist.replaySeconds)
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_wal_fsync_seconds Summed WAL fsync latency per dataset (count is fsyncs performed; both 0 when -wal-fsync is off).")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_wal_fsync_seconds summary")
+		e.perDataset("ckprivacyd_wal_bytes", "gauge", "Bytes in the dataset's live WAL segment (header included).", persisted,
+			func(ds *dataset) any { return ds.persist.log.Bytes() })
+		e.perDataset("ckprivacyd_wal_records", "gauge", "Append/release records in the dataset's live WAL segment.", persisted,
+			func(ds *dataset) any { return ds.persist.log.Records() })
+		e.perDataset("ckprivacyd_last_compaction_timestamp_seconds", "gauge", "Unix time of the dataset's last WAL compaction; 0 if never compacted in this process.", persisted,
+			func(ds *dataset) any {
+				var ts float64
+				if lc := ds.persist.log.LastCompaction(); !lc.IsZero() {
+					ts = float64(lc.UnixNano()) / 1e9
+				}
+				return ts
+			})
+		e.perDataset("ckprivacyd_replay_seconds", "gauge", "Boot recovery time per dataset (snapshot decode + WAL replay); 0 for datasets registered in this process.", persisted,
+			func(ds *dataset) any { return ds.persist.replaySeconds })
+		e.header("ckprivacyd_wal_fsync_seconds", "summary", "Summed WAL fsync latency per dataset (count is fsyncs performed; both 0 when -wal-fsync is off).")
 		for _, info := range persisted {
 			n, total := info.ds.persist.log.FsyncStats()
-			fmt.Fprintf(w, "ckprivacyd_wal_fsync_seconds_sum{dataset=%q} %g\n", info.name, total.Seconds())
-			fmt.Fprintf(w, "ckprivacyd_wal_fsync_seconds_count{dataset=%q} %d\n", info.name, n)
+			e.sample("ckprivacyd_wal_fsync_seconds_sum", total.Seconds(), "dataset", info.name)
+			e.sample("ckprivacyd_wal_fsync_seconds_count", n, "dataset", info.name)
 		}
 	}
 
 	// Replication gauges for follower datasets: applied position, leader
 	// position and the resulting lag.
-	replicas := make([]namedDataset, 0, len(infos))
-	for _, info := range infos {
-		if info.ds.repl != nil {
-			replicas = append(replicas, info)
-		}
-	}
+	replicas := slices.DeleteFunc(slices.Clone(infos), func(info namedDataset) bool { return info.ds.repl == nil })
 	if len(replicas) > 0 {
-		type replRow struct {
-			name string
-			pr   ReplicaProgress
-			lag  float64
-		}
-		rows := make([]replRow, len(replicas))
-		for i, info := range replicas {
-			pr, lag, _ := info.ds.repl.status()
-			rows[i] = replRow{info.name, pr, lag}
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replica_lag_records WAL records the leader has committed that this follower has not applied.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replica_lag_records gauge")
-		for _, row := range rows {
-			fmt.Fprintf(w, "ckprivacyd_replica_lag_records{dataset=%q} %d\n", row.name, row.pr.lagRecords())
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replica_lag_seconds How long the follower has been behind the leader; 0 when caught up.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replica_lag_seconds gauge")
-		for _, row := range rows {
-			fmt.Fprintf(w, "ckprivacyd_replica_lag_seconds{dataset=%q} %g\n", row.name, row.lag)
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replica_applied_version Dataset version the follower has applied.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replica_applied_version gauge")
-		for _, row := range rows {
-			fmt.Fprintf(w, "ckprivacyd_replica_applied_version{dataset=%q} %d\n", row.name, row.pr.AppliedVersion)
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replica_applied_offset Leader WAL byte offset the follower has applied through.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replica_applied_offset gauge")
-		for _, row := range rows {
-			fmt.Fprintf(w, "ckprivacyd_replica_applied_offset{dataset=%q} %d\n", row.name, row.pr.AppliedOffset)
-		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replica_leader_offset Leader committed WAL byte size as of the follower's latest fetch.")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replica_leader_offset gauge")
-		for _, row := range rows {
-			fmt.Fprintf(w, "ckprivacyd_replica_leader_offset{dataset=%q} %d\n", row.name, row.pr.LeaderCommitted)
-		}
+		progress := func(ds *dataset) ReplicaProgress { pr, _, _ := ds.repl.status(); return pr }
+		e.perDataset("ckprivacyd_replica_lag_records", "gauge", "WAL records the leader has committed that this follower has not applied.", replicas,
+			func(ds *dataset) any { return progress(ds).lagRecords() })
+		e.perDataset("ckprivacyd_replica_lag_seconds", "gauge", "How long the follower has been behind the leader; 0 when caught up.", replicas,
+			func(ds *dataset) any { _, lag, _ := ds.repl.status(); return lag })
+		e.perDataset("ckprivacyd_replica_applied_version", "gauge", "Dataset version the follower has applied.", replicas,
+			func(ds *dataset) any { return progress(ds).AppliedVersion })
+		e.perDataset("ckprivacyd_replica_applied_offset", "gauge", "Leader WAL byte offset the follower has applied through.", replicas,
+			func(ds *dataset) any { return progress(ds).AppliedOffset })
+		e.perDataset("ckprivacyd_replica_leader_offset", "gauge", "Leader committed WAL byte size as of the follower's latest fetch.", replicas,
+			func(ds *dataset) any { return progress(ds).LeaderCommitted })
 	}
 	if s.cfg.ReadOnly {
 		ready := 0
 		if s.ready.Load() {
 			ready = 1
 		}
-		fmt.Fprintln(w, "# HELP ckprivacyd_replica_ready Whether the follower has completed initial catch-up (mirrors /readyz).")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_replica_ready gauge")
-		fmt.Fprintf(w, "ckprivacyd_replica_ready %d\n", ready)
+		e.single("ckprivacyd_replica_ready", "gauge", "Whether the follower has completed initial catch-up (mirrors /readyz).", ready)
 	}
 
 	if boot, ok := s.bootSeconds.Load().(float64); ok {
-		fmt.Fprintln(w, "# HELP ckprivacyd_boot_seconds Daemon startup duration (store recovery and preloads included).")
-		fmt.Fprintln(w, "# TYPE ckprivacyd_boot_seconds gauge")
-		fmt.Fprintf(w, "ckprivacyd_boot_seconds %g\n", boot)
+		e.single("ckprivacyd_boot_seconds", "gauge", "Daemon startup duration (store recovery and preloads included).", boot)
 	}
-
-	fmt.Fprintln(w, "# HELP ckprivacyd_datasets_registered Registered datasets.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_datasets_registered gauge")
-	fmt.Fprintf(w, "ckprivacyd_datasets_registered %d\n", len(infos))
-
-	fmt.Fprintln(w, "# HELP ckprivacyd_jobs_queue_depth Jobs waiting in the bounded queue.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_jobs_queue_depth gauge")
-	fmt.Fprintf(w, "ckprivacyd_jobs_queue_depth %d\n", s.jobs.queueDepth())
-
-	fmt.Fprintln(w, "# HELP ckprivacyd_uptime_seconds Seconds since the server started.")
-	fmt.Fprintln(w, "# TYPE ckprivacyd_uptime_seconds gauge")
-	fmt.Fprintf(w, "ckprivacyd_uptime_seconds %g\n", time.Since(s.start).Seconds())
+	e.single("ckprivacyd_datasets_registered", "gauge", "Registered datasets.", len(infos))
+	e.single("ckprivacyd_jobs_queue_depth", "gauge", "Jobs waiting in the bounded queue.", s.jobs.queueDepth())
+	e.single("ckprivacyd_uptime_seconds", "gauge", "Seconds since the server started.", time.Since(s.start).Seconds())
 }

@@ -264,11 +264,11 @@ type RecoveryStats struct {
 // RecoverAll loads every dataset in the server's durable store into the
 // registry: highest-version snapshot decoded onto the columnar substrate
 // (table.NewEncodedFromParts — no re-encoding), bundle rebuilt from its
-// source descriptor, WAL tail replayed through anonymize.Problem.Append,
-// and the release history rebuilt from its materialized partitions. The
-// daemon calls this once before opening its listener; recovered state is
-// byte-identical to the pre-crash process's (the crash-point property
-// tests assert this).
+// source descriptor, release window rebuilt from its materialized
+// partitions, and the WAL tail replayed record by record through the same
+// applier followers use. The daemon calls this once before opening its
+// listener; recovered state is byte-identical to the pre-crash process's
+// (the crash-point property tests assert this).
 func (s *Server) RecoverAll() (RecoveryStats, error) {
 	var stats RecoveryStats
 	if s.store == nil {
@@ -299,44 +299,69 @@ func (s *Server) RecoverAll() (RecoveryStats, error) {
 	return stats, nil
 }
 
-// rebuildProblem reconstructs a dataset's bundle and long-lived problem
-// from a decoded snapshot: source descriptor parsed, schema revalidated,
-// columns mounted onto the columnar substrate without re-encoding
-// (table.NewEncodedFromParts). Shared by boot recovery and replica
-// snapshot install.
-func (s *Server) rebuildProblem(name string, sd *store.SnapshotData) (*dataload.Bundle, *anonymize.Problem, error) {
+// datasetFromSnapshot builds a dataset from a decoded snapshot: the source
+// descriptor parsed and its schema checked against the snapshot's
+// attributes, the columns mounted onto the columnar substrate without
+// re-encoding (table.NewEncodedFromParts), the problem built at the
+// snapshot's version, dl wrapped as the durable log (nil for a
+// memory-only follower) and the retained release window restored. On a
+// follower the snapshot's version is pinned as the first ?version= read.
+// Boot recovery and replica snapshot install both build datasets here;
+// on error the caller still owns dl.
+func (s *Server) datasetFromSnapshot(name string, sd *store.SnapshotData, dl *store.DatasetLog, recovered string) (*dataset, error) {
 	src, err := dataload.ParseSource(sd.Source)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	schema, err := dataload.SourceSchema(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(sd.Attrs) != len(schema.Attrs) {
-		return nil, nil, fmt.Errorf("snapshot has %d attributes, source schema has %d", len(sd.Attrs), len(schema.Attrs))
+		return nil, fmt.Errorf("snapshot has %d attributes, source schema has %d", len(sd.Attrs), len(schema.Attrs))
 	}
 	for i, want := range sd.Attrs {
 		if got := schema.Attrs[i].Name; got != want {
-			return nil, nil, fmt.Errorf("snapshot attribute %d is %q, source schema says %q", i, want, got)
+			return nil, fmt.Errorf("snapshot attribute %d is %q, source schema says %q", i, want, got)
 		}
 	}
 	enc, err := table.NewEncodedFromParts(schema, sd.Dicts, sd.Cols)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b, err := dataload.FromSource(name, src, enc.Table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p, err := anonymize.NewProblemFromEncoded(enc, b.Hierarchies, b.QI, sd.Version, s.cfg.problemOptions())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return b, p, nil
+	ds := &dataset{bundle: b, problem: p, releases: releaseLog{max: s.cfg.MaxReleases}, recovered: recovered}
+	if dl != nil {
+		ds.persist = &datasetStore{log: dl}
+	}
+	if rs := sd.Releases; rs != nil {
+		ds.releases.next, ds.releases.evicted = rs.Next, rs.Evicted
+		for i := range rs.Releases {
+			rel, err := recordToRelease(p.Table, &rs.Releases[i])
+			if err != nil {
+				return nil, err
+			}
+			ds.releases.rs = append(ds.releases.rs, rel)
+		}
+	}
+	if s.cfg.ReadOnly {
+		ds.pins = newVersionPins(s.cfg.MaxPinnedVersions)
+		ds.pins.pin(p.Snapshot())
+	}
+	return ds, nil
 }
 
-// recoverDataset rebuilds one dataset from its snapshot + WAL tail.
+// recoverDataset rebuilds one dataset from its snapshot and replays its
+// WAL tail through applyRecord in log order. The log order is the order
+// the leader committed the mutations under appendMu, so every release
+// record follows the appends that created its rows.
 func (s *Server) recoverDataset(name string) (replayed int, err error) {
 	begin := time.Now()
 	sd, recs, dl, err := s.store.Load(name)
@@ -348,112 +373,76 @@ func (s *Server) recoverDataset(name string) (replayed int, err error) {
 			dl.Close()
 		}
 	}()
-
-	b, p, err := s.rebuildProblem(name, sd)
+	mode := "snapshot"
+	if len(recs) > 0 {
+		mode = "wal_replay"
+	}
+	ds, err := s.datasetFromSnapshot(name, sd, dl, mode)
 	if err != nil {
 		return 0, err
 	}
-
-	// On a follower, boot recovery doubles as replication catch-up from the
-	// local store: capture the same version pins live tailing would have.
-	var pins *versionPins
-	if s.cfg.ReadOnly {
-		pins = newVersionPins(s.cfg.MaxPinnedVersions)
-		pins.pin(p.Snapshot())
-	}
-
-	// Replay the WAL tail: appends first (in order, verifying each lands
-	// on the version its record names), then the release history. Release
-	// records only reference row prefixes, so they never need to
-	// interleave with the appends that created those rows.
-	var relRecs []store.ReleaseRecord
-	for _, rec := range recs {
-		switch {
-		case rec.Append != nil:
-			rows := make([]table.Row, len(rec.Append.Rows))
-			for i, r := range rec.Append.Rows {
-				rows[i] = table.Row(r)
-			}
-			res, err := p.Append(rows)
-			if err != nil {
-				return 0, fmt.Errorf("replaying append to version %d: %w", rec.Append.Version, err)
-			}
-			if res.Version != rec.Append.Version {
-				return 0, fmt.Errorf("replayed append produced version %d, wal record says %d",
-					res.Version, rec.Append.Version)
-			}
-			if pins != nil {
-				pins.pin(p.Snapshot())
-			}
-			replayed++
-		case rec.Release != nil:
-			relRecs = append(relRecs, *rec.Release)
-			replayed++
+	for i, rec := range recs {
+		if err := applyRecord(ds, rec); err != nil {
+			return 0, fmt.Errorf("replaying wal record %d: %w", i, err)
 		}
 	}
-
-	ds := &dataset{
-		bundle:    b,
-		problem:   p,
-		releases:  releaseLog{max: s.cfg.MaxReleases},
-		persist:   &datasetStore{log: dl},
-		recovered: "snapshot",
-		pins:      pins,
-	}
-	if len(recs) > 0 {
-		ds.recovered = "wal_replay"
-	}
 	if s.cfg.ReadOnly {
+		// On a follower, boot recovery doubles as replication catch-up from
+		// the local store: its committed WAL is the resume position.
 		_, offset, records := dl.Committed()
 		ds.repl = newReplicaState(ReplicaProgress{
-			AppliedVersion: p.Version(),
+			AppliedVersion: ds.problem.Version(),
 			AppliedOffset:  offset,
 			AppliedRecords: records,
 		})
-	}
-	if err := s.restoreReleases(ds, sd.Releases, relRecs); err != nil {
-		return 0, err
 	}
 	ds.persist.replaySeconds = time.Since(begin).Seconds()
 	if err := s.registry.insert(name, ds); err != nil {
 		return 0, err
 	}
-	return replayed, nil
+	return len(recs), nil
 }
 
-// restoreReleases rebuilds the dataset's release log: the snapshot's
-// retained window first, then the WAL's release records in log order,
-// reproducing the same retention/eviction arithmetic the live log ran.
-func (s *Server) restoreReleases(ds *dataset, snap *store.ReleaseState, walRecs []store.ReleaseRecord) error {
-	master := ds.problem.Table
-	var rs []*release
-	next, evicted := 0, 0
-	if snap != nil {
-		next, evicted = snap.Next, snap.Evicted
-		for i := range snap.Releases {
-			rel, err := recordToRelease(master, &snap.Releases[i])
-			if err != nil {
-				return err
-			}
-			rs = append(rs, rel)
-		}
-	}
-	for i := range walRecs {
-		rel, err := recordToRelease(master, &walRecs[i])
+// applyRecord applies one WAL record to a dataset. It is the one replay
+// step, shared by boot recovery and follower tailing: an append runs
+// through Problem.Append and must mint the version its record names (and
+// is pinned on a follower); a release is rebuilt over the grown table and
+// must carry exactly the log's next release index. The caller holds
+// ds.appendMu or has not yet published ds.
+func applyRecord(ds *dataset, rec store.Record) error {
+	switch {
+	case rec.Append != nil:
+		res, err := ds.problem.Append(tableRows(rec.Append.Rows))
 		if err != nil {
-			return err
+			return fmt.Errorf("applying append to version %d: %w", rec.Append.Version, err)
 		}
-		rs = append(rs, rel)
-		if rel.index >= next {
-			next = rel.index + 1
+		if res.Version != rec.Append.Version {
+			return fmt.Errorf("applied append produced version %d, wal record says %d",
+				res.Version, rec.Append.Version)
 		}
-		if len(rs) > s.cfg.MaxReleases {
-			rs = rs[1:]
-			evicted++
+		if ds.pins != nil {
+			ds.pins.pin(ds.problem.Snapshot())
 		}
+		return nil
+	case rec.Release != nil:
+		rel, err := recordToRelease(ds.problem.Table, rec.Release)
+		if err != nil {
+			return fmt.Errorf("decoding release %d: %w", rec.Release.Index, err)
+		}
+		return ds.releases.replay(rel)
+	default:
+		return fmt.Errorf("empty wal record")
 	}
-	ds.releases.restore(next, evicted, rs)
-	return nil
+}
+
+// tableRows views wire or WAL rows (values in schema column order) as
+// table rows without copying the values.
+func tableRows(rows [][]string) []table.Row {
+	out := make([]table.Row, len(rows))
+	for i, r := range rows {
+		out[i] = table.Row(r)
+	}
+	return out
 }
 
 // persistCodeOf maps a persist failure to its envelope code (see

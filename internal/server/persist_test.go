@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -182,6 +183,30 @@ func TestPersistCleanRestartIdentical(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	requireSameState(t, want, captureDatasetState(t, base2, "h"))
+}
+
+// TestRecoverRejectsReleaseIndexGap: boot replay holds a WAL release
+// record to the rule ApplyReplicated enforces — it must carry exactly the
+// next release index — so a log that skips one fails recovery with an
+// error naming the index instead of restoring a history a follower of the
+// same log would reject as diverged.
+func TestRecoverRejectsReleaseIndexGap(t *testing.T) {
+	dir := t.TempDir()
+	s, base := newPersistedServer(t, dir, false)
+	registerHospital(t, base, "h")
+	createReleaseOK(t, base, "h")
+	ds, _ := s.registry.get("h")
+	rel, _ := ds.releases.snapshot()
+	rec := releaseToRecord(rel[0])
+	rec.Index = 5 // the log expects index 1 next
+	if err := ds.persist.log.LogRelease(&rec); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _ := newPersistedServer(t, dir, false)
+	if _, err := s2.RecoverAll(); err == nil || !strings.Contains(err.Error(), "index 5") {
+		t.Fatalf("recovery over a release index gap = %v, want an error naming index 5", err)
+	}
 }
 
 // TestPersistFailure503AndHeal covers the write path when the store

@@ -45,18 +45,38 @@ type releaseLog struct {
 	evicted int
 }
 
-// add records a release, evicting the oldest past the bound.
+// add records a new release at the log's next index.
 func (l *releaseLog) add(r *release) (index, retained, evicted int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	r.index = l.next
+	l.keepLocked(r)
+	return r.index, len(l.rs), l.evicted
+}
+
+// replay records a logged release, which must carry exactly the log's
+// next index; any other index means the log and this history disagree.
+func (l *releaseLog) replay(r *release) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if r.index != l.next {
+		return fmt.Errorf("release record has index %d, log expects %d", r.index, l.next)
+	}
+	l.keepLocked(r)
+	return nil
+}
+
+// keepLocked is the log's one retention rule, shared by live releases and
+// replay (so leader, follower and restarted windows stay identical given
+// equal bounds): advance the index, keep r, evict the oldest release past
+// the bound. The caller holds l.mu.
+func (l *releaseLog) keepLocked(r *release) {
 	l.next++
 	l.rs = append(l.rs, r)
 	if len(l.rs) > l.max {
 		l.rs = l.rs[1:]
 		l.evicted++
 	}
-	return r.index, len(l.rs), l.evicted
 }
 
 // snapshot returns the retained releases, oldest first.
@@ -71,16 +91,6 @@ func (l *releaseLog) exportState() (rs []*release, evicted, next int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]*release(nil), l.rs...), l.evicted, l.next
-}
-
-// restore replaces the log's state with a recovered history (boot path;
-// the dataset is not yet visible to requests).
-func (l *releaseLog) restore(next, evicted int, rs []*release) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.next = next
-	l.evicted = evicted
-	l.rs = rs
 }
 
 // intersect builds the partition an attacker holding both releases can

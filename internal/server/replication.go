@@ -10,7 +10,6 @@ import (
 
 	"ckprivacy/internal/anonymize"
 	"ckprivacy/internal/store"
-	"ckprivacy/internal/table"
 )
 
 // This file is the replication layer. A leader exposes read-only shipping
@@ -18,12 +17,12 @@ import (
 // snapshot (raw bytes), and the WAL's committed prefix at arbitrary byte
 // cursors with long-poll semantics. A follower (Config.ReadOnly) is
 // "recovery that never stops": internal/replica boots each dataset from
-// the leader's snapshot, tails the WAL, and applies every record through
-// the same Problem.Append / release-log path boot replay uses — so the
-// follower's state is byte-identical to the leader's at every applied
-// version. Followers additionally retain a bounded window of pinned
-// version snapshots so reads can be served at a client-chosen historical
-// version (?version=).
+// the leader's snapshot through datasetFromSnapshot and applies every
+// tailed WAL record through applyRecord — the two functions boot recovery
+// runs — so the follower's state is byte-identical to the leader's at
+// every applied version. Followers additionally retain a bounded window
+// of pinned version snapshots so reads can be served at a client-chosen
+// historical version (?version=).
 
 // errReadOnly rejects writes on a follower (HTTP 403, code "read_only").
 var errReadOnly = errors.New("this daemon is a read-only follower; send writes to the leader")
@@ -227,30 +226,13 @@ func (s *Server) InstallReplicaSnapshot(name string, raw []byte) error {
 	if err != nil {
 		return err
 	}
-	b, p, err := s.rebuildProblem(name, sd)
+	ds, err := s.datasetFromSnapshot(name, sd, dl, "replica")
 	if err != nil {
 		if dl != nil {
 			dl.Close()
 		}
 		return err
 	}
-	ds := &dataset{
-		bundle:    b,
-		problem:   p,
-		releases:  releaseLog{max: s.cfg.MaxReleases},
-		recovered: "replica",
-		pins:      newVersionPins(s.cfg.MaxPinnedVersions),
-	}
-	if dl != nil {
-		ds.persist = &datasetStore{log: dl}
-	}
-	if err := s.restoreReleases(ds, sd.Releases, nil); err != nil {
-		if dl != nil {
-			dl.Close()
-		}
-		return err
-	}
-	ds.pins.pin(p.Snapshot())
 	ds.repl = newReplicaState(ReplicaProgress{
 		AppliedVersion: sd.Version,
 		AppliedOffset:  store.WALHeaderLen,
@@ -275,15 +257,14 @@ func (s *Server) ReplicaResume(name string) (base, offset int64, records int, ok
 	return base, offset, records, true
 }
 
-// ApplyReplicated applies one shipped WAL record to a follower dataset,
-// exactly as boot replay would: an append runs through Problem.Append and
-// must reproduce the version its record names; a release must land on the
-// next release index. The follower persists locally log-then-apply (the
-// opposite of the leader's apply-then-log): a crash between the two
-// replays the record at boot, so disk can never be behind memory. A
-// verification failure wraps ErrReplicaDiverged — the dataset stops
-// serving rather than expose divergent state; other errors (a local disk
-// write failure) are transient and retried by the caller.
+// ApplyReplicated applies one shipped WAL record to a follower dataset
+// through applyRecord, the step boot replay runs. The follower persists
+// locally log-then-apply (the opposite of the leader's apply-then-log): a
+// crash between the two replays the record at boot, so disk can never be
+// behind memory. A local log failure is transient and retried by the
+// caller; an apply failure marks the dataset diverged and wraps
+// ErrReplicaDiverged — the dataset stops serving rather than expose
+// divergent state.
 func (s *Server) ApplyReplicated(name string, rec store.Record) error {
 	ds, ok := s.registry.get(name)
 	if !ok {
@@ -291,59 +272,27 @@ func (s *Server) ApplyReplicated(name string, rec store.Record) error {
 	}
 	ds.appendMu.Lock()
 	defer ds.appendMu.Unlock()
-	switch {
-	case rec.Append != nil:
-		if ds.persist != nil {
-			if err := ds.persist.log.LogAppend(rec.Append); err != nil {
-				return fmt.Errorf("logging replicated append: %w", err)
-			}
+	if ds.persist != nil {
+		var err error
+		switch {
+		case rec.Append != nil:
+			err = ds.persist.log.LogAppend(rec.Append)
+		case rec.Release != nil:
+			err = ds.persist.log.LogRelease(rec.Release)
 		}
-		rows := make([]table.Row, len(rec.Append.Rows))
-		for i, r := range rec.Append.Rows {
-			rows[i] = table.Row(r)
-		}
-		res, err := ds.problem.Append(rows)
 		if err != nil {
-			s.markReplicaDiverged(ds, fmt.Errorf("%w: applying append to version %d: %v",
-				ErrReplicaDiverged, rec.Append.Version, err))
-			return ds.repl.divergedErr()
+			return fmt.Errorf("logging replicated record: %w", err)
 		}
-		if res.Version != rec.Append.Version {
-			s.markReplicaDiverged(ds, fmt.Errorf("%w: applied append produced version %d, wal record says %d",
-				ErrReplicaDiverged, res.Version, rec.Append.Version))
-			return ds.repl.divergedErr()
+	}
+	if err := applyRecord(ds, rec); err != nil {
+		err = fmt.Errorf("%w: %v", ErrReplicaDiverged, err)
+		if ds.repl == nil {
+			ds.repl = newReplicaState(ReplicaProgress{})
 		}
-		if ds.pins != nil {
-			ds.pins.pin(ds.problem.Snapshot())
-		}
-	case rec.Release != nil:
-		if ds.persist != nil {
-			if err := ds.persist.log.LogRelease(rec.Release); err != nil {
-				return fmt.Errorf("logging replicated release: %w", err)
-			}
-		}
-		rel, err := recordToRelease(ds.problem.Table, rec.Release)
-		if err != nil {
-			s.markReplicaDiverged(ds, fmt.Errorf("%w: decoding release %d: %v",
-				ErrReplicaDiverged, rec.Release.Index, err))
-			return ds.repl.divergedErr()
-		}
-		if err := ds.releases.applyReplicated(rel); err != nil {
-			s.markReplicaDiverged(ds, fmt.Errorf("%w: %v", ErrReplicaDiverged, err))
-			return ds.repl.divergedErr()
-		}
-	default:
-		return fmt.Errorf("empty replicated record")
+		ds.repl.setErr(err)
+		return err
 	}
 	return nil
-}
-
-// markReplicaDiverged records a fatal divergence on the dataset.
-func (s *Server) markReplicaDiverged(ds *dataset, err error) {
-	if ds.repl == nil {
-		ds.repl = newReplicaState(ReplicaProgress{})
-	}
-	ds.repl.setErr(err)
 }
 
 // DatasetVersion reports a registered dataset's current version, 0 when
@@ -371,25 +320,6 @@ func (s *Server) SetReplicaErr(name string, err error) {
 	if ds, ok := s.registry.get(name); ok && ds.repl != nil {
 		ds.repl.setErr(err)
 	}
-}
-
-// applyReplicated appends a replayed release at exactly the index its
-// record names; any other index is divergence. The retention/eviction
-// arithmetic matches add, so follower and leader windows stay identical
-// (given equal MaxReleases).
-func (l *releaseLog) applyReplicated(r *release) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if r.index != l.next {
-		return fmt.Errorf("replicated release has index %d, log expects %d", r.index, l.next)
-	}
-	l.next++
-	l.rs = append(l.rs, r)
-	if len(l.rs) > l.max {
-		l.rs = l.rs[1:]
-		l.evicted++
-	}
-	return nil
 }
 
 // ---- leader HTTP handlers ----

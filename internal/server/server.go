@@ -226,19 +226,29 @@ func (s *Server) InlineEngine() *core.Engine { return s.inline }
 
 // Register adds a bundle to the dataset registry programmatically — the
 // daemon's -preload path and embedding callers use this; HTTP clients use
-// POST /v1/datasets. With a durable store configured the registration is
-// persisted like an HTTP one: snapshot written, WAL opened, and the
+// POST /v1/datasets. Both run the same registration: with a durable store
+// configured the snapshot is written, the WAL opened, and the
 // registration backed out if the write fails.
 func (s *Server) Register(name string, b *dataload.Bundle) error {
+	_, err := s.register(name, b)
+	return err
+}
+
+// register adds a bundle to the registry, then persists its first
+// snapshot and WAL. Registration is all-or-nothing: a dataset that cannot
+// be persisted is backed out, so a restart can never silently drop a
+// dataset its caller was told exists. A duplicate name wraps
+// ErrAlreadyRegistered; a store failure is a *persistError.
+func (s *Server) register(name string, b *dataload.Bundle) (*dataset, error) {
 	ds, err := s.registry.add(name, b, s.cfg.problemOptions(), s.cfg.MaxReleases)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.persistNewDataset(name, ds); err != nil {
 		s.registry.remove(name)
-		return fmt.Errorf("persisting dataset %q: %w", name, err)
+		return nil, &persistError{err: err}
 	}
-	return nil
+	return ds, nil
 }
 
 // SetBootDuration records how long the daemon's startup (store recovery
