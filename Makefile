@@ -113,15 +113,20 @@ loadtest-replica:
 	$(GO) run ./cmd/ckprivacy loadtest $(LOADTEST_REPLICA_ARGS) -data-dir $$dir -replica; \
 	status=$$?; rm -rf $$dir; exit $$status
 
-## fuzz-smoke gives each store decoder fuzz target a short budget
-## (mirrors the CI fuzz job): long enough to catch a regression in the
-## snapshot/WAL hardening, short enough for every push. Raise
-## FUZZ_TIME for a real session.
+## fuzz-smoke gives every fuzz target in the module a short budget (the
+## CI fuzz job runs this list in full): the store decoders (snapshot/WAL
+## hardening), the logic parsers, and the MINIMIZE2 kernel against its
+## recursive oracle. Long enough to catch a regression, short enough for
+## every push. Raise FUZZ_TIME for a real session.
 FUZZ_TIME ?= 20s
 
 fuzz-smoke:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzSnapshotOpen -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseImplication -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseConjunction -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseAtom -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

@@ -151,28 +151,40 @@ func NewEngineWithConfig(cfg EngineConfig) *Engine {
 	return e
 }
 
-// fingerprint hashes (hist, j) with 64-bit FNV-1a, mixing each value as a
-// fixed eight-byte word so histograms of different lengths or counts can
-// never alias by concatenation.
-func fingerprint(hist []int, j int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(j))
-	for _, c := range hist {
-		mix(uint64(c))
+// FNV-1a parameters of the memo's 64-bit fingerprint.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord mixes v into the FNV-1a state h as a fixed eight-byte word, so
+// histograms of different lengths or counts never alias by concatenation.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
 	}
 	return h
 }
+
+// histPrefix hashes a histogram: the part of a memo fingerprint shared by
+// every atom count j. The MINIMIZE2 row pass hashes each histogram once
+// and finishes the prefix per j with withJ.
+func histPrefix(hist []int) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range hist {
+		h = fnvWord(h, uint64(c))
+	}
+	return h
+}
+
+// withJ finishes a histogram prefix with the atom count j.
+func withJ(prefix uint64, j int) uint64 { return fnvWord(prefix, uint64(j)) }
+
+// fingerprint is the memo key hash of (hist, j): 64-bit FNV-1a over the
+// histogram's counts, then j.
+func fingerprint(hist []int, j int) uint64 { return withJ(histPrefix(hist), j) }
 
 // CacheStats is a point-in-time snapshot of memo effectiveness and
 // residency; the serving layer exports it on /metrics.
@@ -202,9 +214,17 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // m1 returns the memoized MINIMIZE1 entry for (hist, j), computing, caching
-// and deduplicating as needed.
+// and deduplicating as needed. MINIMIZE1 with zero atoms is the constant 1,
+// so j = 0 never touches the memo: no (hist, 0) entry is stored or counted.
 func (e *Engine) m1(hist []int, j int) m1Entry {
-	fp := fingerprint(hist, j)
+	if j == 0 {
+		return m1Entry{val: 1}
+	}
+	return e.lookup(fingerprint(hist, j), hist, j)
+}
+
+// lookup is m1 for a caller that already holds fp = fingerprint(hist, j).
+func (e *Engine) lookup(fp uint64, hist []int, j int) m1Entry {
 	s := &e.shards[fp&e.shardMask]
 
 	// Fast path: a resident hit needs only the read lock.
@@ -400,6 +420,9 @@ type bucketView struct {
 	index int
 	b     *bucket.Bucket
 }
+
+// ratio is n/top, the factor 1/Pr(A | B) of placing A in this bucket.
+func (v *bucketView) ratio() float64 { return float64(v.n) / float64(v.top) }
 
 func makeViews(bz *bucket.Bucketization) []bucketView {
 	views := make([]bucketView, len(bz.Buckets))

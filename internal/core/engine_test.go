@@ -41,6 +41,9 @@ func TestFingerprintDistinguishesKeys(t *testing.T) {
 	seen := make(map[uint64]key)
 	for _, c := range cases {
 		fp := fingerprint(c.hist, c.j)
+		if split := withJ(histPrefix(c.hist), c.j); fp != split {
+			t.Errorf("fingerprint(%v, %d) = %#x, but the row pass's withJ(histPrefix) = %#x", c.hist, c.j, fp, split)
+		}
 		if prev, ok := seen[fp]; ok {
 			t.Errorf("fingerprint collision between %+v and %+v", prev, c)
 		}

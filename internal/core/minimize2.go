@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ckprivacy/internal/bucket"
@@ -19,29 +20,51 @@ type Options struct {
 	ForbidSameBucketAntecedent bool
 }
 
-// m2state is one MINIMIZE2 DP state: bucket index, antecedent atoms left to
-// place, and whether the consequent atom A has been placed already.
+// m2choice is the decision recorded for one MINIMIZE2 DP state: how many
+// antecedent atoms go into this bucket and whether A does too.
 type m2choice struct {
 	cnt       int  // antecedent atoms placed in this bucket
 	placeHere bool // whether A is placed in this bucket
 	valid     bool
 }
 
-// m2Scratch holds MINIMIZE2's DP tables in flat pooled slices: states
-// (i, h, placed) with i <= nb and h <= k. The value table is NaN-marked for
-// "not yet computed", exactly as the per-call allocation was. Callers that
-// walk the choice table (witness reconstruction) keep the scratch until
-// they are done, then release it.
+// m2Scratch holds MINIMIZE2's working set in flat pooled slices: the
+// per-bucket MINIMIZE1 rows, the histogram dedupe index, and the DP tables
+// over states (i, h, placed) with i <= nb and h <= k. Callers that walk the
+// choice table (witness reconstruction) keep the scratch until they are
+// done, then release it.
 type m2Scratch struct {
 	val    []float64
 	choice []m2choice
 	k      int
+
+	// rows holds u_i[j] = MINIMIZE1(hist_i, j) for j < width, row-major.
+	rows  []float64
+	width int
+	// first maps a histogram prefix hash to the first bucket of this call
+	// carrying it, whose row later equal histograms copy.
+	first map[uint64]int
 }
 
-var m2Pool = sync.Pool{New: func() any { return new(m2Scratch) }}
+var m2Pool = sync.Pool{New: func() any { return &m2Scratch{first: make(map[uint64]int)} }}
 
-// grow resizes and re-marks the tables for nb buckets and k atoms.
+// growRows sizes the row table for nb buckets of atom counts 0..width-1
+// and empties the dedupe index.
+func (sc *m2Scratch) growRows(nb, width int) {
+	n := nb * width
+	if cap(sc.rows) < n {
+		sc.rows = make([]float64, n)
+	}
+	sc.rows = sc.rows[:n]
+	sc.width = width
+	clear(sc.first)
+}
+
+// grow sizes the rows (atom counts 0..k+1) and the DP tables for nb buckets
+// and k atoms. The bottom-up DP writes every state before reading it, so
+// nothing is cleared.
 func (sc *m2Scratch) grow(nb, k int) {
+	sc.growRows(nb, k+2)
 	states := (nb + 1) * (k + 1) * 2
 	if cap(sc.val) < states {
 		sc.val = make([]float64, states)
@@ -49,10 +72,6 @@ func (sc *m2Scratch) grow(nb, k int) {
 	}
 	sc.val = sc.val[:states]
 	sc.choice = sc.choice[:states]
-	for i := range sc.val {
-		sc.val[i] = math.NaN()
-	}
-	clear(sc.choice)
 	sc.k = k
 }
 
@@ -66,66 +85,116 @@ func (sc *m2Scratch) choiceAt(i, h, pi int) m2choice {
 	return sc.choice[sc.idx(i, h, pi)]
 }
 
+// row returns bucket i's MINIMIZE1 row.
+func (sc *m2Scratch) row(i int) []float64 {
+	return sc.rows[i*sc.width : (i+1)*sc.width]
+}
+
 // release returns the scratch to the pool.
 func (sc *m2Scratch) release() { m2Pool.Put(sc) }
+
+// fillRow fetches bucket i's MINIMIZE1 row u_i[0..width-1] into the row
+// table and returns it. A bucket whose histogram equals an earlier
+// bucket's (rows are filled in bucket order) copies that row without
+// touching the memo; a prefix-hash match is verified element-wise, so a
+// 64-bit collision costs lookups, never a wrong row. Otherwise the
+// histogram is hashed once and each j > 0 costs one memo lookup.
+func (e *Engine) fillRow(sc *m2Scratch, views []bucketView, i int) []float64 {
+	u := sc.row(i)
+	hist := views[i].hist
+	p := histPrefix(hist)
+	if f, ok := sc.first[p]; !ok {
+		sc.first[p] = i
+	} else if slices.Equal(views[f].hist, hist) {
+		copy(u, sc.row(f))
+		return u
+	}
+	u[0] = 1 // MINIMIZE1 with zero atoms
+	for j := 1; j < len(u); j++ {
+		u[j] = e.lookup(withJ(p, j), hist, j).val
+	}
+	return u
+}
+
+// noStop is a minimize2 stop threshold above every disclosure: the kernel
+// runs to the exact minimum.
+const noStop = 2
 
 // minimize2 minimizes Formula (1) over all placements of the k antecedent
 // atoms and the consequent atom A across buckets, returning the minimum and
 // the DP scratch whose choice tables drive witness reconstruction. The
 // caller must release() the scratch when done with it.
 //
+// A row pass fetches every bucket's MINIMIZE1 row u_i[0..k+1] once; a
+// bottom-up DP over (i, h, placed) then reads only the rows. Its loop order
+// (cnt ascending, A elsewhere before A here), strict < tie-break and
+// multiplication order are those of the paper's recursion, so values and
+// choices are bit-identical to it (minimize2Oracle in the tests).
+//
+// stop is a disclosure threshold for yes/no callers. Without
+// ForbidSameBucketAntecedent, placing A and all k antecedents in bucket i
+// is one of the DP's candidates, with ratio r_i = u_i[k+1]·n_i/top_i and
+// every other factor on its path exactly 1, so the float minimum is <= r_i
+// and, 1/(1+r) being monotone, the maximum disclosure is >=
+// disclosureFromRatio(r_i). When that already reaches stop, the row pass
+// returns r_i at once, leaving the DP tables unfilled: the caller's
+// disclosureFromRatio(r) < stop is then false, exactly as for the full
+// minimum. Pass noStop to always get the minimum.
+//
 // Against the paper's Algorithm 2 pseudocode, two typos are corrected (see
 // DESIGN.md §4): the base case returns 1 on success (not the initialized
 // rmin = ∞), and the initial "A already placed" flag is false.
 //
-//ckvet:ignore poolleak ownership transfers to the caller, which must release(); the scratch's choice tables drive witness reconstruction after return
-func (e *Engine) minimize2(views []bucketView, k int, opt Options) (float64, *m2Scratch) {
+//ckvet:ignore poolleak ownership transfers to the caller, which must release() on every return, the early exit included; the scratch's choice tables drive witness reconstruction after return
+func (e *Engine) minimize2(views []bucketView, k int, opt Options, stop float64) (float64, *m2Scratch) {
 	nb := len(views)
 	sc := m2Pool.Get().(*m2Scratch)
 	sc.grow(nb, k)
-	var rec func(i, h int, placed bool) float64
-	rec = func(i, h int, placed bool) float64 {
-		pi := 0
-		if placed {
-			pi = 1
+	for i := range views {
+		u := e.fillRow(sc, views, i)
+		// The decision exit; under ForbidSameBucketAntecedent the all-in-one
+		// placement is not a candidate.
+		if r := u[k+1] * views[i].ratio(); !opt.ForbidSameBucketAntecedent && disclosureFromRatio(r) >= stop {
+			return r, sc
 		}
-		if i == nb {
-			if placed {
-				// Any unplaced antecedent atoms are spent on tautologies,
-				// which impose no constraint (factor 1).
-				return 1
-			}
-			return math.Inf(1)
-		}
-		at := sc.idx(i, h, pi)
-		if v := sc.val[at]; !math.IsNaN(v) {
-			return v
-		}
-		v := views[i]
-		ratio := float64(v.n) / float64(v.top)
-		best := math.Inf(1)
-		var bestChoice m2choice
-		for cnt := 0; cnt <= h; cnt++ {
-			u := e.m1(v.hist, cnt).val
-			// Option 1: A is not in this bucket.
-			if cand := u * rec(i+1, h-cnt, placed); cand < best {
-				best = cand
-				bestChoice = m2choice{cnt: cnt, placeHere: false, valid: true}
-			}
-			// Option 2: A is in this bucket (with cnt local antecedents).
-			if !placed && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
-				w := e.m1(v.hist, cnt+1).val * ratio
-				if cand := w * rec(i+1, h-cnt, true); cand < best {
-					best = cand
-					bestChoice = m2choice{cnt: cnt, placeHere: true, valid: true}
-				}
-			}
-		}
-		sc.val[at] = best
-		sc.choice[at] = bestChoice
-		return best
 	}
-	return rec(0, k, false), sc
+
+	// Base case i = nb: any unplaced antecedent atoms are spent on
+	// tautologies, which impose no constraint (factor 1); A never placed is
+	// infeasible.
+	for h := 0; h <= k; h++ {
+		sc.val[sc.idx(nb, h, 0)] = math.Inf(1)
+		sc.val[sc.idx(nb, h, 1)] = 1
+	}
+	for i := nb - 1; i >= 0; i-- {
+		u := sc.row(i)
+		ratio := views[i].ratio()
+		for h := 0; h <= k; h++ {
+			for pi := 0; pi < 2; pi++ {
+				best := math.Inf(1)
+				var bestChoice m2choice
+				for cnt := 0; cnt <= h; cnt++ {
+					// Option 1: A is not in this bucket.
+					if cand := u[cnt] * sc.val[sc.idx(i+1, h-cnt, pi)]; cand < best {
+						best = cand
+						bestChoice = m2choice{cnt: cnt, placeHere: false, valid: true}
+					}
+					// Option 2: A is in this bucket (with cnt local antecedents).
+					if pi == 0 && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
+						w := u[cnt+1] * ratio
+						if cand := w * sc.val[sc.idx(i+1, h-cnt, 1)]; cand < best {
+							best = cand
+							bestChoice = m2choice{cnt: cnt, placeHere: true, valid: true}
+						}
+					}
+				}
+				at := sc.idx(i, h, pi)
+				sc.val[at] = best
+				sc.choice[at] = bestChoice
+			}
+		}
+	}
+	return sc.val[sc.idx(0, k, 0)], sc
 }
 
 // MaxDisclosure computes the maximum disclosure of the bucketization with
@@ -139,7 +208,7 @@ func (e *Engine) MaxDisclosureOpt(bz *bucket.Bucketization, k int, opt Options) 
 	if err := checkArgs(bz, k); err != nil {
 		return 0, err
 	}
-	rmin, sc := e.minimize2(makeViews(bz), k, opt)
+	rmin, sc := e.minimize2(makeViews(bz), k, opt, noStop)
 	sc.release()
 	return disclosureFromRatio(rmin), nil
 }
@@ -186,7 +255,7 @@ func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
 	views := makeViews(bz)
 	out := make([]float64, maxK+1)
 	for k := 0; k <= maxK; k++ {
-		rmin, sc := e.minimize2(views, k, Options{})
+		rmin, sc := e.minimize2(views, k, Options{}, noStop)
 		sc.release()
 		out[k] = disclosureFromRatio(rmin)
 	}
@@ -195,16 +264,19 @@ func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
 
 // IsCKSafe reports whether the bucketization is (c,k)-safe (Definition 13):
 // maximum disclosure with respect to L^k_basic strictly below the threshold
-// c. The comparison is a strict float64 inequality; thresholds within
+// c. The answer is bit-for-bit MaxDisclosure(bz, k) < c, but the kernel
+// stops at the first bucket that alone already reaches c (see minimize2).
+// The comparison is a strict float64 inequality; thresholds within
 // round-off (~1e-15 relative) of the true maximum may be classified either
 // way.
 func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, error) {
 	if c < 0 || c > 1 {
 		return false, fmt.Errorf("core: threshold c = %v outside [0, 1]", c)
 	}
-	d, err := e.MaxDisclosure(bz, k)
-	if err != nil {
+	if err := checkArgs(bz, k); err != nil {
 		return false, err
 	}
-	return d < c, nil
+	r, sc := e.minimize2(makeViews(bz), k, Options{}, c)
+	sc.release()
+	return disclosureFromRatio(r) < c, nil
 }

@@ -158,6 +158,15 @@ type restTables struct {
 
 func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 	nb := len(views)
+	// The MINIMIZE2 kernel's row pass supplies u_i[c] = MINIMIZE1(hist_i, c)
+	// for c <= k, one memo lookup per distinct (histogram, c).
+	sc := m2Pool.Get().(*m2Scratch)
+	defer m2Pool.Put(sc)
+	sc.growRows(nb, k+1)
+	for i := range views {
+		e.fillRow(sc, views, i)
+	}
+
 	fwd := make([][]float64, nb+1)
 	bwd := make([][]float64, nb+1)
 	for i := range fwd {
@@ -169,10 +178,11 @@ func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 		bwd[nb][h] = 1
 	}
 	for i := 0; i < nb; i++ {
+		u := sc.row(i)
 		for h := 0; h <= k; h++ {
 			best := math.Inf(1)
 			for c := 0; c <= h; c++ {
-				if p := fwd[i][h-c] * e.m1(views[i].hist, c).val; p < best {
+				if p := fwd[i][h-c] * u[c]; p < best {
 					best = p
 				}
 			}
@@ -180,10 +190,11 @@ func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 		}
 	}
 	for i := nb - 1; i >= 0; i-- {
+		u := sc.row(i)
 		for h := 0; h <= k; h++ {
 			best := math.Inf(1)
 			for c := 0; c <= h; c++ {
-				if p := bwd[i+1][h-c] * e.m1(views[i].hist, c).val; p < best {
+				if p := bwd[i+1][h-c] * u[c]; p < best {
 					best = p
 				}
 			}

@@ -45,9 +45,14 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 		name = strconv.Itoa
 	}
 	views := makeViews(bz)
-	rmin, sc := e.minimize2(views, k, opt)
+	rmin, sc := e.minimize2(views, k, opt, noStop)
 	defer sc.release()
+	return e.witnessFrom(views, k, rmin, sc, name)
+}
 
+// witnessFrom reconstructs the witness from a finished MINIMIZE2 run: its
+// minimum rmin and the choice tables in sc.
+func (e *Engine) witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name func(id int) string) (Witness, error) {
 	// Walk the DP choices to recover per-bucket antecedent counts and the
 	// placement of A.
 	type placement struct {
