@@ -115,9 +115,10 @@ loadtest-replica:
 
 ## fuzz-smoke gives every fuzz target in the module a short budget (the
 ## CI fuzz job runs this list in full): the store decoders (snapshot/WAL
-## hardening), the logic parsers, and the MINIMIZE2 kernel against its
-## recursive oracle. Long enough to catch a regression, short enough for
-## every push. Raise FUZZ_TIME for a real session.
+## hardening), the logic parsers, the MINIMIZE2 kernel against its
+## recursive oracle, and the dataset-spec registration path. Long enough
+## to catch a regression, short enough for every push. Raise FUZZ_TIME
+## for a real session.
 FUZZ_TIME ?= 20s
 
 fuzz-smoke:
@@ -127,6 +128,7 @@ fuzz-smoke:
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseConjunction -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseAtom -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/dataload/ -run '^$$' -fuzz FuzzFromSpec -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

@@ -33,7 +33,8 @@ func BenchmarkBucketizeSharded(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc, chs, err := bundle.Encoded()
+		enc := ckprivacy.EncodeTable(bundle.Table)
+		chs, err := ckprivacy.CompileHierarchies(enc, bundle.Hierarchies)
 		if err != nil {
 			b.Fatal(err)
 		}

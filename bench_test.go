@@ -101,7 +101,7 @@ func BenchmarkRiskProfileWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			engine := ckprivacy.NewEngine()
 			for i := 0; i < b.N; i++ {
-				profile, err := engine.RiskProfileParallel(bz, 5, workers)
+				profile, err := engine.RiskProfile(bz, 5, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,7 +293,7 @@ func BenchmarkRiskProfile(b *testing.B) {
 	engine := ckprivacy.NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		profile, err := engine.RiskProfile(bz, 5)
+		profile, err := engine.RiskProfile(bz, 5, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -321,10 +321,9 @@ func BenchmarkEstimate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est, err := in.EstimateCondProb(target, phi, 50, rng)
+		est, err := in.EstimateCondProb(target, phi, 50, 1, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -299,7 +299,7 @@ type (
 	// quasi-identifiers.
 	Problem = anonymize.Problem
 	// ProblemOptions configures a Problem: search worker budget, per-scan
-	// shard budget, disclosure-memo bound, engine injection. Build from
+	// shard budget, disclosure-memo bound. Build from
 	// DefaultProblemOptions and override fields.
 	ProblemOptions = anonymize.Options
 	// Node is a generalization level per quasi-identifier.
@@ -327,8 +327,8 @@ func NewProblem(t *Table, hs Hierarchies, qi []string) (*Problem, error) {
 // ProblemOptions.Workers is the lattice searches' worker budget (each
 // level of the generalization lattice is safety-checked on up to that
 // many goroutines; <= 0 means one per CPU core), ShardWorkers splits each
-// full row scan into concurrent row shards, MemoMaxBytes bounds the
-// problem-scoped engine's memo and Engine injects one. The nodes returned
+// full row scan into concurrent row shards, and MemoMaxBytes bounds the
+// problem-scoped engine's memo (Problem.Engine). The nodes returned
 // by every search are byte-identical at every worker count, and the
 // level-wise searches (MinimalSafe, MinimalSafeIncognito) also report
 // identical SearchStats; ChainSearch's multi-section variant probes

@@ -55,11 +55,11 @@ func cmdDisclose(args []string) error {
 	if err != nil {
 		return err
 	}
-	bz, err := b.BucketizeSharded(levels, *shards)
+	p, bz, err := bucketize(b, levels, *shards)
 	if err != nil {
 		return err
 	}
-	engine := ckprivacy.NewEngine()
+	engine := p.Engine()
 	opt := ckprivacy.DisclosureOptions{ForbidSameBucketAntecedent: *crossOnly}
 	d, err := engine.MaxDisclosureOpt(bz, *k, opt)
 	if err != nil {

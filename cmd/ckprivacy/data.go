@@ -45,6 +45,31 @@ func (d *dataFlags) load() (*dataload.Bundle, error) {
 	}
 }
 
+// bucketize materializes the bundle at the given levels (empty means the
+// bundle's defaults) through a Problem whose scans use the given shard
+// budget — the path a daemon request takes. Callers compute disclosure on
+// the returned problem's engine.
+func bucketize(b *dataload.Bundle, levels ckprivacy.Levels, shards int) (*ckprivacy.Problem, *ckprivacy.Bucketization, error) {
+	if len(levels) == 0 {
+		levels = b.DefaultLevels
+	}
+	o := ckprivacy.DefaultProblemOptions()
+	o.ShardWorkers = shards
+	p, err := ckprivacy.NewProblemWithOptions(b.Table, b.Hierarchies, b.QI, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	node, err := p.NodeForLevels(levels)
+	if err != nil {
+		return nil, nil, err
+	}
+	bz, err := p.Bucketize(node)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, bz, nil
+}
+
 // loadAdultTable is for the Figure 5/6 commands, which reproduce
 // Adult-specific experiments.
 func (d *dataFlags) loadAdultTable() (*ckprivacy.Table, error) {

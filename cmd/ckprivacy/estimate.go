@@ -43,7 +43,7 @@ func cmdEstimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	bz, err := b.Bucketize(levels)
+	_, bz, err := bucketize(b, levels, 1)
 	if err != nil {
 		return err
 	}
@@ -51,14 +51,14 @@ func cmdEstimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	est, err := in.EstimateCondProbParallel(target, phi, *samples, *workers, *seed)
+	est, err := in.EstimateCondProb(target, phi, *samples, *workers, *seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Pr(%s | B ∧ φ) ≈ %.4f ± %.4f  (accepted %d of %d samples)\n",
 		target, est.Prob, est.StdErr, est.Accepted, est.Samples)
 	if len(phi) > 0 {
-		base, err := in.EstimateCondProbParallel(target, nil, *samples, *workers, *seed+1)
+		base, err := in.EstimateCondProb(target, nil, *samples, *workers, *seed+1)
 		if err != nil {
 			return err
 		}

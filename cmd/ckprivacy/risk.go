@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"ckprivacy"
 )
 
 func cmdRisk(args []string) error {
@@ -32,12 +30,12 @@ func cmdRisk(args []string) error {
 	if err != nil {
 		return err
 	}
-	bz, err := b.Bucketize(levels)
+	p, bz, err := bucketize(b, levels, 1)
 	if err != nil {
 		return err
 	}
-	engine := ckprivacy.NewEngine()
-	profile, err := engine.RiskProfileParallel(bz, *k, *workers)
+	engine := p.Engine()
+	profile, err := engine.RiskProfile(bz, *k, *workers)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func main() {
 	engine := ckprivacy.NewEngine()
 
 	const k = 1
-	profile, err := engine.RiskProfile(bz, k)
+	profile, err := engine.RiskProfile(bz, k, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,11 @@ type state struct {
 	cache *bucketizeCache
 }
 
-// Problem describes one anonymization task.
+// Problem describes one anonymization task. It is the single owner of its
+// dataset's warm state: the encoded view, the compiled hierarchies, the
+// bucketization cache and the disclosure memo. Callers that bucketize or
+// compute disclosure over the dataset go through the Problem (Bucketize,
+// Engine, CKSafety) rather than building a second copy of any of these.
 type Problem struct {
 	// Table is the master table; Append grows it in place. Read it through
 	// Snapshot (or Problem methods, which pin a snapshot per call) when
@@ -110,10 +114,6 @@ type Options struct {
 	// negative disables the bound. The engine is what Engine returns;
 	// callers wiring their own engines into criteria are unaffected.
 	MemoMaxBytes int64
-
-	// Engine injects a fully configured (or shared) disclosure engine as
-	// the problem-scoped engine, overriding MemoMaxBytes.
-	Engine *core.Engine
 }
 
 // DefaultOptions returns the options NewProblem uses: serial lattice
@@ -203,10 +203,7 @@ func newProblem(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64
 		space:       space,
 		opts:        o.resolved(),
 		master:      enc,
-	}
-	p.engine = p.opts.Engine
-	if p.engine == nil {
-		p.engine = core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: p.opts.MemoMaxBytes})
+		engine:      core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: o.MemoMaxBytes}),
 	}
 	if p.opts.ShardWorkers > 1 {
 		p.shardPool = parallel.NewPool(p.opts.ShardWorkers)
@@ -238,9 +235,11 @@ func (p *Problem) Encoding() EncodingInfo {
 }
 
 // Engine returns the problem-scoped disclosure engine: a bounded,
-// concurrency-safe MINIMIZE1 memo sized by Options.MemoMaxBytes that callers
-// should wire into (c,k)-safety criteria checked against this problem, so
-// lattice searches share warm DP state without growing without bound.
+// concurrency-safe MINIMIZE1 memo sized by Options.MemoMaxBytes. Every
+// disclosure computed over this problem's bucketizations — criteria via
+// CKSafety, direct MaxDisclosure calls — should run on it, so searches,
+// one-off checks and audits share warm DP state without growing without
+// bound.
 // The engine spans versions — its memo is keyed by histogram content, so
 // appends never require invalidating it.
 func (p *Problem) Engine() *core.Engine { return p.engine }
@@ -298,12 +297,8 @@ func (p *Problem) NodeForLevels(levels bucket.Levels) (lattice.Node, error) {
 func (p *Problem) Workers() int { return p.opts.Workers }
 
 // Options returns the problem's resolved configuration: worker budgets
-// materialized to actual counts, Engine set to the problem-scoped engine.
-func (p *Problem) Options() Options {
-	o := p.opts
-	o.Engine = p.engine
-	return o
-}
+// materialized to actual counts.
+func (p *Problem) Options() Options { return p.opts }
 
 // Snapshot pins the problem's current version: every Bucketize and search
 // on the returned Snapshot computes over exactly the rows, dictionaries

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"ckprivacy/internal/core"
 	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
@@ -33,34 +32,24 @@ func hospitalOptions(t *testing.T, o Options) *Problem {
 
 // TestOptionsResolution pins the struct-options surface: defaults, the
 // per-core resolution of non-positive budgets, the resolved view Options()
-// reports (including the problem-scoped engine), and that NewProblem
-// builds with the defaults.
+// reports, and that NewProblem builds with the defaults.
 func TestOptionsResolution(t *testing.T) {
-	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 || d.Engine != nil {
+	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 {
 		t.Fatalf("DefaultOptions() = %+v, want serial single-threaded defaults", d)
 	}
 
 	p := hospitalOptions(t, Options{Workers: 3, ShardWorkers: 4, MemoMaxBytes: 1 << 20})
-	got := p.Options()
-	if got.Workers != 3 || got.ShardWorkers != 4 || got.MemoMaxBytes != 1<<20 {
+	if got := p.Options(); got.Workers != 3 || got.ShardWorkers != 4 || got.MemoMaxBytes != 1<<20 {
 		t.Fatalf("Options() = %+v, want workers 3, shards 4, memo 1MiB", got)
 	}
-	if got.Engine != p.Engine() || got.Engine == nil {
-		t.Fatal("Options().Engine is not the problem-scoped engine")
+	if p.Engine() == nil {
+		t.Fatal("problem built without its engine")
 	}
 
 	// Non-positive budgets resolve to one per core.
 	p = hospitalOptions(t, Options{Workers: 0, ShardWorkers: -2})
 	if got := p.Options(); got.Workers != runtime.GOMAXPROCS(0) || got.ShardWorkers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Options() = %+v, want per-core budgets (%d)", got, runtime.GOMAXPROCS(0))
-	}
-
-	// An injected engine becomes the problem-scoped engine.
-	eng := core.NewEngine()
-	p = hospitalOptions(t, Options{Workers: 2, ShardWorkers: 5, MemoMaxBytes: -1, Engine: eng})
-	got = p.Options()
-	if got.Workers != 2 || got.ShardWorkers != 5 || got.MemoMaxBytes != -1 || got.Engine != eng || p.Engine() != eng {
-		t.Fatalf("Options() = %+v, want {2 5 -1 %p}", got, eng)
 	}
 
 	// NewProblem is NewProblemWithOptions at the defaults.

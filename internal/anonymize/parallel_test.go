@@ -160,10 +160,10 @@ func sameNodeOrder(a, b []lattice.Node) bool {
 }
 
 // TestBoundedMemoSearchParity runs the parallel lattice search against
-// three problem-scoped engines — unbounded, default-bounded, and a tiny
-// cap that must evict mid-search — and asserts identical minimal nodes and
-// search stats. Eviction under a racing worker pool may cost recomputation
-// but can never change a verdict.
+// three engines — unbounded, default-bounded, and a tiny cap that must
+// evict mid-search — and asserts identical minimal nodes and search stats.
+// Eviction under a racing worker pool may cost recomputation but can never
+// change a verdict.
 func TestBoundedMemoSearchParity(t *testing.T) {
 	base := hospital(t)
 	// Few shards keep the tiny cap's per-shard budget above the per-entry
@@ -180,12 +180,11 @@ func TestBoundedMemoSearchParity(t *testing.T) {
 	var refStats lattice.Stats
 	for i, eng := range engines {
 		p, err := NewProblemWithOptions(base.Table, base.Hierarchies, base.QI,
-			Options{Workers: 4, ShardWorkers: 1, Engine: eng})
+			Options{Workers: 4, ShardWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		crit := p.CKSafety(0.7, 2)
-		nodes, stats, err := p.MinimalSafe(crit)
+		nodes, stats, err := p.MinimalSafe(privacy.CKSafety{C: 0.7, K: 2, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}

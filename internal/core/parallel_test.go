@@ -21,8 +21,8 @@ func TestRiskProfileParallelMatchesSerial(t *testing.T) {
 		k := int(kRaw) % 5
 		workers := int(wRaw)%8 + 1
 		bz := bucket.FromValues(groups...)
-		serial, err1 := e.RiskProfile(bz, k)
-		par, err2 := e.RiskProfileParallel(bz, k, workers)
+		serial, err1 := e.RiskProfile(bz, k, 1)
+		par, err2 := e.RiskProfile(bz, k, workers)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -35,10 +35,10 @@ func TestRiskProfileParallelMatchesSerial(t *testing.T) {
 
 func TestRiskProfileParallelArguments(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.RiskProfileParallel(nil, 1, 4); err == nil {
+	if _, err := e.RiskProfile(nil, 1, 4); err == nil {
 		t.Error("nil bucketization accepted")
 	}
-	if _, err := e.RiskProfileParallel(fig3(), -1, 4); err == nil {
+	if _, err := e.RiskProfile(fig3(), -1, 4); err == nil {
 		t.Error("negative k accepted")
 	}
 }

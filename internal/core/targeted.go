@@ -275,16 +275,11 @@ type Risk struct {
 // RiskProfile computes TargetedMaxDisclosure for every (bucket, value)
 // pair with the value present in the bucket, sharing all DP state across
 // targets. Entries follow bucket order, then the bucket's frequency order.
-func (e *Engine) RiskProfile(bz *bucket.Bucketization, k int) ([]Risk, error) {
-	return e.RiskProfileParallel(bz, k, 1)
-}
-
-// RiskProfileParallel is RiskProfile with the per-target DPs evaluated on
-// up to `workers` goroutines (workers <= 0 means one per CPU core). The
-// shared rest tables are built once up front; each target's own DP is
-// independent, so the profile is identical to the serial one in content and
-// order.
-func (e *Engine) RiskProfileParallel(bz *bucket.Bucketization, k, workers int) ([]Risk, error) {
+// The per-target DPs run on up to `workers` goroutines (workers <= 0 means
+// one per CPU core): the shared rest tables are built once up front and
+// each target's own DP is independent, so the profile is identical at
+// every worker count in content and order.
+func (e *Engine) RiskProfile(bz *bucket.Bucketization, k, workers int) ([]Risk, error) {
 	if err := checkArgs(bz, k); err != nil {
 		return nil, err
 	}
@@ -326,7 +321,7 @@ func (e *Engine) WeightedMaxDisclosure(bz *bucket.Bucketization, k int, w Weight
 	if w == nil {
 		return 0, fmt.Errorf("core: nil weight function")
 	}
-	profile, err := e.RiskProfile(bz, k)
+	profile, err := e.RiskProfile(bz, k, 1)
 	if err != nil {
 		return 0, err
 	}

@@ -129,7 +129,7 @@ func TestProfileMaxEqualsMaxDisclosure(t *testing.T) {
 		}
 		k := int(kRaw) % 5
 		bz := bucket.FromValues(groups...)
-		profile, err := e.RiskProfile(bz, k)
+		profile, err := e.RiskProfile(bz, k, 1)
 		if err != nil {
 			return false
 		}
@@ -157,7 +157,7 @@ func TestProfileMaxEqualsMaxDisclosure(t *testing.T) {
 func TestRiskProfileShape(t *testing.T) {
 	e := NewEngine()
 	bz := fig3()
-	profile, err := e.RiskProfile(bz, 1)
+	profile, err := e.RiskProfile(bz, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRiskProfileShape(t *testing.T) {
 	if math.Abs(seen["0/mumps"]-1.0/3) > eps {
 		t.Errorf("mumps risk = %v, want 1/3", seen["0/mumps"])
 	}
-	if _, err := e.RiskProfile(nil, 1); err == nil {
+	if _, err := e.RiskProfile(nil, 1, 1); err == nil {
 		t.Error("nil bucketization accepted")
 	}
 }

@@ -87,35 +87,37 @@ func TestAdultCSVEdgeCases(t *testing.T) {
 	}
 }
 
+// cityIllSpec is a one-QI spec over the given CSV text.
+func cityIllSpec(csvText string) Spec {
+	return Spec{
+		Attributes: []AttrSpec{
+			{Name: "City", Kind: "categorical", Domain: []string{"a", "b"}},
+			{Name: "Ill", Kind: "categorical", Domain: []string{"y", "n"}},
+		},
+		Sensitive: "Ill",
+		Hierarchies: []HierarchySpec{
+			{Attribute: "City", Kind: "suppression"},
+		},
+		CSV: csvText,
+	}
+}
+
 // TestSpecCSVEdgeCases pins the same failure modes through the
 // declarative-spec path the registration endpoint uses.
 func TestSpecCSVEdgeCases(t *testing.T) {
-	spec := func(csvText string) Spec {
-		return Spec{
-			Attributes: []AttrSpec{
-				{Name: "City", Kind: "categorical", Domain: []string{"a", "b"}},
-				{Name: "Ill", Kind: "categorical", Domain: []string{"y", "n"}},
-			},
-			Sensitive: "Ill",
-			Hierarchies: []HierarchySpec{
-				{Attribute: "City", Kind: "suppression"},
-			},
-			CSV: csvText,
-		}
-	}
-	if _, err := FromSpec("d", spec("")); !errors.Is(err, table.ErrEmptyCSV) {
+	if _, err := FromSpec("d", cityIllSpec("")); !errors.Is(err, table.ErrEmptyCSV) {
 		t.Fatalf("empty csv: %v", err)
 	}
-	if _, err := FromSpec("d", spec("City,Ill\n")); !errors.Is(err, ErrNoDataRows) {
+	if _, err := FromSpec("d", cityIllSpec("City,Ill\n")); !errors.Is(err, ErrNoDataRows) {
 		t.Fatalf("header-only csv: %v", err)
 	}
-	if _, err := FromSpec("d", spec("City,Ill\na\n")); !errors.Is(err, csv.ErrFieldCount) {
+	if _, err := FromSpec("d", cityIllSpec("City,Ill\na\n")); !errors.Is(err, csv.ErrFieldCount) {
 		t.Fatalf("ragged csv: %v", err)
 	}
-	if _, err := FromSpec("d", spec("City,Ill\na,maybe\n")); err == nil || !strings.Contains(err.Error(), `"Ill"`) {
+	if _, err := FromSpec("d", cityIllSpec("City,Ill\na,maybe\n")); err == nil || !strings.Contains(err.Error(), `"Ill"`) {
 		t.Fatalf("unknown sensitive value: %v", err)
 	}
-	if b, err := FromSpec("d", spec("City,Ill\na,y\n")); err != nil || b.Table.Len() != 1 {
+	if b, err := FromSpec("d", cityIllSpec("City,Ill\na,y\n")); err != nil || b.Table.Len() != 1 {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 }

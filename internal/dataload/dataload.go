@@ -3,7 +3,10 @@
 // order and default levels that make it analyzable. The CLI
 // (cmd/ckprivacy), the serving daemon (cmd/ckprivacyd) and the dataset
 // registry in internal/server all load data through this package, so a
-// dataset means the same thing everywhere.
+// dataset means the same thing everywhere. A Bundle carries rows and
+// metadata only: bucketizing and disclosure go through an
+// anonymize.Problem built over it, which owns the encoded view, the
+// compiled hierarchies and every warm cache.
 package dataload
 
 import (
@@ -11,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,7 +22,6 @@ import (
 	"ckprivacy/internal/dataset/adult"
 	"ckprivacy/internal/experiments"
 	"ckprivacy/internal/hierarchy"
-	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/table"
 )
 
@@ -53,35 +54,6 @@ type Bundle struct {
 	// store persists next to the columnar rows. Bundles constructed by
 	// hand may leave it nil; they then register unpersisted.
 	Source *SourceSpec
-
-	// The columnar substrate is derived lazily, once per bundle, and
-	// shared by every subsequent Bucketize call. Bundles are passed by
-	// pointer everywhere; copying one by value would copy encOnce.
-	encOnce  sync.Once
-	enc      *table.Encoded
-	compiled hierarchy.CompiledSet
-	encErr   error
-}
-
-// Encoded returns the bundle's dictionary-encoded view and compiled
-// hierarchies, building them on first use. The error is the compile
-// error, naming the attribute, when a table value is outside its
-// hierarchy or the hierarchy's levels are not nested.
-func (b *Bundle) Encoded() (*table.Encoded, hierarchy.CompiledSet, error) {
-	b.encOnce.Do(func() {
-		if b.enc != nil {
-			return // pre-seeded (the cached Adult bundle shares its view)
-		}
-		enc := b.Table.Encode()
-		chs, err := bucket.CompileHierarchies(enc, b.Hierarchies)
-		if err != nil {
-			b.encErr = fmt.Errorf("dataload: %s: %w", b.Name, err)
-			return
-		}
-		b.enc = enc
-		b.compiled = chs
-	})
-	return b.enc, b.compiled, b.encErr
 }
 
 // Namer returns a non-nil row-id-to-name function.
@@ -92,39 +64,13 @@ func (b *Bundle) Namer() func(int) string {
 	return func(id int) string { return strconv.Itoa(id) }
 }
 
-// Bucketize partitions the bundle's table at the given levels (nil or
-// empty means DefaultLevels) over the bundle's encoded view.
-func (b *Bundle) Bucketize(levels bucket.Levels) (*bucket.Bucketization, error) {
-	return b.BucketizeSharded(levels, 1)
-}
-
-// BucketizeSharded is Bucketize with the encoded scan split across shards
-// contiguous row ranges, scanned concurrently and merged byte-identically
-// with the serial result (values below 1 mean one shard per CPU core).
-func (b *Bundle) BucketizeSharded(levels bucket.Levels, shards int) (*bucket.Bucketization, error) {
-	if len(levels) == 0 {
-		levels = b.DefaultLevels
-	}
-	enc, chs, err := b.Encoded()
-	if err != nil {
-		return nil, err
-	}
-	if shards < 1 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards == 1 {
-		return bucket.FromGeneralizationEncoded(enc, chs, levels)
-	}
-	return bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, parallel.NewPool(shards))
-}
-
 // Adult loads an Adult-schema bundle: from the CSV file at path when path
 // is non-empty, otherwise the deterministic synthetic table (n tuples,
 // given seed). The canonical synthetic configuration — the paper's 45,222
-// tuples at the default seed 1 — is generated and encoded once per
-// process and shared: repeated CLI subcommands, tests and daemon preloads
-// get a fresh Bundle over the same immutable rows and columnar view
-// instead of regenerating and re-interning 45k rows per call.
+// tuples at the default seed 1 — is generated once per process and
+// shared: repeated CLI subcommands, tests and daemon preloads get a fresh
+// Bundle over the same immutable rows instead of regenerating 45k rows per
+// call.
 func Adult(path string, n int, seed int64) (*Bundle, error) {
 	if path == "" {
 		if n <= 0 {
@@ -177,22 +123,19 @@ func adultBundle(tab *table.Table) *Bundle {
 // persisted Adult-source snapshots).
 func adultSchema() *table.Schema { return adult.Schema() }
 
-// The default Adult bundle cache: the 45,222-tuple seed-1 synthetic table
-// plus its encoded view and compiled hierarchies, built once per process.
+// The default Adult bundle cache: the 45,222-tuple seed-1 synthetic
+// table, generated once per process.
 var (
 	adultDefaultOnce sync.Once
 	adultDefaultErr  error
-	adultDefaultTab  *table.Table          // pinned rows (len == cap)
-	adultDefaultEnc  *table.Encoded        // immutable snapshot of the encoding
-	adultDefaultCHS  hierarchy.CompiledSet // compiled over adultDefaultEnc
+	adultDefaultTab  *table.Table // pinned rows (len == cap)
 )
 
 // cachedDefaultAdult hands out a fresh Bundle over the cached default
-// Adult data. Each call gets its own Table struct (append paths reassign
+// Adult rows. Each call gets its own Table struct (append paths reassign
 // the Rows header, so a shared struct would race) over the same pinned
 // backing rows — len == cap, so any append reallocates away from the
-// cache — with the encoded view pre-seeded from the shared immutable
-// snapshot.
+// cache.
 func cachedDefaultAdult() (*Bundle, error) {
 	adultDefaultOnce.Do(func() {
 		tab, err := adult.Generate(adult.Config{N: adult.DefaultN, Seed: 1})
@@ -200,24 +143,13 @@ func cachedDefaultAdult() (*Bundle, error) {
 			adultDefaultErr = err
 			return
 		}
-		master := tab.Encode()
-		chs, err := bucket.CompileHierarchies(master, adult.Hierarchies())
-		if err != nil {
-			adultDefaultErr = err
-			return
-		}
-		snap := master.Snapshot()
-		adultDefaultTab = snap.Table
-		adultDefaultEnc = snap
-		adultDefaultCHS = chs
+		tab.Rows = tab.Rows[:len(tab.Rows):len(tab.Rows)]
+		adultDefaultTab = tab
 	})
 	if adultDefaultErr != nil {
 		return nil, adultDefaultErr
 	}
-	b := adultBundle(&table.Table{Schema: adultDefaultTab.Schema, Rows: adultDefaultTab.Rows})
-	b.enc = adultDefaultEnc
-	b.compiled = adultDefaultCHS
-	return b, nil
+	return adultBundle(&table.Table{Schema: adultDefaultTab.Schema, Rows: adultDefaultTab.Rows}), nil
 }
 
 // Hospital returns the paper's ten-patient running example as a bundle;

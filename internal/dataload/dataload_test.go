@@ -17,7 +17,7 @@ func TestHospitalBundle(t *testing.T) {
 	if got := b.Namer()(3); got != "Ed" {
 		t.Errorf("row 3 is %q, want Ed", got)
 	}
-	bz, err := b.Bucketize(nil)
+	bz, err := bucket.Bucketize(b.Table, b.Hierarchies, b.DefaultLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAdultBundleSyntheticAndCSV(t *testing.T) {
 	if b.Table.Len() != 200 || len(b.QI) != 4 {
 		t.Fatalf("bundle = %d rows, QI %v", b.Table.Len(), b.QI)
 	}
-	if _, err := b.Bucketize(nil); err != nil {
+	if _, err := bucket.Bucketize(b.Table, b.Hierarchies, b.DefaultLevels); err != nil {
 		t.Fatalf("default levels do not bucketize: %v", err)
 	}
 	// Round-trip through CSV.
@@ -107,7 +107,7 @@ func TestFromSpec(t *testing.T) {
 	if b.Table.Len() != 4 || len(b.Hierarchies) != 2 {
 		t.Fatalf("bundle = %d rows, %d hierarchies", b.Table.Len(), len(b.Hierarchies))
 	}
-	bz, err := b.Bucketize(nil)
+	bz, err := bucket.Bucketize(b.Table, b.Hierarchies, b.DefaultLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,14 +148,19 @@ func TestFromSpecErrors(t *testing.T) {
 	}
 }
 
-func TestFromSpecLevelledHierarchy(t *testing.T) {
+// levelledSpec is miniSpec with an explicit-levels hierarchy on Shade.
+func levelledSpec() Spec {
 	spec := miniSpec()
 	spec.Hierarchies[1] = HierarchySpec{
 		Attribute: "Shade",
 		Kind:      "levels",
 		Levels:    []map[string]string{{"red": "warm", "blue": "cool"}, {"red": "*", "blue": "*"}},
 	}
-	b, err := FromSpec("mini", spec)
+	return spec
+}
+
+func TestFromSpecLevelledHierarchy(t *testing.T) {
+	b, err := FromSpec("mini", levelledSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

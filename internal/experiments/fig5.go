@@ -85,12 +85,11 @@ func RunFig5Config(tab *table.Table, cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5 bucketize: %w", err)
 	}
-	engine := core.NewEngine()
 	var impl, neg []float64
 	tasks := []func() error{
 		func() error {
 			var err error
-			if impl, err = engine.Series(bz, maxK); err != nil {
+			if impl, err = p.Engine().Series(bz, maxK); err != nil {
 				return fmt.Errorf("experiments: fig5 implications: %w", err)
 			}
 			return nil

@@ -44,7 +44,8 @@ type Fig6Config struct {
 	Workers int
 	// Engine, when non-nil, supplies the MINIMIZE1 memo the sweep shares
 	// across nodes — letting callers bound its bytes (core.EngineConfig) or
-	// inspect hit rates afterwards. Nil uses a fresh default-bounded engine.
+	// inspect hit rates afterwards. Nil uses the sweep's problem-scoped
+	// engine (default-bounded).
 	Engine *core.Engine
 }
 
@@ -82,7 +83,7 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 	}
 	engine := cfg.Engine
 	if engine == nil {
-		engine = core.NewEngine()
+		engine = p.Engine()
 	}
 	res := &Fig6Result{Ks: append([]int(nil), ks...)}
 	// Sweep the 72 generalizations on all workers: every node's bucketize +

@@ -5,12 +5,10 @@ import (
 	"io"
 
 	"ckprivacy/internal/anonymize"
-	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataset/adult"
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/parallel"
-	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 )
 
@@ -68,9 +66,9 @@ var DefaultGridCs = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 
 // RunSafetyGrid sweeps (c,k)-safety over the grid on the Adult
 // quasi-identifier lattice, one chain search per cell (Theorem 14 justifies
-// the chain's monotonicity). All cells share a single memoizing disclosure
-// engine and one bucketization cache, so the sweep cost is dominated by the
-// distinct (histogram, k) pairs actually encountered.
+// the chain's monotonicity). All cells share the problem's memoizing
+// disclosure engine and bucketization cache, so the sweep cost is
+// dominated by the distinct (histogram, k) pairs actually encountered.
 func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	cs := cfg.Cs
 	if len(cs) == 0 {
@@ -108,7 +106,6 @@ func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	// the whole chain — the low chain nodes are the expensive ones and the
 	// searches rarely touch them.
 	snap := p.Snapshot()
-	engine := core.NewEngine()
 	res := &GridResult{
 		Cs:    append([]float64(nil), cs...),
 		Ks:    append([]int(nil), ks...),
@@ -119,8 +116,7 @@ func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	}
 	err = parallel.ForEach(cfg.Workers, len(cs)*len(ks), func(idx int) error {
 		i, j := idx/len(ks), idx%len(ks)
-		crit := privacy.CKSafety{C: cs[i], K: ks[j], Engine: engine}
-		node, ok, stats, err := snap.ChainSearch(crit)
+		node, ok, stats, err := snap.ChainSearch(p.CKSafety(cs[i], ks[j]))
 		if err != nil {
 			return fmt.Errorf("experiments: grid at (c=%v, k=%d): %w", cs[i], ks[j], err)
 		}

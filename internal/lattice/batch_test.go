@@ -1,11 +1,13 @@
 package lattice
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sameNodeSeq requires equality including order — the batch searches
@@ -172,12 +174,16 @@ func TestBinarySearchChainParallelEquivalence(t *testing.T) {
 
 // TestParallelSearchesActuallyRunConcurrently asserts that with workers>1
 // at least two predicate evaluations overlap in time, i.e. the pool is not
-// secretly serial.
+// secretly serial. Every evaluation above the root waits until a second one
+// is in flight, so a pool that runs more than one goroutine shows the
+// overlap on one CPU as on many; a serial pool waits out the deadline once.
 func TestParallelSearchesActuallyRunConcurrently(t *testing.T) {
 	s := MustSpace(4, 4, 4)
 	var inFlight, peak atomic.Int32
-	block := make(chan struct{})
-	close(block)
+	overlap := make(chan struct{})
+	var overlapOnce sync.Once
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	pred := func(n Node) (bool, error) {
 		cur := inFlight.Add(1)
 		for {
@@ -186,10 +192,15 @@ func TestParallelSearchesActuallyRunConcurrently(t *testing.T) {
 				break
 			}
 		}
-		<-block
-		// Busy-wait a moment so overlap is observable even on fast machines.
-		for i := 0; i < 1000; i++ {
-			_ = i
+		if cur >= 2 {
+			overlapOnce.Do(func() { close(overlap) })
+		}
+		// The root is the only node of its level, so it never has company.
+		if n.Height() > 0 {
+			select {
+			case <-overlap:
+			case <-ctx.Done():
+			}
 		}
 		inFlight.Add(-1)
 		return false, nil
@@ -197,8 +208,8 @@ func TestParallelSearchesActuallyRunConcurrently(t *testing.T) {
 	if _, _, err := MinimalSatisfyingBatch(s, pred, nil, 4); err != nil {
 		t.Fatal(err)
 	}
-	if peak.Load() < 2 {
-		t.Skip("no overlap observed (single-CPU runner?)")
+	if got := peak.Load(); got < 2 {
+		t.Fatalf("peak in-flight evaluations = %d, want >= 2: the pool ran serially", got)
 	}
 }
 

@@ -71,9 +71,12 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 		mu.Unlock()
 	}
 	work := func() {
-		for {
+		// Check for a failure before claiming an index, never after: a
+		// claimed index is always evaluated, so every index below a
+		// recorded failure has run and the lowest failing one is reported.
+		for !failed.Load() {
 			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() {
+			if i >= n {
 				return
 			}
 			if err := fn(i); err != nil {

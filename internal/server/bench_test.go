@@ -13,7 +13,7 @@ import (
 // an httptest server: JSON decode, registry lookup, bucketization, the
 // O(|B|·k³) DP and JSON encode. The cold variant resets the warm state
 // every iteration (fresh engine memo and bucketization cache); the warm
-// variant reuses the process-wide caches, which is the steady state a
+// variant reuses the dataset's warm caches, which is the steady state a
 // resident ckprivacyd actually serves. CI's short-mode bench job archives
 // both in the BENCH_*.json artifact.
 func BenchmarkServerDisclosure(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -578,20 +577,13 @@ func (s *Server) handleDisclosure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// Registered datasets warm the process-wide memo (their histogram
-	// space is bounded by their lattices); inline groups are client-chosen,
-	// so they go through the separate bounded inline engine: warm across
-	// requests, capped in bytes, and unable to evict dataset state.
-	eng := s.engine
-	if req.Dataset == "" {
-		eng = s.inline
-	}
 	begin := time.Now()
 	bz, ds, version, err := s.resolve(req.bucketizationSource, pin)
 	if err != nil {
 		writeHTTPError(w, err)
 		return
 	}
+	eng := s.engineFor(ds)
 	opt := core.Options{ForbidSameBucketAntecedent: req.CrossBucket}
 	d, err := eng.MaxDisclosureOpt(bz, req.K, opt)
 	if err != nil {
@@ -653,10 +645,8 @@ type criterionSpec struct {
 }
 
 // buildCriterion validates the spec against the server's limits and wires
-// eng into (c,k)-safety checks — the shared warm engine for synchronous
-// checks on registered datasets, the bounded inline engine for
-// client-chosen inline groups, and the dataset's problem-scoped engine for
-// anonymize jobs. All three are byte-bounded.
+// eng into (c,k)-safety checks: the engine engineFor picks for the
+// request's dataset, or for inline groups.
 func (s *Server) buildCriterion(spec criterionSpec, eng *core.Engine) (privacy.Criterion, error) {
 	name := spec.Criterion
 	if name == "" {
@@ -725,11 +715,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeHTTPError(w, err)
 		return
 	}
-	eng := s.engine
-	if req.Dataset == "" {
-		eng = s.inline // see handleDisclosure: bounded, isolated warm memo
-	}
-	crit, err := s.buildCriterion(req.criterionSpec, eng)
+	// The criterion is validated before the gate, so the dataset is looked
+	// up here for its engine; an unregistered name 404s in resolve.
+	ds, _ := s.registry.get(req.Dataset)
+	crit, err := s.buildCriterion(req.criterionSpec, s.engineFor(ds))
 	if err != nil {
 		writeHTTPError(w, err)
 		return
@@ -840,38 +829,16 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeHTTPError(w, err)
 		return
 	}
-	var in worlds.Instance
+	var namer func(int) string
 	if ds != nil {
-		in, err = worlds.FromBucketization(bz, ds.bundle.Namer())
-	} else {
-		// Inline groups carry no source table; build the random-worlds
-		// instance straight off the bucketization, so person ids come
-		// from the single authority (bucket.FromValues' tuple numbering)
-		// and values from each bucket's multiset — per-person assignment
-		// within a bucket is irrelevant under random worlds.
-		bs := make([]worlds.Bucket, len(bz.Buckets))
-		for i, b := range bz.Buckets {
-			wb := worlds.Bucket{
-				Persons: make([]string, 0, b.Size()),
-				Values:  make([]string, 0, b.Size()),
-			}
-			for _, id := range b.Tuples {
-				wb.Persons = append(wb.Persons, strconv.Itoa(id))
-			}
-			for _, vc := range b.Freq() {
-				for n := 0; n < vc.Count; n++ {
-					wb.Values = append(wb.Values, vc.Value)
-				}
-			}
-			bs[i] = wb
-		}
-		in, err = worlds.New(bs...)
+		namer = ds.bundle.Namer()
 	}
+	in, err := worlds.FromBucketization(bz, namer)
 	if err != nil {
 		writeHTTPError(w, err)
 		return
 	}
-	est, err := in.EstimateCondProbParallel(target, phi, samples, s.cfg.SearchWorkers, req.Seed)
+	est, err := in.EstimateCondProb(target, phi, samples, s.cfg.SearchWorkers, req.Seed)
 	if err != nil {
 		// Zero accepted worlds is not a malformed request: the formula
 		// parsed and the sampling ran, but φ is either inconsistent with
@@ -934,10 +901,9 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Lattice-search jobs are the heaviest memo users; they run on the
-	// dataset's problem-scoped bounded engine (built with the server's
-	// MemoMaxBytes), co-located with its bucketization cache, so repeated
-	// jobs on a hot dataset stay warm without evicting other datasets'
-	// entries from the shared engine.
+	// dataset's problem-scoped bounded engine, the one its disclosure and
+	// check requests warm, so a job after a check starts warm and never
+	// evicts another dataset's entries.
 	crit, err := s.buildCriterion(req.criterionSpec, ds.problem.Engine())
 	if err != nil {
 		writeHTTPError(w, err)

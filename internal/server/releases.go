@@ -306,10 +306,11 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 	begin := time.Now()
+	eng := ds.problem.Engine()
 	rs, evicted := ds.releases.snapshot()
 	resp := releasesResponse{Dataset: name, K: k, Evicted: evicted, Releases: make([]releaseInfo, len(rs))}
 	for i, rel := range rs {
-		d, err := s.engine.MaxDisclosure(rel.bz, k)
+		d, err := eng.MaxDisclosure(rel.bz, k)
 		if err != nil {
 			writeHTTPError(w, err)
 			return
@@ -326,7 +327,7 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < len(rs); i++ {
 		for j := i + 1; j < len(rs); j++ {
 			cut := intersect(rs[i], rs[j])
-			d, err := s.engine.MaxDisclosure(cut, k)
+			d, err := eng.MaxDisclosure(cut, k)
 			if err != nil {
 				writeHTTPError(w, err)
 				return

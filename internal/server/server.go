@@ -1,12 +1,15 @@
 // Package server is ckprivacy's serving subsystem: a long-running HTTP
 // disclosure-auditing service over the paper's O(|B|·k³) MaxDisclosure
 // check. It keeps a dataset registry (register a CSV table + hierarchies
-// once, reference by name thereafter), threads one process-wide disclosure
-// engine memo and one per-dataset bucketization cache across requests so
-// hot datasets are served from warm state, runs lattice-search anonymization
-// as asynchronous jobs on a bounded queue, enforces per-request k/size
-// limits plus a global concurrency gate for backpressure, and exports its
-// counters in Prometheus text format. stdlib net/http only.
+// once, reference by name thereafter); each registered dataset's
+// anonymize.Problem owns its warm state — bucketization cache and
+// disclosure-engine memo — which every request on the dataset (disclosure,
+// check, release audit, anonymize job) shares, while inline client-chosen
+// groups run on one separate bounded engine. It runs lattice-search
+// anonymization as asynchronous jobs on a bounded queue, enforces
+// per-request k/size limits plus a global concurrency gate for
+// backpressure, and exports its counters in Prometheus text format.
+// stdlib net/http only.
 package server
 
 import (
@@ -99,12 +102,12 @@ type Config struct {
 	// Default 30s.
 	ReplicationMaxWait time.Duration
 	// MemoMaxBytes bounds every disclosure-engine memo the daemon runs:
-	// the shared engine for synchronous checks on registered datasets, the
-	// engine serving inline client-chosen bucketizations, and each
-	// registered dataset's problem-scoped engine (which drives its
-	// anonymize jobs). Worst-case resident memo memory is therefore
-	// (2 + MaxDatasets) × MemoMaxBytes — every term individually capped —
-	// instead of growing with every distinct histogram ever seen. 0 means
+	// the engine serving inline client-chosen bucketizations, and each
+	// registered dataset's problem-scoped engine (which serves all of that
+	// dataset's disclosure, check, release-audit and anonymize traffic).
+	// Worst-case resident memo memory is therefore (1 + MaxDatasets) ×
+	// MemoMaxBytes — every term individually capped — instead of growing
+	// with every distinct histogram ever seen. 0 means
 	// core.DefaultMemoMaxBytes; negative disables the bound.
 	MemoMaxBytes int64
 }
@@ -170,11 +173,10 @@ func (c Config) problemOptions() anonymize.Options {
 	return o
 }
 
-// Server is the resident service: shared engine, dataset registry, job
+// Server is the resident service: inline engine, dataset registry, job
 // manager and metrics, wired onto a method-pattern ServeMux.
 type Server struct {
 	cfg      Config
-	engine   *core.Engine
 	inline   *core.Engine
 	registry *registry
 	jobs     *jobManager
@@ -196,8 +198,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		engine: core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: cfg.MemoMaxBytes}),
+		cfg: cfg,
 		// Inline (client-chosen) bucketizations get their own bounded memo:
 		// they still warm across requests, but hostile or high-cardinality
 		// inline traffic can neither grow resident memory without limit nor
@@ -216,13 +217,20 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Engine exposes the process-wide shared disclosure engine (for tests and
-// embedding callers).
-func (s *Server) Engine() *core.Engine { return s.engine }
-
 // InlineEngine exposes the bounded engine serving inline (client-chosen)
 // bucketizations (for tests and embedding callers).
 func (s *Server) InlineEngine() *core.Engine { return s.inline }
+
+// engineFor is the disclosure engine a disclosure or check request runs
+// on: the dataset's own problem-scoped engine, which its anonymize jobs
+// and release audits share, or the inline engine when ds is nil (inline
+// groups).
+func (s *Server) engineFor(ds *dataset) *core.Engine {
+	if ds == nil {
+		return s.inline
+	}
+	return ds.problem.Engine()
+}
 
 // Register adds a bundle to the dataset registry programmatically — the
 // daemon's -preload path and embedding callers use this; HTTP clients use

@@ -693,9 +693,11 @@ func TestEstimateZeroAcceptance(t *testing.T) {
 
 // TestInlineEngineBoundedAndWarm: inline (client-chosen) bucketizations
 // flow through the shared bounded inline engine — warm across requests,
-// isolated from the dataset engine, and byte-bounded.
+// isolated from the registered datasets' engines, and byte-bounded.
 func TestInlineEngineBoundedAndWarm(t *testing.T) {
 	s, ts := newTestServer(t, Config{MemoMaxBytes: 1 << 20})
+	registerHospital(t, ts.URL, "h")
+	ds, _ := s.registry.get("h")
 
 	req := map[string]any{"groups": [][]string{{"a", "a", "b", "c"}, {"a", "b", "b"}}, "k": 2}
 	var d1, d2 disclosureResponse
@@ -716,13 +718,66 @@ func TestInlineEngineBoundedAndWarm(t *testing.T) {
 	if d1.Disclosure != d2.Disclosure {
 		t.Errorf("warm inline disclosure %v != cold %v", d2.Disclosure, d1.Disclosure)
 	}
-	// Inline traffic must never touch the dataset engine.
-	if es := s.Engine().Stats(); es.Misses != 0 || es.Hits != 0 {
-		t.Errorf("inline traffic leaked into the shared dataset engine: %+v", es)
+	// Inline traffic must never touch a dataset's engine.
+	if es := ds.problem.Engine().Stats(); es.Misses != 0 || es.Hits != 0 {
+		t.Errorf("inline traffic leaked into the dataset engine: %+v", es)
 	}
 	// And the inline memo is byte-bounded.
 	if warm.Bytes > 1<<20 {
 		t.Errorf("inline memo %d bytes exceeds the 1 MiB bound", warm.Bytes)
+	}
+}
+
+// TestDatasetRequestsShareOneEngine: every request on a registered dataset
+// — disclosure, check, anonymize job and release audit — runs on that
+// dataset's own engine, so each warms the next; inline traffic stays on
+// the inline engine.
+func TestDatasetRequestsShareOneEngine(t *testing.T) {
+	s, ts := newTestServer(t, Config{SearchWorkers: 1, ShardWorkers: 1})
+	registerHospital(t, ts.URL, "h")
+	ds, _ := s.registry.get("h")
+	eng := ds.problem.Engine()
+
+	if code := postJSON(t, ts.URL+"/v1/disclosure", map[string]any{"dataset": "h", "k": 1}, nil); code != http.StatusOK {
+		t.Fatalf("disclosure = %d", code)
+	}
+	cold := eng.Stats()
+	if cold.Misses == 0 {
+		t.Fatalf("disclosure on a registered dataset missed its engine: %+v", cold)
+	}
+	// A check at the same levels and k needs exactly the rows the
+	// disclosure memoized.
+	if code := postJSON(t, ts.URL+"/v1/check",
+		map[string]any{"dataset": "h", "criterion": "ck", "c": 0.9, "k": 1}, nil); code != http.StatusOK {
+		t.Fatalf("check = %d", code)
+	}
+	warm := eng.Stats()
+	if warm.Hits <= cold.Hits || warm.Misses != cold.Misses {
+		t.Errorf("check after disclosure did not run warm on the dataset engine: %+v -> %+v", cold, warm)
+	}
+
+	var acc anonymizeAccepted
+	if code := postJSON(t, ts.URL+"/v1/anonymize",
+		map[string]any{"dataset": "h", "criterion": "ck", "c": 0.7, "k": 1, "method": "minimal"}, &acc); code != http.StatusAccepted {
+		t.Fatalf("anonymize = %d", code)
+	}
+	if st := pollJob(t, ts.URL, acc.ID); st.State != JobDone {
+		t.Fatalf("job = %+v", st)
+	}
+	job := eng.Stats()
+	if job.Hits <= warm.Hits {
+		t.Errorf("anonymize job did not hit the dataset engine warmed by disclosure: %+v -> %+v", warm, job)
+	}
+
+	createReleaseOK(t, ts.URL, "h")
+	if code := getJSON(t, ts.URL+"/v1/datasets/h/releases?k=1", nil); code != http.StatusOK {
+		t.Fatalf("audit = %d", code)
+	}
+	if audit := eng.Stats(); audit.Hits <= job.Hits {
+		t.Errorf("release audit did not land on the dataset engine: %+v -> %+v", job, audit)
+	}
+	if is := s.InlineEngine().Stats(); is.Hits != 0 || is.Misses != 0 {
+		t.Errorf("dataset traffic leaked into the inline engine: %+v", is)
 	}
 }
 
@@ -736,9 +791,9 @@ func TestMetricsMemoFamilies(t *testing.T) {
 
 	metrics := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		`ckprivacyd_engine_memo_bytes{engine="shared"}`,
+		`ckprivacyd_engine_memo_bytes{engine="datasets"}`,
 		`ckprivacyd_engine_memo_bytes{engine="inline"}`,
-		`ckprivacyd_engine_memo_evictions_total{engine="shared"} 0`,
+		`ckprivacyd_engine_memo_evictions_total{engine="datasets"} 0`,
 		`ckprivacyd_engine_memo_evictions_total{engine="inline"} 0`,
 		"ckprivacyd_engine_memo_entries",
 		`ckprivacyd_dataset_memo_bytes{dataset="h"}`,
@@ -747,12 +802,12 @@ func TestMetricsMemoFamilies(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, grepMetrics(metrics, "memo"))
 		}
 	}
-	// The shared engine computed something for the dataset request, so its
-	// accounted bytes must be positive.
+	// The dataset's engine computed something for the dataset request, so
+	// the datasets' accounted bytes must be positive.
 	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, `ckprivacyd_engine_memo_bytes{engine="shared"} `) {
+		if strings.HasPrefix(line, `ckprivacyd_engine_memo_bytes{engine="datasets"} `) {
 			if strings.HasSuffix(line, " 0") {
-				t.Errorf("shared memo bytes still 0 after a dataset disclosure: %s", line)
+				t.Errorf("datasets memo bytes still 0 after a dataset disclosure: %s", line)
 			}
 		}
 	}

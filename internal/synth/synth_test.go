@@ -88,13 +88,9 @@ func TestBundleAnalyzable(t *testing.T) {
 	if b.Table.Len() != 2000 {
 		t.Fatalf("bundle has %d rows, want 2000", b.Table.Len())
 	}
-	enc, chs, err := b.Encoded()
+	bz, err := bucket.Bucketize(b.Table, b.Hierarchies, b.DefaultLevels)
 	if err != nil {
 		t.Fatalf("hierarchies failed to compile over the generated table: %v", err)
-	}
-	bz, err := bucket.FromGeneralizationEncoded(enc, chs, b.DefaultLevels)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(bz.Buckets) == 0 {
 		t.Fatal("default-levels bucketization is empty")
@@ -152,7 +148,7 @@ func TestHierarchiesCoverEveryValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := b.Encoded(); err != nil {
+		if _, err := bucket.CompileHierarchies(b.Table.Encode(), b.Hierarchies); err != nil {
 			t.Fatalf("config %+v: hierarchies do not cover the generated values: %v", cfg, err)
 		}
 		for name, h := range b.Hierarchies {

@@ -2,6 +2,7 @@ package worlds
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ckprivacy/internal/logic"
@@ -20,7 +21,7 @@ func TestEstimateCondProbParallelAgainstExact(t *testing.T) {
 	}
 	exact, _ := exactRat.Float64()
 	for _, workers := range []int{1, 3, 0} {
-		est, err := in.EstimateCondProbParallel(target, phi, 60000, workers, 7)
+		est, err := in.EstimateCondProb(target, phi, 60000, workers, 7)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -35,27 +36,44 @@ func TestEstimateCondProbParallelAgainstExact(t *testing.T) {
 }
 
 // TestEstimateCondProbParallelDeterministic asserts reproducibility for a
-// fixed (seed, workers) pair.
+// fixed (seed, workers) pair, and that one worker draws exactly the stream
+// of rand.NewSource(seed).
 func TestEstimateCondProbParallelDeterministic(t *testing.T) {
 	in := figure3(t)
 	target := logic.Atom{Person: "Ed", Value: "lung"}
-	a, err := in.EstimateCondProbParallel(target, nil, 5000, 4, 42)
+	a, err := in.EstimateCondProb(target, nil, 5000, 4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := in.EstimateCondProbParallel(target, nil, 5000, 4, 42)
+	b, err := in.EstimateCondProb(target, nil, 5000, 4, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("same seed+workers differ: %+v vs %+v", a, b)
 	}
+	phi, err := logic.ParseConjunction("t[Ed]=mumps -> t[Ed]=flu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := in.EstimateCondProb(target, phi, 5000, 1, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, hits := in.sample(target, phi, 5000, rand.New(rand.NewSource(42)))
+	want, err := finishEstimate(accepted, hits, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one != want {
+		t.Errorf("one worker at seed 42 = %+v, want the rand.NewSource(42) stream's %+v", one, want)
+	}
 }
 
 func TestEstimateCondProbParallelErrors(t *testing.T) {
 	in := figure3(t)
 	target := logic.Atom{Person: "Ed", Value: "lung"}
-	if _, err := in.EstimateCondProbParallel(target, nil, 0, 4, 1); err == nil {
+	if _, err := in.EstimateCondProb(target, nil, 0, 4, 1); err == nil {
 		t.Error("zero samples accepted")
 	}
 	// Inconsistent knowledge: Ed both avoids and has flu — no world
@@ -71,7 +89,7 @@ func TestEstimateCondProbParallelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad = append(bad, impossible...)
-	if _, err := in.EstimateCondProbParallel(target, bad, 2000, 4, 1); err == nil {
+	if _, err := in.EstimateCondProb(target, bad, 2000, 4, 1); err == nil {
 		t.Error("unsatisfiable-within-budget knowledge accepted")
 	}
 }

@@ -33,14 +33,43 @@ type Estimate struct {
 // is only feasible approximately. The estimator errs when no sampled world
 // satisfies φ — either φ is inconsistent with B or its probability is too
 // small for the sample budget.
-func (in Instance) EstimateCondProb(target logic.Atom, phi logic.Conjunction, samples int, rng *rand.Rand) (Estimate, error) {
+//
+// The budget is sharded across up to `workers` goroutines (workers <= 0
+// means one per CPU core). Each shard runs an independent deterministic
+// PRNG stream derived from seed — shard 0's is rand.NewSource(seed), so one
+// worker draws exactly that stream — and the result is reproducible for a
+// fixed (seed, workers) pair but differs across worker counts, as the
+// streams interleave the sample space differently.
+func (in Instance) EstimateCondProb(target logic.Atom, phi logic.Conjunction, samples, workers int, seed int64) (Estimate, error) {
 	if samples <= 0 {
 		return Estimate{}, fmt.Errorf("worlds: sample budget must be positive, got %d", samples)
 	}
-	if rng == nil {
-		return Estimate{}, fmt.Errorf("worlds: nil random source")
+	workers = parallel.Workers(workers)
+	if workers > samples {
+		workers = samples
 	}
-	accepted, hits := in.sample(target, phi, samples, rng)
+	type count struct{ accepted, hits int }
+	counts := make([]count, workers)
+	err := parallel.ForEach(workers, workers, func(w int) error {
+		chunk := samples / workers
+		if w < samples%workers {
+			chunk++
+		}
+		// Distinct, well-separated streams per shard: golden-ratio offsets
+		// avoid the correlated low bits of consecutive seeds.
+		rng := rand.New(rand.NewSource(seed + int64(w)*0x4f1bbcdcbfa53e0b))
+		a, h := in.sample(target, phi, chunk, rng)
+		counts[w] = count{accepted: a, hits: h}
+		return nil
+	})
+	if err != nil {
+		return Estimate{}, err
+	}
+	accepted, hits := 0, 0
+	for _, c := range counts {
+		accepted += c.accepted
+		hits += c.hits
+	}
 	return finishEstimate(accepted, hits, samples)
 }
 
@@ -100,43 +129,4 @@ func finishEstimate(accepted, hits, samples int) (Estimate, error) {
 		Accepted: accepted,
 		Samples:  samples,
 	}, nil
-}
-
-// EstimateCondProbParallel is EstimateCondProb with the sample budget
-// sharded across up to `workers` goroutines (workers <= 0 means one per CPU
-// core). Each shard runs an independent deterministic PRNG stream derived
-// from seed, so the result is reproducible for a fixed (seed, workers) pair
-// — but differs across worker counts, as the streams interleave the sample
-// space differently.
-func (in Instance) EstimateCondProbParallel(target logic.Atom, phi logic.Conjunction, samples, workers int, seed int64) (Estimate, error) {
-	if samples <= 0 {
-		return Estimate{}, fmt.Errorf("worlds: sample budget must be positive, got %d", samples)
-	}
-	workers = parallel.Workers(workers)
-	if workers > samples {
-		workers = samples
-	}
-	type count struct{ accepted, hits int }
-	counts := make([]count, workers)
-	err := parallel.ForEach(workers, workers, func(w int) error {
-		chunk := samples / workers
-		if w < samples%workers {
-			chunk++
-		}
-		// Distinct, well-separated streams per shard: golden-ratio offsets
-		// avoid the correlated low bits of consecutive seeds.
-		rng := rand.New(rand.NewSource(seed + int64(w)*0x4f1bbcdcbfa53e0b))
-		a, h := in.sample(target, phi, chunk, rng)
-		counts[w] = count{accepted: a, hits: h}
-		return nil
-	})
-	if err != nil {
-		return Estimate{}, err
-	}
-	accepted, hits := 0, 0
-	for _, c := range counts {
-		accepted += c.accepted
-		hits += c.hits
-	}
-	return finishEstimate(accepted, hits, samples)
 }

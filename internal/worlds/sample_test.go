@@ -2,7 +2,6 @@ package worlds
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"ckprivacy/internal/logic"
@@ -10,7 +9,6 @@ import (
 
 func TestEstimateCondProbAgainstExact(t *testing.T) {
 	in := figure3(t)
-	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
 		target logic.Atom
 		phi    string
@@ -20,7 +18,7 @@ func TestEstimateCondProbAgainstExact(t *testing.T) {
 		{logic.Atom{Person: "Charlie", Value: "flu"}, "t[Hannah]=flu -> t[Charlie]=flu"},
 		{logic.Atom{Person: "Karen", Value: "heart"}, "t[Gloria]=flu -> t[Karen]=heart"},
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		phi, err := logic.ParseConjunction(c.phi)
 		if err != nil {
 			t.Fatal(err)
@@ -30,11 +28,11 @@ func TestEstimateCondProbAgainstExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		exact, _ := exactRat.Float64()
-		est, err := in.EstimateCondProb(c.target, phi, 60000, rng)
+		est, err := in.EstimateCondProb(c.target, phi, 60000, 1, int64(7+i))
 		if err != nil {
 			t.Fatalf("%v | %q: %v", c.target, c.phi, err)
 		}
-		// 5 standard errors plus slack; deterministic seed keeps this
+		// 5 standard errors plus slack; deterministic seeds keep this
 		// stable.
 		tol := 5*est.StdErr + 0.01
 		if math.Abs(est.Prob-exact) > tol {
@@ -49,13 +47,9 @@ func TestEstimateCondProbAgainstExact(t *testing.T) {
 
 func TestEstimateCondProbErrors(t *testing.T) {
 	in := figure3(t)
-	rng := rand.New(rand.NewSource(1))
 	target := logic.Atom{Person: "Ed", Value: "lung"}
-	if _, err := in.EstimateCondProb(target, nil, 0, rng); err == nil {
+	if _, err := in.EstimateCondProb(target, nil, 0, 1, 1); err == nil {
 		t.Error("zero samples accepted")
-	}
-	if _, err := in.EstimateCondProb(target, nil, 10, nil); err == nil {
-		t.Error("nil rng accepted")
 	}
 	// Inconsistent knowledge: Ed avoids everything in his bucket.
 	var phi logic.Conjunction
@@ -70,7 +64,7 @@ func TestEstimateCondProbErrors(t *testing.T) {
 		}
 		phi = append(phi, n)
 	}
-	if _, err := in.EstimateCondProb(target, phi, 500, rng); err == nil {
+	if _, err := in.EstimateCondProb(target, phi, 500, 1, 1); err == nil {
 		t.Error("inconsistent knowledge accepted")
 	}
 }
@@ -95,8 +89,7 @@ func TestEstimateLargeInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	est, err := in.EstimateCondProb(logic.Atom{Person: "a0", Value: "flu"}, nil, 40000, rng)
+	est, err := in.EstimateCondProb(logic.Atom{Person: "a0", Value: "flu"}, nil, 40000, 1, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,13 +43,13 @@ func New(buckets ...Bucket) (Instance, error) {
 	return in, nil
 }
 
-// FromBucketization converts a bucketization (which must carry its source
-// table) into an instance. Person names are produced by name, defaulting to
-// the decimal row index.
+// FromBucketization converts a bucketization into an instance. Person
+// names are produced by name, defaulting to the decimal row index. Values
+// come from the source table when the bucketization carries one; without
+// one (bucket.FromValues) each bucket's values are its histogram in Freq
+// order — under random worlds only a bucket's multiset matters, not which
+// person holds which value.
 func FromBucketization(bz *bucket.Bucketization, name func(id int) string) (Instance, error) {
-	if bz.Source == nil {
-		return Instance{}, fmt.Errorf("worlds: bucketization has no source table")
-	}
 	if name == nil {
 		name = strconv.Itoa
 	}
@@ -58,7 +58,16 @@ func FromBucketization(bz *bucket.Bucketization, name func(id int) string) (Inst
 		wb := Bucket{}
 		for _, id := range b.Tuples {
 			wb.Persons = append(wb.Persons, name(id))
-			wb.Values = append(wb.Values, bz.Source.SensitiveValue(id))
+			if bz.Source != nil {
+				wb.Values = append(wb.Values, bz.Source.SensitiveValue(id))
+			}
+		}
+		if bz.Source == nil {
+			for _, vc := range b.Freq() {
+				for n := 0; n < vc.Count; n++ {
+					wb.Values = append(wb.Values, vc.Value)
+				}
+			}
 		}
 		in.Buckets = append(in.Buckets, wb)
 	}

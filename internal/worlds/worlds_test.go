@@ -2,6 +2,7 @@ package worlds
 
 import (
 	"math/big"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -53,10 +54,20 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestFromBucketization pins the sourceless (bucket.FromValues) instance:
+// persons are the tuple ids, values each bucket's histogram in Freq order.
 func TestFromBucketization(t *testing.T) {
-	bz := bucket.FromValues([]string{"flu", "mumps"})
-	if _, err := FromBucketization(bz, nil); err == nil {
-		t.Error("missing source accepted")
+	bz := bucket.FromValues([]string{"mumps", "flu", "mumps"}, []string{"cold"})
+	in, err := FromBucketization(bz, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Bucket{
+		{Persons: []string{"0", "1", "2"}, Values: []string{"mumps", "mumps", "flu"}},
+		{Persons: []string{"3"}, Values: []string{"cold"}},
+	}
+	if !reflect.DeepEqual(in.Buckets, want) {
+		t.Errorf("FromBucketization(FromValues) = %+v, want %+v", in.Buckets, want)
 	}
 }
 
