@@ -52,10 +52,12 @@ lint:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 ## docs-check keeps the prose honest (mirrors the CI docs job): every
-## relative markdown link in README.md + docs/ must resolve, and every
+## relative markdown link in README.md + docs/ must resolve, every
 ## exported symbol of the public package and internal/server must carry a
-## doc comment. The same tool output gates CI, so broken links and bare
-## exported names fail the build, not a reviewer's patience.
+## doc comment, and every func Fuzz* outside bench/ must have a line in
+## fuzz-smoke below. The same tool output gates CI, so broken links, bare
+## exported names and unlisted fuzz targets fail the build, not a
+## reviewer's patience.
 docs-check:
 	$(GO) run ./internal/tools/docscheck
 
@@ -114,7 +116,8 @@ loadtest-replica:
 	status=$$?; rm -rf $$dir; exit $$status
 
 ## fuzz-smoke gives every fuzz target in the module a short budget (the
-## CI fuzz job runs this list in full): the store decoders (snapshot/WAL
+## CI fuzz job runs this list in full; docs-check fails on a target
+## missing from it): the store decoders (snapshot/WAL
 ## hardening), the logic parsers, the MINIMIZE2 kernel against its
 ## recursive oracle, and the dataset-spec registration path. Long enough
 ## to catch a regression, short enough for every push. Raise FUZZ_TIME

@@ -31,8 +31,8 @@ func appendRows(b *testing.B) []ckprivacy.Row {
 }
 
 // BenchmarkAppendSmall/Rebuild measures the full re-encode +
-// re-bucketize: encode 45k+1k rows, compile the hierarchies, scan once at
-// the Figure 5 node.
+// re-bucketize with the one-shot Bucketize: encode 45k+1k rows, compile
+// the hierarchies, scan once at the Figure 5 node.
 func BenchmarkAppendSmall(b *testing.B) {
 	base := mustAdult(b, ckprivacy.AdultDefaultN)
 	extra := appendRows(b)
@@ -49,12 +49,7 @@ func BenchmarkAppendSmall(b *testing.B) {
 		runtime.GC() // keep setup garbage out of the timed region
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			enc := ckprivacy.EncodeTable(grown)
-			chs, err := ckprivacy.CompileHierarchies(enc, ckprivacy.AdultHierarchies())
-			if err != nil {
-				b.Fatal(err)
-			}
-			bz, err := ckprivacy.BucketizeEncoded(enc, chs, fig5Levels())
+			bz, err := ckprivacy.Bucketize(grown, ckprivacy.AdultHierarchies(), fig5Levels())
 			if err != nil {
 				b.Fatal(err)
 			}

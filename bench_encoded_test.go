@@ -4,12 +4,15 @@ import (
 	"testing"
 
 	"ckprivacy"
+	"ckprivacy/internal/bucket"
 )
 
 // ---------------------------------------------------------------------------
 // Columnar-substrate benchmarks: the encoded bucketization scan, the
-// one-time encode cost, and whole-lattice sweeps. All report a rows/s
-// custom metric so the CI bench JSON artifact tracks throughput.
+// one-time encode cost, and a node-by-node lattice sweep. All report a
+// rows/s custom metric so the CI bench JSON artifact tracks throughput.
+// The planned full sweep and the (c,k) grid are ckbench workloads
+// (sweep-1m, grid; see bench/README.md).
 // ---------------------------------------------------------------------------
 
 // BenchmarkBucketizeEncoded is one scan of the full-size synthetic Adult
@@ -17,14 +20,14 @@ import (
 // index per row and dimension, integer group keys, code-space histograms.
 func BenchmarkBucketizeEncoded(b *testing.B) {
 	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	enc := ckprivacy.EncodeTable(tab)
-	chs, err := ckprivacy.CompileHierarchies(enc, ckprivacy.AdultHierarchies())
+	enc := tab.Encode()
+	chs, err := bucket.CompileHierarchies(enc, ckprivacy.AdultHierarchies())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bz, err := ckprivacy.BucketizeEncoded(enc, chs, fig5Levels())
+		bz, err := bucket.FromGeneralizationEncoded(enc, chs, fig5Levels())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -39,8 +42,8 @@ func BenchmarkEncodeTable(b *testing.B) {
 	tab := mustAdult(b, ckprivacy.AdultDefaultN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := ckprivacy.EncodeTable(tab)
-		chs, err := ckprivacy.CompileHierarchies(enc, ckprivacy.AdultHierarchies())
+		enc := tab.Encode()
+		chs, err := bucket.CompileHierarchies(enc, ckprivacy.AdultHierarchies())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,59 +74,6 @@ func BenchmarkLatticeSweepPath(b *testing.B) {
 		}
 	}
 	reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
-}
-
-// BenchmarkLatticeSweepPlanned materializes the same 72 Adult lattice
-// nodes as BenchmarkLatticeSweepPath, but as one planned sweep: the whole
-// node set is scheduled as a derivation DAG up front (one base scan at
-// the root, everything else coarsened from its cheapest parent through
-// pooled arenas) instead of one plan per cache miss. Reports rows/s plus
-// the arena pool's reuse ratio.
-func BenchmarkLatticeSweepPlanned(b *testing.B) {
-	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	gets0, reuses0 := ckprivacy.ArenaStats()
-	nodes := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI())
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap := p.Snapshot()
-		if err := snap.MaterializeNodes(p.Space().All()); err != nil {
-			b.Fatal(err)
-		}
-		nodes = p.Space().Size()
-		for _, n := range p.Space().All() {
-			bz, err := snap.Bucketize(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sinkI = len(bz.Buckets)
-		}
-	}
-	b.StopTimer()
-	gets1, reuses1 := ckprivacy.ArenaStats()
-	if gets := gets1 - gets0; gets > 0 {
-		b.ReportMetric(float64(reuses1-reuses0)/float64(gets), "arena-reuse")
-	}
-	reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
-}
-
-// BenchmarkGridPlanned is a small (c,k) policy grid: every cell's chain
-// search hands each probe round to the sweep planner.
-func BenchmarkGridPlanned(b *testing.B) {
-	tab := mustAdult(b, 4000)
-	cfg := ckprivacy.GridConfig{Cs: []float64{0.6, 0.8}, Ks: []int{1, 3, 5}, Workers: 1}
-	cells := len(cfg.Cs) * len(cfg.Ks)
-	for i := 0; i < b.N; i++ {
-		res, err := ckprivacy.RunSafetyGrid(tab, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkI = len(res.Cells)
-	}
-	reportRowsPerSec(b, float64(tab.Len())*float64(cells))
 }
 
 // reportRowsPerSec attaches the rows/s custom metric (rows of work per

@@ -5,7 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"ckprivacy"
+	"ckprivacy/internal/bucket"
+	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/synth"
 )
 
@@ -33,15 +34,16 @@ func BenchmarkBucketizeSharded(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enc := ckprivacy.EncodeTable(bundle.Table)
-		chs, err := ckprivacy.CompileHierarchies(enc, bundle.Hierarchies)
+		enc := bundle.Table.Encode()
+		chs, err := bucket.CompileHierarchies(enc, bundle.Hierarchies)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, shards := range shardCounts {
 			b.Run(fmt.Sprintf("rows=%d/shards=%d", rows, shards), func(b *testing.B) {
+				pool := parallel.NewPool(shards)
 				for i := 0; i < b.N; i++ {
-					bz, err := ckprivacy.BucketizeEncodedSharded(enc, chs, bundle.DefaultLevels, shards)
+					bz, err := bucket.FromGeneralizationEncodedSharded(enc, chs, bundle.DefaultLevels, shards, pool)
 					if err != nil {
 						b.Fatal(err)
 					}

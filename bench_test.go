@@ -3,7 +3,6 @@ package ckprivacy_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"ckprivacy"
@@ -12,6 +11,8 @@ import (
 // ---------------------------------------------------------------------------
 // Per-figure benchmarks: each regenerates one artifact of the paper's
 // evaluation (§4). Run with:  go test -bench=. -benchmem
+// Figure 6 and the (c,k) policy grid are ckbench workloads (fig6, grid;
+// see bench/README.md), graded end to end there.
 // ---------------------------------------------------------------------------
 
 // BenchmarkFigure5 regenerates Figure 5 (max disclosure vs k, implications
@@ -26,41 +27,6 @@ func BenchmarkFigure5(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkF = res.Implication[12]
-	}
-}
-
-// BenchmarkFigure6 regenerates Figure 6 (min bucket entropy vs least max
-// disclosure for k = 1,3,5,7,9,11) by sweeping all 72 nodes of the Adult
-// generalization lattice on the full-size table.
-func BenchmarkFigure6(b *testing.B) {
-	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ckprivacy.RunFig6(tab, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkF = res.Points[0].MinEntropy
-	}
-}
-
-// BenchmarkFigure6Workers is the serial-vs-parallel ablation on the
-// Figure 6 workload (the PR's headline number): the identical sweep over
-// all 72 generalizations of the full-size Adult table at worker budgets
-// 1, 2, 4 and all-cores. Compare ns/op across sub-benchmarks; results are
-// byte-identical at every budget.
-func BenchmarkFigure6Workers(b *testing.B) {
-	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := ckprivacy.RunFig6Config(tab, ckprivacy.Fig6Config{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sinkF = res.Points[0].MinEntropy
-			}
-		})
 	}
 }
 
@@ -106,25 +72,6 @@ func BenchmarkRiskProfileWorkers(b *testing.B) {
 					b.Fatal(err)
 				}
 				sinkI = len(profile)
-			}
-		})
-	}
-}
-
-// BenchmarkSafetyGrid measures the (c,k) policy-grid sweep on a 4,000-tuple
-// Adult table, serial vs all-cores.
-func BenchmarkSafetyGrid(b *testing.B) {
-	tab := mustAdult(b, 4000)
-	cfg := ckprivacy.GridConfig{Cs: []float64{0.6, 0.8}, Ks: []int{1, 3, 5}}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg.Workers = workers
-				res, err := ckprivacy.RunSafetyGrid(tab, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sinkI = len(res.Cells)
 			}
 		})
 	}
@@ -193,7 +140,7 @@ func BenchmarkWitness(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks for design choices called out in DESIGN.md.
+// Ablation benchmarks for design choices.
 // ---------------------------------------------------------------------------
 
 // BenchmarkEngineCache ablates the histogram-keyed MINIMIZE1 memo (the

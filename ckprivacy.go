@@ -12,11 +12,7 @@ import (
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/logic"
-	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/privacy"
-	"ckprivacy/internal/replica"
-	"ckprivacy/internal/server"
-	"ckprivacy/internal/store"
 	"ckprivacy/internal/table"
 	"ckprivacy/internal/utility"
 	"ckprivacy/internal/worlds"
@@ -82,37 +78,6 @@ func NewLevelledHierarchy(name string, domain []string, levelMaps []map[string]s
 	return hierarchy.NewLevelled(name, domain, levelMaps)
 }
 
-// Columnar encoded substrate (the fast path everything computes on).
-type (
-	// EncodedTable is the dictionary-encoded columnar view of a Table:
-	// per-attribute value dictionaries plus dense per-column code slices,
-	// built once and shared read-only.
-	EncodedTable = table.Encoded
-	// Dict is one column's value ↔ code dictionary.
-	Dict = table.Dict
-	// CompiledHierarchy is a hierarchy lowered to per-level code lookup
-	// tables over one column's dictionary.
-	CompiledHierarchy = hierarchy.Compiled
-	// CompiledHierarchies maps attribute names to compiled hierarchies.
-	CompiledHierarchies = hierarchy.CompiledSet
-)
-
-// TableAppendDelta reports what one EncodedTable.Append changed: where
-// the appended rows start and which dictionary codes each column gained.
-type TableAppendDelta = table.AppendDelta
-
-// EncodeTable builds the columnar dictionary-encoded view of a table in
-// one pass. Decoding always reproduces the exact original strings. The
-// view is an append-only master: EncodedTable.Append streams rows in and
-// EncodedTable.Snapshot pins immutable views for concurrent readers.
-func EncodeTable(t *Table) *EncodedTable { return t.Encode() }
-
-// CompileHierarchies lowers every hierarchy onto the encoded table's
-// dictionaries, so generalization becomes one array index per value.
-func CompileHierarchies(enc *EncodedTable, hs Hierarchies) (CompiledHierarchies, error) {
-	return bucket.CompileHierarchies(enc, hs)
-}
-
 // Bucketization (the sanitization method the paper analyzes).
 type (
 	// Bucketization is a partition of tuples with per-bucket
@@ -132,43 +97,11 @@ func FromValues(groups ...[]string) *Bucketization { return bucket.FromValues(gr
 // given levels (missing attributes stay at level 0). It encodes the table,
 // compiles the hierarchies and scans once; a table value a hierarchy does
 // not cover, or hierarchy levels that are not nested, are errors naming
-// the attribute. To bucketize one table at many levels, encode it once
-// and use BucketizeEncoded (or a Problem).
+// the attribute. To bucketize one table at many levels, build a Problem:
+// it encodes and compiles once, caches every bucketization it derives,
+// and patches them on Append.
 func Bucketize(t *Table, hs Hierarchies, levels Levels) (*Bucketization, error) {
 	return bucket.Bucketize(t, hs, levels)
-}
-
-// BucketizeEncoded is Bucketize over an already-encoded table: integer
-// group keys (multi-radix packed when the dimensions fit 64 bits) and
-// code-space histograms.
-func BucketizeEncoded(enc *EncodedTable, chs CompiledHierarchies, levels Levels) (*Bucketization, error) {
-	return bucket.FromGeneralizationEncoded(enc, chs, levels)
-}
-
-// BucketizeEncodedSharded is BucketizeEncoded with the row scan split
-// into `shards` contiguous row ranges scanned concurrently (bounded by a
-// pool of the same size) and merged — byte-identical to BucketizeEncoded
-// at every shard count; shards <= 1 is exactly the single-threaded scan.
-func BucketizeEncodedSharded(enc *EncodedTable, chs CompiledHierarchies, levels Levels, shards int) (*Bucketization, error) {
-	return bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, parallel.NewPool(shards))
-}
-
-// CoarsenBucketization derives the bucketization at coarser levels from
-// an already-materialized finer one of the same encoded table, merging
-// buckets instead of rescanning rows. The fine bucketization's levels
-// must be component-wise ≤ the requested ones.
-func CoarsenBucketization(fine *Bucketization, enc *EncodedTable, chs CompiledHierarchies, levels Levels) (*Bucketization, error) {
-	return bucket.CoarsenInto(fine, enc, chs, levels, nil)
-}
-
-// ExtendBucketization patches a bucketization of the table's first start
-// rows with the rows appended since: only rows [start, enc.Rows()) are
-// re-keyed and merged, copy-on-write, in O(appended + buckets). The
-// result is byte-identical to BucketizeEncoded on the grown table. enc
-// and chs must reflect the post-append state (EncodedTable.Append plus
-// CompiledHierarchy.Extend for columns that gained values).
-func ExtendBucketization(old *Bucketization, enc *EncodedTable, chs CompiledHierarchies, levels Levels, start int) (*Bucketization, error) {
-	return bucket.AppendRows(old, enc, chs, levels, start)
 }
 
 // Worst-case disclosure (the paper's core contribution).
@@ -359,11 +292,6 @@ type ProblemAppendResult = anonymize.AppendResult
 // bucket counts. Obtain one with Problem.SweepStats.
 type SweepStats = anonymize.SweepStats
 
-// ArenaStats reports the process-wide coarsening-arena pool counters:
-// how many scratch arenas were borrowed in total and how many of those
-// borrows were served by reuse rather than a fresh allocation.
-func ArenaStats() (gets, reuses uint64) { return bucket.ArenaStats() }
-
 // Utility metrics.
 type (
 	// Metric scores bucketizations (higher is better).
@@ -376,7 +304,8 @@ type (
 	BucketCount = utility.BucketCount
 )
 
-// Synthetic Adult dataset (substitute for the UCI file; see DESIGN.md §5).
+// Synthetic Adult dataset (substitute for the UCI file; see "Deviations
+// from the paper" in docs/PAPER-MAP.md).
 type AdultConfig = adult.Config
 
 // SyntheticAdult generates the deterministic synthetic Adult table
@@ -447,79 +376,3 @@ type (
 func RunSafetyGrid(t *Table, cfg GridConfig) (*GridResult, error) {
 	return experiments.RunSafetyGrid(t, cfg)
 }
-
-// Serving (the resident ckprivacyd daemon's engine room).
-type (
-	// Server is the long-running HTTP disclosure-auditing service: a
-	// dataset registry, synchronous disclosure/safety endpoints, an
-	// asynchronous anonymization job queue and Prometheus-style metrics,
-	// all sharing one warm engine memo and per-dataset bucketization
-	// caches across requests.
-	Server = server.Server
-	// ServerConfig tunes the service's per-request limits, the global
-	// concurrency gate and the job queue. The zero value uses the
-	// documented defaults.
-	ServerConfig = server.Config
-	// JobState is an asynchronous anonymization job's lifecycle state.
-	JobState = server.JobState
-)
-
-// NewServer builds the serving subsystem and starts its job workers; mount
-// it with Server.Handler and drain it with Server.Shutdown (cmd/ckprivacyd
-// does both behind SIGTERM handling).
-func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// Durability (the daemon's crash-safe persistence layer).
-type (
-	// Store owns a data directory of per-dataset columnar snapshots and
-	// append-only WALs. Set it on ServerConfig.Store to persist every
-	// registration, append and release; call Server.RecoverAll before
-	// serving to reload them (cmd/ckprivacyd wires both behind -data-dir).
-	Store = store.Manager
-	// StoreOptions configures a Store: the data directory, whether WAL
-	// commits fsync, and the WAL size past which compaction is suggested.
-	StoreOptions = store.Options
-)
-
-// Durable-store error sentinels, matched with errors.Is.
-var (
-	// ErrStoreCorrupt marks on-disk state that fails validation — a CRC
-	// mismatch on a complete record or section, a bad magic, a WAL with no
-	// snapshot to replay onto. Torn tails from a crash are NOT corrupt;
-	// they are truncated and recovery proceeds.
-	ErrStoreCorrupt = store.ErrCorrupt
-	// ErrStoreFormatVersion marks a snapshot or WAL written by a newer
-	// format version than this build understands.
-	ErrStoreFormatVersion = store.ErrFormatVersion
-)
-
-// OpenStore validates the data directory (creating it if absent) and
-// returns the durable store over it.
-func OpenStore(opts StoreOptions) (*Store, error) { return store.Open(opts) }
-
-// Replication (follower replicas over the durable store).
-type (
-	// Follower replicates a leader daemon's datasets into a local
-	// read-only Server: snapshot bootstrap over HTTP, continuous WAL
-	// tailing, byte-identical apply through the replay path, and lag
-	// reporting. Build the local Server with ServerConfig.ReadOnly and
-	// run the Follower alongside its listener (cmd/ckprivacyd wires both
-	// behind -follow).
-	Follower = replica.Follower
-	// FollowerOptions configures a Follower: the leader URL, the local
-	// server, polling/long-poll cadence and retry backoff.
-	FollowerOptions = replica.Options
-	// ReplicaProgress is a follower dataset's replication position as
-	// surfaced on /v1/datasets and /metrics.
-	ReplicaProgress = server.ReplicaProgress
-)
-
-// ErrReplicaDiverged marks a fatal replication failure: an applied WAL
-// record did not reproduce the version or release index it names, so the
-// follower stops serving the dataset rather than expose divergent state.
-// Matched with errors.Is.
-var ErrReplicaDiverged = server.ErrReplicaDiverged
-
-// NewFollower validates options and builds a Follower; call Run with a
-// cancellable context to start replicating.
-func NewFollower(opts FollowerOptions) (*Follower, error) { return replica.New(opts) }

@@ -45,45 +45,36 @@
 // each missing entry exactly once. Eviction only ever costs
 // recomputation: disclosure values are byte-identical at every capacity.
 //
-// Everything bucketization-heavy computes on a columnar substrate: a
-// table is dictionary-encoded once (EncodeTable — per-attribute value
-// dictionaries plus dense uint32 code columns), hierarchies are compiled
-// to per-level code lookup tables (CompileHierarchies), and bucketization
-// becomes integer array work — packed integer group keys and code-space
-// histograms (BucketizeEncoded), with coarser lattice nodes derived from
-// finer materialized ones by merging buckets instead of rescanning rows
-// (CoarsenBucketization). NewProblem builds this state once per problem
-// and its searches use it transparently; Bucketize is the one-shot form
-// (encode, compile, scan once). Every path is byte-identical — same bucket
-// keys, tuple order, histograms, search results and disclosure values —
-// to a row-by-row string-path reference bucketizer that lives only in the
-// tests, under randomized parity tests.
+// Everything bucketization-heavy computes on a columnar substrate, and a
+// Problem owns it: NewProblem dictionary-encodes the table once
+// (per-attribute value dictionaries plus dense uint32 code columns),
+// compiles each hierarchy to per-level code lookup tables, and turns
+// bucketization into integer array work — packed integer group keys and
+// code-space histograms — deriving coarser lattice nodes from finer
+// cached ones by merging buckets instead of rescanning rows. Its
+// searches use this state transparently; Bucketize is the one-shot form
+// (encode, compile, scan once). Every path is byte-identical — same
+// bucket keys, tuple order, histograms, search results and disclosure
+// values — to a row-by-row string-path reference bucketizer that lives
+// only in the tests, under randomized parity tests.
 //
-// Data streams in rather than arriving once: EncodedTable.Append grows
-// the dictionaries and code columns in place, and Problem.Append patches
-// every warm cached bucketization with just the appended rows — O(rows
-// appended + buckets) per warm lattice node instead of a full re-encode
-// and re-bucketize — while bumping the problem's version.
-// Problem.Snapshot pins one version (rows, dictionaries, caches) for the
-// duration of a search, so long-running jobs and concurrent appends
-// never observe each other; randomized parity tests pin that
-// append-then-search is byte-identical to a from-scratch rebuild on the
-// concatenated table. The engine memo needs no append-time maintenance
-// at all: it is keyed by histogram content, not dataset identity.
+// Data streams in rather than arriving once: Problem.Append grows the
+// dictionaries and code columns in place and patches every warm cached
+// bucketization with just the appended rows — O(rows appended + buckets)
+// per warm lattice node instead of a full re-encode and re-bucketize —
+// while bumping the problem's version. Problem.Snapshot pins one version
+// (rows, dictionaries, caches) for the duration of a search, so
+// long-running jobs and concurrent appends never observe each other;
+// randomized parity tests pin that append-then-search is byte-identical
+// to a from-scratch rebuild on the concatenated table. The engine memo
+// needs no append-time maintenance at all: it is keyed by histogram
+// content, not dataset identity.
 //
-// The library also serves: NewServer builds the resident HTTP
-// disclosure-auditing service behind the cmd/ckprivacyd daemon — a dataset
-// registry (register a table + hierarchies once, reference by name),
-// streaming row appends with monotonically increasing dataset versions
-// (POST /v1/datasets/{name}/rows), a sequential-release audit that
-// scores the intersection attack across recorded releases
-// (/v1/datasets/{name}/releases), synchronous disclosure and
-// safety-verdict endpoints, asynchronous lattice-search jobs on a
-// bounded queue (each pinned to the version it started on), an OpenAPI 3
-// spec at /v1/openapi.yaml, and Prometheus-format metrics, all sharing
-// warm, bounded engine memos (one for registered datasets, one isolating
-// inline client-chosen bucketizations) and per-dataset bucketization
-// caches across requests.
+// The same checks are served over HTTP by the cmd/ckprivacyd daemon — a
+// dataset registry, streaming appends, a sequential-release audit,
+// asynchronous lattice-search jobs, durable storage and read replicas —
+// which is a program, not part of this package's API; see the README's
+// "Serving" section.
 //
 // The packages under internal/ hold the implementation: internal/core (the
 // disclosure DP), internal/bucket, internal/hierarchy, internal/lattice,
@@ -93,7 +84,8 @@
 // internal/privacy, internal/anonymize, internal/dataset/adult (a
 // synthetic stand-in for the UCI Adult dataset), internal/dataload (named
 // dataset bundles shared by the CLI, the daemon and the registry),
-// internal/server (the serving subsystem) and internal/experiments
-// (regenerates the paper's figures and sweeps (c,k) policy grids). This
-// package re-exports the supported API surface.
+// internal/server (the serving subsystem behind cmd/ckprivacyd) and
+// internal/experiments (regenerates the paper's figures and sweeps (c,k)
+// policy grids). This package re-exports the library's supported API
+// surface.
 package ckprivacy

@@ -94,7 +94,7 @@ func ExampleUniverse_Express() {
 	// Output: models: 2
 }
 
-// streamSchema is a tiny two-column schema for the append examples.
+// streamSchema is a tiny two-column schema for the append example.
 func streamSchema() (*ckprivacy.Schema, ckprivacy.Hierarchies) {
 	s, err := ckprivacy.NewSchema([]ckprivacy.Attribute{
 		{Name: "Age", Kind: ckprivacy.Numeric, Min: 0, Max: 99},
@@ -109,59 +109,6 @@ func streamSchema() (*ckprivacy.Schema, ckprivacy.Hierarchies) {
 		panic(err)
 	}
 	return s, ckprivacy.Hierarchies{"Age": age}
-}
-
-func ExampleEncodedTable_Append() {
-	s, hs := streamSchema()
-	tab := ckprivacy.NewTable(s)
-	tab.MustAppend(ckprivacy.Row{"23", "flu"})
-	tab.MustAppend(ckprivacy.Row{"27", "mumps"})
-
-	// Encode once; the encoded view is an append-only master.
-	enc := ckprivacy.EncodeTable(tab)
-	chs, err := ckprivacy.CompileHierarchies(enc, hs)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	before, _ := ckprivacy.BucketizeEncoded(enc, chs, ckprivacy.Levels{"Age": 1})
-
-	// Stream two more rows in: dictionaries and code columns grow in
-	// place, and the delta names every new dictionary code.
-	delta, err := enc.Append([]ckprivacy.Row{{"24", "flu"}, {"61", "gout"}})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("appended rows [%d, %d), new Disease codes: %d\n",
-		delta.Start, delta.Rows, delta.NewValueCount(1))
-
-	// The Age column gained dictionary codes, so its compiled hierarchy
-	// must be extended over the grown domain (copy-on-write: snapshots of
-	// the old state keep the original).
-	if delta.NewValueCount(0) > 0 {
-		ext, err := chs["Age"].Extend(hs["Age"], enc.Dicts[0].Values())
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		chs["Age"] = ext
-	}
-
-	// Patch the old bucketization with just the appended rows — the
-	// result is byte-identical to rebucketizing the grown table.
-	after, err := ckprivacy.ExtendBucketization(before, enc, chs, ckprivacy.Levels{"Age": 1}, delta.Start)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	for _, b := range after.Buckets {
-		fmt.Printf("%s: %d tuples\n", b.Key, b.Size())
-	}
-	// Output:
-	// appended rows [2, 4), new Disease codes: 1
-	// 20-29: 3 tuples
-	// 60-69: 1 tuples
 }
 
 func ExampleProblem_Append() {

@@ -108,7 +108,7 @@ func TestMaxDisclosureFigure3HandValues(t *testing.T) {
 		want float64
 	}{
 		{0, 2.0 / 5},
-		{1, 2.0 / 3}, // lung → flu within the male bucket (DESIGN.md §6)
+		{1, 2.0 / 3}, // lung → flu within the male bucket (see "Deviations from the paper" in docs/PAPER-MAP.md)
 		{2, 1.0},     // ¬lung ∧ ¬mumps pins flu
 		{5, 1.0},
 	}

@@ -16,7 +16,7 @@ type Options struct {
 	// unrestricted maximum (the paper's actual definition) is computed when
 	// false. The restriction exists to reproduce the paper's §2.3 worked
 	// example, whose quoted 10/19 is the cross-bucket maximum — see
-	// DESIGN.md §6.
+	// "Deviations from the paper" in docs/PAPER-MAP.md.
 	ForbidSameBucketAntecedent bool
 }
 
@@ -142,8 +142,9 @@ const noStop = 2
 // minimum. Pass noStop to always get the minimum.
 //
 // Against the paper's Algorithm 2 pseudocode, two typos are corrected (see
-// DESIGN.md §4): the base case returns 1 on success (not the initialized
-// rmin = ∞), and the initial "A already placed" flag is false.
+// "Deviations from the paper" in docs/PAPER-MAP.md): the base case returns
+// 1 on success (not the initialized rmin = ∞), and the initial "A already
+// placed" flag is false.
 //
 //ckvet:ignore poolleak ownership transfers to the caller, which must release() on every return, the early exit included; the scratch's choice tables drive witness reconstruction after return
 func (e *Engine) minimize2(views []bucketView, k int, opt Options, stop float64) (float64, *m2Scratch) {

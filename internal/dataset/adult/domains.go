@@ -6,7 +6,7 @@
 // The real file cannot be fetched in an offline build, so Generate samples
 // records whose attribute domains match the real dataset exactly and whose
 // marginal and conditional frequencies approximate the published ones (see
-// DESIGN.md §5 for the substitution argument). Generation is fully
+// "Deviations from the paper" in docs/PAPER-MAP.md). Generation is fully
 // deterministic for a given Config.
 package adult
 

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (§4), plus the worked examples of the introduction, as
 // reproducible computations over the synthetic Adult substrate. See
-// EXPERIMENTS.md for the paper-vs-measured record.
+// docs/PAPER-MAP.md for each figure's code and tests, and its "Deviations
+// from the paper" section for why the numbers are the synthetic table's.
 package experiments
 
 import (

@@ -56,8 +56,6 @@ type Options struct {
 	// fetch or apply failures. Defaults 100ms and 5s.
 	RetryMin time.Duration
 	RetryMax time.Duration
-	// Datasets, when non-empty, restricts replication to these names.
-	Datasets []string
 }
 
 func (o Options) withDefaults() Options {
@@ -174,24 +172,8 @@ func (f *Follower) WaitCaughtUp(ctx context.Context) error {
 	}
 }
 
-// wants reports whether the follower should replicate name.
-func (f *Follower) wants(name string) bool {
-	if len(f.opts.Datasets) == 0 {
-		return true
-	}
-	for _, d := range f.opts.Datasets {
-		if d == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ensureTail starts a tailing loop for a newly discovered dataset.
 func (f *Follower) ensureTail(ctx context.Context, info datasetInfo) {
-	if !f.wants(info.Name) {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, exists := f.tails[info.Name]; exists {

@@ -764,8 +764,8 @@ type estimateRequest struct {
 	Target string `json:"target"`
 	// Phi is the knowledge formula, ";"-separated implications.
 	Phi string `json:"phi,omitempty"`
-	// Samples is the Monte-Carlo budget (default 100000, capped by the
-	// server's MaxSamples).
+	// Samples is the Monte-Carlo budget (default 100000, capped at the
+	// server's maxSamples).
 	Samples int `json:"samples,omitempty"`
 	// Seed makes the estimate reproducible.
 	Seed int64 `json:"seed,omitempty"`
@@ -808,9 +808,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if samples <= 0 {
 		samples = 100000
 	}
-	if samples > s.cfg.MaxSamples {
+	if samples > maxSamples {
 		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("samples %d above the server's limit %d", samples, s.cfg.MaxSamples))
+			fmt.Errorf("samples %d above the server's limit %d", samples, maxSamples))
 		return
 	}
 	pin, err := parsePinnedVersion(r)

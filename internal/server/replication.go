@@ -429,8 +429,8 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		wait = time.Duration(n) * time.Millisecond
-		if wait > s.cfg.ReplicationMaxWait {
-			wait = s.cfg.ReplicationMaxWait
+		if wait > replicationMaxWait {
+			wait = replicationMaxWait
 		}
 	}
 
@@ -472,7 +472,7 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 		timer.Stop()
 	}
 
-	data, committed, err := dl.ReadCommitted(from, s.cfg.ReplicationMaxBytes)
+	data, committed, err := dl.ReadCommitted(from, replicationMaxBytes)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

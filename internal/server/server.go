@@ -39,9 +39,6 @@ type Config struct {
 	MaxDatasets int
 	// MaxBodyBytes caps request bodies. Default 8 MiB.
 	MaxBodyBytes int64
-	// MaxSamples caps a Monte-Carlo estimate request's sample budget.
-	// Default 1000000.
-	MaxSamples int
 	// MaxConcurrent is the global concurrency gate: at most this many
 	// compute-heavy requests (disclosure, check, estimate) run at once;
 	// excess requests wait up to GateWait and are then shed with 503.
@@ -56,10 +53,6 @@ type Config struct {
 	// JobQueueSize bounds the pending-job queue; submissions beyond it are
 	// rejected with 503. Default 16.
 	JobQueueSize int
-	// JobHistory bounds how many jobs (finished ones included, kept for
-	// polling) are retained; the oldest terminal jobs are evicted first.
-	// Default 256.
-	JobHistory int
 	// SearchWorkers is the per-search lattice worker budget (the library's
 	// ProblemOptions.Workers) used by anonymization jobs, per-dataset
 	// bucketization and Monte-Carlo estimates. Values below 1 — including
@@ -94,13 +87,6 @@ type Config struct {
 	// the bound. Snapshots share structure, so the window is cheap.
 	// Default 128.
 	MaxPinnedVersions int
-	// ReplicationMaxBytes caps how many WAL bytes one replication fetch
-	// returns. Default 4 MiB.
-	ReplicationMaxBytes int64
-	// ReplicationMaxWait caps how long a WAL fetch may long-poll for the
-	// next commit (the wait_ms query parameter is clamped to it).
-	// Default 30s.
-	ReplicationMaxWait time.Duration
 	// MemoMaxBytes bounds every disclosure-engine memo the daemon runs:
 	// the engine serving inline client-chosen bucketizations, and each
 	// registered dataset's problem-scoped engine (which serves all of that
@@ -111,6 +97,21 @@ type Config struct {
 	// core.DefaultMemoMaxBytes; negative disables the bound.
 	MemoMaxBytes int64
 }
+
+// Fixed limits: no deployment tunes them, so they are not Config fields.
+const (
+	// maxSamples caps a Monte-Carlo estimate request's sample budget.
+	maxSamples = 1000000
+	// jobHistory bounds how many jobs (finished ones included, kept for
+	// polling) are retained; the oldest terminal jobs are evicted first.
+	jobHistory = 256
+	// replicationMaxBytes caps how many WAL bytes one replication fetch
+	// returns (4 MiB).
+	replicationMaxBytes = 4 << 20
+	// replicationMaxWait caps how long a WAL fetch may long-poll for the
+	// next commit (the wait_ms query parameter is clamped to it).
+	replicationMaxWait = 30 * time.Second
+)
 
 // withDefaults resolves zero fields to their documented defaults.
 func (c Config) withDefaults() Config {
@@ -126,9 +127,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = 1000000
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -141,20 +139,11 @@ func (c Config) withDefaults() Config {
 	if c.JobQueueSize <= 0 {
 		c.JobQueueSize = 16
 	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 256
-	}
 	if c.MaxReleases <= 0 {
 		c.MaxReleases = 16
 	}
 	if c.MaxPinnedVersions <= 0 {
 		c.MaxPinnedVersions = 128
-	}
-	if c.ReplicationMaxBytes <= 0 {
-		c.ReplicationMaxBytes = 4 << 20
-	}
-	if c.ReplicationMaxWait <= 0 {
-		c.ReplicationMaxWait = 30 * time.Second
 	}
 	// SearchWorkers and ShardWorkers are passed through: anonymize.Options
 	// already treats values below 1 as one per CPU core. MemoMaxBytes is
@@ -211,7 +200,7 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		store:    cfg.Store,
 	}
-	s.jobs = newJobManager(cfg.JobWorkers, cfg.JobQueueSize, cfg.JobHistory, s.metrics)
+	s.jobs = newJobManager(cfg.JobWorkers, cfg.JobQueueSize, jobHistory, s.metrics)
 	s.ready.Store(!cfg.ReadOnly)
 	s.routes()
 	return s

@@ -6,8 +6,10 @@
 // internal/replica, internal/anonymize, internal/bucket and the ckvet
 // suite — every exported
 // type, function, method, constant and variable must carry a doc comment,
-// so pkg.go.dev never renders a bare name. It exits non-zero listing every
-// offender.
+// so pkg.go.dev never renders a bare name — and (3) checks every fuzz
+// target outside bench/ has a `-fuzz <Name>` line for its package
+// directory in the Makefile's fuzz-smoke recipe, so a new target cannot
+// silently miss CI's fuzz job. It exits non-zero listing every offender.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -24,6 +27,7 @@ import (
 func main() {
 	var problems []string
 	problems = append(problems, checkMarkdown()...)
+	problems = append(problems, checkFuzzSmoke()...)
 	problems = append(problems, checkDocComments(".", "ckprivacy")...)
 	problems = append(problems, checkDocComments("internal/server", "server")...)
 	problems = append(problems, checkDocComments("internal/store", "store")...)
@@ -50,7 +54,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links and doc-comment coverage OK")
+	fmt.Println("docscheck: markdown links, doc-comment coverage and fuzz-smoke list OK")
 }
 
 // ---- markdown link checking ----
@@ -131,6 +135,91 @@ func headingAnchors(text string) map[string]bool {
 		anchors[slug] = true
 	}
 	return anchors
+}
+
+// ---- fuzz-smoke coverage ----
+
+// fuzzLineRE matches one fuzz-smoke recipe line, capturing the package
+// directory and the target name:
+// $(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALReplay -fuzztime ...
+var fuzzLineRE = regexp.MustCompile(`\btest\s+(\S+)\s.*-fuzz\s+(\S+)`)
+
+// checkFuzzSmoke reports every func Fuzz* in a _test.go file outside
+// bench/ (a module of its own) that the Makefile's fuzz-smoke recipe does
+// not run from the target's package directory.
+func checkFuzzSmoke() []string {
+	listed, err := fuzzSmokeTargets("Makefile")
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	var problems []string
+	err = filepath.WalkDir(".", func(file string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if file != "." && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				continue
+			}
+			if !listed[dir+" "+fn.Name.Name] {
+				problems = append(problems, fmt.Sprintf(
+					"%s: fuzz target %s has no `-fuzz %s` line for package directory %s in the Makefile's fuzz-smoke recipe",
+					file, fn.Name.Name, fn.Name.Name, dir))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+	}
+	return problems
+}
+
+// fuzzSmokeTargets returns the "dir name" pairs the fuzz-smoke recipe
+// runs, dir being the cleaned package directory ("internal/store", or
+// "." for the root).
+func fuzzSmokeTargets(makefile string) (map[string]bool, error) {
+	data, err := os.ReadFile(makefile)
+	if err != nil {
+		return nil, err
+	}
+	listed := map[string]bool{}
+	inRecipe := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "fuzz-smoke:") {
+			inRecipe = true
+			continue
+		}
+		if !inRecipe {
+			continue
+		}
+		if !strings.HasPrefix(line, "\t") {
+			break
+		}
+		if m := fuzzLineRE.FindStringSubmatch(line); m != nil {
+			listed[path.Clean(m[1])+" "+m[2]] = true
+		}
+	}
+	if !inRecipe {
+		return nil, fmt.Errorf("%s has no fuzz-smoke recipe", makefile)
+	}
+	return listed, nil
 }
 
 // ---- doc-comment coverage ----

@@ -218,10 +218,10 @@ func TestMaxDisclosureCommonConsequentK0(t *testing.T) {
 	ratEq(t, res.Prob, 2, 5, "k=0 max disclosure")
 }
 
-// TestMaxDisclosureFig3K1 documents the erratum described in DESIGN.md §6:
-// the true maximum over L¹_basic for Figure 3 is 2/3 (via the
-// within-bucket implication lung → flu, i.e. ¬lung), not the paper's
-// quoted 10/19.
+// TestMaxDisclosureFig3K1 documents the erratum recorded under
+// "Deviations from the paper" in docs/PAPER-MAP.md: the true maximum over
+// L¹_basic for Figure 3 is 2/3 (via the within-bucket implication
+// lung → flu, i.e. ¬lung), not the paper's quoted 10/19.
 func TestMaxDisclosureFig3K1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("brute force over 1800 worlds")
