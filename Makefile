@@ -54,10 +54,12 @@ lint:
 ## docs-check keeps the prose honest (mirrors the CI docs job): every
 ## relative markdown link in README.md + docs/ must resolve, every
 ## exported symbol of the public package and internal/server must carry a
-## doc comment, and every func Fuzz* outside bench/ must have a line in
-## fuzz-smoke below. The same tool output gates CI, so broken links, bare
-## exported names and unlisted fuzz targets fail the build, not a
-## reviewer's patience.
+## doc comment, every func Fuzz* outside bench/ must have a line in
+## fuzz-smoke below, and every row of ARCHITECTURE's "Production paths
+## and their oracles" table must name parity tests that some _test.go
+## defines. The same tool output gates CI, so broken links, bare exported
+## names, unlisted fuzz targets and oracle rows without tests fail the
+## build, not a reviewer's patience.
 docs-check:
 	$(GO) run ./internal/tools/docscheck
 
@@ -119,9 +121,10 @@ loadtest-replica:
 ## CI fuzz job runs this list in full; docs-check fails on a target
 ## missing from it): the store decoders (snapshot/WAL
 ## hardening), the logic parsers, the MINIMIZE2 kernel against its
-## recursive oracle, and the dataset-spec registration path. Long enough
-## to catch a regression, short enough for every push. Raise FUZZ_TIME
-## for a real session.
+## recursive oracle, the dataset-spec registration path, and appends
+## against a rebuild of the grown table. Long enough to catch a
+## regression, short enough for every push. Raise FUZZ_TIME for a real
+## session.
 FUZZ_TIME ?= 20s
 
 fuzz-smoke:
@@ -132,6 +135,7 @@ fuzz-smoke:
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseAtom -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/dataload/ -run '^$$' -fuzz FuzzFromSpec -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/anonymize/ -run '^$$' -fuzz FuzzAppendMatchesRebuild -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

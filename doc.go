@@ -36,14 +36,20 @@
 //	)
 //	d, _ := ckprivacy.MaxDisclosure(bz, 1) // 2/3
 //
-// The Engine behind MaxDisclosure memoizes MINIMIZE1 tables across calls
-// (the paper's §3.3.3 incremental-recomputation remark) in a sharded cache
-// keyed by a 64-bit fingerprint of (histogram, k), byte-bounded
-// (EngineConfig.MemoMaxBytes, default 64 MiB) with CLOCK second-chance
-// eviction and per-shard in-flight deduplication, so a long-lived engine
-// serving many datasets plateaus in memory while racing workers compute
-// each missing entry exactly once. Eviction only ever costs
-// recomputation: disclosure values are byte-identical at every capacity.
+// The Engine behind MaxDisclosure memoizes MINIMIZE1 across calls (the
+// paper's §3.3.3 incremental-recomputation remark): one entry per bucket
+// histogram holds its MINIMIZE1 values for every atom count up to the
+// largest k asked so far, built from one shared DP table and grown in
+// place when a larger k asks, so a disclosure call costs one memo lookup
+// per distinct histogram. The cache is sharded, keyed by a 64-bit
+// fingerprint of the histogram, byte-bounded (EngineConfig.MemoMaxBytes,
+// default 64 MiB) with CLOCK second-chance eviction and per-shard
+// in-flight deduplication, so a long-lived engine serving many datasets
+// plateaus in memory while racing workers compute each missing row
+// exactly once. Eviction only ever costs recomputation: disclosure values
+// are byte-identical at every capacity. Engine.Series answers every k up
+// to a bound from one DP pass, each value bit-identical to MaxDisclosure
+// at that k.
 //
 // Everything bucketization-heavy computes on a columnar substrate, and a
 // Problem owns it: NewProblem dictionary-encodes the table once

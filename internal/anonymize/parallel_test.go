@@ -170,7 +170,7 @@ func TestBoundedMemoSearchParity(t *testing.T) {
 	// overhead, so entries are actually cached and then actually evicted
 	// mid-search (asserted below) — a cap below one entry per shard would
 	// just skip caching and test nothing.
-	tiny := core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: 1 << 10, Shards: 2})
+	tiny := core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: 1 << 9, Shards: 2})
 	engines := []*core.Engine{
 		core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: -1}),
 		core.NewEngine(),

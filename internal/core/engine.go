@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -8,11 +9,11 @@ import (
 )
 
 // DefaultMemoMaxBytes is the default capacity bound of an Engine's
-// MINIMIZE1 memo: roughly 64 MiB of accounted entry bytes. A memoized entry
+// MINIMIZE1 memo: roughly 64 MiB of accounted entry bytes. A memoized row
 // costs on the order of 100–300 bytes, so the default holds a few hundred
-// thousand distinct (histogram, atom-count) pairs — far more than any one
-// dataset's lattice produces, while keeping a long-lived daemon serving an
-// open-ended stream of datasets at a bounded resident size.
+// thousand distinct histograms — far more than any one dataset's lattice
+// produces, while keeping a long-lived daemon serving an open-ended stream
+// of datasets at a bounded resident size.
 const DefaultMemoMaxBytes = 64 << 20
 
 // defaultMemoShards is the default shard count. Must be a power of two so
@@ -22,7 +23,7 @@ const defaultMemoShards = 32
 // EngineConfig tunes an Engine's memo.
 type EngineConfig struct {
 	// MemoMaxBytes bounds the total accounted size of memoized MINIMIZE1
-	// entries across all shards. Zero means DefaultMemoMaxBytes; a negative
+	// rows across all shards. Zero means DefaultMemoMaxBytes; a negative
 	// value disables the bound entirely (the pre-bound behavior, useful for
 	// one-shot batch runs and A/B tests).
 	MemoMaxBytes int64
@@ -32,24 +33,30 @@ type EngineConfig struct {
 	Shards int
 }
 
-// Engine computes maximum disclosure, memoizing MINIMIZE1 tables by bucket
+// Engine computes maximum disclosure, memoizing MINIMIZE1 rows by bucket
 // histogram. Buckets with equal sensitive-value histograms share all DP
 // state, and the cache persists across calls, implementing the paper's
 // §3.3.3 remark about incremental recomputation when bucketizations share
 // buckets (as the Figure 6 sweep over 72 generalizations heavily does).
 //
+// A memo entry holds one histogram's row u[0..K], u[j] being MINIMIZE1
+// with j atoms, built from one DP table whose states every j shares (see
+// m1Row). A request for a longer row recomputes it at the larger K and
+// replaces the resident one, so each histogram costs one lookup per
+// disclosure call whatever its k.
+//
 // The memo is sharded N ways and keyed by a 64-bit FNV-1a fingerprint of
-// (histogram, atom count) — the hot path never materializes signature
-// strings. Each shard is byte-accounted against a per-shard slice of
-// MemoMaxBytes and evicted with a CLOCK second-chance policy, so a
-// long-lived engine serving many datasets plateaus instead of leaking.
-// Fingerprint hits verify the stored key, so a (cryptographically unlikely)
-// 64-bit collision degrades to an uncached computation, never a wrong value.
+// the histogram — the hot path never materializes signature strings. Each
+// shard is byte-accounted against a per-shard slice of MemoMaxBytes and
+// evicted with a CLOCK second-chance policy, so a long-lived engine
+// serving many datasets plateaus instead of leaking. Fingerprint hits
+// verify the stored histogram, so a (cryptographically unlikely) 64-bit
+// collision degrades to an uncached computation, never a wrong value.
 //
 // An Engine is safe for concurrent use. Workers racing on the same missing
-// entry deduplicate in flight: the first computes, the rest wait and share
-// the result, so each distinct entry is computed (and counted as a miss)
-// exactly once.
+// row deduplicate in flight: the first computes, the rest wait and share
+// the result, so each distinct row is computed (and counted as a miss)
+// once.
 type Engine struct {
 	shards    []memoShard
 	shardMask uint64
@@ -61,35 +68,34 @@ type Engine struct {
 	evictions atomic.Uint64
 }
 
-// memoEntry is one resident memo slot. The key and value are immutable;
-// ref is atomic so the hit path can set it under the shard's read lock.
+// memoEntry is one resident memo slot. The key is immutable; row is
+// guarded by the shard lock and replaced, never written, when a longer
+// row is stored. ref is atomic so the hit path can set it after dropping
+// the shard's read lock.
 type memoEntry struct {
 	fp   uint64
-	j    int
-	hist []int // owned copy of the key histogram, for collision verification
-	val  m1Entry
-	ref  atomic.Bool // CLOCK second-chance bit, set on every hit
+	hist []int     // owned copy of the key histogram, for collision verification
+	row  []float64 // u[0..K] with u[0] = 1
+	ref  atomic.Bool
 }
 
 // memoEntryOverhead approximates the fixed per-entry heap cost beyond the
 // two slices: the entry struct, its map bucket share and its ring slot.
 const memoEntryOverhead = 96
 
-func (me *memoEntry) cost() int64 {
-	return memoEntryOverhead + int64(len(me.hist))*8 + int64(len(me.val.comp))*8
-}
+// entryCost is the accounted size of an entry holding a histogram of hl
+// counts and a row of rl values.
+func entryCost(hl, rl int) int64 { return memoEntryOverhead + 8*int64(hl+rl) }
 
-func (me *memoEntry) matches(hist []int, j int) bool {
-	return sameKey(me.hist, me.j, hist, j)
-}
+func (me *memoEntry) cost() int64 { return entryCost(len(me.hist), len(me.row)) }
 
-// memoCall is an in-flight MINIMIZE1 computation other workers can wait on.
+// memoCall is an in-flight row computation other workers can wait on.
 type memoCall struct {
-	wg   sync.WaitGroup
-	hist []int
-	j    int
-	val  m1Entry
-	// panicked marks a computation that died before producing val; waiters
+	wg    sync.WaitGroup
+	hist  []int
+	width int
+	row   []float64
+	// panicked marks a computation that died before producing row; waiters
 	// then compute for themselves (and propagate the same panic on their
 	// own goroutine, confining it per-caller as the pre-dedup memo did).
 	panicked bool
@@ -99,7 +105,8 @@ type memoCall struct {
 // a CLOCK ring over its resident entries, and the in-flight table. Hits
 // take only the read lock (the CLOCK bit is atomic), so concurrent workers
 // hammering the same hot entries — the level-wise searches' steady state —
-// never serialize; misses, inserts and eviction take the write lock.
+// never serialize; misses, inserts, growth and eviction take the write
+// lock.
 type memoShard struct {
 	mu       sync.RWMutex
 	entries  map[uint64]*memoEntry
@@ -168,9 +175,9 @@ func fnvWord(h, v uint64) uint64 {
 	return h
 }
 
-// histPrefix hashes a histogram: the part of a memo fingerprint shared by
-// every atom count j. The MINIMIZE2 row pass hashes each histogram once
-// and finishes the prefix per j with withJ.
+// histPrefix is the memo key of a histogram: 64-bit FNV-1a over its
+// counts. The MINIMIZE2 row pass also keys its per-call histogram dedupe
+// with it, so each histogram is hashed once per call.
 func histPrefix(hist []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range hist {
@@ -179,28 +186,22 @@ func histPrefix(hist []int) uint64 {
 	return h
 }
 
-// withJ finishes a histogram prefix with the atom count j.
-func withJ(prefix uint64, j int) uint64 { return fnvWord(prefix, uint64(j)) }
-
-// fingerprint is the memo key hash of (hist, j): 64-bit FNV-1a over the
-// histogram's counts, then j.
-func fingerprint(hist []int, j int) uint64 { return withJ(histPrefix(hist), j) }
-
 // CacheStats is a point-in-time snapshot of memo effectiveness and
 // residency; the serving layer exports it on /metrics.
 type CacheStats struct {
-	// Hits counts MINIMIZE1 lookups answered from the memo — including
+	// Hits counts MINIMIZE1 row lookups answered from the memo — including
 	// lookups that waited on another worker's in-flight computation.
 	Hits uint64
-	// Misses counts lookups that had to run the DP. With in-flight
-	// deduplication each distinct entry is computed, and counted, once.
+	// Misses counts row lookups that had to run the DP, a row grown for a
+	// larger k included. With in-flight deduplication each distinct row is
+	// computed, and counted, once.
 	Misses uint64
 	// Evictions counts entries dropped by the CLOCK policy to stay under
 	// the configured byte bound.
 	Evictions uint64
 	// Bytes is the accounted resident size of the memo.
 	Bytes int64
-	// Entries is the number of resident memo entries.
+	// Entries is the number of resident memo entries, one per histogram.
 	Entries int
 }
 
@@ -213,74 +214,71 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// m1 returns the memoized MINIMIZE1 entry for (hist, j), computing, caching
-// and deduplicating as needed. MINIMIZE1 with zero atoms is the constant 1,
-// so j = 0 never touches the memo: no (hist, 0) entry is stored or counted.
-func (e *Engine) m1(hist []int, j int) m1Entry {
-	if j == 0 {
-		return m1Entry{val: 1}
-	}
-	return e.lookup(fingerprint(hist, j), hist, j)
-}
-
-// lookup is m1 for a caller that already holds fp = fingerprint(hist, j).
-func (e *Engine) lookup(fp uint64, hist []int, j int) m1Entry {
+// row returns a MINIMIZE1 row of hist at least width long — u[j] for
+// j < width, u[0] = 1 — computing, caching and deduplicating as needed.
+// fp is histPrefix(hist). A resident row at least width long is a hit; a
+// shorter one is recomputed at the new width and replaces it. The
+// returned row may be longer than width and is shared: callers must not
+// write it.
+func (e *Engine) row(fp uint64, hist []int, width int) []float64 {
 	s := &e.shards[fp&e.shardMask]
 
 	// Fast path: a resident hit needs only the read lock.
 	s.mu.RLock()
-	me, ok := s.entries[fp]
+	me := s.entries[fp]
+	var row []float64
+	if me != nil {
+		row = me.row
+	}
 	s.mu.RUnlock()
-	if ok {
-		if me.matches(hist, j) {
-			me.ref.Store(true)
-			e.hits.Add(1)
-			return me.val
-		}
-		// A true 64-bit fingerprint collision: compute uncached rather than
-		// thrash the resident entry.
-		e.misses.Add(1)
-		return m1Compute(hist, j)
+	if me != nil && len(row) >= width && slices.Equal(me.hist, hist) {
+		me.ref.Store(true)
+		e.hits.Add(1)
+		return row
 	}
 
 	s.mu.Lock()
-	// Re-check under the write lock: another worker may have inserted (or
-	// registered an in-flight computation of) this key in between.
-	if me, ok := s.entries[fp]; ok {
-		s.mu.Unlock()
-		if me.matches(hist, j) {
+	// Re-check under the write lock: another worker may have stored (or
+	// registered an in-flight computation of) this histogram in between.
+	if me := s.entries[fp]; me != nil {
+		if !slices.Equal(me.hist, hist) {
+			// A true 64-bit fingerprint collision: compute uncached rather
+			// than thrash the resident entry.
+			s.mu.Unlock()
+			e.misses.Add(1)
+			return m1Row(hist, width-1)
+		}
+		if row := me.row; len(row) >= width {
+			s.mu.Unlock()
 			me.ref.Store(true)
 			e.hits.Add(1)
-			return me.val
+			return row
 		}
-		e.misses.Add(1)
-		return m1Compute(hist, j)
 	}
 	if call, ok := s.inflight[fp]; ok {
-		collided := !sameKey(call.hist, call.j, hist, j)
 		s.mu.Unlock()
-		if collided {
-			e.misses.Add(1)
-			return m1Compute(hist, j)
+		if slices.Equal(call.hist, hist) && call.width >= width {
+			call.wg.Wait()
+			if !call.panicked {
+				e.hits.Add(1)
+				return call.row
+			}
 		}
-		call.wg.Wait()
-		if call.panicked {
-			e.misses.Add(1)
-			return m1Compute(hist, j)
-		}
-		e.hits.Add(1)
-		return call.val
+		// A collision, a narrower row in flight or a panicked computation:
+		// compute uncached.
+		e.misses.Add(1)
+		return m1Row(hist, width-1)
 	}
-	call := &memoCall{hist: hist, j: j}
+	call := &memoCall{hist: hist, width: width}
 	call.wg.Add(1)
 	s.inflight[fp] = call
 	s.mu.Unlock()
 
-	// The cleanup is deferred so a panic in the DP (or in insertLocked)
-	// can never strand the in-flight entry or the shard lock: waiters
-	// would otherwise block forever and the shard would wedge every worker
+	// The cleanup is deferred so a panic in the DP (or in storeLocked) can
+	// never strand the in-flight entry or the shard lock: waiters would
+	// otherwise block forever and the shard would wedge every worker
 	// hashing to it. Done is registered first so it runs last, after
-	// panicked/val are settled.
+	// panicked/row are settled.
 	e.misses.Add(1)
 	completed := false
 	defer call.wg.Done()
@@ -289,52 +287,51 @@ func (e *Engine) lookup(fp uint64, hist []int, j int) m1Entry {
 		defer s.mu.Unlock()
 		delete(s.inflight, fp)
 		if completed {
-			e.insertLocked(s, fp, hist, j, call.val)
+			e.storeLocked(s, fp, hist, call.row)
 		} else {
 			call.panicked = true
 		}
 	}()
-	call.val = m1Compute(hist, j)
+	call.row = m1Row(hist, width-1)
 	completed = true
-	return call.val
+	return call.row
 }
 
-func sameKey(aHist []int, aJ int, bHist []int, bJ int) bool {
-	if aJ != bJ || len(aHist) != len(bHist) {
-		return false
-	}
-	for i := range aHist {
-		if aHist[i] != bHist[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// insertLocked stores a computed entry, evicting via CLOCK until it fits.
+// storeLocked makes row the resident row of hist: it inserts a new entry,
+// or gives a resident entry with a shorter row the longer one in place
+// (the entry keeps its CLOCK ring slot). It evicts other entries via CLOCK
+// until the shard fits its budget; an entry that alone would exceed the
+// budget is not stored, and a resident entry then keeps its shorter row.
 // The caller holds s.mu.
-func (e *Engine) insertLocked(s *memoShard, fp uint64, hist []int, j int, val m1Entry) {
-	if _, exists := s.entries[fp]; exists {
+func (e *Engine) storeLocked(s *memoShard, fp uint64, hist []int, row []float64) {
+	me := s.entries[fp]
+	if me != nil && (len(me.row) >= len(row) || !slices.Equal(me.hist, hist)) {
 		return
 	}
-	me := &memoEntry{
-		fp:   fp,
-		j:    j,
-		hist: append([]int(nil), hist...),
-		val:  val,
+	cost := entryCost(len(hist), len(row))
+	grow, others := cost, len(s.ring)
+	if me != nil {
+		grow -= me.cost()
+		others--
 	}
-	me.ref.Store(true)
-	cost := me.cost()
 	if e.perShardMax > 0 {
 		if cost > e.perShardMax {
 			// An entry larger than a whole shard's budget would evict
 			// everything and immediately be evicted itself; skip caching.
 			return
 		}
-		for s.bytes.Load()+cost > e.perShardMax && len(s.ring) > 0 {
-			e.evictOneLocked(s)
+		for ; s.bytes.Load()+grow > e.perShardMax && others > 0; others-- {
+			e.evictOneLocked(s, me)
 		}
 	}
+	if me != nil {
+		me.row = row
+		me.ref.Store(true)
+		s.bytes.Add(grow)
+		return
+	}
+	me = &memoEntry{fp: fp, hist: append([]int(nil), hist...), row: row}
+	me.ref.Store(true)
 	s.ring = append(s.ring, me)
 	s.entries[fp] = me
 	s.bytes.Add(cost)
@@ -342,15 +339,15 @@ func (e *Engine) insertLocked(s *memoShard, fp uint64, hist []int, j int, val m1
 }
 
 // evictOneLocked advances the CLOCK hand, clearing second-chance bits,
-// until it drops one entry. The caller holds s.mu and guarantees the ring
-// is non-empty.
-func (e *Engine) evictOneLocked(s *memoShard) {
+// until it drops one entry other than keep (nil keeps none). The caller
+// holds s.mu and guarantees the ring holds such an entry.
+func (e *Engine) evictOneLocked(s *memoShard, keep *memoEntry) {
 	for {
 		if s.hand >= len(s.ring) {
 			s.hand = 0
 		}
 		me := s.ring[s.hand]
-		if me.ref.Load() {
+		if me == keep || me.ref.Load() {
 			me.ref.Store(false)
 			s.hand++
 			continue
@@ -367,9 +364,9 @@ func (e *Engine) evictOneLocked(s *memoShard) {
 	}
 }
 
-// CacheSize reports the number of distinct (histogram, atom-count) entries
-// resident in the memo. It reads per-shard atomic counters and never takes
-// a shard lock, so a metrics scrape cannot stall DP workers.
+// CacheSize reports the number of distinct histogram rows resident in the
+// memo. It reads per-shard atomic counters and never takes a shard lock,
+// so a metrics scrape cannot stall DP workers.
 func (e *Engine) CacheSize() int {
 	n := int64(0)
 	for i := range e.shards {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,48 +16,48 @@ import (
 // Fingerprint keying
 // ---------------------------------------------------------------------------
 
-// TestFingerprintDistinguishesKeys checks the pairs most likely to alias
-// under a sloppy hash: concatenation boundaries, length changes, and the
-// histogram/atom-count split.
+// TestFingerprintDistinguishesKeys checks the histograms most likely to
+// alias under a sloppy hash: concatenation boundaries, length changes and
+// reorderings.
 func TestFingerprintDistinguishesKeys(t *testing.T) {
-	type key struct {
-		hist []int
-		j    int
+	cases := [][]int{
+		{1, 2},
+		{12},
+		{1, 23},
+		{12, 3},
+		{1},
+		{1, 2, 3},
+		{3, 2, 1},
+		{256},
+		{1, 256},
+		{256, 1},
+		{1, 1},
+		nil,
 	}
-	cases := []key{
-		{[]int{1, 2}, 3},
-		{[]int{12}, 3},
-		{[]int{1}, 23},
-		{[]int{1, 2, 3}, 0},
-		{[]int{1, 2}, 0},
-		{[]int{3, 2, 1}, 0},
-		{[]int{1, 2, 3}, 1},
-		{[]int{256}, 1},
-		{[]int{1}, 256},
-		{nil, 1},
-		{nil, 0},
-	}
-	seen := make(map[uint64]key)
-	for _, c := range cases {
-		fp := fingerprint(c.hist, c.j)
-		if split := withJ(histPrefix(c.hist), c.j); fp != split {
-			t.Errorf("fingerprint(%v, %d) = %#x, but the row pass's withJ(histPrefix) = %#x", c.hist, c.j, fp, split)
-		}
+	seen := make(map[uint64][]int)
+	for _, hist := range cases {
+		fp := histPrefix(hist)
 		if prev, ok := seen[fp]; ok {
-			t.Errorf("fingerprint collision between %+v and %+v", prev, c)
+			t.Errorf("fingerprint collision between %v and %v", prev, hist)
 		}
-		seen[fp] = c
+		seen[fp] = hist
 	}
+}
+
+// memoM1 is the MINIMIZE1 value of hist with j atoms, read through the
+// engine's row memo.
+func memoM1(e *Engine, hist []int, j int) float64 {
+	return e.row(histPrefix(hist), hist, j+1)[j]
 }
 
 // stringMemo replicates the pre-sharding engine memo: a string-signature-
-// keyed map of per-j MINIMIZE1 entries. It is the reference the bounded,
-// fingerprint-keyed memo must agree with byte-for-byte.
+// keyed map of per-j MINIMIZE1 values. It is the reference the bounded,
+// fingerprint-keyed row memo must agree with bit for bit.
 type stringMemo struct {
-	m map[string]map[int]m1Entry
+	m map[string]map[int]float64
 }
 
-func (sm *stringMemo) m1(hist []int, j int) m1Entry {
+func (sm *stringMemo) m1(hist []int, j int) float64 {
 	var sb strings.Builder
 	for i, c := range hist {
 		if i > 0 {
@@ -70,31 +69,29 @@ func (sm *stringMemo) m1(hist []int, j int) m1Entry {
 	if e, ok := sm.m[sig][j]; ok {
 		return e
 	}
-	e := m1Compute(hist, j)
+	e := m1Compute(hist, j).val
 	if sm.m[sig] == nil {
-		sm.m[sig] = make(map[int]m1Entry)
+		sm.m[sig] = make(map[int]float64)
 	}
 	sm.m[sig][j] = e
 	return e
 }
 
 // TestMemoMatchesStringKeyedReference drives the corpus of random
-// histograms through the fingerprint-keyed memo and the old string-keyed
-// reference, asserting bit-identical values and identical compositions.
+// histograms, at atom counts in random order so rows are hit, read by
+// prefix and grown, through the fingerprint-keyed row memo and the old
+// string-keyed reference, asserting bit-identical values.
 func TestMemoMatchesStringKeyedReference(t *testing.T) {
 	e := NewEngine()
-	ref := &stringMemo{m: make(map[string]map[int]m1Entry)}
+	ref := &stringMemo{m: make(map[string]map[int]float64)}
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
 		hist := randomHistogram(rng, 1+rng.Intn(6), 1+rng.Intn(9))
 		j := rng.Intn(8)
-		got := e.m1(hist, j)
+		got := memoM1(e, hist, j)
 		want := ref.m1(hist, j)
-		if math.Float64bits(got.val) != math.Float64bits(want.val) {
-			t.Fatalf("m1(%v, %d).val = %v, reference %v", hist, j, got.val, want.val)
-		}
-		if !reflect.DeepEqual(got.comp, want.comp) {
-			t.Fatalf("m1(%v, %d).comp = %v, reference %v", hist, j, got.comp, want.comp)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("memo u(%v, %d) = %v, reference %v", hist, j, got, want)
 		}
 	}
 }
@@ -122,7 +119,7 @@ func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 	engines := map[string]*Engine{
 		"unbounded": NewEngineWithConfig(EngineConfig{MemoMaxBytes: -1}),
 		"default":   NewEngine(),
-		"tiny":      NewEngineWithConfig(EngineConfig{MemoMaxBytes: 2 << 10, Shards: 4}),
+		"tiny":      NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10, Shards: 4}),
 	}
 	rng := rand.New(rand.NewSource(11))
 	var instances []*bucket.Bucketization
@@ -166,23 +163,22 @@ func TestCollisionReturnsCorrectValue(t *testing.T) {
 	e := NewEngine()
 	hist := []int{3, 2, 1}
 	j := 2
-	fp := fingerprint(hist, j)
+	fp := histPrefix(hist)
 	s := &e.shards[fp&e.shardMask]
-	bogus := m1Entry{val: -42, comp: []int{9}}
 	s.mu.Lock()
-	e.insertLocked(s, fp, []int{9, 9, 9}, 5, bogus) // different key, same fp
+	e.storeLocked(s, fp, []int{9, 9, 9}, []float64{1, -42, -42, -42}) // different key, same fp
 	s.mu.Unlock()
 
-	got := e.m1(hist, j)
+	got := memoM1(e, hist, j)
 	want := m1Compute(hist, j)
-	if math.Float64bits(got.val) != math.Float64bits(want.val) {
-		t.Fatalf("collision lookup returned %v, want %v", got.val, want.val)
+	if math.Float64bits(got) != math.Float64bits(want.val) {
+		t.Fatalf("collision lookup returned %v, want %v", got, want.val)
 	}
 	// The resident collider must be untouched (no thrash).
 	s.mu.Lock()
 	resident := s.entries[fp]
 	s.mu.Unlock()
-	if resident == nil || resident.val.val != -42 {
+	if resident == nil || resident.row[j] != -42 {
 		t.Error("collision displaced the resident entry")
 	}
 }
@@ -202,7 +198,7 @@ func TestInflightDedupCountsOneMiss(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			vals[w] = e.m1(hist, 3).val
+			vals[w] = memoM1(e, hist, 3)
 		}(w)
 	}
 	close(start)
@@ -222,6 +218,130 @@ func TestInflightDedupCountsOneMiss(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
+// Histogram rows
+// ---------------------------------------------------------------------------
+
+// TestRowMatchesM1Compute: every entry of a MINIMIZE1 row, built from one
+// DP table shared by all its atom counts, is bit-identical to m1Compute's
+// own table at that atom count.
+func TestRowMatchesM1Compute(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 2000; iter++ {
+		hist := randomHistogram(rng, 1+rng.Intn(15), 1+rng.Intn(40))
+		k := rng.Intn(14)
+		row := m1Row(hist, k)
+		if len(row) != k+1 {
+			t.Fatalf("m1Row(%v, %d) has %d entries", hist, k, len(row))
+		}
+		for j, got := range row {
+			if want := m1Compute(hist, j).val; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("m1Row(%v, %d)[%d] = %v, m1Compute %v", hist, k, j, got, want)
+			}
+		}
+	}
+}
+
+// checkAccounting asserts that each shard's accounted bytes and count are
+// exactly those of its resident entries and within the per-shard budget.
+func checkAccounting(t *testing.T, e *Engine) {
+	t.Helper()
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.mu.RLock()
+		var bytes int64
+		for _, me := range s.ring {
+			bytes += me.cost()
+		}
+		gotBytes, gotCount, n := s.bytes.Load(), s.count.Load(), len(s.ring)
+		s.mu.RUnlock()
+		if gotBytes != bytes || gotCount != int64(n) {
+			t.Fatalf("shard %d accounts %d bytes / %d entries, holds %d / %d", i, gotBytes, gotCount, bytes, n)
+		}
+		if e.perShardMax > 0 && bytes > e.perShardMax {
+			t.Fatalf("shard %d holds %d bytes, budget %d", i, bytes, e.perShardMax)
+		}
+	}
+}
+
+// TestRowGrowth: asking k = 1 and then k = 11 of one histogram leaves one
+// entry holding the longer row, accounted at its exact cost; and an engine
+// with a tiny cap keeps every shard within budget, with exact accounting,
+// while rows grow and evict.
+func TestRowGrowth(t *testing.T) {
+	bz := bucket.FromValues([]string{"a", "a", "a", "b", "b", "c", "d"})
+	hist := bz.Buckets[0].Histogram()
+	e := NewEngine()
+	for _, k := range []int{1, 11} {
+		if _, err := e.MaxDisclosure(bz, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if want := entryCost(len(hist), 11+2); st.Entries != 1 || st.Bytes != want {
+		t.Errorf("after k = 1 then 11: %d entries, %d bytes; want 1 entry of %d bytes", st.Entries, st.Bytes, want)
+	}
+	if st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("hits %d, misses %d; want 0 and 2 (one build, one growth)", st.Hits, st.Misses)
+	}
+	// A shorter request now reads a prefix of the grown row.
+	if _, err := e.MaxDisclosure(bz, 3); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("k = 3 after k = 11: %+v, want one hit and one entry", st)
+	}
+	checkAccounting(t, e)
+
+	tiny := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 2 << 10, Shards: 2})
+	rng := rand.New(rand.NewSource(19))
+	pool := make([][]int, 24)
+	for i := range pool {
+		pool[i] = randomHistogram(rng, 1+rng.Intn(8), 1+rng.Intn(30))
+	}
+	for iter := 0; iter < 3000; iter++ {
+		hist := pool[rng.Intn(len(pool))]
+		j := rng.Intn(14)
+		if got, want := memoM1(tiny, hist, j), m1Compute(hist, j).val; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("tiny memo u(%v, %d) = %v, want %v", hist, j, got, want)
+		}
+		checkAccounting(t, tiny)
+	}
+	if st := tiny.Stats(); st.Evictions == 0 {
+		t.Errorf("tiny engine never evicted while rows grew: %+v", st)
+	}
+}
+
+// TestRowGrowthConcurrent races workers asking random widths of a few
+// histograms on a small engine, so rows are built, shared in flight,
+// grown and evicted concurrently: every value must equal m1Compute's and
+// the accounting must stay exact.
+func TestRowGrowthConcurrent(t *testing.T) {
+	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10, Shards: 2})
+	rng := rand.New(rand.NewSource(23))
+	pool := make([][]int, 6)
+	for i := range pool {
+		pool[i] = randomHistogram(rng, 1+rng.Intn(8), 1+rng.Intn(30))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for iter := 0; iter < 300; iter++ {
+				hist, j := pool[rng.Intn(len(pool))], rng.Intn(14)
+				if got, want := memoM1(e, hist, j), m1Compute(hist, j).val; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("u(%v, %d) = %v, want %v", hist, j, got, want)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	checkAccounting(t, e)
+}
+
+// ---------------------------------------------------------------------------
 // Capacity bound and churn
 // ---------------------------------------------------------------------------
 
@@ -235,7 +355,7 @@ func TestMemoChurnPlateau(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 5000; iter++ {
 		hist := randomHistogram(rng, 1+rng.Intn(8), 1+rng.Intn(50))
-		e.m1(hist, rng.Intn(6))
+		memoM1(e, hist, rng.Intn(6))
 		if st := e.Stats(); st.Bytes > capBytes {
 			t.Fatalf("iter %d: memo bytes %d exceed the %d cap", iter, st.Bytes, capBytes)
 		}
@@ -257,7 +377,7 @@ func TestResetClearsEverything(t *testing.T) {
 	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 4 << 10, Shards: 2})
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
-		e.m1(randomHistogram(rng, 1+rng.Intn(5), 10), rng.Intn(5))
+		memoM1(e, randomHistogram(rng, 1+rng.Intn(5), 10), rng.Intn(5))
 	}
 	e.Reset()
 	st := e.Stats()
@@ -265,8 +385,8 @@ func TestResetClearsEverything(t *testing.T) {
 		t.Errorf("Reset left state behind: %+v", st)
 	}
 	// The engine must keep working after a reset.
-	if got := e.m1([]int{2, 1}, 1); got.val <= 0 || got.val > 1 {
-		t.Errorf("post-reset m1 = %v", got.val)
+	if got := memoM1(e, []int{2, 1}, 1); got <= 0 || got > 1 {
+		t.Errorf("post-reset m1 = %v", got)
 	}
 }
 
@@ -279,10 +399,10 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	for i := range hist {
 		hist[i] = 64 - i
 	}
-	got := e.m1(hist, 2)
+	got := memoM1(e, hist, 2)
 	want := m1Compute(hist, 2)
-	if math.Float64bits(got.val) != math.Float64bits(want.val) {
-		t.Fatalf("oversized entry computed %v, want %v", got.val, want.val)
+	if math.Float64bits(got) != math.Float64bits(want.val) {
+		t.Fatalf("oversized entry computed %v, want %v", got, want.val)
 	}
 	if n := e.CacheSize(); n != 0 {
 		t.Errorf("oversized entry was cached (%d entries)", n)
@@ -295,20 +415,21 @@ func TestOversizedEntryNotCached(t *testing.T) {
 // JSON artifact.
 // ---------------------------------------------------------------------------
 
-// BenchmarkMemoHit measures the warm lookup path (fingerprint + shard map
-// + CLOCK bit), the per-bucket cost every repeated disclosure check pays.
+// BenchmarkMemoHit measures the warm row lookup (fingerprint + shard map
+// + histogram check + CLOCK bit), the per-histogram cost every repeated
+// disclosure check pays.
 func BenchmarkMemoHit(b *testing.B) {
 	e := NewEngine()
 	hist := []int{5, 4, 3, 2, 1}
-	e.m1(hist, 4)
+	e.row(histPrefix(hist), hist, 6)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkEntry = e.m1(hist, 4)
+		sinkRow = e.row(histPrefix(hist), hist, 6)
 	}
 }
 
-var sinkEntry m1Entry
+var sinkRow []float64
 
 // BenchmarkMemoChurn is the bounded-memory proof for the acceptance
 // criterion: a stream of mostly-fresh histograms far larger than the cap.
@@ -325,7 +446,7 @@ func BenchmarkMemoChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkEntry = e.m1(hists[i%len(hists)], i%6)
+		sinkF = memoM1(e, hists[i%len(hists)], i%6)
 	}
 	b.StopTimer()
 	st := e.Stats()
@@ -366,7 +487,7 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 	e := NewEngine()
 	mustPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		e.m1([]int{2, 1}, -1) // negative j: the scratch sizing panics
+		memoM1(e, []int{2, 1}, -1) // negative j: the row builder panics
 		return false
 	}
 	if !mustPanic() {
@@ -385,10 +506,10 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 		t.Fatal("second lookup deadlocked: the panicked in-flight entry was not cleaned up")
 	}
 	// The shard (and the whole engine) still serves normal traffic.
-	got := e.m1([]int{2, 1}, 1)
+	got := memoM1(e, []int{2, 1}, 1)
 	want := m1Compute([]int{2, 1}, 1)
-	if math.Float64bits(got.val) != math.Float64bits(want.val) {
-		t.Errorf("post-panic m1 = %v, want %v", got.val, want.val)
+	if math.Float64bits(got) != math.Float64bits(want.val) {
+		t.Errorf("post-panic m1 = %v, want %v", got, want.val)
 	}
 	if e.CacheSize() == 0 {
 		t.Error("post-panic insert failed; shard lock likely stranded")

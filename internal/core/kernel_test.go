@@ -13,11 +13,11 @@ import (
 )
 
 // minimize2Oracle is the recursive MINIMIZE2 the flat kernel replaced, kept
-// as its test oracle: a memoized top-down recursion that asks the engine's
-// MINIMIZE1 memo for every (bucket, cnt) it visits. Its tables are
-// allocated per call and NaN-marked for "not yet computed"; the returned
-// scratch is never pooled.
-func (e *Engine) minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratch) {
+// as its test oracle: a memoized top-down recursion that computes
+// MINIMIZE1 with m1Compute for every (bucket, cnt) it visits, sharing no
+// memo or row code with the kernel. Its tables are allocated per call and
+// NaN-marked for "not yet computed"; the returned scratch is never pooled.
+func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratch) {
 	nb := len(views)
 	states := (nb + 1) * (k + 1) * 2
 	sc := &m2Scratch{val: make([]float64, states), choice: make([]m2choice, states), k: k}
@@ -47,7 +47,7 @@ func (e *Engine) minimize2Oracle(views []bucketView, k int, opt Options) (float6
 		best := math.Inf(1)
 		var bestChoice m2choice
 		for cnt := 0; cnt <= h; cnt++ {
-			u := e.m1(v.hist, cnt).val
+			u := m1Compute(v.hist, cnt).val
 			// Option 1: A is not in this bucket.
 			if cand := u * rec(i+1, h-cnt, placed); cand < best {
 				best = cand
@@ -55,7 +55,7 @@ func (e *Engine) minimize2Oracle(views []bucketView, k int, opt Options) (float6
 			}
 			// Option 2: A is in this bucket (with cnt local antecedents).
 			if !placed && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
-				w := e.m1(v.hist, cnt+1).val * ratio
+				w := m1Compute(v.hist, cnt+1).val * ratio
 				if cand := w * rec(i+1, h-cnt, true); cand < best {
 					best = cand
 					bestChoice = m2choice{cnt: cnt, placeHere: true, valid: true}
@@ -99,9 +99,11 @@ func repeatedHistogramGroups(rng *rand.Rand, maxBuckets int) [][]string {
 
 // checkKernelMatchesOracle asserts, for one bucketization and k, that the
 // kernel's MaxDisclosureOpt and Witness are bit-identical to the oracle's
-// under both Options, and that IsCKSafe is MaxDisclosure < c at c, at the
-// disclosure d itself and at its two float neighbours. It returns d.
-func checkKernelMatchesOracle(t testing.TB, e, oracle *Engine, bz *bucket.Bucketization, k int, c float64) float64 {
+// under both Options, that every entry of the single-pass Series(bz, k) is
+// bit-identical to the oracle at its own k, and that IsCKSafe is
+// MaxDisclosure < c at c, at the disclosure d itself and at its two float
+// neighbours. It returns d.
+func checkKernelMatchesOracle(t testing.TB, e *Engine, bz *bucket.Bucketization, k int, c float64) float64 {
 	t.Helper()
 	views := makeViews(bz)
 	var d float64
@@ -110,17 +112,27 @@ func checkKernelMatchesOracle(t testing.TB, e, oracle *Engine, bz *bucket.Bucket
 		if err != nil {
 			t.Fatal(err)
 		}
-		rmin, sc := oracle.minimize2Oracle(views, k, opt)
+		rmin, sc := minimize2Oracle(views, k, opt)
 		if want := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%v k=%d %+v: kernel %v, oracle %v", bz.Buckets, k, opt, got, want)
 		}
 		gotW, gotErr := e.Witness(bz, k, opt, nil)
-		wantW, wantErr := oracle.witnessFrom(views, k, rmin, sc, strconv.Itoa)
+		wantW, wantErr := witnessFrom(views, k, rmin, sc, strconv.Itoa)
 		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotW, wantW) {
 			t.Fatalf("%v k=%d %+v: witness %+v (%v), oracle %+v (%v)", bz.Buckets, k, opt, gotW, gotErr, wantW, wantErr)
 		}
 		if opt == (Options{}) {
 			d = got
+		}
+	}
+	series, err := e.Series(bz, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kk, got := range series {
+		rmin, _ := minimize2Oracle(views, kk, Options{})
+		if want := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: Series(%d)[%d] = %v, oracle %v", bz.Buckets, k, kk, got, want)
 		}
 	}
 	for _, cc := range []float64{c, d, math.Nextafter(d, 0), math.Nextafter(d, 1)} {
@@ -141,25 +153,13 @@ func checkKernelMatchesOracle(t testing.TB, e, oracle *Engine, bz *bucket.Bucket
 // Series, IsCKSafe equal to MaxDisclosure < c at and around the boundary,
 // and IsCKSafe equal to the exact big.Rat decision away from it.
 func TestKernelMatchesOracle(t *testing.T) {
-	e, oracle := NewEngine(), NewEngine()
+	e := NewEngine()
 	rng := rand.New(rand.NewSource(14))
 	for iter := 0; iter < 400; iter++ {
 		bz := bucket.FromValues(repeatedHistogramGroups(rng, 12)...)
 		k := rng.Intn(11)
 		c := rng.Float64()
-		d := checkKernelMatchesOracle(t, e, oracle, bz, k, c)
-
-		series, err := e.Series(bz, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views := makeViews(bz)
-		for kk, got := range series {
-			rmin, _ := oracle.minimize2Oracle(views, kk, Options{})
-			if want := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("Series[%d] = %v, oracle %v", kk, got, want)
-			}
-		}
+		d := checkKernelMatchesOracle(t, e, bz, k, c)
 
 		if k <= 6 && math.Abs(c-d) > 1e-9 {
 			exact, err := e.IsCKSafeExact(bz, new(big.Rat).SetFloat64(c), k)
@@ -214,16 +214,16 @@ func TestIsCKSafeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// memoLookups is the number of MINIMIZE1 memo lookups an engine has made.
+// memoLookups is the number of MINIMIZE1 row lookups an engine has made.
 func memoLookups(e *Engine) uint64 {
 	st := e.Stats()
 	return st.Hits + st.Misses
 }
 
 // TestKernelLookupsPerDistinctHistogram: a MaxDisclosure call over D
-// distinct histograms makes exactly D·(k+1) memo lookups (j = 1..k+1; j = 0
-// is the constant 1), however often each histogram recurs, and stores no
-// j = 0 entry.
+// distinct histograms makes exactly D memo lookups, however often each
+// histogram recurs, and every resident row holds u[0] = 1 and covers the
+// atom counts 0..k+1 the kernel reads.
 func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for iter := 0; iter < 50; iter++ {
@@ -238,15 +238,15 @@ func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 			if _, err := e.MaxDisclosure(bz, k); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := memoLookups(e), uint64(call*len(distinct)*(k+1)); got != want {
+			if got, want := memoLookups(e), uint64(call*len(distinct)); got != want {
 				t.Fatalf("%d buckets, %d distinct histograms, k=%d: %d lookups after %d calls, want %d",
 					len(bz.Buckets), len(distinct), k, got, call, want)
 			}
 		}
 		for i := range e.shards {
 			for _, me := range e.shards[i].entries {
-				if me.j == 0 {
-					t.Fatalf("memo holds a j = 0 entry for %v", me.hist)
+				if len(me.row) < k+2 || me.row[0] != 1 {
+					t.Fatalf("memo row %v for %v: want u[0] = 1 and length >= %d", me.row, me.hist, k+2)
 				}
 			}
 		}
@@ -255,7 +255,7 @@ func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 
 // TestIsCKSafeStopsAtFirstReachingBucket: when bucket 0 alone already
 // reaches c (A and all k antecedents placed there), IsCKSafe answers from
-// bucket 0's row, k+1 lookups, and never reads the other buckets.
+// bucket 0's row, one lookup, and never reads the other buckets.
 func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 	const k = 2
 	// Bucket 0 has more values than k+1 atoms can rule out, so its bound
@@ -278,8 +278,8 @@ func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 	if safe {
 		t.Fatalf("IsCKSafe(c=%v) = true; bucket 0 alone reaches c", c)
 	}
-	if got := memoLookups(e); got != k+1 {
-		t.Errorf("early exit made %d memo lookups, want %d (bucket 0's row only)", got, k+1)
+	if got := memoLookups(e); got != 1 {
+		t.Errorf("early exit made %d memo lookups, want 1 (bucket 0's row only)", got)
 	}
 	// One ulp above bucket 0's bound the exit must not fire on bucket 0, and
 	// the verdict must still be MaxDisclosure < c.
@@ -296,12 +296,13 @@ func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 // FuzzKernelMatchesOracle decodes bytes into at most 8 buckets of at most
 // 10 tuples over at most 5 values, k <= 6 and a threshold c, and asserts
 // the kernel is bit-identical to minimize2Oracle (disclosure and witness,
-// both Options) and that IsCKSafe equals MaxDisclosure < c.
+// both Options, and Series(bz, k) at every k' <= k) and that IsCKSafe
+// equals MaxDisclosure < c.
 func FuzzKernelMatchesOracle(f *testing.F) {
 	f.Add([]byte{1, 128, 1, 4, 0, 0, 1, 1, 4, 0, 0, 2, 3})
 	f.Add([]byte{3, 200, 3, 5, 0, 0, 1, 1, 2, 5, 0, 0, 3, 4, 1, 2, 3, 0, 1})
 	f.Add([]byte{6, 0, 7, 9, 0, 1, 2, 3, 4, 0, 1, 2, 3, 9, 0, 1, 2, 3, 4, 0, 1, 2, 3})
-	e, oracle := NewEngine(), NewEngine()
+	e := NewEngine()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -325,6 +326,6 @@ func FuzzKernelMatchesOracle(f *testing.F) {
 		if len(groups) == 0 {
 			return
 		}
-		checkKernelMatchesOracle(t, e, oracle, bucket.FromValues(groups...), k, c)
+		checkKernelMatchesOracle(t, e, bucket.FromValues(groups...), k, c)
 	})
 }

@@ -97,8 +97,8 @@ func (sc *m2Scratch) release() { m2Pool.Put(sc) }
 // table and returns it. A bucket whose histogram equals an earlier
 // bucket's (rows are filled in bucket order) copies that row without
 // touching the memo; a prefix-hash match is verified element-wise, so a
-// 64-bit collision costs lookups, never a wrong row. Otherwise the
-// histogram is hashed once and each j > 0 costs one memo lookup.
+// 64-bit collision costs a lookup, never a wrong row. Otherwise the
+// histogram costs one memo lookup, which its hash keys.
 func (e *Engine) fillRow(sc *m2Scratch, views []bucketView, i int) []float64 {
 	u := sc.row(i)
 	hist := views[i].hist
@@ -109,10 +109,7 @@ func (e *Engine) fillRow(sc *m2Scratch, views []bucketView, i int) []float64 {
 		copy(u, sc.row(f))
 		return u
 	}
-	u[0] = 1 // MINIMIZE1 with zero atoms
-	for j := 1; j < len(u); j++ {
-		u[j] = e.lookup(withJ(p, j), hist, j).val
-	}
+	copy(u, e.row(p, hist, len(u)))
 	return u
 }
 
@@ -125,11 +122,14 @@ const noStop = 2
 // the DP scratch whose choice tables drive witness reconstruction. The
 // caller must release() the scratch when done with it.
 //
-// A row pass fetches every bucket's MINIMIZE1 row u_i[0..k+1] once; a
-// bottom-up DP over (i, h, placed) then reads only the rows. Its loop order
-// (cnt ascending, A elsewhere before A here), strict < tie-break and
-// multiplication order are those of the paper's recursion, so values and
-// choices are bit-identical to it (minimize2Oracle in the tests).
+// A row pass fetches every bucket's MINIMIZE1 row u_i[0..k+1] once, one
+// memo lookup per distinct histogram; a bottom-up DP over (i, h, placed)
+// then reads only the rows. Its loop order (cnt ascending, A elsewhere
+// before A here), strict < tie-break and multiplication order are those
+// of the paper's recursion, so values and choices are bit-identical to it
+// (minimize2Oracle in the tests). A state's value does not depend on k,
+// nor does the base case read it, so the finished tables also hold every
+// k' < k's minimum at its own root (0, k', false), which Series reads.
 //
 // stop is a disclosure threshold for yes/no callers. Without
 // ForbidSameBucketAntecedent, placing A and all k antecedents in bucket i
@@ -247,18 +247,19 @@ func MaxDisclosure(bz *bucket.Bucketization, k int) (float64, error) {
 	return NewEngine().MaxDisclosure(bz, k)
 }
 
-// Series computes the maximum disclosure for every k in 0..maxK, sharing
-// the engine's memo across the sweep (the Figure 5 workload).
+// Series computes the maximum disclosure for every k in 0..maxK (the
+// Figure 5 and 6 workloads) from one row pass and one MINIMIZE2 run at
+// maxK, reading each k's answer from its own root; every value is
+// bit-identical to MaxDisclosure(bz, k).
 func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
 	if err := checkArgs(bz, maxK); err != nil {
 		return nil, err
 	}
-	views := makeViews(bz)
+	_, sc := e.minimize2(makeViews(bz), maxK, Options{}, noStop)
+	defer sc.release()
 	out := make([]float64, maxK+1)
-	for k := 0; k <= maxK; k++ {
-		rmin, sc := e.minimize2(views, k, Options{}, noStop)
-		sc.release()
-		out[k] = disclosureFromRatio(rmin)
+	for k := range out {
+		out[k] = disclosureFromRatio(sc.val[sc.idx(0, k, 0)])
 	}
 	return out, nil
 }

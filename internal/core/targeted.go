@@ -159,7 +159,7 @@ type restTables struct {
 func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 	nb := len(views)
 	// The MINIMIZE2 kernel's row pass supplies u_i[c] = MINIMIZE1(hist_i, c)
-	// for c <= k, one memo lookup per distinct (histogram, c).
+	// for c <= k, one memo lookup per distinct histogram.
 	sc := m2Pool.Get().(*m2Scratch)
 	defer m2Pool.Put(sc)
 	sc.growRows(nb, k+1)

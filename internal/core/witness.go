@@ -47,12 +47,14 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 	views := makeViews(bz)
 	rmin, sc := e.minimize2(views, k, opt, noStop)
 	defer sc.release()
-	return e.witnessFrom(views, k, rmin, sc, name)
+	return witnessFrom(views, k, rmin, sc, name)
 }
 
 // witnessFrom reconstructs the witness from a finished MINIMIZE2 run: its
-// minimum rmin and the choice tables in sc.
-func (e *Engine) witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name func(id int) string) (Witness, error) {
+// minimum rmin and the choice tables in sc. The minimizing compositions
+// of the at most k+1 placement buckets are recomputed here, off the memo,
+// which holds values only.
+func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name func(id int) string) (Witness, error) {
 	// Walk the DP choices to recover per-bucket antecedent counts and the
 	// placement of A.
 	type placement struct {
@@ -90,7 +92,7 @@ func (e *Engine) witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scra
 		if pl.hasA {
 			atoms++
 		}
-		comp := e.m1(v.hist, atoms).comp
+		comp := m1Compute(v.hist, atoms).comp
 		for person, kj := range comp {
 			if person >= len(v.b.Tuples) {
 				break

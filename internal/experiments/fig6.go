@@ -72,10 +72,12 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 	if len(ks) == 0 {
 		ks = DefaultFig6Ks
 	}
+	maxK := 0
 	for _, k := range ks {
 		if k < 0 {
 			return nil, fmt.Errorf("experiments: negative k %d", k)
 		}
+		maxK = max(maxK, k)
 	}
 	p, err := anonymize.NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
 	if err != nil {
@@ -87,7 +89,7 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 	}
 	res := &Fig6Result{Ks: append([]int(nil), ks...)}
 	// Sweep the 72 generalizations on all workers: every node's bucketize +
-	// max-disclosure chain is independent (the engine's MINIMIZE1 memo and
+	// max-disclosure series is independent (the engine's MINIMIZE1 memo and
 	// the problem's bucketization cache are concurrency-safe and shared, so
 	// repeated histograms across nodes are still computed once). Points land
 	// in lattice order before the entropy sort, keeping the result identical
@@ -118,12 +120,14 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 		if cfg.Negation {
 			pt.Negation = make(map[int]float64, len(ks))
 		}
+		// One row pass and one MINIMIZE2 run at the largest k answer every
+		// k, each bit-identical to MaxDisclosure at that k.
+		series, err := engine.Series(bz, maxK)
+		if err != nil {
+			return fmt.Errorf("experiments: fig6 at %v: %w", node, err)
+		}
 		for _, k := range ks {
-			d, err := engine.MaxDisclosure(bz, k)
-			if err != nil {
-				return fmt.Errorf("experiments: fig6 at %v k=%d: %w", node, k, err)
-			}
-			pt.Disclosure[k] = d
+			pt.Disclosure[k] = series[k]
 			if cfg.Negation {
 				nd, err := core.NegationMaxDisclosure(bz, k)
 				if err != nil {

@@ -68,7 +68,7 @@ var DefaultGridCs = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 // quasi-identifier lattice, one chain search per cell (Theorem 14 justifies
 // the chain's monotonicity). All cells share the problem's memoizing
 // disclosure engine and bucketization cache, so the sweep cost is
-// dominated by the distinct (histogram, k) pairs actually encountered.
+// dominated by the distinct histograms actually encountered.
 func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	cs := cfg.Cs
 	if len(cs) == 0 {

@@ -160,9 +160,9 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 		sum.Evictions += st.Evictions
 	}
 	is := s.inline.Stats()
-	e.single("ckprivacyd_engine_memo_hits_total", "counter", "Disclosure-engine MINIMIZE1 memo hits, summed over the registered datasets' engines.", sum.Hits)
-	e.single("ckprivacyd_engine_memo_misses_total", "counter", "Disclosure-engine MINIMIZE1 memo misses, summed over the registered datasets' engines.", sum.Misses)
-	e.single("ckprivacyd_engine_memo_entries", "gauge", "Distinct memoized (histogram, k) entries, summed over the registered datasets' engines.", sum.Entries)
+	e.single("ckprivacyd_engine_memo_hits_total", "counter", "Disclosure-engine MINIMIZE1 row lookups answered from the memo, summed over the registered datasets' engines.", sum.Hits)
+	e.single("ckprivacyd_engine_memo_misses_total", "counter", "Disclosure-engine MINIMIZE1 row lookups that ran the DP, summed over the registered datasets' engines.", sum.Misses)
+	e.single("ckprivacyd_engine_memo_entries", "gauge", "Distinct memoized histogram rows, summed over the registered datasets' engines.", sum.Entries)
 	e.header("ckprivacyd_engine_memo_bytes", "gauge", "Accounted resident bytes of the engine memos, by engine (datasets = summed over the registered datasets' engines, inline = client-chosen groups).")
 	e.sample("ckprivacyd_engine_memo_bytes", sum.Bytes, "engine", "datasets")
 	e.sample("ckprivacyd_engine_memo_bytes", is.Bytes, "engine", "inline")

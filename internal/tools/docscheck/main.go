@@ -6,10 +6,14 @@
 // internal/replica, internal/anonymize, internal/bucket and the ckvet
 // suite — every exported
 // type, function, method, constant and variable must carry a doc comment,
-// so pkg.go.dev never renders a bare name — and (3) checks every fuzz
-// target outside bench/ has a `-fuzz <Name>` line for its package
-// directory in the Makefile's fuzz-smoke recipe, so a new target cannot
-// silently miss CI's fuzz job. It exits non-zero listing every offender.
+// so pkg.go.dev never renders a bare name — (3) checks every fuzz target
+// outside bench/ has a `-fuzz <Name>` line for its package directory in
+// the Makefile's fuzz-smoke recipe, so a new target cannot silently miss
+// CI's fuzz job, and (4) checks every row of ARCHITECTURE's "Production
+// paths and their oracles" table names, in its parity column, Test* or
+// Fuzz* functions that some _test.go outside bench/ defines, so a fast
+// path cannot lose its named oracle test. It exits non-zero listing every
+// offender.
 package main
 
 import (
@@ -21,13 +25,19 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
 func main() {
 	var problems []string
 	problems = append(problems, checkMarkdown()...)
-	problems = append(problems, checkFuzzSmoke()...)
+	tests, err := testFuncs()
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+	}
+	problems = append(problems, checkFuzzSmoke(tests)...)
+	problems = append(problems, checkOracleTable("docs/ARCHITECTURE.md", tests)...)
 	problems = append(problems, checkDocComments(".", "ckprivacy")...)
 	problems = append(problems, checkDocComments("internal/server", "server")...)
 	problems = append(problems, checkDocComments("internal/store", "store")...)
@@ -54,7 +64,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, doc-comment coverage and fuzz-smoke list OK")
+	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list and oracle table OK")
 }
 
 // ---- markdown link checking ----
@@ -137,23 +147,19 @@ func headingAnchors(text string) map[string]bool {
 	return anchors
 }
 
-// ---- fuzz-smoke coverage ----
+// ---- test functions ----
 
-// fuzzLineRE matches one fuzz-smoke recipe line, capturing the package
-// directory and the target name:
-// $(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALReplay -fuzztime ...
-var fuzzLineRE = regexp.MustCompile(`\btest\s+(\S+)\s.*-fuzz\s+(\S+)`)
+// testFunc is a top-level func Test* or Fuzz* declared in a _test.go file.
+type testFunc struct {
+	file string // slash-separated path of the declaring file
+	dir  string // its package directory
+}
 
-// checkFuzzSmoke reports every func Fuzz* in a _test.go file outside
-// bench/ (a module of its own) that the Makefile's fuzz-smoke recipe does
-// not run from the target's package directory.
-func checkFuzzSmoke() []string {
-	listed, err := fuzzSmokeTargets("Makefile")
-	if err != nil {
-		return []string{fmt.Sprintf("docscheck: %v", err)}
-	}
-	var problems []string
-	err = filepath.WalkDir(".", func(file string, d os.DirEntry, err error) error {
+// testFuncs returns, by name, every func Test* and Fuzz* declared in a
+// _test.go file outside bench/ (a module of its own) and testdata.
+func testFuncs() (map[string][]testFunc, error) {
+	funcs := map[string][]testFunc{}
+	err := filepath.WalkDir(".", func(file string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -171,23 +177,53 @@ func checkFuzzSmoke() []string {
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(file))
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Fuzz") {
+			if !ok || fn.Recv != nil || !testNameRE.MatchString(fn.Name.Name) {
 				continue
 			}
-			if !listed[dir+" "+fn.Name.Name] {
-				problems = append(problems, fmt.Sprintf(
-					"%s: fuzz target %s has no `-fuzz %s` line for package directory %s in the Makefile's fuzz-smoke recipe",
-					file, fn.Name.Name, fn.Name.Name, dir))
-			}
+			funcs[fn.Name.Name] = append(funcs[fn.Name.Name], testFunc{
+				file: filepath.ToSlash(file),
+				dir:  filepath.ToSlash(filepath.Dir(file)),
+			})
 		}
 		return nil
 	})
+	return funcs, err
+}
+
+// testNameRE matches the name of a test or fuzz function.
+var testNameRE = regexp.MustCompile(`^(Test|Fuzz)([A-Z0-9_]|$)`)
+
+// ---- fuzz-smoke coverage ----
+
+// fuzzLineRE matches one fuzz-smoke recipe line, capturing the package
+// directory and the target name:
+// $(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALReplay -fuzztime ...
+var fuzzLineRE = regexp.MustCompile(`\btest\s+(\S+)\s.*-fuzz\s+(\S+)`)
+
+// checkFuzzSmoke reports every fuzz target among tests that the
+// Makefile's fuzz-smoke recipe does not run from the target's package
+// directory.
+func checkFuzzSmoke(tests map[string][]testFunc) []string {
+	listed, err := fuzzSmokeTargets("Makefile")
 	if err != nil {
-		problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+		return []string{fmt.Sprintf("docscheck: %v", err)}
 	}
+	var problems []string
+	for name, decls := range tests {
+		if !strings.HasPrefix(name, "Fuzz") {
+			continue
+		}
+		for _, d := range decls {
+			if !listed[d.dir+" "+name] {
+				problems = append(problems, fmt.Sprintf(
+					"%s: fuzz target %s has no `-fuzz %s` line for package directory %s in the Makefile's fuzz-smoke recipe",
+					d.file, name, name, d.dir))
+			}
+		}
+	}
+	sort.Strings(problems)
 	return problems
 }
 
@@ -220,6 +256,64 @@ func fuzzSmokeTargets(makefile string) (map[string]bool, error) {
 		return nil, fmt.Errorf("%s has no fuzz-smoke recipe", makefile)
 	}
 	return listed, nil
+}
+
+// ---- oracle table ----
+
+// oracleTableHeading introduces the table pairing each production path
+// with its oracle and parity tests.
+const oracleTableHeading = "### Production paths and their oracles"
+
+// testRefRE matches a Test* or Fuzz* function name in prose.
+var testRefRE = regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z0-9_]\w*`)
+
+// checkOracleTable reports every row of the oracle table in doc whose
+// last (parity) column names no Test*/Fuzz* function, or names one that
+// no _test.go defines.
+func checkOracleTable(doc string, tests map[string][]testFunc) []string {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	lines := strings.Split(string(data), "\n")
+	start := -1
+	for i, line := range lines {
+		if strings.TrimSpace(line) == oracleTableHeading {
+			start = i
+			break
+		}
+	}
+	if start < 0 {
+		return []string{fmt.Sprintf("%s: no %q section", doc, oracleTableHeading)}
+	}
+	var problems []string
+	n := 0 // table lines seen: the header, its separator, then rows
+	for i := start + 1; i < len(lines); i++ {
+		line := strings.TrimSpace(lines[i])
+		if !strings.HasPrefix(line, "|") {
+			if n > 0 {
+				break
+			}
+			continue
+		}
+		if n++; n <= 2 {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		names := testRefRE.FindAllString(cells[len(cells)-1], -1)
+		if len(names) == 0 {
+			problems = append(problems, fmt.Sprintf("%s:%d: oracle table row names no Test* or Fuzz* function in its parity column", doc, i+1))
+		}
+		for _, name := range names {
+			if len(tests[name]) == 0 {
+				problems = append(problems, fmt.Sprintf("%s:%d: oracle table names %s, which no _test.go defines", doc, i+1, name))
+			}
+		}
+	}
+	if n <= 2 {
+		problems = append(problems, fmt.Sprintf("%s: the %q table has no rows", doc, oracleTableHeading))
+	}
+	return problems
 }
 
 // ---- doc-comment coverage ----
