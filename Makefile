@@ -121,8 +121,9 @@ loadtest-replica:
 ## CI fuzz job runs this list in full; docs-check fails on a target
 ## missing from it): the store decoders (snapshot/WAL
 ## hardening), the logic parsers, the MINIMIZE2 kernel against its
-## recursive oracle, the dataset-spec registration path, and appends
-## against a rebuild of the grown table. Long enough to catch a
+## recursive oracle, the dataset-spec registration path, appends
+## against a rebuild of the grown table, and the /v1/disclosure and
+## /v1/check request bodies through the real mux. Long enough to catch a
 ## regression, short enough for every push. Raise FUZZ_TIME for a real
 ## session.
 FUZZ_TIME ?= 20s
@@ -136,6 +137,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzKernelMatchesOracle -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/dataload/ -run '^$$' -fuzz FuzzFromSpec -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/anonymize/ -run '^$$' -fuzz FuzzAppendMatchesRebuild -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzReadRequests -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

@@ -81,7 +81,11 @@ func NewLevelledHierarchy(name string, domain []string, levelMaps []map[string]s
 // Bucketization (the sanitization method the paper analyzes).
 type (
 	// Bucketization is a partition of tuples with per-bucket
-	// sensitive-value histograms.
+	// sensitive-value histograms. Treat it as immutable: once it has been
+	// passed to any disclosure or stats call, do not modify Buckets (no
+	// bucket replaced, appended or removed), because it caches state
+	// derived from them (its histogram classes and MinEntropy). Build a
+	// new one with FromValues or Bucketize instead.
 	Bucketization = bucket.Bucketization
 	// Bucket is one block of the partition.
 	Bucket = bucket.Bucket

@@ -49,7 +49,12 @@
 // exactly once. Eviction only ever costs recomputation: disclosure values
 // are byte-identical at every capacity. Engine.Series answers every k up
 // to a bound from one DP pass, each value bit-identical to MaxDisclosure
-// at that k.
+// at that k. Which buckets share a histogram is cached too: the first
+// call that reads every bucket of a Bucketization publishes its
+// histogram classes on it (4 bytes per bucket and a few words per
+// class), so later calls on the same bucketization — a cached lattice
+// node checked again — hash nothing and fetch one row per class; its
+// MinEntropy is computed once and cached.
 //
 // Everything bucketization-heavy computes on a columnar substrate, and a
 // Problem owns it: NewProblem dictionary-encodes the table once

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"ckprivacy/internal/table"
 )
@@ -118,13 +119,26 @@ func (b *Bucket) Signature() string {
 	return sb.String()
 }
 
-// Bucketization is a partition of a table's tuples into buckets.
+// Bucketization is a partition of a table's tuples into buckets. It is
+// immutable once built: its fields are written only by the constructors
+// (the snapshotmut analyzer pins them to their files), which is what lets
+// it cache derived state for every later reader.
 type Bucketization struct {
-	// Buckets holds the blocks in deterministic (key) order.
+	// Buckets holds the blocks in deterministic (key) order. It must not
+	// be modified (no bucket replaced, appended or removed) once the
+	// bucketization has been passed to any disclosure or stats call: its
+	// histogram-class index and MinEntropy are cached from the buckets as
+	// they were. Build a new bucketization instead.
 	Buckets []*Bucket
 	// Source optionally references the table the bucketization was built
 	// from; it is required by Publish and by the logic/worlds bridges.
 	Source *table.Table
+
+	// classes is the histogram-class index, published at most once by a
+	// complete ClassScan (classes.go); nil until then.
+	classes atomic.Pointer[classIndex]
+	// minEntropy caches MinEntropy once computed.
+	minEntropy atomic.Pointer[entropyCache]
 }
 
 // FromValues builds a bucketization directly from per-bucket sensitive-value

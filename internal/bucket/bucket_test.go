@@ -234,6 +234,28 @@ func TestBucketizationStats(t *testing.T) {
 	if empty.MinEntropy() != 0 || empty.MinSize() != 0 || empty.MinDistinct() != 0 {
 		t.Error("empty bucketization stats not zero")
 	}
+
+	// MinEntropy is the per-bucket minimum, cached on first use: the same
+	// bits before and after the bucketization is indexed.
+	cached := bucket.FromValues(
+		[]string{"a", "b", "b", "c"}, []string{"x", "y", "y", "z"}, []string{"a", "a", "b"},
+		[]string{"b", "c", "c", "d"}, []string{"p", "p", "q"}, []string{"a", "b", "c", "d", "e"},
+	)
+	want := math.Inf(1)
+	for _, b := range cached.Buckets {
+		want = math.Min(want, b.Entropy())
+	}
+	if got := cached.MinEntropy(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("MinEntropy = %v, want the per-bucket minimum %v", got, want)
+	}
+	var scan bucket.ClassScan
+	scan.Start(cached)
+	for scan.Next() {
+	}
+	scan.Close()
+	if got := cached.MinEntropy(); !cached.Indexed() || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("MinEntropy after indexing = %v (indexed: %v), want %v", got, cached.Indexed(), want)
+	}
 }
 
 func TestPublishPreservesMultisets(t *testing.T) {

@@ -19,7 +19,15 @@ func (b *Bucket) Entropy() float64 {
 }
 
 // MinEntropy returns the minimum bucket entropy over the bucketization.
+// It is computed on first use and cached with the bucket count it covers.
+// A cache whose count no longer matches len(Buckets) shows that Buckets
+// changed, against the bucketization's contract; it is ignored, never
+// replaced, and the minimum is recomputed.
 func (bz *Bucketization) MinEntropy() float64 {
+	cached := bz.minEntropy.Load()
+	if cached != nil && cached.n == len(bz.Buckets) {
+		return cached.min
+	}
 	min := math.Inf(1)
 	for _, b := range bz.Buckets {
 		if h := b.Entropy(); h < min {
@@ -27,9 +35,18 @@ func (bz *Bucketization) MinEntropy() float64 {
 		}
 	}
 	if math.IsInf(min, 1) {
-		return 0
+		min = 0
+	}
+	if cached == nil {
+		bz.minEntropy.CompareAndSwap(nil, &entropyCache{n: len(bz.Buckets), min: min})
 	}
 	return min
+}
+
+// entropyCache is a cached MinEntropy and the number of buckets it covers.
+type entropyCache struct {
+	n   int
+	min float64
 }
 
 // MinSize returns the smallest bucket size (the k of k-anonymity).

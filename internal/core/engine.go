@@ -45,13 +45,15 @@ type EngineConfig struct {
 // replaces the resident one, so each histogram costs one lookup per
 // disclosure call whatever its k.
 //
-// The memo is sharded N ways and keyed by a 64-bit FNV-1a fingerprint of
-// the histogram — the hot path never materializes signature strings. Each
-// shard is byte-accounted against a per-shard slice of MemoMaxBytes and
-// evicted with a CLOCK second-chance policy, so a long-lived engine
-// serving many datasets plateaus instead of leaking. Fingerprint hits
-// verify the stored histogram, so a (cryptographically unlikely) 64-bit
-// collision degrades to an uncached computation, never a wrong value.
+// The memo is sharded N ways and keyed by bucket.HistogramHash, a 64-bit
+// FNV-1a fingerprint of the histogram that an indexed bucketization stores
+// per histogram class, so the hot path neither hashes nor materializes
+// signature strings. Each shard is byte-accounted against a per-shard
+// slice of MemoMaxBytes and evicted with a CLOCK second-chance policy, so
+// a long-lived engine serving many datasets plateaus instead of leaking.
+// Fingerprint hits verify the stored histogram, so a (cryptographically
+// unlikely) 64-bit collision degrades to an uncached computation, never a
+// wrong value.
 //
 // An Engine is safe for concurrent use. Workers racing on the same missing
 // row deduplicate in flight: the first computes, the rest wait and share
@@ -158,34 +160,6 @@ func NewEngineWithConfig(cfg EngineConfig) *Engine {
 	return e
 }
 
-// FNV-1a parameters of the memo's 64-bit fingerprint.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvWord mixes v into the FNV-1a state h as a fixed eight-byte word, so
-// histograms of different lengths or counts never alias by concatenation.
-func fnvWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// histPrefix is the memo key of a histogram: 64-bit FNV-1a over its
-// counts. The MINIMIZE2 row pass also keys its per-call histogram dedupe
-// with it, so each histogram is hashed once per call.
-func histPrefix(hist []int) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range hist {
-		h = fnvWord(h, uint64(c))
-	}
-	return h
-}
-
 // CacheStats is a point-in-time snapshot of memo effectiveness and
 // residency; the serving layer exports it on /metrics.
 type CacheStats struct {
@@ -216,8 +190,8 @@ func (s CacheStats) HitRate() float64 {
 
 // row returns a MINIMIZE1 row of hist at least width long — u[j] for
 // j < width, u[0] = 1 — computing, caching and deduplicating as needed.
-// fp is histPrefix(hist). A resident row at least width long is a hit; a
-// shorter one is recomputed at the new width and replaces it. The
+// fp is bucket.HistogramHash(hist). A resident row at least width long is
+// a hit; a shorter one is recomputed at the new width and replaces it. The
 // returned row may be longer than width and is shared: callers must not
 // write it.
 func (e *Engine) row(fp uint64, hist []int, width int) []float64 {
@@ -407,9 +381,10 @@ func (e *Engine) Reset() {
 	e.evictions.Store(0)
 }
 
-// bucketView caches per-run bucket state (histogram, sizes) so the DP's
-// inner loops touch plain slices only — no signature strings are built
-// anywhere on the disclosure path.
+// bucketView is one bucket's per-call state (histogram, sizes) for the cold
+// paths that read per-bucket fields: witness reconstruction, targeted
+// disclosure and exact arithmetic. The kernel's row pass reads histogram
+// classes instead (rowPass).
 type bucketView struct {
 	hist  []int
 	n     int

@@ -223,7 +223,9 @@ func memoLookups(e *Engine) uint64 {
 // TestKernelLookupsPerDistinctHistogram: a MaxDisclosure call over D
 // distinct histograms makes exactly D memo lookups, however often each
 // histogram recurs, and every resident row holds u[0] = 1 and covers the
-// atom counts 0..k+1 the kernel reads.
+// atom counts 0..k+1 the kernel reads. The first call indexes the
+// bucketization; the second reads the index, makes the same D lookups and
+// returns the same bits.
 func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for iter := 0; iter < 50; iter++ {
@@ -234,13 +236,23 @@ func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 		}
 		k := rng.Intn(8)
 		e := NewEngine()
+		var first float64
 		for call := 1; call <= 2; call++ {
-			if _, err := e.MaxDisclosure(bz, k); err != nil {
+			d, err := e.MaxDisclosure(bz, k)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if got, want := memoLookups(e), uint64(call*len(distinct)); got != want {
 				t.Fatalf("%d buckets, %d distinct histograms, k=%d: %d lookups after %d calls, want %d",
 					len(bz.Buckets), len(distinct), k, got, call, want)
+			}
+			if !bz.Indexed() {
+				t.Fatalf("call %d did not leave the bucketization indexed", call)
+			}
+			if call == 1 {
+				first = d
+			} else if math.Float64bits(d) != math.Float64bits(first) {
+				t.Fatalf("indexed call returned %v, fresh call %v", d, first)
 			}
 		}
 		for i := range e.shards {
@@ -297,7 +309,9 @@ func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 // 10 tuples over at most 5 values, k <= 6 and a threshold c, and asserts
 // the kernel is bit-identical to minimize2Oracle (disclosure and witness,
 // both Options, and Series(bz, k) at every k' <= k) and that IsCKSafe
-// equals MaxDisclosure < c.
+// equals MaxDisclosure < c. Every answer is checked twice: through the
+// class index the first full call published, against the oracle, and on a
+// bucketization fresh at the call, against the indexed answer.
 func FuzzKernelMatchesOracle(f *testing.F) {
 	f.Add([]byte{1, 128, 1, 4, 0, 0, 1, 1, 4, 0, 0, 2, 3})
 	f.Add([]byte{3, 200, 3, 5, 0, 0, 1, 1, 2, 5, 0, 0, 3, 4, 1, 2, 3, 0, 1})
@@ -326,6 +340,8 @@ func FuzzKernelMatchesOracle(f *testing.F) {
 		if len(groups) == 0 {
 			return
 		}
-		checkKernelMatchesOracle(t, e, bucket.FromValues(groups...), k, c)
+		bz := bucket.FromValues(groups...)
+		checkKernelMatchesOracle(t, e, bz, k, c)
+		checkFreshMatchesIndexed(t, e, groups, bz, k, c)
 	})
 }

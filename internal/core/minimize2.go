@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"ckprivacy/internal/bucket"
@@ -29,42 +28,31 @@ type m2choice struct {
 }
 
 // m2Scratch holds MINIMIZE2's working set in flat pooled slices: the
-// per-bucket MINIMIZE1 rows, the histogram dedupe index, and the DP tables
-// over states (i, h, placed) with i <= nb and h <= k. Callers that walk the
-// choice table (witness reconstruction) keep the scratch until they are
-// done, then release it.
+// per-class MINIMIZE1 rows, the class scan that finds them, and the DP
+// tables over states (i, h, placed) with i <= nb and h <= k. Callers that
+// walk the choice table (witness reconstruction) keep the scratch until
+// they are done, then release it.
 type m2Scratch struct {
 	val    []float64
 	choice []m2choice
 	k      int
 
-	// rows holds u_i[j] = MINIMIZE1(hist_i, j) for j < width, row-major.
-	rows  []float64
-	width int
-	// first maps a histogram prefix hash to the first bucket of this call
-	// carrying it, whose row later equal histograms copy.
-	first map[uint64]int
+	// rows holds u_c[j] = MINIMIZE1(hist_c, j) for j < width, one row per
+	// histogram class c, row-major; ratios holds each class's n/top.
+	rows   []float64
+	ratios []float64
+	width  int
+	// of is the class of each bucket, from the last complete row pass:
+	// the class scan's scratch or a published index, read-only either way.
+	of   []int32
+	scan bucket.ClassScan
 }
 
-var m2Pool = sync.Pool{New: func() any { return &m2Scratch{first: make(map[uint64]int)} }}
+var m2Pool = sync.Pool{New: func() any { return new(m2Scratch) }}
 
-// growRows sizes the row table for nb buckets of atom counts 0..width-1
-// and empties the dedupe index.
-func (sc *m2Scratch) growRows(nb, width int) {
-	n := nb * width
-	if cap(sc.rows) < n {
-		sc.rows = make([]float64, n)
-	}
-	sc.rows = sc.rows[:n]
-	sc.width = width
-	clear(sc.first)
-}
-
-// grow sizes the rows (atom counts 0..k+1) and the DP tables for nb buckets
-// and k atoms. The bottom-up DP writes every state before reading it, so
-// nothing is cleared.
+// grow sizes the DP tables for nb buckets and k atoms. The bottom-up DP
+// writes every state before reading it, so nothing is cleared.
 func (sc *m2Scratch) grow(nb, k int) {
-	sc.growRows(nb, k+2)
 	states := (nb + 1) * (k + 1) * 2
 	if cap(sc.val) < states {
 		sc.val = make([]float64, states)
@@ -85,32 +73,45 @@ func (sc *m2Scratch) choiceAt(i, h, pi int) m2choice {
 	return sc.choice[sc.idx(i, h, pi)]
 }
 
-// row returns bucket i's MINIMIZE1 row.
+// row returns bucket i's MINIMIZE1 row, its class's.
 func (sc *m2Scratch) row(i int) []float64 {
-	return sc.rows[i*sc.width : (i+1)*sc.width]
+	c := int(sc.of[i])
+	return sc.rows[c*sc.width : (c+1)*sc.width]
 }
 
 // release returns the scratch to the pool.
 func (sc *m2Scratch) release() { m2Pool.Put(sc) }
 
-// fillRow fetches bucket i's MINIMIZE1 row u_i[0..width-1] into the row
-// table and returns it. A bucket whose histogram equals an earlier
-// bucket's (rows are filled in bucket order) copies that row without
-// touching the memo; a prefix-hash match is verified element-wise, so a
-// 64-bit collision costs a lookup, never a wrong row. Otherwise the
-// histogram costs one memo lookup, which its hash keys.
-func (e *Engine) fillRow(sc *m2Scratch, views []bucketView, i int) []float64 {
-	u := sc.row(i)
-	hist := views[i].hist
-	p := histPrefix(hist)
-	if f, ok := sc.first[p]; !ok {
-		sc.first[p] = i
-	} else if slices.Equal(views[f].hist, hist) {
-		copy(u, sc.row(f))
-		return u
+// rowPass fetches, for each histogram class of bz in order of first
+// appearance, the class's MINIMIZE1 row u[0..width-1] into sc (one memo
+// lookup, keyed by the class's hash) and its ratio n/top, then points
+// sc.of at the class of every bucket. On an indexed bucketization the
+// classes come from its index; on a fresh one the class scan classifies
+// the buckets, publishing the index once all are classified.
+//
+// stop is minimize2's decision exit: when a class's all-in-one ratio
+// r = u[width-1]·n/top reaches it (disclosureFromRatio(r) >= stop), the
+// pass returns r and true at once, leaving sc.of unset and the
+// bucketization unindexed. Every bucket of a class shares its r, so the
+// pass stops at the same bucket as a walk over every bucket would. Pass
+// noStop to run the whole pass.
+func (e *Engine) rowPass(sc *m2Scratch, bz *bucket.Bucketization, width int, stop float64) (float64, bool) {
+	sc.rows, sc.ratios, sc.width = sc.rows[:0], sc.ratios[:0], width
+	scan := &sc.scan
+	scan.Start(bz)
+	defer scan.Close()
+	for scan.Next() {
+		b := scan.Bucket()
+		u := e.row(scan.Hash(), b.Histogram(), width)[:width]
+		ratio := float64(b.Size()) / float64(b.TopCount())
+		sc.rows = append(sc.rows, u...)
+		sc.ratios = append(sc.ratios, ratio)
+		if r := u[width-1] * ratio; stop <= 1 && disclosureFromRatio(r) >= stop {
+			return r, true
+		}
 	}
-	copy(u, e.row(p, hist, len(u)))
-	return u
+	sc.of = scan.ClassOf()
+	return 0, false
 }
 
 // noStop is a minimize2 stop threshold above every disclosure: the kernel
@@ -122,11 +123,12 @@ const noStop = 2
 // the DP scratch whose choice tables drive witness reconstruction. The
 // caller must release() the scratch when done with it.
 //
-// A row pass fetches every bucket's MINIMIZE1 row u_i[0..k+1] once, one
-// memo lookup per distinct histogram; a bottom-up DP over (i, h, placed)
-// then reads only the rows. Its loop order (cnt ascending, A elsewhere
-// before A here), strict < tie-break and multiplication order are those
-// of the paper's recursion, so values and choices are bit-identical to it
+// A row pass (rowPass) fetches each histogram class's MINIMIZE1 row
+// u[0..k+1] once, one memo lookup per distinct histogram; a bottom-up DP
+// over (i, h, placed) then reads each bucket's row and ratio through its
+// class. Its loop order (cnt ascending, A elsewhere before A here), strict
+// < tie-break and multiplication order are those of the paper's
+// recursion, so values and choices are bit-identical to it
 // (minimize2Oracle in the tests). A state's value does not depend on k,
 // nor does the base case read it, so the finished tables also hold every
 // k' < k's minimum at its own root (0, k', false), which Series reads.
@@ -147,17 +149,16 @@ const noStop = 2
 // placed" flag is false.
 //
 //ckvet:ignore poolleak ownership transfers to the caller, which must release() on every return, the early exit included; the scratch's choice tables drive witness reconstruction after return
-func (e *Engine) minimize2(views []bucketView, k int, opt Options, stop float64) (float64, *m2Scratch) {
-	nb := len(views)
+func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop float64) (float64, *m2Scratch) {
+	nb := len(bz.Buckets)
 	sc := m2Pool.Get().(*m2Scratch)
 	sc.grow(nb, k)
-	for i := range views {
-		u := e.fillRow(sc, views, i)
-		// The decision exit; under ForbidSameBucketAntecedent the all-in-one
-		// placement is not a candidate.
-		if r := u[k+1] * views[i].ratio(); !opt.ForbidSameBucketAntecedent && disclosureFromRatio(r) >= stop {
-			return r, sc
-		}
+	if opt.ForbidSameBucketAntecedent {
+		// The all-in-one placement is no candidate: never exit.
+		stop = noStop
+	}
+	if r, exited := e.rowPass(sc, bz, k+2, stop); exited {
+		return r, sc
 	}
 
 	// Base case i = nb: any unplaced antecedent atoms are spent on
@@ -169,7 +170,7 @@ func (e *Engine) minimize2(views []bucketView, k int, opt Options, stop float64)
 	}
 	for i := nb - 1; i >= 0; i-- {
 		u := sc.row(i)
-		ratio := views[i].ratio()
+		ratio := sc.ratios[sc.of[i]]
 		for h := 0; h <= k; h++ {
 			for pi := 0; pi < 2; pi++ {
 				best := math.Inf(1)
@@ -209,7 +210,7 @@ func (e *Engine) MaxDisclosureOpt(bz *bucket.Bucketization, k int, opt Options) 
 	if err := checkArgs(bz, k); err != nil {
 		return 0, err
 	}
-	rmin, sc := e.minimize2(makeViews(bz), k, opt, noStop)
+	rmin, sc := e.minimize2(bz, k, opt, noStop)
 	sc.release()
 	return disclosureFromRatio(rmin), nil
 }
@@ -255,7 +256,7 @@ func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
 	if err := checkArgs(bz, maxK); err != nil {
 		return nil, err
 	}
-	_, sc := e.minimize2(makeViews(bz), maxK, Options{}, noStop)
+	_, sc := e.minimize2(bz, maxK, Options{}, noStop)
 	defer sc.release()
 	out := make([]float64, maxK+1)
 	for k := range out {
@@ -278,7 +279,7 @@ func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, err
 	if err := checkArgs(bz, k); err != nil {
 		return false, err
 	}
-	r, sc := e.minimize2(makeViews(bz), k, Options{}, c)
+	r, sc := e.minimize2(bz, k, Options{}, c)
 	sc.release()
 	return disclosureFromRatio(r) < c, nil
 }

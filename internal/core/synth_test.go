@@ -34,8 +34,7 @@ var synthNodes = []bucket.Levels{
 // MaxDisclosure < c at the disclosure d and at both float neighbours of d.
 func TestSeriesMatchesOracleOnSynth(t *testing.T) {
 	const maxK = 11
-	// synth reads Skew 0 as its default 1.07, so a negligible skew stands
-	// in for the uniform distribution.
+	// A negligible skew draws near-uniformly (see synth.Config.Skew).
 	for _, skew := range []float64{1e-9, 1.07, 3} {
 		for _, occupations := range []int{2, 25, 60} {
 			t.Run(fmt.Sprintf("skew=%g/occupations=%d", skew, occupations), func(t *testing.T) {

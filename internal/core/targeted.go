@@ -156,16 +156,13 @@ type restTables struct {
 	k   int
 }
 
-func (e *Engine) buildRest(views []bucketView, k int) *restTables {
-	nb := len(views)
+func (e *Engine) buildRest(bz *bucket.Bucketization, k int) *restTables {
+	nb := len(bz.Buckets)
 	// The MINIMIZE2 kernel's row pass supplies u_i[c] = MINIMIZE1(hist_i, c)
 	// for c <= k, one memo lookup per distinct histogram.
 	sc := m2Pool.Get().(*m2Scratch)
 	defer m2Pool.Put(sc)
-	sc.growRows(nb, k+1)
-	for i := range views {
-		e.fillRow(sc, views, i)
-	}
+	e.rowPass(sc, bz, k+1, noStop)
 
 	fwd := make([][]float64, nb+1)
 	bwd := make([][]float64, nb+1)
@@ -258,7 +255,7 @@ func (e *Engine) TargetedMaxDisclosure(bz *bucket.Bucketization, bucketIdx int, 
 		return 0, nil // value absent: Pr(t_p=value | B) = 0 under any knowledge
 	}
 	views := makeViews(bz)
-	t := e.buildRest(views, k)
+	t := e.buildRest(bz, k)
 	return disclosureFromRatio(e.targetedRatio(views, t, bucketIdx, rank, k)), nil
 }
 
@@ -284,7 +281,7 @@ func (e *Engine) RiskProfile(bz *bucket.Bucketization, k, workers int) ([]Risk, 
 		return nil, err
 	}
 	views := makeViews(bz)
-	t := e.buildRest(views, k)
+	t := e.buildRest(bz, k)
 	type target struct{ bi, r int }
 	var targets []target
 	for bi, v := range views {

@@ -45,7 +45,7 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 		name = strconv.Itoa
 	}
 	views := makeViews(bz)
-	rmin, sc := e.minimize2(views, k, opt, noStop)
+	rmin, sc := e.minimize2(bz, k, opt, noStop)
 	defer sc.release()
 	return witnessFrom(views, k, rmin, sc, name)
 }

@@ -50,10 +50,12 @@ type Config struct {
 	// attribute.
 	Occupations int
 	// Skew is the power-law exponent of the categorical samplers: value i
-	// is drawn with weight (i+1)^-Skew. 0 means uniform; larger means a
-	// heavier head. The occupation distribution is additionally rotated
-	// per education group, so coarse buckets get distinct skewed
-	// histograms — the shape the disclosure checks exercise.
+	// is drawn with weight (i+1)^-Skew; larger means a heavier head. 0
+	// means DefaultSkew, not uniform; a tiny positive skew such as 1e-9
+	// gives a near-uniform draw. The occupation distribution is
+	// additionally rotated per education group, so coarse buckets get
+	// distinct skewed histograms — the shape the disclosure checks
+	// exercise.
 	Skew float64
 }
 

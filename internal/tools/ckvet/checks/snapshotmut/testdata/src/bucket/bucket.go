@@ -1,6 +1,7 @@
 // Package bucket is snapshotmut testdata; it is named after the real
-// package so the analyzer's "bucket.Bucket" pin applies. This file is
-// the type's owning constructor file: every write here is allowed.
+// package so the analyzer's "bucket.Bucket" and "bucket.Bucketization"
+// pins apply. This file is both types' owning constructor file: every
+// write here is allowed.
 package bucket
 
 // Bucket mirrors the real pinned type: immutable once finalized.
@@ -24,4 +25,17 @@ func NewBucket(key string, n int) *Bucket {
 // Finalize is a constructor-file mutation: still allowed.
 func (b *Bucket) Finalize() {
 	b.Key = b.Key + "/final"
+}
+
+// Bucketization mirrors the real pinned partition type.
+type Bucketization struct {
+	Buckets []*Bucket
+}
+
+// FromBuckets builds a bucketization in a constructor file: allowed.
+func FromBuckets(bs ...*Bucket) *Bucketization {
+	bz := &Bucketization{}
+	bz.Buckets = append(bz.Buckets, bs...)
+	bz.Buckets[0] = bs[0]
+	return bz
 }

@@ -22,6 +22,17 @@ func incrementField(b *Bucket) {
 	b.hist[1]++ // want `write to field hist of pinned-immutable bucket.Bucket`
 }
 
+// replaceBuckets swaps a shared bucketization's buckets outside its
+// constructor files, invalidating every cache derived from them.
+func replaceBuckets(bz *Bucketization, bs []*Bucket) {
+	bz.Buckets = bs // want `write to field Buckets of pinned-immutable bucket.Bucketization`
+}
+
+// replaceBucket writes one element of a pinned bucketization's buckets.
+func replaceBucket(bz *Bucketization, b *Bucket) {
+	bz.Buckets[0] = b // want `write to field Buckets of pinned-immutable bucket.Bucketization`
+}
+
 // rebindOnly rebinds the variable; the pinned object is untouched.
 func rebindOnly(b *Bucket, other *Bucket) *Bucket {
 	b = other
