@@ -87,7 +87,7 @@ serve:
 ## (register/append/disclosure/check/anonymize) and prints per-op p50/p99
 ## latency plus append rows/s. Point LOADTEST_ARGS at a live daemon with
 ## `-url http://host:8344`, or raise the scale with `-rows 1000000`.
-LOADTEST_ARGS ?= -rows 100000 -ops 400 -clients 4 -shards 0
+LOADTEST_ARGS ?= -rows 100000 -ops 400 -clients 4
 
 loadtest:
 	$(GO) run ./cmd/ckprivacy loadtest $(LOADTEST_ARGS)
@@ -97,7 +97,7 @@ loadtest:
 ## the daemon is hard-stopped without draining (the moral equivalent of
 ## kill -9), and a fresh daemon must recover the dataset and serve
 ## identical version/rows/releases and disclosure numbers.
-LOADTEST_RESTART_ARGS ?= -rows 20000 -ops 100 -clients 2 -shards 0
+LOADTEST_RESTART_ARGS ?= -rows 20000 -ops 100 -clients 2
 
 loadtest-restart:
 	@dir=$$(mktemp -d); \
@@ -110,7 +110,7 @@ loadtest-restart:
 ## (disclosure/check/info) is served by the follower live, and after the
 ## workload the follower must be caught up with zero record lag and
 ## answer identically to the leader.
-LOADTEST_REPLICA_ARGS ?= -rows 20000 -ops 100 -clients 2 -shards 0
+LOADTEST_REPLICA_ARGS ?= -rows 20000 -ops 100 -clients 2
 
 loadtest-replica:
 	@dir=$$(mktemp -d); \
@@ -122,10 +122,10 @@ loadtest-replica:
 ## missing from it): the store decoders (snapshot/WAL
 ## hardening), the logic parsers, the MINIMIZE2 kernel against its
 ## recursive oracle, the dataset-spec registration path, appends
-## against a rebuild of the grown table, and the /v1/disclosure and
-## /v1/check request bodies through the real mux. Long enough to catch a
-## regression, short enough for every push. Raise FUZZ_TIME for a real
-## session.
+## against a rebuild of the grown table, and the /v1/disclosure,
+## /v1/check and /v1/datasets/{name}/rows request bodies through the real
+## mux. Long enough to catch a regression, short enough for every push.
+## Raise FUZZ_TIME for a real session.
 FUZZ_TIME ?= 20s
 
 fuzz-smoke:
@@ -138,11 +138,12 @@ fuzz-smoke:
 	$(GO) test ./internal/dataload/ -run '^$$' -fuzz FuzzFromSpec -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/anonymize/ -run '^$$' -fuzz FuzzAppendMatchesRebuild -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzReadRequests -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzAppendRequests -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to
 ## give the detector real interleavings.
-LOADTEST_RACE_ARGS ?= -rows 20000 -ops 100 -clients 4 -shards 0
+LOADTEST_RACE_ARGS ?= -rows 20000 -ops 100 -clients 4
 
 loadtest-race:
 	$(GO) run -race ./cmd/ckprivacy loadtest $(LOADTEST_RACE_ARGS)

@@ -1,10 +1,12 @@
 package ckprivacy_test
 
 import (
+	"fmt"
 	"testing"
 
 	"ckprivacy"
 	"ckprivacy/internal/bucket"
+	"ckprivacy/internal/synth"
 )
 
 // ---------------------------------------------------------------------------
@@ -34,6 +36,33 @@ func BenchmarkBucketizeEncoded(b *testing.B) {
 		sinkI = len(bz.Buckets)
 	}
 	reportRowsPerSec(b, float64(tab.Len()))
+}
+
+// BenchmarkBucketizeSynth is one scan of ACS-style synthetic tables of
+// 100k and 1M rows at their default levels; README's scan-throughput
+// table comes from it.
+func BenchmarkBucketizeSynth(b *testing.B) {
+	for _, rows := range []int{100_000, 1_000_000} {
+		bundle, err := synth.Bundle(synth.Config{Rows: rows, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc := bundle.Table.Encode()
+		chs, err := bucket.CompileHierarchies(enc, bundle.Hierarchies)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bz, err := bucket.FromGeneralizationEncoded(enc, chs, bundle.DefaultLevels)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkI = len(bz.Buckets)
+			}
+			reportRowsPerSec(b, float64(rows))
+		})
+	}
 }
 
 // BenchmarkEncodeTable measures the one-time cost the encoded path

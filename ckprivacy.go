@@ -235,9 +235,9 @@ type (
 	// Problem is an anonymization task over a table, hierarchies and
 	// quasi-identifiers.
 	Problem = anonymize.Problem
-	// ProblemOptions configures a Problem: search worker budget, per-scan
-	// shard budget, disclosure-memo bound. Build from
-	// DefaultProblemOptions and override fields.
+	// ProblemOptions configures a Problem: search worker budget and
+	// disclosure-memo bound. Build from DefaultProblemOptions and override
+	// fields.
 	ProblemOptions = anonymize.Options
 	// Node is a generalization level per quasi-identifier.
 	Node = lattice.Node
@@ -248,7 +248,7 @@ type (
 )
 
 // DefaultProblemOptions returns the configuration NewProblem uses: serial
-// search, single-threaded scans, default memo bound.
+// search, default memo bound.
 func DefaultProblemOptions() ProblemOptions { return anonymize.DefaultOptions() }
 
 // NewProblem validates an anonymization task with the default options;
@@ -263,9 +263,8 @@ func NewProblem(t *Table, hs Hierarchies, qi []string) (*Problem, error) {
 // NewProblemWithOptions is NewProblem with an explicit configuration:
 // ProblemOptions.Workers is the lattice searches' worker budget (each
 // level of the generalization lattice is safety-checked on up to that
-// many goroutines; <= 0 means one per CPU core), ShardWorkers splits each
-// full row scan into concurrent row shards, and MemoMaxBytes bounds the
-// problem-scoped engine's memo (Problem.Engine). The nodes returned
+// many goroutines; <= 0 means one per CPU core), and MemoMaxBytes bounds
+// the problem-scoped engine's memo (Problem.Engine). The nodes returned
 // by every search are byte-identical at every worker count, and the
 // level-wise searches (MinimalSafe, MinimalSafeIncognito) also report
 // identical SearchStats; ChainSearch's multi-section variant probes

@@ -43,7 +43,6 @@ func cmdDisclose(args []string) error {
 	witness := fs.Bool("witness", false, "print a worst-case knowledge formula")
 	crossOnly := fs.Bool("cross-bucket", false,
 		"restrict antecedents to other buckets (paper §2.3 variant)")
-	shards := shardsFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -55,7 +54,7 @@ func cmdDisclose(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, bz, err := bucketize(b, levels, *shards)
+	p, bz, err := bucketize(b, levels)
 	if err != nil {
 		return err
 	}
@@ -97,7 +96,6 @@ func cmdSafe(args []string) error {
 	method := fs.String("method", "incognito", "search method: naive | incognito | chain")
 	metricName := fs.String("utility", "discernibility", "utility metric: discernibility | avg | buckets")
 	workers := workersFlag(fs)
-	shards := shardsFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -107,7 +105,6 @@ func cmdSafe(args []string) error {
 	}
 	o := ckprivacy.DefaultProblemOptions()
 	o.Workers = *workers
-	o.ShardWorkers = *shards
 	p, err := ckprivacy.NewProblemWithOptions(b.Table, b.Hierarchies, b.QI, o)
 	if err != nil {
 		return err

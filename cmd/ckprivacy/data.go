@@ -46,16 +46,13 @@ func (d *dataFlags) load() (*dataload.Bundle, error) {
 }
 
 // bucketize materializes the bundle at the given levels (empty means the
-// bundle's defaults) through a Problem whose scans use the given shard
-// budget — the path a daemon request takes. Callers compute disclosure on
-// the returned problem's engine.
-func bucketize(b *dataload.Bundle, levels ckprivacy.Levels, shards int) (*ckprivacy.Problem, *ckprivacy.Bucketization, error) {
+// bundle's defaults) through a Problem — the path a daemon request takes.
+// Callers compute disclosure on the returned problem's engine.
+func bucketize(b *dataload.Bundle, levels ckprivacy.Levels) (*ckprivacy.Problem, *ckprivacy.Bucketization, error) {
 	if len(levels) == 0 {
 		levels = b.DefaultLevels
 	}
-	o := ckprivacy.DefaultProblemOptions()
-	o.ShardWorkers = shards
-	p, err := ckprivacy.NewProblemWithOptions(b.Table, b.Hierarchies, b.QI, o)
+	p, err := ckprivacy.NewProblem(b.Table, b.Hierarchies, b.QI)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,13 +88,6 @@ func (d *dataFlags) loadAdultTable() (*ckprivacy.Table, error) {
 // with the budget (multi-section probing finds the same node).
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 1, "worker goroutines (<= 0 means one per CPU core)")
-}
-
-// shardsFlag registers the shared -shards flag: the bucketization scan
-// splits the table into this many contiguous row ranges scanned
-// concurrently; the merged result is byte-identical to the serial scan.
-func shardsFlag(fs *flag.FlagSet) *int {
-	return fs.Int("shards", 1, "bucketization scan shards (<= 0 means one per CPU core)")
 }
 
 // parseLevels parses "Age=3,MaritalStatus=2,Race=1,Sex=1" into Levels.

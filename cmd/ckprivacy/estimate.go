@@ -43,7 +43,7 @@ func cmdEstimate(args []string) error {
 	if err != nil {
 		return err
 	}
-	_, bz, err := bucketize(b, levels, 1)
+	_, bz, err := bucketize(b, levels)
 	if err != nil {
 		return err
 	}

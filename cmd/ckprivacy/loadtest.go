@@ -52,7 +52,6 @@ func cmdLoadtest(args []string) error {
 		batch     = fs.Int("append-batch", 64, "rows per append operation")
 		k         = fs.Int("k", 2, "largest background-knowledge bound used by disclosure operations")
 		dataset   = fs.String("dataset", "loadtest", "name to register the synthetic dataset under")
-		shards    = shardsFlag(fs)
 		asJSON    = fs.Bool("json", false, "emit the report as JSON")
 		dataDir   = fs.String("data-dir", "", "durable store directory for the in-process daemon (empty keeps it in-memory)")
 		restart   = fs.Bool("restart", false, "after the workload, hard-stop the daemon, recover a fresh one from -data-dir and verify the dataset survived")
@@ -74,9 +73,8 @@ func cmdLoadtest(args []string) error {
 	base := *url
 	var crash func() // hard-stop the in-process daemon (simulated kill)
 	if base == "" {
-		// In-process daemon on a loopback port; the embedded server honours
-		// the -shards budget so the harness exercises sharded scans.
-		cfg := server.Config{ShardWorkers: *shards, MaxRows: *rows + 1000}
+		// In-process daemon on a loopback port.
+		cfg := server.Config{MaxRows: *rows + 1000}
 		if *dataDir != "" {
 			mgr, err := store.Open(store.Options{Dir: *dataDir, Fsync: true, CompactBytes: 64 << 20})
 			if err != nil {
@@ -143,7 +141,7 @@ func cmdLoadtest(args []string) error {
 		}
 	}
 	if *restart {
-		return verifyRestart(base, *dataDir, *dataset, *k, *shards, *rows, crash)
+		return verifyRestart(base, *dataDir, *dataset, *k, *rows, crash)
 	}
 	return nil
 }
@@ -227,7 +225,7 @@ func verifyReplica(leaderBase, followerBase, dataset string, k int) error {
 // verifyRestart is the kill-and-restart smoke check: capture the dying
 // daemon's answers, hard-stop it, recover a fresh daemon from the same
 // data directory and require identical answers.
-func verifyRestart(base, dir, dataset string, k, shards, rows int, crash func()) error {
+func verifyRestart(base, dir, dataset string, k, rows int, crash func()) error {
 	want, err := captureServed(base, dataset, k)
 	if err != nil {
 		return fmt.Errorf("restart: pre-crash: %w", err)
@@ -238,7 +236,7 @@ func verifyRestart(base, dir, dataset string, k, shards, rows int, crash func())
 	if err != nil {
 		return fmt.Errorf("restart: reopening data dir: %w", err)
 	}
-	srv := server.New(server.Config{Store: mgr, ShardWorkers: shards, MaxRows: rows + 1000})
+	srv := server.New(server.Config{Store: mgr, MaxRows: rows + 1000})
 	begin := time.Now()
 	stats, err := srv.RecoverAll()
 	if err != nil {

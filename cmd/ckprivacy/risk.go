@@ -30,7 +30,7 @@ func cmdRisk(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, bz, err := bucketize(b, levels, 1)
+	p, bz, err := bucketize(b, levels)
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,6 @@ func run(args []string) error {
 		jobWorkers    = fs.Int("job-workers", 2, "concurrent background anonymization jobs")
 		jobQueue      = fs.Int("job-queue", 16, "bounded pending-job queue size")
 		searchWorkers = fs.Int("search-workers", 1, "lattice worker budget per search (<= 0 means one per CPU core)")
-		shardWorkers  = fs.Int("shard-workers", 0, "row-shard budget per bucketization scan (<= 0 means one per CPU core; 1 forces serial scans)")
 		memoMaxMB     = fs.Int("memo-max-mb", 0, "byte bound, in MiB, of each disclosure-engine memo: one per registered dataset plus one for inline groups (0 means the 64 MiB default; negative disables the bound)")
 		maxReleases   = fs.Int("max-releases", 16, "retained recorded releases per dataset for the sequential-release audit")
 		preload       = fs.String("preload", "", "comma-separated built-in datasets to register at boot (adult, hospital)")
@@ -126,7 +125,6 @@ func run(args []string) error {
 		JobWorkers:    *jobWorkers,
 		JobQueueSize:  *jobQueue,
 		SearchWorkers: *searchWorkers,
-		ShardWorkers:  *shardWorkers,
 		MemoMaxBytes:  int64(*memoMaxMB) << 20,
 		MaxReleases:   *maxReleases,
 	})

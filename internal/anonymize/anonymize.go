@@ -65,11 +65,6 @@ type Problem struct {
 	opts  Options
 
 	engine *core.Engine
-	// shardPool bounds the total extra goroutines of all concurrent sharded
-	// bucketize scans on this problem. Node-level search workers submit
-	// their shard work to this one pool; its never-block design is what
-	// makes the node×shard nesting deadlock-free (see parallel.Pool).
-	shardPool *parallel.Pool
 
 	// master is the append-only encoded view shared by all versions.
 	// appendMu serializes Append; cur is the atomically swapped current
@@ -97,18 +92,6 @@ type Options struct {
 	// (multi-section probing).
 	Workers int
 
-	// ShardWorkers is the parallelism budget *within* one bucketization:
-	// the encoded row scan splits into this many contiguous row shards,
-	// scanned concurrently and merged byte-identically. Values < 1 mean one
-	// shard per CPU core; 1 (the default) keeps every scan single-threaded.
-	// All concurrent scans of the problem share one bounded pool of this
-	// size, so searches running Workers node predicates at once still never
-	// exceed Workers × ShardWorkers goroutines, and nested submission
-	// cannot deadlock. Small tables are scanned serially regardless
-	// (sharding costs more than it saves below ~10k rows); results are
-	// byte-identical at every setting.
-	ShardWorkers int
-
 	// MemoMaxBytes bounds the problem-scoped disclosure engine's MINIMIZE1
 	// memo (see core.EngineConfig.MemoMaxBytes): 0 means the core default,
 	// negative disables the bound. The engine is what Engine returns;
@@ -117,16 +100,15 @@ type Options struct {
 }
 
 // DefaultOptions returns the options NewProblem uses: serial lattice
-// search, single-threaded scans, default memo bound.
+// search, default memo bound.
 func DefaultOptions() Options {
-	return Options{Workers: 1, ShardWorkers: 1}
+	return Options{Workers: 1}
 }
 
-// resolved normalizes the options: worker budgets materialize their
-// per-core defaults so accessors report actual counts.
+// resolved normalizes the options: the worker budget materializes its
+// per-core default so accessors report actual counts.
 func (o Options) resolved() Options {
 	o.Workers = parallel.Workers(o.Workers)
-	o.ShardWorkers = parallel.Workers(o.ShardWorkers)
 	return o
 }
 
@@ -162,8 +144,8 @@ func NewProblemFromEncoded(enc *table.Encoded, hs hierarchy.Set, qi []string, ve
 }
 
 // newProblem validates the inputs and builds a Problem over a master
-// encoded view: lattice space, engine, shard pool, compiled hierarchies
-// and the first pinned version.
+// encoded view: lattice space, engine, compiled hierarchies and the first
+// pinned version.
 func newProblem(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64, o Options) (*Problem, error) {
 	t := enc.Table
 	if t == nil || t.Len() == 0 {
@@ -204,9 +186,6 @@ func newProblem(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64
 		opts:        o.resolved(),
 		master:      enc,
 		engine:      core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: o.MemoMaxBytes}),
-	}
-	if p.opts.ShardWorkers > 1 {
-		p.shardPool = parallel.NewPool(p.opts.ShardWorkers)
 	}
 	// The pinned view ([:n:n]) keeps a snapshot taken before the first
 	// Append from ever observing rows the master grows by.
@@ -400,30 +379,6 @@ func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels,
 		levels[p.QI[d]] = node[i]
 	}
 	return levels, nil
-}
-
-// minRowsPerShard is the row count below which a sharded scan stops
-// paying for its merge: shard counts are clamped so every shard scans at
-// least this many rows. Results are byte-identical at every shard count;
-// this only bounds overhead on small tables. A variable so parity tests
-// can force sharding on small fixtures.
-var minRowsPerShard = 8192
-
-// scanShards resolves the shard count for one full row scan of the
-// pinned version: the configured ShardWorkers budget, clamped so shards
-// stay usefully large.
-func (s *Snapshot) scanShards() int {
-	shards := s.p.opts.ShardWorkers
-	if shards <= 1 {
-		return 1
-	}
-	if byRows := s.st.tab.Len() / minRowsPerShard; byRows < shards {
-		shards = byRows
-	}
-	if shards < 1 {
-		return 1
-	}
-	return shards
 }
 
 // Pred adapts a privacy criterion to a lattice predicate over full nodes.

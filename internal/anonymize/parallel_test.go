@@ -180,7 +180,7 @@ func TestBoundedMemoSearchParity(t *testing.T) {
 	var refStats lattice.Stats
 	for i, eng := range engines {
 		p, err := NewProblemWithOptions(base.Table, base.Hierarchies, base.QI,
-			Options{Workers: 4, ShardWorkers: 1})
+			Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // This file executes the derivation DAGs plan.go builds: frontiers run in
 // ascending height order, each frontier evaluated as one batch on the
 // problem's worker budget, every non-root node coarsening from its
-// parent's result through a pooled bucket.Arena. Every materialization
+// parent's result through bucket.CoarsenInto. Every materialization
 // goes through here, including a single cache miss (a one-node plan).
 // Planning changes which source each derivation uses and when, never what
 // it produces: bucket.CoarsenInto yields the identical bucketization from
@@ -124,13 +124,10 @@ func (s *Snapshot) runPlan(pl *sweepPlan) error {
 				}
 				var err error
 				if src == nil {
-					bz, err = bucket.FromGeneralizationEncodedSharded(
-						st.enc, st.compiled, n.levels, s.scanShards(), s.p.shardPool)
+					bz, err = bucket.FromGeneralizationEncoded(st.enc, st.compiled, n.levels)
 					ctr.baseScans.Add(1)
 				} else {
-					ar := bucket.GetArena()
-					bz, err = bucket.CoarsenInto(src, st.enc, st.compiled, n.levels, ar)
-					bucket.PutArena(ar)
+					bz, err = bucket.CoarsenInto(src, st.enc, st.compiled, n.levels)
 					ctr.coarsened.Add(1)
 				}
 				if err != nil {

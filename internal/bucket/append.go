@@ -90,7 +90,7 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 	// path the current cardinalities select (the old bucketization's key
 	// path is irrelevant: matching below goes through the decoded string
 	// keys, which both paths share).
-	groups := scanRange(dims, sens, scard, packable(dims), start, rows).groups
+	groups := scanRange(dims, sens, scard, start, rows)
 
 	// Match each appended group to an existing bucket through the
 	// materialized string key (decoded once per group, not per row).

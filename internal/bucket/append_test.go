@@ -123,7 +123,7 @@ func TestAppendRowsParityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: coarse scan: %v", label, err)
 		}
-		gotCoarse, err := bucket.CoarsenInto(got, enc, chs, coarseLevels, nil)
+		gotCoarse, err := bucket.CoarsenInto(got, enc, chs, coarseLevels)
 		if err != nil {
 			t.Fatalf("%s: coarsen appended: %v", label, err)
 		}
@@ -211,7 +211,7 @@ func TestAppendRowsNewSensitiveCode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotTop, err := bucket.CoarsenInto(got, enc, chs, top, nil)
+		gotTop, err := bucket.CoarsenInto(got, enc, chs, top)
 		if err != nil {
 			t.Fatal(err)
 		}

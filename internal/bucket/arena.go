@@ -17,11 +17,11 @@ import (
 // coarse keys are merged, and their sensitive code histograms are summed.
 // The cost is proportional to the number of fine buckets, not the number
 // of rows — this is what makes lattice-wide sweeps cheap after the first
-// scan. It merges into scratch drawn from a pooled Arena and precomputes
+// scan. It merges into scratch drawn from a pooled arena and precomputes
 // every output size from the source bucketization, so a planned sweep
 // materializing dozens of lattice nodes allocates each histogram and tuple
 // slab exactly once and reuses its grouping maps, permutation and key
-// buffers across the nodes of a frontier slot.
+// buffers across calls.
 //
 // The output is byte-identical to a direct scan at the coarse levels: same
 // keys, same bucket order, same tuple order, same frequency tables. Three
@@ -36,12 +36,11 @@ import (
 //   - dense sensitive histograms of all merged groups live in one slab
 //     sized nGroups × cardinality up front.
 
-// Arena is the pooled scratch of coarsening calls: grouping maps (cleared,
+// arena is the pooled scratch of coarsening calls: grouping maps (cleared,
 // not reallocated, between calls), the row→group tag array, and the key /
-// permutation / cursor buffers. An Arena is not safe for concurrent use;
-// obtain one per goroutine with GetArena and return it with PutArena when
-// the sweep slot is done. The zero value is ready to use.
-type Arena struct {
+// permutation / cursor buffers. CoarsenInto holds one for the duration of
+// a call. The zero value is ready to use.
+type arena struct {
 	by64    map[uint64]int
 	byStr   map[string]int
 	buf     []byte   // byte-tuple key buffer (unpackable dimension sets)
@@ -68,28 +67,13 @@ type cgroup struct {
 	mi    int32 // merged-group slot; -1 when the group is a single bucket
 }
 
-// arenaPool recycles Arenas across sweeps; arenaGets and arenaAllocs feed
-// ArenaStats (reuses = gets − pool misses).
+// arenaPool recycles arenas across coarsening calls; arenaGets and
+// arenaAllocs feed ArenaStats (reuses = gets − pool misses).
 var (
-	arenaPool   = sync.Pool{New: func() any { arenaAllocs.Add(1); return &Arena{} }}
+	arenaPool   = sync.Pool{New: func() any { arenaAllocs.Add(1); return &arena{} }}
 	arenaGets   atomic.Uint64
 	arenaAllocs atomic.Uint64
 )
-
-// GetArena returns a pooled Arena for a run of coarsening calls. Pair
-// every GetArena with a PutArena when the holder is done (the poolleak
-// analyzer enforces this at call sites like it does sync.Pool's own
-// Get/Put).
-//
-//ckvet:ignore poolleak ownership transfers to the caller, which pairs GetArena with a deferred PutArena
-func GetArena() *Arena {
-	arenaGets.Add(1)
-	return arenaPool.Get().(*Arena)
-}
-
-// PutArena returns an Arena to the pool. The caller must not use it
-// afterwards.
-func PutArena(ar *Arena) { arenaPool.Put(ar) }
 
 // ArenaStats reports how many arenas were handed out and how many of those
 // were pool reuses rather than fresh allocations — the sweep benchmarks
@@ -104,7 +88,7 @@ func ArenaStats() (gets, reuses uint64) {
 
 // reset prepares the arena for one coarsening call over nFine source
 // buckets and nDims dimensions.
-func (ar *Arena) reset(nDims, nFine int) {
+func (ar *arena) reset(nDims, nFine int) {
 	if ar.by64 == nil {
 		ar.by64 = make(map[uint64]int)
 	} else {
@@ -132,7 +116,7 @@ func (ar *Arena) reset(nDims, nFine int) {
 // epoch, returning the tag prefix (epoch<<32) rows of this call are marked
 // with. Stale tags from earlier calls never match the new epoch, so the
 // array is never cleared.
-func (ar *Arena) nextEpoch(rows int) uint64 {
+func (ar *arena) nextEpoch(rows int) uint64 {
 	if cap(ar.rowTag) < rows {
 		ar.rowTag = make([]uint64, rows)
 		ar.epoch = 0
@@ -148,7 +132,7 @@ func (ar *Arena) nextEpoch(rows int) uint64 {
 
 // buffers returns the per-group cursor, key and permutation scratch sized
 // for n groups.
-func (ar *Arena) buffers(n int) (cur []int, keys []string, perm []int) {
+func (ar *arena) buffers(n int) (cur []int, keys []string, perm []int) {
 	if cap(ar.cursor) < n {
 		ar.cursor = make([]int, n)
 	}
@@ -162,22 +146,19 @@ func (ar *Arena) buffers(n int) (cur []int, keys []string, perm []int) {
 }
 
 // CoarsenInto derives the bucketization at the given levels from fine,
-// merging through an Arena: the grouping maps, row-tag array and ordering
-// buffers come from ar instead of being allocated per call, tuple and
-// histogram slabs are exact-size, and fine buckets that coarsen alone
-// share their storage. A nil ar borrows one from the pool for the
-// duration of the call; sweeps that coarsen many nodes in a row should
-// hold one Arena across the calls instead.
+// merging through a pooled arena: the grouping maps, row-tag array and
+// ordering buffers are reused across calls instead of being allocated per
+// call, tuple and histogram slabs are exact-size, and fine buckets that
+// coarsen alone share their storage.
 //
 // Precondition: fine partitions enc.Table at levels that are
 // component-wise ≤ the requested levels (on every schema QI attribute).
 // The result is then byte-identical to FromGeneralizationEncoded at the
 // requested levels.
-func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, ar *Arena) (*Bucketization, error) {
-	if ar == nil {
-		ar = GetArena()
-		defer PutArena(ar)
-	}
+func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
+	arenaGets.Add(1)
+	ar := arenaPool.Get().(*arena)
+	defer arenaPool.Put(ar)
 	dims, err := buildDims(enc, chs, levels)
 	if err != nil {
 		return nil, err

@@ -234,6 +234,11 @@ func TestBucketizationStats(t *testing.T) {
 	if empty.MinEntropy() != 0 || empty.MinSize() != 0 || empty.MinDistinct() != 0 {
 		t.Error("empty bucketization stats not zero")
 	}
+	// An empty bucket adds no candidate to the top fraction.
+	withEmpty := bucket.FromValues([]string{"a", "a", "b", "c"}, []string{})
+	if got := withEmpty.MaxTopFraction(); got != 0.5 {
+		t.Errorf("MaxTopFraction with an empty bucket = %v, want 0.5", got)
+	}
 
 	// MinEntropy is the per-bucket minimum, cached on first use: the same
 	// bits before and after the bucketization is indexed.

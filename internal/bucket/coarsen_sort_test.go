@@ -50,7 +50,7 @@ func TestCoarsenSortSkipMonotone(t *testing.T) {
 		if keys := discoveryKeys(t, fine, enc, chs, levels); !sort.StringsAreSorted(keys) {
 			t.Fatalf("case %d: identity re-key is not monotone: %v", i, keys)
 		}
-		got, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
+		got, err := bucket.CoarsenInto(fine, enc, chs, levels)
 		if err != nil {
 			t.Fatalf("case %d: coarsen: %v", i, err)
 		}
@@ -101,7 +101,7 @@ func TestCoarsenSortSkipReversed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bucket.CoarsenInto(fine, enc, chs, coarse, nil)
+	got, err := bucket.CoarsenInto(fine, enc, chs, coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCoarsenSortSkipRandomBothBranches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: want: %v", i, err)
 		}
-		got, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
+		got, err := bucket.CoarsenInto(fine, enc, chs, levels)
 		if err != nil {
 			t.Fatalf("case %d: coarsen: %v", i, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/table"
@@ -212,6 +213,62 @@ func (g *egroup) addRow(row int, sens []uint32) {
 	}
 }
 
+// scratch is the reusable state of a scan: the grouping maps (cleared,
+// not reallocated, between scans — map bucket growth is the dominant
+// allocation of a scan) and the byte-tuple key buffer.
+type scratch struct {
+	by64  map[uint64]*egroup
+	byStr map[string]*egroup
+	buf   []byte
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{by64: make(map[uint64]*egroup), byStr: make(map[string]*egroup)}
+}}
+
+// scanRange groups rows [lo, hi) of the encoded view, returning the groups
+// in first-seen (row-scan) order; it is the one grouping loop, behind full
+// scans and AppendRows. Rows are keyed by their packed uint64 code tuple
+// when the dimensions' cardinality product fits 64 bits, and by the exact
+// byte-tuple key otherwise.
+func scanRange(dims []dim, sens []uint32, scard, lo, hi int) []*egroup {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	clear(sc.by64)
+	clear(sc.byStr)
+	var groups []*egroup
+	if packable(dims) {
+		by := sc.by64
+		for row := lo; row < hi; row++ {
+			key := packKey(dims, row)
+			g := by[key]
+			if g == nil {
+				g = newEgroup(row, scard)
+				by[key] = g
+				groups = append(groups, g)
+			}
+			g.addRow(row, sens)
+		}
+		return groups
+	}
+	if cap(sc.buf) < 4*len(dims) {
+		sc.buf = make([]byte, 4*len(dims))
+	}
+	buf := sc.buf[:4*len(dims)]
+	by := sc.byStr
+	for row := lo; row < hi; row++ {
+		appendTupleKey(dims, row, buf)
+		g := by[string(buf)]
+		if g == nil {
+			g = newEgroup(row, scard)
+			by[string(buf)] = g
+			groups = append(groups, g)
+		}
+		g.addRow(row, sens)
+	}
+	return groups
+}
+
 // keyString materializes the bucket key of a group from its
 // representative row: the generalized values joined as "v1|v2|…", built
 // once per bucket.
@@ -287,11 +344,15 @@ func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketizati
 // on every QI attribute after generalization to the given level.
 // Attributes absent from levels default to level 0 (no generalization).
 // This realizes the paper's equivalence of full-domain generalization and
-// bucketization under full identification information. It is the
-// one-shard case of the row-sharded scan in shard.go, which is the single
-// scan-loop implementation for every shard count.
+// bucketization under full identification information. The rows are
+// grouped in one pass over the code columns.
 func FromGeneralizationEncoded(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
-	return FromGeneralizationEncodedSharded(enc, chs, levels, 1, nil)
+	dims, err := buildDims(enc, chs, levels)
+	if err != nil {
+		return nil, err
+	}
+	groups := scanRange(dims, enc.SensitiveCol(), enc.SensitiveDict().Len(), 0, enc.Rows())
+	return finishGroups(enc, dims, groups), nil
 }
 
 // Bucketize is the one-shot form of FromGeneralizationEncoded: it encodes

@@ -140,7 +140,7 @@ func TestEncodedParityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: fine: %v", i, err)
 		}
-		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
+		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels)
 		if err != nil {
 			t.Fatalf("case %d: coarsen: %v", i, err)
 		}
@@ -150,30 +150,36 @@ func TestEncodedParityRandom(t *testing.T) {
 }
 
 // TestEncodedParityPaperExample pins the worked example through both key
-// paths.
+// paths, and the same schema with no rows, which scans to zero buckets.
 func TestEncodedParityPaperExample(t *testing.T) {
 	tab := paperTable(t)
 	hs := paperHierarchies()
-	enc := tab.Encode()
-	chs, err := bucket.CompileHierarchies(enc, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, levels := range []bucket.Levels{
-		{},
-		{"Zip": 1, "Age": 1},
-		{"Zip": 1, "Age": 1, "Sex": 1},
-		{"Zip": 2, "Age": 2, "Sex": 1},
-	} {
-		want, err := oracle.Bucketize(tab, hs, levels)
+	empty := table.New(tab.Schema)
+	for _, tab := range []*table.Table{tab, empty} {
+		enc := tab.Encode()
+		chs, err := bucket.CompileHierarchies(enc, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
-		if err != nil {
-			t.Fatal(err)
+		for _, levels := range []bucket.Levels{
+			{},
+			{"Zip": 1, "Age": 1},
+			{"Zip": 1, "Age": 1, "Sex": 1},
+			{"Zip": 2, "Age": 2, "Sex": 1},
+		} {
+			want, err := oracle.Bucketize(tab, hs, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bucket.FromGeneralizationEncoded(enc, chs, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle.RequireIdentical(t, want, got, fmt.Sprintf("%d rows, levels %v", tab.Len(), levels))
+			if tab.Len() == 0 && len(got.Buckets) != 0 {
+				t.Fatalf("empty table, levels %v: %d buckets, want 0", levels, len(got.Buckets))
+			}
 		}
-		oracle.RequireIdentical(t, want, got, fmt.Sprintf("levels %v", levels))
 	}
 }
 
@@ -240,7 +246,7 @@ func TestEncodedFallbackKeyPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
+		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +309,7 @@ func TestEncodedSparseSensitiveParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels, nil)
+		coarse, err := bucket.CoarsenInto(fine, enc, chs, levels)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -73,10 +73,14 @@ func (bz *Bucketization) MinDistinct() int {
 }
 
 // MaxTopFraction returns max_b n_b(s⁰_b)/n_b, the k=0 maximum disclosure
-// (random-worlds baseline with no background knowledge).
+// (random-worlds baseline with no background knowledge). An empty bucket
+// holds no person, so it adds no candidate.
 func (bz *Bucketization) MaxTopFraction() float64 {
 	max := 0.0
 	for _, b := range bz.Buckets {
+		if b.Size() == 0 {
+			continue
+		}
 		f := float64(b.TopCount()) / float64(b.Size())
 		if f > max {
 			max = f

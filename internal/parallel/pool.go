@@ -1,7 +1,7 @@
-// Package parallel provides the bounded worker pool behind the level-wise
+// Package parallel provides the bounded worker loop behind the level-wise
 // lattice searches and experiment sweeps.
 //
-// The pool's contract is determinism: callers write results into index-
+// The loop's contract is determinism: callers write results into index-
 // addressed slots, errors are reported for the lowest failing index, and a
 // worker budget of 1 (or a single work item) degenerates to a plain serial
 // loop with no goroutines at all. This is what lets the parallel searches
@@ -9,7 +9,11 @@
 // counterparts.
 package parallel
 
-import "runtime"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
 
 // Workers resolves a requested worker count: values below 1 mean "use all
 // available parallelism" (runtime.GOMAXPROCS). The result is always >= 1.
@@ -21,9 +25,8 @@ func Workers(n int) int {
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most workers goroutines,
-// the calling one included: it is Pool.ForEach on a pool of its own, so
-// the two share one worker loop. Workers pull indices from a shared
-// counter, so uneven work items balance automatically.
+// the calling one included. Workers pull indices from a shared counter, so
+// uneven work items balance automatically.
 //
 // Error semantics are deterministic: if any calls fail, ForEach returns the
 // error of the lowest failing index, and stops handing out new indices once
@@ -31,9 +34,55 @@ func Workers(n int) int {
 // the loop runs inline on the calling goroutine and stops at the first
 // error, exactly like a hand-written serial loop.
 func ForEach(workers, n int, fn func(i int) error) error {
-	var p *Pool
-	if w := min(Workers(workers), n); w > 1 {
-		p = NewPool(w)
+	w := min(Workers(workers), n)
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return p.ForEach(n, fn)
+
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		errIdx = -1
+		first  error
+		wg     sync.WaitGroup
+	)
+	record := func(i int, err error) {
+		failed.Store(true)
+		mu.Lock()
+		if errIdx < 0 || i < errIdx {
+			errIdx, first = i, err
+		}
+		mu.Unlock()
+	}
+	work := func() {
+		// Check for a failure before claiming an index, never after: a
+		// claimed index is always evaluated, so every index below a
+		// recorded failure has run and the lowest failing one is reported.
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				record(i, err)
+				return
+			}
+		}
+	}
+	wg.Add(w - 1)
+	for extra := 1; extra < w; extra++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return first
 }

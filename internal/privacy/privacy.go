@@ -106,7 +106,10 @@ func (c RecursiveCLDiversity) Satisfied(bz *bucket.Bucketization) (bool, error) 
 	if len(bz.Buckets) == 0 {
 		return false, fmt.Errorf("privacy: empty bucketization")
 	}
-	for _, b := range bz.Buckets {
+	for i, b := range bz.Buckets {
+		if b.Size() == 0 {
+			return false, fmt.Errorf("privacy: bucket %d is empty", i)
+		}
 		tail := b.Size() - b.PrefixSum(c.L-1)
 		if float64(b.TopCount()) >= c.C*float64(tail) {
 			return false, nil

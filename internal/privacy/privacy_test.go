@@ -109,6 +109,10 @@ func TestRecursiveCLDiversity(t *testing.T) {
 	if _, err := (RecursiveCLDiversity{C: 1, L: 2}).Satisfied(&bucket.Bucketization{}); err == nil {
 		t.Error("empty bucketization accepted")
 	}
+	withEmpty := bucket.FromValues([]string{"a", "b", "c", "d"}, []string{})
+	if _, err := (RecursiveCLDiversity{C: 2, L: 2}).Satisfied(withEmpty); err == nil || !strings.Contains(err.Error(), "bucket 1 is empty") {
+		t.Errorf("bucketization with an empty bucket: err = %v, want one naming bucket 1", err)
+	}
 }
 
 func TestCKSafety(t *testing.T) {

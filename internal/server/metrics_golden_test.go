@@ -44,7 +44,7 @@ func maskMetrics(text string) string {
 func TestMetricsGolden(t *testing.T) {
 	// One worker and one shard keep the cache and memo counters
 	// independent of scheduling.
-	cfg := Config{SearchWorkers: 1, ShardWorkers: 1}
+	cfg := Config{SearchWorkers: 1}
 	persisted := func(dir string) Config {
 		mgr, err := store.Open(store.Options{Dir: dir, CompactBytes: 1 << 30})
 		if err != nil {

@@ -59,13 +59,6 @@ type Config struct {
 	// the zero value — mean one worker per CPU core, matching the
 	// library-wide convention.
 	SearchWorkers int
-	// ShardWorkers is the per-dataset row-shard budget: each registered
-	// dataset's bucketization scans split its encoded columns into this
-	// many contiguous row ranges and scan them concurrently (results merge
-	// byte-identically with the serial scan). Values below 1 — including
-	// the zero value — mean one shard worker per CPU core. Set 1 to force
-	// serial scans.
-	ShardWorkers int
 	// MaxReleases bounds how many published releases are retained per
 	// dataset for the sequential-release audit; the oldest is evicted past
 	// the bound (the audit then covers the retained window). Default 16.
@@ -145,10 +138,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxPinnedVersions <= 0 {
 		c.MaxPinnedVersions = 128
 	}
-	// SearchWorkers and ShardWorkers are passed through: anonymize.Options
-	// already treats values below 1 as one per CPU core. MemoMaxBytes is
-	// passed through: core.NewEngineWithConfig resolves 0 to its default
-	// and treats negatives as unbounded.
+	// SearchWorkers is passed through: anonymize.Options already treats
+	// values below 1 as one per CPU core. MemoMaxBytes is passed through:
+	// core.NewEngineWithConfig resolves 0 to its default and treats
+	// negatives as unbounded.
 	return c
 }
 
@@ -157,7 +150,6 @@ func (c Config) withDefaults() Config {
 func (c Config) problemOptions() anonymize.Options {
 	o := anonymize.DefaultOptions()
 	o.Workers = c.SearchWorkers
-	o.ShardWorkers = c.ShardWorkers
 	o.MemoMaxBytes = c.MemoMaxBytes
 	return o
 }

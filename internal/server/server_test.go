@@ -733,7 +733,7 @@ func TestInlineEngineBoundedAndWarm(t *testing.T) {
 // dataset's own engine, so each warms the next; inline traffic stays on
 // the inline engine.
 func TestDatasetRequestsShareOneEngine(t *testing.T) {
-	s, ts := newTestServer(t, Config{SearchWorkers: 1, ShardWorkers: 1})
+	s, ts := newTestServer(t, Config{SearchWorkers: 1})
 	registerHospital(t, ts.URL, "h")
 	ds, _ := s.registry.get("h")
 	eng := ds.problem.Engine()

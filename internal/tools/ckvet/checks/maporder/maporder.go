@@ -2,10 +2,10 @@
 // and letting the iteration order reach an ordered output — a key list
 // appended to a slice that is never sorted, or bytes serialized directly
 // from inside the loop. Every performance layer of this repo (columnar
-// bucketization, coarsening, sharded scan-merge, the durable snapshot
-// format) is specified as byte-identical to a reference path; one
-// unsorted `for range m` in a key writer silently breaks that contract
-// on a schedule of the runtime's choosing.
+// bucketization, coarsening, appends, the durable snapshot format) is
+// specified as byte-identical to a reference path; one unsorted
+// `for range m` in a key writer silently breaks that contract on a
+// schedule of the runtime's choosing.
 //
 // The check: for every `for ... range m` where m is a map,
 //

@@ -1,5 +1,5 @@
 // Package poolleak keeps the sync.Pool fast paths honest. The hot
-// loops (sharded bucket scans, the two minimization passes) reuse
+// loops (bucket scans and coarsening, the two minimization passes) reuse
 // scratch buffers through sync.Pool; the contract is strictly
 // Get → use → Put on every path. Two failure shapes silently turn the
 // optimization into a regression:
@@ -22,8 +22,8 @@
 //   - only non-deferred Puts: any return that precedes the first Put is
 //     a path that leaks, and is a finding (prefer defer).
 //
-// Deliberate ownership transfer (a getScratch helper whose caller
-// carries the deferred Put) is suppressible with
+// Deliberate ownership transfer (a helper that returns pooled scratch
+// to a caller which carries the Put) is suppressible with
 // //ckvet:ignore poolleak <who Puts, and where>.
 package poolleak
 
@@ -95,37 +95,10 @@ func unwrapAssert(e ast.Expr) *ast.CallExpr {
 }
 
 // isPoolCall reports whether call invokes the named method on a
-// sync.Pool receiver, or the matching package-level arena wrapper
-// (GetArena for "Get", PutArena for "Put"): bucket's pooled-Arena API
-// hides its sync.Pool behind those two functions, and the same
-// Get → use → Put path contract binds their callers.
+// sync.Pool receiver.
 func isPoolCall(pass *analysis.Pass, call *ast.CallExpr, method string) bool {
 	recv, name := analysis.MethodCall(pass.TypesInfo, call)
-	if recv != nil && name == method && analysis.TypeIs(recv, "sync", "Pool") {
-		return true
-	}
-	return isArenaCall(pass, call, method+"Arena")
-}
-
-// isArenaCall reports whether call invokes a package-level (receiver-
-// less) function of the given name, in any package.
-func isArenaCall(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
-	var id *ast.Ident
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		id = fn
-	case *ast.SelectorExpr:
-		id = fn.Sel
-	}
-	if id == nil || id.Name != name {
-		return false
-	}
-	fn, ok := pass.TypesInfo.ObjectOf(id).(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
+	return recv != nil && name == method && analysis.TypeIs(recv, "sync", "Pool")
 }
 
 // checkVar applies the path rules to one pooled variable.

@@ -75,65 +75,3 @@ func suppressedEscape() *bytes.Buffer {
 	buf.Reset()
 	return buf
 }
-
-// arena mimics bucket.Arena: a pooled scratch type hidden behind
-// package-level GetArena/PutArena wrappers, which the checker treats as
-// Get/Put.
-type arena struct{ n int }
-
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
-
-// GetArena is the wrapper shape; the escape via return is the
-// deliberate ownership transfer, suppressed like any other.
-//
-//ckvet:ignore poolleak ownership transfers to the caller, which pairs GetArena with PutArena
-func GetArena() *arena {
-	return arenaPool.Get().(*arena)
-}
-
-// PutArena returns an arena to the pool.
-func PutArena(ar *arena) {
-	arenaPool.Put(ar)
-}
-
-// goodArenaDeferred is the canonical caller shape for the wrappers.
-func goodArenaDeferred() int {
-	ar := GetArena()
-	defer PutArena(ar)
-	ar.n++
-	return ar.n
-}
-
-// goodArenaImmediate puts the arena back before any return.
-func goodArenaImmediate(fail bool) (int, bool) {
-	ar := GetArena()
-	n := ar.n
-	PutArena(ar)
-	if fail {
-		return 0, false
-	}
-	return n, true
-}
-
-// badArenaNoPut never hands the arena back.
-func badArenaNoPut() int {
-	ar := GetArena() // want `sync.Pool Get of ar has no matching Put`
-	return ar.n
-}
-
-// badArenaEarlyReturn leaks the arena on the error path.
-func badArenaEarlyReturn(fail bool) int {
-	ar := GetArena()
-	if fail {
-		return 0 // want `return path leaks pooled value ar`
-	}
-	n := ar.n
-	PutArena(ar)
-	return n
-}
-
-// badArenaEscape hands the pooled arena out without a suppression.
-func badArenaEscape() *arena {
-	ar := GetArena()
-	return ar // want `pooled value ar escapes via return`
-}
