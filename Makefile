@@ -123,8 +123,9 @@ loadtest-replica:
 ## hardening), the logic parsers, the MINIMIZE2 kernel against its
 ## recursive oracle, the dataset-spec registration path, appends
 ## against a rebuild of the grown table, and the /v1/disclosure,
-## /v1/check and /v1/datasets/{name}/rows request bodies through the real
-## mux. Long enough to catch a regression, short enough for every push.
+## /v1/check, /v1/datasets/{name}/rows and /v1/estimate request bodies
+## through the real mux. Long enough to catch a regression, short enough
+## for every push.
 ## Raise FUZZ_TIME for a real session.
 FUZZ_TIME ?= 20s
 
@@ -139,6 +140,7 @@ fuzz-smoke:
 	$(GO) test ./internal/anonymize/ -run '^$$' -fuzz FuzzAppendMatchesRebuild -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzReadRequests -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzAppendRequests -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzEstimateRequests -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

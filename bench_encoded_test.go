@@ -66,19 +66,34 @@ func BenchmarkBucketizeSynth(b *testing.B) {
 }
 
 // BenchmarkEncodeTable measures the one-time cost the encoded path
-// amortizes: dictionary-encoding the table plus compiling the hierarchies.
+// amortizes: dictionary-encoding the table plus compiling the hierarchies,
+// on the full-size synthetic Adult table and on the 1M-row synth table
+// ckbench's sweep-1m workload encodes.
 func BenchmarkEncodeTable(b *testing.B) {
-	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc := tab.Encode()
-		chs, err := bucket.CompileHierarchies(enc, ckprivacy.AdultHierarchies())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkI = len(chs)
+	synth1m, err := synth.Bundle(synth.Config{Rows: 1_000_000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
 	}
-	reportRowsPerSec(b, float64(tab.Len()))
+	for _, tc := range []struct {
+		name string
+		tab  *ckprivacy.Table
+		hs   ckprivacy.Hierarchies
+	}{
+		{"adult", mustAdult(b, ckprivacy.AdultDefaultN), ckprivacy.AdultHierarchies()},
+		{"synth-1m", synth1m.Table, synth1m.Hierarchies},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				enc := tc.tab.Encode()
+				chs, err := bucket.CompileHierarchies(enc, tc.hs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkI = len(chs)
+			}
+			reportRowsPerSec(b, float64(tc.tab.Len()))
+		})
+	}
 }
 
 // BenchmarkLatticeSweepPath materializes every node of the 72-node Adult

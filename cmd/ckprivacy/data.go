@@ -81,11 +81,13 @@ func (d *dataFlags) loadAdultTable() (*ckprivacy.Table, error) {
 }
 
 // workersFlag registers the shared -workers flag: 1 (the default) is fully
-// serial, 0 or negative uses one worker per CPU core. All parallel paths
-// produce results identical to serial, with two caveats: estimate's
-// Monte-Carlo stream is reproducible per (seed, workers) pair but differs
-// across worker counts, and chain search's reported check count varies
-// with the budget (multi-section probing finds the same node).
+// serial, 0 or negative uses one worker per CPU core. On fig6 it bounds
+// both the materialization of the lattice's bucketizations and the
+// per-node disclosure DP. All parallel paths produce results identical to
+// serial, with two caveats: estimate's Monte-Carlo stream is reproducible
+// per (seed, workers) pair but differs across worker counts, and chain
+// search's reported check count varies with the budget (multi-section
+// probing finds the same node).
 func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 1, "worker goroutines (<= 0 means one per CPU core)")
 }

@@ -3,6 +3,7 @@ package bucket
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -280,11 +281,12 @@ func keyString(dims []dim, row int, parts []string) string {
 }
 
 // bucket finalizes the group into a Bucket, decoding value strings
-// through the sensitive dictionary. Sorting matches table.SortCounts
-// (count desc, value asc), so the resulting freq slice is byte-identical
-// to one built from a count map. Dense groups keep their code histogram on
-// the bucket for later coarsening; sparse ones drop it (CoarsenInto
-// recounts their rows, which is still O(rows) total).
+// through the sensitive dictionary. It sorts with table.CompareCounts
+// (count desc, value asc), the order of table.SortCounts, so the
+// resulting freq slice is byte-identical to one built from a count map.
+// Dense groups keep their code histogram on the bucket for later
+// coarsening; sparse ones drop it (CoarsenInto recounts their rows, which
+// is still O(rows) total).
 func (g *egroup) bucket(key string, sdict *table.Dict) *Bucket {
 	freq := make([]table.ValueCount, 0, 8)
 	if g.scounts != nil {
@@ -298,12 +300,7 @@ func (g *egroup) bucket(key string, sdict *table.Dict) *Bucket {
 			freq = append(freq, table.ValueCount{Value: sdict.Value(code), Count: int(n)})
 		}
 	}
-	sort.Slice(freq, func(i, j int) bool {
-		if freq[i].Count != freq[j].Count {
-			return freq[i].Count > freq[j].Count
-		}
-		return freq[i].Value < freq[j].Value
-	})
+	slices.SortFunc(freq, table.CompareCounts)
 	b := &Bucket{Key: key, Tuples: g.tuples, freq: freq, scounts: g.scounts}
 	b.finalize()
 	return b

@@ -37,10 +37,13 @@ type Fig6Config struct {
 	Ks []int
 	// Negation additionally computes the negated-atom disclosure per node.
 	Negation bool
-	// Workers bounds the goroutines sweeping lattice nodes; values below 1
-	// mean one worker per CPU core. The result is identical at every worker
-	// count — nodes are gathered by lattice position before the final
-	// entropy sort.
+	// Workers bounds the goroutines of both phases of the sweep:
+	// materializing the lattice's bucketizations (the problem's worker
+	// budget, one planned frontier at a time) and computing each node's
+	// disclosure series. Values below 1 mean one worker per CPU core. The
+	// result is identical at every worker count — bucketizations are
+	// byte-identical however they are scheduled, and nodes are gathered by
+	// lattice position before the final entropy sort.
 	Workers int
 	// Engine, when non-nil, supplies the MINIMIZE1 memo the sweep shares
 	// across nodes — letting callers bound its bytes (core.EngineConfig) or
@@ -79,7 +82,9 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 		}
 		maxK = max(maxK, k)
 	}
-	p, err := anonymize.NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
+	o := anonymize.DefaultOptions()
+	o.Workers = cfg.Workers
+	p, err := anonymize.NewProblemWithOptions(tab, adult.Hierarchies(), adult.QuasiIdentifiers(), o)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
@@ -98,9 +103,9 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 	snap := p.Snapshot()
 	// Materialize the whole lattice as one planned sweep first: one base
 	// scan at the bottom, everything else coarsened along the derivation
-	// DAG through pooled arenas. The per-node loop below then only ever
-	// hits the cache; results are byte-identical to bucketizing each node
-	// independently.
+	// DAG, each frontier on the problem's worker budget. The per-node loop
+	// below then only ever hits the cache; results are byte-identical to
+	// bucketizing each node independently.
 	if err := snap.MaterializeNodes(nodes); err != nil {
 		return nil, fmt.Errorf("experiments: fig6 sweep: %w", err)
 	}

@@ -96,6 +96,9 @@ func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	if len(qi) == 0 {
 		qi = adult.QuasiIdentifiers()
 	}
+	// The problem keeps the default serial budget: the cells below already
+	// fill the workers, and a multi-section chain search per cell would
+	// change the cells' Evaluated counts.
 	p, err := anonymize.NewProblem(tab, hs, qi)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: grid: %w", err)

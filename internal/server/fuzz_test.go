@@ -12,6 +12,8 @@ import (
 
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
+	"ckprivacy/internal/logic"
+	"ckprivacy/internal/worlds"
 )
 
 // FuzzReadRequests sends arbitrary bodies to the two read routes,
@@ -177,6 +179,105 @@ func FuzzAppendRequests(f *testing.F) {
 		}
 		if d.Tuples != resp.Rows {
 			t.Fatalf("disclosure after append %q counts %d tuples, want %d", body, d.Tuples, resp.Rows)
+		}
+	})
+}
+
+// FuzzEstimateRequests sends arbitrary bodies of up to 512 bytes to
+// /v1/estimate through the real mux (Server.Handler) of a server holding
+// the hospital dataset. Bodies that ask for more than 5,000 samples, or
+// that omit samples (it defaults to 100,000), are skipped, so one exec
+// stays cheap. The invariants: no panic and no 5xx; every non-200 body is
+// the JSON error envelope with a non-empty code; every 200 reports
+// accepted ≤ samples and a probability in [0, 1]; and a 200 on inline
+// groups equals worlds.FromBucketization(...).EstimateCondProb on the same
+// groups with the same seed and worker count.
+func FuzzEstimateRequests(f *testing.F) {
+	const (
+		maxBody    = 512
+		maxSamples = 5000
+	)
+	s := New(Config{MaxBodyBytes: maxBody})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	h := s.Handler()
+	register := httptest.NewRecorder()
+	h.ServeHTTP(register, httptest.NewRequest(http.MethodPost, "/v1/datasets",
+		bytes.NewReader([]byte(`{"name":"h","builtin":"hospital"}`))))
+	if register.Code != http.StatusCreated {
+		f.Fatalf("register hospital = %d: %s", register.Code, register.Body)
+	}
+
+	for _, seed := range []string{
+		`{"dataset":"h","target":"t[Ed]=lung-cancer","phi":"t[Ed]=mumps -> t[Ed]=flu","samples":2000,"seed":7}`,
+		`{"dataset":"h","levels":{"Zip":1},"target":"t[Ed]=flu","samples":500}`,
+		`{"groups":[["flu","flu","lung"],["flu","mumps"]],"target":"t[0]=flu","phi":"t[3]=mumps -> t[1]=flu","samples":1000,"seed":3}`,
+		`{"groups":[["a","b"]],"target":"t[0]=a","phi":"t[0]=a -> t[0]=b; t[0]=b -> t[0]=a","samples":100}`,
+		`{"groups":[["a"],[]],"target":"t[0]=a","samples":10}`,
+		`{"dataset":"h","target":"t[Ed]=","samples":10}`,
+		`{"dataset":"nope","target":"t[0]=flu","samples":10}`,
+		`{"target":"t[0]=flu","samples":`,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxBody {
+			return
+		}
+		var req estimateRequest
+		decodeErr := json.Unmarshal(body, &req)
+		if decodeErr == nil && (req.Samples <= 0 || req.Samples > maxSamples) {
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate", bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("estimate %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code == "" || e.Error == "" {
+				t.Fatalf("estimate %q: status %d body %q is not an error envelope (%v)", body, rec.Code, rec.Body, err)
+			}
+			return
+		}
+		if decodeErr != nil {
+			t.Fatalf("%q answered 200 but does not decode: %v", body, decodeErr)
+		}
+		var resp estimateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("estimate %q: response %q: %v", body, rec.Body, err)
+		}
+		if resp.Accepted > resp.Samples || !(resp.Prob >= 0 && resp.Prob <= 1) {
+			t.Fatalf("estimate %q: accepted %d of %d samples, prob %v", body, resp.Accepted, resp.Samples, resp.Prob)
+		}
+		if len(req.Groups) == 0 {
+			return
+		}
+		target, err := logic.ParseAtom(req.Target)
+		if err != nil {
+			t.Fatalf("%q answered 200 but its target does not parse: %v", body, err)
+		}
+		phi, err := logic.ParseConjunction(req.Phi)
+		if err != nil {
+			t.Fatalf("%q answered 200 but its phi does not parse: %v", body, err)
+		}
+		in, err := worlds.FromBucketization(bucket.FromValues(req.Groups...), nil)
+		if err != nil {
+			t.Fatalf("%q answered 200 but its groups do not build: %v", body, err)
+		}
+		want, err := in.EstimateCondProb(target, phi, req.Samples, s.cfg.SearchWorkers, req.Seed)
+		if err != nil {
+			t.Fatalf("%q answered 200 but the library fails: %v", body, err)
+		}
+		if math.Float64bits(resp.Prob) != math.Float64bits(want.Prob) ||
+			math.Float64bits(resp.StdErr) != math.Float64bits(want.StdErr) ||
+			resp.Accepted != want.Accepted || resp.Samples != want.Samples {
+			t.Fatalf("%q: estimate %+v, library %+v", body, resp, want)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -99,6 +100,32 @@ func TestEncodedAppendMatchesRebuild(t *testing.T) {
 			}
 		}
 	}
+
+	// One base above the parallel threshold, encoded column-parallel at
+	// GOMAXPROCS 4, with ages the append then extends.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := randRows(rng, s, 2*parallelRows)
+	for _, r := range base {
+		r[0] = strconv.Itoa(rng.Intn(50))
+	}
+	extra := randRows(rng, s, 500)
+	grown := New(s)
+	for _, r := range base {
+		grown.MustAppend(r)
+	}
+	enc := grown.Encode()
+	delta, err := enc.Append(extra)
+	if err != nil {
+		t.Fatalf("large case: append: %v", err)
+	}
+	if delta.NewValueCount(0) == 0 {
+		t.Fatal("large case: the append introduced no new age")
+	}
+	concat := New(s)
+	for _, r := range append(append([]Row{}, base...), extra...) {
+		concat.MustAppend(r)
+	}
+	requireSameEncoding(t, concat.Encode(), enc, "large case")
 }
 
 // TestSnapshotPinnedAcrossAppend pins the copy-on-write contract: a

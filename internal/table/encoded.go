@@ -3,7 +3,8 @@ package table
 import (
 	"fmt"
 	"runtime"
-	"sync"
+
+	"ckprivacy/internal/parallel"
 )
 
 // This file implements the columnar, dictionary-encoded view of a table.
@@ -24,10 +25,10 @@ import (
 // Invariants:
 //   - Dicts[c].Value(Cols[c][i]) == Table.Rows[i][c] for every row i and
 //     column c: decoding always reproduces the exact original strings.
-//   - Codes are assigned in order of first appearance during the row scan,
-//     and appends scan their rows in order after all existing rows — so the
-//     master's encoding is byte-identical to Encode on the concatenated
-//     table.
+//   - Codes are assigned in order of first appearance in each column's
+//     row order, and appends scan their rows in order after all existing
+//     rows — so the master's encoding is byte-identical to Encode on the
+//     concatenated table.
 //   - A Snapshot never changes: its row count, code columns and dictionary
 //     lengths are pinned. Appends to the master write only beyond every
 //     pinned length, so snapshot readers and a (serialized) appender never
@@ -109,7 +110,24 @@ type Encoded struct {
 	Cols [][]uint32
 }
 
-// Encode builds the columnar view in one pass over the rows.
+// parallelRows is the table size from which Encode and
+// NewEncodedFromParts spread their work over every core; below it,
+// starting goroutines costs more than it saves.
+const parallelRows = 8192
+
+// workersFor returns the worker budget for building a view of the given
+// number of rows: runtime.GOMAXPROCS(0) from parallelRows on, 1 below.
+func workersFor(rows int) int {
+	if rows < parallelRows {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// Encode builds the columnar view, one pass over the rows per column.
+// A column's codes depend only on that column's values in row order, so
+// the columns intern independently, each on its own worker; the result is
+// the same at every worker count.
 func (t *Table) Encode() *Encoded {
 	nCols := len(t.Schema.Attrs)
 	e := &Encoded{
@@ -117,15 +135,16 @@ func (t *Table) Encode() *Encoded {
 		Dicts: make([]*Dict, nCols),
 		Cols:  make([][]uint32, nCols),
 	}
-	for c := 0; c < nCols; c++ {
-		e.Dicts[c] = newDict(16)
-		e.Cols[c] = make([]uint32, len(t.Rows))
-	}
-	for i, r := range t.Rows {
-		for c, v := range r {
-			e.Cols[c][i] = e.Dicts[c].intern(v)
+	// The callback never fails, so ForEach returns nil.
+	_ = parallel.ForEach(workersFor(len(t.Rows)), nCols, func(c int) error {
+		d := newDict(16)
+		col := make([]uint32, len(t.Rows))
+		for i, r := range t.Rows {
+			col[i] = d.intern(r[c])
 		}
-	}
+		e.Dicts[c], e.Cols[c] = d, col
+		return nil
+	})
 	return e
 }
 
@@ -180,33 +199,24 @@ func NewEncodedFromParts(s *Schema, dicts [][]string, cols [][]uint32) (*Encoded
 		}
 	}
 	// One flat backing array for every row — one allocation instead of one
-	// per row — filled in parallel chunks: warm-boot recovery calls this on
-	// its critical path, and materializing ~rows×ncols string headers is
-	// the single largest cost of a restart.
+	// per row — filled in one contiguous chunk of rows per worker:
+	// warm-boot recovery calls this on its critical path, and
+	// materializing ~rows×ncols string headers is the single largest cost
+	// of a restart.
 	ncols := len(cols)
 	backing := make([]string, rows*ncols)
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	workers := workersFor(rows)
+	// The callback never fails, so ForEach returns nil.
+	_ = parallel.ForEach(workers, workers, func(j int) error {
+		for i := j * rows / workers; i < (j+1)*rows/workers; i++ {
 			r := backing[i*ncols : (i+1)*ncols : (i+1)*ncols]
 			for c := 0; c < ncols; c++ {
 				r[c] = dicts[c][cols[c][i]]
 			}
 			e.Table.Rows[i] = Row(r)
 		}
-	}
-	const parallelThreshold = 8192
-	if workers := runtime.GOMAXPROCS(0); rows >= parallelThreshold && workers > 1 {
-		chunk := (rows + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < rows; lo += chunk {
-			hi := min(lo+chunk, rows)
-			wg.Add(1)
-			go func() { defer wg.Done(); fill(lo, hi) }()
-		}
-		wg.Wait()
-	} else {
-		fill(0, rows)
-	}
+		return nil
+	})
 	return e, nil
 }
 

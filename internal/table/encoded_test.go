@@ -2,7 +2,10 @@ package table
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -82,5 +85,104 @@ func TestEncodedAccessors(t *testing.T) {
 	}
 	if _, ok := e.Dicts[1].Code("nope"); ok {
 		t.Fatal("Code(nope) unexpectedly found")
+	}
+}
+
+// encodeRowMajor is the encoder Encode replaced and now its oracle: one
+// pass over the rows, interning every column of a row before moving to
+// the next row.
+func encodeRowMajor(t *Table) *Encoded {
+	nCols := len(t.Schema.Attrs)
+	e := &Encoded{Table: t, Dicts: make([]*Dict, nCols), Cols: make([][]uint32, nCols)}
+	for c := 0; c < nCols; c++ {
+		e.Dicts[c] = newDict(16)
+		e.Cols[c] = make([]uint32, len(t.Rows))
+	}
+	for i, r := range t.Rows {
+		for c, v := range r {
+			e.Cols[c][i] = e.Dicts[c].intern(v)
+		}
+	}
+	return e
+}
+
+// mixedCardinalityTable builds a table whose columns range from 2 to
+// about rows distinct values, and whose last row carries a value in every
+// column but the sensitive one that no earlier row has.
+func mixedCardinalityTable(t *testing.T, rows int, seed int64) *Table {
+	t.Helper()
+	s, err := NewSchema([]Attribute{
+		{Name: "ID", Kind: Numeric, Min: 0, Max: 1 << 30},
+		{Name: "Zip", Kind: Numeric, Min: 0, Max: 99999},
+		{Name: "Sex", Kind: Categorical, Domain: []string{"M", "F", "X"}},
+		{Name: "Disease", Kind: Categorical, Domain: []string{"flu", "mumps", "cold", "gout", "ache"}},
+	}, "Disease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	tab := New(s)
+	for i := 0; i < rows-1; i++ {
+		tab.MustAppend(Row{
+			strconv.Itoa(rng.Intn(1 << 29)),
+			strconv.Itoa(10000 + rng.Intn(400)),
+			s.Attrs[2].Domain[rng.Intn(2)],
+			s.Attrs[3].Domain[rng.Intn(len(s.Attrs[3].Domain))],
+		})
+	}
+	tab.MustAppend(Row{strconv.Itoa(1<<29 + 1), "99999", "X", "flu"})
+	return tab
+}
+
+// TestEncodeMatchesSerial pins the column-parallel Encode to the
+// row-major oracle: dictionaries in code order, code columns and the
+// master view's Code lookups, on both sides of the parallel threshold at
+// GOMAXPROCS 4.
+func TestEncodeMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, rows := range []int{1, parallelRows - 1, parallelRows, 20011} {
+		tab := mixedCardinalityTable(t, rows, int64(rows))
+		want, got := encodeRowMajor(tab), tab.Encode()
+		label := fmt.Sprintf("%d rows", rows)
+		requireSameEncoding(t, want, got, label)
+		for c, d := range got.Dicts {
+			for code, v := range d.Values() {
+				if gc, ok := d.Code(v); !ok || int(gc) != code {
+					t.Fatalf("%s: column %d Code(%q) = %d, %v; want %d", label, c, v, gc, ok, code)
+				}
+			}
+			if _, ok := d.Code("absent"); ok {
+				t.Fatalf("%s: column %d Code(absent) found", label, c)
+			}
+		}
+		last := got.Rows() - 1
+		for c := 0; c < 3; c++ {
+			if got.Cols[c][last] != uint32(got.Dicts[c].Len()-1) {
+				t.Fatalf("%s: column %d's last-row value is not the last code", label, c)
+			}
+		}
+	}
+}
+
+// TestEncodedFromPartsRoundTrip rebuilds views from Encode's parts on
+// both sides of the parallel threshold at GOMAXPROCS 4: the row chunks
+// must cover every row exactly once, each decoding to its original
+// strings.
+func TestEncodedFromPartsRoundTrip(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, rows := range []int{1, parallelRows - 1, parallelRows, 20011} {
+		tab := mixedCardinalityTable(t, rows, int64(rows))
+		enc := tab.Encode()
+		dicts := make([][]string, len(enc.Dicts))
+		for c, d := range enc.Dicts {
+			dicts[c] = d.Values()
+		}
+		got, err := NewEncodedFromParts(tab.Schema, dicts, enc.Cols)
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		if !reflect.DeepEqual(got.Table.Rows, tab.Rows) {
+			t.Fatalf("%d rows: rebuilt rows differ from the table's", rows)
+		}
 	}
 }

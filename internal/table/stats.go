@@ -1,6 +1,10 @@
 package table
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // ValueCount pairs a value with its multiplicity.
 type ValueCount struct {
@@ -35,11 +39,17 @@ func SortCounts(m map[string]int) []ValueCount {
 	for v, c := range m {
 		out = append(out, ValueCount{Value: v, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Value < out[j].Value
-	})
+	slices.SortFunc(out, CompareCounts)
 	return out
+}
+
+// CompareCounts orders value counts by decreasing count, ties broken by
+// increasing value. It is the one order of every frequency table:
+// SortCounts here and each bucket's sensitive histogram in
+// internal/bucket.
+func CompareCounts(a, b ValueCount) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
 }
