@@ -55,11 +55,15 @@ lint:
 ## relative markdown link in README.md + docs/ must resolve, every
 ## exported symbol of the public package and internal/server must carry a
 ## doc comment, every func Fuzz* outside bench/ must have a line in
-## fuzz-smoke below, and every row of ARCHITECTURE's "Production paths
-## and their oracles" table must name parity tests that some _test.go
-## defines. The same tool output gates CI, so broken links, bare exported
-## names, unlisted fuzz targets and oracle rows without tests fail the
-## build, not a reviewer's patience.
+## fuzz-smoke below, every row of ARCHITECTURE's "Production paths and
+## their oracles" table must name parity tests that some _test.go
+## defines, and every backticked repository file path in PAPER-MAP and
+## ARCHITECTURE (a code span starting with internal/, cmd/, docs/,
+## bench/, examples/ or .github/ and ending in a file extension) must
+## name a file that exists; bare file names, package paths and symbols
+## are not checked. The same tool output gates CI, so broken links, bare
+## exported names, unlisted fuzz targets, oracle rows without tests and
+## citations of deleted files fail the build, not a reviewer's patience.
 docs-check:
 	$(GO) run ./internal/tools/docscheck
 
@@ -122,10 +126,10 @@ loadtest-replica:
 ## missing from it): the store decoders (snapshot/WAL
 ## hardening), the logic parsers, the MINIMIZE2 kernel against its
 ## recursive oracle, the dataset-spec registration path, appends
-## against a rebuild of the grown table, and the /v1/disclosure,
-## /v1/check, /v1/datasets/{name}/rows and /v1/estimate request bodies
-## through the real mux. Long enough to catch a regression, short enough
-## for every push.
+## against a rebuild of the grown table, and the /v1/datasets,
+## /v1/disclosure, /v1/check, /v1/datasets/{name}/rows and /v1/estimate
+## request bodies through the real mux. Long enough to catch a
+## regression, short enough for every push.
 ## Raise FUZZ_TIME for a real session.
 FUZZ_TIME ?= 20s
 
@@ -141,6 +145,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzReadRequests -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzAppendRequests -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzEstimateRequests -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRegisterDataset -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

@@ -2,6 +2,7 @@ package anonymize
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ckprivacy/internal/bucket"
@@ -12,11 +13,14 @@ import (
 // This file executes the derivation DAGs plan.go builds: frontiers run in
 // ascending height order, each frontier evaluated as one batch on the
 // problem's worker budget, every non-root node coarsening from its
-// parent's result through bucket.CoarsenInto. Every materialization
-// goes through here, including a single cache miss (a one-node plan).
-// Planning changes which source each derivation uses and when, never what
-// it produces: bucket.CoarsenInto yields the identical bucketization from
-// any component-wise finer source, and that is the direct scan's result.
+// parent's result through bucket.CoarsenIndexed. Each result's row index
+// goes down to its children, so only a source that came without one (a
+// cached entry, or a node a racing sweep filled) is indexed from its
+// tuples, once per plan. Every materialization goes through here,
+// including a single cache miss (a one-node plan). Planning changes which
+// source each derivation uses and when, never what it produces:
+// coarsening yields the identical bucketization from any component-wise
+// finer source, and that is the direct scan's result.
 
 // subsetNode pairs a QI-dimension subset with a node of its sub-lattice —
 // the unit of work a sweep materializes (full-lattice sweeps use the
@@ -51,7 +55,7 @@ type SweepStats struct {
 	// (DAG roots with no usable source).
 	BaseScans uint64
 	// Coarsened counts planned nodes derived from a parent by
-	// bucket.CoarsenInto.
+	// bucket.CoarsenIndexed.
 	Coarsened uint64
 	// Reused counts planned nodes that needed no work: their vector was
 	// already materialized (racing sweep or an exact cached source).
@@ -88,46 +92,86 @@ func (s *Snapshot) prefetch(units []subsetNode) error {
 	if err != nil {
 		return err
 	}
-	return s.runPlan(pl)
+	_, err = s.runPlan(pl)
+	return err
+}
+
+// planResult is one derivation source of a running plan: a planned node's
+// bucketization or a cached source, with its row index. A scan or a
+// coarsening hands over the index its call returned; any other source is
+// indexed from its tuples on first use, once however many children derive
+// from it.
+type planResult struct {
+	bz   *bucket.Bucketization
+	once sync.Once
+	idx  *bucket.Index
+	err  error
+}
+
+// index returns the source's row index over the snapshot's rows.
+func (r *planResult) index(rows int) (*bucket.Index, error) {
+	r.once.Do(func() {
+		if r.idx == nil {
+			r.idx, r.err = bucket.IndexOf(r.bz, rows)
+		}
+	})
+	return r.idx, r.err
 }
 
 // runPlan executes a derivation DAG frontier by frontier. Heights run in
 // ascending order, so every parent's result exists before its children
 // derive from it; within a frontier, nodes are independent and evaluate
-// as one parallel batch.
-func (s *Snapshot) runPlan(pl *sweepPlan) error {
+// as one parallel batch. It returns each planned node's result; the
+// indexes they hold die with the plan, so the cache keeps bucketizations
+// only.
+func (s *Snapshot) runPlan(pl *sweepPlan) ([]*planResult, error) {
 	if len(pl.nodes) == 0 {
-		return nil
+		return nil, nil
 	}
 	st := s.st
 	ctr := &s.p.sweepCtr
 	ctr.sweeps.Add(1)
 	ctr.planned.Add(uint64(len(pl.nodes)))
-	results := make([]*bucket.Bucketization, len(pl.nodes))
+	rows := st.enc.Rows()
+	results := make([]*planResult, len(pl.nodes))
+	// Cached sources, one result each however many nodes read them; the
+	// map is complete before any worker reads it.
+	sources := map[*bucket.Bucketization]*planResult{}
+	for i := range pl.nodes {
+		if src := pl.nodes[i].source; src != nil && sources[src] == nil {
+			sources[src] = &planResult{bz: src}
+		}
+	}
 	for _, frontier := range pl.frontiers {
 		err := parallel.ForEach(s.p.opts.Workers, len(frontier), func(i int) error {
 			idx := frontier[i]
 			n := &pl.nodes[idx]
 			bz, cached := st.cache.peek(n.keys[0])
+			var res *planResult
 			switch {
 			case cached:
 				// A racing sweep materialized the vector since planning;
 				// both values are byte-identical, either serves.
 				ctr.reused.Add(1)
+				res = &planResult{bz: bz}
 			case n.exact:
-				bz = n.source
+				res = sources[n.source]
 				ctr.reused.Add(1)
 			default:
-				src := n.source
-				if n.parent >= 0 {
-					src = results[n.parent]
-				}
+				var index *bucket.Index
 				var err error
-				if src == nil {
-					bz, err = bucket.FromGeneralizationEncoded(st.enc, st.compiled, n.levels)
+				if n.parent < 0 && n.source == nil {
+					bz, index, err = bucket.ScanIndexed(st.enc, st.compiled, n.levels)
 					ctr.baseScans.Add(1)
 				} else {
-					bz, err = bucket.CoarsenInto(src, st.enc, st.compiled, n.levels)
+					from := sources[n.source]
+					if n.parent >= 0 {
+						from = results[n.parent]
+					}
+					var fromIdx *bucket.Index
+					if fromIdx, err = from.index(rows); err == nil {
+						bz, index, err = bucket.CoarsenIndexed(from.bz, fromIdx, st.enc, st.compiled, n.levels)
+					}
 					ctr.coarsened.Add(1)
 				}
 				if err != nil {
@@ -137,18 +181,19 @@ func (s *Snapshot) runPlan(pl *sweepPlan) error {
 				st.cache.countMiss()
 				ctr.predicted.Add(uint64(n.predicted))
 				ctr.actual.Add(uint64(len(bz.Buckets)))
+				res = &planResult{bz: bz, idx: index}
 			}
-			results[idx] = bz
+			results[idx] = res
 			for _, k := range n.keys {
-				st.cache.put(k, cacheEntry{bz: bz, levels: n.levels, vec: n.vec})
+				st.cache.put(k, cacheEntry{bz: res.bz, levels: n.levels, vec: n.vec})
 			}
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return results, nil
 }
 
 // identitySubset is the all-dimensions subset full-lattice sweeps use.

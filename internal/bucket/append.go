@@ -20,37 +20,37 @@ import (
 // append cheap.
 
 // appendMerged rebuilds one touched bucket: the old bucket's tuples and
-// histogram plus one appended group's. Tuple order matches a from-scratch
+// histogram plus appended bucket p's. Tuple order matches a from-scratch
 // row scan because every appended row index exceeds every old one. The
 // histogram merge is dense-to-dense when both sides carry code-space
 // counts (an old histogram shorter than scard predates the new sensitive
 // codes and holds zero of each), and falls back to merging the decoded
 // freq multisets otherwise.
-func appendMerged(old *Bucket, g *egroup, scard int, sdict *table.Dict) *Bucket {
-	tuples := make([]int, 0, len(old.Tuples)+len(g.tuples))
+func appendMerged(old *Bucket, gr *grouping, p int, cr *codeRanks, sdict *table.Dict) *Bucket {
+	added, hist := gr.tuples(p), gr.scounts(p)
+	tuples := make([]int, 0, len(old.Tuples)+len(added))
 	tuples = append(tuples, old.Tuples...)
-	tuples = append(tuples, g.tuples...)
-	if old.scounts != nil && g.scounts != nil && len(old.scounts) <= scard {
-		merged := make([]int32, scard)
+	tuples = append(tuples, added...)
+	if old.scounts != nil && hist != nil && len(old.scounts) <= gr.scard {
+		merged := make([]int32, gr.scard)
 		copy(merged, old.scounts)
-		for v, n := range g.scounts {
+		for v, n := range hist {
 			merged[v] += n
 		}
-		ng := &egroup{rep: tuples[0], tuples: tuples, scounts: merged}
-		return ng.bucket(old.Key, sdict)
+		return newDenseBucket(old.Key, tuples, merged, cr)
 	}
 	counts := make(map[string]int, old.Distinct()+4)
 	for _, vc := range old.Freq() {
 		counts[vc.Value] += vc.Count
 	}
-	if g.scounts != nil {
-		for v, n := range g.scounts {
+	if hist != nil {
+		for v, n := range hist {
 			if n > 0 {
 				counts[sdict.Value(uint32(v))] += int(n)
 			}
 		}
 	} else {
-		for v, n := range g.sparse {
+		for v, n := range gr.sparse[p] {
 			counts[sdict.Value(v)] += int(n)
 		}
 	}
@@ -83,32 +83,27 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 		// Nothing appended: same partition, re-anchored on the snapshot.
 		return &Bucketization{Buckets: old.Buckets, Source: enc.Table}, nil
 	}
-	sens := enc.SensitiveCol()
-	scard := enc.SensitiveDict().Len()
-
 	// Group only the appended rows with the scan loop, on whichever key
 	// path the current cardinalities select (the old bucketization's key
 	// path is irrelevant: matching below goes through the decoded string
 	// keys, which both paths share).
-	groups := scanRange(dims, sens, scard, start, rows)
+	gr := scanRows(enc, dims, start, rows)
 
-	// Match each appended group to an existing bucket through the
-	// materialized string key (decoded once per group, not per row).
+	// Match each appended bucket to an existing one through its string key.
 	oldIndex := make(map[string]int, len(old.Buckets))
 	for i, b := range old.Buckets {
 		oldIndex[b.Key] = i
 	}
 	sdict := enc.SensitiveDict()
-	parts := make([]string, len(dims))
-	out := make([]*Bucket, len(old.Buckets), len(old.Buckets)+len(groups))
+	cr := denseRanks(sdict)
+	out := make([]*Bucket, len(old.Buckets), len(old.Buckets)+len(gr.keys))
 	copy(out, old.Buckets)
 	fresh := 0
-	for _, g := range groups {
-		key := keyString(dims, g.rep, parts)
+	for p, key := range gr.keys {
 		if i, ok := oldIndex[key]; ok {
-			out[i] = appendMerged(old.Buckets[i], g, scard, sdict)
+			out[i] = appendMerged(old.Buckets[i], gr, p, cr, sdict)
 		} else {
-			out = append(out, g.bucket(key, sdict))
+			out = append(out, gr.bucket(p, cr, sdict))
 			fresh++
 		}
 	}

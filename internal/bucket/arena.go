@@ -1,6 +1,7 @@
 package bucket
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,15 +10,16 @@ import (
 	"ckprivacy/internal/table"
 )
 
-// This file is the coarsening path: CoarsenInto derives the bucketization
-// at coarser levels from an already-materialized finer one of the same
-// encoded table, without rescanning the rows. Every fine bucket is re-keyed
-// through its representative row (the hierarchies' nested-coarsening law
-// guarantees all its rows generalize identically), fine buckets with equal
-// coarse keys are merged, and their sensitive code histograms are summed.
-// The cost is proportional to the number of fine buckets, not the number
-// of rows — this is what makes lattice-wide sweeps cheap after the first
-// scan. It merges into scratch drawn from a pooled arena and precomputes
+// This file is the coarsening path: CoarsenIndexed derives the
+// bucketization at coarser levels from an already-materialized finer one
+// of the same encoded table, without rescanning the rows. Every fine
+// bucket is re-keyed through its representative row (the hierarchies'
+// nested-coarsening law guarantees all its rows generalize identically),
+// fine buckets with equal coarse keys are merged, and their sensitive code
+// histograms are summed. Its cost is O(fine buckets) plus, when some
+// groups merge, one sequential pass over the row index that scatters the
+// merged groups' row ids: 4 bytes read per row and one write per merged
+// row. It merges into scratch drawn from a pooled arena and precomputes
 // every output size from the source bucketization, so a planned sweep
 // materializing dozens of lattice nodes allocates each histogram and tuple
 // slab exactly once and reuses its grouping maps, permutation and key
@@ -30,24 +32,25 @@ import (
 //   - groups that merge no fine buckets (one source bucket → one output
 //     bucket) share the source bucket's tuple, frequency and histogram
 //     storage outright under the re-decoded key instead of copying it;
-//   - tuples of merged groups are written by a single ascending row scan
-//     into an exactly-sized slab (epoch-tagged row→group scatter), so the
-//     per-group sort.Ints of the append-then-sort path disappears;
+//   - tuples of merged groups are written by one ascending pass over the
+//     row index into an exactly-sized slab, each root bucket's output
+//     bucket resolved once beforehand, so no per-group sort runs and no
+//     row is written twice;
 //   - dense sensitive histograms of all merged groups live in one slab
-//     sized nGroups × cardinality up front.
+//     sized nGroups × cardinality up front, and their frequency tables
+//     sort on code ranks.
 
 // arena is the pooled scratch of coarsening calls: grouping maps (cleared,
-// not reallocated, between calls), the row→group tag array, and the key /
-// permutation / cursor buffers. CoarsenInto holds one for the duration of
-// a call. The zero value is ready to use.
+// not reallocated, between calls) and the key / permutation / position /
+// cursor buffers. CoarsenIndexed holds one for the duration of a call. The
+// zero value is ready to use.
 type arena struct {
 	by64    map[uint64]int
 	byStr   map[string]int
 	buf     []byte   // byte-tuple key buffer (unpackable dimension sets)
 	groups  []cgroup // per-call group table
 	groupOf []int32  // fine-bucket index → group index (-1: empty bucket)
-	rowTag  []uint64 // row → epoch<<32|group for merged-group scatter
-	epoch   uint32
+	posOf   []int32  // group index → output position
 	cursor  []int
 	keys    []string
 	perm    []int
@@ -112,27 +115,9 @@ func (ar *arena) reset(nDims, nFine int) {
 	ar.parts = ar.parts[:nDims]
 }
 
-// nextEpoch sizes the row-tag array for `rows` rows and advances the
-// epoch, returning the tag prefix (epoch<<32) rows of this call are marked
-// with. Stale tags from earlier calls never match the new epoch, so the
-// array is never cleared.
-func (ar *arena) nextEpoch(rows int) uint64 {
-	if cap(ar.rowTag) < rows {
-		ar.rowTag = make([]uint64, rows)
-		ar.epoch = 0
-	}
-	ar.rowTag = ar.rowTag[:cap(ar.rowTag)]
-	ar.epoch++
-	if ar.epoch == 0 { // epoch wrapped: old tags would alias the new epoch
-		clear(ar.rowTag)
-		ar.epoch = 1
-	}
-	return uint64(ar.epoch) << 32
-}
-
-// buffers returns the per-group cursor, key and permutation scratch sized
-// for n groups.
-func (ar *arena) buffers(n int) (cur []int, keys []string, perm []int) {
+// buffers returns the per-group cursor, key, permutation and position
+// scratch sized for n groups.
+func (ar *arena) buffers(n int) (cur []int, keys []string, perm []int, posOf []int32) {
 	if cap(ar.cursor) < n {
 		ar.cursor = make([]int, n)
 	}
@@ -142,26 +127,49 @@ func (ar *arena) buffers(n int) (cur []int, keys []string, perm []int) {
 	if cap(ar.perm) < n {
 		ar.perm = make([]int, n)
 	}
-	return ar.cursor[:n], ar.keys[:n], ar.perm[:n]
+	if cap(ar.posOf) < n {
+		ar.posOf = make([]int32, n)
+	}
+	return ar.cursor[:n], ar.keys[:n], ar.perm[:n], ar.posOf[:n]
 }
 
-// CoarsenInto derives the bucketization at the given levels from fine,
-// merging through a pooled arena: the grouping maps, row-tag array and
-// ordering buffers are reused across calls instead of being allocated per
-// call, tuple and histogram slabs are exact-size, and fine buckets that
-// coarsen alone share their storage.
+// CoarsenInto derives the bucketization at the given levels from fine. It
+// is CoarsenIndexed from an index built out of fine's tuples (IndexOf),
+// for callers that hold no index.
 //
 // Precondition: fine partitions enc.Table at levels that are
 // component-wise ≤ the requested levels (on every schema QI attribute).
 // The result is then byte-identical to FromGeneralizationEncoded at the
 // requested levels.
 func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
+	idx, err := IndexOf(fine, enc.Rows())
+	if err != nil {
+		return nil, err
+	}
+	bz, _, err := CoarsenIndexed(fine, idx, enc, chs, levels)
+	return bz, err
+}
+
+// CoarsenIndexed derives the bucketization at the given levels from fine,
+// whose row index is idx (from ScanIndexed, IndexOf or an earlier
+// CoarsenIndexed), and returns the result's index, which shares idx's row
+// array. It merges through a pooled arena: the grouping maps and ordering
+// buffers are reused across calls instead of being allocated per call,
+// tuple and histogram slabs are exact-size, and fine buckets that coarsen
+// alone share their storage.
+//
+// Precondition: as CoarsenInto's, and idx indexes fine over all of
+// enc's rows.
+func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, *Index, error) {
 	arenaGets.Add(1)
 	ar := arenaPool.Get().(*arena)
 	defer arenaPool.Put(ar)
 	dims, err := buildDims(enc, chs, levels)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if idx.Rows() != enc.Rows() {
+		return nil, nil, fmt.Errorf("bucket: row index covers %d rows, table has %d", idx.Rows(), enc.Rows())
 	}
 	sens := enc.SensitiveCol()
 	scard := enc.SensitiveDict().Len()
@@ -215,51 +223,65 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 	}
 	ar.groups = groups
 
-	// Lay out the merged groups (nb ≥ 2): slab offsets for tuples and a
-	// dense-histogram slot each. Groups of one fine bucket (mi = -1) never
-	// touch a slab — they share the source bucket's storage below.
-	nMerged, mergedRows := 0, 0
+	// Decode the keys once per group and order the output; a monotone
+	// re-key leaves the source order intact, in which case the sort is
+	// skipped (keysAreSorted is the linear pre-check of the scan too).
+	cur, keys, perm, posOf := ar.buffers(len(groups))
+	parts := ar.parts[:len(dims)]
 	for gi := range groups {
-		if groups[gi].nb > 1 {
-			groups[gi].mi = int32(nMerged)
-			groups[gi].off = mergedRows
-			nMerged++
-			mergedRows += groups[gi].rows
+		keys[gi] = keyString(dims, groups[gi].rep, parts)
+	}
+	for i := range perm {
+		perm[i] = i
+	}
+	if !keysAreSorted(keys) {
+		sort.Slice(perm, func(i, j int) bool { return keys[perm[i]] < keys[perm[j]] })
+	}
+
+	// Lay out the merged groups (nb ≥ 2) in output order: slab offsets
+	// for tuples and a dense-histogram slot each. Groups of one fine
+	// bucket (mi = -1) never touch a slab — they share the source
+	// bucket's storage below — so their cursor is -1.
+	nMerged, mergedRows := 0, 0
+	for oi, gi := range perm {
+		posOf[gi] = int32(oi)
+		g := &groups[gi]
+		if g.nb == 1 {
+			cur[oi] = -1
+			continue
+		}
+		g.mi, g.off = int32(nMerged), mergedRows
+		cur[oi] = mergedRows
+		nMerged++
+		mergedRows += g.rows
+	}
+
+	// The result's index: each root bucket's output position, resolved
+	// once through its fine bucket and that bucket's group.
+	of := make([]int32, len(idx.of))
+	for r, fi := range idx.of {
+		of[r] = -1
+		if fi >= 0 {
+			if gi := groupOf[fi]; gi >= 0 {
+				of[r] = posOf[gi]
+			}
 		}
 	}
 
-	cur, keys, perm := ar.buffers(len(groups))
-
 	var tupSlab []int
-	dense := scard <= maxDenseSensitive
+	dense := scard <= MaxDenseSensitive
 	var histSlab []int32
 	if nMerged > 0 {
-		// Merged tuples: tag each merged row with its group, then scatter
-		// by one ascending row scan — the slab sections come out in global
-		// row order, exactly what the append-then-sort path sorted into.
+		// Merged tuples: one ascending pass over the row index scatters
+		// each merged row to its group's cursor, so every slab section
+		// comes out in global row order, as a scan writes it.
 		tupSlab = make([]int, mergedRows)
-		rows := enc.Rows()
-		tag := ar.nextEpoch(rows)
-		for fi, b := range fine.Buckets {
-			gi := groupOf[fi]
-			if gi < 0 || groups[gi].mi < 0 {
-				continue
+		for row, r := range idx.root {
+			p := of[r]
+			if at := cur[p]; at >= 0 {
+				tupSlab[at] = row
+				cur[p] = at + 1
 			}
-			t := tag | uint64(uint32(gi))
-			for _, row := range b.Tuples {
-				ar.rowTag[row] = t
-			}
-		}
-		for gi := range groups {
-			cur[gi] = groups[gi].off
-		}
-		for row, t := range ar.rowTag[:rows] {
-			if t&^uint64(0xffffffff) != tag {
-				continue
-			}
-			gi := uint32(t)
-			tupSlab[cur[gi]] = row
-			cur[gi]++
 		}
 		if dense {
 			// Merged dense histograms: one slab, summed slice-to-slice from
@@ -287,21 +309,11 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 		}
 	}
 
-	// Decode the keys once per group and order the output; a monotone
-	// re-key leaves the source order intact, in which case the sort is
-	// skipped (keysAreSorted is the linear pre-check of finishGroups too).
-	parts := ar.parts[:len(dims)]
-	for gi := range groups {
-		keys[gi] = keyString(dims, groups[gi].rep, parts)
-	}
-	for i := range perm {
-		perm[i] = i
-	}
-	if !keysAreSorted(keys) {
-		sort.Slice(perm, func(i, j int) bool { return keys[perm[i]] < keys[perm[j]] })
-	}
-
 	sdict := enc.SensitiveDict()
+	var cr *codeRanks
+	if dense && nMerged > 0 {
+		cr = newCodeRanks(sdict)
+	}
 	bz := &Bucketization{Source: enc.Table, Buckets: make([]*Bucket, len(groups))}
 	for oi, gi := range perm {
 		g := &groups[gi]
@@ -310,24 +322,22 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 			continue
 		}
 		sec := tupSlab[g.off : g.off+g.rows : g.off+g.rows]
-		eg := egroup{rep: g.rep, tuples: sec}
 		if dense {
 			mi := int(g.mi)
-			eg.scounts = histSlab[mi*scard : (mi+1)*scard : (mi+1)*scard]
-		} else {
-			sp := make(map[uint32]int32, 8)
-			for _, row := range sec {
-				sp[sens[row]]++
-			}
-			eg.sparse = sp
+			bz.Buckets[oi] = newDenseBucket(keys[gi], sec, histSlab[mi*scard:(mi+1)*scard:(mi+1)*scard], cr)
+			continue
 		}
-		bz.Buckets[oi] = eg.bucket(keys[gi], sdict)
+		sp := make(map[uint32]int32, 8)
+		for _, row := range sec {
+			sp[sens[row]]++
+		}
+		bz.Buckets[oi] = newSparseBucket(keys[gi], sec, sp, sdict)
 	}
-	return bz, nil
+	return bz, &Index{root: idx.root, of: of}, nil
 }
 
 // keysAreSorted reports whether keys are already in ascending order — the
-// linear pre-check that lets coarsening and finishGroups skip their output
+// linear pre-check that lets coarsening and the scan skip their output
 // sort when the re-key map is monotone in the source order.
 func keysAreSorted(keys []string) bool {
 	for i := 1; i < len(keys); i++ {

@@ -8,7 +8,9 @@ package bucket
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -29,8 +31,9 @@ type Bucket struct {
 	hist   []int              // counts only, aligned with freq
 	// scounts is the sensitive histogram over the encoded table's
 	// sensitive code space; nil for buckets built from value lists or
-	// tuple groups. The incremental coarsening path merges these without
-	// touching strings.
+	// tuple groups, and for sparse code spaces (above MaxDenseSensitive).
+	// The incremental coarsening path merges these without touching
+	// strings.
 	scounts []int32
 }
 
@@ -53,13 +56,84 @@ func rekeyBucket(b *Bucket, key string) *Bucket {
 	return &Bucket{Key: key, Tuples: b.Tuples, freq: b.freq, prefix: b.prefix, hist: b.hist, scounts: b.scounts}
 }
 
-// finalize derives the prefix sums and the cached histogram from freq.
+// newDenseBucket builds a bucket from its dense code histogram. The
+// frequency table is sorted on integer (count desc, value rank asc) keys,
+// which is table.CompareCounts' order because ranks follow value order,
+// and decoded to strings in that order. scounts may be shorter than the
+// code space (a histogram that predates an append): codes are never
+// reassigned, so its missing tail holds zeros.
+func newDenseBucket(key string, tuples []int, scounts []int32, cr *codeRanks) *Bucket {
+	keys := cr.keys[:0]
+	for code, n := range scounts {
+		if n > 0 {
+			keys = append(keys, uint64(math.MaxInt32-n)<<32|uint64(cr.rank[code]))
+		}
+	}
+	slices.Sort(keys)
+	cr.keys = keys
+	freq := make([]table.ValueCount, len(keys))
+	for i, k := range keys {
+		freq[i] = table.ValueCount{
+			Value: cr.values[cr.byRank[uint32(k)]],
+			Count: int(math.MaxInt32 - int32(k>>32)),
+		}
+	}
+	b := &Bucket{Key: key, Tuples: tuples, freq: freq, scounts: scounts}
+	b.finalize()
+	return b
+}
+
+// newSparseBucket builds a bucket from a sparse code histogram (a
+// sensitive code space above MaxDenseSensitive, where ranks would cost a
+// sort of the whole dictionary per call); its frequency table sorts on
+// the decoded values.
+func newSparseBucket(key string, tuples []int, counts map[uint32]int32, sdict *table.Dict) *Bucket {
+	freq := make([]table.ValueCount, 0, len(counts))
+	for code, n := range counts {
+		freq = append(freq, table.ValueCount{Value: sdict.Value(code), Count: int(n)})
+	}
+	slices.SortFunc(freq, table.CompareCounts)
+	b := &Bucket{Key: key, Tuples: tuples, freq: freq}
+	b.finalize()
+	return b
+}
+
+// codeRanks orders a dense sensitive code space by value: rank[code] is
+// the code's position in ascending value order and byRank inverts it.
+// One is computed per scan, coarsening or append call, so that call's
+// frequency tables sort on integers; keys is newDenseBucket's sort
+// scratch, which makes a codeRanks single-goroutine state.
+type codeRanks struct {
+	values []string // the sensitive dictionary in code order
+	rank   []uint32
+	byRank []uint32
+	keys   []uint64
+}
+
+// newCodeRanks ranks the sensitive dictionary's values.
+func newCodeRanks(sdict *table.Dict) *codeRanks {
+	values := sdict.Values()
+	byRank := make([]uint32, len(values))
+	for i := range byRank {
+		byRank[i] = uint32(i)
+	}
+	slices.SortFunc(byRank, func(a, b uint32) int { return strings.Compare(values[a], values[b]) })
+	rank := make([]uint32, len(values))
+	for r, code := range byRank {
+		rank[code] = uint32(r)
+	}
+	return &codeRanks{values: values, rank: rank, byRank: byRank}
+}
+
+// finalize derives the cached histogram and its prefix sums from freq, in
+// one allocation.
 func (b *Bucket) finalize() {
-	b.prefix = make([]int, len(b.freq)+1)
-	b.hist = make([]int, len(b.freq))
+	n := len(b.freq)
+	buf := make([]int, 2*n+1)
+	b.hist, b.prefix = buf[:n:n], buf[n:]
 	for i, vc := range b.freq {
-		b.prefix[i+1] = b.prefix[i] + vc.Count
 		b.hist[i] = vc.Count
+		b.prefix[i+1] = b.prefix[i] + vc.Count
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -20,8 +19,11 @@ import (
 // per-dimension cardinalities fit 64 bits (multi-radix positional
 // packing), falling back to a byte-tuple key otherwise — the fallback is
 // exact, not a lossy hash, so both key paths group identically. Sensitive
-// histograms are counted over the sensitive dictionary's code space and
-// decoded to strings once per bucket.
+// histograms are counted over the sensitive dictionary's code space,
+// ordered on integer code ranks when that space is dense, and decoded to
+// strings once per bucket. Every bucket's row ids live in one exact-size
+// slab per call, and the per-row group ids the scan keeps become the row
+// index (index.go) that coarsening reads.
 //
 // Byte-identity contract (relied on by the randomized parity tests against
 // the string-path reference in internal/oracle, and by the lattice
@@ -72,10 +74,14 @@ func (d *dim) value(row int) string {
 }
 
 // buildDims resolves the schema's quasi-identifiers at the given levels
-// against the encoded view and the compiled hierarchies.
+// against the encoded view and the compiled hierarchies. It also rejects a
+// table too large for a row index, since every caller builds or reads one.
 func buildDims(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) ([]dim, error) {
 	s := enc.Table.Schema
 	if err := validateLevels(s, chs, levels); err != nil {
+		return nil, err
+	}
+	if err := checkIndexRows(enc.Rows()); err != nil {
 		return nil, err
 	}
 	qi := s.QuasiIdentifiers()
@@ -175,99 +181,181 @@ func appendTupleKey(dims []dim, row int, buf []byte) {
 	}
 }
 
-// maxDenseSensitive bounds the sensitive cardinality up to which
-// per-group histograms are dense []int32 slices over the code space.
-// Above it (e.g. a near-unique sensitive column), dense slices would cost
-// O(buckets × cardinality) memory — quadratic at fine lattice nodes where
-// buckets ≈ rows — so groups fall back to sparse maps, keeping the total
-// O(rows).
-const maxDenseSensitive = 256
+// MaxDenseSensitive bounds the sensitive cardinality up to which
+// histograms are dense []int32 slices over the code space, ordered on
+// integer code ranks. Above it (e.g. a near-unique sensitive column),
+// dense slices would cost O(buckets × cardinality) memory — quadratic at
+// fine lattice nodes where buckets ≈ rows — so buckets fall back to
+// sparse maps, keeping the total O(rows), and sort on decoded values.
+// Parity suites read it to prove they cover both representations.
+const MaxDenseSensitive = 256
 
-// egroup accumulates one bucket of the encoded grouping. Exactly one of
-// scounts (dense) or sparse is non-nil, chosen by sensitive cardinality.
-type egroup struct {
-	rep     int // representative row: any member; all agree at these levels
-	tuples  []int
-	scounts []int32
-	sparse  map[uint32]int32
-}
-
-// newEgroup allocates a group with the histogram representation suited to
-// the sensitive code space.
-func newEgroup(rep, scard int) *egroup {
-	g := &egroup{rep: rep}
-	if scard <= maxDenseSensitive {
-		g.scounts = make([]int32, scard)
-	} else {
-		g.sparse = make(map[uint32]int32, 4)
-	}
-	return g
-}
-
-// addRow appends one row to the group.
-func (g *egroup) addRow(row int, sens []uint32) {
-	g.tuples = append(g.tuples, row)
-	if g.scounts != nil {
-		g.scounts[sens[row]]++
-	} else {
-		g.sparse[sens[row]]++
-	}
-}
-
-// scratch is the reusable state of a scan: the grouping maps (cleared,
-// not reallocated, between scans — map bucket growth is the dominant
-// allocation of a scan) and the byte-tuple key buffer.
+// scratch is the reusable state of a scan: the grouping maps from a
+// row's key to its group id (cleared, not reallocated, between scans —
+// map bucket growth is the dominant allocation of a scan) and the
+// byte-tuple key buffer.
 type scratch struct {
-	by64  map[uint64]*egroup
-	byStr map[string]*egroup
+	by64  map[uint64]int32
+	byStr map[string]int32
 	buf   []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{by64: make(map[uint64]*egroup), byStr: make(map[string]*egroup)}
+	return &scratch{by64: make(map[uint64]int32), byStr: make(map[string]int32)}
 }}
 
-// scanRange groups rows [lo, hi) of the encoded view, returning the groups
-// in first-seen (row-scan) order; it is the one grouping loop, behind full
-// scans and AppendRows. Rows are keyed by their packed uint64 code tuple
-// when the dimensions' cardinality product fits 64 bits, and by the exact
-// byte-tuple key otherwise.
-func scanRange(dims []dim, sens []uint32, scard, lo, hi int) []*egroup {
+// grouping is what the scan loop hands back for rows [lo, hi): the
+// buckets in key order, bucket p's rows (ascending) in
+// rows[off[p]:off[p+1]] of one exact-size slab, its histogram in the
+// dense slab's p-th scard-long section or, above MaxDenseSensitive, in
+// sparse[p], and index[row-lo], the position of row's bucket.
+type grouping struct {
+	keys   []string
+	off    []int
+	rows   []int
+	scard  int
+	dense  []int32
+	sparse []map[uint32]int32
+	index  []int32
+}
+
+// tuples returns bucket p's rows.
+func (gr *grouping) tuples(p int) []int {
+	return gr.rows[gr.off[p]:gr.off[p+1]:gr.off[p+1]]
+}
+
+// scounts returns bucket p's dense histogram (nil when sparse).
+func (gr *grouping) scounts(p int) []int32 {
+	if gr.dense == nil {
+		return nil
+	}
+	return gr.dense[p*gr.scard : (p+1)*gr.scard : (p+1)*gr.scard]
+}
+
+// bucket builds bucket p; cr is nil exactly when histograms are sparse.
+func (gr *grouping) bucket(p int, cr *codeRanks, sdict *table.Dict) *Bucket {
+	if cr == nil {
+		return newSparseBucket(gr.keys[p], gr.tuples(p), gr.sparse[p], sdict)
+	}
+	return newDenseBucket(gr.keys[p], gr.tuples(p), gr.scounts(p), cr)
+}
+
+// denseRanks returns the code ranks of the sensitive dictionary when its
+// histograms are dense, and nil when they are sparse.
+func denseRanks(sdict *table.Dict) *codeRanks {
+	if sdict.Len() > MaxDenseSensitive {
+		return nil
+	}
+	return newCodeRanks(sdict)
+}
+
+// scanRows is the one grouping loop, behind full scans and AppendRows: a
+// counting sort of rows [lo, hi) by bucket, in two passes. The first keys
+// every row to a group id (its packed uint64 code tuple when the
+// dimensions' cardinality product fits 64 bits, the exact byte-tuple key
+// otherwise) and counts group sizes. Groups are then ordered by their
+// decoded keys, which fixes every bucket's slab section. The second pass
+// walks the rows in ascending order, writes each row id at its bucket's
+// cursor, counts its sensitive code, and overwrites its group id with the
+// bucket's position, which leaves the index behind.
+func scanRows(enc *table.Encoded, dims []dim, lo, hi int) *grouping {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	index := make([]int32, hi-lo)
+	reps, sizes := sc.group(dims, lo, hi, index)
+	ng := len(reps)
+
+	// Order the groups by key; groups already in key order (common when
+	// the scan order is the key order, e.g. a sorted table) skip the sort.
+	// perm maps bucket positions to group ids, posOf inverts it.
+	parts := make([]string, len(dims))
+	byGroup := make([]string, ng)
+	for g, rep := range reps {
+		byGroup[g] = keyString(dims, rep, parts)
+	}
+	perm := make([]int32, ng)
+	for p := range perm {
+		perm[p] = int32(p)
+	}
+	if !keysAreSorted(byGroup) {
+		slices.SortFunc(perm, func(a, b int32) int { return strings.Compare(byGroup[a], byGroup[b]) })
+	}
+	posOf, cur := make([]int32, ng), make([]int, ng)
+	gr := &grouping{keys: make([]string, ng), off: make([]int, ng+1), rows: make([]int, hi-lo), index: index}
+	for p, g := range perm {
+		posOf[g] = int32(p)
+		gr.keys[p] = byGroup[g]
+		cur[p] = gr.off[p]
+		gr.off[p+1] = gr.off[p] + sizes[g]
+	}
+
+	sens := enc.SensitiveCol()
+	scard := enc.SensitiveDict().Len()
+	gr.scard = scard
+	if scard <= MaxDenseSensitive {
+		gr.dense = make([]int32, ng*scard)
+	} else {
+		gr.sparse = make([]map[uint32]int32, ng)
+		for p := range gr.sparse {
+			gr.sparse[p] = make(map[uint32]int32, 4)
+		}
+	}
+	rows, dense := gr.rows, gr.dense
+	for i, g := range index {
+		p := posOf[g]
+		row := lo + i
+		rows[cur[p]] = row
+		cur[p]++
+		if dense != nil {
+			dense[int(p)*scard+int(sens[row])]++
+		} else {
+			gr.sparse[p][sens[row]]++
+		}
+		index[i] = p
+	}
+	return gr
+}
+
+// group is the scan's first pass: it keys rows [lo, hi) to group ids in
+// first-seen order, writing each row's id to gid[row-lo], and returns each
+// group's first row and size.
+func (sc *scratch) group(dims []dim, lo, hi int, gid []int32) (reps, sizes []int) {
 	clear(sc.by64)
 	clear(sc.byStr)
-	var groups []*egroup
 	if packable(dims) {
 		by := sc.by64
 		for row := lo; row < hi; row++ {
 			key := packKey(dims, row)
-			g := by[key]
-			if g == nil {
-				g = newEgroup(row, scard)
+			g, ok := by[key]
+			if !ok {
+				g = int32(len(reps))
 				by[key] = g
-				groups = append(groups, g)
+				reps = append(reps, row)
+				sizes = append(sizes, 0)
 			}
-			g.addRow(row, sens)
+			sizes[g]++
+			gid[row-lo] = g
 		}
-		return groups
-	}
-	if cap(sc.buf) < 4*len(dims) {
-		sc.buf = make([]byte, 4*len(dims))
-	}
-	buf := sc.buf[:4*len(dims)]
-	by := sc.byStr
-	for row := lo; row < hi; row++ {
-		appendTupleKey(dims, row, buf)
-		g := by[string(buf)]
-		if g == nil {
-			g = newEgroup(row, scard)
-			by[string(buf)] = g
-			groups = append(groups, g)
+	} else {
+		if cap(sc.buf) < 4*len(dims) {
+			sc.buf = make([]byte, 4*len(dims))
 		}
-		g.addRow(row, sens)
+		buf := sc.buf[:4*len(dims)]
+		by := sc.byStr
+		for row := lo; row < hi; row++ {
+			appendTupleKey(dims, row, buf)
+			g, ok := by[string(buf)]
+			if !ok {
+				g = int32(len(reps))
+				by[string(buf)] = g
+				reps = append(reps, row)
+				sizes = append(sizes, 0)
+			}
+			sizes[g]++
+			gid[row-lo] = g
+		}
 	}
-	return groups
+	return reps, sizes
 }
 
 // keyString materializes the bucket key of a group from its
@@ -280,76 +368,34 @@ func keyString(dims []dim, row int, parts []string) string {
 	return strings.Join(parts, "|")
 }
 
-// bucket finalizes the group into a Bucket, decoding value strings
-// through the sensitive dictionary. It sorts with table.CompareCounts
-// (count desc, value asc), the order of table.SortCounts, so the
-// resulting freq slice is byte-identical to one built from a count map.
-// Dense groups keep their code histogram on the bucket for later
-// coarsening; sparse ones drop it (CoarsenInto recounts their rows, which
-// is still O(rows) total).
-func (g *egroup) bucket(key string, sdict *table.Dict) *Bucket {
-	freq := make([]table.ValueCount, 0, 8)
-	if g.scounts != nil {
-		for code, n := range g.scounts {
-			if n > 0 {
-				freq = append(freq, table.ValueCount{Value: sdict.Value(uint32(code)), Count: int(n)})
-			}
-		}
-	} else {
-		for code, n := range g.sparse {
-			freq = append(freq, table.ValueCount{Value: sdict.Value(code), Count: int(n)})
-		}
-	}
-	slices.SortFunc(freq, table.CompareCounts)
-	b := &Bucket{Key: key, Tuples: g.tuples, freq: freq, scounts: g.scounts}
-	b.finalize()
-	return b
-}
-
-// finishGroups materializes and orders the buckets of an encoded
-// grouping: keys decoded once per group, groups sorted by key.
-func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketization {
-	type keyed struct {
-		key string
-		g   *egroup
-	}
-	ks := make([]keyed, len(groups))
-	parts := make([]string, len(dims))
-	sorted := true
-	for i, g := range groups {
-		ks[i] = keyed{keyString(dims, g.rep, parts), g}
-		if i > 0 && ks[i].key < ks[i-1].key {
-			sorted = false
-		}
-	}
-	// Groups already in key order (common when the scan order is the key
-	// order, e.g. a sorted table) skip the sort outright.
-	if !sorted {
-		sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	}
-	bz := &Bucketization{Source: enc.Table}
-	bz.Buckets = make([]*Bucket, len(ks))
-	sdict := enc.SensitiveDict()
-	for i, k := range ks {
-		bz.Buckets[i] = k.g.bucket(k.key, sdict)
-	}
-	return bz
-}
-
 // FromGeneralizationEncoded partitions the encoded table by the generalized
 // values of its quasi-identifiers: two tuples share a bucket iff they agree
 // on every QI attribute after generalization to the given level.
 // Attributes absent from levels default to level 0 (no generalization).
 // This realizes the paper's equivalence of full-domain generalization and
 // bucketization under full identification information. The rows are
-// grouped in one pass over the code columns.
+// grouped by a two-pass counting sort over the code columns (scanRows).
 func FromGeneralizationEncoded(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
+	bz, _, err := ScanIndexed(enc, chs, levels)
+	return bz, err
+}
+
+// ScanIndexed is FromGeneralizationEncoded that also returns the scan's
+// row index, so a planned sweep can coarsen the result's children through
+// CoarsenIndexed without indexing its tuples again.
+func ScanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, *Index, error) {
 	dims, err := buildDims(enc, chs, levels)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	groups := scanRange(dims, enc.SensitiveCol(), enc.SensitiveDict().Len(), 0, enc.Rows())
-	return finishGroups(enc, dims, groups), nil
+	gr := scanRows(enc, dims, 0, enc.Rows())
+	sdict := enc.SensitiveDict()
+	cr := denseRanks(sdict)
+	bz := &Bucketization{Source: enc.Table, Buckets: make([]*Bucket, len(gr.keys))}
+	for p := range bz.Buckets {
+		bz.Buckets[p] = gr.bucket(p, cr, sdict)
+	}
+	return bz, rootIndex(gr.index, len(gr.keys)), nil
 }
 
 // Bucketize is the one-shot form of FromGeneralizationEncoded: it encodes

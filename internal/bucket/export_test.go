@@ -9,9 +9,9 @@ import (
 // against internal/oracle, which imports this package, so they cannot be
 // compiled into package bucket itself.
 
-// MaxDenseSensitive is the sensitive cardinality above which groups keep
-// sparse histograms.
-const MaxDenseSensitive = maxDenseSensitive
+// CheckIndexRows is the row-count guard of every scan, coarsening and
+// IndexOf call.
+var CheckIndexRows = checkIndexRows
 
 // Packable reports whether the QI dimensions at levels pack into one
 // uint64 group key; false means the scan takes the byte-tuple fallback.

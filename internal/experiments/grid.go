@@ -67,8 +67,10 @@ var DefaultGridCs = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 // RunSafetyGrid sweeps (c,k)-safety over the grid on the Adult
 // quasi-identifier lattice, one chain search per cell (Theorem 14 justifies
 // the chain's monotonicity). All cells share the problem's memoizing
-// disclosure engine and bucketization cache, so the sweep cost is
-// dominated by the distinct histograms actually encountered.
+// disclosure engine and bucketization cache, so each chain node a probe
+// touches is bucketized once for the whole grid and each distinct
+// histogram's DP row is computed once. Building the problem and
+// bucketizing the probed chain nodes, not the DP, is most of the cost.
 func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	cs := cfg.Cs
 	if len(cs) == 0 {

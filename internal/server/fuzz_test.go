@@ -7,11 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
+	"ckprivacy/internal/dataload"
 	"ckprivacy/internal/logic"
 	"ckprivacy/internal/worlds"
 )
@@ -278,6 +280,94 @@ func FuzzEstimateRequests(f *testing.F) {
 			math.Float64bits(resp.StdErr) != math.Float64bits(want.StdErr) ||
 			resp.Accepted != want.Accepted || resp.Samples != want.Samples {
 			t.Fatalf("%q: estimate %+v, library %+v", body, resp, want)
+		}
+	})
+}
+
+// FuzzRegisterDataset sends arbitrary bodies of up to 2 KiB to
+// POST /v1/datasets through the real mux (Server.Handler). Every exec
+// starts from a new server with a 200-row limit, so datasets never pile
+// up across execs. Bodies that name the built-in adult bundle are
+// skipped: it generates all 45,222 rows before the row limit rejects
+// them. The invariants: no panic and no 5xx; every non-201 body is the
+// JSON error envelope with a non-empty code; and every dataset that got a
+// 201 answers /v1/disclosure at k = 1 with a 200 and a disclosure in
+// [0, 1].
+func FuzzRegisterDataset(f *testing.F) {
+	const maxBody = 2048
+	adultCSV := new(strings.Builder)
+	adultRows, err := dataload.Adult("", 3, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := adultRows.Table.WriteCSV(adultCSV); err != nil {
+		f.Fatal(err)
+	}
+	csvBody, err := json.Marshal(map[string]string{"name": "a", "adult_csv": adultCSV.String()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		`{"name":"mini","spec":{"attributes":[{"name":"Zip","kind":"numeric","min":0,"max":99999},` +
+			`{"name":"Illness","kind":"categorical","domain":["flu","cold"]}],"sensitive":"Illness",` +
+			`"hierarchies":[{"attribute":"Zip","kind":"interval","widths":[1,10,0]}],` +
+			`"csv":"Zip,Illness\n14850,flu\n14851,cold\n14852,flu\n14853,cold\n"}}`,
+		`{"name":"h","builtin":"hospital"}`,
+		`{"name":"s","synthetic":{"n":150,"seed":7}}`,
+		string(csvBody),
+		`{"name":"s","synthetic":{"n":201}}`,
+		`{"name":"x","builtin":"hospital","synthetic":{"n":10}}`,
+		`{"name":"`,
+	} {
+		f.Add([]byte(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxBody {
+			return
+		}
+		var req registerDatasetRequest
+		if json.Unmarshal(body, &req) == nil && strings.EqualFold(req.Builtin, "adult") {
+			return
+		}
+		s := New(Config{MaxBodyBytes: maxBody, MaxRows: 200})
+		defer func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = s.Shutdown(ctx)
+		}()
+		h := s.Handler()
+		serve := func(path string, body []byte) *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			return rec
+		}
+		rec := serve("/v1/datasets", body)
+		if rec.Code >= 500 {
+			t.Fatalf("register %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusCreated {
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code == "" {
+				t.Fatalf("register %q: status %d body %q is not an error envelope (%v)", body, rec.Code, rec.Body, err)
+			}
+			return
+		}
+		var info datasetInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+			t.Fatalf("register %q: response %q: %v", body, rec.Body, err)
+		}
+		read, err := json.Marshal(map[string]any{"dataset": info.Name, "k": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		disc := serve("/v1/disclosure", read)
+		var d disclosureResponse
+		if err := json.Unmarshal(disc.Body.Bytes(), &d); err != nil || disc.Code != http.StatusOK {
+			t.Fatalf("register %q: disclosure on %q: %d %q (%v)", body, info.Name, disc.Code, disc.Body, err)
+		}
+		if !(d.Disclosure >= 0 && d.Disclosure <= 1) {
+			t.Fatalf("register %q: disclosure %v outside [0, 1]", body, d.Disclosure)
 		}
 	})
 }

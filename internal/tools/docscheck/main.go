@@ -12,8 +12,13 @@
 // CI's fuzz job, and (4) checks every row of ARCHITECTURE's "Production
 // paths and their oracles" table names, in its parity column, Test* or
 // Fuzz* functions that some _test.go outside bench/ defines, so a fast
-// path cannot lose its named oracle test. It exits non-zero listing every
-// offender.
+// path cannot lose its named oracle test, and (5) checks every backticked
+// repository file path in docs/PAPER-MAP.md and docs/ARCHITECTURE.md (a
+// code span that starts with a top-level directory such as internal/ or
+// cmd/ and ends in a file extension) names a file that exists, so the
+// claims ledger cannot cite deleted code. Bare file names, package paths
+// and symbols are not file paths and are not checked. It exits non-zero
+// listing every offender.
 package main
 
 import (
@@ -38,6 +43,7 @@ func main() {
 	}
 	problems = append(problems, checkFuzzSmoke(tests)...)
 	problems = append(problems, checkOracleTable("docs/ARCHITECTURE.md", tests)...)
+	problems = append(problems, checkCitedFiles("docs/PAPER-MAP.md", "docs/ARCHITECTURE.md")...)
 	problems = append(problems, checkDocComments(".", "ckprivacy")...)
 	problems = append(problems, checkDocComments("internal/server", "server")...)
 	problems = append(problems, checkDocComments("internal/store", "store")...)
@@ -64,7 +70,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list and oracle table OK")
+	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list, oracle table and cited files OK")
 }
 
 // ---- markdown link checking ----
@@ -312,6 +318,50 @@ func checkOracleTable(doc string, tests map[string][]testFunc) []string {
 	}
 	if n <= 2 {
 		problems = append(problems, fmt.Sprintf("%s: the %q table has no rows", doc, oracleTableHeading))
+	}
+	return problems
+}
+
+// ---- cited files ----
+
+// codeSpanRE matches an inline code span on one line.
+var codeSpanRE = regexp.MustCompile("`([^`]+)`")
+
+// citedFileRE matches a code span that is a repository file path: a
+// top-level directory, then a path whose last element ends in a
+// lowercase file extension. Package paths (internal/replica_test) have
+// no extension, symbols (internal/anonymize.Problem) end in a
+// capitalized name, and a span with a * wildcard names no single file.
+var citedFileRE = regexp.MustCompile(`^(?:internal|cmd|docs|bench|examples|\.github)/[^\s*]*\.[a-z0-9]+$`)
+
+// checkCitedFiles reports every code span in docs (outside fenced blocks)
+// that is a repository file path naming no existing file.
+func checkCitedFiles(docs ...string) []string {
+	var problems []string
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+			continue
+		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range codeSpanRE.FindAllStringSubmatch(line, -1) {
+				if !citedFileRE.MatchString(m[1]) {
+					continue
+				}
+				if _, err := os.Stat(filepath.FromSlash(m[1])); err != nil {
+					problems = append(problems, fmt.Sprintf("%s:%d: cites %s, which does not exist", doc, i+1, m[1]))
+				}
+			}
+		}
 	}
 	return problems
 }
