@@ -43,10 +43,56 @@ type bucketizeCache struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
+
+	// claims holds the level vectors being materialized, by lattice key.
+	claimMu sync.Mutex
+	claims  map[string]*claim
+}
+
+// claim is one level vector's materialization in progress. The leader
+// that took it scans or coarsens, caches the result and then releases it:
+// res or err is set and done closed, so every waiter reuses the result or
+// fails with the error. A claim is held only while its leader works, never
+// while the leader waits on another claim, so claims cannot deadlock.
+type claim struct {
+	key  string
+	done chan struct{}
+	res  *planResult
+	err  error
+}
+
+// claim returns the claim on a level vector's key and whether the caller
+// took it (leads) or must wait for its leader.
+func (c *bucketizeCache) claim(key string) (*claim, bool) {
+	c.claimMu.Lock()
+	defer c.claimMu.Unlock()
+	if cl, ok := c.claims[key]; ok {
+		return cl, false
+	}
+	cl := &claim{key: key, done: make(chan struct{})}
+	c.claims[key] = cl
+	return cl, true
+}
+
+// release ends a claim with its result or error and wakes its waiters.
+// The leader calls it after caching the result, so a later request finds
+// the cache entry instead of a claim.
+func (c *bucketizeCache) release(cl *claim, res *planResult, err error) {
+	c.claimMu.Lock()
+	delete(c.claims, cl.key)
+	c.claimMu.Unlock()
+	cl.res, cl.err = res, err
+	close(cl.done)
+}
+
+// wait blocks until the claim's leader releases it.
+func (cl *claim) wait() (*planResult, error) {
+	<-cl.done
+	return cl.res, cl.err
 }
 
 func newBucketizeCache() *bucketizeCache {
-	c := &bucketizeCache{}
+	c := &bucketizeCache{claims: make(map[string]*claim)}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]cacheEntry)
 	}

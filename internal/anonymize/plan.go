@@ -30,6 +30,7 @@ import (
 // derivation the planner chose for it.
 type planNode struct {
 	vec    []int         // complete level vector, schema QI order
+	vkey   string        // vec's lattice key, which claims materializing it
 	levels bucket.Levels // the assignment vec flattens
 	keys   []string      // cache keys this vector must fill
 	height int           // lattice height (level sum) of vec
@@ -87,6 +88,7 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 		byVec[vk] = len(nodes)
 		nodes = append(nodes, planNode{
 			vec:    vec,
+			vkey:   vk,
 			levels: levels,
 			keys:   []string{key},
 			height: vecHeight(vec),

@@ -17,7 +17,9 @@ import (
 // goes down to its children, so only a source that came without one (a
 // cached entry, or a node a racing sweep filled) is indexed from its
 // tuples, once per plan. Every materialization goes through here,
-// including a single cache miss (a one-node plan). Planning changes which
+// including a single cache miss (a one-node plan), and concurrent plans
+// that need one level vector materialize it once: the first claims it,
+// the others wait for the claim and reuse its result. Planning changes which
 // source each derivation uses and when, never what it produces:
 // coarsening yields the identical bucketization from any component-wise
 // finer source, and that is the direct scan's result.
@@ -58,7 +60,8 @@ type SweepStats struct {
 	// bucket.CoarsenIndexed.
 	Coarsened uint64
 	// Reused counts planned nodes that needed no work: their vector was
-	// already materialized (racing sweep or an exact cached source).
+	// already materialized (racing sweep or an exact cached source), or
+	// a concurrent plan's claim on it materialized it.
 	Reused uint64
 	// PredictedBuckets sums the planner's predicted bucket counts over
 	// materialized nodes.
@@ -128,11 +131,10 @@ func (s *Snapshot) runPlan(pl *sweepPlan) ([]*planResult, error) {
 	if len(pl.nodes) == 0 {
 		return nil, nil
 	}
-	st := s.st
 	ctr := &s.p.sweepCtr
 	ctr.sweeps.Add(1)
 	ctr.planned.Add(uint64(len(pl.nodes)))
-	rows := st.enc.Rows()
+	rows := s.st.enc.Rows()
 	results := make([]*planResult, len(pl.nodes))
 	// Cached sources, one result each however many nodes read them; the
 	// map is complete before any worker reads it.
@@ -146,47 +148,11 @@ func (s *Snapshot) runPlan(pl *sweepPlan) ([]*planResult, error) {
 		err := parallel.ForEach(s.p.opts.Workers, len(frontier), func(i int) error {
 			idx := frontier[i]
 			n := &pl.nodes[idx]
-			bz, cached := st.cache.peek(n.keys[0])
-			var res *planResult
-			switch {
-			case cached:
-				// A racing sweep materialized the vector since planning;
-				// both values are byte-identical, either serves.
-				ctr.reused.Add(1)
-				res = &planResult{bz: bz}
-			case n.exact:
-				res = sources[n.source]
-				ctr.reused.Add(1)
-			default:
-				var index *bucket.Index
-				var err error
-				if n.parent < 0 && n.source == nil {
-					bz, index, err = bucket.ScanIndexed(st.enc, st.compiled, n.levels)
-					ctr.baseScans.Add(1)
-				} else {
-					from := sources[n.source]
-					if n.parent >= 0 {
-						from = results[n.parent]
-					}
-					var fromIdx *bucket.Index
-					if fromIdx, err = from.index(rows); err == nil {
-						bz, index, err = bucket.CoarsenIndexed(from.bz, fromIdx, st.enc, st.compiled, n.levels)
-					}
-					ctr.coarsened.Add(1)
-				}
-				if err != nil {
-					return err
-				}
-				// Each materialization counts as one cache miss.
-				st.cache.countMiss()
-				ctr.predicted.Add(uint64(n.predicted))
-				ctr.actual.Add(uint64(len(bz.Buckets)))
-				res = &planResult{bz: bz, idx: index}
+			res, err := s.runNode(n, results, sources, rows)
+			if err != nil {
+				return err
 			}
 			results[idx] = res
-			for _, k := range n.keys {
-				st.cache.put(k, cacheEntry{bz: res.bz, levels: n.levels, vec: n.vec})
-			}
 			return nil
 		})
 		if err != nil {
@@ -194,6 +160,89 @@ func (s *Snapshot) runPlan(pl *sweepPlan) ([]*planResult, error) {
 		}
 	}
 	return results, nil
+}
+
+// runNode produces one planned node's result and caches it under every
+// key the node fills. A vector another plan is materializing right now is
+// waited for and reused, so concurrent misses of one node (the first
+// cells of a safety grid probing one chain midpoint) materialize it once.
+func (s *Snapshot) runNode(n *planNode, results []*planResult, sources map[*bucket.Bucketization]*planResult, rows int) (*planResult, error) {
+	st := s.st
+	ctr := &s.p.sweepCtr
+	var res *planResult
+	if bz, cached := st.cache.peek(n.keys[0]); cached {
+		// A racing sweep materialized the vector since planning; both
+		// values are byte-identical, either serves.
+		res = &planResult{bz: bz}
+	} else if n.exact {
+		res = sources[n.source]
+	} else {
+		cl, leader := st.cache.claim(n.vkey)
+		if leader {
+			return s.lead(cl, n, results, sources, rows)
+		}
+		var err error
+		if res, err = cl.wait(); err != nil {
+			return nil, err
+		}
+	}
+	ctr.reused.Add(1)
+	s.fill(n, res.bz)
+	return res, nil
+}
+
+// lead materializes n under the claim cl — a base scan at a DAG root, a
+// coarsening otherwise — caches it and releases the claim on every path,
+// a panic included (the waiters then fail instead of hanging).
+func (s *Snapshot) lead(cl *claim, n *planNode, results []*planResult, sources map[*bucket.Bucketization]*planResult, rows int) (res *planResult, err error) {
+	st := s.st
+	ctr := &s.p.sweepCtr
+	defer func() {
+		if res == nil && err == nil {
+			err = fmt.Errorf("anonymize: materializing %v was abandoned", n.vec)
+		}
+		st.cache.release(cl, res, err)
+	}()
+	if bz, cached := st.cache.peek(n.keys[0]); cached {
+		// Filled, and its claim released, between runNode's probe and
+		// the claim.
+		ctr.reused.Add(1)
+		res = &planResult{bz: bz}
+		s.fill(n, bz)
+		return res, nil
+	}
+	var bz *bucket.Bucketization
+	var index *bucket.Index
+	if n.parent < 0 && n.source == nil {
+		bz, index, err = bucket.ScanIndexed(st.enc, st.compiled, n.levels)
+		ctr.baseScans.Add(1)
+	} else {
+		from := sources[n.source]
+		if n.parent >= 0 {
+			from = results[n.parent]
+		}
+		var fromIdx *bucket.Index
+		if fromIdx, err = from.index(rows); err == nil {
+			bz, index, err = bucket.CoarsenIndexed(from.bz, fromIdx, st.enc, st.compiled, n.levels)
+		}
+		ctr.coarsened.Add(1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Each materialization counts as one cache miss.
+	st.cache.countMiss()
+	ctr.predicted.Add(uint64(n.predicted))
+	ctr.actual.Add(uint64(len(bz.Buckets)))
+	s.fill(n, bz)
+	return &planResult{bz: bz, idx: index}, nil
+}
+
+// fill caches bz under every key n fills.
+func (s *Snapshot) fill(n *planNode, bz *bucket.Bucketization) {
+	for _, k := range n.keys {
+		s.st.cache.put(k, cacheEntry{bz: bz, levels: n.levels, vec: n.vec})
+	}
 }
 
 // identitySubset is the all-dimensions subset full-lattice sweeps use.

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/hierarchy"
@@ -306,4 +308,90 @@ func isChain(pl *sweepPlan, scanRoot bool) bool {
 		return n == 3 && a.parent == 0 && pl.nodes[0].parent < 0 && pl.nodes[0].source == nil
 	}
 	return a.parent < 0 && a.source != nil && !a.exact
+}
+
+// TestConcurrentMissesMaterializeOnce: 8 goroutines bucketize one cold
+// node on one snapshot at once. The first to claim the node's level
+// vector scans it; the others wait for the claim and reuse its result, so
+// the node is materialized once: one cache miss and one base scan, and
+// every caller gets the oracle's bucketization.
+func TestConcurrentMissesMaterializeOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for rep := 0; rep < 10; rep++ {
+		tab, hs, qi := randomProblemCase(rng)
+		p := problemWithWorkers(t, tab, hs, qi, 1)
+		snap := p.Snapshot()
+		node := p.Space().Bottom()
+		want, err := oracleBucketize(snap, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*bucket.Bucketization, 8)
+		errs := make([]error, len(got))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g], errs[g] = snap.Bucketize(node)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, bz := range got {
+			if errs[g] != nil {
+				t.Fatalf("rep %d goroutine %d: %v", rep, g, errs[g])
+			}
+			oracle.RequireIdentical(t, want, bz, fmt.Sprintf("rep %d goroutine %d", rep, g))
+		}
+		if cs, ss := p.CacheStats(), p.SweepStats(); cs.Misses != 1 || ss.BaseScans != 1 {
+			t.Fatalf("rep %d: cache %+v, sweeps %+v; want 1 miss and 1 base scan", rep, cs, ss)
+		}
+	}
+}
+
+// TestFailedClaimReleasesWaiters: a leader whose materialization fails
+// releases its claim with the error, so every concurrent miss of the node
+// fails with it instead of hanging, nothing is cached, and a later miss
+// claims the vector afresh.
+func TestFailedClaimReleasesWaiters(t *testing.T) {
+	p := hospital(t)
+	good := p.Snapshot()
+	// A snapshot of the same version whose compiled hierarchies are gone:
+	// every scan at a generalized level fails.
+	st := *good.st
+	st.compiled = hierarchy.CompiledSet{}
+	bad := &Snapshot{p: p, st: &st}
+	node := lattice.Node{1, 1, 0}
+	errs := make(chan error, 8)
+	for g := 0; g < cap(errs); g++ {
+		go func() {
+			_, err := bad.Bucketize(node)
+			errs <- err
+		}()
+	}
+	for g := 0; g < cap(errs); g++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Fatal("a miss on a failing snapshot succeeded")
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a waiter on a failed claim hung")
+		}
+	}
+	if n := good.st.cache.size(); n != 0 {
+		t.Fatalf("failed materializations cached %d entries", n)
+	}
+	bz, err := good.Bucketize(node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleBucketize(good, node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.RequireIdentical(t, want, bz, "after a failed claim")
 }

@@ -16,7 +16,8 @@ import (
 
 // TestPlannedSweepParityOnSynth runs planned sweeps over synth's skew and
 // sensitive-cardinality knobs, so the parity suites meet skewed buckets
-// and the sparse-histogram path, which their random tables (four
+// and the value-sorted histogram path (above bucket.MaxDenseSensitive
+// sensitive values), which their random tables (four
 // sensitive values) never reach. One MaterializeNodes of all 36 nodes,
 // then Problem.Append of 200 more rows from the same generator, must each
 // leave every node equal to oracle.Bucketize. A second problem caches only

@@ -19,44 +19,6 @@ import (
 // rows, which is what makes refreshing a warm lattice node after a small
 // append cheap.
 
-// appendMerged rebuilds one touched bucket: the old bucket's tuples and
-// histogram plus appended bucket p's. Tuple order matches a from-scratch
-// row scan because every appended row index exceeds every old one. The
-// histogram merge is dense-to-dense when both sides carry code-space
-// counts (an old histogram shorter than scard predates the new sensitive
-// codes and holds zero of each), and falls back to merging the decoded
-// freq multisets otherwise.
-func appendMerged(old *Bucket, gr *grouping, p int, cr *codeRanks, sdict *table.Dict) *Bucket {
-	added, hist := gr.tuples(p), gr.scounts(p)
-	tuples := make([]int, 0, len(old.Tuples)+len(added))
-	tuples = append(tuples, old.Tuples...)
-	tuples = append(tuples, added...)
-	if old.scounts != nil && hist != nil && len(old.scounts) <= gr.scard {
-		merged := make([]int32, gr.scard)
-		copy(merged, old.scounts)
-		for v, n := range hist {
-			merged[v] += n
-		}
-		return newDenseBucket(old.Key, tuples, merged, cr)
-	}
-	counts := make(map[string]int, old.Distinct()+4)
-	for _, vc := range old.Freq() {
-		counts[vc.Value] += vc.Count
-	}
-	if hist != nil {
-		for v, n := range hist {
-			if n > 0 {
-				counts[sdict.Value(uint32(v))] += int(n)
-			}
-		}
-	} else {
-		for v, n := range gr.sparse[p] {
-			counts[sdict.Value(v)] += int(n)
-		}
-	}
-	return newBucket(old.Key, tuples, counts)
-}
-
 // AppendRows derives the bucketization of the snapshot enc at the given
 // levels from an existing bucketization of the same table's first `start`
 // rows at the same levels: rows [start, enc.Rows()) are keyed and grouped,
@@ -87,25 +49,43 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 	// path the current cardinalities select (the old bucketization's key
 	// path is irrelevant: matching below goes through the decoded string
 	// keys, which both paths share).
-	gr := scanRows(enc, dims, start, rows)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	gr := scanRows(enc, dims, start, rows, sc, directLimit(rows-start))
 
-	// Match each appended bucket to an existing one through its string key.
+	// Match each appended bucket to an existing one through its string
+	// key, and tally its histogram: the matched bucket's (coded over an
+	// older view of the dictionary, whose codes never change) plus the
+	// appended rows'.
 	oldIndex := make(map[string]int, len(old.Buckets))
 	for i, b := range old.Buckets {
 		oldIndex[b.Key] = i
 	}
-	sdict := enc.SensitiveDict()
-	cr := denseRanks(sdict)
+	hb := histPool.Get().(*histBuilder)
+	defer histPool.Put(hb)
+	hb.reset(enc.SensitiveDict())
 	out := make([]*Bucket, len(old.Buckets), len(old.Buckets)+len(gr.keys))
 	copy(out, old.Buckets)
 	fresh := 0
 	for p, key := range gr.keys {
-		if i, ok := oldIndex[key]; ok {
-			out[i] = appendMerged(old.Buckets[i], gr, p, cr, sdict)
-		} else {
-			out = append(out, gr.bucket(p, cr, sdict))
-			fresh++
+		added := gr.tuples(p)
+		i, ok := oldIndex[key]
+		if ok {
+			hb.addBucket(old.Buckets[i])
 		}
+		gr.addRows(hb, p)
+		hb.close()
+		if !ok {
+			out = append(out, hb.bucket(p, key, added))
+			fresh++
+			continue
+		}
+		// Every appended row index exceeds every old one, so the tuples
+		// stay in row order.
+		tuples := make([]int, 0, len(old.Buckets[i].Tuples)+len(added))
+		tuples = append(tuples, old.Buckets[i].Tuples...)
+		tuples = append(tuples, added...)
+		out[i] = hb.bucket(p, key, tuples)
 	}
 	if fresh > 0 {
 		// New keys joined the partition; restore the global key order (the

@@ -162,9 +162,9 @@ func TestAppendRowsEmptyAndErrors(t *testing.T) {
 
 // TestAppendRowsNewSensitiveCode pins the histogram-growth path: appended
 // rows introduce sensitive values the base table never saw, both into an
-// existing bucket and into a new one, and the merged dense histograms must
-// match a rebuild (including a subsequent CoarsenInto over the mixed-length
-// histograms).
+// existing bucket and into a new one, and the merged histograms must
+// match a rebuild (including a subsequent CoarsenInto over histograms
+// coded over the pre-append and the grown dictionary).
 func TestAppendRowsNewSensitiveCode(t *testing.T) {
 	sdom := make([]string, 40)
 	for i := range sdom {
@@ -205,7 +205,7 @@ func TestAppendRowsNewSensitiveCode(t *testing.T) {
 		}
 		oracle.RequireIdentical(t, want, got, fmt.Sprintf("new sensitive codes, levels %v", levels))
 		// Coarsen the appended result: untouched buckets carry
-		// pre-append (shorter) dense histograms, exercising the <= merge.
+		// histograms coded over the pre-append dictionary.
 		top := bucket.Levels{"Age": 2}
 		wantTop, err := bucket.FromGeneralizationEncoded(enc, chs, top)
 		if err != nil {

@@ -15,30 +15,30 @@ import (
 // of the same encoded table, without rescanning the rows. Every fine
 // bucket is re-keyed through its representative row (the hierarchies'
 // nested-coarsening law guarantees all its rows generalize identically),
-// fine buckets with equal coarse keys are merged, and their sensitive code
-// histograms are summed. Its cost is O(fine buckets) plus, when some
-// groups merge, one sequential pass over the row index that scatters the
-// merged groups' row ids: 4 bytes read per row and one write per merged
-// row. It merges into scratch drawn from a pooled arena and precomputes
-// every output size from the source bucketization, so a planned sweep
-// materializing dozens of lattice nodes allocates each histogram and tuple
-// slab exactly once and reuses its grouping maps, permutation and key
-// buffers across calls.
+// fine buckets with equal coarse keys are merged, and their code-space
+// histograms are summed. Its cost is O(fine buckets and their histogram
+// entries) plus, when some groups merge, one sequential pass over the row
+// index that scatters the merged groups' row ids: 4 bytes read per row and
+// one write per merged row. It merges into scratch drawn from a pooled
+// arena and precomputes every output size from the source bucketization,
+// so a planned sweep materializing dozens of lattice nodes allocates each
+// tuple and histogram slab exactly once and reuses its grouping maps,
+// permutation and key buffers across calls.
 //
 // The output is byte-identical to a direct scan at the coarse levels: same
-// keys, same bucket order, same tuple order, same frequency tables. Three
+// keys, same bucket order, same tuple order, same histograms. Three
 // mechanical choices make it cheap:
 //
 //   - groups that merge no fine buckets (one source bucket → one output
-//     bucket) share the source bucket's tuple, frequency and histogram
-//     storage outright under the re-decoded key instead of copying it;
+//     bucket) share the source bucket's tuple and histogram storage
+//     outright under the re-decoded key instead of copying it;
 //   - tuples of merged groups are written by one ascending pass over the
 //     row index into an exactly-sized slab, each root bucket's output
 //     bucket resolved once beforehand, so no per-group sort runs and no
 //     row is written twice;
-//   - dense sensitive histograms of all merged groups live in one slab
-//     sized nGroups × cardinality up front, and their frequency tables
-//     sort on code ranks.
+//   - merged histograms are tallied member by member into one dense
+//     scratch array over the sensitive code space and sorted on code
+//     ranks (hist.go), into two slabs shared by the call's merged buckets.
 
 // arena is the pooled scratch of coarsening calls: grouping maps (cleared,
 // not reallocated, between calls) and the key / permutation / position /
@@ -51,6 +51,7 @@ type arena struct {
 	groups  []cgroup // per-call group table
 	groupOf []int32  // fine-bucket index → group index (-1: empty bucket)
 	posOf   []int32  // group index → output position
+	members []int32  // fine buckets of the merged groups, by merged slot
 	cursor  []int
 	keys    []string
 	perm    []int
@@ -60,13 +61,15 @@ type arena struct {
 // cgroup is the pass-one state of one coarse group: its representative
 // row, the index of the first fine bucket that mapped to it, how many fine
 // buckets and rows it absorbs, and — for groups that actually merge — its
-// offset in the tuple slab and its dense-histogram slot.
+// offset in the tuple slab, its merged slot and the offset of its fine
+// buckets in the arena's member list.
 type cgroup struct {
 	rep   int
 	first int32
 	nb    int32
 	rows  int
 	off   int
+	moff  int   // member-list offset (merged groups only)
 	mi    int32 // merged-group slot; -1 when the group is a single bucket
 }
 
@@ -113,6 +116,14 @@ func (ar *arena) reset(nDims, nFine int) {
 		ar.parts = make([]string, nDims)
 	}
 	ar.parts = ar.parts[:nDims]
+}
+
+// memberBuf returns the member-list scratch sized for n fine buckets.
+func (ar *arena) memberBuf(n int) []int32 {
+	if cap(ar.members) < n {
+		ar.members = make([]int32, n)
+	}
+	return ar.members[:n]
 }
 
 // buffers returns the per-group cursor, key, permutation and position
@@ -171,8 +182,6 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 	if idx.Rows() != enc.Rows() {
 		return nil, nil, fmt.Errorf("bucket: row index covers %d rows, table has %d", idx.Rows(), enc.Rows())
 	}
-	sens := enc.SensitiveCol()
-	scard := enc.SensitiveDict().Len()
 	ar.reset(len(dims), len(fine.Buckets))
 
 	// Pass 1: assign every non-empty fine bucket a coarse group through its
@@ -239,10 +248,10 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 	}
 
 	// Lay out the merged groups (nb ≥ 2) in output order: slab offsets
-	// for tuples and a dense-histogram slot each. Groups of one fine
-	// bucket (mi = -1) never touch a slab — they share the source
+	// for tuples, a merged slot and a member-list section each. Groups of
+	// one fine bucket (mi = -1) never touch a slab — they share the source
 	// bucket's storage below — so their cursor is -1.
-	nMerged, mergedRows := 0, 0
+	nMerged, mergedRows, mergedMembers := 0, 0, 0
 	for oi, gi := range perm {
 		posOf[gi] = int32(oi)
 		g := &groups[gi]
@@ -250,10 +259,11 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 			cur[oi] = -1
 			continue
 		}
-		g.mi, g.off = int32(nMerged), mergedRows
+		g.mi, g.off, g.moff = int32(nMerged), mergedRows, mergedMembers
 		cur[oi] = mergedRows
 		nMerged++
 		mergedRows += g.rows
+		mergedMembers += int(g.nb)
 	}
 
 	// The result's index: each root bucket's output position, resolved
@@ -269,8 +279,7 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 	}
 
 	var tupSlab []int
-	dense := scard <= MaxDenseSensitive
-	var histSlab []int32
+	var slabs histSlabs
 	if nMerged > 0 {
 		// Merged tuples: one ascending pass over the row index scatters
 		// each merged row to its group's cursor, so every slab section
@@ -283,37 +292,36 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 				cur[p] = at + 1
 			}
 		}
-		if dense {
-			// Merged dense histograms: one slab, summed slice-to-slice from
-			// fine histograms when they carry one (a histogram shorter than
-			// the current code space is still exact — it predates an append,
-			// and codes are never reassigned), recounted from rows otherwise.
-			histSlab = make([]int32, nMerged*scard)
-			for fi, b := range fine.Buckets {
-				gi := groupOf[fi]
-				if gi < 0 || groups[gi].mi < 0 {
-					continue
-				}
-				mi := int(groups[gi].mi)
-				hist := histSlab[mi*scard : (mi+1)*scard : (mi+1)*scard]
-				if b.scounts != nil && len(b.scounts) <= scard {
-					for v, n := range b.scounts {
-						hist[v] += n
-					}
-				} else {
-					for _, row := range b.Tuples {
-						hist[sens[row]]++
-					}
-				}
+		// Merged histograms: list each merged group's fine buckets, then
+		// tally them group by group in output order. A fine histogram
+		// coded over an older view of the dictionary (one that predates an
+		// append) is still exact: codes are never reassigned.
+		members := ar.memberBuf(mergedMembers)
+		for fi := range fine.Buckets {
+			if gi := groupOf[fi]; gi >= 0 && groups[gi].mi >= 0 {
+				g := &groups[gi]
+				members[g.moff] = int32(fi)
+				g.moff++
 			}
 		}
+		hb := histPool.Get().(*histBuilder)
+		defer histPool.Put(hb)
+		hb.reset(enc.SensitiveDict())
+		end := 0
+		for _, gi := range perm {
+			g := &groups[gi]
+			if g.mi < 0 {
+				continue
+			}
+			for _, fi := range members[end:g.moff] {
+				hb.addBucket(fine.Buckets[fi])
+			}
+			end = g.moff
+			hb.close()
+		}
+		slabs = hb.slabs()
 	}
 
-	sdict := enc.SensitiveDict()
-	var cr *codeRanks
-	if dense && nMerged > 0 {
-		cr = newCodeRanks(sdict)
-	}
 	bz := &Bucketization{Source: enc.Table, Buckets: make([]*Bucket, len(groups))}
 	for oi, gi := range perm {
 		g := &groups[gi]
@@ -321,17 +329,7 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 			bz.Buckets[oi] = rekeyBucket(fine.Buckets[g.first], keys[gi])
 			continue
 		}
-		sec := tupSlab[g.off : g.off+g.rows : g.off+g.rows]
-		if dense {
-			mi := int(g.mi)
-			bz.Buckets[oi] = newDenseBucket(keys[gi], sec, histSlab[mi*scard:(mi+1)*scard:(mi+1)*scard], cr)
-			continue
-		}
-		sp := make(map[uint32]int32, 8)
-		for _, row := range sec {
-			sp[sens[row]]++
-		}
-		bz.Buckets[oi] = newSparseBucket(keys[gi], sec, sp, sdict)
+		bz.Buckets[oi] = slabs.bucket(int(g.mi), keys[gi], tupSlab[g.off:g.off+g.rows:g.off+g.rows])
 	}
 	return bz, &Index{root: idx.root, of: of}, nil
 }

@@ -8,9 +8,7 @@ package bucket
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -26,169 +24,96 @@ type Bucket struct {
 	// Tuples lists the row indices (person identities) in the bucket.
 	Tuples []int
 
-	freq   []table.ValueCount // decreasing count, ties by value
-	prefix []int              // prefix[j] = sum of top-j counts
-	hist   []int              // counts only, aligned with freq
-	// scounts is the sensitive histogram over the encoded table's
-	// sensitive code space; nil for buckets built from value lists or
-	// tuple groups, and for sparse code spaces (above MaxDenseSensitive).
-	// The incremental coarsening path merges these without touching
-	// strings.
-	scounts []int32
+	// hist is the sensitive histogram: counts in decreasing order, ties
+	// by increasing value (s⁰_b first). codes[j] is the code of hist[j]'s
+	// value in dict, the sensitive dictionary the bucket was built over
+	// (or an older view of it: codes are never reassigned). Both slices
+	// are usually sections of slabs the bucket shares with the other
+	// buckets its constructor call built (hist.go).
+	hist  []int
+	codes []uint32
+	dict  *table.Dict
 }
 
-// newBucket finalizes a bucket's derived state from a sensitive-value
-// count map. The map is not retained: the sorted freq slice answers every
-// later query.
-func newBucket(key string, tuples []int, counts map[string]int) *Bucket {
-	b := &Bucket{Key: key, Tuples: tuples, freq: table.SortCounts(counts)}
-	b.finalize()
-	return b
+// newBucket assembles a bucket from its sorted histogram.
+func newBucket(key string, tuples []int, hist []int, codes []uint32, dict *table.Dict) *Bucket {
+	return &Bucket{Key: key, Tuples: tuples, hist: hist, codes: codes, dict: dict}
 }
 
 // rekeyBucket returns a bucket identical to b under a new key, sharing
-// its tuple, frequency and histogram storage. Coarsening a group of one
-// fine bucket changes nothing but the key, so the derived state can be
-// shared outright: buckets are immutable once built (the snapshotmut
-// analyzer pins them to this file) and appends rebuild touched buckets
-// rather than mutating them, so the sharing is never observable.
+// its tuple and histogram storage. Coarsening a group of one fine bucket
+// changes nothing but the key, so the derived state can be shared
+// outright: buckets are immutable once built (the snapshotmut analyzer
+// pins them to this file) and appends rebuild touched buckets rather than
+// mutating them, so the sharing is never observable.
 func rekeyBucket(b *Bucket, key string) *Bucket {
-	return &Bucket{Key: key, Tuples: b.Tuples, freq: b.freq, prefix: b.prefix, hist: b.hist, scounts: b.scounts}
-}
-
-// newDenseBucket builds a bucket from its dense code histogram. The
-// frequency table is sorted on integer (count desc, value rank asc) keys,
-// which is table.CompareCounts' order because ranks follow value order,
-// and decoded to strings in that order. scounts may be shorter than the
-// code space (a histogram that predates an append): codes are never
-// reassigned, so its missing tail holds zeros.
-func newDenseBucket(key string, tuples []int, scounts []int32, cr *codeRanks) *Bucket {
-	keys := cr.keys[:0]
-	for code, n := range scounts {
-		if n > 0 {
-			keys = append(keys, uint64(math.MaxInt32-n)<<32|uint64(cr.rank[code]))
-		}
-	}
-	slices.Sort(keys)
-	cr.keys = keys
-	freq := make([]table.ValueCount, len(keys))
-	for i, k := range keys {
-		freq[i] = table.ValueCount{
-			Value: cr.values[cr.byRank[uint32(k)]],
-			Count: int(math.MaxInt32 - int32(k>>32)),
-		}
-	}
-	b := &Bucket{Key: key, Tuples: tuples, freq: freq, scounts: scounts}
-	b.finalize()
-	return b
-}
-
-// newSparseBucket builds a bucket from a sparse code histogram (a
-// sensitive code space above MaxDenseSensitive, where ranks would cost a
-// sort of the whole dictionary per call); its frequency table sorts on
-// the decoded values.
-func newSparseBucket(key string, tuples []int, counts map[uint32]int32, sdict *table.Dict) *Bucket {
-	freq := make([]table.ValueCount, 0, len(counts))
-	for code, n := range counts {
-		freq = append(freq, table.ValueCount{Value: sdict.Value(code), Count: int(n)})
-	}
-	slices.SortFunc(freq, table.CompareCounts)
-	b := &Bucket{Key: key, Tuples: tuples, freq: freq}
-	b.finalize()
-	return b
-}
-
-// codeRanks orders a dense sensitive code space by value: rank[code] is
-// the code's position in ascending value order and byRank inverts it.
-// One is computed per scan, coarsening or append call, so that call's
-// frequency tables sort on integers; keys is newDenseBucket's sort
-// scratch, which makes a codeRanks single-goroutine state.
-type codeRanks struct {
-	values []string // the sensitive dictionary in code order
-	rank   []uint32
-	byRank []uint32
-	keys   []uint64
-}
-
-// newCodeRanks ranks the sensitive dictionary's values.
-func newCodeRanks(sdict *table.Dict) *codeRanks {
-	values := sdict.Values()
-	byRank := make([]uint32, len(values))
-	for i := range byRank {
-		byRank[i] = uint32(i)
-	}
-	slices.SortFunc(byRank, func(a, b uint32) int { return strings.Compare(values[a], values[b]) })
-	rank := make([]uint32, len(values))
-	for r, code := range byRank {
-		rank[code] = uint32(r)
-	}
-	return &codeRanks{values: values, rank: rank, byRank: byRank}
-}
-
-// finalize derives the cached histogram and its prefix sums from freq, in
-// one allocation.
-func (b *Bucket) finalize() {
-	n := len(b.freq)
-	buf := make([]int, 2*n+1)
-	b.hist, b.prefix = buf[:n:n], buf[n:]
-	for i, vc := range b.freq {
-		b.hist[i] = vc.Count
-		b.prefix[i+1] = b.prefix[i] + vc.Count
-	}
+	return newBucket(key, b.Tuples, b.hist, b.codes, b.dict)
 }
 
 // Size returns n_b, the number of tuples in the bucket.
 func (b *Bucket) Size() int { return len(b.Tuples) }
 
+// Value returns s^j_b, the j-th most frequent sensitive value (s⁰_b
+// first, ties by increasing value).
+func (b *Bucket) Value(j int) string { return b.dict.Value(b.codes[j]) }
+
 // Count returns n_b(s), the multiplicity of sensitive value s. The number
 // of distinct sensitive values per bucket is small, so a linear scan of
-// the freq slice beats retaining a dedicated map per bucket.
+// the histogram beats retaining a dedicated map per bucket.
 func (b *Bucket) Count(s string) int {
-	for _, vc := range b.freq {
-		if vc.Value == s {
-			return vc.Count
+	for j, c := range b.codes {
+		if b.dict.Value(c) == s {
+			return b.hist[j]
 		}
 	}
 	return 0
 }
 
-// Freq returns the value counts in decreasing order (s⁰_b first). The
-// returned slice must not be modified.
-func (b *Bucket) Freq() []table.ValueCount { return b.freq }
+// Freq returns the value counts in decreasing order (s⁰_b first), decoded
+// from the histogram into a fresh slice on every call: it is the API-edge
+// form, and hot paths read Histogram and Value instead.
+func (b *Bucket) Freq() []table.ValueCount {
+	out := make([]table.ValueCount, len(b.hist))
+	for j, n := range b.hist {
+		out[j] = table.ValueCount{Value: b.dict.Value(b.codes[j]), Count: n}
+	}
+	return out
+}
 
 // Distinct returns the number of distinct sensitive values.
-func (b *Bucket) Distinct() int { return len(b.freq) }
+func (b *Bucket) Distinct() int { return len(b.hist) }
 
 // TopValue returns s⁰_b, the most frequent sensitive value.
-func (b *Bucket) TopValue() string { return b.freq[0].Value }
+func (b *Bucket) TopValue() string { return b.Value(0) }
 
 // TopCount returns n_b(s⁰_b).
-func (b *Bucket) TopCount() int { return b.freq[0].Count }
+func (b *Bucket) TopCount() int { return b.hist[0] }
 
 // PrefixSum returns the total count of the j most frequent values
 // (j may exceed the number of distinct values, in which case the full size
 // is returned).
 func (b *Bucket) PrefixSum(j int) int {
-	if j >= len(b.prefix) {
-		return b.prefix[len(b.prefix)-1]
+	sum := 0
+	for _, n := range b.hist[:min(j, len(b.hist))] {
+		sum += n
 	}
-	return b.prefix[j]
+	return sum
 }
 
 // Histogram returns the counts in decreasing order. The DP in
-// internal/core depends only on this. The slice is computed once at
-// construction and shared across calls: it must be treated as read-only.
+// internal/core depends only on this. The slice is the bucket's own
+// state, shared across calls: it must be treated as read-only.
 func (b *Bucket) Histogram() []int { return b.hist }
 
 // Signature returns a canonical string form of the histogram, used to share
 // memoized DP tables between buckets with identical histograms.
 func (b *Bucket) Signature() string {
 	var sb strings.Builder
-	for i, vc := range b.freq {
+	for i, n := range b.hist {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(strconv.Itoa(vc.Count))
+		sb.WriteString(strconv.Itoa(n))
 	}
 	return sb.String()
 }
@@ -201,8 +126,10 @@ type Bucketization struct {
 	// Buckets holds the blocks in deterministic (key) order. It must not
 	// be modified (no bucket replaced, appended or removed) once the
 	// bucketization has been passed to any disclosure or stats call: its
-	// histogram-class index and MinEntropy are cached from the buckets as
-	// they were. Build a new bucketization instead.
+	// histogram-class index, disclosure series, size and MinEntropy are
+	// cached from the buckets as they were. Build a new bucketization
+	// instead. The buckets of one bucketization share one sensitive code
+	// space.
 	Buckets []*Bucket
 	// Source optionally references the table the bucketization was built
 	// from; it is required by Publish and by the logic/worlds bridges.
@@ -211,7 +138,11 @@ type Bucketization struct {
 	// classes is the histogram-class index, published at most once by a
 	// complete ClassScan (classes.go); nil until then.
 	classes atomic.Pointer[classIndex]
-	// minEntropy caches MinEntropy once computed.
+	// series holds the disclosure series published per variant
+	// (series.go); nil until one is.
+	series [SeriesVariants]atomic.Pointer[seriesCache]
+	// size and minEntropy cache Size and MinEntropy once computed.
+	size       atomic.Pointer[sizeCache]
 	minEntropy atomic.Pointer[entropyCache]
 }
 
@@ -220,17 +151,18 @@ type Bucketization struct {
 // is the main constructor for tests and small worked examples.
 func FromValues(groups ...[]string) *Bucketization {
 	bz := &Bucketization{}
+	keys := make([]string, len(groups))
+	tuples := make([][]int, len(groups))
 	next := 0
 	for gi, g := range groups {
-		counts := make(map[string]int, len(g))
-		tuples := make([]int, len(g))
-		for i, s := range g {
-			counts[s]++
-			tuples[i] = next
+		keys[gi] = fmt.Sprintf("b%d", gi)
+		tuples[gi] = make([]int, len(g))
+		for i := range g {
+			tuples[gi][i] = next
 			next++
 		}
-		bz.Buckets = append(bz.Buckets, newBucket(fmt.Sprintf("b%d", gi), tuples, counts))
 	}
+	bz.Buckets = fromValueLists(keys, tuples, groups)
 	return bz
 }
 
@@ -245,19 +177,45 @@ func FromTupleGroups(src *table.Table, keys []string, groups [][]int) (*Bucketiz
 	if len(keys) != len(groups) {
 		return nil, fmt.Errorf("bucket: %d keys but %d groups", len(keys), len(groups))
 	}
-	bz := &Bucketization{Source: src}
-	for i, key := range keys {
-		tuples := groups[i]
-		counts := make(map[string]int, 4)
-		for _, id := range tuples {
+	values := make([][]string, len(groups))
+	for i, tuples := range groups {
+		values[i] = make([]string, len(tuples))
+		for j, id := range tuples {
 			if id < 0 || id >= src.Len() {
 				return nil, fmt.Errorf("bucket: group %d tuple id %d outside table of %d rows", i, id, src.Len())
 			}
-			counts[src.SensitiveValue(id)]++
+			values[i][j] = src.SensitiveValue(id)
 		}
-		bz.Buckets = append(bz.Buckets, newBucket(key, tuples, counts))
 	}
-	return bz, nil
+	return &Bucketization{Source: src, Buckets: fromValueLists(keys, groups, values)}, nil
+}
+
+// fromValueLists builds one bucket per value list over a local dictionary
+// of the lists' values, coded in order of first sight.
+func fromValueLists(keys []string, tuples [][]int, values [][]string) []*Bucket {
+	dict := table.NewDict()
+	coded := make([][]uint32, len(values))
+	for i, vs := range values {
+		coded[i] = make([]uint32, len(vs))
+		for j, v := range vs {
+			coded[i][j] = dict.Intern(v)
+		}
+	}
+	hb := histPool.Get().(*histBuilder)
+	defer histPool.Put(hb)
+	hb.reset(dict)
+	for _, cs := range coded {
+		for _, c := range cs {
+			hb.add(c, 1)
+		}
+		hb.close()
+	}
+	slabs := hb.slabs()
+	out := make([]*Bucket, len(keys))
+	for i, key := range keys {
+		out[i] = slabs.bucket(i, key, tuples[i])
+	}
+	return out
 }
 
 // Levels assigns a generalization level to each quasi-identifier by name.
@@ -273,45 +231,57 @@ func (bz *Bucketization) Merge(i, j int) (*Bucketization, error) {
 	if j < i {
 		i, j = j, i
 	}
+	a, c := bz.Buckets[i], bz.Buckets[j]
+	// The buckets share one code space; the longer view of its dictionary
+	// decodes both (after an append, untouched buckets keep the older one).
+	dict := a.dict
+	if c.dict.Len() > dict.Len() {
+		dict = c.dict
+	}
+	hb := histPool.Get().(*histBuilder)
+	defer histPool.Put(hb)
+	hb.reset(dict)
+	hb.addBucket(a)
+	hb.addBucket(c)
+	hb.close()
+	tuples := make([]int, 0, len(a.Tuples)+len(c.Tuples))
+	tuples = append(tuples, a.Tuples...)
+	tuples = append(tuples, c.Tuples...)
+
 	out := &Bucketization{Source: bz.Source}
 	for k, b := range bz.Buckets {
-		if k == j {
-			continue
-		}
-		if k != i {
+		switch k {
+		case j:
+		case i:
+			out.Buckets = append(out.Buckets, hb.bucket(0, a.Key+"+"+c.Key, tuples))
+		default:
 			out.Buckets = append(out.Buckets, b)
-			continue
 		}
-		a, c := bz.Buckets[i], bz.Buckets[j]
-		counts := make(map[string]int, len(a.freq)+len(c.freq))
-		for _, vc := range a.freq {
-			counts[vc.Value] += vc.Count
-		}
-		for _, vc := range c.freq {
-			counts[vc.Value] += vc.Count
-		}
-		tuples := make([]int, 0, len(a.Tuples)+len(c.Tuples))
-		tuples = append(tuples, a.Tuples...)
-		tuples = append(tuples, c.Tuples...)
-		merged := newBucket(a.Key+"+"+c.Key, tuples, counts)
-		if a.scounts != nil && c.scounts != nil && len(a.scounts) == len(c.scounts) {
-			merged.scounts = make([]int32, len(a.scounts))
-			for v := range a.scounts {
-				merged.scounts[v] = a.scounts[v] + c.scounts[v]
-			}
-		}
-		out.Buckets = append(out.Buckets, merged)
 	}
 	return out, nil
 }
 
-// Size returns the total number of tuples across all buckets.
+// Size returns the total number of tuples across all buckets. It is
+// computed on first use and cached with the bucket count it covers, as
+// MinEntropy is.
 func (bz *Bucketization) Size() int {
+	cached := bz.size.Load()
+	if cached != nil && cached.n == len(bz.Buckets) {
+		return cached.size
+	}
 	n := 0
 	for _, b := range bz.Buckets {
 		n += b.Size()
 	}
+	if cached == nil {
+		bz.size.CompareAndSwap(nil, &sizeCache{n: len(bz.Buckets), size: n})
+	}
 	return n
+}
+
+// sizeCache is a cached Size and the number of buckets it covers.
+type sizeCache struct {
+	n, size int
 }
 
 // BucketOf returns the index of the bucket containing tuple (person) id, or

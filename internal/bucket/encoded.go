@@ -17,13 +17,13 @@ import (
 // of map lookups and string joins. Per-row generalized codes are packed
 // into a single uint64 group key when the
 // per-dimension cardinalities fit 64 bits (multi-radix positional
-// packing), falling back to a byte-tuple key otherwise — the fallback is
-// exact, not a lossy hash, so both key paths group identically. Sensitive
-// histograms are counted over the sensitive dictionary's code space,
-// ordered on integer code ranks when that space is dense, and decoded to
-// strings once per bucket. Every bucket's row ids live in one exact-size
-// slab per call, and the per-row group ids the scan keeps become the row
-// index (index.go) that coarsening reads.
+// packing), which indexes a slot table directly when the key space is no
+// larger than the rows scanned, and falls back to a byte-tuple key
+// otherwise — the fallback is exact, not a lossy hash, so every key path
+// groups identically. Sensitive histograms are tallied in code space and
+// sorted (hist.go). Every bucket's row ids live in one exact-size slab per
+// call, and the per-row group ids the scan keeps become the row index
+// (index.go) that coarsening reads.
 //
 // Byte-identity contract (relied on by the randomized parity tests against
 // the string-path reference in internal/oracle, and by the lattice
@@ -138,20 +138,27 @@ func validateLevels(s *table.Schema, chs hierarchy.CompiledSet, levels Levels) e
 	return nil
 }
 
-// packable reports whether the dimensions' generalized-code product fits a
-// uint64, i.e. whether positional multi-radix packing is collision-free.
-func packable(dims []dim) bool {
+// keySpace returns the dimensions' generalized-code product — the number
+// of distinct packed keys — and whether it fits a uint64, i.e. whether
+// positional multi-radix packing is collision-free.
+func keySpace(dims []dim) (uint64, bool) {
 	prod := uint64(1)
 	for _, d := range dims {
 		if d.card == 0 {
-			return true // empty table; no keys will be built
+			return 0, true // empty table; no keys will be built
 		}
 		if prod > ^uint64(0)/d.card {
-			return false
+			return 0, false
 		}
 		prod *= d.card
 	}
-	return true
+	return prod, true
+}
+
+// packable reports whether the dimensions' keys pack into a uint64.
+func packable(dims []dim) bool {
+	_, ok := keySpace(dims)
+	return ok
 }
 
 // packKey builds the multi-radix packed key of one row.
@@ -181,23 +188,27 @@ func appendTupleKey(dims []dim, row int, buf []byte) {
 	}
 }
 
-// MaxDenseSensitive bounds the sensitive cardinality up to which
-// histograms are dense []int32 slices over the code space, ordered on
-// integer code ranks. Above it (e.g. a near-unique sensitive column),
-// dense slices would cost O(buckets × cardinality) memory — quadratic at
-// fine lattice nodes where buckets ≈ rows — so buckets fall back to
-// sparse maps, keeping the total O(rows), and sort on decoded values.
-// Parity suites read it to prove they cover both representations.
-const MaxDenseSensitive = 256
+// minDirectSlots is the key space a scan always addresses directly,
+// however few rows it groups: a slot table this small costs less to clear
+// than a map costs to grow.
+const minDirectSlots = 4096
 
-// scratch is the reusable state of a scan: the grouping maps from a
-// row's key to its group id (cleared, not reallocated, between scans —
-// map bucket growth is the dominant allocation of a scan) and the
-// byte-tuple key buffer.
+// directLimit is the largest packed key space a scan of n rows groups
+// through a slot table indexed by key: max(n, minDirectSlots), so the
+// table never costs more than the rows it groups.
+func directLimit(n int) uint64 { return max(uint64(n), minDirectSlots) }
+
+// scratch is the reusable state of a scan: the grouping slot table and
+// maps from a row's key to its group id (cleared, not reallocated,
+// between scans — map bucket growth is the dominant allocation of a map
+// scan), the byte-tuple key buffer, and the sensitive codes of the rows
+// in bucket order.
 type scratch struct {
+	slots []int32 // packed key → group id + 1; 0 is unseen
 	by64  map[uint64]int32
 	byStr map[string]int32
 	buf   []byte
+	sens  []uint32
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -206,17 +217,15 @@ var scratchPool = sync.Pool{New: func() any {
 
 // grouping is what the scan loop hands back for rows [lo, hi): the
 // buckets in key order, bucket p's rows (ascending) in
-// rows[off[p]:off[p+1]] of one exact-size slab, its histogram in the
-// dense slab's p-th scard-long section or, above MaxDenseSensitive, in
-// sparse[p], and index[row-lo], the position of row's bucket.
+// rows[off[p]:off[p+1]] of one exact-size slab and their sensitive codes
+// in the same section of sens (scan scratch, valid until the scratch is
+// put back), and index[row-lo], the position of row's bucket.
 type grouping struct {
-	keys   []string
-	off    []int
-	rows   []int
-	scard  int
-	dense  []int32
-	sparse []map[uint32]int32
-	index  []int32
+	keys  []string
+	off   []int
+	rows  []int
+	sens  []uint32
+	index []int32
 }
 
 // tuples returns bucket p's rows.
@@ -224,45 +233,28 @@ func (gr *grouping) tuples(p int) []int {
 	return gr.rows[gr.off[p]:gr.off[p+1]:gr.off[p+1]]
 }
 
-// scounts returns bucket p's dense histogram (nil when sparse).
-func (gr *grouping) scounts(p int) []int32 {
-	if gr.dense == nil {
-		return nil
+// addRows counts bucket p's sensitive codes in hb's open histogram.
+func (gr *grouping) addRows(hb *histBuilder, p int) {
+	for _, c := range gr.sens[gr.off[p]:gr.off[p+1]] {
+		hb.add(c, 1)
 	}
-	return gr.dense[p*gr.scard : (p+1)*gr.scard : (p+1)*gr.scard]
-}
-
-// bucket builds bucket p; cr is nil exactly when histograms are sparse.
-func (gr *grouping) bucket(p int, cr *codeRanks, sdict *table.Dict) *Bucket {
-	if cr == nil {
-		return newSparseBucket(gr.keys[p], gr.tuples(p), gr.sparse[p], sdict)
-	}
-	return newDenseBucket(gr.keys[p], gr.tuples(p), gr.scounts(p), cr)
-}
-
-// denseRanks returns the code ranks of the sensitive dictionary when its
-// histograms are dense, and nil when they are sparse.
-func denseRanks(sdict *table.Dict) *codeRanks {
-	if sdict.Len() > MaxDenseSensitive {
-		return nil
-	}
-	return newCodeRanks(sdict)
 }
 
 // scanRows is the one grouping loop, behind full scans and AppendRows: a
 // counting sort of rows [lo, hi) by bucket, in two passes. The first keys
-// every row to a group id (its packed uint64 code tuple when the
-// dimensions' cardinality product fits 64 bits, the exact byte-tuple key
-// otherwise) and counts group sizes. Groups are then ordered by their
-// decoded keys, which fixes every bucket's slab section. The second pass
-// walks the rows in ascending order, writes each row id at its bucket's
-// cursor, counts its sensitive code, and overwrites its group id with the
-// bucket's position, which leaves the index behind.
-func scanRows(enc *table.Encoded, dims []dim, lo, hi int) *grouping {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+// every row to a group id (through a slot table indexed by its packed
+// uint64 code tuple when the key space is at most limit keys — callers
+// pass directLimit(hi-lo) — the packed key's map entry when it is larger
+// but fits 64 bits, the exact byte-tuple key's otherwise) and counts group
+// sizes. Groups are then
+// ordered by their decoded keys, which fixes every bucket's slab section.
+// The second pass walks the rows in ascending order, writes each row id
+// and its sensitive code at its bucket's cursor, and overwrites its group
+// id with the bucket's position, which leaves the index behind. The
+// grouping reads sc until the caller puts it back.
+func scanRows(enc *table.Encoded, dims []dim, lo, hi int, sc *scratch, limit uint64) *grouping {
 	index := make([]int32, hi-lo)
-	reps, sizes := sc.group(dims, lo, hi, index)
+	reps, sizes := sc.group(dims, lo, hi, index, limit)
 	ng := len(reps)
 
 	// Order the groups by key; groups already in key order (common when
@@ -289,28 +281,18 @@ func scanRows(enc *table.Encoded, dims []dim, lo, hi int) *grouping {
 		gr.off[p+1] = gr.off[p] + sizes[g]
 	}
 
-	sens := enc.SensitiveCol()
-	scard := enc.SensitiveDict().Len()
-	gr.scard = scard
-	if scard <= MaxDenseSensitive {
-		gr.dense = make([]int32, ng*scard)
-	} else {
-		gr.sparse = make([]map[uint32]int32, ng)
-		for p := range gr.sparse {
-			gr.sparse[p] = make(map[uint32]int32, 4)
-		}
+	if cap(sc.sens) < hi-lo {
+		sc.sens = make([]uint32, hi-lo)
 	}
-	rows, dense := gr.rows, gr.dense
+	gr.sens = sc.sens[:hi-lo]
+	sens, rows, codes := enc.SensitiveCol(), gr.rows, gr.sens
 	for i, g := range index {
 		p := posOf[g]
 		row := lo + i
-		rows[cur[p]] = row
-		cur[p]++
-		if dense != nil {
-			dense[int(p)*scard+int(sens[row])]++
-		} else {
-			gr.sparse[p][sens[row]]++
-		}
+		at := cur[p]
+		rows[at] = row
+		codes[at] = sens[row]
+		cur[p] = at + 1
 		index[i] = p
 	}
 	return gr
@@ -318,11 +300,32 @@ func scanRows(enc *table.Encoded, dims []dim, lo, hi int) *grouping {
 
 // group is the scan's first pass: it keys rows [lo, hi) to group ids in
 // first-seen order, writing each row's id to gid[row-lo], and returns each
-// group's first row and size.
-func (sc *scratch) group(dims []dim, lo, hi int, gid []int32) (reps, sizes []int) {
-	clear(sc.by64)
-	clear(sc.byStr)
-	if packable(dims) {
+// group's first row and size. A packed key space of at most limit keys is
+// addressed directly; the paths differ in speed only, never in the ids.
+func (sc *scratch) group(dims []dim, lo, hi int, gid []int32, limit uint64) (reps, sizes []int) {
+	space, packs := keySpace(dims)
+	switch {
+	case packs && space <= limit:
+		n := int(space)
+		if cap(sc.slots) < n {
+			sc.slots = make([]int32, n)
+		}
+		slots := sc.slots[:n]
+		clear(slots)
+		for row := lo; row < hi; row++ {
+			key := packKey(dims, row)
+			g := slots[key] - 1
+			if g < 0 {
+				g = int32(len(reps))
+				slots[key] = g + 1
+				reps = append(reps, row)
+				sizes = append(sizes, 0)
+			}
+			sizes[g]++
+			gid[row-lo] = g
+		}
+	case packs:
+		clear(sc.by64)
 		by := sc.by64
 		for row := lo; row < hi; row++ {
 			key := packKey(dims, row)
@@ -336,7 +339,8 @@ func (sc *scratch) group(dims []dim, lo, hi int, gid []int32) (reps, sizes []int
 			sizes[g]++
 			gid[row-lo] = g
 		}
-	} else {
+	default:
+		clear(sc.byStr)
 		if cap(sc.buf) < 4*len(dims) {
 			sc.buf = make([]byte, 4*len(dims))
 		}
@@ -384,16 +388,29 @@ func FromGeneralizationEncoded(enc *table.Encoded, chs hierarchy.CompiledSet, le
 // row index, so a planned sweep can coarsen the result's children through
 // CoarsenIndexed without indexing its tuples again.
 func ScanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, *Index, error) {
+	return scanIndexed(enc, chs, levels, directLimit(enc.Rows()))
+}
+
+// scanIndexed is ScanIndexed with the direct-addressing limit given.
+func scanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, limit uint64) (*Bucketization, *Index, error) {
 	dims, err := buildDims(enc, chs, levels)
 	if err != nil {
 		return nil, nil, err
 	}
-	gr := scanRows(enc, dims, 0, enc.Rows())
-	sdict := enc.SensitiveDict()
-	cr := denseRanks(sdict)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	gr := scanRows(enc, dims, 0, enc.Rows(), sc, limit)
+	hb := histPool.Get().(*histBuilder)
+	defer histPool.Put(hb)
+	hb.reset(enc.SensitiveDict())
+	for p := range gr.keys {
+		gr.addRows(hb, p)
+		hb.close()
+	}
+	slabs := hb.slabs()
 	bz := &Bucketization{Source: enc.Table, Buckets: make([]*Bucket, len(gr.keys))}
-	for p := range bz.Buckets {
-		bz.Buckets[p] = gr.bucket(p, cr, sdict)
+	for p, key := range gr.keys {
+		bz.Buckets[p] = slabs.bucket(p, key, gr.tuples(p))
 	}
 	return bz, rootIndex(gr.index, len(gr.keys)), nil
 }

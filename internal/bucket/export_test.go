@@ -23,6 +23,24 @@ func Packable(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (boo
 	return packable(dims), nil
 }
 
+// ScanLimit is ScanIndexed with the direct-addressing limit given: the
+// scan addresses a packed key space of at most limit keys through its slot
+// table and groups a larger one through its map.
+func ScanLimit(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, limit uint64) (*Bucketization, *Index, error) {
+	return scanIndexed(enc, chs, levels, limit)
+}
+
+// KeySpace returns the packed key space at levels (ok false when keys do
+// not pack) and the direct-addressing limit of a full scan of enc.
+func KeySpace(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (space, limit uint64, ok bool, err error) {
+	dims, err := buildDims(enc, chs, levels)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	space, ok = keySpace(dims)
+	return space, directLimit(enc.Rows()), ok, nil
+}
+
 // DiscoveryKeys replays CoarsenInto's pass-1 group discovery: the coarse
 // keys at levels in order of each group's first fine bucket.
 func DiscoveryKeys(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) ([]string, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"ckprivacy/internal/bucket"
@@ -14,9 +15,9 @@ import (
 )
 
 // The scan leaves a row→bucket index behind, coarsening reads one and
-// returns its own, and dense frequency tables sort on code ranks. These
-// tests pin the index against the buckets' tuples and the rank order
-// against table.SortCounts.
+// returns its own, and histograms of small dictionaries sort on code
+// ranks. These tests pin the index against the buckets' tuples and the
+// rank order against table.SortCounts.
 
 // requireIndexMapsRows fails unless idx maps every row of bz's table to
 // the bucket whose tuples hold it.
@@ -156,7 +157,7 @@ func requireSortCounts(t *testing.T, label string, tab *table.Table, bz *bucket.
 	}
 }
 
-// TestDenseFreqTiesFollowValueOrder builds dense histograms with tied
+// TestDenseFreqTiesFollowValueOrder builds rank-sorted histograms with tied
 // counts over a dictionary whose code order (first appearance: c, a, b,
 // d) differs from its value order: the scan, a merging coarsen and an
 // append must all order ties by value, as table.SortCounts does.
@@ -255,5 +256,70 @@ func TestAppendedValueSortingFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 		oracle.RequireIdentical(t, want, got, label)
+	}
+}
+
+// TestDirectAddressedScanMatchesMap: a table of 5,000 rows whose packed
+// key space is 5,000 keys sits exactly at its scan's direct-addressing
+// limit. Scanned with the limit just below its key space (the map path)
+// and at it (the slot table), at the bottom node and at generalized
+// levels, both scans must equal the oracle and leave identical indexes.
+func TestDirectAddressedScanMatchesMap(t *testing.T) {
+	const rows, cardA, cardB = 5000, 50, 100
+	s, err := table.NewSchema([]table.Attribute{
+		{Name: "A", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "B", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "sens", Kind: table.Categorical, Domain: []string{"a", "b", "c", "d", "e"}},
+	}, "sens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := hierarchy.Set{
+		"A": hierarchy.MustInterval("A", []int{1, 10, 0}),
+		"B": hierarchy.MustInterval("B", []int{1, 5, 25}),
+	}
+	rng := rand.New(rand.NewSource(29))
+	tab := table.New(s)
+	for r := 0; r < rows; r++ {
+		a, b := rng.Intn(cardA), rng.Intn(cardB)
+		if r < cardB { // every value of both columns occurs
+			a, b = r%cardA, r
+		}
+		tab.MustAppend(table.Row{strconv.Itoa(a), strconv.Itoa(b), s.Attrs[2].Domain[rng.Intn(5)]})
+	}
+	enc := tab.Encode()
+	chs, err := bucket.CompileHierarchies(enc, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, levels := range []bucket.Levels{{}, {"A": 1}, {"A": 1, "B": 2}} {
+		space, limit, ok, err := bucket.KeySpace(enc, chs, levels)
+		if err != nil || !ok {
+			t.Fatalf("%v: key space %d, packs %v, %v", levels, space, ok, err)
+		}
+		if len(levels) == 0 && (space != rows || limit != rows) {
+			t.Fatalf("bottom node: key space %d, limit %d; want both %d", space, limit, rows)
+		}
+		want, err := oracle.Bucketize(tab, hs, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaMap, mapIdx, err := bucket.ScanLimit(enc, chs, levels, space-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, directIdx, err := bucket.ScanLimit(enc, chs, levels, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.RequireIdentical(t, want, viaMap, fmt.Sprintf("%v map path", levels))
+		oracle.RequireIdentical(t, want, direct, fmt.Sprintf("%v slot table", levels))
+		requireIndexMapsRows(t, fmt.Sprintf("%v slot table", levels), direct, directIdx, rows)
+		for row := 0; row < rows; row++ {
+			if mapIdx.Bucket(row) != directIdx.Bucket(row) {
+				t.Fatalf("%v: row %d in bucket %d via the map, %d via the slot table",
+					levels, row, mapIdx.Bucket(row), directIdx.Bucket(row))
+			}
+		}
 	}
 }

@@ -254,11 +254,11 @@ func TestEncodedFallbackKeyPath(t *testing.T) {
 	}
 }
 
-// TestEncodedSparseSensitiveParity drives the sparse-histogram path (a
-// near-unique sensitive column, cardinality above bucket.MaxDenseSensitive):
-// per-group histograms must not allocate O(buckets × cardinality) dense
-// slices, and the result stays byte-identical to the oracle, for
-// the direct scan and for coarsening.
+// TestEncodedSparseSensitiveParity drives the value-sorted histogram path
+// (a near-unique sensitive column, cardinality above
+// bucket.MaxDenseSensitive, so no call ranks the dictionary): the result
+// stays byte-identical to the oracle, for the direct scan and for
+// coarsening.
 func TestEncodedSparseSensitiveParity(t *testing.T) {
 	const rows = 400
 	sdom := make([]string, rows)

@@ -11,8 +11,8 @@ func (b *Bucket) Entropy() float64 {
 		return 0
 	}
 	h := 0.0
-	for _, vc := range b.freq {
-		p := float64(vc.Count) / n
+	for _, c := range b.hist {
+		p := float64(c) / n
 		h -= p * math.Log(p)
 	}
 	return h

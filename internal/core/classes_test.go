@@ -89,7 +89,8 @@ func TestClassIndexPublication(t *testing.T) {
 // Buckets after a bucketization was indexed breaks its contract (code
 // outside this module is not analyzed by snapshotmut), but it gets the
 // answers of a bucketization built from the changed buckets, not an
-// out-of-range read: an index or MinEntropy cache whose length disagrees
+// out-of-range read or a stale answer: an index, a disclosure series
+// (either variant), or a Size or MinEntropy cache whose length disagrees
 // with len(Buckets) is ignored, and not replaced.
 func TestClassIndexIgnoredAfterBucketsChange(t *testing.T) {
 	const k = 2
@@ -115,15 +116,39 @@ func TestClassIndexIgnoredAfterBucketsChange(t *testing.T) {
 		if _, err := e.MaxDisclosure(bz, k); err != nil || !bz.Indexed() {
 			t.Fatalf("%s: MaxDisclosure error %v, indexed %v", tc.name, err, bz.Indexed())
 		}
+		if _, err := e.MaxDisclosureOpt(bz, k, classOpts[1]); err != nil {
+			t.Fatal(err)
+		}
+		for v := range classOpts {
+			if len(bz.DisclosureSeries(v)) != k+1 {
+				t.Fatalf("%s: variant %d series %v not published", tc.name, v, bz.DisclosureSeries(v))
+			}
+		}
 		bz.MinEntropy()
+		bz.Size()
 		tc.change(bz)
 		if bz.Indexed() {
 			t.Fatalf("%s: an index that no longer covers every bucket counts as published", tc.name)
+		}
+		for v := range classOpts {
+			if s := bz.DisclosureSeries(v); s != nil {
+				t.Fatalf("%s: variant %d series %v that no longer covers every bucket is read", tc.name, v, s)
+			}
 		}
 
 		ref := bucket.FromValues(tc.groups...)
 		if got, want := bz.MinEntropy(), ref.MinEntropy(); math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: MinEntropy %v, want %v", tc.name, got, want)
+		}
+		if got, want := bz.Size(), ref.Size(); got != want {
+			t.Errorf("%s: Size %d, want %d", tc.name, got, want)
+		}
+		dForbid, err := e.MaxDisclosureOpt(ref, k, classOpts[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := e.MaxDisclosureOpt(bz, k, classOpts[1]); err != nil || math.Float64bits(got) != math.Float64bits(dForbid) {
+			t.Errorf("%s: forbid MaxDisclosureOpt %v (%v), want %v", tc.name, got, err, dForbid)
 		}
 		d, err := e.MaxDisclosure(ref, k)
 		if err != nil {
@@ -144,6 +169,11 @@ func TestClassIndexIgnoredAfterBucketsChange(t *testing.T) {
 		}
 		if bz.Indexed() {
 			t.Errorf("%s: a stale index was replaced", tc.name)
+		}
+		for v := range classOpts {
+			if s := bz.DisclosureSeries(v); s != nil {
+				t.Errorf("%s: a stale variant %d series was replaced by %v", tc.name, v, s)
+			}
 		}
 	}
 }
@@ -254,13 +284,27 @@ func TestClassScanConcurrentCalls(t *testing.T) {
 // checkFreshMatchesIndexed asserts that every answer
 // checkKernelMatchesOracle checks is the same bits on a bucketization
 // freshly built from groups for each call as on bz, which a complete call
-// has indexed.
+// has indexed and whose series it has published under both Options; and
+// that every entry of those published series equals a fresh
+// bucketization's answer at its own k.
 func checkFreshMatchesIndexed(t testing.TB, e *Engine, groups [][]string, bz *bucket.Bucketization, k int, c float64) {
 	t.Helper()
 	if !bz.Indexed() {
 		t.Fatalf("%v: not indexed after a full kernel call", groups)
 	}
 	fresh := func() *bucket.Bucketization { return bucket.FromValues(groups...) }
+	for _, opt := range classOpts {
+		published := bz.DisclosureSeries(opt.variant())
+		if len(published) < k+1 {
+			t.Fatalf("%v %+v: published series %v does not cover k=%d", groups, opt, published, k)
+		}
+		for kk, want := range published[:k+1] {
+			got, err := e.MaxDisclosureOpt(fresh(), kk, opt)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v k=%d %+v: fresh %v (%v), published %v", groups, kk, opt, got, err, want)
+			}
+		}
+	}
 	var d float64
 	for _, opt := range classOpts {
 		got, err1 := e.MaxDisclosureOpt(fresh(), k, opt)
@@ -292,6 +336,137 @@ func checkFreshMatchesIndexed(t testing.TB, e *Engine, groups [][]string, bz *bu
 		want, err2 := e.IsCKSafe(bz, cc, k)
 		if err1 != nil || err2 != nil || got != want {
 			t.Fatalf("%v k=%d: IsCKSafe(c=%v) fresh %v (%v), indexed %v (%v)", groups, k, cc, got, err1, want, err2)
+		}
+	}
+}
+
+// seriesMaxK bounds the k of TestSeriesPublishedConcurrent's calls, so
+// series are published at many lengths and replaced by longer ones.
+const seriesMaxK = 6
+
+// freshAnswers returns, per k <= seriesMaxK and Options, the disclosure a
+// fresh bucketization of groups gets from a fresh engine.
+func freshAnswers(t *testing.T, groups [][]string) [seriesMaxK + 1][2]float64 {
+	t.Helper()
+	var out [seriesMaxK + 1][2]float64
+	for k := range out {
+		for o, opt := range classOpts {
+			d, err := NewEngine().MaxDisclosureOpt(bucket.FromValues(groups...), k, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[k][o] = d
+		}
+	}
+	return out
+}
+
+// TestSeriesPublishedConcurrent: 8 goroutines mix MaxDisclosure, both
+// MaxDisclosureOpt variants, Series and IsCKSafe at random k and c on
+// bucketizations of four sizes that they share, so series are computed,
+// published, read, and replaced by longer ones while other callers read
+// them. Now and then a bucketization is replaced by a fresh copy. Every
+// answer must be bit-identical to a fresh bucketization's. Run it under
+// -race: a published series must never be written after publication.
+func TestSeriesPublishedConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	type corpus struct {
+		groups  [][]string
+		want    [seriesMaxK + 1][2]float64
+		current atomic.Pointer[bucket.Bucketization]
+	}
+	var corpora []*corpus
+	for _, n := range []int{2, 15, 70, 250} {
+		cp := &corpus{groups: sizedGroups(rng, n)}
+		cp.want = freshAnswers(t, cp.groups)
+		cp.current.Store(bucket.FromValues(cp.groups...))
+		corpora = append(corpora, cp)
+	}
+	e := NewEngine()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < 400 && !t.Failed(); op++ {
+				cp := corpora[rng.Intn(len(corpora))]
+				if rng.Intn(25) == 0 {
+					cp.current.Store(bucket.FromValues(cp.groups...))
+				}
+				bz := cp.current.Load()
+				k, o := rng.Intn(seriesMaxK+1), rng.Intn(2)
+				want := cp.want[k][o]
+				switch rng.Intn(4) {
+				case 0:
+					got, err := e.MaxDisclosure(bz, k)
+					if want := cp.want[k][0]; err != nil || math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%d buckets k=%d: MaxDisclosure %v (%v), fresh %v", len(cp.groups), k, got, err, want)
+					}
+				case 1:
+					got, err := e.MaxDisclosureOpt(bz, k, classOpts[o])
+					if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%d buckets k=%d %+v: MaxDisclosureOpt %v (%v), fresh %v", len(cp.groups), k, classOpts[o], got, err, want)
+					}
+				case 2:
+					series, err := e.Series(bz, k)
+					if err != nil || len(series) != k+1 {
+						t.Errorf("%d buckets: Series(%d) = %v (%v)", len(cp.groups), k, series, err)
+						continue
+					}
+					for kk, got := range series {
+						if want := cp.want[kk][0]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Errorf("%d buckets: Series(%d)[%d] = %v, fresh %v", len(cp.groups), k, kk, got, want)
+						}
+					}
+					series[0] = -1 // a caller's copy: the published series must not change
+				case 3:
+					d := cp.want[k][0]
+					c := []float64{d, math.Nextafter(d, 0), math.Nextafter(d, 1), rng.Float64()}[rng.Intn(4)]
+					safe, err := e.IsCKSafe(bz, c, k)
+					if err != nil || safe != (d < c) {
+						t.Errorf("%d buckets k=%d: IsCKSafe(c=%v) = %v (%v), fresh disclosure %v", len(cp.groups), k, c, safe, err, d)
+					}
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
+
+// TestForbidSeriesMatchesPointRuns: the ForbidSameBucketAntecedent series
+// that one MINIMIZE2 run at K publishes must equal, bit for bit, a run at
+// each k <= K on a fresh bucketization and the recursive oracle. This is
+// the state-independence argument series relies on, for the second
+// variant: no DP state's value depends on the k the tables were sized for.
+func TestForbidSeriesMatchesPointRuns(t *testing.T) {
+	forbid := Options{ForbidSameBucketAntecedent: true}
+	rng := rand.New(rand.NewSource(24))
+	e := NewEngine()
+	for iter := 0; iter < 200; iter++ {
+		groups := repeatedHistogramGroups(rng, 10)
+		bz := bucket.FromValues(groups...)
+		maxK := rng.Intn(9)
+		if _, err := e.MaxDisclosureOpt(bz, maxK, forbid); err != nil {
+			t.Fatal(err)
+		}
+		series := bz.DisclosureSeries(forbid.variant())
+		if len(series) != maxK+1 {
+			t.Fatalf("%v: published %d-entry series after a run at k=%d", groups, len(series), maxK)
+		}
+		if bz.DisclosureSeries(Options{}.variant()) != nil {
+			t.Fatalf("%v: a forbid run published the default series", groups)
+		}
+		views := makeViews(bz)
+		for k, got := range series {
+			point, err := NewEngine().MaxDisclosureOpt(bucket.FromValues(groups...), k, forbid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rmin, _ := minimize2Oracle(views, k, forbid)
+			if oracle := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(point) || math.Float64bits(got) != math.Float64bits(oracle) {
+				t.Fatalf("%v: forbid series[%d] = %v, point run %v, oracle %v", groups, k, got, point, oracle)
+			}
 		}
 	}
 }

@@ -114,7 +114,9 @@ func randomHistogram(rng *rand.Rand, vals, maxCount int) []int {
 // TestDisclosureIdenticalAcrossCapacities is the equivalence half of the
 // acceptance criterion: every disclosure value must be byte-identical
 // whether the memo is unbounded, default-bounded, or so small it evicts
-// constantly — eviction may cost recomputation, never correctness.
+// constantly — eviction may cost recomputation, never correctness. Each
+// call gets a fresh bucketization of the instance's groups, so it reaches
+// its engine instead of a series an earlier call published.
 func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 	engines := map[string]*Engine{
 		"unbounded": NewEngineWithConfig(EngineConfig{MemoMaxBytes: -1}),
@@ -122,8 +124,7 @@ func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 		"tiny":      NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10, Shards: 4}),
 	}
 	rng := rand.New(rand.NewSource(11))
-	var instances []*bucket.Bucketization
-	instances = append(instances, fig3())
+	instances := [][][]string{figure3Groups}
 	for i := 0; i < 40; i++ {
 		raw := make([]byte, 12)
 		rng.Read(raw)
@@ -131,16 +132,16 @@ func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 		if groups == nil {
 			continue
 		}
-		instances = append(instances, bucket.FromValues(groups...))
+		instances = append(instances, groups)
 	}
-	for _, bz := range instances {
+	for _, groups := range instances {
 		for k := 0; k <= 5; k++ {
-			want, err := engines["unbounded"].MaxDisclosure(bz, k)
+			want, err := engines["unbounded"].MaxDisclosure(bucket.FromValues(groups...), k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for name, e := range engines {
-				got, err := e.MaxDisclosure(bz, k)
+				got, err := e.MaxDisclosure(bucket.FromValues(groups...), k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -268,7 +269,8 @@ func checkAccounting(t *testing.T, e *Engine) {
 // with a tiny cap keeps every shard within budget, with exact accounting,
 // while rows grow and evict.
 func TestRowGrowth(t *testing.T) {
-	bz := bucket.FromValues([]string{"a", "a", "a", "b", "b", "c", "d"})
+	values := []string{"a", "a", "a", "b", "b", "c", "d"}
+	bz := bucket.FromValues(values)
 	hist := bz.Buckets[0].Histogram()
 	e := NewEngine()
 	for _, k := range []int{1, 11} {
@@ -283,8 +285,10 @@ func TestRowGrowth(t *testing.T) {
 	if st.Misses != 2 || st.Hits != 0 {
 		t.Errorf("hits %d, misses %d; want 0 and 2 (one build, one growth)", st.Hits, st.Misses)
 	}
-	// A shorter request now reads a prefix of the grown row.
-	if _, err := e.MaxDisclosure(bz, 3); err != nil {
+	// A shorter request now reads a prefix of the grown row. It asks a
+	// fresh bucketization of the same histogram: bz's published series
+	// would answer k = 3 without the engine.
+	if _, err := e.MaxDisclosure(bucket.FromValues(values), 3); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.Hits != 1 || st.Entries != 1 {

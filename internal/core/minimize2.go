@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ckprivacy/internal/bucket"
@@ -131,7 +132,7 @@ const noStop = 2
 // recursion, so values and choices are bit-identical to it
 // (minimize2Oracle in the tests). A state's value does not depend on k,
 // nor does the base case read it, so the finished tables also hold every
-// k' < k's minimum at its own root (0, k', false), which Series reads.
+// k' < k's minimum at its own root (0, k', false), which series reads.
 //
 // stop is a disclosure threshold for yes/no callers. Without
 // ForbidSameBucketAntecedent, placing A and all k antecedents in bucket i
@@ -200,19 +201,59 @@ func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop fl
 }
 
 // MaxDisclosure computes the maximum disclosure of the bucketization with
-// respect to L^k_basic (Definition 6) in O(|B|·k³) time.
+// respect to L^k_basic (Definition 6) in O(|B|·k³) time, or reads it from
+// the bucketization's published series (see MaxDisclosureOpt).
 func (e *Engine) MaxDisclosure(bz *bucket.Bucketization, k int) (float64, error) {
 	return e.MaxDisclosureOpt(bz, k, Options{})
 }
 
-// MaxDisclosureOpt is MaxDisclosure with Options.
+// MaxDisclosureOpt is MaxDisclosure with Options. A bucketization never
+// changes, so its answers at every k are fixed: the first call at a k the
+// bucketization's published series for opt does not cover runs MINIMIZE2
+// once and publishes the whole series d[0..k] (series), and every later
+// call at any k' <= k reads d[k'] without touching a bucket or the memo.
+// Each published value is bit-identical to a run at its own k.
 func (e *Engine) MaxDisclosureOpt(bz *bucket.Bucketization, k int, opt Options) (float64, error) {
-	if err := checkArgs(bz, k); err != nil {
+	if err := checkShape(bz, k); err != nil {
 		return 0, err
 	}
-	rmin, sc := e.minimize2(bz, k, opt, noStop)
-	sc.release()
-	return disclosureFromRatio(rmin), nil
+	if d := bz.DisclosureSeries(opt.variant()); k < len(d) {
+		return d[k], nil
+	}
+	d, err := e.series(bz, k, opt)
+	if err != nil {
+		return 0, err
+	}
+	return d[k], nil
+}
+
+// variant is the slot of opt's disclosure series on a bucketization.
+func (opt Options) variant() int {
+	if opt.ForbidSameBucketAntecedent {
+		return 1
+	}
+	return 0
+}
+
+// series computes the maximum disclosure under opt for every k in 0..maxK
+// from one row pass and one MINIMIZE2 run at maxK, reading each k's answer
+// from its own root, and publishes the series on bz. A state's value does
+// not depend on the k the tables were sized for, under either Options (the
+// restriction only removes candidates), so every value is bit-identical to
+// a run at its own k. The returned slice is the published one: callers
+// must not modify it.
+func (e *Engine) series(bz *bucket.Bucketization, maxK int, opt Options) ([]float64, error) {
+	if err := checkBuckets(bz); err != nil {
+		return nil, err
+	}
+	_, sc := e.minimize2(bz, maxK, opt, noStop)
+	defer sc.release()
+	out := make([]float64, maxK+1)
+	for k := range out {
+		out[k] = disclosureFromRatio(sc.val[sc.idx(0, k, 0)])
+	}
+	bz.PublishDisclosureSeries(opt.variant(), out)
+	return out, nil
 }
 
 // disclosureFromRatio converts min Formula (1) to the maximum disclosure
@@ -228,13 +269,30 @@ func disclosureFromRatio(r float64) float64 {
 	return 1 / (1 + r)
 }
 
+// checkArgs validates a disclosure call's arguments: checkShape's O(1)
+// checks and checkBuckets' walk over every bucket.
 func checkArgs(bz *bucket.Bucketization, k int) error {
+	if err := checkShape(bz, k); err != nil {
+		return err
+	}
+	return checkBuckets(bz)
+}
+
+// checkShape rejects an empty bucketization and a negative k. It is all a
+// read from a published series needs: a series is published only after
+// checkBuckets passed on the same buckets.
+func checkShape(bz *bucket.Bucketization, k int) error {
 	if bz == nil || len(bz.Buckets) == 0 {
 		return fmt.Errorf("core: empty bucketization")
 	}
 	if k < 0 {
 		return fmt.Errorf("core: negative knowledge bound k = %d", k)
 	}
+	return nil
+}
+
+// checkBuckets rejects a bucketization with an empty bucket.
+func checkBuckets(bz *bucket.Bucketization) error {
 	for i, b := range bz.Buckets {
 		if b.Size() == 0 {
 			return fmt.Errorf("core: bucket %d is empty", i)
@@ -248,35 +306,45 @@ func MaxDisclosure(bz *bucket.Bucketization, k int) (float64, error) {
 	return NewEngine().MaxDisclosure(bz, k)
 }
 
-// Series computes the maximum disclosure for every k in 0..maxK (the
-// Figure 5 and 6 workloads) from one row pass and one MINIMIZE2 run at
-// maxK, reading each k's answer from its own root; every value is
+// Series returns the maximum disclosure for every k in 0..maxK (the
+// Figure 5 and 6 workloads): a copy of the bucketization's published
+// series when it covers maxK, and otherwise the series of one row pass and
+// one MINIMIZE2 run at maxK, which it publishes. Every value is
 // bit-identical to MaxDisclosure(bz, k).
 func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
-	if err := checkArgs(bz, maxK); err != nil {
+	if err := checkShape(bz, maxK); err != nil {
 		return nil, err
 	}
-	_, sc := e.minimize2(bz, maxK, Options{}, noStop)
-	defer sc.release()
-	out := make([]float64, maxK+1)
-	for k := range out {
-		out[k] = disclosureFromRatio(sc.val[sc.idx(0, k, 0)])
+	d := bz.DisclosureSeries(Options{}.variant())
+	if maxK >= len(d) {
+		var err error
+		if d, err = e.series(bz, maxK, Options{}); err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
+	return slices.Clone(d[:maxK+1]), nil
 }
 
 // IsCKSafe reports whether the bucketization is (c,k)-safe (Definition 13):
 // maximum disclosure with respect to L^k_basic strictly below the threshold
-// c. The answer is bit-for-bit MaxDisclosure(bz, k) < c, but the kernel
-// stops at the first bucket that alone already reaches c (see minimize2).
-// The comparison is a strict float64 inequality; thresholds within
-// round-off (~1e-15 relative) of the true maximum may be classified either
-// way.
+// c. The answer is bit-for-bit MaxDisclosure(bz, k) < c. When the
+// bucketization's published series covers k, it is read from there;
+// otherwise the kernel stops at the first bucket that alone already
+// reaches c (see minimize2) and publishes nothing, since an early exit
+// leaves the maximum unknown. The comparison is a strict float64
+// inequality; thresholds within round-off (~1e-15 relative) of the true
+// maximum may be classified either way.
 func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, error) {
 	if c < 0 || c > 1 {
 		return false, fmt.Errorf("core: threshold c = %v outside [0, 1]", c)
 	}
-	if err := checkArgs(bz, k); err != nil {
+	if err := checkShape(bz, k); err != nil {
+		return false, err
+	}
+	if d := bz.DisclosureSeries(Options{}.variant()); k < len(d) {
+		return d[k] < c, nil
+	}
+	if err := checkBuckets(bz); err != nil {
 		return false, err
 	}
 	r, sc := e.minimize2(bz, k, Options{}, c)

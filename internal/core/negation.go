@@ -52,15 +52,14 @@ func negationBest(bz *bucket.Bucketization, k int) (float64, int, int, error) {
 	best, bestBucket, bestValue := -1.0, 0, 0
 	for bi, b := range bz.Buckets {
 		n := b.Size()
-		for si, vc := range b.Freq() {
+		top1, top := b.PrefixSum(k+1), b.PrefixSum(k)
+		for si, count := range b.Histogram() {
 			// Mass of the k most frequent values other than s.
-			var sum int
+			sum := top
 			if si < k {
-				sum = b.PrefixSum(k+1) - vc.Count
-			} else {
-				sum = b.PrefixSum(k)
+				sum = top1 - count
 			}
-			d := float64(vc.Count) / float64(n-sum)
+			d := float64(count) / float64(n-sum)
 			if d > best {
 				best, bestBucket, bestValue = d, bi, si
 			}
@@ -100,14 +99,13 @@ func NegationWitnessFor(bz *bucket.Bucketization, k int, name func(id int) strin
 		name = strconv.Itoa
 	}
 	b := bz.Buckets[bi]
-	freq := b.Freq()
 	person := name(b.Tuples[0])
 	w := NegationWitness{
 		Disclosure:   d,
-		Target:       logic.Atom{Person: person, Value: freq[si].Value},
+		Target:       logic.Atom{Person: person, Value: b.Value(si)},
 		TargetBucket: bi,
 	}
-	for r := 0; r < len(freq) && len(w.Negated) < k; r++ {
+	for r := 0; r < b.Distinct() && len(w.Negated) < k; r++ {
 		if r == si {
 			continue
 		}
@@ -117,7 +115,7 @@ func NegationWitnessFor(bz *bucket.Bucketization, k int, name func(id int) strin
 		if si < k && r >= k+1 {
 			break
 		}
-		w.Negated = append(w.Negated, logic.Atom{Person: person, Value: freq[r].Value})
+		w.Negated = append(w.Negated, logic.Atom{Person: person, Value: b.Value(r)})
 	}
 	if len(w.Negated) > k {
 		return NegationWitness{}, fmt.Errorf("core: internal error: %d negations for k = %d", len(w.Negated), k)

@@ -192,14 +192,13 @@ func ExactNegationMaxDisclosure(bz *bucket.Bucketization, k int) (*big.Rat, erro
 	var best *big.Rat
 	for _, b := range bz.Buckets {
 		n := b.Size()
-		for si, vc := range b.Freq() {
-			var sum int
+		top1, top := b.PrefixSum(k+1), b.PrefixSum(k)
+		for si, count := range b.Histogram() {
+			sum := top
 			if si < k {
-				sum = b.PrefixSum(k+1) - vc.Count
-			} else {
-				sum = b.PrefixSum(k)
+				sum = top1 - count
 			}
-			d := big.NewRat(int64(vc.Count), int64(n-sum))
+			d := big.NewRat(int64(count), int64(n-sum))
 			if best == nil || d.Cmp(best) > 0 {
 				best = d
 			}

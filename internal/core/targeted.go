@@ -245,8 +245,8 @@ func (e *Engine) TargetedMaxDisclosure(bz *bucket.Bucketization, bucketIdx int, 
 	}
 	b := bz.Buckets[bucketIdx]
 	rank := -1
-	for i, vc := range b.Freq() {
-		if vc.Value == value {
+	for i := range b.Histogram() {
+		if b.Value(i) == value {
 			rank = i
 			break
 		}
@@ -293,7 +293,7 @@ func (e *Engine) RiskProfile(bz *bucket.Bucketization, k, workers int) ([]Risk, 
 	err := parallel.ForEach(workers, len(targets), func(i int) error {
 		tg := targets[i]
 		d := disclosureFromRatio(e.targetedRatio(views, t, tg.bi, tg.r, k))
-		out[i] = Risk{BucketIdx: tg.bi, Value: views[tg.bi].b.Freq()[tg.r].Value, Disclosure: d}
+		out[i] = Risk{BucketIdx: tg.bi, Value: views[tg.bi].b.Value(tg.r), Disclosure: d}
 		return nil
 	})
 	if err != nil {

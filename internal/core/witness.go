@@ -87,7 +87,6 @@ func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name fu
 	var antecedents []logic.Atom
 	for _, pl := range placements {
 		v := views[pl.bucket]
-		freq := v.b.Freq()
 		atoms := pl.cnt
 		if pl.hasA {
 			atoms++
@@ -98,8 +97,8 @@ func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name fu
 				break
 			}
 			pname := name(v.b.Tuples[person])
-			for r := 0; r < kj && r < len(freq); r++ {
-				atom := logic.Atom{Person: pname, Value: freq[r].Value}
+			for r := 0; r < kj && r < len(v.hist); r++ {
+				atom := logic.Atom{Person: pname, Value: v.b.Value(r)}
 				if pl.hasA && person == 0 && r == 0 {
 					// Lemma 12 guarantees the minimizing set contains an
 					// atom naming the most frequent value; it becomes A.

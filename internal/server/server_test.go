@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"ckprivacy/internal/anonymize"
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataload"
 	"ckprivacy/internal/privacy"
@@ -738,7 +740,10 @@ func TestDatasetRequestsShareOneEngine(t *testing.T) {
 	ds, _ := s.registry.get("h")
 	eng := ds.problem.Engine()
 
-	if code := postJSON(t, ts.URL+"/v1/disclosure", map[string]any{"dataset": "h", "k": 1}, nil); code != http.StatusOK {
+	// The disclosure asks the cross-bucket variant, so the node's published
+	// series answers no later default-variant call: the check and the
+	// release audit below reach the engine.
+	if code := postJSON(t, ts.URL+"/v1/disclosure", map[string]any{"dataset": "h", "k": 1, "cross_bucket": true}, nil); code != http.StatusOK {
 		t.Fatalf("disclosure = %d", code)
 	}
 	cold := eng.Stats()
@@ -746,7 +751,7 @@ func TestDatasetRequestsShareOneEngine(t *testing.T) {
 		t.Fatalf("disclosure on a registered dataset missed its engine: %+v", cold)
 	}
 	// A check at the same levels and k needs exactly the rows the
-	// disclosure memoized.
+	// disclosure memoized: both variants read u[0..k+1] per histogram.
 	if code := postJSON(t, ts.URL+"/v1/check",
 		map[string]any{"dataset": "h", "criterion": "ck", "c": 0.9, "k": 1}, nil); code != http.StatusOK {
 		t.Fatalf("check = %d", code)
@@ -810,5 +815,62 @@ func TestMetricsMemoFamilies(t *testing.T) {
 				t.Errorf("datasets memo bytes still 0 after a dataset disclosure: %s", line)
 			}
 		}
+	}
+}
+
+// TestWarmReadsLeaveEngineUntouched: a disclosure at k publishes its
+// node's disclosure series, so warm disclosures and checks at any k' <= k
+// on that node — the bottom node of a 2,000-row synthetic Adult table,
+// hundreds of buckets — answer from it: the dataset engine's counters do
+// not move, and every answer equals a fresh bucketization's.
+func TestWarmReadsLeaveEngineUntouched(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if code := postJSON(t, ts.URL+"/v1/datasets",
+		map[string]any{"name": "a", "synthetic": map[string]any{"n": 2000, "seed": 1}}, nil); code != http.StatusCreated {
+		t.Fatalf("register = %d", code)
+	}
+	ds, _ := s.registry.get("a")
+	eng := ds.problem.Engine()
+	levels := map[string]int{}
+	for _, name := range ds.problem.QI {
+		levels[name] = 0
+	}
+	const maxK = 3
+	if code := postJSON(t, ts.URL+"/v1/disclosure", map[string]any{"dataset": "a", "levels": levels, "k": maxK}, nil); code != http.StatusOK {
+		t.Fatalf("cold disclosure = %d", code)
+	}
+	bz, err := ds.problem.Bucketize(ds.problem.Space().Bottom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bz.Buckets) < 100 {
+		t.Fatalf("bottom node has %d buckets; the test wants a large node", len(bz.Buckets))
+	}
+	before := eng.Stats()
+	for k := 0; k <= maxK; k++ {
+		want, err := core.NewEngine().MaxDisclosure(&bucket.Bucketization{Buckets: bz.Buckets}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got disclosureResponse
+		if code := postJSON(t, ts.URL+"/v1/disclosure", map[string]any{"dataset": "a", "levels": levels, "k": k}, &got); code != http.StatusOK {
+			t.Fatalf("warm disclosure k=%d = %d", k, code)
+		}
+		if got.Disclosure != want || got.Tuples != 2000 || got.Buckets != len(bz.Buckets) {
+			t.Errorf("warm disclosure k=%d: %+v, want disclosure %v over 2000 tuples", k, got, want)
+		}
+		for _, c := range []float64{want, math.Nextafter(want, 1)} {
+			var chk checkResponse
+			if code := postJSON(t, ts.URL+"/v1/check",
+				map[string]any{"dataset": "a", "levels": levels, "criterion": "ck", "c": c, "k": k}, &chk); code != http.StatusOK {
+				t.Fatalf("warm check k=%d = %d", k, code)
+			}
+			if chk.Safe != (want < c) {
+				t.Errorf("warm check k=%d c=%v: safe %v, disclosure %v", k, c, chk.Safe, want)
+			}
+		}
+	}
+	if after := eng.Stats(); after != before {
+		t.Errorf("warm reads reached the engine: %+v -> %+v", before, after)
 	}
 }

@@ -60,6 +60,14 @@ func (d *Dict) intern(v string) uint32 {
 	return c
 }
 
+// NewDict returns an empty dictionary, for callers that code a value list
+// of their own (a bucketization built from value lists keeps one). Codes
+// follow first sight, as in an encoding; Intern must not race with reads.
+func NewDict() *Dict { return newDict(0) }
+
+// Intern returns v's code, assigning the next free code on first sight.
+func (d *Dict) Intern(v string) uint32 { return d.intern(v) }
+
 // view pins the dictionary's first n codes as an immutable snapshot. The
 // view drops the lookup index rather than sharing it: the master's index
 // map keeps growing under Append, and a shared map would race with

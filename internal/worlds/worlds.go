@@ -63,9 +63,9 @@ func FromBucketization(bz *bucket.Bucketization, name func(id int) string) (Inst
 			}
 		}
 		if bz.Source == nil {
-			for _, vc := range b.Freq() {
-				for n := 0; n < vc.Count; n++ {
-					wb.Values = append(wb.Values, vc.Value)
+			for j, count := range b.Histogram() {
+				for n := 0; n < count; n++ {
+					wb.Values = append(wb.Values, b.Value(j))
 				}
 			}
 		}
