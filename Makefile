@@ -124,7 +124,8 @@ loadtest-replica:
 ## fuzz-smoke gives every fuzz target in the module a short budget (the
 ## CI fuzz job runs this list in full; docs-check fails on a target
 ## missing from it): the store decoders (snapshot/WAL
-## hardening), the logic parsers, the MINIMIZE2 kernel against its
+## hardening), the replication wire's record scanner (a WAL stream fed
+## whole or in chunks), the logic parsers, the MINIMIZE2 kernel against its
 ## recursive oracle, the dataset-spec registration path, appends
 ## against a rebuild of the grown table, and the /v1/datasets,
 ## /v1/disclosure, /v1/check, /v1/datasets/{name}/rows and /v1/estimate
@@ -136,6 +137,7 @@ FUZZ_TIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzSnapshotOpen -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzRecordScanner -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseImplication -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseConjunction -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/logic/ -run '^$$' -fuzz FuzzParseAtom -fuzztime $(FUZZ_TIME)

@@ -109,6 +109,10 @@ func TestCommandsErrors(t *testing.T) {
 		{"grid", "-n", "200", "-cs", "0.5,x"},
 		{"grid", "-n", "200", "-ks", "1,x"},
 		{"grid", "-n", "200", "-cs", "1.5"},
+		// NaN fails every comparison, so each range check must be written
+		// to reject it.
+		{"safe", "-n", "200", "-c", "NaN"},
+		{"grid", "-n", "200", "-cs", "NaN", "-ks", "1"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -50,57 +50,6 @@ func ratFloat(r *big.Rat) float64 {
 	return f
 }
 
-func TestM1ComputeHandValues(t *testing.T) {
-	cases := []struct {
-		hist []int
-		j    int
-		want float64
-	}{
-		{[]int{2, 2, 1}, 0, 1},
-		{[]int{2, 2, 1}, 1, 3.0 / 5}, // avoid flu
-		{[]int{2, 2, 1}, 2, 1.0 / 5}, // one person avoids flu+lung
-		{[]int{2, 2, 1}, 3, 0},       // one person avoids everything
-		{[]int{2, 1, 1, 1}, 1, 3.0 / 5},
-		// Two persons both avoiding the top value, (3/5)(2/4) = 3/10,
-		// beats one person avoiding the top two values, (5-3)/5 = 2/5.
-		{[]int{2, 1, 1, 1}, 2, 3.0 / 10},
-		{[]int{1, 1, 1, 1}, 1, 3.0 / 4},
-		{[]int{1, 1, 1, 1}, 2, 1.0 / 2}, // (4-2)/4 ties (3/4)(2/3)
-		{[]int{1, 1, 1, 1}, 3, 1.0 / 4}, // (4-3)/4
-		{[]int{1, 1, 1, 1}, 4, 0},
-		{[]int{5}, 1, 0}, // single value: any negation kills it
-		{[]int{3}, 0, 1},
-		{[]int{1}, 1, 0},
-	}
-	for _, c := range cases {
-		got := m1Compute(c.hist, c.j)
-		if math.Abs(got.val-c.want) > eps {
-			t.Errorf("m1Compute(%v, %d) = %v, want %v", c.hist, c.j, got.val, c.want)
-		}
-	}
-}
-
-func TestM1ComputeComposition(t *testing.T) {
-	// hist {2,2,1}, j=2: the minimizing composition is one person with both
-	// atoms (prob 1/5 beats two persons' 3/10).
-	e := m1Compute([]int{2, 2, 1}, 2)
-	if len(e.comp) != 1 || e.comp[0] != 2 {
-		t.Errorf("comp = %v, want [2]", e.comp)
-	}
-	// Compositions are descending and sum to at most j.
-	e = m1Compute([]int{3, 2, 2, 1}, 5)
-	sum := 0
-	for i, k := range e.comp {
-		sum += k
-		if i > 0 && e.comp[i-1] < k {
-			t.Errorf("composition not descending: %v", e.comp)
-		}
-	}
-	if sum > 5 {
-		t.Errorf("composition oversubscribed: %v", e.comp)
-	}
-}
-
 func TestMaxDisclosureFigure3HandValues(t *testing.T) {
 	e := NewEngine()
 	cases := []struct {
@@ -187,6 +136,9 @@ func TestArgumentValidation(t *testing.T) {
 	}
 	if _, err := e.IsCKSafe(fig3(), 1.1, 1); err == nil {
 		t.Error("c > 1 accepted")
+	}
+	if _, err := e.IsCKSafe(fig3(), math.NaN(), 1); err == nil {
+		t.Error("c = NaN accepted")
 	}
 	if _, err := e.Series(nil, 3); err == nil {
 		t.Error("Series on nil accepted")

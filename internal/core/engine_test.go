@@ -222,26 +222,6 @@ func TestInflightDedupCountsOneMiss(t *testing.T) {
 // Histogram rows
 // ---------------------------------------------------------------------------
 
-// TestRowMatchesM1Compute: every entry of a MINIMIZE1 row, built from one
-// DP table shared by all its atom counts, is bit-identical to m1Compute's
-// own table at that atom count.
-func TestRowMatchesM1Compute(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 2000; iter++ {
-		hist := randomHistogram(rng, 1+rng.Intn(15), 1+rng.Intn(40))
-		k := rng.Intn(14)
-		row := m1Row(hist, k)
-		if len(row) != k+1 {
-			t.Fatalf("m1Row(%v, %d) has %d entries", hist, k, len(row))
-		}
-		for j, got := range row {
-			if want := m1Compute(hist, j).val; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("m1Row(%v, %d)[%d] = %v, m1Compute %v", hist, k, j, got, want)
-			}
-		}
-	}
-}
-
 // checkAccounting asserts that each shard's accounted bytes and count are
 // exactly those of its resident entries and within the per-shard budget.
 func checkAccounting(t *testing.T, e *Engine) {

@@ -14,9 +14,10 @@ import (
 
 // minimize2Oracle is the recursive MINIMIZE2 the flat kernel replaced, kept
 // as its test oracle: a memoized top-down recursion that computes
-// MINIMIZE1 with m1Compute for every (bucket, cnt) it visits, sharing no
-// memo or row code with the kernel. Its tables are allocated per call and
-// NaN-marked for "not yet computed"; the returned scratch is never pooled.
+// MINIMIZE1 with the recursive oracle m1OracleCompute for every (bucket,
+// cnt) it visits, sharing no memo, row or MINIMIZE1 code with the kernel.
+// Its tables are allocated per call and NaN-marked for "not yet
+// computed"; the returned scratch is never pooled.
 func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratch) {
 	nb := len(views)
 	states := (nb + 1) * (k + 1) * 2
@@ -47,7 +48,7 @@ func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratc
 		best := math.Inf(1)
 		var bestChoice m2choice
 		for cnt := 0; cnt <= h; cnt++ {
-			u := m1Compute(v.hist, cnt).val
+			u := m1OracleCompute(v.hist, cnt).val
 			// Option 1: A is not in this bucket.
 			if cand := u * rec(i+1, h-cnt, placed); cand < best {
 				best = cand
@@ -55,7 +56,7 @@ func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratc
 			}
 			// Option 2: A is in this bucket (with cnt local antecedents).
 			if !placed && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
-				w := m1Compute(v.hist, cnt+1).val * ratio
+				w := m1OracleCompute(v.hist, cnt+1).val * ratio
 				if cand := w * rec(i+1, h-cnt, true); cand < best {
 					best = cand
 					bestChoice = m2choice{cnt: cnt, placeHere: true, valid: true}

@@ -29,20 +29,22 @@ type m2choice struct {
 }
 
 // m2Scratch holds MINIMIZE2's working set in flat pooled slices: the
-// per-class MINIMIZE1 rows, the class scan that finds them, and the DP
-// tables over states (i, h, placed) with i <= nb and h <= k. Callers that
-// walk the choice table (witness reconstruction) keep the scratch until
-// they are done, then release it.
+// per-class MINIMIZE1 rows and placement weights, the class scan that
+// finds them, and the DP's value rows. A DP row holds one bucket's
+// states (h, placed), h <= k, at 2h+placed. Answer-only runs keep two
+// rolling rows; Witness keeps every bucket's row and its choices.
 type m2Scratch struct {
 	val    []float64
 	choice []m2choice
 	k      int
 
 	// rows holds u_c[j] = MINIMIZE1(hist_c, j) for j < width, one row per
-	// histogram class c, row-major; ratios holds each class's n/top.
-	rows   []float64
-	ratios []float64
-	width  int
+	// histogram class c, row-major; weights holds each class's placement
+	// weights w_c[cnt] = u_c[cnt+1]·n/top for cnt < width-1, the factor of
+	// placing A and cnt antecedents in one of its buckets.
+	rows    []float64
+	weights []float64
+	width   int
 	// of is the class of each bucket, from the last complete row pass:
 	// the class scan's scratch or a published index, read-only either way.
 	of   []int32
@@ -51,20 +53,7 @@ type m2Scratch struct {
 
 var m2Pool = sync.Pool{New: func() any { return new(m2Scratch) }}
 
-// grow sizes the DP tables for nb buckets and k atoms. The bottom-up DP
-// writes every state before reading it, so nothing is cleared.
-func (sc *m2Scratch) grow(nb, k int) {
-	states := (nb + 1) * (k + 1) * 2
-	if cap(sc.val) < states {
-		sc.val = make([]float64, states)
-		sc.choice = make([]m2choice, states)
-	}
-	sc.val = sc.val[:states]
-	sc.choice = sc.choice[:states]
-	sc.k = k
-}
-
-// idx flattens (i, h, pi).
+// idx flattens (i, h, pi): state (h, pi) of bucket i's row.
 func (sc *m2Scratch) idx(i, h, pi int) int {
 	return (i*(sc.k+1)+h)*2 + pi
 }
@@ -80,15 +69,19 @@ func (sc *m2Scratch) row(i int) []float64 {
 	return sc.rows[c*sc.width : (c+1)*sc.width]
 }
 
-// release returns the scratch to the pool.
-func (sc *m2Scratch) release() { m2Pool.Put(sc) }
+// weight returns bucket i's placement weights, its class's.
+func (sc *m2Scratch) weight(i int) []float64 {
+	c, w := int(sc.of[i]), sc.width-1
+	return sc.weights[c*w : (c+1)*w]
+}
 
 // rowPass fetches, for each histogram class of bz in order of first
 // appearance, the class's MINIMIZE1 row u[0..width-1] into sc (one memo
-// lookup, keyed by the class's hash) and its ratio n/top, then points
-// sc.of at the class of every bucket. On an indexed bucketization the
-// classes come from its index; on a fresh one the class scan classifies
-// the buckets, publishing the index once all are classified.
+// lookup, keyed by the class's hash) and its placement weights
+// u[cnt+1]·n/top, then points sc.of at the class of every bucket. On an
+// indexed bucketization the classes come from its index; on a fresh one
+// the class scan classifies the buckets, publishing the index once all
+// are classified.
 //
 // stop is minimize2's decision exit: when a class's all-in-one ratio
 // r = u[width-1]·n/top reaches it (disclosureFromRatio(r) >= stop), the
@@ -97,7 +90,7 @@ func (sc *m2Scratch) release() { m2Pool.Put(sc) }
 // pass stops at the same bucket as a walk over every bucket would. Pass
 // noStop to run the whole pass.
 func (e *Engine) rowPass(sc *m2Scratch, bz *bucket.Bucketization, width int, stop float64) (float64, bool) {
-	sc.rows, sc.ratios, sc.width = sc.rows[:0], sc.ratios[:0], width
+	sc.rows, sc.weights, sc.width = sc.rows[:0], sc.weights[:0], width
 	scan := &sc.scan
 	scan.Start(bz)
 	defer scan.Close()
@@ -106,9 +99,13 @@ func (e *Engine) rowPass(sc *m2Scratch, bz *bucket.Bucketization, width int, sto
 		u := e.row(scan.Hash(), b.Histogram(), width)[:width]
 		ratio := float64(b.Size()) / float64(b.TopCount())
 		sc.rows = append(sc.rows, u...)
-		sc.ratios = append(sc.ratios, ratio)
-		if r := u[width-1] * ratio; stop <= 1 && disclosureFromRatio(r) >= stop {
-			return r, true
+		for _, x := range u[1:] {
+			sc.weights = append(sc.weights, x*ratio)
+		}
+		if stop <= 1 {
+			if r := sc.weights[len(sc.weights)-1]; disclosureFromRatio(r) >= stop {
+				return r, true
+			}
 		}
 	}
 	sc.of = scan.ClassOf()
@@ -120,19 +117,16 @@ func (e *Engine) rowPass(sc *m2Scratch, bz *bucket.Bucketization, width int, sto
 const noStop = 2
 
 // minimize2 minimizes Formula (1) over all placements of the k antecedent
-// atoms and the consequent atom A across buckets, returning the minimum and
-// the DP scratch whose choice tables drive witness reconstruction. The
-// caller must release() the scratch when done with it.
+// atoms and the consequent atom A across buckets and returns the minimum.
+// roots, of at most k+1 entries, receives the minimum for each h <
+// len(roots) antecedent atoms.
 //
 // A row pass (rowPass) fetches each histogram class's MINIMIZE1 row
-// u[0..k+1] once, one memo lookup per distinct histogram; a bottom-up DP
-// over (i, h, placed) then reads each bucket's row and ratio through its
-// class. Its loop order (cnt ascending, A elsewhere before A here), strict
-// < tie-break and multiplication order are those of the paper's
-// recursion, so values and choices are bit-identical to it
-// (minimize2Oracle in the tests). A state's value does not depend on k,
-// nor does the base case read it, so the finished tables also hold every
-// k' < k's minimum at its own root (0, k', false), which series reads.
+// u[0..k+1] once, one memo lookup per distinct histogram; the bottom-up
+// DP (dp) then runs on two rolling rows. A state's value does not depend
+// on k, nor does the base case read it, so the last row holds every
+// k' < k's minimum at its own root (h = k', A not placed), which series
+// reads.
 //
 // stop is a disclosure threshold for yes/no callers. Without
 // ForbidSameBucketAntecedent, placing A and all k antecedents in bucket i
@@ -140,64 +134,117 @@ const noStop = 2
 // every other factor on its path exactly 1, so the float minimum is <= r_i
 // and, 1/(1+r) being monotone, the maximum disclosure is >=
 // disclosureFromRatio(r_i). When that already reaches stop, the row pass
-// returns r_i at once, leaving the DP tables unfilled: the caller's
+// returns r_i at once and the DP does not run: the caller's
 // disclosureFromRatio(r) < stop is then false, exactly as for the full
 // minimum. Pass noStop to always get the minimum.
-//
-// Against the paper's Algorithm 2 pseudocode, two typos are corrected (see
-// "Deviations from the paper" in docs/PAPER-MAP.md): the base case returns
-// 1 on success (not the initialized rmin = ∞), and the initial "A already
-// placed" flag is false.
-//
-//ckvet:ignore poolleak ownership transfers to the caller, which must release() on every return, the early exit included; the scratch's choice tables drive witness reconstruction after return
-func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop float64) (float64, *m2Scratch) {
-	nb := len(bz.Buckets)
+func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop float64, roots []float64) float64 {
 	sc := m2Pool.Get().(*m2Scratch)
-	sc.grow(nb, k)
+	defer m2Pool.Put(sc)
 	if opt.ForbidSameBucketAntecedent {
 		// The all-in-one placement is no candidate: never exit.
 		stop = noStop
 	}
 	if r, exited := e.rowPass(sc, bz, k+2, stop); exited {
-		return r, sc
+		return r
+	}
+	root := sc.dp(len(bz.Buckets), k, opt, false)
+	for h := range roots {
+		roots[h] = root[2*h]
+	}
+	return root[2*k]
+}
+
+// dp runs MINIMIZE2's bottom-up DP at k over the nb buckets whose rows
+// the last row pass left in sc and returns bucket 0's row. With keep, it
+// keeps every bucket's row and records each state's choice, for witness
+// reconstruction (idx, choiceAt); otherwise it runs on two rolling rows.
+//
+// Against the paper's Algorithm 2 pseudocode, two typos are corrected (see
+// "Deviations from the paper" in docs/PAPER-MAP.md): the base case returns
+// 1 on success (not the initialized rmin = ∞), and the initial "A already
+// placed" flag is false.
+func (sc *m2Scratch) dp(nb, k int, opt Options, keep bool) []float64 {
+	width := 2 * (k + 1)
+	rows := 2
+	if keep {
+		rows = nb + 1
+		if cap(sc.choice) < nb*width {
+			sc.choice = make([]m2choice, nb*width)
+		}
+		sc.choice = sc.choice[:nb*width]
+	}
+	if cap(sc.val) < rows*width {
+		sc.val = make([]float64, rows*width)
+	}
+	sc.val = sc.val[:rows*width]
+	sc.k = k
+	at := func(i int) []float64 {
+		if !keep {
+			i &= 1
+		}
+		return sc.val[i*width : (i+1)*width]
 	}
 
 	// Base case i = nb: any unplaced antecedent atoms are spent on
 	// tautologies, which impose no constraint (factor 1); A never placed is
 	// infeasible.
+	base := at(nb)
 	for h := 0; h <= k; h++ {
-		sc.val[sc.idx(nb, h, 0)] = math.Inf(1)
-		sc.val[sc.idx(nb, h, 1)] = 1
+		base[2*h] = math.Inf(1)
+		base[2*h+1] = 1
 	}
 	for i := nb - 1; i >= 0; i-- {
-		u := sc.row(i)
-		ratio := sc.ratios[sc.of[i]]
-		for h := 0; h <= k; h++ {
-			for pi := 0; pi < 2; pi++ {
-				best := math.Inf(1)
-				var bestChoice m2choice
-				for cnt := 0; cnt <= h; cnt++ {
-					// Option 1: A is not in this bucket.
-					if cand := u[cnt] * sc.val[sc.idx(i+1, h-cnt, pi)]; cand < best {
-						best = cand
-						bestChoice = m2choice{cnt: cnt, placeHere: false, valid: true}
-					}
-					// Option 2: A is in this bucket (with cnt local antecedents).
-					if pi == 0 && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
-						w := u[cnt+1] * ratio
-						if cand := w * sc.val[sc.idx(i+1, h-cnt, 1)]; cand < best {
-							best = cand
-							bestChoice = m2choice{cnt: cnt, placeHere: true, valid: true}
-						}
-					}
-				}
-				at := sc.idx(i, h, pi)
-				sc.val[at] = best
-				sc.choice[at] = bestChoice
+		var choice []m2choice
+		if keep {
+			choice = sc.choice[i*width : (i+1)*width]
+		}
+		step(sc.row(i)[:k+1], sc.weight(i)[:k+1], at(i+1), at(i), choice, opt.ForbidSameBucketAntecedent)
+	}
+	return at(0)
+}
+
+// step is MINIMIZE2's transition for one bucket: it fills cur, the
+// bucket's DP row, from next, the row of the bucket after it, given the
+// bucket's MINIMIZE1 row u[0..k] and placement weights w[0..k]. Its loop
+// order (cnt ascending, A elsewhere before A here), strict < tie-break
+// and multiplication order are those of the paper's recursion, so values
+// and choices are bit-identical to it (minimize2Oracle in the tests).
+// choice, when non-nil, receives each state's decision.
+func step(u, w, next, cur []float64, choice []m2choice, forbid bool) {
+	next = next[:2*len(u)]
+	cur = cur[:2*len(u)]
+	w = w[:len(u)]
+	for h := range u {
+		// A already placed: only this bucket's antecedents.
+		best, cnt1 := math.Inf(1), -1
+		for cnt := 0; cnt <= h; cnt++ {
+			if cand := u[cnt] * next[2*(h-cnt)+1]; cand < best {
+				best, cnt1 = cand, cnt
 			}
 		}
+		cur[2*h+1] = best
+
+		// A not placed yet: A elsewhere (option 1) or here (option 2),
+		// with cnt local antecedents.
+		best, cnt0, here := math.Inf(1), -1, false
+		for cnt := 0; cnt <= h; cnt++ {
+			rest := 2 * (h - cnt)
+			if cand := u[cnt] * next[rest]; cand < best {
+				best, cnt0, here = cand, cnt, false
+			}
+			if !forbid || cnt == 0 {
+				if cand := w[cnt] * next[rest+1]; cand < best {
+					best, cnt0, here = cand, cnt, true
+				}
+			}
+		}
+		cur[2*h] = best
+
+		if choice != nil {
+			choice[2*h] = m2choice{cnt: max(cnt0, 0), placeHere: here, valid: cnt0 >= 0}
+			choice[2*h+1] = m2choice{cnt: max(cnt1, 0), valid: cnt1 >= 0}
+		}
 	}
-	return sc.val[sc.idx(0, k, 0)], sc
 }
 
 // MaxDisclosure computes the maximum disclosure of the bucketization with
@@ -246,11 +293,10 @@ func (e *Engine) series(bz *bucket.Bucketization, maxK int, opt Options) ([]floa
 	if err := checkBuckets(bz); err != nil {
 		return nil, err
 	}
-	_, sc := e.minimize2(bz, maxK, opt, noStop)
-	defer sc.release()
 	out := make([]float64, maxK+1)
-	for k := range out {
-		out[k] = disclosureFromRatio(sc.val[sc.idx(0, k, 0)])
+	e.minimize2(bz, maxK, opt, noStop, out)
+	for k, r := range out {
+		out[k] = disclosureFromRatio(r)
 	}
 	bz.PublishDisclosureSeries(opt.variant(), out)
 	return out, nil
@@ -335,7 +381,7 @@ func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
 // inequality; thresholds within round-off (~1e-15 relative) of the true
 // maximum may be classified either way.
 func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, error) {
-	if c < 0 || c > 1 {
+	if !(c >= 0 && c <= 1) { // NaN fails too
 		return false, fmt.Errorf("core: threshold c = %v outside [0, 1]", c)
 	}
 	if err := checkShape(bz, k); err != nil {
@@ -347,7 +393,6 @@ func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, err
 	if err := checkBuckets(bz); err != nil {
 		return false, err
 	}
-	r, sc := e.minimize2(bz, k, Options{}, c)
-	sc.release()
+	r := e.minimize2(bz, k, Options{}, c, nil)
 	return disclosureFromRatio(r) < c, nil
 }

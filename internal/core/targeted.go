@@ -325,7 +325,7 @@ func (e *Engine) WeightedMaxDisclosure(bz *bucket.Bucketization, k int, w Weight
 	best := 0.0
 	for _, r := range profile {
 		wt := w(r.Value)
-		if wt < 0 || wt > 1 {
+		if !(wt >= 0 && wt <= 1) { // NaN fails too
 			return 0, fmt.Errorf("core: weight %v for %q outside [0, 1]", wt, r.Value)
 		}
 		if d := wt * r.Disclosure; d > best {

@@ -227,6 +227,9 @@ func TestWeightedMaxDisclosure(t *testing.T) {
 	if _, err := e.WeightedMaxDisclosure(bz, 1, ConstWeight(2)); err == nil {
 		t.Error("weight > 1 accepted")
 	}
+	if _, err := e.WeightedMaxDisclosure(bz, 1, ConstWeight(math.NaN())); err == nil {
+		t.Error("weight NaN accepted")
+	}
 	if _, err := e.WeightedMaxDisclosure(nil, 1, ConstWeight(1)); err == nil {
 		t.Error("nil bucketization accepted")
 	}

@@ -44,16 +44,19 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 	if name == nil {
 		name = strconv.Itoa
 	}
-	views := makeViews(bz)
-	rmin, sc := e.minimize2(bz, k, opt, noStop)
-	defer sc.release()
-	return witnessFrom(views, k, rmin, sc, name)
+	sc := m2Pool.Get().(*m2Scratch)
+	defer m2Pool.Put(sc)
+	e.rowPass(sc, bz, k+2, noStop)
+	rmin := sc.dp(len(bz.Buckets), k, opt, true)[2*k]
+	// The pooled sc stays out of the return statement (poolleak).
+	w, err := witnessFrom(makeViews(bz), k, rmin, sc, name)
+	return w, err
 }
 
-// witnessFrom reconstructs the witness from a finished MINIMIZE2 run: its
-// minimum rmin and the choice tables in sc. The minimizing compositions
-// of the at most k+1 placement buckets are recomputed here, off the memo,
-// which holds values only.
+// witnessFrom reconstructs the witness from a finished MINIMIZE2 run that
+// kept its choices: its minimum rmin and the choice table in sc. The
+// minimizing compositions of the at most k+1 placement buckets are
+// recomputed here, off the memo, which holds values only.
 func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name func(id int) string) (Witness, error) {
 	// Walk the DP choices to recover per-bucket antecedent counts and the
 	// placement of A.

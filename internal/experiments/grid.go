@@ -81,7 +81,7 @@ func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 		ks = DefaultFig6Ks
 	}
 	for _, c := range cs {
-		if c < 0 || c > 1 {
+		if !(c >= 0 && c <= 1) { // NaN fails too
 			return nil, fmt.Errorf("experiments: grid threshold c = %v outside [0, 1]", c)
 		}
 	}

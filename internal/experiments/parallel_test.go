@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,6 +81,9 @@ func TestSafetyGridValidationAndRender(t *testing.T) {
 	tab := smallAdult(t)
 	if _, err := RunSafetyGrid(tab, GridConfig{Cs: []float64{1.5}}); err == nil {
 		t.Error("c > 1 accepted")
+	}
+	if _, err := RunSafetyGrid(tab, GridConfig{Cs: []float64{math.NaN()}, Ks: []int{1}}); err == nil {
+		t.Error("c = NaN accepted")
 	}
 	if _, err := RunSafetyGrid(tab, GridConfig{Ks: []int{-1}}); err == nil {
 		t.Error("negative k accepted")

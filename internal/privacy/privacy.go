@@ -100,8 +100,8 @@ func (c RecursiveCLDiversity) Satisfied(bz *bucket.Bucketization) (bool, error) 
 	if c.L < 2 {
 		return false, fmt.Errorf("privacy: recursive (c,l)-diversity needs L >= 2, got %d", c.L)
 	}
-	if c.C <= 0 {
-		return false, fmt.Errorf("privacy: recursive (c,l)-diversity needs C > 0, got %g", c.C)
+	if !(c.C > 0) || math.IsInf(c.C, 1) { // NaN fails too
+		return false, fmt.Errorf("privacy: recursive (c,l)-diversity needs a finite C > 0, got %g", c.C)
 	}
 	if len(bz.Buckets) == 0 {
 		return false, fmt.Errorf("privacy: empty bucketization")
@@ -153,7 +153,7 @@ func (c NegationCKSafety) Name() string { return fmt.Sprintf("negation (%g,%d)-s
 
 // Satisfied implements Criterion.
 func (c NegationCKSafety) Satisfied(bz *bucket.Bucketization) (bool, error) {
-	if c.C < 0 || c.C > 1 {
+	if !(c.C >= 0 && c.C <= 1) { // NaN fails too
 		return false, fmt.Errorf("privacy: threshold c = %v outside [0, 1]", c.C)
 	}
 	d, err := core.NegationMaxDisclosure(bz, c.K)

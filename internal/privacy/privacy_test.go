@@ -103,6 +103,14 @@ func TestRecursiveCLDiversity(t *testing.T) {
 	if _, err := (RecursiveCLDiversity{C: 1, L: 1}).Satisfied(bz); err == nil {
 		t.Error("L=1 accepted")
 	}
+	// A bucket with a homogeneous tail makes every finite C fail, so NaN
+	// and +Inf must be rejected, not read as "diverse".
+	homogeneous := bucket.FromValues([]string{"a", "a"}, []string{"b", "c"})
+	for _, c := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := (RecursiveCLDiversity{C: c, L: 2}).Satisfied(homogeneous); err == nil {
+			t.Errorf("C=%v accepted", c)
+		}
+	}
 	if _, err := (RecursiveCLDiversity{C: 0, L: 2}).Satisfied(bz); err == nil {
 		t.Error("C=0 accepted")
 	}
@@ -146,6 +154,9 @@ func TestNegationCKSafety(t *testing.T) {
 	}
 	if _, err := (NegationCKSafety{C: -1, K: 1}).Satisfied(bz); err == nil {
 		t.Error("C=-1 accepted")
+	}
+	if _, err := (NegationCKSafety{C: math.NaN(), K: 1}).Satisfied(bz); err == nil {
+		t.Error("C=NaN accepted")
 	}
 }
 

@@ -527,6 +527,55 @@ func TestFollowerSupersededRebootstrap(t *testing.T) {
 	requireSameState(t, "after compaction", captureState(t, leaderTS.URL, ""), captureState(t, followerTS.URL, ""))
 }
 
+// TestFollowerCatchesUpPastFetchCap: one append whose WAL record is larger
+// than a replication fetch's byte cap (4 MiB) still reaches the follower.
+// The leader ships the whole record at the follower's cursor in one
+// fetch; a fetch cut at the cap would hand back the same partial frame
+// forever.
+func TestFollowerCatchesUpPastFetchCap(t *testing.T) {
+	const fetchCap = 4 << 20
+	_, leaderTS := newLeader(t, t.TempDir(), 0)
+	followerSrv, followerTS := newFollower(t, "")
+	f := startFollowing(t, replica.Options{LeaderURL: leaderTS.URL, Server: followerSrv})
+	waitCaughtUp(t, f)
+
+	// 26 WAL bytes a row: 170,000 rows make a record of ~4.4 MB from a
+	// request body of ~6 MB, within the leader's default limits.
+	before := walCommitted(t, leaderTS.URL)
+	rows := make([][]string, 170000)
+	for i := range rows {
+		rows[i] = []string{"14860", "22", "F", "heart-disease"}
+	}
+	version := appendRows(t, leaderTS.URL, rows)
+	if grew := walCommitted(t, leaderTS.URL) - before; grew <= fetchCap {
+		t.Fatalf("the append logged %d WAL bytes, not more than the %d-byte fetch cap", grew, fetchCap)
+	}
+	waitFollowerVersion(t, followerTS.URL, version)
+	requireSameState(t, "after the large append", captureState(t, leaderTS.URL, ""), captureState(t, followerTS.URL, ""))
+}
+
+// walCommitted reads the leader's committed WAL size for the hospital
+// dataset from its replication listing.
+func walCommitted(t testing.TB, base string) int64 {
+	t.Helper()
+	var list struct {
+		Datasets []struct {
+			Name         string `json:"name"`
+			WALCommitted int64  `json:"wal_committed"`
+		} `json:"datasets"`
+	}
+	if code := getJSON(t, base+"/v1/replication/datasets", &list); code != http.StatusOK {
+		t.Fatalf("replication datasets = %d", code)
+	}
+	for _, ds := range list.Datasets {
+		if ds.Name == "h" {
+			return ds.WALCommitted
+		}
+	}
+	t.Fatal("the leader lists no dataset h")
+	return 0
+}
+
 // ---- satellite 6: catch-up throughput ----
 
 // BenchmarkFollowerCatchup measures full follower catch-up over HTTP —

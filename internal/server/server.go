@@ -99,7 +99,8 @@ const (
 	// polling) are retained; the oldest terminal jobs are evicted first.
 	jobHistory = 256
 	// replicationMaxBytes caps how many WAL bytes one replication fetch
-	// returns (4 MiB).
+	// returns (4 MiB), except that a fetch always returns at least the
+	// whole record at its cursor, however large.
 	replicationMaxBytes = 4 << 20
 	// replicationMaxWait caps how long a WAL fetch may long-poll for the
 	// next commit (the wait_ms query parameter is clamped to it).

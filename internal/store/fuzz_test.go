@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -135,6 +136,139 @@ func FuzzWALReplay(f *testing.F) {
 		if base2 != base || len(recs2) != len(recs) || good2 != good {
 			t.Fatalf("truncated replay diverged: base %d→%d, records %d→%d, good %d→%d",
 				base, base2, len(recs), len(recs2), good, good2)
+		}
+	})
+}
+
+// fuzzShippedWAL returns the committed bytes of a WAL that a DatasetLog
+// wrote, with appends and a release record, and its base version: the
+// stream a leader ships to a follower.
+func fuzzShippedWAL(f *testing.F) ([]byte, int64) {
+	m, err := Open(Options{Dir: f.TempDir()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sd := sampleSnapshot()
+	dl, err := m.Create("d", sd)
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer dl.Close()
+	for _, ar := range []*AppendRecord{
+		{Version: 4, Rows: [][]string{{"14850", "M"}, {"14851", "F"}}},
+		{Version: 5, Rows: [][]string{{"13053", "F"}}},
+	} {
+		if err := dl.LogAppend(ar); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := dl.LogRelease(&sd.Releases.Releases[0]); err != nil {
+		f.Fatal(err)
+	}
+	data, _, err := dl.ReadCommitted(0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data, sd.Version
+}
+
+// scanned is what one RecordScanner decoded from a stream.
+type scanned struct {
+	recs   []Record
+	offset int64
+	err    error
+}
+
+// scanStream feeds stream to a fresh scanner starting at start, in
+// chunks of the sizes in chunks and then the rest in one, draining Next
+// after every Feed. After every Next it checks the cursor arithmetic:
+// Offset() is start plus the bytes consumed, and Buffered() the bytes fed
+// minus the bytes consumed. Every error must be typed.
+func scanStream(t *testing.T, base, start int64, stream, chunks []byte) scanned {
+	s, err := NewRecordScanner(base, start)
+	if err != nil {
+		t.Fatalf("scanner at %d: %v", start, err)
+	}
+	var res scanned
+	fed := 0
+	feed := func(chunk []byte) bool {
+		s.Feed(chunk)
+		fed += len(chunk)
+		for {
+			rec, ok, err := s.Next()
+			if consumed := s.Offset() - start; consumed < 0 || consumed+int64(s.Buffered()) != int64(fed) {
+				t.Fatalf("offset %d (start %d) and %d buffered bytes after %d fed", s.Offset(), start, s.Buffered(), fed)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormatVersion) {
+					t.Fatalf("Next returned untyped error %v", err)
+				}
+				res.err = err
+				return false
+			}
+			if !ok {
+				return true
+			}
+			res.recs = append(res.recs, rec)
+		}
+	}
+	rest := stream
+	for _, size := range chunks {
+		n := min(int(size), len(rest))
+		if !feed(rest[:n]) {
+			res.offset = s.Offset()
+			return res
+		}
+		rest = rest[n:]
+	}
+	feed(rest)
+	res.offset = s.Offset()
+	return res
+}
+
+// FuzzRecordScanner fuzzes the replication wire's decoder: a stream of
+// WAL bytes, the chunk sizes a follower's fetches might cut it into, the
+// expected base version, and a start at 0 (header first) or at
+// WALHeaderLen (mid-log). One scanner is fed the stream whole, another
+// chunk by chunk. Neither may panic or return an untyped error, and both
+// must decode the same records, end at the same offset, and either both
+// fail or neither.
+func FuzzRecordScanner(f *testing.F) {
+	valid, base := fuzzShippedWAL(f)
+	ones := bytes.Repeat([]byte{1}, len(valid))
+	f.Add(valid, []byte(nil), base, false)
+	f.Add(valid, ones, base, false)                  // one byte at a time
+	f.Add(valid, []byte{7, 0, 30, 3}, base, false)   // uneven, with an empty chunk
+	f.Add(valid[walHeaderLen:], ones, base, true)    // resumed mid-log
+	f.Add(valid[:len(valid)-3], ones, base, false)   // truncated mid-frame
+	f.Add(valid[:walHeaderLen+2], ones, base, false) // truncated in a length prefix
+	f.Add(valid[:walHeaderLen-1], ones, base, false) // truncated in the header
+	f.Add(valid, []byte{16, 5}, base+1, false)       // wrong base
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-6] ^= 0x01 // CRC-caught flip in the last record
+	f.Add(flipped, []byte{40}, base, false)
+	// A length prefix claiming 4 GiB: the scanner must wait for bytes that
+	// never come, not allocate them.
+	huge := binary.LittleEndian.AppendUint32(nil, 0xffffffff)
+	huge = append(huge, recAppend, 1, 2, 3)
+	f.Add(append(bytes.Clone(valid), huge...), ones, base, false)
+	f.Add(huge, []byte{2}, base, true)
+
+	f.Fuzz(func(t *testing.T, stream, chunks []byte, base int64, midLog bool) {
+		start := int64(0)
+		if midLog {
+			start = WALHeaderLen
+		}
+		whole := scanStream(t, base, start, stream, nil)
+		chunked := scanStream(t, base, start, stream, chunks)
+		if (whole.err == nil) != (chunked.err == nil) {
+			t.Fatalf("whole stream error %v, chunked %v", whole.err, chunked.err)
+		}
+		if whole.offset != chunked.offset {
+			t.Fatalf("whole stream ends at %d, chunked at %d", whole.offset, chunked.offset)
+		}
+		if !reflect.DeepEqual(whole.recs, chunked.recs) {
+			t.Fatalf("whole stream decoded %d records, chunked %d, or they differ", len(whole.recs), len(chunked.recs))
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -115,6 +116,12 @@ func (dl *DatasetLog) Committed() (base, size int64, records int) {
 // result, and the lock excludes a concurrent Compact swapping the
 // generation mid-read. from == 0 includes the file header. committed
 // reports the prefix size the read was capped at.
+//
+// A read at a frame boundary (a RecordScanner's Offset, or 0) returns at
+// least the whole first record there, even past max: a reader that drops
+// a partial frame and re-reads from the same cursor would otherwise get
+// the same prefix of a record larger than max forever. The committed
+// prefix always ends on a frame boundary, so that record is whole in it.
 func (dl *DatasetLog) ReadCommitted(from, max int64) (data []byte, committed int64, err error) {
 	dl.mu.Lock()
 	defer dl.mu.Unlock()
@@ -126,9 +133,6 @@ func (dl *DatasetLog) ReadCommitted(from, max int64) (data []byte, committed int
 		return nil, committed, fmt.Errorf("store: read offset %d outside committed prefix [0,%d]", from, committed)
 	}
 	n := committed - from
-	if max > 0 && n > max {
-		n = max
-	}
 	if n == 0 {
 		return nil, committed, nil
 	}
@@ -137,11 +141,44 @@ func (dl *DatasetLog) ReadCommitted(from, max int64) (data []byte, committed int
 		return nil, committed, err
 	}
 	defer f.Close()
+	if max > 0 && n > max {
+		frame := from
+		if from == 0 {
+			frame = walHeaderLen
+		}
+		end, err := frameEnd(f, frame, committed)
+		if err != nil {
+			return nil, committed, err
+		}
+		n = max
+		if end-from > n {
+			n = end - from
+		}
+	}
 	data = make([]byte, n)
 	if _, err := f.ReadAt(data, from); err != nil {
 		return nil, committed, err
 	}
 	return data, committed, nil
+}
+
+// frameEnd returns the offset just past the record frame that starts at
+// off in f, read from its length prefix, or off itself when off is not
+// past the header, the prefix lies beyond committed, or the frame it
+// claims would end beyond committed (off is then no frame boundary).
+func frameEnd(f *os.File, off, committed int64) (int64, error) {
+	var prefix [4]byte
+	if off < walHeaderLen || off+int64(len(prefix)) > committed {
+		return off, nil
+	}
+	if _, err := f.ReadAt(prefix[:], off); err != nil {
+		return 0, err
+	}
+	end := off + 4 + 1 + int64(binary.LittleEndian.Uint32(prefix[:])) + 4
+	if end > committed {
+		return off, nil
+	}
+	return end, nil
 }
 
 // SnapshotBytes returns the raw bytes of the current snapshot file and

@@ -357,3 +357,66 @@ func TestCommitNotify(t *testing.T) {
 		t.Fatal("notify did not fire on close")
 	}
 }
+
+// TestReadCommittedReturnsWholeFrame: a read capped below the size of the
+// record at its cursor returns that whole record, and only it, so a
+// reader that drops a partial frame and re-reads from its cursor always
+// makes progress. From 0 the read returns the header and the first
+// record.
+func TestReadCommittedReturnsWholeFrame(t *testing.T) {
+	m, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	sd := sampleSnapshot()
+	dl, err := m.Create("d", sd)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	large := &AppendRecord{Version: 4}
+	for i := 0; i < 200; i++ {
+		large.Rows = append(large.Rows, []string{"14850", "M"})
+	}
+	small := &AppendRecord{Version: 5, Rows: [][]string{{"13053", "F"}}}
+	for _, ar := range []*AppendRecord{large, small} {
+		if err := dl.LogAppend(ar); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	_, committed, _ := dl.Committed()
+
+	// Each read from a record boundary, capped at one byte, returns
+	// exactly the record there.
+	var got []*AppendRecord
+	for from := int64(WALHeaderLen); from < committed; {
+		data, _, err := dl.ReadCommitted(from, 1)
+		if err != nil {
+			t.Fatalf("read at %d: %v", from, err)
+		}
+		s, err := NewRecordScanner(sd.Version, from)
+		if err != nil {
+			t.Fatalf("scanner: %v", err)
+		}
+		s.Feed(data)
+		rec, ok, err := s.Next()
+		if err != nil || !ok || rec.Append == nil || s.Buffered() != 0 {
+			t.Fatalf("read at %d (%d bytes): rec=%+v ok=%v err=%v, %d bytes left over", from, len(data), rec, ok, err, s.Buffered())
+		}
+		got = append(got, rec.Append)
+		from = s.Offset()
+	}
+	if !reflect.DeepEqual(got, []*AppendRecord{large, small}) {
+		t.Fatalf("records %+v, want the large and the small append", got)
+	}
+
+	// From 0, the header and the whole first record.
+	data, _, err := dl.ReadCommitted(0, 1)
+	if err != nil {
+		t.Fatalf("read at 0: %v", err)
+	}
+	s, _ := NewRecordScanner(sd.Version, 0)
+	s.Feed(data)
+	if rec, ok, err := s.Next(); err != nil || !ok || !reflect.DeepEqual(rec.Append, large) || s.Buffered() != 0 {
+		t.Fatalf("read at 0 (%d bytes): ok=%v err=%v, %d bytes left over", len(data), ok, err, s.Buffered())
+	}
+}

@@ -12,13 +12,17 @@
 // CI's fuzz job, and (4) checks every row of ARCHITECTURE's "Production
 // paths and their oracles" table names, in its parity column, Test* or
 // Fuzz* functions that some _test.go outside bench/ defines, so a fast
-// path cannot lose its named oracle test, and (5) checks every backticked
+// path cannot lose its named oracle test, (5) checks every backticked
 // repository file path in docs/PAPER-MAP.md and docs/ARCHITECTURE.md (a
 // code span that starts with a top-level directory such as internal/ or
 // cmd/ and ends in a file extension) names a file that exists, so the
-// claims ledger cannot cite deleted code. Bare file names, package paths
-// and symbols are not file paths and are not checked. It exits non-zero
-// listing every offender.
+// claims ledger cannot cite deleted code, and (6) checks every Test*,
+// Fuzz*, Benchmark* or Example* name in the last ("Verified by") column
+// of docs/PAPER-MAP.md's tables is defined in some _test.go outside
+// bench/, a name with a * wildcard matching at least one, so a claim
+// cannot rest on a test that was renamed or deleted. Bare file names,
+// package paths and symbols are not file paths and are not checked. It
+// exits non-zero listing every offender.
 package main
 
 import (
@@ -44,6 +48,7 @@ func main() {
 	problems = append(problems, checkFuzzSmoke(tests)...)
 	problems = append(problems, checkOracleTable("docs/ARCHITECTURE.md", tests)...)
 	problems = append(problems, checkCitedFiles("docs/PAPER-MAP.md", "docs/ARCHITECTURE.md")...)
+	problems = append(problems, checkVerifiedBy("docs/PAPER-MAP.md", tests)...)
 	problems = append(problems, checkDocComments(".", "ckprivacy")...)
 	problems = append(problems, checkDocComments("internal/server", "server")...)
 	problems = append(problems, checkDocComments("internal/store", "store")...)
@@ -70,7 +75,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list, oracle table and cited files OK")
+	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list, oracle table, cited files and cited tests OK")
 }
 
 // ---- markdown link checking ----
@@ -155,14 +160,16 @@ func headingAnchors(text string) map[string]bool {
 
 // ---- test functions ----
 
-// testFunc is a top-level func Test* or Fuzz* declared in a _test.go file.
+// testFunc is a top-level func Test*, Fuzz*, Benchmark* or Example*
+// declared in a _test.go file.
 type testFunc struct {
 	file string // slash-separated path of the declaring file
 	dir  string // its package directory
 }
 
-// testFuncs returns, by name, every func Test* and Fuzz* declared in a
-// _test.go file outside bench/ (a module of its own) and testdata.
+// testFuncs returns, by name, every func Test*, Fuzz*, Benchmark* and
+// Example* declared in a _test.go file outside bench/ (a module of its
+// own) and testdata.
 func testFuncs() (map[string][]testFunc, error) {
 	funcs := map[string][]testFunc{}
 	err := filepath.WalkDir(".", func(file string, d os.DirEntry, err error) error {
@@ -198,8 +205,9 @@ func testFuncs() (map[string][]testFunc, error) {
 	return funcs, err
 }
 
-// testNameRE matches the name of a test or fuzz function.
-var testNameRE = regexp.MustCompile(`^(Test|Fuzz)([A-Z0-9_]|$)`)
+// testNameRE matches the name of a test, fuzz, benchmark or example
+// function.
+var testNameRE = regexp.MustCompile(`^(Test|Fuzz|Benchmark|Example)([A-Z0-9_]|$)`)
 
 // ---- fuzz-smoke coverage ----
 
@@ -364,6 +372,56 @@ func checkCitedFiles(docs ...string) []string {
 		}
 	}
 	return problems
+}
+
+// ---- cited tests ----
+
+// citedTestRE matches a Test*, Fuzz*, Benchmark* or Example* name in
+// prose, * standing for any run of name characters.
+var citedTestRE = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_*][A-Za-z0-9_*]*`)
+
+// checkVerifiedBy reports every name citedTestRE finds in the last column
+// of a table row in doc that no test function defines; a name with a *
+// must match at least one.
+func checkVerifiedBy(doc string, tests map[string][]testFunc) []string {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	var problems []string
+	row := 0 // lines of the current table: its header, its separator, then rows
+	for i, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "|") {
+			row = 0
+			continue
+		}
+		if row++; row <= 2 {
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, `\|`, ""), "|"), "|")
+		for _, name := range citedTestRE.FindAllString(cells[len(cells)-1], -1) {
+			if !definesTest(tests, name) {
+				problems = append(problems, fmt.Sprintf("%s:%d: cites %s, which no _test.go outside bench/ defines", doc, i+1, name))
+			}
+		}
+	}
+	return problems
+}
+
+// definesTest reports whether tests holds name, or, when name has a *
+// wildcard, any name it matches.
+func definesTest(tests map[string][]testFunc, name string) bool {
+	if !strings.Contains(name, "*") {
+		return len(tests[name]) > 0
+	}
+	re := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, `\w*`) + "$")
+	for defined := range tests {
+		if re.MatchString(defined) {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- doc-comment coverage ----
