@@ -127,10 +127,11 @@ loadtest-replica:
 ## hardening), the replication wire's record scanner (a WAL stream fed
 ## whole or in chunks), the logic parsers, the MINIMIZE2 kernel against its
 ## recursive oracle, the dataset-spec registration path, appends
-## against a rebuild of the grown table, and the /v1/datasets,
+## against a rebuild of the grown table, the /v1/datasets,
 ## /v1/disclosure, /v1/check, /v1/datasets/{name}/rows and /v1/estimate
-## request bodies through the real mux. Long enough to catch a
-## regression, short enough for every push.
+## request bodies through the real mux, and /v1/anonymize bodies with
+## their jobs polled (and cancelled) to a final state. Long enough to
+## catch a regression, short enough for every push.
 ## Raise FUZZ_TIME for a real session.
 FUZZ_TIME ?= 20s
 
@@ -148,6 +149,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzAppendRequests -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzEstimateRequests -fuzztime $(FUZZ_TIME)
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRegisterDataset -fuzztime $(FUZZ_TIME)
+	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzAnonymizeRequests -fuzztime $(FUZZ_TIME)
 
 ## loadtest-race is the loadtest smoke under the race detector (mirrors
 ## the CI race job): small enough to stay fast, concurrent enough to

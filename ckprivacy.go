@@ -113,7 +113,8 @@ type (
 	// Engine memoizes disclosure computations across calls in a sharded,
 	// byte-bounded, evicting MINIMIZE1 memo.
 	Engine = core.Engine
-	// EngineConfig tunes an Engine's memo capacity and shard count.
+	// EngineConfig tunes an Engine's memo capacity; the shard count
+	// follows from it.
 	EngineConfig = core.EngineConfig
 	// EngineCacheStats snapshots a memo's hits, misses, evictions and
 	// resident size.
@@ -141,8 +142,9 @@ const DefaultMemoMaxBytes = core.DefaultMemoMaxBytes
 func NewEngine() *Engine { return core.NewEngine() }
 
 // NewEngineWithConfig returns an empty disclosure engine with an explicit
-// memo byte bound and shard count (zero fields mean the defaults; a
-// negative MemoMaxBytes disables the bound).
+// memo byte bound (zero means the default; a negative MemoMaxBytes
+// disables the bound). The memo has 32 shards, fewer below 2 MiB so that
+// each shard keeps at least 64 KiB.
 func NewEngineWithConfig(cfg EngineConfig) *Engine { return core.NewEngineWithConfig(cfg) }
 
 // MaxDisclosure computes the maximum disclosure of the bucketization with

@@ -42,11 +42,13 @@
 // largest k asked so far, built from one shared DP table and grown in
 // place when a larger k asks, so a disclosure call costs one memo lookup
 // per distinct histogram. The cache is sharded, keyed by a 64-bit
-// fingerprint of the histogram, byte-bounded (EngineConfig.MemoMaxBytes,
-// default 64 MiB) with CLOCK second-chance eviction and per-shard
-// in-flight deduplication, so a long-lived engine serving many datasets
-// plateaus in memory while racing workers compute each missing row
-// exactly once. Eviction only ever costs recomputation: disclosure values
+// fingerprint of the histogram, and byte-bounded (EngineConfig.MemoMaxBytes,
+// default 64 MiB; the shard count follows from the bound) with CLOCK
+// second-chance eviction, so a long-lived engine serving many datasets
+// plateaus in memory. A hit takes only its shard's read lock; a miss
+// builds its row outside every lock and stores it under the shard's write
+// lock, keeping the longer row when racing workers store the same
+// histogram. Eviction only ever costs recomputation: disclosure values
 // are byte-identical at every capacity. Engine.Series answers every k up
 // to a bound from one DP pass, each value bit-identical to MaxDisclosure
 // at that k. Which buckets share a histogram is cached too: the first

@@ -166,11 +166,11 @@ func sameNodeOrder(a, b []lattice.Node) bool {
 // change a verdict.
 func TestBoundedMemoSearchParity(t *testing.T) {
 	base := hospital(t)
-	// Few shards keep the tiny cap's per-shard budget above the per-entry
-	// overhead, so entries are actually cached and then actually evicted
-	// mid-search (asserted below) — a cap below one entry per shard would
-	// just skip caching and test nothing.
-	tiny := core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: 1 << 9, Shards: 2})
+	// A cap this small gets one shard, whose budget holds a few entries,
+	// so entries are actually cached and then actually evicted mid-search
+	// (asserted below) — a cap below one entry per shard would just skip
+	// caching and test nothing.
+	tiny := core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: 1 << 9})
 	engines := []*core.Engine{
 		core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: -1}),
 		core.NewEngine(),

@@ -227,7 +227,8 @@ func TestPlannedIndexesMapRows(t *testing.T) {
 // TestIndexChainRoots derives a chain root → a → top in one plan, a
 // coarsening from the root and top from a through a's index, from each
 // kind of root, and requires both results to equal the oracle and the
-// path that indexes every source from its tuples (bucket.CoarsenInto).
+// path that indexes every source from its tuples (bucket.IndexOf, then
+// bucket.CoarsenIndexed).
 func TestIndexChainRoots(t *testing.T) {
 	cases := 8
 	if testing.Short() {
@@ -282,7 +283,11 @@ func TestIndexChainRoots(t *testing.T) {
 					t.Fatal(err)
 				}
 				oracle.RequireIdentical(t, want, r.bz, step)
-				if viaTuples, err = bucket.CoarsenInto(viaTuples, snap.st.enc, snap.st.compiled, levels); err != nil {
+				idx, err := bucket.IndexOf(viaTuples, snap.st.enc.Rows())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if viaTuples, _, err = bucket.CoarsenIndexed(viaTuples, idx, snap.st.enc, snap.st.compiled, levels); err != nil {
 					t.Fatal(err)
 				}
 				oracle.RequireIdentical(t, viaTuples, r.bz, step+" via tuples")

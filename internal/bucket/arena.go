@@ -144,23 +144,6 @@ func (ar *arena) buffers(n int) (cur []int, keys []string, perm []int, posOf []i
 	return ar.cursor[:n], ar.keys[:n], ar.perm[:n], ar.posOf[:n]
 }
 
-// CoarsenInto derives the bucketization at the given levels from fine. It
-// is CoarsenIndexed from an index built out of fine's tuples (IndexOf),
-// for callers that hold no index.
-//
-// Precondition: fine partitions enc.Table at levels that are
-// component-wise ≤ the requested levels (on every schema QI attribute).
-// The result is then byte-identical to FromGeneralizationEncoded at the
-// requested levels.
-func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
-	idx, err := IndexOf(fine, enc.Rows())
-	if err != nil {
-		return nil, err
-	}
-	bz, _, err := CoarsenIndexed(fine, idx, enc, chs, levels)
-	return bz, err
-}
-
 // CoarsenIndexed derives the bucketization at the given levels from fine,
 // whose row index is idx (from ScanIndexed, IndexOf or an earlier
 // CoarsenIndexed), and returns the result's index, which shares idx's row
@@ -169,8 +152,10 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 // tuple and histogram slabs are exact-size, and fine buckets that coarsen
 // alone share their storage.
 //
-// Precondition: as CoarsenInto's, and idx indexes fine over all of
-// enc's rows.
+// Precondition: fine partitions enc.Table at levels that are
+// component-wise ≤ the requested levels (on every schema QI attribute),
+// and idx indexes fine over all of enc's rows. The result is then
+// byte-identical to FromGeneralizationEncoded at the requested levels.
 func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, *Index, error) {
 	arenaGets.Add(1)
 	ar := arenaPool.Get().(*arena)

@@ -12,13 +12,13 @@ import (
 	"ckprivacy/internal/table"
 )
 
-// CoarsenInto skips its final key sort when the fine→coarse re-key map is
+// CoarsenIndexed skips its final key sort when the fine→coarse re-key map is
 // monotone — the group keys already ascend in discovery order, which is
 // the fine bucketization's sorted key order. These tests pin parity
 // through both branches: a monotone re-key must take the skip and stay
 // byte-identical, an order-reversing re-key must take the sort.
 
-// discoveryKeys replays bucket.CoarsenInto's pass-1 group discovery: the
+// discoveryKeys replays CoarsenIndexed's pass-1 group discovery: the
 // coarse keys in order of each group's first fine bucket.
 func discoveryKeys(t *testing.T, fine *bucket.Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels bucket.Levels) []string {
 	t.Helper()

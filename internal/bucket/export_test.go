@@ -13,6 +13,19 @@ import (
 // IndexOf call.
 var CheckIndexRows = checkIndexRows
 
+// CoarsenInto derives the bucketization at the given levels from fine
+// through an index built out of fine's tuples (IndexOf), then
+// CoarsenIndexed: the path of a caller that holds no index, which the
+// parity tests compare against the index a scan or coarsening hands down.
+func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
+	idx, err := IndexOf(fine, enc.Rows())
+	if err != nil {
+		return nil, err
+	}
+	bz, _, err := CoarsenIndexed(fine, idx, enc, chs, levels)
+	return bz, err
+}
+
 // Packable reports whether the QI dimensions at levels pack into one
 // uint64 group key; false means the scan takes the byte-tuple fallback.
 func Packable(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (bool, error) {
@@ -41,7 +54,7 @@ func KeySpace(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (spa
 	return space, directLimit(enc.Rows()), ok, nil
 }
 
-// DiscoveryKeys replays CoarsenInto's pass-1 group discovery: the coarse
+// DiscoveryKeys replays CoarsenIndexed's pass-1 group discovery: the coarse
 // keys at levels in order of each group's first fine bucket.
 func DiscoveryKeys(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) ([]string, error) {
 	dims, err := buildDims(enc, chs, levels)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -121,7 +122,7 @@ func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 	engines := map[string]*Engine{
 		"unbounded": NewEngineWithConfig(EngineConfig{MemoMaxBytes: -1}),
 		"default":   NewEngine(),
-		"tiny":      NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10, Shards: 4}),
+		"tiny":      NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10}),
 	}
 	rng := rand.New(rand.NewSource(11))
 	instances := [][][]string{figure3Groups}
@@ -159,62 +160,111 @@ func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 // TestCollisionReturnsCorrectValue plants an entry under a fingerprint that
 // does not match its own key, simulating a 64-bit collision, and asserts
 // the lookup detects the mismatch and computes the true value instead of
-// returning the collider's.
+// returning the collider's, both for a row the collider's covers and for
+// a wider one, whose store must leave the collider in place.
 func TestCollisionReturnsCorrectValue(t *testing.T) {
 	e := NewEngine()
 	hist := []int{3, 2, 1}
-	j := 2
 	fp := histPrefix(hist)
 	s := &e.shards[fp&e.shardMask]
 	s.mu.Lock()
 	e.storeLocked(s, fp, []int{9, 9, 9}, []float64{1, -42, -42, -42}) // different key, same fp
 	s.mu.Unlock()
 
-	got := memoM1(e, hist, j)
-	want := m1Compute(hist, j)
-	if math.Float64bits(got) != math.Float64bits(want.val) {
-		t.Fatalf("collision lookup returned %v, want %v", got, want.val)
-	}
-	// The resident collider must be untouched (no thrash).
-	s.mu.Lock()
-	resident := s.entries[fp]
-	s.mu.Unlock()
-	if resident == nil || resident.row[j] != -42 {
-		t.Error("collision displaced the resident entry")
+	for _, j := range []int{2, 5} {
+		got := memoM1(e, hist, j)
+		want := m1Compute(hist, j)
+		if math.Float64bits(got) != math.Float64bits(want.val) {
+			t.Fatalf("collision lookup of j = %d returned %v, want %v", j, got, want.val)
+		}
+		// The resident collider must be untouched (no thrash).
+		s.mu.Lock()
+		resident := s.entries[fp]
+		s.mu.Unlock()
+		if resident == nil || len(resident.row) != 4 || resident.row[2] != -42 {
+			t.Errorf("collision lookup of j = %d displaced the resident entry", j)
+		}
 	}
 }
 
-// TestInflightDedupCountsOneMiss races many workers on one cold entry: the
-// in-flight table must collapse them into a single DP run and a single
-// counted miss (the documented Stats double-count bug).
-func TestInflightDedupCountsOneMiss(t *testing.T) {
+// TestRacingMissesStoreOneRow races 32 workers on one cold histogram, half
+// asking a narrow row and half a wide one, so misses build rows outside
+// the lock and race to store them: every caller must get m1Row's values
+// bit for bit, one entry must stay resident holding the wide row, the
+// accounting must stay exact, and every lookup must count as a hit or a
+// miss.
+func TestRacingMissesStoreOneRow(t *testing.T) {
 	e := NewEngine()
 	hist := []int{4, 3, 2, 1}
-	const workers = 32
+	fp := histPrefix(hist)
+	const workers, narrow, wide = 32, 3, 12
+	widths := [2]int{narrow, wide}
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	vals := make([]float64, workers)
+	rows := make([][]float64, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			vals[w] = memoM1(e, hist, 3)
+			rows[w] = e.row(fp, hist, widths[w%2])
 		}(w)
 	}
 	close(start)
 	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if math.Float64bits(vals[w]) != math.Float64bits(vals[0]) {
-			t.Fatal("racing workers saw different values")
+	for w, row := range rows {
+		width := widths[w%2]
+		want := m1Row(hist, width-1)
+		if len(row) < width || !slices.Equal(f64bits(row[:width]), f64bits(want)) {
+			t.Fatalf("worker %d (width %d) got %v, want %v", w, width, row, want)
 		}
 	}
 	st := e.Stats()
-	if st.Misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 (in-flight dedup)", st.Misses)
+	if st.Entries != 1 || st.Hits+st.Misses != workers {
+		t.Errorf("stats %+v: want 1 entry and %d lookups", st, workers)
 	}
-	if st.Hits != workers-1 {
-		t.Errorf("hits = %d, want %d", st.Hits, workers-1)
+	// A narrow miss that stores last must not shorten the resident row,
+	// whatever order the race above took.
+	s := &e.shards[fp&e.shardMask]
+	s.mu.Lock()
+	e.storeLocked(s, fp, hist, m1Row(hist, narrow-1))
+	resident := s.entries[fp]
+	s.mu.Unlock()
+	if resident == nil || !slices.Equal(f64bits(resident.row), f64bits(m1Row(hist, wide-1))) {
+		t.Errorf("resident entry %+v, want the width-%d row", resident, wide)
+	}
+	checkAccounting(t, e)
+}
+
+// f64bits returns the bit patterns of xs, so slices.Equal compares floats
+// bit for bit.
+func f64bits(xs []float64) []uint64 {
+	bits := make([]uint64, len(xs))
+	for i, x := range xs {
+		bits[i] = math.Float64bits(x)
+	}
+	return bits
+}
+
+// TestMemoShardCount checks the shard count derived from the memo bound:
+// the largest power of two up to 32 leaving each shard 64 KiB or more.
+func TestMemoShardCount(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes int64
+		shards   int
+	}{
+		{"tiny", 1 << 10, 1},
+		{"just under two shards", 128<<10 - 1, 1},
+		{"1 MiB", 1 << 20, 16},
+		{"2 MiB", 2 << 20, 32},
+		{"default", 0, 32},
+		{"unbounded", -1, 32},
+	} {
+		e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: tc.maxBytes})
+		if got := len(e.shards); got != tc.shards || e.shardMask != uint64(got-1) {
+			t.Errorf("%s: %d shards (mask %#x), want %d", tc.name, got, e.shardMask, tc.shards)
+		}
 	}
 }
 
@@ -276,7 +326,7 @@ func TestRowGrowth(t *testing.T) {
 	}
 	checkAccounting(t, e)
 
-	tiny := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 2 << 10, Shards: 2})
+	tiny := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 2 << 10})
 	rng := rand.New(rand.NewSource(19))
 	pool := make([][]int, 24)
 	for i := range pool {
@@ -296,11 +346,11 @@ func TestRowGrowth(t *testing.T) {
 }
 
 // TestRowGrowthConcurrent races workers asking random widths of a few
-// histograms on a small engine, so rows are built, shared in flight,
-// grown and evicted concurrently: every value must equal m1Compute's and
-// the accounting must stay exact.
+// histograms on a small engine, so rows are built, stored by racing
+// misses, grown and evicted concurrently: every value must equal
+// m1Compute's and the accounting must stay exact.
 func TestRowGrowthConcurrent(t *testing.T) {
-	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10, Shards: 2})
+	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 1 << 10})
 	rng := rand.New(rand.NewSource(23))
 	pool := make([][]int, 6)
 	for i := range pool {
@@ -323,6 +373,9 @@ func TestRowGrowthConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	checkAccounting(t, e)
+	if st := e.Stats(); st.Evictions == 0 {
+		t.Errorf("small engine never evicted while rows grew: %+v", st)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -335,7 +388,7 @@ func TestRowGrowthConcurrent(t *testing.T) {
 // cache turning over.
 func TestMemoChurnPlateau(t *testing.T) {
 	const capBytes = 32 << 10
-	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: capBytes, Shards: 8})
+	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: capBytes})
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 5000; iter++ {
 		hist := randomHistogram(rng, 1+rng.Intn(8), 1+rng.Intn(50))
@@ -351,35 +404,14 @@ func TestMemoChurnPlateau(t *testing.T) {
 	if st.Entries == 0 || st.Bytes == 0 {
 		t.Error("memo empty after churn; eviction is over-aggressive")
 	}
-	if st.Entries != e.CacheSize() {
-		t.Errorf("Stats().Entries %d != CacheSize() %d", st.Entries, e.CacheSize())
-	}
-}
-
-// TestResetClearsEverything covers the bounded memo's reset path.
-func TestResetClearsEverything(t *testing.T) {
-	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 4 << 10, Shards: 2})
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		memoM1(e, randomHistogram(rng, 1+rng.Intn(5), 10), rng.Intn(5))
-	}
-	e.Reset()
-	st := e.Stats()
-	if st.Entries != 0 || st.Bytes != 0 || st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
-		t.Errorf("Reset left state behind: %+v", st)
-	}
-	// The engine must keep working after a reset.
-	if got := memoM1(e, []int{2, 1}, 1); got <= 0 || got > 1 {
-		t.Errorf("post-reset m1 = %v", got)
-	}
 }
 
 // TestOversizedEntryNotCached: an entry larger than a whole shard's budget
 // must be computed correctly but never inserted (it would evict the whole
 // shard and then itself).
 func TestOversizedEntryNotCached(t *testing.T) {
-	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 256, Shards: 2})
-	hist := make([]int, 64) // 64*8 bytes of key alone exceeds 128 per shard
+	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 256})
+	hist := make([]int, 64) // 64*8 bytes of key alone exceeds the one 256-byte shard
 	for i := range hist {
 		hist[i] = 64 - i
 	}
@@ -388,7 +420,7 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	if math.Float64bits(got) != math.Float64bits(want.val) {
 		t.Fatalf("oversized entry computed %v, want %v", got, want.val)
 	}
-	if n := e.CacheSize(); n != 0 {
+	if n := e.Stats().Entries; n != 0 {
 		t.Errorf("oversized entry was cached (%d entries)", n)
 	}
 }
@@ -421,7 +453,7 @@ var sinkRow []float64
 // cap) and the eviction count (must be positive).
 func BenchmarkMemoChurn(b *testing.B) {
 	const capBytes = 64 << 10
-	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: capBytes, Shards: 8})
+	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: capBytes})
 	rng := rand.New(rand.NewSource(1))
 	hists := make([][]int, 4096)
 	for i := range hists {
@@ -442,8 +474,11 @@ func BenchmarkMemoChurn(b *testing.B) {
 }
 
 // BenchmarkMaxDisclosureSteadyState measures the full disclosure check on
-// a warm engine — the daemon's hot path — where pooled DP scratch should
-// keep allocations near zero.
+// a warm engine over buckets with nothing published: what a read of a
+// node costs after an append gave it new buckets (a class scan, one memo
+// hit per class and MINIMIZE2). Each iteration gets a new bucketization
+// of the same buckets, since a reused one would answer from the series
+// the first iteration published.
 func BenchmarkMaxDisclosureSteadyState(b *testing.B) {
 	e := NewEngine()
 	bz := fig3()
@@ -453,7 +488,7 @@ func BenchmarkMaxDisclosureSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := e.MaxDisclosure(bz, 4)
+		d, err := e.MaxDisclosure(&bucket.Bucketization{Buckets: bz.Buckets, Source: bz.Source}, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -463,10 +498,11 @@ func BenchmarkMaxDisclosureSteadyState(b *testing.B) {
 
 var sinkF float64
 
-// TestPanickedComputeDoesNotPoisonShard: a panic inside the DP must leave
-// the shard usable — in-flight entry removed, lock released — and later
-// callers of the same key must panic themselves (per-caller confinement)
-// rather than deadlock on a WaitGroup that will never be Done'd.
+// TestPanickedComputeDoesNotPoisonShard: a panic inside m1Row must leave
+// the shard usable. A miss runs m1Row outside every lock, so the panic
+// strands no lock and stores nothing: a later caller of the same key
+// panics itself (per-caller confinement) instead of blocking or reading a
+// bogus cached value, and the shard goes on storing rows.
 func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 	e := NewEngine()
 	mustPanic := func() (panicked bool) {
@@ -477,8 +513,8 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 	if !mustPanic() {
 		t.Skip("negative j no longer panics; pick another fault injection")
 	}
-	// Same key again: must panic again (not hang on a stale in-flight
-	// entry, not return a bogus cached value).
+	// Same key again: must panic again (not hang on a held lock, not
+	// return a bogus cached value).
 	done := make(chan bool, 1)
 	go func() { done <- mustPanic() }()
 	select {
@@ -487,7 +523,7 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 			t.Error("second lookup of the panicked key neither panicked nor computed")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("second lookup deadlocked: the panicked in-flight entry was not cleaned up")
+		t.Fatal("second lookup deadlocked: the panicked build left the shard locked")
 	}
 	// The shard (and the whole engine) still serves normal traffic.
 	got := memoM1(e, []int{2, 1}, 1)
@@ -495,7 +531,7 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 	if math.Float64bits(got) != math.Float64bits(want.val) {
 		t.Errorf("post-panic m1 = %v, want %v", got, want.val)
 	}
-	if e.CacheSize() == 0 {
+	if e.Stats().Entries == 0 {
 		t.Error("post-panic insert failed; shard lock likely stranded")
 	}
 }

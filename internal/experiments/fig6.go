@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"ckprivacy/internal/anonymize"
@@ -45,11 +46,6 @@ type Fig6Config struct {
 	// byte-identical however they are scheduled, and nodes are gathered by
 	// lattice position before the final entropy sort.
 	Workers int
-	// Engine, when non-nil, supplies the MINIMIZE1 memo the sweep shares
-	// across nodes — letting callers bound its bytes (core.EngineConfig) or
-	// inspect hit rates afterwards. Nil uses the sweep's problem-scoped
-	// engine (default-bounded).
-	Engine *core.Engine
 }
 
 // Fig6Result holds the full sweep over all 72 generalizations of the Adult
@@ -69,18 +65,17 @@ func RunFig6(tab *table.Table, ks []int) (*Fig6Result, error) {
 	return RunFig6Config(tab, Fig6Config{Ks: ks})
 }
 
-// RunFig6Config is RunFig6 with the full configuration.
+// RunFig6Config is RunFig6 with the full configuration. The sweep runs on
+// a problem over the Adult quasi-identifiers built with cfg.Workers, and
+// shares that problem's engine across nodes.
 func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
-	ks := cfg.Ks
-	if len(ks) == 0 {
-		ks = DefaultFig6Ks
+	if len(cfg.Ks) == 0 {
+		cfg.Ks = DefaultFig6Ks
 	}
-	maxK := 0
-	for _, k := range ks {
+	for _, k := range cfg.Ks {
 		if k < 0 {
 			return nil, fmt.Errorf("experiments: negative k %d", k)
 		}
-		maxK = max(maxK, k)
 	}
 	o := anonymize.DefaultOptions()
 	o.Workers = cfg.Workers
@@ -88,15 +83,19 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
-	engine := cfg.Engine
-	if engine == nil {
-		engine = p.Engine()
-	}
+	return fig6Sweep(p, cfg)
+}
+
+// fig6Sweep is RunFig6Config's sweep over the lattice of p at cfg.Ks
+// (non-empty, none negative), with disclosure computed on p's engine.
+func fig6Sweep(p *anonymize.Problem, cfg Fig6Config) (*Fig6Result, error) {
+	ks, maxK := cfg.Ks, slices.Max(cfg.Ks)
 	res := &Fig6Result{Ks: append([]int(nil), ks...)}
 	// Sweep the 72 generalizations on all workers: every node's bucketize +
 	// max-disclosure series is independent (the engine's MINIMIZE1 memo and
 	// the problem's bucketization cache are concurrency-safe and shared, so
-	// repeated histograms across nodes are still computed once). Points land
+	// a histogram repeated across nodes is computed once, unless workers
+	// miss it at the same moment and each build it). Points land
 	// in lattice order before the entropy sort, keeping the result identical
 	// to the serial sweep.
 	nodes := p.Space().All()
@@ -110,7 +109,7 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 		return nil, fmt.Errorf("experiments: fig6 sweep: %w", err)
 	}
 	res.Points = make([]Fig6Point, len(nodes))
-	err = parallel.ForEach(cfg.Workers, len(nodes), func(i int) error {
+	err := parallel.ForEach(cfg.Workers, len(nodes), func(i int) error {
 		node := nodes[i]
 		bz, err := snap.Bucketize(node)
 		if err != nil {
@@ -127,7 +126,7 @@ func RunFig6Config(tab *table.Table, cfg Fig6Config) (*Fig6Result, error) {
 		}
 		// One row pass and one MINIMIZE2 run at the largest k answer every
 		// k, each bit-identical to MaxDisclosure at that k.
-		series, err := engine.Series(bz, maxK)
+		series, err := p.Engine().Series(bz, maxK)
 		if err != nil {
 			return fmt.Errorf("experiments: fig6 at %v: %w", node, err)
 		}

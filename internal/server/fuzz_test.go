@@ -4,17 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"ckprivacy/internal/anonymize"
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataload"
+	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/logic"
+	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/worlds"
 )
 
@@ -370,4 +375,171 @@ func FuzzRegisterDataset(f *testing.F) {
 			t.Fatalf("register %q: disclosure %v outside [0, 1]", body, d.Disclosure)
 		}
 	})
+}
+
+// FuzzAnonymizeRequests sends arbitrary bodies of up to 512 bytes to
+// POST /v1/anonymize through the real mux (Server.Handler) of a server
+// holding the hospital dataset, then polls GET /v1/jobs/{id}, sending
+// DELETE /v1/jobs/{id} first when cancel is set. The invariants: no
+// panic; every non-2xx body is the JSON error envelope with a non-empty
+// code; the only 5xx is the 503 "overloaded" envelope of a full job
+// queue; a 202's job reaches done, failed or cancelled within 10 s, and
+// ends cancelled only when the input cancelled it; and a done job's nodes
+// equal the library search with the same method and criterion on the
+// same data.
+func FuzzAnonymizeRequests(f *testing.F) {
+	const (
+		maxBody = 512
+		settle  = 10 * time.Second
+	)
+	s := New(Config{MaxBodyBytes: maxBody})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = s.Shutdown(ctx)
+	})
+	h := s.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	if rec := serve(http.MethodPost, "/v1/datasets", []byte(`{"name":"h","builtin":"hospital"}`)); rec.Code != http.StatusCreated {
+		f.Fatalf("register hospital = %d: %s", rec.Code, rec.Body)
+	}
+	b := dataload.Hospital()
+	lib, err := anonymize.NewProblem(b.Table, b.Hierarchies, b.QI)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	for _, seed := range []struct {
+		cancel bool
+		body   string
+	}{
+		{false, `{"dataset":"h","criterion":"ck","c":0.7,"k":1,"method":"minimal"}`},
+		{true, `{"dataset":"h","c":0.9,"k":2}`},
+		{false, `{"dataset":"h","criterion":"negation-ck","c":0.8,"k":2,"method":"chain"}`},
+		{false, `{"dataset":"h","criterion":"k-anonymity","k":3,"method":"chain","utility":"avg"}`},
+		{false, `{"dataset":"h","criterion":"entropy-l","l":2,"utility":"none"}`},
+		{true, `{"dataset":"h","criterion":"recursive-cl","c":2,"l":2,"method":"minimal","utility":"buckets"}`},
+		{false, `{"dataset":"h","criterion":"distinct-l","l":9}`},
+		{false, `{"criterion":"ck","c":0.7,"k":1}`},
+		{false, `{"dataset":"nope","c":0.7,"k":1}`},
+		{false, `{"dataset":"h","c":0.7,"k":1,"method":"bogus"}`},
+		{false, `{"dataset":"h","c":0.7,"k":`},
+	} {
+		f.Add(seed.cancel, []byte(seed.body))
+	}
+
+	f.Fuzz(func(t *testing.T, cancel bool, body []byte) {
+		if len(body) > maxBody {
+			return
+		}
+		// envelope checks a response that is not 2xx.
+		envelope := func(what string, rec *httptest.ResponseRecorder) {
+			t.Helper()
+			if rec.Code/100 == 2 {
+				return
+			}
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code == "" || e.Error == "" {
+				t.Fatalf("%s %q: status %d body %q is not an error envelope (%v)", what, body, rec.Code, rec.Body, err)
+			}
+			if rec.Code >= 500 && (rec.Code != http.StatusServiceUnavailable || e.Code != "overloaded") {
+				t.Fatalf("%s %q: status %d code %q: %s", what, body, rec.Code, e.Code, rec.Body)
+			}
+		}
+		rec := serve(http.MethodPost, "/v1/anonymize", body)
+		envelope("anonymize", rec)
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var acc anonymizeAccepted
+		if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil || acc.ID == "" || acc.Poll != "/v1/jobs/"+acc.ID {
+			t.Fatalf("anonymize %q: accepted body %q (%v)", body, rec.Body, err)
+		}
+		if cancel {
+			del := serve(http.MethodDelete, acc.Poll, nil)
+			envelope("cancel", del)
+			if del.Code != http.StatusOK {
+				t.Fatalf("cancel %s of %q = %d: %s", acc.ID, body, del.Code, del.Body)
+			}
+		}
+		var st jobStatus
+		for deadline := time.Now().Add(settle); ; time.Sleep(time.Millisecond) {
+			get := serve(http.MethodGet, acc.Poll, nil)
+			envelope("poll", get)
+			if get.Code != http.StatusOK {
+				t.Fatalf("poll %s of %q = %d: %s", acc.ID, body, get.Code, get.Body)
+			}
+			if err := json.Unmarshal(get.Body.Bytes(), &st); err != nil {
+				t.Fatalf("poll %s of %q: %q: %v", acc.ID, body, get.Body, err)
+			}
+			if st.State == JobDone || st.State == JobFailed || st.State == JobCancelled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s of %q still %q after %v", acc.ID, body, st.State, settle)
+			}
+		}
+		if st.State == JobCancelled && !cancel {
+			t.Fatalf("job %s of %q was cancelled, but nothing cancelled it", acc.ID, body)
+		}
+		if st.State != JobDone {
+			return
+		}
+		var req anonymizeRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("%q was accepted but does not decode: %v", body, err)
+		}
+		want, err := librarySearch(lib, req)
+		if err != nil {
+			t.Fatalf("%q: job done, library search failed: %v", body, err)
+		}
+		if st.Result == nil || !slices.EqualFunc(st.Result.Nodes, want, func(got []int, want lattice.Node) bool {
+			return slices.Equal(got, []int(want))
+		}) {
+			t.Fatalf("%q: job result %+v, library nodes %v", body, st.Result, want)
+		}
+	})
+}
+
+// librarySearch runs the lattice search an anonymize request asks for on
+// p, building its criterion directly from the privacy package, so the
+// fuzzer compares the job route against code it does not share.
+func librarySearch(p *anonymize.Problem, req anonymizeRequest) ([]lattice.Node, error) {
+	var crit privacy.Criterion
+	switch req.Criterion {
+	case "", "ck":
+		crit = privacy.CKSafety{C: req.C, K: req.K, Engine: core.NewEngine()}
+	case "negation-ck":
+		crit = privacy.NegationCKSafety{C: req.C, K: req.K}
+	case "k-anonymity":
+		crit = privacy.KAnonymity{K: req.K}
+	case "distinct-l":
+		crit = privacy.DistinctLDiversity{L: req.L}
+	case "entropy-l":
+		crit = privacy.EntropyLDiversity{L: req.L}
+	case "recursive-cl":
+		crit = privacy.RecursiveCLDiversity{C: req.C, L: req.L}
+	default:
+		return nil, fmt.Errorf("criterion %q", req.Criterion)
+	}
+	switch req.Method {
+	case "minimal":
+		nodes, _, err := p.MinimalSafe(crit)
+		return nodes, err
+	case "", "incognito":
+		nodes, _, err := p.MinimalSafeIncognito(crit)
+		return nodes, err
+	case "chain":
+		node, ok, _, err := p.ChainSearch(crit)
+		if !ok {
+			return nil, err
+		}
+		return []lattice.Node{node}, err
+	default:
+		return nil, fmt.Errorf("method %q", req.Method)
+	}
 }
