@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-ck fmt fmt-check test race bench bench-json bench-smoke examples serve lint docs-check loadtest loadtest-restart loadtest-replica fuzz-smoke loadtest-race
+.PHONY: all build vet vet-ck fmt fmt-check test race bench bench-json bench-smoke examples serve lint docs-check paper loadtest loadtest-restart loadtest-replica fuzz-smoke loadtest-race
 
 all: build vet fmt-check test
 
@@ -66,6 +66,17 @@ lint:
 ## citations of deleted files fail the build, not a reviewer's patience.
 docs-check:
 	$(GO) run ./internal/tools/docscheck
+
+## paper executes docs/PAPER-MAP.md as a claims ledger (mirrors the CI
+## test job's step): for every row it runs the tests the "Verified by"
+## column cites — named Test*/Fuzz*/Example* functions through -run,
+## wildcards expanded, every test of a cited _test.go file, and cited
+## Benchmark* functions for one iteration — with go test per package,
+## and prints one claim → tests → PASS/FAIL line per row. A failure
+## prints that row's go test output and fails the target. ckbench
+## workloads cited there are graded by bench/run.sh instead.
+paper:
+	$(GO) run ./internal/tools/docscheck paper
 
 ## examples builds and smoke-runs every examples/* program (mirrors the CI
 ## examples job; sizes scaled down to stay fast).

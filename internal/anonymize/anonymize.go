@@ -40,8 +40,8 @@ type state struct {
 	// enc and compiled are the columnar substrate pinned at this version.
 	enc      *table.Encoded
 	compiled hierarchy.CompiledSet
-	// cache holds the version's materialized bucketizations, each with the
-	// level vector the sweep planner derives coarser nodes from.
+	// cache holds the version's bucketizations, one entry per complete
+	// level vector.
 	cache *bucketizeCache
 }
 
@@ -61,8 +61,9 @@ type Problem struct {
 	// dimension order.
 	QI []string
 
-	space lattice.Space
-	opts  Options
+	space  lattice.Space
+	opts   Options
+	layout vecLayout
 
 	engine *core.Engine
 
@@ -76,6 +77,83 @@ type Problem struct {
 	// sweepCtr accumulates the sweep planner's lifetime counters across
 	// versions; SweepStats snapshots them.
 	sweepCtr sweepCounters
+}
+
+// vecLayout maps requests onto complete level vectors. In full-domain
+// generalization (§3.4) a complete level vector — one level per schema QI
+// attribute, in schema order — fixes the bucketization, and an Incognito
+// subset node is the full-lattice bucketization with every QI outside the
+// subset at its top level. The vector is therefore the one name of a
+// materialization: its cache key, its claim and its planner unit.
+type vecLayout struct {
+	top   []int    // the full-suppression vector
+	pos   []int    // pos[d]: listed QI d's position in the vector
+	dims  []int    // dims[d]: listed QI d's level count
+	all   []int    // the identity subset over the listed QIs
+	names []string // the schema QI attribute names, in vector order
+	// err is set when a schema QI outside the listed ones has no
+	// hierarchy to suppress it with: every bucketization fails with it.
+	err error
+}
+
+// newVecLayout builds the layout of a problem's schema, hierarchies and
+// listed QIs, which newProblem has validated to be schema attributes with
+// hierarchies (dims holds their level counts).
+func newVecLayout(s *table.Schema, hs hierarchy.Set, qi []string, dims []int) vecLayout {
+	l := vecLayout{pos: make([]int, len(qi)), dims: dims, all: make([]int, len(qi))}
+	at := map[string]int{}
+	for i, col := range s.QuasiIdentifiers() {
+		name := s.Attrs[col].Name
+		at[name] = i
+		l.names = append(l.names, name)
+		h, ok := hs[name]
+		if !ok {
+			if l.err == nil {
+				l.err = fmt.Errorf("anonymize: schema attribute %q has no hierarchy and is not a listed QI", name)
+			}
+			l.top = append(l.top, 0)
+			continue
+		}
+		l.top = append(l.top, h.Levels()-1)
+	}
+	for d, name := range qi {
+		l.pos[d], l.all[d] = at[name], d
+	}
+	return l
+}
+
+// vector returns the complete level vector a request induces: the subset
+// dimensions at the node's levels, every other schema QI at its top level.
+// A subset dimension or a level outside the lattice is an error.
+func (p *Problem) vector(subset []int, node lattice.Node) ([]int, error) {
+	l := &p.layout
+	if l.err != nil {
+		return nil, l.err
+	}
+	if len(subset) != len(node) {
+		return nil, fmt.Errorf("anonymize: subset/node length mismatch: %d vs %d", len(subset), len(node))
+	}
+	vec := append([]int(nil), l.top...)
+	for i, d := range subset {
+		if d < 0 || d >= len(l.pos) {
+			return nil, fmt.Errorf("anonymize: subset dimension %d out of range", d)
+		}
+		if node[i] < 0 || node[i] >= l.dims[d] {
+			return nil, fmt.Errorf("anonymize: level %d for attribute %q outside [0, %d)", node[i], p.QI[d], l.dims[d])
+		}
+		vec[l.pos[d]] = node[i]
+	}
+	return vec, nil
+}
+
+// levels expands a level vector into the per-attribute assignment the
+// bucketizers take; only a scan, a coarsening or an append patch needs it.
+func (p *Problem) levels(vec []int) bucket.Levels {
+	lv := make(bucket.Levels, len(vec))
+	for i, name := range p.layout.names {
+		lv[name] = vec[i]
+	}
+	return lv
 }
 
 // Options configures a Problem at construction. The zero value resolves
@@ -184,6 +262,7 @@ func newProblem(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64
 		QI:          append([]string(nil), qi...),
 		space:       space,
 		opts:        o.resolved(),
+		layout:      newVecLayout(t.Schema, hs, qi, dims),
 		master:      enc,
 		engine:      core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: o.MemoMaxBytes}),
 	}
@@ -314,71 +393,34 @@ func (s *Snapshot) Encoded() *table.Encoded { return s.st.enc }
 // Bucketize materializes the bucketization at a lattice node. Attributes
 // outside the problem's QI list are fully ignored for grouping only if they
 // are not quasi-identifiers of the schema; schema QI attributes not listed
-// in p.QI are treated as suppressed.
+// in p.QI are treated as suppressed. A node outside the lattice is an
+// error.
 func (s *Snapshot) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
-	if !s.p.space.Contains(node) {
-		return nil, fmt.Errorf("anonymize: node %v outside lattice %v", node, s.p.space.Dims())
-	}
-	return s.BucketizeSubset(identitySubset(len(s.p.QI)), node)
+	return s.BucketizeSubset(s.p.layout.all, node)
 }
 
 // BucketizeSubset materializes the bucketization induced by a subset of the
 // QI dimensions at the given (subset-aligned) levels; the remaining QI
 // attributes are fully suppressed. Incognito's subset lattices are checked
-// through this path. A cache miss runs as a one-node sweep plan, so it
-// derives from the cheapest already-materialized finer node exactly like
-// a planned frontier does, and scans the rows only when none exists.
+// through this path. The request is named by the complete level vector it
+// induces, so a subset node and the full node it equals share one cache
+// entry. A cache miss runs as a one-node sweep plan, so it derives from
+// the cheapest already-materialized finer node exactly like a planned
+// frontier does, and scans the rows only when none exists.
 func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
-	key := cacheKey(subset, node)
+	vec, err := s.p.vector(subset, node)
+	if err != nil {
+		return nil, err
+	}
+	key := lattice.Node(vec).Key()
 	if bz, ok := s.st.cache.get(key); ok {
 		return bz, nil
 	}
-	if err := s.prefetch([]subsetNode{{subset: subset, node: node}}); err != nil {
+	if err := s.prefetch([][]int{vec}); err != nil {
 		return nil, err
 	}
 	bz, _ := s.st.cache.peek(key)
 	return bz, nil
-}
-
-// subsetLevels expands a (subset, node) pair into the complete level
-// assignment it induces: subset dimensions at the node's levels, every
-// other QI — listed or schema-implied — at top-level suppression. The
-// sweep planner builds every request through this, so a cache key means
-// one complete level assignment.
-func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels, error) {
-	p := s.p
-	if len(subset) != len(node) {
-		return nil, fmt.Errorf("anonymize: subset/node length mismatch: %d vs %d", len(subset), len(node))
-	}
-	levels := bucket.Levels{}
-	for _, name := range p.QI {
-		h, ok := p.Hierarchies[name]
-		if !ok {
-			return nil, fmt.Errorf("anonymize: no hierarchy for %q", name)
-		}
-		levels[name] = h.Levels() - 1 // suppress by default
-	}
-	// Any schema QI attribute outside p.QI must also be neutralized: the
-	// scan groups by every schema QI attribute, so give them top-level
-	// suppression too when a hierarchy exists, and reject otherwise.
-	for _, col := range s.st.tab.Schema.QuasiIdentifiers() {
-		name := s.st.tab.Schema.Attrs[col].Name
-		if _, listed := levels[name]; listed {
-			continue
-		}
-		h, ok := p.Hierarchies[name]
-		if !ok {
-			return nil, fmt.Errorf("anonymize: schema attribute %q has no hierarchy and is not a listed QI", name)
-		}
-		levels[name] = h.Levels() - 1
-	}
-	for i, d := range subset {
-		if d < 0 || d >= len(p.QI) {
-			return nil, fmt.Errorf("anonymize: subset dimension %d out of range", d)
-		}
-		levels[p.QI[d]] = node[i]
-	}
-	return levels, nil
 }
 
 // Pred adapts a privacy criterion to a lattice predicate over full nodes.
@@ -491,19 +533,4 @@ func (p *Problem) ChainSearch(crit privacy.Criterion) (lattice.Node, bool, latti
 // the call starts.
 func (p *Problem) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *bucket.Bucketization, error) {
 	return p.Snapshot().BestByUtility(nodes, m)
-}
-
-// levelVector flattens a complete level assignment into schema QI order —
-// the comparable form the sweep planner orders sources by.
-func levelVector(s *table.Schema, levels bucket.Levels) []int {
-	qi := s.QuasiIdentifiers()
-	vec := make([]int, len(qi))
-	for i, col := range qi {
-		vec[i] = levels[s.Attrs[col].Name]
-	}
-	return vec
-}
-
-func cacheKey(subset []int, node lattice.Node) string {
-	return lattice.Node(subset).Key() + "/" + node.Key()
 }

@@ -98,6 +98,10 @@ func TestBucketizePaperNode(t *testing.T) {
 	if _, err := p.Bucketize(lattice.Node{9, 9, 9}); err == nil {
 		t.Error("out-of-lattice node accepted")
 	}
+	entries := p.CacheStats().Entries
+	if err := p.Snapshot().MaterializeNodes([]lattice.Node{{0, 0, 0}, {1, 1}}); err == nil || p.CacheStats().Entries != entries {
+		t.Errorf("MaterializeNodes with an out-of-lattice node: err %v, %d -> %d entries", err, entries, p.CacheStats().Entries)
+	}
 	// Cache returns the identical value.
 	again, err := p.Bucketize(lattice.Node{1, 1, 0})
 	if err != nil || again != bz {
@@ -121,11 +125,31 @@ func TestBucketizeSubset(t *testing.T) {
 	if len(bz.Buckets) != len(full.Buckets) {
 		t.Errorf("subset buckets %d != full buckets %d", len(bz.Buckets), len(full.Buckets))
 	}
+	if bz != full {
+		t.Error("subset node and the full node it induces are cached apart")
+	}
 	if _, err := snap.BucketizeSubset([]int{0, 1}, lattice.Node{0}); err == nil {
 		t.Error("mismatched subset/node accepted")
 	}
 	if _, err := snap.BucketizeSubset([]int{7}, lattice.Node{0}); err == nil {
 		t.Error("out-of-range subset accepted")
+	}
+	// A level outside its dimension's hierarchy is an error, never a
+	// panic or a plan: Zip has 3 levels, Sex 2.
+	for _, bad := range []struct {
+		subset []int
+		node   lattice.Node
+	}{
+		{[]int{0}, lattice.Node{-1}},
+		{[]int{0}, lattice.Node{99}},
+		{[]int{0, 2}, lattice.Node{1, 2}},
+	} {
+		if _, err := snap.BucketizeSubset(bad.subset, bad.node); err == nil {
+			t.Errorf("subset %v at levels %v accepted", bad.subset, bad.node)
+		}
+	}
+	if ss := p.SweepStats(); ss.PlannedNodes != 1 {
+		t.Errorf("planned %d nodes, want 1: rejected requests must not reach the planner", ss.PlannedNodes)
 	}
 }
 

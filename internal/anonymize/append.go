@@ -22,7 +22,9 @@ type AppendResult struct {
 	// attribute name; attributes absent saw no new values.
 	NewCodes map[string]int
 	// PatchedNodes counts warm cache entries refreshed in place by the
-	// incremental bucketization update.
+	// incremental bucketization update: one per cached complete level
+	// vector, so a bucketization an Incognito subset node shares with a
+	// full node is patched once.
 	PatchedNodes int
 	// InvalidatedNodes counts warm cache entries that had to be dropped
 	// (rebuilt lazily on next use) instead of patched.
@@ -72,9 +74,10 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	snap := p.master.Snapshot()
 
 	// Patch the warm state: every cached bucketization absorbs just the
-	// appended rows; entries a patch cannot serve are dropped and rebuilt
-	// lazily. Patched entries keep their level vectors, so the next cache
-	// miss still derives from the cheapest compatible source.
+	// appended rows, once per level vector; entries a patch cannot serve
+	// are dropped and rebuilt lazily. Patched entries keep their level
+	// vectors, so the next cache miss still derives from the cheapest
+	// compatible source.
 	cache := newBucketizeCache()
 	cache.carryCounters(old.cache)
 	res := AppendResult{
@@ -84,13 +87,13 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 		Appended: len(rows),
 		NewCodes: newCodeCounts(snap.Table.Schema, delta),
 	}
-	old.cache.each(func(key string, e cacheEntry) {
-		bz, err := bucket.AppendRows(e.bz, snap, newCompiled, e.levels, delta.Start)
+	old.cache.each(func(key string, e *cacheEntry) {
+		bz, err := bucket.AppendRows(e.bz, snap, newCompiled, p.levels(e.vec), delta.Start)
 		if err != nil {
 			res.InvalidatedNodes++
 			return
 		}
-		cache.put(key, cacheEntry{bz: bz, levels: e.levels, vec: e.vec})
+		cache.put(key, e.vec, bz)
 		res.PatchedNodes++
 	})
 	p.cur.Store(&state{

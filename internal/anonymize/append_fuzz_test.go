@@ -176,11 +176,7 @@ func FuzzAppendMatchesRebuild(f *testing.F) {
 			}
 			snap, fresh := p.Snapshot(), core.NewEngine()
 			for _, node := range nodes {
-				levels, err := snap.subsetLevels(identitySubset(len(c.qi)), node)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := oracle.Bucketize(grown, c.hs, levels)
+				want, err := oracle.Bucketize(grown, c.hs, oracleLevels(grown.Schema, c.hs, c.qi, node))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,88 +13,58 @@ import (
 // 32 small maps.
 const cacheShards = 32
 
-// cacheEntry is one cached bucketization together with the complete level
-// assignment (every schema QI attribute present) it was materialized at,
-// as a map and as a level vector in schema QI order. The levels are what
-// let an append patch the entry in place (bucket.AppendRows re-keys only
-// the appended rows at exactly these levels); the vector is what lets the
-// sweep planner coarsen later nodes from the entry.
+// cacheEntry is one complete level vector's slot in the cache, keyed by
+// the vector's lattice key. It is pending while the leader that claimed
+// it materializes it: bz is nil and waiters block on done. publish sets
+// bz, and from then on the entry is an immutable cached bucketization.
+// abandon removes a pending entry and hands the leader's error to its
+// waiters. A patched entry (Problem.Append) is born published and has no
+// done channel.
 type cacheEntry struct {
-	bz     *bucket.Bucketization
-	levels bucket.Levels
-	vec    []int
+	vec  []int // complete level vector, schema QI order
+	bz   *bucket.Bucketization
+	err  error
+	done chan struct{} // closed by publish or abandon
 }
 
-// bucketizeCache is a sharded, concurrency-safe map from (subset, node)
-// cache keys to materialized bucketizations. The level-wise parallel
-// searches hit it from every worker at once; sharding by key hash keeps the
-// fast path (read of an existing entry) off a single global lock.
-//
-// Entries are immutable once stored: a racing put of the same key is
-// harmless because bucketization is deterministic, so both values are
-// interchangeable. Each cache belongs to one problem version; an append
-// builds the next version's cache by patching this one's entries rather
-// than mutating them (snapshots pinned on this version keep reading it).
-type bucketizeCache struct {
-	shards [cacheShards]struct {
-		mu sync.RWMutex
-		m  map[string]cacheEntry
+// wait blocks until the entry's leader publishes or abandons it.
+func (e *cacheEntry) wait() (*bucket.Bucketization, error) {
+	if e.done != nil {
+		<-e.done
 	}
+	return e.bz, e.err
+}
+
+// cacheShard is one lock and map of the cache. bz of an entry in m is
+// written under mu, so a reader holding mu sees whether it is published.
+type cacheShard struct {
+	mu sync.RWMutex
+	m  map[string]*cacheEntry
+}
+
+// bucketizeCache is a sharded, concurrency-safe map from level vectors to
+// their bucketizations, pending or published. The level-wise parallel
+// searches hit it from every worker at once; sharding by key hash keeps
+// the fast path (read of a published entry) off a single global lock.
+//
+// A vector is materialized once per version: the first plan to need it
+// claims its entry and leads, every other one waits on the entry. An
+// entry is held pending only while its leader works, never while the
+// leader waits on another entry, so claims cannot deadlock. Each cache
+// belongs to one problem version; an append builds the next version's
+// cache by patching this one's published entries rather than mutating
+// them (snapshots pinned on this version keep reading it).
+type bucketizeCache struct {
+	shards [cacheShards]cacheShard
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-
-	// claims holds the level vectors being materialized, by lattice key.
-	claimMu sync.Mutex
-	claims  map[string]*claim
-}
-
-// claim is one level vector's materialization in progress. The leader
-// that took it scans or coarsens, caches the result and then releases it:
-// res or err is set and done closed, so every waiter reuses the result or
-// fails with the error. A claim is held only while its leader works, never
-// while the leader waits on another claim, so claims cannot deadlock.
-type claim struct {
-	key  string
-	done chan struct{}
-	res  *planResult
-	err  error
-}
-
-// claim returns the claim on a level vector's key and whether the caller
-// took it (leads) or must wait for its leader.
-func (c *bucketizeCache) claim(key string) (*claim, bool) {
-	c.claimMu.Lock()
-	defer c.claimMu.Unlock()
-	if cl, ok := c.claims[key]; ok {
-		return cl, false
-	}
-	cl := &claim{key: key, done: make(chan struct{})}
-	c.claims[key] = cl
-	return cl, true
-}
-
-// release ends a claim with its result or error and wakes its waiters.
-// The leader calls it after caching the result, so a later request finds
-// the cache entry instead of a claim.
-func (c *bucketizeCache) release(cl *claim, res *planResult, err error) {
-	c.claimMu.Lock()
-	delete(c.claims, cl.key)
-	c.claimMu.Unlock()
-	cl.res, cl.err = res, err
-	close(cl.done)
-}
-
-// wait blocks until the claim's leader releases it.
-func (cl *claim) wait() (*planResult, error) {
-	<-cl.done
-	return cl.res, cl.err
 }
 
 func newBucketizeCache() *bucketizeCache {
-	c := &bucketizeCache{claims: make(map[string]*claim)}
+	c := &bucketizeCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[string]cacheEntry)
+		c.shards[i].m = make(map[string]*cacheEntry)
 	}
 	return c
 }
@@ -107,10 +77,7 @@ func (c *bucketizeCache) carryCounters(prev *bucketizeCache) {
 	c.misses.Store(prev.misses.Load())
 }
 
-func (c *bucketizeCache) shard(key string) *struct {
-	mu sync.RWMutex
-	m  map[string]cacheEntry
-} {
+func (c *bucketizeCache) shard(key string) *cacheShard {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return &c.shards[h.Sum32()%cacheShards]
@@ -127,15 +94,63 @@ func (c *bucketizeCache) get(key string) (*bucket.Bucketization, bool) {
 	return bz, ok
 }
 
-// peek looks a key up without touching the hit/miss counters: the sweep
-// planner probes the cache while deciding what to materialize, and a probe
-// is neither a serving-path hit nor a materialization.
+// peek returns the bucketization published at key without touching the
+// hit/miss counters: the sweep planner probes the cache while deciding
+// what to materialize, and a probe is neither a serving-path hit nor a
+// materialization. A pending entry is not a bucketization yet.
 func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
-	e, ok := s.m[key]
+	var bz *bucket.Bucketization
+	if e := s.m[key]; e != nil {
+		bz = e.bz
+	}
 	s.mu.RUnlock()
-	return e.bz, ok
+	return bz, bz != nil
+}
+
+// claim returns the entry at key, pending or published, or, when there is
+// none, a new pending entry for vec that the caller leads (leader true)
+// and must end with publish or abandon.
+func (c *bucketizeCache) claim(key string, vec []int) (e *cacheEntry, leader bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.m[key]; e != nil {
+		return e, false
+	}
+	e = &cacheEntry{vec: vec, done: make(chan struct{})}
+	s.m[key] = e
+	return e, true
+}
+
+// publish ends a claim with its bucketization and wakes its waiters.
+func (c *bucketizeCache) publish(key string, e *cacheEntry, bz *bucket.Bucketization) {
+	s := c.shard(key)
+	s.mu.Lock()
+	e.bz = bz
+	s.mu.Unlock()
+	close(e.done)
+}
+
+// abandon ends a failed claim: the entry leaves the cache, so a later
+// request claims the vector afresh, and its waiters fail with err.
+func (c *bucketizeCache) abandon(key string, e *cacheEntry, err error) {
+	s := c.shard(key)
+	s.mu.Lock()
+	delete(s.m, key)
+	e.err = err
+	s.mu.Unlock()
+	close(e.done)
+}
+
+// put stores a published entry: Problem.Append's patched bucketization at
+// vec, in a successor cache no reader sees yet.
+func (c *bucketizeCache) put(key string, vec []int, bz *bucket.Bucketization) {
+	s := c.shard(key)
+	s.mu.Lock()
+	s.m[key] = &cacheEntry{vec: vec, bz: bz}
+	s.mu.Unlock()
 }
 
 // countMiss attributes one materialization to the miss counter. The sweep
@@ -143,22 +158,15 @@ func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
 // materializations.
 func (c *bucketizeCache) countMiss() { c.misses.Add(1) }
 
-func (c *bucketizeCache) put(key string, e cacheEntry) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.m[key] = e
-	s.mu.Unlock()
-}
-
-// each calls fn on a point-in-time copy of every cached entry, outside
-// the shard locks. Entries added by racing readers after their shard is
-// visited are simply missed — for the append patcher that only costs a
+// each calls fn on a point-in-time copy of every published entry, outside
+// the shard locks. Entries published by racing readers after their shard
+// is visited are simply missed — for the append patcher that only costs a
 // later cache miss, and for the sweep planner a costlier source, never
 // correctness.
-func (c *bucketizeCache) each(fn func(key string, e cacheEntry)) {
+func (c *bucketizeCache) each(fn func(key string, e *cacheEntry)) {
 	type keyed struct {
 		key string
-		e   cacheEntry
+		e   *cacheEntry
 	}
 	var snapshot []keyed
 	for i := range c.shards {
@@ -166,7 +174,9 @@ func (c *bucketizeCache) each(fn func(key string, e cacheEntry)) {
 		s.mu.RLock()
 		snapshot = snapshot[:0]
 		for k, e := range s.m {
-			snapshot = append(snapshot, keyed{k, e})
+			if e.bz != nil {
+				snapshot = append(snapshot, keyed{k, e})
+			}
 		}
 		s.mu.RUnlock()
 		for _, ke := range snapshot {
@@ -183,7 +193,9 @@ type CacheStats struct {
 	// Misses counts bucketizations materialized (scanned or coarsened)
 	// because no cached entry answered the request.
 	Misses uint64
-	// Entries is the number of cached bucketizations.
+	// Entries is the number of cached bucketizations: one per complete
+	// level vector, so an Incognito subset node and the full node it
+	// induces count once.
 	Entries int
 }
 
@@ -192,13 +204,9 @@ func (c *bucketizeCache) stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.size()}
 }
 
-// size reports the number of cached bucketizations (for tests).
+// size reports the number of published bucketizations.
 func (c *bucketizeCache) size() int {
 	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].m)
-		c.shards[i].mu.RUnlock()
-	}
+	c.each(func(string, *cacheEntry) { n++ })
 	return n
 }

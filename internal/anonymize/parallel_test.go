@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
+	"ckprivacy/internal/dataset/adult"
 	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/privacy"
 )
@@ -125,25 +127,81 @@ func TestBucketizeCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestCacheKeyCollisionFree asserts distinct (subset, node) pairs map to
-// distinct cache keys across the hospital lattice's Incognito traversal.
-func TestCacheKeyCollisionFree(t *testing.T) {
-	seen := map[string][2]string{}
-	add := func(subset []int, node lattice.Node) {
-		key := cacheKey(subset, node)
-		id := [2]string{lattice.Node(subset).String(), node.String()}
-		if prev, ok := seen[key]; ok && prev != id {
-			t.Fatalf("cache key %q shared by %v and %v", key, prev, id)
+// seenCriterion is a criterion that records every bucketization it is
+// asked about.
+type seenCriterion struct {
+	privacy.Criterion
+	mu   sync.Mutex
+	seen map[*bucket.Bucketization]bool
+}
+
+func (c *seenCriterion) Satisfied(bz *bucket.Bucketization) (bool, error) {
+	c.mu.Lock()
+	c.seen[bz] = true
+	c.mu.Unlock()
+	return c.Criterion.Satisfied(bz)
+}
+
+// TestIncognitoSharesVectorEntries: an Incognito subset node is the
+// full-lattice bucketization with the QIs outside its subset suppressed,
+// so the cache keeps one entry per complete level vector. On Adult (seed
+// 1) a 5-anonymity Incognito search evaluates 47 subset nodes, which
+// induce 27 distinct bucketizations. The cache must hold one entry per
+// distinct bucketization the criterion saw, each materialized once; a
+// full node a subset node induces must be a cache hit on the same
+// bucketization; and the next append must patch each entry once. The
+// search's nodes and Stats are pinned: sharing entries changes no answer.
+func TestIncognitoSharesVectorEntries(t *testing.T) {
+	tab := adult.MustGenerate(adult.Config{Seed: 1})
+	p, err := NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit := &seenCriterion{Criterion: privacy.KAnonymity{K: 5}, seen: map[*bucket.Bucketization]bool{}}
+	nodes, stats, err := p.MinimalSafeIncognito(crit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantNodes = "[[0 2 1 0] [1 1 1 1] [2 1 1 0] [3 0 1 0] [3 2 0 1] [5 1 0 0]]"
+	if got := fmt.Sprint(nodes); got != wantNodes || stats != (lattice.Stats{Evaluated: 47, Inferred: 204}) {
+		t.Fatalf("Incognito: nodes %s stats %+v, want %s and 47 evaluated, 204 inferred", got, stats, wantNodes)
+	}
+	distinct := len(crit.seen)
+	if cs := p.CacheStats(); cs.Entries != distinct || cs.Misses != uint64(distinct) {
+		t.Fatalf("cache %+v after Incognito, want %d entries and misses: one per distinct bucketization", cs, distinct)
+	}
+
+	snap := p.Snapshot()
+	dims := p.Space().Dims()
+	for d := range dims {
+		sub, err := snap.BucketizeSubset([]int{d}, lattice.Node{0})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[key] = id
+		full := make(lattice.Node, len(dims))
+		for i := range full {
+			full[i] = dims[i] - 1
+		}
+		full[d] = 0
+		before, planned := p.CacheStats(), p.SweepStats().PlannedNodes
+		bz, err := snap.Bucketize(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bz != sub {
+			t.Errorf("full node %v and subset {%d} at level 0 returned different bucketizations", full, d)
+		}
+		if after := p.CacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses || p.SweepStats().PlannedNodes != planned {
+			t.Errorf("full node %v: cache %+v -> %+v; want one hit and no miss or plan", full, before, after)
+		}
 	}
-	s := lattice.MustSpace(3, 3, 2)
-	for _, n := range s.All() {
-		add([]int{0, 1, 2}, n)
+
+	res, err := p.Append(tab.Rows[:64])
+	if err != nil {
+		t.Fatal(err)
 	}
-	sub, _ := s.SubSpace([]int{1})
-	for _, n := range sub.All() {
-		add([]int{1}, n)
+	if res.PatchedNodes != distinct || res.InvalidatedNodes != 0 {
+		t.Fatalf("append patched %d and invalidated %d entries, want %d patched", res.PatchedNodes, res.InvalidatedNodes, distinct)
 	}
 }
 

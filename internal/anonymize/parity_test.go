@@ -71,13 +71,25 @@ func randomProblemCase(rng *rand.Rand) (*table.Table, hierarchy.Set, []string) {
 	return tab, hs, qi
 }
 
+// oracleLevels is the complete level assignment a full lattice node
+// induces, built from the problem's inputs alone: each listed QI at the
+// node's level, every other schema QI at its hierarchy's top level.
+func oracleLevels(schema *table.Schema, hs hierarchy.Set, qi []string, node lattice.Node) bucket.Levels {
+	levels := bucket.Levels{}
+	for _, col := range schema.QuasiIdentifiers() {
+		name := schema.Attrs[col].Name
+		levels[name] = hs[name].Levels() - 1
+	}
+	for i, name := range qi {
+		levels[name] = node[i]
+	}
+	return levels
+}
+
 // oracleBucketize bucketizes a full lattice node with oracle.Bucketize,
 // the string-path reference, over the snapshot's pinned rows.
 func oracleBucketize(s *Snapshot, node lattice.Node) (*bucket.Bucketization, error) {
-	levels, err := s.subsetLevels(identitySubset(len(s.p.QI)), node)
-	if err != nil {
-		return nil, err
-	}
+	levels := oracleLevels(s.Table().Schema, s.p.Hierarchies, s.p.QI, node)
 	return oracle.Bucketize(s.Table(), s.p.Hierarchies, levels)
 }
 

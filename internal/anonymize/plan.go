@@ -7,15 +7,15 @@ import (
 	"ckprivacy/internal/lattice"
 )
 
-// This file plans a sweep: given the (subset, node) units a search is
-// about to evaluate — one lattice level, one Incognito layer, a chain's
-// probe set, a whole lattice, or the single node of a cache miss — it
-// builds the derivation DAG the executor in sweep.go then runs. Planning
-// is the classic data-cube scheduling problem: every requested node
-// either coarsens from a parent (a cheaper, finer node of the same sweep
-// or an already-cached source) or falls back to a base row scan at the
-// DAG's roots, and each node picks the parent minimizing its predicted
-// source bucket count, since coarsening cost is linear in source buckets.
+// This file plans a sweep: given the level vectors a search is about to
+// evaluate — one lattice level, one Incognito layer, a chain's probe set,
+// a whole lattice, or the single node of a cache miss — it builds the
+// derivation DAG the executor in sweep.go then runs. Planning is the
+// classic data-cube scheduling problem: every requested node either
+// coarsens from a parent (a cheaper, finer node of the same sweep or an
+// already-cached source) or falls back to a base row scan at the DAG's
+// roots, and each node picks the parent minimizing its predicted source
+// bucket count, since coarsening cost is linear in source buckets.
 // Predictions combine the two available bounds — the product of
 // per-dimension generalized cardinalities at the node's levels, and the
 // parent's own (predicted or actual) count — both capped by the row
@@ -26,24 +26,19 @@ import (
 // workers treat the finished plan as read-only.
 
 // planNode is one node of a sweep's derivation DAG: the complete level
-// assignment it materializes, the cache keys that asked for it, and the
-// derivation the planner chose for it.
+// vector it materializes and the derivation the planner chose for it.
 type planNode struct {
-	vec    []int         // complete level vector, schema QI order
-	vkey   string        // vec's lattice key, which claims materializing it
-	levels bucket.Levels // the assignment vec flattens
-	keys   []string      // cache keys this vector must fill
-	height int           // lattice height (level sum) of vec
+	vec    []int  // complete level vector, schema QI order
+	key    string // vec's lattice key: the node's cache entry
+	height int    // lattice height (level sum) of vec
 
 	// Exactly one derivation applies: parent ≥ 0 coarsens from another
 	// planned node's result; otherwise source, when non-nil, is an
-	// already-materialized bucketization to coarsen from (or to reuse
-	// outright when exact — its vector equals vec); a root with nil
-	// source is a base row scan.
+	// already-materialized bucketization to coarsen from; a root with
+	// nil source is a base row scan.
 	parent    int
 	source    *bucket.Bucketization
-	exact     bool
-	predicted int // predicted output bucket count (actual when exact)
+	predicted int // predicted output bucket count
 }
 
 // sweepPlan is a finished derivation DAG: nodes in planning order and the
@@ -54,49 +49,30 @@ type sweepPlan struct {
 	frontiers [][]int
 }
 
-// buildPlan collects the cache fills the units need (deduped by level
-// vector — distinct (subset, node) pairs can induce the same complete
-// assignment, and already-cached keys are dropped), then schedules each
+// buildPlan collects the level vectors the sweep must materialize
+// (deduplicated, and already-cached vectors dropped), then schedules each
 // node's derivation. Nodes are planned in (height, lexicographic) order,
 // so the plan is deterministic for a given cache state, and candidate
 // ties break fewest buckets first, then lexicographically smallest
 // vector, with cached sources preferred over same-cost planned
-// predictions (their counts are actual, not estimates). Cache entries that
-// share a level vector tie exactly, so the first one seen serves: the
-// sources are deduplicated by vector.
-func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
+// predictions (their counts are actual, not estimates).
+func (s *Snapshot) buildPlan(vecs [][]int) *sweepPlan {
 	st := s.st
-	byVec := map[string]int{}
+	planned := map[string]bool{}
 	var nodes []planNode
-	for _, u := range units {
-		levels, err := s.subsetLevels(u.subset, u.node)
-		if err != nil {
-			return nil, err
+	for _, vec := range vecs {
+		key := lattice.Node(vec).Key()
+		if planned[key] {
+			continue
 		}
-		key := cacheKey(u.subset, u.node)
 		if _, ok := st.cache.peek(key); ok {
 			continue
 		}
-		vec := levelVector(st.tab.Schema, levels)
-		vk := lattice.Node(vec).Key()
-		if i, ok := byVec[vk]; ok {
-			if !containsKey(nodes[i].keys, key) {
-				nodes[i].keys = append(nodes[i].keys, key)
-			}
-			continue
-		}
-		byVec[vk] = len(nodes)
-		nodes = append(nodes, planNode{
-			vec:    vec,
-			vkey:   vk,
-			levels: levels,
-			keys:   []string{key},
-			height: vecHeight(vec),
-			parent: -1,
-		})
+		planned[key] = true
+		nodes = append(nodes, planNode{vec: vec, key: key, height: vecHeight(vec), parent: -1})
 	}
 	if len(nodes) == 0 {
-		return &sweepPlan{}, nil
+		return &sweepPlan{}
 	}
 	sort.Slice(nodes, func(i, j int) bool {
 		if nodes[i].height != nodes[j].height {
@@ -105,8 +81,8 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 		return lessVec(nodes[i].vec, nodes[j].vec)
 	})
 
-	var sources []cacheEntry
-	st.cache.each(func(_ string, e cacheEntry) { sources = append(sources, e) })
+	var sources []*cacheEntry
+	st.cache.each(func(_ string, e *cacheEntry) { sources = append(sources, e) })
 	rows := st.tab.Len()
 	cards := s.levelCards()
 	for idx := range nodes {
@@ -132,15 +108,13 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 			}
 			return lessVec(vec, bestVec)
 		}
-		for si := range sources {
-			e := &sources[si]
-			if len(e.vec) != len(pn.vec) || !leqVec(e.vec, pn.vec) {
+		for _, e := range sources {
+			if !leqVec(e.vec, pn.vec) {
 				continue
 			}
 			if cost := len(e.bz.Buckets); better(cost, kindSource, e.vec) {
 				bestCost, bestKind, bestVec = cost, kindSource, e.vec
 				pn.parent, pn.source = -1, e.bz
-				pn.exact = leqVec(pn.vec, e.vec) // e.vec == pn.vec
 			}
 		}
 		for j := 0; j < idx; j++ {
@@ -150,16 +124,12 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 			}
 			if better(o.predicted, kindPlanned, o.vec) {
 				bestCost, bestKind, bestVec = o.predicted, kindPlanned, o.vec
-				pn.parent, pn.source, pn.exact = j, nil, false
+				pn.parent, pn.source = j, nil
 			}
 		}
-		switch {
-		case pn.exact:
-			pn.predicted = bestCost
-		case bestCost >= 0:
+		pn.predicted = bound // a base-scan root's
+		if bestCost >= 0 {
 			pn.predicted = min(bound, bestCost)
-		default:
-			pn.predicted = bound // base-scan root
 		}
 	}
 
@@ -172,7 +142,7 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 		last := len(pl.frontiers) - 1
 		pl.frontiers[last] = append(pl.frontiers[last], i)
 	}
-	return pl, nil
+	return pl
 }
 
 // leqVec reports a ≤ b component-wise.
@@ -203,17 +173,6 @@ func vecHeight(vec []int) int {
 		h += l
 	}
 	return h
-}
-
-// containsKey reports whether keys already holds key (keys per node stay
-// tiny — duplicates only arise from repeated units).
-func containsKey(keys []string, key string) bool {
-	for _, k := range keys {
-		if k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // cardBound is the cardinality bound on a node's bucket count: the

@@ -15,22 +15,15 @@ import (
 // problem's worker budget, every non-root node coarsening from its
 // parent's result through bucket.CoarsenIndexed. Each result's row index
 // goes down to its children, so only a source that came without one (a
-// cached entry, or a node a racing sweep filled) is indexed from its
-// tuples, once per plan. Every materialization goes through here,
-// including a single cache miss (a one-node plan), and concurrent plans
-// that need one level vector materialize it once: the first claims it,
-// the others wait for the claim and reuse its result. Planning changes which
-// source each derivation uses and when, never what it produces:
+// cached entry, or one another plan materialized) is indexed from its
+// tuples, once per plan and only if a child derives from it. Every
+// materialization goes through here, including a single cache miss (a
+// one-node plan), and concurrent plans that need one level vector
+// materialize it once: the first claims its cache entry, the others wait
+// on the pending entry and reuse its bucketization. Planning changes
+// which source each derivation uses and when, never what it produces:
 // coarsening yields the identical bucketization from any component-wise
 // finer source, and that is the direct scan's result.
-
-// subsetNode pairs a QI-dimension subset with a node of its sub-lattice —
-// the unit of work a sweep materializes (full-lattice sweeps use the
-// identity subset).
-type subsetNode struct {
-	subset []int
-	node   lattice.Node
-}
 
 // sweepCounters accumulates the planner's lifetime totals on a Problem.
 type sweepCounters struct {
@@ -48,10 +41,11 @@ type sweepCounters struct {
 // ActualBuckets measures the planner's cost model: the closer the ratio
 // is to 1, the better its parent choices were.
 type SweepStats struct {
-	// Sweeps counts planned sweeps executed (one per non-empty frontier
-	// batch handed to the planner, including one per cache miss).
+	// Sweeps counts planned sweeps executed: one per frontier batch or
+	// cache miss that left at least one uncached level vector to plan.
 	Sweeps uint64
-	// PlannedNodes counts DAG nodes across all sweeps.
+	// PlannedNodes counts DAG nodes across all sweeps, one per distinct
+	// uncached level vector of a batch.
 	PlannedNodes uint64
 	// BaseScans counts planned nodes materialized by a full row scan
 	// (DAG roots with no usable source).
@@ -59,9 +53,11 @@ type SweepStats struct {
 	// Coarsened counts planned nodes derived from a parent by
 	// bucket.CoarsenIndexed.
 	Coarsened uint64
-	// Reused counts planned nodes that needed no work: their vector was
-	// already materialized (racing sweep or an exact cached source), or
-	// a concurrent plan's claim on it materialized it.
+	// Reused counts planned nodes that needed no work: when the node's
+	// turn came, another plan had already claimed its level vector, and
+	// the node took that plan's bucketization. A request for a vector
+	// that is already cached, a subset node's included, is a cache hit
+	// and never becomes a planned node.
 	Reused uint64
 	// PredictedBuckets sums the planner's predicted bucket counts over
 	// materialized nodes.
@@ -84,18 +80,14 @@ func (p *Problem) SweepStats() SweepStats {
 	}
 }
 
-// prefetch plans and materializes one batch of units against the pinned
-// version's cache. It is the Snapshot side of the lattice searches'
+// prefetch plans and materializes one batch of level vectors against the
+// pinned version's cache. It is the Snapshot side of the lattice searches'
 // frontier hand-off, and the whole of a cache miss.
-func (s *Snapshot) prefetch(units []subsetNode) error {
-	if len(units) == 0 {
+func (s *Snapshot) prefetch(vecs [][]int) error {
+	if len(vecs) == 0 {
 		return nil
 	}
-	pl, err := s.buildPlan(units)
-	if err != nil {
-		return err
-	}
-	_, err = s.runPlan(pl)
+	_, err := s.runPlan(s.buildPlan(vecs))
 	return err
 }
 
@@ -147,8 +139,7 @@ func (s *Snapshot) runPlan(pl *sweepPlan) ([]*planResult, error) {
 	for _, frontier := range pl.frontiers {
 		err := parallel.ForEach(s.p.opts.Workers, len(frontier), func(i int) error {
 			idx := frontier[i]
-			n := &pl.nodes[idx]
-			res, err := s.runNode(n, results, sources, rows)
+			res, err := s.runNode(&pl.nodes[idx], results, sources, rows)
 			if err != nil {
 				return err
 			}
@@ -162,59 +153,47 @@ func (s *Snapshot) runPlan(pl *sweepPlan) ([]*planResult, error) {
 	return results, nil
 }
 
-// runNode produces one planned node's result and caches it under every
-// key the node fills. A vector another plan is materializing right now is
-// waited for and reused, so concurrent misses of one node (the first
-// cells of a safety grid probing one chain midpoint) materialize it once.
+// runNode produces one planned node's result. Its cache entry decides
+// who materializes it: the plan that claims it leads, and a vector another
+// plan claimed first is waited for and reused, so concurrent misses of
+// one node (the first cells of a safety grid probing one chain midpoint)
+// materialize it once. A waiter takes only the leader's bucketization;
+// the leader's row index stays with the leader's plan.
 func (s *Snapshot) runNode(n *planNode, results []*planResult, sources map[*bucket.Bucketization]*planResult, rows int) (*planResult, error) {
-	st := s.st
-	ctr := &s.p.sweepCtr
-	var res *planResult
-	if bz, cached := st.cache.peek(n.keys[0]); cached {
-		// A racing sweep materialized the vector since planning; both
-		// values are byte-identical, either serves.
-		res = &planResult{bz: bz}
-	} else if n.exact {
-		res = sources[n.source]
-	} else {
-		cl, leader := st.cache.claim(n.vkey)
-		if leader {
-			return s.lead(cl, n, results, sources, rows)
-		}
-		var err error
-		if res, err = cl.wait(); err != nil {
-			return nil, err
-		}
+	e, leader := s.st.cache.claim(n.key, n.vec)
+	if leader {
+		return s.lead(e, n, results, sources, rows)
 	}
-	ctr.reused.Add(1)
-	s.fill(n, res.bz)
-	return res, nil
+	bz, err := e.wait()
+	if err != nil {
+		return nil, err
+	}
+	s.p.sweepCtr.reused.Add(1)
+	return &planResult{bz: bz}, nil
 }
 
-// lead materializes n under the claim cl — a base scan at a DAG root, a
-// coarsening otherwise — caches it and releases the claim on every path,
-// a panic included (the waiters then fail instead of hanging).
-func (s *Snapshot) lead(cl *claim, n *planNode, results []*planResult, sources map[*bucket.Bucketization]*planResult, rows int) (res *planResult, err error) {
+// lead materializes n under its claimed entry e — a base scan at a DAG
+// root, a coarsening otherwise — and publishes the result, or, on any
+// failure (a panic included), abandons e so its waiters fail instead of
+// hanging.
+func (s *Snapshot) lead(e *cacheEntry, n *planNode, results []*planResult, sources map[*bucket.Bucketization]*planResult, rows int) (res *planResult, err error) {
 	st := s.st
 	ctr := &s.p.sweepCtr
 	defer func() {
-		if res == nil && err == nil {
+		if res != nil {
+			st.cache.publish(n.key, e, res.bz)
+			return
+		}
+		if err == nil {
 			err = fmt.Errorf("anonymize: materializing %v was abandoned", n.vec)
 		}
-		st.cache.release(cl, res, err)
+		st.cache.abandon(n.key, e, err)
 	}()
-	if bz, cached := st.cache.peek(n.keys[0]); cached {
-		// Filled, and its claim released, between runNode's probe and
-		// the claim.
-		ctr.reused.Add(1)
-		res = &planResult{bz: bz}
-		s.fill(n, bz)
-		return res, nil
-	}
+	levels := s.p.levels(n.vec)
 	var bz *bucket.Bucketization
 	var index *bucket.Index
 	if n.parent < 0 && n.source == nil {
-		bz, index, err = bucket.ScanIndexed(st.enc, st.compiled, n.levels)
+		bz, index, err = bucket.ScanIndexed(st.enc, st.compiled, levels)
 		ctr.baseScans.Add(1)
 	} else {
 		from := sources[n.source]
@@ -223,7 +202,7 @@ func (s *Snapshot) lead(cl *claim, n *planNode, results []*planResult, sources m
 		}
 		var fromIdx *bucket.Index
 		if fromIdx, err = from.index(rows); err == nil {
-			bz, index, err = bucket.CoarsenIndexed(from.bz, fromIdx, st.enc, st.compiled, n.levels)
+			bz, index, err = bucket.CoarsenIndexed(from.bz, fromIdx, st.enc, st.compiled, levels)
 		}
 		ctr.coarsened.Add(1)
 	}
@@ -234,49 +213,35 @@ func (s *Snapshot) lead(cl *claim, n *planNode, results []*planResult, sources m
 	st.cache.countMiss()
 	ctr.predicted.Add(uint64(n.predicted))
 	ctr.actual.Add(uint64(len(bz.Buckets)))
-	s.fill(n, bz)
 	return &planResult{bz: bz, idx: index}, nil
 }
 
-// fill caches bz under every key n fills.
-func (s *Snapshot) fill(n *planNode, bz *bucket.Bucketization) {
-	for _, k := range n.keys {
-		s.st.cache.put(k, cacheEntry{bz: bz, levels: n.levels, vec: n.vec})
-	}
-}
-
-// identitySubset is the all-dimensions subset full-lattice sweeps use.
-func identitySubset(n int) []int {
-	id := make([]int, n)
-	for i := range id {
-		id[i] = i
-	}
-	return id
-}
-
 // nodePrefetch adapts the planner to the full-node searches' frontier
-// hand-off.
+// hand-off: a full node is the subset request over every listed QI.
 func (s *Snapshot) nodePrefetch() lattice.Prefetch {
-	id := identitySubset(len(s.p.QI))
 	return func(nodes []lattice.Node) error {
-		units := make([]subsetNode, len(nodes))
-		for i, n := range nodes {
-			units[i] = subsetNode{subset: id, node: n}
+		subsets := make([][]int, len(nodes))
+		for i := range subsets {
+			subsets[i] = s.p.layout.all
 		}
-		return s.prefetch(units)
+		return s.subsetPrefetch()(subsets, nodes)
 	}
 }
 
 // subsetPrefetch adapts the planner to Incognito's layer hand-off: one
-// batch spans nodes of several subset lattices, all mapped into the full
-// level-vector space and planned as one DAG.
+// batch spans nodes of several subset lattices, all mapped to the complete
+// level vectors they induce and planned as one DAG.
 func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
 	return func(subsets [][]int, nodes []lattice.Node) error {
-		units := make([]subsetNode, len(nodes))
+		vecs := make([][]int, len(nodes))
 		for i := range nodes {
-			units[i] = subsetNode{subset: subsets[i], node: nodes[i]}
+			vec, err := s.p.vector(subsets[i], nodes[i])
+			if err != nil {
+				return err
+			}
+			vecs[i] = vec
 		}
-		return s.prefetch(units)
+		return s.prefetch(vecs)
 	}
 }
 
@@ -284,12 +249,8 @@ func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
 // nodes in one planned sweep: the whole set is scheduled as a derivation
 // DAG (base scans only at its roots, every other node coarsened from its
 // cheapest parent) and executed level by level on the problem's worker
-// budget. Afterwards Bucketize on any of the nodes is a cache hit.
+// budget. Afterwards Bucketize on any of the nodes is a cache hit. A node
+// outside the lattice fails the call before anything is materialized.
 func (s *Snapshot) MaterializeNodes(nodes []lattice.Node) error {
-	for _, n := range nodes {
-		if !s.p.space.Contains(n) {
-			return fmt.Errorf("anonymize: node %v outside lattice %v", n, s.p.space.Dims())
-		}
-	}
 	return s.nodePrefetch()(nodes)
 }

@@ -152,14 +152,29 @@ func rootedSnapshot(t *testing.T, root string, tab *table.Table, hs hierarchy.Se
 	return p.Snapshot()
 }
 
-// fullNodeUnits wraps full-lattice nodes as plan units.
-func fullNodeUnits(s *Snapshot, nodes ...lattice.Node) []subsetNode {
-	id := identitySubset(len(s.p.QI))
-	units := make([]subsetNode, len(nodes))
+// fullNodeUnits maps full-lattice nodes to the level vectors a plan
+// takes.
+func fullNodeUnits(t *testing.T, s *Snapshot, nodes ...lattice.Node) [][]int {
+	t.Helper()
+	vecs := make([][]int, len(nodes))
 	for i, n := range nodes {
-		units[i] = subsetNode{subset: id, node: n}
+		vec, err := s.p.vector(s.p.layout.all, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs[i] = vec
 	}
-	return units
+	return vecs
+}
+
+// vecLevels is the level assignment a complete level vector (schema QI
+// order) spells out, for the oracle.
+func vecLevels(schema *table.Schema, vec []int) bucket.Levels {
+	levels := bucket.Levels{}
+	for i, col := range schema.QuasiIdentifiers() {
+		levels[schema.Attrs[col].Name] = vec[i]
+	}
+	return levels
 }
 
 // requireResultIndex fails unless r's row index maps every row of the
@@ -200,10 +215,7 @@ func TestPlannedIndexesMapRows(t *testing.T) {
 			label := fmt.Sprintf("case %d root %s", i, root)
 			snap := rootedSnapshot(t, root, tab, hs, qi, extra)
 			scans := snap.p.SweepStats().BaseScans
-			pl, err := snap.buildPlan(fullNodeUnits(snap, snap.p.Space().All()...))
-			if err != nil {
-				t.Fatal(err)
-			}
+			pl := snap.buildPlan(fullNodeUnits(t, snap, snap.p.Space().All()...))
 			results, err := snap.runPlan(pl)
 			if err != nil {
 				t.Fatalf("%s: run: %v", label, err)
@@ -212,7 +224,7 @@ func TestPlannedIndexesMapRows(t *testing.T) {
 				t.Fatalf("%s: plan ran %d base scans, want %d", label, snap.p.SweepStats().BaseScans-scans, wantScans)
 			}
 			for j, r := range results {
-				levels := pl.nodes[j].levels
+				levels := vecLevels(snap.Table().Schema, pl.nodes[j].vec)
 				want, err := oracle.Bucketize(snap.Table(), snap.p.Hierarchies, levels)
 				if err != nil {
 					t.Fatal(err)
@@ -249,15 +261,11 @@ func TestIndexChainRoots(t *testing.T) {
 				if a.Key() == bottom.Key() || a.Key() == top.Key() {
 					continue
 				}
-				units := fullNodeUnits(snap, a, top)
+				units := fullNodeUnits(t, snap, a, top)
 				if root == "scan" {
-					units = fullNodeUnits(snap, bottom, a, top)
+					units = fullNodeUnits(t, snap, bottom, a, top)
 				}
-				cand, err := snap.buildPlan(units)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if isChain(cand, root == "scan") {
+				if cand := snap.buildPlan(units); isChain(cand, root == "scan") {
 					pl = cand
 					break
 				}
@@ -276,7 +284,7 @@ func TestIndexChainRoots(t *testing.T) {
 			}
 			viaTuples := rootBz
 			for j, r := range results[n-2:] {
-				levels := pl.nodes[n-2+j].levels
+				levels := vecLevels(snap.Table().Schema, pl.nodes[n-2+j].vec)
 				step := fmt.Sprintf("%s step %v", label, levels)
 				want, err := oracle.Bucketize(snap.Table(), snap.p.Hierarchies, levels)
 				if err != nil {
@@ -312,7 +320,7 @@ func isChain(pl *sweepPlan, scanRoot bool) bool {
 	if scanRoot {
 		return n == 3 && a.parent == 0 && pl.nodes[0].parent < 0 && pl.nodes[0].source == nil
 	}
-	return a.parent < 0 && a.source != nil && !a.exact
+	return a.parent < 0 && a.source != nil
 }
 
 // TestConcurrentMissesMaterializeOnce: 8 goroutines bucketize one cold

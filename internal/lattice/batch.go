@@ -35,6 +35,38 @@ type Prefetch func(nodes []Node) error
 // are aligned and equal-length).
 type SubsetPrefetch func(subsets [][]int, nodes []Node) error
 
+// evalFrontier makes a frontier's n predicate calls, eval(0) to
+// eval(n-1), on up to workers goroutines and returns their answers in
+// frontier order. stats.Evaluated counts the calls that succeeded, also
+// when another call of the frontier fails; the error returned is the
+// first failure, as eval wrapped it.
+func evalFrontier(stats *Stats, workers, n int, eval func(i int) (bool, error)) ([]bool, error) {
+	ok := make([]bool, n)
+	var evals atomic.Int64
+	err := parallel.ForEach(workers, n, func(i int) error {
+		o, err := eval(i)
+		if err != nil {
+			return err
+		}
+		evals.Add(1)
+		ok[i] = o
+		return nil
+	})
+	stats.Evaluated += int(evals.Load())
+	return ok, err
+}
+
+// evalNodes is evalFrontier over full-lattice nodes.
+func evalNodes(stats *Stats, workers int, nodes []Node, pred Pred) ([]bool, error) {
+	return evalFrontier(stats, workers, len(nodes), func(i int) (bool, error) {
+		o, err := pred(nodes[i])
+		if err != nil {
+			return false, fmt.Errorf("lattice: evaluating %v: %w", nodes[i], err)
+		}
+		return o, nil
+	})
+}
+
 // MinimalSatisfyingBatch returns every ⪯-minimal node satisfying a
 // monotone predicate, evaluating bottom-up level by level and skipping
 // nodes already implied satisfied by a lower node. Each level is offered
@@ -62,18 +94,7 @@ func MinimalSatisfyingBatch(s Space, pred Pred, prefetch Prefetch, workers int) 
 				return nil, stats, fmt.Errorf("lattice: prefetching level: %w", err)
 			}
 		}
-		ok := make([]bool, len(toEval))
-		var evals atomic.Int64
-		err := parallel.ForEach(workers, len(toEval), func(i int) error {
-			o, err := pred(toEval[i])
-			if err != nil {
-				return fmt.Errorf("lattice: evaluating %v: %w", toEval[i], err)
-			}
-			evals.Add(1)
-			ok[i] = o
-			return nil
-		})
-		stats.Evaluated += int(evals.Load())
+		ok, err := evalNodes(&stats, workers, toEval, pred)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -161,19 +182,14 @@ func IncognitoBatch(s Space, check SubsetPred, prefetch SubsetPrefetch, workers 
 					return nil, stats, fmt.Errorf("lattice: prefetching incognito layer: %w", err)
 				}
 			}
-			ok := make([]bool, len(units))
-			var evals atomic.Int64
-			err := parallel.ForEach(workers, len(units), func(i int) error {
+			ok, err := evalFrontier(&stats, workers, len(units), func(i int) (bool, error) {
 				u := units[i]
 				o, err := check(subsets[u.si], u.n)
 				if err != nil {
-					return fmt.Errorf("lattice: incognito at %v/%v: %w", subsets[u.si], u.n, err)
+					return false, fmt.Errorf("lattice: incognito at %v/%v: %w", subsets[u.si], u.n, err)
 				}
-				evals.Add(1)
-				ok[i] = o
-				return nil
+				return o, nil
 			})
-			stats.Evaluated += int(evals.Load())
 			if err != nil {
 				return nil, stats, err
 			}
@@ -243,18 +259,7 @@ func BinarySearchChainBatch(chain []Node, pred Pred, prefetch Prefetch, workers 
 				return -1, stats, fmt.Errorf("lattice: prefetching chain probes: %w", err)
 			}
 		}
-		ok := make([]bool, p)
-		var evals atomic.Int64
-		err := parallel.ForEach(workers, p, func(i int) error {
-			o, err := pred(nodes[i])
-			if err != nil {
-				return fmt.Errorf("lattice: evaluating %v: %w", nodes[i], err)
-			}
-			evals.Add(1)
-			ok[i] = o
-			return nil
-		})
-		stats.Evaluated += int(evals.Load())
+		ok, err := evalNodes(&stats, workers, nodes, pred)
 		if err != nil {
 			return -1, stats, err
 		}

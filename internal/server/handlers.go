@@ -329,8 +329,9 @@ type appendRowsResponse struct {
 	// none); omitted when no attribute gained one.
 	NewCodes map[string]int `json:"new_codes,omitempty"`
 	// PatchedNodes/InvalidatedNodes report warm bucketization-cache
-	// maintenance: patched entries were refreshed in O(appended + buckets),
-	// invalidated ones will be rebuilt lazily.
+	// maintenance, one entry per cached level vector: patched entries were
+	// refreshed in O(appended + buckets), invalidated ones will be rebuilt
+	// lazily.
 	PatchedNodes     int     `json:"patched_nodes"`
 	InvalidatedNodes int     `json:"invalidated_nodes"`
 	ElapsedMS        float64 `json:"elapsed_ms"`

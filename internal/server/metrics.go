@@ -174,11 +174,11 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 		func(ds *dataset) any { return ds.problem.CacheStats().Hits })
 	e.perDataset("ckprivacyd_dataset_cache_misses_total", "counter", "Bucketization-cache misses by dataset.", infos,
 		func(ds *dataset) any { return ds.problem.CacheStats().Misses })
-	e.perDataset("ckprivacyd_dataset_cache_entries", "gauge", "Cached bucketizations by dataset.", infos,
+	e.perDataset("ckprivacyd_dataset_cache_entries", "gauge", "Cached bucketizations by dataset, one per complete level vector (an Incognito subset node shares the entry of the full node it induces).", infos,
 		func(ds *dataset) any { return ds.problem.CacheStats().Entries })
 	e.perDataset("ckprivacyd_dataset_planned_sweeps_total", "counter", "Planned lattice sweeps executed by the dataset's sweep planner.", infos,
 		func(ds *dataset) any { return ds.problem.SweepStats().Sweeps })
-	e.header("ckprivacyd_dataset_planned_nodes_total", "counter", "Derivation-DAG nodes scheduled by planned sweeps, by how each was materialized (base_scan = full row scan at a DAG root, coarsened = derived from a parent through a pooled arena, reused = already materialized).")
+	e.header("ckprivacyd_dataset_planned_nodes_total", "counter", "Derivation-DAG nodes scheduled by planned sweeps, by how each was materialized (base_scan = full row scan at a DAG root, coarsened = derived from a parent through a pooled arena, reused = taken from another sweep that claimed the same level vector first).")
 	for _, info := range infos {
 		ss := info.ds.problem.SweepStats()
 		e.sample("ckprivacyd_dataset_planned_nodes_total", ss.BaseScans, "dataset", info.name, "path", "base_scan")

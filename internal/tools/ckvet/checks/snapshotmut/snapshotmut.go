@@ -12,8 +12,9 @@
 //     value-list constructors, then shared; its histogram-class index
 //     and cached MinEntropy are valid only while its buckets never
 //     change;
-//   - anonymize.cacheEntry — cached bucketizations served to all
-//     subsequent requests at the same level vector;
+//   - anonymize.cacheEntry — a level vector's cache slot: pending while
+//     its leader materializes it, then the bucketization served to every
+//     later request at that vector;
 //   - anonymize.planNode — sweep derivation-DAG nodes, written while a
 //     plan is built and then read by concurrent frontier executors.
 //

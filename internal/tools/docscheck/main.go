@@ -23,22 +23,33 @@
 // cannot rest on a test that was renamed or deleted. Bare file names,
 // package paths and symbols are not file paths and are not checked. It
 // exits non-zero listing every offender.
+//
+// `docscheck paper` (`make paper`) instead executes the claims ledger:
+// for every row of docs/PAPER-MAP.md's tables it runs the tests the
+// "Verified by" column cites, prints one line per row (claim, tests,
+// PASS or FAIL) and exits non-zero if any row fails; see runPaper.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "paper" {
+		os.Exit(runPaper("docs/PAPER-MAP.md"))
+	}
 	var problems []string
 	problems = append(problems, checkMarkdown()...)
 	tests, err := testFuncs()
@@ -380,48 +391,201 @@ func checkCitedFiles(docs ...string) []string {
 // prose, * standing for any run of name characters.
 var citedTestRE = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_*][A-Za-z0-9_*]*`)
 
+// tableRow is one body row of a markdown table: its line number, its
+// first cell and its last cell.
+type tableRow struct {
+	line        int
+	first, last string
+}
+
+// tableRows returns the body rows of every table in doc; an escaped pipe
+// (\|) stays inside its cell.
+func tableRows(doc string) ([]tableRow, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var rows []tableRow
+	n := 0 // lines of the current table: its header, its separator, then rows
+	for i, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "|") {
+			n = 0
+			continue
+		}
+		if n++; n <= 2 {
+			continue
+		}
+		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, `\|`, "\x00"), "|"), "|")
+		cell := func(c string) string { return strings.ReplaceAll(strings.TrimSpace(c), "\x00", "|") }
+		rows = append(rows, tableRow{line: i + 1, first: cell(cells[0]), last: cell(cells[len(cells)-1])})
+	}
+	return rows, nil
+}
+
 // checkVerifiedBy reports every name citedTestRE finds in the last column
 // of a table row in doc that no test function defines; a name with a *
 // must match at least one.
 func checkVerifiedBy(doc string, tests map[string][]testFunc) []string {
-	data, err := os.ReadFile(doc)
+	rows, err := tableRows(doc)
 	if err != nil {
 		return []string{fmt.Sprintf("docscheck: %v", err)}
 	}
 	var problems []string
-	row := 0 // lines of the current table: its header, its separator, then rows
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "|") {
-			row = 0
-			continue
-		}
-		if row++; row <= 2 {
-			continue
-		}
-		cells := strings.Split(strings.Trim(strings.ReplaceAll(line, `\|`, ""), "|"), "|")
-		for _, name := range citedTestRE.FindAllString(cells[len(cells)-1], -1) {
-			if !definesTest(tests, name) {
-				problems = append(problems, fmt.Sprintf("%s:%d: cites %s, which no _test.go outside bench/ defines", doc, i+1, name))
+	for _, r := range rows {
+		for _, name := range citedTestRE.FindAllString(r.last, -1) {
+			if len(matchTests(tests, name)) == 0 {
+				problems = append(problems, fmt.Sprintf("%s:%d: cites %s, which no _test.go outside bench/ defines", doc, r.line, name))
 			}
 		}
 	}
 	return problems
 }
 
-// definesTest reports whether tests holds name, or, when name has a *
-// wildcard, any name it matches.
-func definesTest(tests map[string][]testFunc, name string) bool {
+// matchTests returns the names in tests that name stands for: itself,
+// or, when name has a * wildcard, every name it matches.
+func matchTests(tests map[string][]testFunc, name string) []string {
 	if !strings.Contains(name, "*") {
-		return len(tests[name]) > 0
+		if len(tests[name]) == 0 {
+			return nil
+		}
+		return []string{name}
 	}
 	re := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, `\w*`) + "$")
+	var names []string
 	for defined := range tests {
 		if re.MatchString(defined) {
-			return true
+			names = append(names, defined)
 		}
 	}
-	return false
+	return names
+}
+
+// ---- the executable claims ledger (make paper) ----
+
+// pkgTests is what one row runs in one package directory.
+type pkgTests struct {
+	run, bench []string
+}
+
+// rowTests resolves a "Verified by" cell to the test functions it cites,
+// by package directory: every Test*, Fuzz*, Example* or Benchmark* name
+// (wildcards expanded), and every function but benchmarks declared in a
+// cited _test.go file. Prose such as ckbench's workloads names no test
+// function and is skipped; bench/ is outside the test index.
+func rowTests(cell string, tests map[string][]testFunc) map[string]*pkgTests {
+	byDir := map[string]*pkgTests{}
+	add := func(name string, f testFunc) {
+		pt := byDir[f.dir]
+		if pt == nil {
+			pt = &pkgTests{}
+			byDir[f.dir] = pt
+		}
+		if strings.HasPrefix(name, "Benchmark") {
+			pt.bench = append(pt.bench, name)
+		} else {
+			pt.run = append(pt.run, name)
+		}
+	}
+	for _, cited := range citedTestRE.FindAllString(cell, -1) {
+		for _, name := range matchTests(tests, cited) {
+			for _, f := range tests[name] {
+				add(name, f)
+			}
+		}
+	}
+	for _, m := range codeSpanRE.FindAllStringSubmatch(cell, -1) {
+		if !citedFileRE.MatchString(m[1]) || !strings.HasSuffix(m[1], "_test.go") {
+			continue
+		}
+		for name, decls := range tests {
+			for _, f := range decls {
+				if f.file == m[1] && !strings.HasPrefix(name, "Benchmark") {
+					add(name, f)
+				}
+			}
+		}
+	}
+	return byDir
+}
+
+// goTestArgs is the go test command line running pt in dir: its tests
+// through -run, its benchmarks for one iteration each.
+func goTestArgs(dir string, pt *pkgTests) []string {
+	anchored := func(names []string) string {
+		sort.Strings(names)
+		return "^(" + strings.Join(slices.Compact(names), "|") + ")$"
+	}
+	run := "^$"
+	if len(pt.run) > 0 {
+		run = anchored(pt.run)
+	}
+	args := []string{"test", "./" + dir, "-run", run}
+	if len(pt.bench) > 0 {
+		args = append(args, "-bench", anchored(pt.bench), "-benchtime", "1x")
+	}
+	return args
+}
+
+// runPaper executes the claims ledger doc: for each table row it runs the
+// cited tests with go test, one command per package directory, and
+// prints the row's line, claim, tests and verdict; a failing row's go
+// test output follows its line. A row citing no test function is listed
+// as SKIP. It returns the exit status: 1 if any row failed.
+func runPaper(doc string) int {
+	tests, err := testFuncs()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		return 1
+	}
+	rows, err := tableRows(doc)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		return 1
+	}
+	var passed, failed, skipped int
+	for _, r := range rows {
+		claim := []rune(r.first)
+		if len(claim) > 60 {
+			claim = append(claim[:59], '…')
+		}
+		byDir := rowTests(r.last, tests)
+		dirs := make([]string, 0, len(byDir))
+		var names []string
+		for dir, pt := range byDir {
+			dirs = append(dirs, dir)
+			names = append(names, pt.run...)
+			names = append(names, pt.bench...)
+		}
+		if len(dirs) == 0 {
+			skipped++
+			fmt.Printf("SKIP  %s:%d  %s  (no test function cited)\n", doc, r.line, string(claim))
+			continue
+		}
+		sort.Strings(dirs)
+		sort.Strings(names)
+		var out bytes.Buffer
+		verdict := "PASS"
+		for _, dir := range dirs {
+			cmd := exec.Command("go", goTestArgs(dir, byDir[dir])...)
+			cmd.Stdout, cmd.Stderr = &out, &out
+			if err := cmd.Run(); err != nil {
+				verdict = "FAIL"
+			}
+		}
+		fmt.Printf("%s  %s:%d  %s  <-  %s\n", verdict, doc, r.line, string(claim), strings.Join(slices.Compact(names), " "))
+		if verdict == "FAIL" {
+			failed++
+			os.Stdout.Write(out.Bytes())
+			continue
+		}
+		passed++
+	}
+	fmt.Printf("paper: %d rows passed, %d failed, %d cite no test function\n", passed, failed, skipped)
+	if failed > 0 {
+		return 1
+	}
+	return 0
 }
 
 // ---- doc-comment coverage ----
