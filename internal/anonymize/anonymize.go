@@ -408,12 +408,23 @@ func (s *Snapshot) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 // the cheapest already-materialized finer node exactly like a planned
 // frontier does, and scans the rows only when none exists.
 func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
+	return s.bucketize(subset, node, true)
+}
+
+// bucketize is BucketizeSubset, with a cached bucketization counted as a
+// cache hit only when count is set. A search's predicate reads without
+// counting: its frontier hand-off (subsetPrefetch) already counted the
+// vector.
+func (s *Snapshot) bucketize(subset []int, node lattice.Node, count bool) (*bucket.Bucketization, error) {
 	vec, err := s.p.vector(subset, node)
 	if err != nil {
 		return nil, err
 	}
 	key := lattice.Node(vec).Key()
-	if bz, ok := s.st.cache.get(key); ok {
+	if bz, ok := s.st.cache.peek(key); ok {
+		if count {
+			s.st.cache.countHit()
+		}
 		return bz, nil
 	}
 	if err := s.prefetch([][]int{vec}); err != nil {
@@ -423,10 +434,11 @@ func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Buc
 	return bz, nil
 }
 
-// Pred adapts a privacy criterion to a lattice predicate over full nodes.
-func (s *Snapshot) Pred(crit privacy.Criterion) lattice.Pred {
+// pred adapts a privacy criterion to a search's lattice predicate over
+// full nodes.
+func (s *Snapshot) pred(crit privacy.Criterion) lattice.Pred {
 	return func(n lattice.Node) (bool, error) {
-		bz, err := s.Bucketize(n)
+		bz, err := s.bucketize(s.p.layout.all, n, false)
 		if err != nil {
 			return false, err
 		}
@@ -440,7 +452,7 @@ func (s *Snapshot) Pred(crit privacy.Criterion) lattice.Pred {
 // criterion's Satisfied must be safe for concurrent calls when the budget
 // exceeds 1 (all criteria in internal/privacy are).
 func (s *Snapshot) MinimalSafe(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
-	return lattice.MinimalSatisfyingBatch(s.p.space, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
+	return lattice.MinimalSatisfyingBatch(s.p.space, s.pred(crit), s.nodePrefetch(), s.p.opts.Workers)
 }
 
 // MinimalSafeIncognito returns the same minimal nodes via Incognito's
@@ -449,7 +461,7 @@ func (s *Snapshot) MinimalSafe(crit privacy.Criterion) ([]lattice.Node, lattice.
 // worker budget.
 func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
 	check := func(subset []int, node lattice.Node) (bool, error) {
-		bz, err := s.BucketizeSubset(subset, node)
+		bz, err := s.bucketize(subset, node, false)
 		if err != nil {
 			return false, err
 		}
@@ -465,7 +477,7 @@ func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node,
 // multi-section search probing `workers` chain positions per round.
 func (s *Snapshot) ChainSearch(crit privacy.Criterion) (lattice.Node, bool, lattice.Stats, error) {
 	chain := s.p.space.Chain()
-	idx, stats, err := lattice.BinarySearchChainBatch(chain, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
+	idx, stats, err := lattice.BinarySearchChainBatch(chain, s.pred(crit), s.nodePrefetch(), s.p.opts.Workers)
 	if err != nil {
 		return nil, false, stats, err
 	}
@@ -485,7 +497,7 @@ func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *
 	// The candidates are one frontier: materialize them as a planned batch
 	// before ranking (usually they are cached from the search that
 	// produced them, in which case this is a no-op).
-	if err := s.nodePrefetch()(nodes); err != nil {
+	if err := s.MaterializeNodes(nodes); err != nil {
 		return -1, nil, err
 	}
 	bzs := make([]*bucket.Bucketization, len(nodes))

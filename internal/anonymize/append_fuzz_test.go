@@ -123,12 +123,14 @@ func decodeAppendCase(data []byte) appendCase {
 
 // FuzzAppendMatchesRebuild feeds random batches, schema-legal and hostile,
 // through Problem.Append on a problem whose whole lattice and engine are
-// warm. After each accepted batch every cached node must equal
-// oracle.Bucketize on the grown table, and MaxDisclosure at k <= 3 through
-// the problem's warm engine must be bit-identical to a fresh engine's (the
-// histogram-keyed memo needs no invalidation). A hostile batch must be
-// rejected and leave the version, the row count and every cached node
-// unchanged.
+// warm, every node indexed and its MinEntropy read. After each accepted
+// batch every cached node must equal oracle.Bucketize on the grown table,
+// and its Size, its MinEntropy and MaxDisclosure at k <= 3 through the
+// problem's warm engine must be bit-identical to the rebuild's on a fresh
+// engine: the carried class index, size and memoized bucket entropies
+// stay exact, and the histogram-keyed memo needs no invalidation. A
+// hostile batch must be rejected and leave the version, the row count and
+// every cached node unchanged.
 func FuzzAppendMatchesRebuild(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 20, 5, 1, 0, 7, 2, 3, 9, 4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{1, 3, 0, 5, 40, 17, 2, 1, 0, 3, 3, 1, 2, 0, 8, 4, 2, 6, 1, 9, 5, 200, 11, 3, 1, 6, 2, 0, 7})
@@ -152,6 +154,7 @@ func FuzzAppendMatchesRebuild(f *testing.F) {
 			if _, err := p.Engine().MaxDisclosure(bz, 3); err != nil {
 				t.Fatal(err)
 			}
+			bz.MinEntropy()
 		}
 		for i, batch := range c.batches {
 			version, rows, entries := p.Version(), p.Rows(), p.CacheStats().Entries
@@ -186,6 +189,12 @@ func FuzzAppendMatchesRebuild(f *testing.F) {
 				}
 				label := fmt.Sprintf("batch %d node %v", i, node)
 				oracle.RequireIdentical(t, want, got, label)
+				if got.Size() != want.Size() {
+					t.Fatalf("%s: Size %d, rebuild %d", label, got.Size(), want.Size())
+				}
+				if gm, wm := got.MinEntropy(), want.MinEntropy(); math.Float64bits(gm) != math.Float64bits(wm) {
+					t.Fatalf("%s: MinEntropy %v, rebuild %v", label, gm, wm)
+				}
 				for k := 0; k <= 3; k++ {
 					wd, err := fresh.MaxDisclosure(want, k)
 					if err != nil {

@@ -2,12 +2,18 @@ package anonymize
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
+	"ckprivacy/internal/dataset/adult"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/oracle"
 	"ckprivacy/internal/table"
 )
@@ -324,6 +330,125 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 	if got := p.Rows(); got != tab.Len()+rounds*len(batch) {
 		t.Fatalf("final rows %d, want %d", got, tab.Len()+rounds*len(batch))
 	}
+}
+
+// TestAppendCarriesWhileReadersPublish: readers publish class indexes,
+// disclosure series and MinEntropy on version v's bucketizations while
+// Problem.Append carries v's indexes into v+1. A carry may see a node's
+// index or not yet, but every index either version holds is the one a
+// class scan of its buckets publishes, and every node answers what a
+// problem rebuilt from the version's rows answers.
+func TestAppendCarriesWhileReadersPublish(t *testing.T) {
+	tab := adult.MustGenerate(adult.Config{Seed: 3, N: 1500})
+	const baseRows, batchRows = 1200, 50
+	rebuild := func(rows int) *Problem {
+		grown := table.New(tab.Schema)
+		for _, r := range tab.Rows[:rows] {
+			grown.MustAppend(r)
+		}
+		p, err := NewProblem(grown, adult.Hierarchies(), adult.QuasiIdentifiers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := rebuild(baseRows)
+	nodes := p.Space().All()
+	if err := p.Snapshot().MaterializeNodes(nodes); err != nil {
+		t.Fatal(err)
+	}
+	want := rebuild(baseRows)
+	for start := baseRows; start < tab.Len(); start += batchRows {
+		snap := p.Snapshot()
+		var wg sync.WaitGroup
+		errs := make(chan error, 2)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range nodes {
+					bz, err := snap.Bucketize(nodes[(i*7+g*31)%len(nodes)])
+					if err == nil {
+						_, err = p.Engine().MaxDisclosure(bz, 1+g)
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+					bz.MinEntropy()
+				}
+			}()
+		}
+		if _, err := p.Append(tab.Rows[start : start+batchRows]); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		checkVersion(t, snap, want, nodes, true)
+		want = rebuild(start + batchRows)
+		// The next version is checked without a disclosure call, which
+		// would index every node before the next round's carry.
+		checkVersion(t, p.Snapshot(), want, nodes, false)
+	}
+}
+
+// checkVersion compares every node of snap with want's, a problem rebuilt
+// from the same rows: an index snap holds with what a class scan of its
+// buckets publishes, Size and MinEntropy, and with disclose, the maximum
+// disclosure at k <= 2 on the problem's engine with a fresh engine's.
+func checkVersion(t *testing.T, snap *Snapshot, want *Problem, nodes []lattice.Node, disclose bool) {
+	t.Helper()
+	fresh := core.NewEngine()
+	for _, node := range nodes {
+		got, err := snap.Bucketize(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.Bucketize(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("version %d node %v", snap.Version(), node)
+		if got.Indexed() {
+			gotFirst, gotHash, gotOf := classArrays(got)
+			first, hash, of := classArrays(&bucket.Bucketization{Buckets: got.Buckets})
+			if !slices.Equal(gotFirst, first) || !slices.Equal(gotHash, hash) || !slices.Equal(gotOf, of) {
+				t.Fatalf("%s: index first %v hash %x of %v, a class scan gives %v %x %v", label, gotFirst, gotHash, gotOf, first, hash, of)
+			}
+		}
+		if got.Size() != ref.Size() || math.Float64bits(got.MinEntropy()) != math.Float64bits(ref.MinEntropy()) {
+			t.Fatalf("%s: Size %d MinEntropy %v, rebuild %d and %v", label, got.Size(), got.MinEntropy(), ref.Size(), ref.MinEntropy())
+		}
+		for k := 0; disclose && k <= 2; k++ {
+			gd, err := snap.Problem().Engine().MaxDisclosure(got, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, err := fresh.MaxDisclosure(ref, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(gd) != math.Float64bits(wd) {
+				t.Fatalf("%s k=%d: disclosure %v, rebuild %v", label, k, gd, wd)
+			}
+		}
+	}
+}
+
+// classArrays runs a class scan over bz and returns each class's first
+// bucket's position and hash, and the class of every bucket.
+func classArrays(bz *bucket.Bucketization) (first []int, hash []uint64, of []int32) {
+	var scan bucket.ClassScan
+	scan.Start(bz)
+	defer scan.Close()
+	for scan.Next() {
+		first = append(first, slices.Index(bz.Buckets, scan.Bucket()))
+		hash = append(hash, scan.Hash())
+	}
+	return first, hash, slices.Clone(scan.ClassOf())
 }
 
 // TestAppendResultNewCodes checks the per-attribute new-code accounting.

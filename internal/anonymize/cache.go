@@ -83,20 +83,16 @@ func (c *bucketizeCache) shard(key string) *cacheShard {
 	return &c.shards[h.Sum32()%cacheShards]
 }
 
-// get is peek counting a hit. Misses are not counted here: the sweep
-// executor counts one per node it actually materializes, so a miss that a
-// racing sweep fills first costs no miss.
-func (c *bucketizeCache) get(key string) (*bucket.Bucketization, bool) {
-	bz, ok := c.peek(key)
-	if ok {
-		c.hits.Add(1)
-	}
-	return bz, ok
-}
+// countHit counts a request answered by a published bucketization: a
+// direct Bucketize call's, or a vector at its search's first request.
+// Misses are counted by countMiss, one per node the sweep executor
+// actually materializes, so a miss that a racing sweep fills first costs
+// no miss.
+func (c *bucketizeCache) countHit() { c.hits.Add(1) }
 
 // peek returns the bucketization published at key without touching the
 // hit/miss counters: the sweep planner probes the cache while deciding
-// what to materialize, and a probe is neither a serving-path hit nor a
+// what to materialize, and a probe is neither a hit nor a
 // materialization. A pending entry is not a bucketization yet.
 func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
 	s := c.shard(key)
@@ -188,7 +184,9 @@ func (c *bucketizeCache) each(fn func(key string, e *cacheEntry)) {
 // CacheStats is a snapshot of a Problem's bucketization-cache
 // effectiveness; the serving layer exports it on /metrics.
 type CacheStats struct {
-	// Hits counts Bucketize calls answered from the cache.
+	// Hits counts Bucketize calls answered from the cache, and level
+	// vectors a lattice search found cached when it first requested them
+	// (once per search, however many of its nodes induce the vector).
 	Hits uint64
 	// Misses counts bucketizations materialized (scanned or coarsened)
 	// because no cached entry answered the request.

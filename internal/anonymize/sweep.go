@@ -216,33 +216,66 @@ func (s *Snapshot) lead(e *cacheEntry, n *planNode, results []*planResult, sourc
 	return &planResult{bz: bz, idx: index}, nil
 }
 
-// nodePrefetch adapts the planner to the full-node searches' frontier
-// hand-off: a full node is the subset request over every listed QI.
+// nodePrefetch adapts the planner to a full-node search's frontier
+// hand-off (see subsetPrefetch): a full node is the subset request over
+// every listed QI.
 func (s *Snapshot) nodePrefetch() lattice.Prefetch {
+	prefetch := s.subsetPrefetch()
 	return func(nodes []lattice.Node) error {
-		subsets := make([][]int, len(nodes))
-		for i := range subsets {
-			subsets[i] = s.p.layout.all
-		}
-		return s.subsetPrefetch()(subsets, nodes)
+		return prefetch(s.fullSubsets(len(nodes)), nodes)
 	}
 }
 
-// subsetPrefetch adapts the planner to Incognito's layer hand-off: one
-// batch spans nodes of several subset lattices, all mapped to the complete
-// level vectors they induce and planned as one DAG.
+// subsetPrefetch adapts the planner to one search's frontier hand-off, an
+// Incognito layer's included: one batch spans nodes of several subset
+// lattices, all mapped to the complete level vectors they induce and
+// planned as one DAG. The hand-off is where the search meets the cache,
+// so it counts each vector once per search: a hit when the vector is
+// published at its first request, a miss when the batch materializes it.
+// The search predicate's reads then count nothing, and a vector that
+// several of the search's nodes induce (Incognito's subset nodes and the
+// full nodes they equal) counts once.
 func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
+	requested := map[string]bool{}
 	return func(subsets [][]int, nodes []lattice.Node) error {
-		vecs := make([][]int, len(nodes))
-		for i := range nodes {
-			vec, err := s.p.vector(subsets[i], nodes[i])
-			if err != nil {
-				return err
+		vecs, err := s.vectors(subsets, nodes)
+		if err != nil {
+			return err
+		}
+		for _, vec := range vecs {
+			key := lattice.Node(vec).Key()
+			if requested[key] {
+				continue
 			}
-			vecs[i] = vec
+			requested[key] = true
+			if _, ok := s.st.cache.peek(key); ok {
+				s.st.cache.countHit()
+			}
 		}
 		return s.prefetch(vecs)
 	}
+}
+
+// vectors maps subset nodes to the complete level vectors they induce.
+func (s *Snapshot) vectors(subsets [][]int, nodes []lattice.Node) ([][]int, error) {
+	vecs := make([][]int, len(nodes))
+	for i := range nodes {
+		vec, err := s.p.vector(subsets[i], nodes[i])
+		if err != nil {
+			return nil, err
+		}
+		vecs[i] = vec
+	}
+	return vecs, nil
+}
+
+// fullSubsets is the subset of every listed QI, once per node.
+func (s *Snapshot) fullSubsets(n int) [][]int {
+	subsets := make([][]int, n)
+	for i := range subsets {
+		subsets[i] = s.p.layout.all
+	}
+	return subsets
 }
 
 // MaterializeNodes fills the snapshot's cache for the given full-lattice
@@ -251,6 +284,12 @@ func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
 // cheapest parent) and executed level by level on the problem's worker
 // budget. Afterwards Bucketize on any of the nodes is a cache hit. A node
 // outside the lattice fails the call before anything is materialized.
+// Only the nodes it materializes count, each as a miss; the caller's
+// later Bucketize calls count their hits.
 func (s *Snapshot) MaterializeNodes(nodes []lattice.Node) error {
-	return s.nodePrefetch()(nodes)
+	vecs, err := s.vectors(s.fullSubsets(len(nodes)), nodes)
+	if err != nil {
+		return err
+	}
+	return s.prefetch(vecs)
 }

@@ -11,9 +11,11 @@ import (
 	"time"
 
 	"ckprivacy/internal/bucket"
+	"ckprivacy/internal/dataset/adult"
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/oracle"
+	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 )
 
@@ -88,6 +90,45 @@ func TestPlannedSweepParity(t *testing.T) {
 			} else if !reflect.DeepEqual(refs, got) {
 				t.Fatalf("%s: searches differ from workers=1: %+v vs %+v", label, got, refs)
 			}
+		}
+	}
+}
+
+// TestSearchHitsCountAtHandoff: a lattice search counts each level vector
+// it requests once, at its frontier hand-off (a hit when cached, a miss
+// when materialized), and its predicate's reads count nothing. So a cold
+// search on a fresh Adult problem reports no hit and a miss per distinct
+// vector, and repeating it reports a hit per distinct vector and no new
+// miss, for Incognito too, whose subset nodes induce some vectors twice.
+func TestSearchHitsCountAtHandoff(t *testing.T) {
+	tab := adult.MustGenerate(adult.Config{Seed: 1})
+	searches := map[string]func(*Problem) error{
+		"MinimalSafe": func(p *Problem) error {
+			_, _, err := p.MinimalSafe(privacy.KAnonymity{K: 5})
+			return err
+		},
+		"MinimalSafeIncognito": func(p *Problem) error {
+			_, _, err := p.MinimalSafeIncognito(privacy.KAnonymity{K: 5})
+			return err
+		},
+	}
+	for name, search := range searches {
+		p, err := NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := search(p); err != nil {
+			t.Fatal(err)
+		}
+		cold := p.CacheStats()
+		if cold.Hits != 0 || cold.Misses == 0 || cold.Misses != uint64(cold.Entries) {
+			t.Errorf("%s cold: cache %+v, want no hit and one miss per entry", name, cold)
+		}
+		if err := search(p); err != nil {
+			t.Fatal(err)
+		}
+		if warm := p.CacheStats(); warm.Hits != cold.Misses || warm.Misses != cold.Misses {
+			t.Errorf("%s repeated: cache %+v after %+v, want a hit per vector and no new miss", name, warm, cold)
 		}
 	}
 }

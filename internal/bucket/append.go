@@ -17,7 +17,10 @@ import (
 // bucketization (only a key-to-index map entry each), and only buckets the
 // appended rows land in are rebuilt. Nothing rescans the pre-existing
 // rows, which is what makes refreshing a warm lattice node after a small
-// append cheap.
+// append cheap. The derived state the append leaves valid comes along:
+// the size, the minimum entropy (carryMinEntropy), the class index
+// (carryClasses), and, through the shared buckets, each untouched
+// bucket's memoized hash and entropy.
 
 // AppendRows derives the bucketization of the snapshot enc at the given
 // levels from an existing bucketization of the same table's first `start`
@@ -31,7 +34,10 @@ import (
 // rows — appends only ever add dictionary codes), and enc/chs reflect the
 // post-append state. The result is then byte-identical — keys, bucket
 // order, tuple order, histograms — to FromGeneralizationEncoded(enc, chs,
-// levels) on the grown table.
+// levels) on the grown table. It starts with its Size cached (old's plus
+// the appended rows), with its MinEntropy cached when old's carries
+// (carryMinEntropy), and, when old is indexed, with the class index a
+// complete ClassScan would publish, carried forward from old's.
 func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, start int) (*Bucketization, error) {
 	dims, err := buildDims(enc, chs, levels)
 	if err != nil {
@@ -41,9 +47,15 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 	if start < 0 || start > rows {
 		return nil, fmt.Errorf("bucket: append start %d outside [0, %d]", start, rows)
 	}
+	ix := old.index()
 	if start == rows {
 		// Nothing appended: same partition, re-anchored on the snapshot.
-		return &Bucketization{Buckets: old.Buckets, Source: enc.Table}, nil
+		bz := &Bucketization{Buckets: old.Buckets, Source: enc.Table}
+		bz.size.Store(&sizeCache{n: len(bz.Buckets), size: old.Size()})
+		if ix != nil {
+			bz.classes.Store(ix)
+		}
+		return bz, nil
 	}
 	// Group only the appended rows with the scan loop, on whichever key
 	// path the current cardinalities select (the old bucketization's key
@@ -64,8 +76,11 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 	hb := histPool.Get().(*histBuilder)
 	defer histPool.Put(hb)
 	hb.reset(enc.SensitiveDict())
-	out := make([]*Bucket, len(old.Buckets), len(old.Buckets)+len(gr.keys))
-	copy(out, old.Buckets)
+	// changed lists the rebuilt and new buckets in key order, each with
+	// its position in the result: a rebuilt bucket's old position, and a
+	// new key's the old keys below it, each shifted by the new keys before
+	// it in key order.
+	changed := make([]appended, 0, len(gr.keys))
 	fresh := 0
 	for p, key := range gr.keys {
 		added := gr.tuples(p)
@@ -76,7 +91,8 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 		gr.addRows(hb, p)
 		hb.close()
 		if !ok {
-			out = append(out, hb.bucket(p, key, added))
+			below := sort.Search(len(old.Buckets), func(j int) bool { return old.Buckets[j].Key > key })
+			changed = append(changed, appended{b: hb.bucket(p, key, added), at: below + fresh, from: -1})
 			fresh++
 			continue
 		}
@@ -85,12 +101,30 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 		tuples := make([]int, 0, len(old.Buckets[i].Tuples)+len(added))
 		tuples = append(tuples, old.Buckets[i].Tuples...)
 		tuples = append(tuples, added...)
-		out[i] = hb.bucket(p, key, tuples)
+		changed = append(changed, appended{b: hb.bucket(p, key, tuples), at: i + fresh, from: i})
 	}
-	if fresh > 0 {
-		// New keys joined the partition; restore the global key order (the
-		// shared prefix is already sorted, so this is near-linear).
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	// Lay out the result in key order: the old buckets' runs between the
+	// changed buckets' positions.
+	out := make([]*Bucket, len(old.Buckets)+fresh)
+	i, j := 0, 0
+	for _, ch := range changed {
+		i += copy(out[j:ch.at], old.Buckets[i:])
+		out[ch.at] = ch.b
+		j = ch.at + 1
+		if ch.from >= 0 {
+			i++
+		}
 	}
-	return &Bucketization{Buckets: out, Source: enc.Table}, nil
+	copy(out[j:], old.Buckets[i:])
+	bz := &Bucketization{Buckets: out, Source: enc.Table}
+	bz.size.Store(&sizeCache{n: len(out), size: old.Size() + rows - start})
+	if min, ok := carryMinEntropy(old, changed); ok {
+		bz.minEntropy.Store(&entropyCache{n: len(out), min: min})
+	}
+	if ix != nil {
+		if carried := carryClasses(ix, old.Buckets, changed, len(out)); carried != nil {
+			bz.classes.Store(carried)
+		}
+	}
+	return bz, nil
 }

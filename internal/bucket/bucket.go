@@ -33,6 +33,15 @@ type Bucket struct {
 	hist  []int
 	codes []uint32
 	dict  *table.Dict
+
+	// hash and entropy memoize HistogramHash and Entropy, each computed on
+	// first use, so every bucketization that shares the bucket (an append
+	// shares its untouched buckets by pointer) reads them for free. Zero
+	// means not yet computed: a hash of zero is recomputed on every call,
+	// and entropy holds the entropy's bits with the sign bit set, which an
+	// entropy (never negative) leaves free.
+	hash    atomic.Uint64
+	entropy atomic.Uint64
 }
 
 // newBucket assembles a bucket from its sorted histogram.
@@ -41,13 +50,21 @@ func newBucket(key string, tuples []int, hist []int, codes []uint32, dict *table
 }
 
 // rekeyBucket returns a bucket identical to b under a new key, sharing
-// its tuple and histogram storage. Coarsening a group of one fine bucket
-// changes nothing but the key, so the derived state can be shared
-// outright: buckets are immutable once built (the snapshotmut analyzer
-// pins them to this file) and appends rebuild touched buckets rather than
-// mutating them, so the sharing is never observable.
+// its tuple and histogram storage and starting with whatever hash and
+// entropy b has memoized. Coarsening a group of one fine bucket changes
+// nothing but the key, so the derived state can be shared outright:
+// buckets are immutable once built (the snapshotmut analyzer pins them to
+// this file) and appends rebuild touched buckets rather than mutating
+// them, so the sharing is never observable.
 func rekeyBucket(b *Bucket, key string) *Bucket {
-	return newBucket(key, b.Tuples, b.hist, b.codes, b.dict)
+	nb := newBucket(key, b.Tuples, b.hist, b.codes, b.dict)
+	if h := b.hash.Load(); h != 0 {
+		nb.hash.Store(h)
+	}
+	if e := b.entropy.Load(); e != 0 {
+		nb.entropy.Store(e)
+	}
+	return nb
 }
 
 // Size returns n_b, the number of tuples in the bucket.
@@ -105,6 +122,22 @@ func (b *Bucket) PrefixSum(j int) int {
 // state, shared across calls: it must be treated as read-only.
 func (b *Bucket) Histogram() []int { return b.hist }
 
+// HistogramHash returns HistogramHash(b.Histogram()), computed on first
+// use and memoized on the bucket.
+func (b *Bucket) HistogramHash() uint64 {
+	if h := b.hash.Load(); h != 0 {
+		return h
+	}
+	h := bucketHash(b.hist)
+	b.hash.Store(h)
+	return h
+}
+
+// bucketHash is the hash buckets memoize. It is always HistogramHash
+// outside tests, which swap in a weak hash to make the collisions that
+// class scans and carryClasses must survive common.
+var bucketHash = HistogramHash
+
 // Signature returns a canonical string form of the histogram, used to share
 // memoized DP tables between buckets with identical histograms.
 func (b *Bucket) Signature() string {
@@ -135,13 +168,15 @@ type Bucketization struct {
 	// from; it is required by Publish and by the logic/worlds bridges.
 	Source *table.Table
 
-	// classes is the histogram-class index, published at most once by a
-	// complete ClassScan (classes.go); nil until then.
+	// classes is the histogram-class index, carried forward by AppendRows
+	// or published at most once by a complete ClassScan (classes.go); nil
+	// until then.
 	classes atomic.Pointer[classIndex]
 	// series holds the disclosure series published per variant
 	// (series.go); nil until one is.
 	series [SeriesVariants]atomic.Pointer[seriesCache]
-	// size and minEntropy cache Size and MinEntropy once computed.
+	// size and minEntropy cache Size and MinEntropy once computed, or
+	// once AppendRows carries them.
 	size       atomic.Pointer[sizeCache]
 	minEntropy atomic.Pointer[entropyCache]
 }

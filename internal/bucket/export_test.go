@@ -1,6 +1,8 @@
 package bucket
 
 import (
+	"testing"
+
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/table"
 )
@@ -12,6 +14,16 @@ import (
 // CheckIndexRows is the row-count guard of every scan, coarsening and
 // IndexOf call.
 var CheckIndexRows = checkIndexRows
+
+// SetBucketHash makes buckets memoize f's hash of their histograms in
+// place of HistogramHash until the test ends; a weak f makes hash
+// collisions common. Only buckets that compute their hash meanwhile see
+// f, and the test must not run in parallel with others.
+func SetBucketHash(t testing.TB, f func([]int) uint64) {
+	prev := bucketHash
+	bucketHash = f
+	t.Cleanup(func() { bucketHash = prev })
+}
 
 // CoarsenInto derives the bucketization at the given levels from fine
 // through an index built out of fine's tuples (IndexOf), then

@@ -47,7 +47,7 @@ type EngineConfig struct {
 // disclosure call whatever its k.
 //
 // The memo is sharded up to 32 ways (memoShards) and keyed by
-// bucket.HistogramHash, a 64-bit FNV-1a fingerprint of the histogram that
+// bucket.HistogramHash, a 64-bit fingerprint of the histogram that
 // an indexed bucketization stores per histogram class, so the hot path
 // neither hashes nor materializes signature strings. Each shard is
 // byte-accounted against an equal slice of MemoMaxBytes and evicted with a

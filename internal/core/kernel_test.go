@@ -311,6 +311,55 @@ func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 	}
 }
 
+// TestIsCKSafePublishesCompleteSeries: an IsCKSafe call whose kernel runs
+// to the end publishes the default series d[0..k] its DP computed, bit for
+// bit Series on a fresh bucketization, so a later call at any k' <= k
+// reads it; a call that takes the decision exit publishes none.
+func TestIsCKSafePublishesCompleteSeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	checked := 0
+	for iter := 0; iter < 200; iter++ {
+		groups := repeatedHistogramGroups(rng, 12)
+		k := rng.Intn(3)
+		want, err := NewEngine().Series(bucket.FromValues(groups...), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// At c = 0 the first class's all-in-one placement reaches c.
+		exited := bucket.FromValues(groups...)
+		if safe, err := NewEngine().IsCKSafe(exited, 0, k); err != nil || safe {
+			t.Fatalf("IsCKSafe(c=0) = %v, %v; want false", safe, err)
+		}
+		if d := exited.DisclosureSeries(Options{}.variant()); d != nil {
+			t.Fatalf("%v k=%d: an IsCKSafe that exited published %v", groups, k, d)
+		}
+
+		// Above the maximum no class reaches c, so the DP runs to the end.
+		if want[k] >= 1 {
+			continue
+		}
+		full := bucket.FromValues(groups...)
+		c := math.Nextafter(want[k], 2)
+		if safe, err := NewEngine().IsCKSafe(full, c, k); err != nil || !safe {
+			t.Fatalf("IsCKSafe(c=%v) = %v, %v; want true", c, safe, err)
+		}
+		got := full.DisclosureSeries(Options{}.variant())
+		if len(got) != k+1 {
+			t.Fatalf("%v k=%d: a complete IsCKSafe published %v, want %d entries", groups, k, got, k+1)
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%v k=%d: IsCKSafe published %v, Series %v", groups, k, got, want)
+			}
+		}
+		checked++
+	}
+	if checked < 50 {
+		t.Fatalf("only %d complete runs checked", checked)
+	}
+}
+
 // FuzzKernelMatchesOracle decodes bytes into at most 8 buckets of at most
 // 10 tuples over at most 5 values, k <= 6 and a threshold c, and asserts
 // the kernel is bit-identical to minimize2Oracle (disclosure and witness,

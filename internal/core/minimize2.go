@@ -117,9 +117,9 @@ func (e *Engine) rowPass(sc *m2Scratch, bz *bucket.Bucketization, width int, sto
 const noStop = 2
 
 // minimize2 minimizes Formula (1) over all placements of the k antecedent
-// atoms and the consequent atom A across buckets and returns the minimum.
-// roots, of at most k+1 entries, receives the minimum for each h <
-// len(roots) antecedent atoms.
+// atoms and the consequent atom A across buckets and returns the minimum
+// and true. roots, of at most k+1 entries, receives the minimum for each
+// h < len(roots) antecedent atoms.
 //
 // A row pass (rowPass) fetches each histogram class's MINIMIZE1 row
 // u[0..k+1] once, one memo lookup per distinct histogram; the bottom-up
@@ -134,10 +134,11 @@ const noStop = 2
 // every other factor on its path exactly 1, so the float minimum is <= r_i
 // and, 1/(1+r) being monotone, the maximum disclosure is >=
 // disclosureFromRatio(r_i). When that already reaches stop, the row pass
-// returns r_i at once and the DP does not run: the caller's
-// disclosureFromRatio(r) < stop is then false, exactly as for the full
-// minimum. Pass noStop to always get the minimum.
-func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop float64, roots []float64) float64 {
+// returns r_i at once and the DP does not run: minimize2 returns r_i and
+// false, leaving roots unset, and the caller's disclosureFromRatio(r) <
+// stop is then false, exactly as for the full minimum. Pass noStop to
+// always get the minimum.
+func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop float64, roots []float64) (float64, bool) {
 	sc := m2Pool.Get().(*m2Scratch)
 	defer m2Pool.Put(sc)
 	if opt.ForbidSameBucketAntecedent {
@@ -145,13 +146,13 @@ func (e *Engine) minimize2(bz *bucket.Bucketization, k int, opt Options, stop fl
 		stop = noStop
 	}
 	if r, exited := e.rowPass(sc, bz, k+2, stop); exited {
-		return r
+		return r, false
 	}
 	root := sc.dp(len(bz.Buckets), k, opt, false)
 	for h := range roots {
 		roots[h] = root[2*h]
 	}
-	return root[2*k]
+	return root[2*k], true
 }
 
 // dp runs MINIMIZE2's bottom-up DP at k over the nb buckets whose rows
@@ -283,23 +284,35 @@ func (opt Options) variant() int {
 }
 
 // series computes the maximum disclosure under opt for every k in 0..maxK
-// from one row pass and one MINIMIZE2 run at maxK, reading each k's answer
-// from its own root, and publishes the series on bz. A state's value does
-// not depend on the k the tables were sized for, under either Options (the
-// restriction only removes candidates), so every value is bit-identical to
-// a run at its own k. The returned slice is the published one: callers
-// must not modify it.
+// (see seriesOrExit) and returns the published series. The returned slice
+// is the published one: callers must not modify it.
 func (e *Engine) series(bz *bucket.Bucketization, maxK int, opt Options) ([]float64, error) {
 	if err := checkBuckets(bz); err != nil {
 		return nil, err
 	}
-	out := make([]float64, maxK+1)
-	e.minimize2(bz, maxK, opt, noStop, out)
-	for k, r := range out {
-		out[k] = disclosureFromRatio(r)
+	d, _ := e.seriesOrExit(bz, maxK, opt, noStop)
+	return d, nil
+}
+
+// seriesOrExit runs one row pass and one MINIMIZE2 run at maxK under opt
+// with minimize2's decision exit at stop. When the DP runs, it reads every
+// k <= maxK's maximum disclosure from its own root, publishes the series
+// on bz and returns it. A state's value does not depend on the k the
+// tables were sized for, under either Options (the restriction only
+// removes candidates), so every value is bit-identical to a run at its
+// own k. After a decision exit it returns nil and the exit's ratio, whose
+// disclosure reaches stop.
+func (e *Engine) seriesOrExit(bz *bucket.Bucketization, maxK int, opt Options, stop float64) ([]float64, float64) {
+	d := make([]float64, maxK+1)
+	r, complete := e.minimize2(bz, maxK, opt, stop, d)
+	if !complete {
+		return nil, r
 	}
-	bz.PublishDisclosureSeries(opt.variant(), out)
-	return out, nil
+	for k, r := range d {
+		d[k] = disclosureFromRatio(r)
+	}
+	bz.PublishDisclosureSeries(opt.variant(), d)
+	return d, 0
 }
 
 // disclosureFromRatio converts min Formula (1) to the maximum disclosure
@@ -376,10 +389,11 @@ func (e *Engine) Series(bz *bucket.Bucketization, maxK int) ([]float64, error) {
 // c. The answer is bit-for-bit MaxDisclosure(bz, k) < c. When the
 // bucketization's published series covers k, it is read from there;
 // otherwise the kernel stops at the first bucket that alone already
-// reaches c (see minimize2) and publishes nothing, since an early exit
-// leaves the maximum unknown. The comparison is a strict float64
-// inequality; thresholds within round-off (~1e-15 relative) of the true
-// maximum may be classified either way.
+// reaches c (see minimize2). An early exit leaves the maximum unknown and
+// publishes nothing; a kernel that runs to the end holds the whole series
+// d[0..k], and publishes it as MaxDisclosure would. The comparison is a
+// strict float64 inequality; thresholds within round-off (~1e-15
+// relative) of the true maximum may be classified either way.
 func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, error) {
 	if !(c >= 0 && c <= 1) { // NaN fails too
 		return false, fmt.Errorf("core: threshold c = %v outside [0, 1]", c)
@@ -393,6 +407,9 @@ func (e *Engine) IsCKSafe(bz *bucket.Bucketization, c float64, k int) (bool, err
 	if err := checkBuckets(bz); err != nil {
 		return false, err
 	}
-	r := e.minimize2(bz, k, Options{}, c, nil)
-	return disclosureFromRatio(r) < c, nil
+	d, r := e.seriesOrExit(bz, k, Options{}, c)
+	if d == nil {
+		return disclosureFromRatio(r) < c, nil
+	}
+	return d[k] < c, nil
 }

@@ -774,11 +774,14 @@ func TestDatasetRequestsShareOneEngine(t *testing.T) {
 		t.Errorf("anonymize job did not hit the dataset engine warmed by disclosure: %+v -> %+v", warm, job)
 	}
 
+	// The job's complete (c,k) checks published their nodes' series at
+	// k = 1, so the audit asks k = 2, which no series covers: its rows
+	// grow, and the lookups land on the dataset engine as misses.
 	createReleaseOK(t, ts.URL, "h")
-	if code := getJSON(t, ts.URL+"/v1/datasets/h/releases?k=1", nil); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/datasets/h/releases?k=2", nil); code != http.StatusOK {
 		t.Fatalf("audit = %d", code)
 	}
-	if audit := eng.Stats(); audit.Hits <= job.Hits {
+	if audit := eng.Stats(); audit.Hits+audit.Misses <= job.Hits+job.Misses {
 		t.Errorf("release audit did not land on the dataset engine: %+v -> %+v", job, audit)
 	}
 	if is := s.InlineEngine().Stats(); is.Hits != 0 || is.Misses != 0 {

@@ -7,7 +7,9 @@
 //     its dictionary views; Snapshot() returns three-index views into
 //     the same backing arrays;
 //   - bucket.Bucket — finalized histogram buckets shared by every
-//     minimization pass over the same generalization;
+//     minimization pass over the same generalization, and by the
+//     bucketizations an append derives; their memoized hash and entropy
+//     are valid only while the histogram never changes;
 //   - bucket.Bucketization — built by the scan, coarsening, append and
 //     value-list constructors, then shared; its histogram-class index
 //     and cached MinEntropy are valid only while its buckets never
@@ -50,6 +52,8 @@ var Analyzer = &analysis.Analyzer{
 // import path, so analyzer test packages named like the real ones
 // exercise identical rules.
 var pinned = map[string]map[string]bool{
+	// A bucket's hash and entropy memos are atomic words set on first
+	// use, never by assignment.
 	"bucket.Bucket": {"bucket.go": true},
 	// A bucketization's constructors span four files; the class index
 	// (classes.go) and the MinEntropy cache are published through atomic
