@@ -110,14 +110,11 @@ func Bucketize(t *Table, hs Hierarchies, levels Levels) (*Bucketization, error) 
 
 // Worst-case disclosure (the paper's core contribution).
 type (
-	// Engine memoizes disclosure computations across calls in a sharded,
-	// byte-bounded, evicting MINIMIZE1 memo.
+	// Engine computes disclosure, reading each bucket's MINIMIZE1 row
+	// from the bucket when an earlier call published it there and
+	// counting the rows it reads and builds.
 	Engine = core.Engine
-	// EngineConfig tunes an Engine's memo capacity; the shard count
-	// follows from it.
-	EngineConfig = core.EngineConfig
-	// EngineCacheStats snapshots a memo's hits, misses, evictions and
-	// resident size.
+	// EngineCacheStats snapshots an engine's row hits and misses.
 	EngineCacheStats = core.CacheStats
 	// DisclosureOptions tunes MaxDisclosure variants.
 	DisclosureOptions = core.Options
@@ -135,17 +132,8 @@ type (
 // ConstWeight weights every sensitive value equally.
 func ConstWeight(w float64) WeightFunc { return core.ConstWeight(w) }
 
-// DefaultMemoMaxBytes is the default engine memo capacity (64 MiB).
-const DefaultMemoMaxBytes = core.DefaultMemoMaxBytes
-
-// NewEngine returns an empty disclosure engine with the default memo bound.
+// NewEngine returns a disclosure engine whose counters are zero.
 func NewEngine() *Engine { return core.NewEngine() }
-
-// NewEngineWithConfig returns an empty disclosure engine with an explicit
-// memo byte bound (zero means the default; a negative MemoMaxBytes
-// disables the bound). The memo has 32 shards, fewer below 2 MiB so that
-// each shard keeps at least 64 KiB.
-func NewEngineWithConfig(cfg EngineConfig) *Engine { return core.NewEngineWithConfig(cfg) }
 
 // MaxDisclosure computes the maximum disclosure of the bucketization with
 // respect to k basic implications of background knowledge (Definition 6),
@@ -237,9 +225,8 @@ type (
 	// Problem is an anonymization task over a table, hierarchies and
 	// quasi-identifiers.
 	Problem = anonymize.Problem
-	// ProblemOptions configures a Problem: search worker budget and
-	// disclosure-memo bound. Build from DefaultProblemOptions and override
-	// fields.
+	// ProblemOptions configures a Problem: its search worker budget.
+	// Build from DefaultProblemOptions and override fields.
 	ProblemOptions = anonymize.Options
 	// Node is a generalization level per quasi-identifier.
 	Node = lattice.Node
@@ -250,7 +237,7 @@ type (
 )
 
 // DefaultProblemOptions returns the configuration NewProblem uses: serial
-// search, default memo bound.
+// search.
 func DefaultProblemOptions() ProblemOptions { return anonymize.DefaultOptions() }
 
 // NewProblem validates an anonymization task with the default options;
@@ -265,9 +252,8 @@ func NewProblem(t *Table, hs Hierarchies, qi []string) (*Problem, error) {
 // NewProblemWithOptions is NewProblem with an explicit configuration:
 // ProblemOptions.Workers is the lattice searches' worker budget (each
 // level of the generalization lattice is safety-checked on up to that
-// many goroutines; <= 0 means one per CPU core), and MemoMaxBytes bounds
-// the problem-scoped engine's memo (Problem.Engine). The nodes returned
-// by every search are byte-identical at every worker count, and the
+// many goroutines; <= 0 means one per CPU core). The nodes returned by
+// every search are byte-identical at every worker count, and the
 // level-wise searches (MinimalSafe, MinimalSafeIncognito) also report
 // identical SearchStats; ChainSearch's multi-section variant probes
 // different chain positions per round, so its Evaluated count varies with

@@ -1,9 +1,9 @@
 // Command ckprivacyd is the resident disclosure-auditing service: the
 // library's O(|B|·k³) MaxDisclosure check, (c,k)-safety verdicts and
 // lattice-search anonymization behind a JSON/HTTP API, with a dataset
-// registry whose datasets each own one warm bucketization cache and one
-// disclosure memo, shared by every request on the dataset, so repeated
-// checks on hot datasets skip cold-start entirely.
+// registry whose datasets each own one warm bucketization cache, shared
+// by every request on the dataset, whose buckets keep their MINIMIZE1
+// rows, so repeated checks on hot datasets skip cold-start entirely.
 //
 // Endpoints:
 //
@@ -80,7 +80,6 @@ func run(args []string) error {
 		jobWorkers    = fs.Int("job-workers", 2, "concurrent background anonymization jobs")
 		jobQueue      = fs.Int("job-queue", 16, "bounded pending-job queue size")
 		searchWorkers = fs.Int("search-workers", 1, "lattice worker budget per search (<= 0 means one per CPU core)")
-		memoMaxMB     = fs.Int("memo-max-mb", 0, "byte bound, in MiB, of each disclosure-engine memo: one per registered dataset plus one for inline groups (0 means the 64 MiB default; negative disables the bound)")
 		maxReleases   = fs.Int("max-releases", 16, "retained recorded releases per dataset for the sequential-release audit")
 		preload       = fs.String("preload", "", "comma-separated built-in datasets to register at boot (adult, hospital)")
 		preloadN      = fs.Int("preload-n", 0, "synthetic row count for a preloaded adult dataset (0 means the paper's 45222)")
@@ -125,7 +124,6 @@ func run(args []string) error {
 		JobWorkers:    *jobWorkers,
 		JobQueueSize:  *jobQueue,
 		SearchWorkers: *searchWorkers,
-		MemoMaxBytes:  int64(*memoMaxMB) << 20,
 		MaxReleases:   *maxReleases,
 	})
 	// Recover persisted datasets before preloading, so a preload name that

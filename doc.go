@@ -36,27 +36,24 @@
 //	)
 //	d, _ := ckprivacy.MaxDisclosure(bz, 1) // 2/3
 //
-// The Engine behind MaxDisclosure memoizes MINIMIZE1 across calls (the
-// paper's §3.3.3 incremental-recomputation remark): one entry per bucket
-// histogram holds its MINIMIZE1 values for every atom count up to the
-// largest k asked so far, built from one shared DP table and grown in
-// place when a larger k asks, so a disclosure call costs one memo lookup
-// per distinct histogram. The cache is sharded, keyed by a 64-bit
-// fingerprint of the histogram, and byte-bounded (EngineConfig.MemoMaxBytes,
-// default 64 MiB; the shard count follows from the bound) with CLOCK
-// second-chance eviction, so a long-lived engine serving many datasets
-// plateaus in memory. A hit takes only its shard's read lock; a miss
-// builds its row outside every lock and stores it under the shard's write
-// lock, keeping the longer row when racing workers store the same
-// histogram. Eviction only ever costs recomputation: disclosure values
-// are byte-identical at every capacity. Engine.Series answers every k up
-// to a bound from one DP pass, each value bit-identical to MaxDisclosure
-// at that k. Which buckets share a histogram is cached too: the first
-// call that reads every bucket of a Bucketization publishes its
-// histogram classes on it (4 bytes per bucket and a few words per
-// class), so later calls on the same bucketization — a cached lattice
-// node checked again — hash nothing and fetch one row per class; its
-// MinEntropy is computed once and cached.
+// MINIMIZE1 state lives on the buckets (the paper's §3.3.3
+// incremental-recomputation remark): the first disclosure call that needs
+// a bucket's MINIMIZE1 values for every atom count up to k builds them
+// from one shared DP table and publishes the row on the bucket, a longer
+// row replacing a shorter one when a larger k asks, so a later call costs
+// one row read per distinct histogram. Every bucketization that shares
+// the bucket (a cached lattice node checked again, a node an append
+// patched, a coarsening that only renamed a bucket) reads the row without
+// building it, and row memory lives and dies with the buckets that hold
+// it. An Engine holds no DP state: it counts the rows its calls read and
+// build, and any engine computes the same, bit-identical values.
+// Engine.Series answers every k up to a bound from one DP pass, each
+// value bit-identical to MaxDisclosure at that k. Which buckets share a
+// histogram is cached too: the first call that reads every bucket of a
+// Bucketization publishes its histogram classes on it (4 bytes per
+// bucket and a few words per class), so later calls on the same
+// bucketization hash nothing and read one row per class; its MinEntropy
+// is computed once and cached.
 //
 // Everything bucketization-heavy computes on a columnar substrate, and a
 // Problem owns it: NewProblem dictionary-encodes the table once
@@ -79,9 +76,9 @@
 // (rows, dictionaries, caches) for the duration of a search, so
 // long-running jobs and concurrent appends never observe each other;
 // randomized parity tests pin that append-then-search is byte-identical
-// to a from-scratch rebuild on the concatenated table. The engine memo
-// needs no append-time maintenance at all: it is keyed by histogram
-// content, not dataset identity.
+// to a from-scratch rebuild on the concatenated table. MINIMIZE1 rows
+// need no append-time maintenance at all: untouched buckets keep theirs,
+// and a rebuilt bucket builds its own on first use.
 //
 // The same checks are served over HTTP by the cmd/ckprivacyd daemon — a
 // dataset registry, streaming appends, a sequential-release audit,

@@ -46,10 +46,11 @@ type state struct {
 }
 
 // Problem describes one anonymization task. It is the single owner of its
-// dataset's warm state: the encoded view, the compiled hierarchies, the
-// bucketization cache and the disclosure memo. Callers that bucketize or
-// compute disclosure over the dataset go through the Problem (Bucketize,
-// Engine, CKSafety) rather than building a second copy of any of these.
+// dataset's warm state: the encoded view, the compiled hierarchies and
+// the bucketization cache, whose buckets carry their MINIMIZE1 rows.
+// Callers that bucketize or compute disclosure over the dataset go
+// through the Problem (Bucketize, Engine, CKSafety) rather than building
+// a second copy of any of these.
 type Problem struct {
 	// Table is the master table; Append grows it in place. Read it through
 	// Snapshot (or Problem methods, which pin a snapshot per call) when
@@ -169,16 +170,10 @@ type Options struct {
 	// Stats, while ChainSearch's Evaluated count varies with the budget
 	// (multi-section probing).
 	Workers int
-
-	// MemoMaxBytes bounds the problem-scoped disclosure engine's MINIMIZE1
-	// memo (see core.EngineConfig.MemoMaxBytes): 0 means the core default,
-	// negative disables the bound. The engine is what Engine returns;
-	// callers wiring their own engines into criteria are unaffected.
-	MemoMaxBytes int64
 }
 
 // DefaultOptions returns the options NewProblem uses: serial lattice
-// search, default memo bound.
+// search.
 func DefaultOptions() Options {
 	return Options{Workers: 1}
 }
@@ -264,7 +259,7 @@ func newProblem(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64
 		opts:        o.resolved(),
 		layout:      newVecLayout(t.Schema, hs, qi, dims),
 		master:      enc,
-		engine:      core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: o.MemoMaxBytes}),
+		engine:      core.NewEngine(),
 	}
 	// The pinned view ([:n:n]) keeps a snapshot taken before the first
 	// Append from ever observing rows the master grows by.
@@ -292,18 +287,18 @@ func (p *Problem) Encoding() EncodingInfo {
 	return EncodingInfo{Cardinalities: p.cur.Load().enc.Cardinalities()}
 }
 
-// Engine returns the problem-scoped disclosure engine: a bounded,
-// concurrency-safe MINIMIZE1 memo sized by Options.MemoMaxBytes. Every
-// disclosure computed over this problem's bucketizations — criteria via
-// CKSafety, direct MaxDisclosure calls — should run on it, so searches,
-// one-off checks and audits share warm DP state without growing without
-// bound.
-// The engine spans versions — its memo is keyed by histogram content, so
-// appends never require invalidating it.
+// Engine returns the problem-scoped disclosure engine, whose counters
+// count the MINIMIZE1 rows this problem's disclosure calls read from
+// buckets and build. The rows themselves live on the buckets, so any
+// engine reuses them; running every disclosure over this problem's
+// bucketizations (criteria via CKSafety, direct MaxDisclosure calls) on
+// this one only keeps the problem's counts in one place. The engine spans
+// versions: an append shares its untouched buckets, rows included, with
+// the version it derives from.
 func (p *Problem) Engine() *core.Engine { return p.engine }
 
 // CKSafety builds the paper's (c,k)-safety criterion wired to the
-// problem-scoped bounded engine.
+// problem-scoped engine.
 func (p *Problem) CKSafety(c float64, k int) privacy.CKSafety {
 	return privacy.CKSafety{C: c, K: k, Engine: p.engine}
 }

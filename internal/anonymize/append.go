@@ -41,9 +41,10 @@ type AppendResult struct {
 //
 // The batch is validated (schema and hierarchy coverage of every new
 // value) before anything mutates, so a rejected
-// batch leaves the problem exactly as it was. The disclosure-engine memo
-// needs no maintenance: it is keyed by histogram content, not by dataset
-// version.
+// batch leaves the problem exactly as it was. MINIMIZE1 rows need no
+// maintenance: they live on buckets, and a patched node shares its
+// untouched buckets, rows included, while its rebuilt buckets start
+// without one.
 func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()

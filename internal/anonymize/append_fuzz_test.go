@@ -128,7 +128,7 @@ func decodeAppendCase(data []byte) appendCase {
 // and its Size, its MinEntropy and MaxDisclosure at k <= 3 through the
 // problem's warm engine must be bit-identical to the rebuild's on a fresh
 // engine: the carried class index, size and memoized bucket entropies
-// stay exact, and the histogram-keyed memo needs no invalidation. A
+// stay exact, and the rows on shared buckets need no invalidation. A
 // hostile batch must be rejected and leave the version, the row count and
 // every cached node unchanged.
 func FuzzAppendMatchesRebuild(f *testing.F) {

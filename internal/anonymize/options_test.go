@@ -20,13 +20,13 @@ func hospitalOptions(t *testing.T, o Options) *Problem {
 // per-core resolution of non-positive budgets, the resolved view Options()
 // reports, and that NewProblem builds with the defaults.
 func TestOptionsResolution(t *testing.T) {
-	if d := DefaultOptions(); d.Workers != 1 || d.MemoMaxBytes != 0 {
+	if d := DefaultOptions(); d.Workers != 1 {
 		t.Fatalf("DefaultOptions() = %+v, want the serial defaults", d)
 	}
 
-	p := hospitalOptions(t, Options{Workers: 3, MemoMaxBytes: 1 << 20})
-	if got := p.Options(); got.Workers != 3 || got.MemoMaxBytes != 1<<20 {
-		t.Fatalf("Options() = %+v, want workers 3, memo 1MiB", got)
+	p := hospitalOptions(t, Options{Workers: 3})
+	if got := p.Options(); got.Workers != 3 {
+		t.Fatalf("Options() = %+v, want workers 3", got)
 	}
 	if p.Engine() == nil {
 		t.Fatal("problem built without its engine")
@@ -39,7 +39,7 @@ func TestOptionsResolution(t *testing.T) {
 	}
 
 	// NewProblem is NewProblemWithOptions at the defaults.
-	if got := hospital(t).Options(); got.Workers != 1 || got.MemoMaxBytes != 0 {
+	if got := hospital(t).Options(); got.Workers != 1 {
 		t.Fatalf("NewProblem options = %+v, want the defaults", got)
 	}
 }

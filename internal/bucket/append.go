@@ -20,7 +20,7 @@ import (
 // append cheap. The derived state the append leaves valid comes along:
 // the size, the minimum entropy (carryMinEntropy), the class index
 // (carryClasses), and, through the shared buckets, each untouched
-// bucket's memoized hash and entropy.
+// bucket's memoized hash, entropy and MINIMIZE1 row.
 
 // AppendRows derives the bucketization of the snapshot enc at the given
 // levels from an existing bucketization of the same table's first `start`

@@ -42,6 +42,9 @@ type Bucket struct {
 	// entropy (never negative) leaves free.
 	hash    atomic.Uint64
 	entropy atomic.Uint64
+	// m1 is the MINIMIZE1 row internal/core published on the bucket
+	// (series.go); nil until one is.
+	m1 atomic.Pointer[[]float64]
 }
 
 // newBucket assembles a bucket from its sorted histogram.
@@ -50,12 +53,12 @@ func newBucket(key string, tuples []int, hist []int, codes []uint32, dict *table
 }
 
 // rekeyBucket returns a bucket identical to b under a new key, sharing
-// its tuple and histogram storage and starting with whatever hash and
-// entropy b has memoized. Coarsening a group of one fine bucket changes
-// nothing but the key, so the derived state can be shared outright:
-// buckets are immutable once built (the snapshotmut analyzer pins them to
-// this file) and appends rebuild touched buckets rather than mutating
-// them, so the sharing is never observable.
+// its tuple and histogram storage and starting with whatever hash,
+// entropy and MINIMIZE1 row b has memoized. Coarsening a group of one
+// fine bucket changes nothing but the key, so the derived state can be
+// shared outright: buckets are immutable once built (the snapshotmut
+// analyzer pins them to this file) and appends rebuild touched buckets
+// rather than mutating them, so the sharing is never observable.
 func rekeyBucket(b *Bucket, key string) *Bucket {
 	nb := newBucket(key, b.Tuples, b.hist, b.codes, b.dict)
 	if h := b.hash.Load(); h != 0 {
@@ -63,6 +66,9 @@ func rekeyBucket(b *Bucket, key string) *Bucket {
 	}
 	if e := b.entropy.Load(); e != 0 {
 		nb.entropy.Store(e)
+	}
+	if u := b.m1.Load(); u != nil {
+		nb.m1.Store(u)
 	}
 	return nb
 }
@@ -138,8 +144,8 @@ func (b *Bucket) HistogramHash() uint64 {
 // class scans and carryClasses must survive common.
 var bucketHash = HistogramHash
 
-// Signature returns a canonical string form of the histogram, used to share
-// memoized DP tables between buckets with identical histograms.
+// Signature returns a canonical string form of the histogram: equal
+// histograms, and only they, have equal signatures.
 func (b *Bucket) Signature() string {
 	var sb strings.Builder
 	for i, n := range b.hist {

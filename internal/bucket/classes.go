@@ -32,12 +32,10 @@ const (
 
 // HistogramHash is a 64-bit hash of a histogram's counts: FNV-1a over
 // whole counts, one multiply per count, finished by MurmurHash3's fmix64
-// avalanche, so every bit of the result (the memo's shard bits included)
-// depends on every count. It keys both the class dedupe of a ClassScan
-// and internal/core's MINIMIZE1 memo, so an indexed bucketization's
-// classes carry their memo keys. Equal histograms hash equally; callers
-// that dedupe by it must verify a match, since distinct histograms may
-// (with probability about 2⁻⁶⁴) collide.
+// avalanche, so every bit of the result depends on every count. It keys
+// the class dedupe of a ClassScan and of carryClasses. Equal histograms
+// hash equally; callers that dedupe by it must verify a match, since
+// distinct histograms may (with probability about 2⁻⁶⁴) collide.
 func HistogramHash(hist []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range hist {
@@ -145,7 +143,7 @@ func (s *ClassScan) Next() bool {
 		}
 		// A new class. On a hash collision with an earlier class the map
 		// keeps that class, and later buckets of this histogram open
-		// classes of their own: more memo lookups, never a wrong row.
+		// classes of their own: more rows built, never a wrong one.
 		c = int32(len(s.own.first))
 		if ok {
 			s.own.collided = true
@@ -173,9 +171,6 @@ func (s *ClassScan) classes() *classIndex {
 // Bucket returns the current class's first bucket; every bucket of the
 // class has its histogram.
 func (s *ClassScan) Bucket() *Bucket { return s.bz.Buckets[s.classes().first[s.cur]] }
-
-// Hash returns HistogramHash of the current class's histogram.
-func (s *ClassScan) Hash() uint64 { return s.classes().hash[s.cur] }
 
 // ClassOf returns the class of every bucket, in bucket order. Call it
 // after Next has returned false and before Close; the slice stays valid

@@ -16,7 +16,7 @@ func scanClasses(bz *bucket.Bucketization) (first []int, hash []uint64, of []int
 	defer scan.Close()
 	for scan.Next() {
 		first = append(first, slices.Index(bz.Buckets, scan.Bucket()))
-		hash = append(hash, scan.Hash())
+		hash = append(hash, scan.Bucket().HistogramHash())
 	}
 	return first, hash, slices.Clone(scan.ClassOf())
 }

@@ -50,3 +50,41 @@ func (bz *Bucketization) PublishDisclosureSeries(variant int, d []float64) {
 		}
 	}
 }
+
+// MINIMIZE1 rows. Under the random-worlds model a bucket's privacy state
+// is its histogram, and internal/core's MINIMIZE1 row u[0..K] (u[j] the
+// least Pr(∧_{i<j} ¬A_i | B) for j atoms inside the bucket) depends on
+// nothing else, so the row is derived state of the bucket, as its hash
+// and entropy are. core publishes each row it builds on the bucket, the
+// first of its histogram class, and every bucketization that shares the
+// bucket (an append's untouched buckets, a coarsening's rekeyed ones)
+// reads it without building it again. The row is published through an
+// atomic pointer, as a disclosure series is: a longer row replaces a
+// shorter one, never the reverse, and its first entries are the shorter
+// row's bit for bit, so a reader holding either reads the same values.
+
+// M1Row returns the MINIMIZE1 row published on b when it holds at least
+// width values, and nil otherwise. The slice may be longer than width and
+// is shared: callers must not modify it.
+func (b *Bucket) M1Row(width int) []float64 {
+	if u := b.m1.Load(); u != nil && len(*u) >= width {
+		return *u
+	}
+	return nil
+}
+
+// PublishM1Row publishes u as b's MINIMIZE1 row unless a row at least as
+// long is already published. u is retained: the caller must not modify
+// it afterwards.
+func (b *Bucket) PublishM1Row(u []float64) {
+	next := &u
+	for {
+		cur := b.m1.Load()
+		if cur != nil && len(*cur) >= len(u) {
+			return
+		}
+		if b.m1.CompareAndSwap(cur, next) {
+			return
+		}
+	}
+}

@@ -12,10 +12,6 @@ import (
 	"ckprivacy/internal/bucket"
 )
 
-// histPrefix is the memo key of a histogram: bucket.HistogramHash, the hash
-// a class scan stores per histogram class.
-func histPrefix(hist []int) uint64 { return bucket.HistogramHash(hist) }
-
 // TestClassIndexPublication: only a row pass that classifies every bucket
 // publishes a bucketization's class index. An IsCKSafe call that stops at
 // its decision exit leaves a fresh bucketization unindexed, and a later
@@ -204,12 +200,12 @@ var classOpts = [2]Options{{}, {ForbidSameBucketAntecedent: true}}
 
 func newClassCorpus(groups [][]string) *classCorpus {
 	cp := &classCorpus{groups: groups}
-	views := makeViews(bucket.FromValues(groups...))
+	bz := bucket.FromValues(groups...)
 	for k := 0; k <= classMaxK; k++ {
 		for o, opt := range classOpts {
-			rmin, sc := minimize2Oracle(views, k, opt)
+			rmin, sc := minimize2Oracle(bz, k, opt)
 			cp.disc[k][o] = disclosureFromRatio(rmin)
-			w, err := witnessFrom(views, k, rmin, sc, strconv.Itoa)
+			w, err := witnessFrom(bz, k, rmin, sc, strconv.Itoa)
 			cp.wit[k][o], cp.witErr[k][o] = w, err != nil
 		}
 	}
@@ -457,13 +453,12 @@ func TestForbidSeriesMatchesPointRuns(t *testing.T) {
 		if bz.DisclosureSeries(Options{}.variant()) != nil {
 			t.Fatalf("%v: a forbid run published the default series", groups)
 		}
-		views := makeViews(bz)
 		for k, got := range series {
 			point, err := NewEngine().MaxDisclosureOpt(bucket.FromValues(groups...), k, forbid)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rmin, _ := minimize2Oracle(views, k, forbid)
+			rmin, _ := minimize2Oracle(bz, k, forbid)
 			if oracle := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(point) || math.Float64bits(got) != math.Float64bits(oracle) {
 				t.Fatalf("%v: forbid series[%d] = %v, point run %v, oracle %v", groups, k, got, point, oracle)
 			}

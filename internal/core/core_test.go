@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/big"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -201,22 +202,31 @@ func TestDisclosureReachesOneAtDistinctMinusOne(t *testing.T) {
 	}
 }
 
+// TestEngineCacheReuse: a disclosure call publishes each histogram
+// class's row on the class's first bucket, m1Row's bit for bit, and a
+// second call on a fresh bucketization over the same buckets reads those
+// rows and builds none.
 func TestEngineCacheReuse(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.MaxDisclosure(fig3(), 4); err != nil {
+	bz := fig3()
+	if _, err := e.MaxDisclosure(bz, 4); err != nil {
 		t.Fatal(err)
 	}
-	size := e.Stats().Entries
-	if size == 0 {
-		t.Fatal("cache empty after computation")
+	st := e.Stats()
+	if st.Misses == 0 {
+		t.Fatal("no row built by the first computation")
 	}
-	// A second run over histogram-identical buckets must not grow the
-	// cache.
-	if _, err := e.MaxDisclosure(fig3(), 4); err != nil {
+	for _, b := range bz.Buckets {
+		u := b.M1Row(4 + 2)
+		if want := m1Row(b.Histogram(), 4+1); u == nil || !slices.Equal(f64bits(u), f64bits(want)) {
+			t.Fatalf("bucket %v holds row %v, m1Row %v", b.Histogram(), u, want)
+		}
+	}
+	if _, err := e.MaxDisclosure(&bucket.Bucketization{Buckets: bz.Buckets}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Stats().Entries; got != size {
-		t.Errorf("cache grew on repeat: %d -> %d", size, got)
+	if got := e.Stats(); got.Misses != st.Misses || got.Hits != st.Hits+uint64(len(bz.Buckets)) {
+		t.Errorf("repeat over the same buckets: %+v after %+v, want one hit per bucket and no miss", got, st)
 	}
 }
 

@@ -7,6 +7,6 @@ import "ckprivacy/internal/bucket"
 // with internal/synth cannot live in package core, because synth reaches
 // core through internal/dataload.
 func OracleMaxDisclosure(bz *bucket.Bucketization, k int) float64 {
-	rmin, _ := minimize2Oracle(makeViews(bz), k, Options{})
+	rmin, _ := minimize2Oracle(bz, k, Options{})
 	return disclosureFromRatio(rmin)
 }

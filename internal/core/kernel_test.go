@@ -18,8 +18,8 @@ import (
 // cnt) it visits, sharing no memo, row or MINIMIZE1 code with the kernel.
 // Its tables are allocated per call and NaN-marked for "not yet
 // computed"; the returned scratch is never pooled.
-func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratch) {
-	nb := len(views)
+func minimize2Oracle(bz *bucket.Bucketization, k int, opt Options) (float64, *m2Scratch) {
+	nb := len(bz.Buckets)
 	states := (nb + 1) * (k + 1) * 2
 	sc := &m2Scratch{val: make([]float64, states), choice: make([]m2choice, states), k: k}
 	for i := range sc.val {
@@ -43,12 +43,12 @@ func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratc
 		if v := sc.val[at]; !math.IsNaN(v) {
 			return v
 		}
-		v := views[i]
-		ratio := float64(v.n) / float64(v.top)
+		b := bz.Buckets[i]
+		ratio := float64(b.Size()) / float64(b.TopCount())
 		best := math.Inf(1)
 		var bestChoice m2choice
 		for cnt := 0; cnt <= h; cnt++ {
-			u := m1OracleCompute(v.hist, cnt).val
+			u := m1OracleCompute(b.Histogram(), cnt).val
 			// Option 1: A is not in this bucket.
 			if cand := u * rec(i+1, h-cnt, placed); cand < best {
 				best = cand
@@ -56,7 +56,7 @@ func minimize2Oracle(views []bucketView, k int, opt Options) (float64, *m2Scratc
 			}
 			// Option 2: A is in this bucket (with cnt local antecedents).
 			if !placed && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
-				w := m1OracleCompute(v.hist, cnt+1).val * ratio
+				w := m1OracleCompute(b.Histogram(), cnt+1).val * ratio
 				if cand := w * rec(i+1, h-cnt, true); cand < best {
 					best = cand
 					bestChoice = m2choice{cnt: cnt, placeHere: true, valid: true}
@@ -106,19 +106,18 @@ func repeatedHistogramGroups(rng *rand.Rand, maxBuckets int) [][]string {
 // neighbours. It returns d.
 func checkKernelMatchesOracle(t testing.TB, e *Engine, bz *bucket.Bucketization, k int, c float64) float64 {
 	t.Helper()
-	views := makeViews(bz)
 	var d float64
 	for _, opt := range []Options{{}, {ForbidSameBucketAntecedent: true}} {
 		got, err := e.MaxDisclosureOpt(bz, k, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rmin, sc := minimize2Oracle(views, k, opt)
+		rmin, sc := minimize2Oracle(bz, k, opt)
 		if want := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%v k=%d %+v: kernel %v, oracle %v", bz.Buckets, k, opt, got, want)
 		}
 		gotW, gotErr := e.Witness(bz, k, opt, nil)
-		wantW, wantErr := witnessFrom(views, k, rmin, sc, strconv.Itoa)
+		wantW, wantErr := witnessFrom(bz, k, rmin, sc, strconv.Itoa)
 		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(gotW, wantW) {
 			t.Fatalf("%v k=%d %+v: witness %+v (%v), oracle %+v (%v)", bz.Buckets, k, opt, gotW, gotErr, wantW, wantErr)
 		}
@@ -131,7 +130,7 @@ func checkKernelMatchesOracle(t testing.TB, e *Engine, bz *bucket.Bucketization,
 		t.Fatal(err)
 	}
 	for kk, got := range series {
-		rmin, _ := minimize2Oracle(views, kk, Options{})
+		rmin, _ := minimize2Oracle(bz, kk, Options{})
 		if want := disclosureFromRatio(rmin); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%v: Series(%d)[%d] = %v, oracle %v", bz.Buckets, k, kk, got, want)
 		}
@@ -215,20 +214,20 @@ func TestIsCKSafeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// memoLookups is the number of MINIMIZE1 row lookups an engine has made.
+// memoLookups is the number of MINIMIZE1 rows an engine has read or built.
 func memoLookups(e *Engine) uint64 {
 	st := e.Stats()
 	return st.Hits + st.Misses
 }
 
 // TestKernelLookupsPerDistinctHistogram: a MaxDisclosure call over D
-// distinct histograms makes exactly D memo lookups, however often each
-// histogram recurs, and every resident row holds u[0] = 1 and covers the
-// atom counts 0..k+1 the kernel reads. The first call indexes the
-// bucketization; the second reads the index, makes the same D lookups and
-// returns the bits of a fresh bucketization's call. The second call asks
-// k+1, which the series the first call published does not cover, so it
-// reaches the engine.
+// distinct histograms makes exactly D row reads, however often each
+// histogram recurs, and every class's first bucket holds a row with
+// u[0] = 1 covering the atom counts 0..k+1 the kernel reads. The first
+// call indexes the bucketization; the second reads the index, makes the
+// same D reads and returns the bits of a fresh bucketization's call. The
+// second call asks k+1, which the series the first call published does
+// not cover, so it reaches the rows.
 func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for iter := 0; iter < 50; iter++ {
@@ -261,11 +260,14 @@ func TestKernelLookupsPerDistinctHistogram(t *testing.T) {
 				t.Fatalf("call %d at k=%d returned %v, fresh bucketization %v", call, kc, d, fresh)
 			}
 		}
-		for i := range e.shards {
-			for _, me := range e.shards[i].entries {
-				if len(me.row) < k+2 || me.row[0] != 1 {
-					t.Fatalf("memo row %v for %v: want u[0] = 1 and length >= %d", me.row, me.hist, k+2)
-				}
+		seen := make(map[string]bool)
+		for _, b := range bz.Buckets {
+			if seen[b.Signature()] {
+				continue
+			}
+			seen[b.Signature()] = true
+			if u := b.M1Row(k + 3); u == nil || u[0] != 1 {
+				t.Fatalf("class's first bucket %v holds row %v: want u[0] = 1 and length >= %d", b.Histogram(), u, k+3)
 			}
 		}
 	}
@@ -284,8 +286,8 @@ func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 		{"a", "a", "b", "b", "c", "c", "d"},
 	}
 	bz := bucket.FromValues(groups...)
-	views := makeViews(bz)
-	r0 := m1Compute(views[0].hist, k+1).val * views[0].ratio()
+	b0 := bz.Buckets[0]
+	r0 := m1Compute(b0.Histogram(), k+1).val * float64(b0.Size()) / float64(b0.TopCount())
 	c := disclosureFromRatio(r0)
 
 	e := NewEngine()
@@ -297,7 +299,7 @@ func TestIsCKSafeStopsAtFirstReachingBucket(t *testing.T) {
 		t.Fatalf("IsCKSafe(c=%v) = true; bucket 0 alone reaches c", c)
 	}
 	if got := memoLookups(e); got != 1 {
-		t.Errorf("early exit made %d memo lookups, want 1 (bucket 0's row only)", got)
+		t.Errorf("early exit made %d row reads, want 1 (bucket 0's row only)", got)
 	}
 	// One ulp above bucket 0's bound the exit must not fire on bucket 0, and
 	// the verdict must still be MaxDisclosure < c.

@@ -233,3 +233,5 @@ func BenchmarkM1Row(b *testing.B) {
 		})
 	}
 }
+
+var sinkRow []float64

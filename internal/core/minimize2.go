@@ -76,12 +76,13 @@ func (sc *m2Scratch) weight(i int) []float64 {
 }
 
 // rowPass fetches, for each histogram class of bz in order of first
-// appearance, the class's MINIMIZE1 row u[0..width-1] into sc (one memo
-// lookup, keyed by the class's hash) and its placement weights
-// u[cnt+1]·n/top, then points sc.of at the class of every bucket. On an
-// indexed bucketization the classes come from its index; on a fresh one
-// the class scan classifies the buckets, publishing the index once all
-// are classified.
+// appearance, the class's MINIMIZE1 row u[0..width-1] into sc and its
+// placement weights u[cnt+1]·n/top, then points sc.of at the class of
+// every bucket. A class's row is the one published on its first bucket
+// when that row is at least width long (a hit); otherwise m1Row builds it
+// at width and publishes it there (a miss). On an indexed bucketization
+// the classes come from its index; on a fresh one the class scan
+// classifies the buckets, publishing the index once all are classified.
 //
 // stop is minimize2's decision exit: when a class's all-in-one ratio
 // r = u[width-1]·n/top reaches it (disclosureFromRatio(r) >= stop), the
@@ -96,7 +97,15 @@ func (e *Engine) rowPass(sc *m2Scratch, bz *bucket.Bucketization, width int, sto
 	defer scan.Close()
 	for scan.Next() {
 		b := scan.Bucket()
-		u := e.row(scan.Hash(), b.Histogram(), width)[:width]
+		u := b.M1Row(width)
+		if u == nil {
+			e.misses.Add(1)
+			u = m1Row(b.Histogram(), width-1)
+			b.PublishM1Row(u)
+		} else {
+			e.hits.Add(1)
+		}
+		u = u[:width]
 		ratio := float64(b.Size()) / float64(b.TopCount())
 		sc.rows = append(sc.rows, u...)
 		for _, x := range u[1:] {
@@ -122,7 +131,7 @@ const noStop = 2
 // h < len(roots) antecedent atoms.
 //
 // A row pass (rowPass) fetches each histogram class's MINIMIZE1 row
-// u[0..k+1] once, one memo lookup per distinct histogram; the bottom-up
+// u[0..k+1] once, one bucket read per distinct histogram; the bottom-up
 // DP (dp) then runs on two rolling rows. A state's value does not depend
 // on k, nor does the base case read it, so the last row holds every
 // k' < k's minimum at its own root (h = k', A not placed), which series
@@ -259,7 +268,7 @@ func (e *Engine) MaxDisclosure(bz *bucket.Bucketization, k int) (float64, error)
 // changes, so its answers at every k are fixed: the first call at a k the
 // bucketization's published series for opt does not cover runs MINIMIZE2
 // once and publishes the whole series d[0..k] (series), and every later
-// call at any k' <= k reads d[k'] without touching a bucket or the memo.
+// call at any k' <= k reads d[k'] without touching a bucket.
 // Each published value is bit-identical to a run at its own k.
 func (e *Engine) MaxDisclosureOpt(bz *bucket.Bucketization, k int, opt Options) (float64, error) {
 	if err := checkShape(bz, k); err != nil {

@@ -92,32 +92,29 @@ func (e *Engine) ExactMaxDisclosureOpt(bz *bucket.Bucketization, k int, opt Opti
 	if err := checkArgs(bz, k); err != nil {
 		return nil, err
 	}
-	views := makeViews(bz)
 	one := big.NewRat(1, 1)
 
 	// Per-call MINIMIZE1 memo keyed by histogram signature. This is a cold
 	// path (exact arithmetic dominates), so building the signature strings
-	// here is harmless — the shared float engine's memo is what dropped
-	// them.
-	sigs := make([]string, len(views))
-	for i := range views {
-		sigs[i] = views[i].b.Signature()
+	// here is harmless.
+	sigs := make([]string, len(bz.Buckets))
+	for i, b := range bz.Buckets {
+		sigs[i] = b.Signature()
 	}
 	m1memo := make(map[string][]*big.Rat)
-	m1 := func(v *bucketView, j int) *big.Rat {
-		sig := sigs[v.index]
-		tab, ok := m1memo[sig]
+	m1 := func(i, j int) *big.Rat {
+		tab, ok := m1memo[sigs[i]]
 		if !ok {
 			tab = make([]*big.Rat, k+2)
-			m1memo[sig] = tab
+			m1memo[sigs[i]] = tab
 		}
 		if tab[j] == nil {
-			tab[j] = m1ComputeRat(v.hist, j)
+			tab[j] = m1ComputeRat(bz.Buckets[i].Histogram(), j)
 		}
 		return tab[j]
 	}
 
-	nb := len(views)
+	nb := len(bz.Buckets)
 	type state struct{ val *big.Rat }
 	memo := make([][][2]*state, nb)
 	for i := range memo {
@@ -138,19 +135,19 @@ func (e *Engine) ExactMaxDisclosureOpt(bz *bucket.Bucketization, k int, opt Opti
 		if s := memo[i][h][pi]; s != nil {
 			return s.val
 		}
-		v := &views[i]
-		ratio := big.NewRat(int64(v.n), int64(v.top))
+		b := bz.Buckets[i]
+		ratio := big.NewRat(int64(b.Size()), int64(b.TopCount()))
 		var best *big.Rat
 		for cnt := 0; cnt <= h; cnt++ {
 			if tail := rec(i+1, h-cnt, placed); tail != nil {
-				cand := new(big.Rat).Mul(m1(v, cnt), tail)
+				cand := new(big.Rat).Mul(m1(i, cnt), tail)
 				if ratLess(cand, best) {
 					best = cand
 				}
 			}
 			if !placed && (!opt.ForbidSameBucketAntecedent || cnt == 0) {
 				if tail := rec(i+1, h-cnt, true); tail != nil {
-					cand := new(big.Rat).Mul(m1(v, cnt+1), ratio)
+					cand := new(big.Rat).Mul(m1(i, cnt+1), ratio)
 					cand.Mul(cand, tail)
 					if ratLess(cand, best) {
 						best = cand

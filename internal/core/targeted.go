@@ -159,7 +159,7 @@ type restTables struct {
 func (e *Engine) buildRest(bz *bucket.Bucketization, k int) *restTables {
 	nb := len(bz.Buckets)
 	// The MINIMIZE2 kernel's row pass supplies u_i[c] = MINIMIZE1(hist_i, c)
-	// for c <= k, one memo lookup per distinct histogram.
+	// for c <= k, one row per distinct histogram.
 	sc := m2Pool.Get().(*m2Scratch)
 	defer m2Pool.Put(sc)
 	e.rowPass(sc, bz, k+1, noStop)
@@ -214,13 +214,13 @@ func (t *restTables) rest(b, h int) float64 {
 }
 
 // targetedRatio returns min Formula (1) for the fixed target (bucket index
-// b, frequency rank r) using precomputed rest tables.
-func (e *Engine) targetedRatio(views []bucketView, t *restTables, b, r, k int) float64 {
-	v := views[b]
-	ratio := float64(v.n) / float64(v.hist[r])
+// b of bz, frequency rank r) using precomputed rest tables.
+func targetedRatio(bz *bucket.Bucketization, t *restTables, b, r, k int) float64 {
+	hist := bz.Buckets[b].Histogram()
+	ratio := float64(bz.Buckets[b].Size()) / float64(hist[r])
 	best := math.Inf(1)
 	for local := 0; local <= k; local++ {
-		lp := targetedM1(v.hist, r, local+1)
+		lp := targetedM1(hist, r, local+1)
 		if lp == 0 {
 			return 0
 		}
@@ -254,9 +254,8 @@ func (e *Engine) TargetedMaxDisclosure(bz *bucket.Bucketization, bucketIdx int, 
 	if rank < 0 {
 		return 0, nil // value absent: Pr(t_p=value | B) = 0 under any knowledge
 	}
-	views := makeViews(bz)
 	t := e.buildRest(bz, k)
-	return disclosureFromRatio(e.targetedRatio(views, t, bucketIdx, rank, k)), nil
+	return disclosureFromRatio(targetedRatio(bz, t, bucketIdx, rank, k)), nil
 }
 
 // Risk is one entry of a per-target risk profile.
@@ -280,20 +279,19 @@ func (e *Engine) RiskProfile(bz *bucket.Bucketization, k, workers int) ([]Risk, 
 	if err := checkArgs(bz, k); err != nil {
 		return nil, err
 	}
-	views := makeViews(bz)
 	t := e.buildRest(bz, k)
 	type target struct{ bi, r int }
 	var targets []target
-	for bi, v := range views {
-		for r := range v.hist {
+	for bi, b := range bz.Buckets {
+		for r := range b.Distinct() {
 			targets = append(targets, target{bi: bi, r: r})
 		}
 	}
 	out := make([]Risk, len(targets))
 	err := parallel.ForEach(workers, len(targets), func(i int) error {
 		tg := targets[i]
-		d := disclosureFromRatio(e.targetedRatio(views, t, tg.bi, tg.r, k))
-		out[i] = Risk{BucketIdx: tg.bi, Value: views[tg.bi].b.Value(tg.r), Disclosure: d}
+		d := disclosureFromRatio(targetedRatio(bz, t, tg.bi, tg.r, k))
+		out[i] = Risk{BucketIdx: tg.bi, Value: bz.Buckets[tg.bi].Value(tg.r), Disclosure: d}
 		return nil
 	})
 	if err != nil {

@@ -49,15 +49,15 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 	e.rowPass(sc, bz, k+2, noStop)
 	rmin := sc.dp(len(bz.Buckets), k, opt, true)[2*k]
 	// The pooled sc stays out of the return statement (poolleak).
-	w, err := witnessFrom(makeViews(bz), k, rmin, sc, name)
+	w, err := witnessFrom(bz, k, rmin, sc, name)
 	return w, err
 }
 
-// witnessFrom reconstructs the witness from a finished MINIMIZE2 run that
-// kept its choices: its minimum rmin and the choice table in sc. The
-// minimizing compositions of the at most k+1 placement buckets are
-// recomputed here, off the memo, which holds values only.
-func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name func(id int) string) (Witness, error) {
+// witnessFrom reconstructs the witness from a finished MINIMIZE2 run over
+// bz that kept its choices: its minimum rmin and the choice table in sc.
+// The minimizing compositions of the at most k+1 placement buckets are
+// recomputed here: a bucket's published row holds values only.
+func witnessFrom(bz *bucket.Bucketization, k int, rmin float64, sc *m2Scratch, name func(id int) string) (Witness, error) {
 	// Walk the DP choices to recover per-bucket antecedent counts and the
 	// placement of A.
 	type placement struct {
@@ -67,7 +67,7 @@ func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name fu
 	}
 	var placements []placement
 	h, placed := k, false
-	for i := 0; i < len(views); i++ {
+	for i := range bz.Buckets {
 		pi := 0
 		if placed {
 			pi = 1
@@ -89,19 +89,19 @@ func witnessFrom(views []bucketView, k int, rmin float64, sc *m2Scratch, name fu
 	w := Witness{Disclosure: disclosureFromRatio(rmin)}
 	var antecedents []logic.Atom
 	for _, pl := range placements {
-		v := views[pl.bucket]
+		b := bz.Buckets[pl.bucket]
 		atoms := pl.cnt
 		if pl.hasA {
 			atoms++
 		}
-		comp := m1Compute(v.hist, atoms).comp
+		comp := m1Compute(b.Histogram(), atoms).comp
 		for person, kj := range comp {
-			if person >= len(v.b.Tuples) {
+			if person >= len(b.Tuples) {
 				break
 			}
-			pname := name(v.b.Tuples[person])
-			for r := 0; r < kj && r < len(v.hist); r++ {
-				atom := logic.Atom{Person: pname, Value: v.b.Value(r)}
+			pname := name(b.Tuples[person])
+			for r := 0; r < kj && r < b.Distinct(); r++ {
+				atom := logic.Atom{Person: pname, Value: b.Value(r)}
 				if pl.hasA && person == 0 && r == 0 {
 					// Lemma 12 guarantees the minimizing set contains an
 					// atom naming the most frequent value; it becomes A.

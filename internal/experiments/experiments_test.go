@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ckprivacy/internal/anonymize"
-	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataset/adult"
 	"ckprivacy/internal/logic"
 	"ckprivacy/internal/table"
@@ -302,58 +300,5 @@ func TestHospitalRendering(t *testing.T) {
 	}
 	if buf.String() != buf2.String() {
 		t.Error("figure 3 not deterministic for fixed seed")
-	}
-}
-
-// TestFig6BoundedMemoParity is the sweep half of the bounded-memo
-// acceptance criterion: on the Figure 6 workload the default-capacity
-// engine must never evict, so its hit rate stays within 1% of an unbounded
-// engine's and every disclosure value is byte-identical. Both sweeps run
-// on problems built as RunFig6Config builds its own, one of them with an
-// unbounded memo.
-func TestFig6BoundedMemoParity(t *testing.T) {
-	tab := smallAdult(t)
-	cfg := Fig6Config{Ks: []int{1, 3, 5}}
-	sweep := func(memoMaxBytes int64) (*Fig6Result, core.CacheStats) {
-		t.Helper()
-		o := anonymize.DefaultOptions()
-		o.Workers = cfg.Workers
-		o.MemoMaxBytes = memoMaxBytes
-		p, err := anonymize.NewProblemWithOptions(tab, adult.Hierarchies(), adult.QuasiIdentifiers(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fig6Sweep(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, p.Engine().Stats()
-	}
-	ref, us := sweep(-1)
-	got, bs := sweep(0) // default cap
-
-	if len(got.Points) != len(ref.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(got.Points), len(ref.Points))
-	}
-	for i := range got.Points {
-		g, r := got.Points[i], ref.Points[i]
-		if g.Node.Key() != r.Node.Key() {
-			t.Fatalf("point %d: node %v vs %v", i, g.Node, r.Node)
-		}
-		for _, k := range cfg.Ks {
-			if math.Float64bits(g.Disclosure[k]) != math.Float64bits(r.Disclosure[k]) {
-				t.Errorf("node %v k=%d: bounded %v, unbounded %v",
-					g.Node, k, g.Disclosure[k], r.Disclosure[k])
-			}
-		}
-	}
-
-	if bs.Evictions != 0 {
-		t.Errorf("default-capacity engine evicted %d entries on the fig6 sweep", bs.Evictions)
-	}
-	hitRate := func(st core.CacheStats) float64 { return float64(st.Hits) / float64(st.Hits+st.Misses) }
-	if diff := math.Abs(hitRate(bs) - hitRate(us)); diff > 0.01 {
-		t.Errorf("hit rate drifted: bounded %.4f vs unbounded %.4f (|Δ| = %.4f > 0.01)",
-			hitRate(bs), hitRate(us), diff)
 	}
 }

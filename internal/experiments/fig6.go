@@ -92,10 +92,10 @@ func fig6Sweep(p *anonymize.Problem, cfg Fig6Config) (*Fig6Result, error) {
 	ks, maxK := cfg.Ks, slices.Max(cfg.Ks)
 	res := &Fig6Result{Ks: append([]int(nil), ks...)}
 	// Sweep the 72 generalizations on all workers: every node's bucketize +
-	// max-disclosure series is independent (the engine's MINIMIZE1 memo and
-	// the problem's bucketization cache are concurrency-safe and shared, so
-	// a histogram repeated across nodes is computed once, unless workers
-	// miss it at the same moment and each build it). Points land
+	// max-disclosure series is independent (the problem's bucketization
+	// cache and the rows published on its buckets are concurrency-safe and
+	// shared, so a bucket shared across nodes builds its row once, unless
+	// workers miss it at the same moment and each build it). Points land
 	// in lattice order before the entropy sort, keeping the result identical
 	// to the serial sweep.
 	nodes := p.Space().All()

@@ -27,8 +27,8 @@ type GridConfig struct {
 	Ks []int
 	// Workers bounds the goroutines sweeping grid cells; values below 1
 	// mean one worker per CPU core. Cells are independent chain searches
-	// sharing one disclosure engine and bucketization cache, so the result
-	// is identical at every worker count.
+	// sharing one bucketization cache, so the result is identical at every
+	// worker count.
 	Workers int
 	// Hierarchies and QI override the lattice the sweep runs on; nil
 	// means the Adult hierarchies over the Adult quasi-identifiers.
@@ -66,11 +66,11 @@ var DefaultGridCs = []float64{0.5, 0.6, 0.7, 0.8, 0.9}
 
 // RunSafetyGrid sweeps (c,k)-safety over the grid on the Adult
 // quasi-identifier lattice, one chain search per cell (Theorem 14 justifies
-// the chain's monotonicity). All cells share the problem's memoizing
-// disclosure engine and bucketization cache, so each chain node a probe
-// touches is bucketized once for the whole grid and each distinct
-// histogram's DP row is computed once. Building the problem and
-// bucketizing the probed chain nodes, not the DP, is most of the cost.
+// the chain's monotonicity). All cells share the problem's bucketization
+// cache, whose buckets keep their DP rows, so each chain node a probe
+// touches is bucketized once for the whole grid and each histogram class
+// of it builds its row once. Building the problem and bucketizing the
+// probed chain nodes, not the DP, is most of the cost.
 func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 	cs := cfg.Cs
 	if len(cs) == 0 {

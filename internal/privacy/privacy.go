@@ -123,8 +123,10 @@ func (c RecursiveCLDiversity) Satisfied(bz *bucket.Bucketization) (bool, error) 
 type CKSafety struct {
 	C float64
 	K int
-	// Engine optionally shares memoized DP state across checks (strongly
-	// recommended for lattice searches); nil uses a private engine.
+	// Engine picks which engine's counters count the MINIMIZE1 rows the
+	// checks read and build; nil uses a private engine. Rows are reused
+	// through the buckets whichever engine runs, so the choice changes no
+	// answer and no cost.
 	Engine *core.Engine
 }
 

@@ -12,9 +12,9 @@ import (
 // BenchmarkServerDisclosure measures end-to-end request throughput against
 // an httptest server: JSON decode, registry lookup, bucketization, the
 // O(|B|·k³) DP and JSON encode. The cold variant resets the warm state
-// every iteration (fresh engine memo and bucketization cache); the warm
-// variant reuses the dataset's warm caches, which is the steady state a
-// resident ckprivacyd actually serves. CI's short-mode bench job archives
+// every iteration (a fresh bucketization cache, whose buckets hold no
+// rows); the warm variant reuses the dataset's warm caches, which is the
+// steady state a resident ckprivacyd actually serves. CI's short-mode bench job archives
 // both in the BENCH_*.json artifact.
 func BenchmarkServerDisclosure(b *testing.B) {
 	body, err := json.Marshal(map[string]any{"dataset": "adult", "k": 3})
@@ -66,7 +66,7 @@ func BenchmarkServerDisclosure(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Drop all warm state by rebuilding the whole server (fresh
-			// engine memo and bucketization cache) outside the timer.
+			// bucketization cache and rows) outside the timer.
 			b.StopTimer()
 			ts.Close()
 			ts = register(b)

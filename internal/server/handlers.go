@@ -901,10 +901,10 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("dataset %q not registered", req.Dataset))
 		return
 	}
-	// Lattice-search jobs are the heaviest memo users; they run on the
-	// dataset's problem-scoped bounded engine, the one its disclosure and
-	// check requests warm, so a job after a check starts warm and never
-	// evicts another dataset's entries.
+	// Lattice-search jobs are the heaviest row users; they run on the
+	// dataset's problem-scoped engine and over its cached buckets, which
+	// its disclosure and check requests warm, so a job after a check
+	// starts warm.
 	crit, err := s.buildCriterion(req.criterionSpec, ds.problem.Engine())
 	if err != nil {
 		writeHTTPError(w, err)

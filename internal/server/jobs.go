@@ -27,7 +27,7 @@ const (
 
 // jobSpec is a fully resolved anonymization task: the search runs against
 // the dataset's long-lived Problem (warm bucketization cache) with a
-// criterion that shares that Problem's engine memo.
+// criterion that shares that Problem's engine.
 type jobSpec struct {
 	dataset   string
 	method    string

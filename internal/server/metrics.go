@@ -145,30 +145,18 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	}
 	m.mu.Unlock()
 
-	// Live gauges read outside the metrics lock: engine memos, per-dataset
-	// bucketization caches, queue depth. Engine stats are per-shard atomic
-	// reads — a scrape never takes a memo shard lock, so it cannot stall
-	// DP workers mid-request.
+	// Live gauges read outside the metrics lock: engine counters,
+	// per-dataset bucketization caches, queue depth. Engine stats are
+	// atomic reads, so a scrape cannot stall DP workers mid-request.
 	infos := s.registry.list()
 	var sum core.CacheStats // over the registered datasets' engines
 	for _, info := range infos {
 		st := info.ds.problem.Engine().Stats()
 		sum.Hits += st.Hits
 		sum.Misses += st.Misses
-		sum.Entries += st.Entries
-		sum.Bytes += st.Bytes
-		sum.Evictions += st.Evictions
 	}
-	is := s.inline.Stats()
-	e.single("ckprivacyd_engine_memo_hits_total", "counter", "Disclosure-engine MINIMIZE1 row lookups answered from the memo, summed over the registered datasets' engines.", sum.Hits)
-	e.single("ckprivacyd_engine_memo_misses_total", "counter", "Disclosure-engine MINIMIZE1 row lookups that ran the DP, summed over the registered datasets' engines.", sum.Misses)
-	e.single("ckprivacyd_engine_memo_entries", "gauge", "Distinct memoized histogram rows, summed over the registered datasets' engines.", sum.Entries)
-	e.header("ckprivacyd_engine_memo_bytes", "gauge", "Accounted resident bytes of the engine memos, by engine (datasets = summed over the registered datasets' engines, inline = client-chosen groups).")
-	e.sample("ckprivacyd_engine_memo_bytes", sum.Bytes, "engine", "datasets")
-	e.sample("ckprivacyd_engine_memo_bytes", is.Bytes, "engine", "inline")
-	e.header("ckprivacyd_engine_memo_evictions_total", "counter", "Memo entries dropped by the CLOCK eviction policy, by engine (datasets = summed over the registered datasets' engines, inline = client-chosen groups).")
-	e.sample("ckprivacyd_engine_memo_evictions_total", sum.Evictions, "engine", "datasets")
-	e.sample("ckprivacyd_engine_memo_evictions_total", is.Evictions, "engine", "inline")
+	e.single("ckprivacyd_engine_memo_hits_total", "counter", "MINIMIZE1 rows the disclosure engines read from buckets that already held them, summed over the registered datasets' engines.", sum.Hits)
+	e.single("ckprivacyd_engine_memo_misses_total", "counter", "MINIMIZE1 rows the disclosure engines built and published on buckets, summed over the registered datasets' engines.", sum.Misses)
 
 	e.perDataset("ckprivacyd_dataset_cache_hits_total", "counter", "Bucketization-cache hits by dataset.", infos,
 		func(ds *dataset) any { return ds.problem.CacheStats().Hits })
@@ -194,8 +182,6 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	arenaGets, arenaReuses := bucket.ArenaStats()
 	e.single("ckprivacyd_arena_gets_total", "counter", "Scratch arenas borrowed from the process-wide coarsening pool.", arenaGets)
 	e.single("ckprivacyd_arena_reuses_total", "counter", "Arena borrows satisfied without a fresh allocation (gets minus allocs).", arenaReuses)
-	e.perDataset("ckprivacyd_dataset_memo_bytes", "gauge", "Accounted bytes of each dataset's engine memo (warmed by its disclosure, check, release-audit and anonymize traffic).", infos,
-		func(ds *dataset) any { return ds.problem.Engine().Stats().Bytes })
 	e.perDataset("ckprivacyd_dataset_version", "gauge", "Current dataset version (1 at registration, +1 per append).", infos,
 		func(ds *dataset) any { return ds.problem.Version() })
 	e.perDataset("ckprivacyd_dataset_rows", "gauge", "Row count of the current dataset version.", infos,

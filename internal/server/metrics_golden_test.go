@@ -42,8 +42,8 @@ func maskMetrics(text string) string {
 // `go test ./internal/server -run MetricsGolden -update` after an
 // intentional exposition change.
 func TestMetricsGolden(t *testing.T) {
-	// One worker and one shard keep the cache and memo counters
-	// independent of scheduling.
+	// One worker keeps the cache and row counters independent of
+	// scheduling.
 	cfg := Config{SearchWorkers: 1}
 	persisted := func(dir string) Config {
 		mgr, err := store.Open(store.Options{Dir: dir, CompactBytes: 1 << 30})

@@ -11,8 +11,9 @@ import (
 // TestConcurrentClients hammers the service from many goroutines at once —
 // mixed disclosure, check, estimate, registration, job submission/polling
 // and metrics traffic — so `go test -race ./...` exercises every piece of
-// shared state: the engine memo, the per-dataset bucketization caches, the
-// registry, the job manager and the metrics maps.
+// shared state: the rows published on shared buckets, the per-dataset
+// bucketization caches, the registry, the job manager and the metrics
+// maps.
 func TestConcurrentClients(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		MaxConcurrent: 8,

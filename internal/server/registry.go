@@ -65,11 +65,10 @@ func newRegistry(max int) *registry {
 var nameRE = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
 
 // add registers a bundle under name, building its long-lived Problem with
-// the given anonymize options (lattice worker budget, shard budget, memo
-// bound). Duplicate names and full registries are errors, rejected cheaply
-// before the Problem (lattice space, caches) is built; the check repeats
-// at insertion in case a racing registration of the same name won in
-// between.
+// the given anonymize options (lattice worker budget). Duplicate names
+// and full registries are errors, rejected cheaply before the Problem
+// (lattice space, caches) is built; the check repeats at insertion in
+// case a racing registration of the same name won in between.
 func (r *registry) add(name string, b *dataload.Bundle, opts anonymize.Options, maxReleases int) (*dataset, error) {
 	if !nameRE.MatchString(name) {
 		return nil, fmt.Errorf("invalid dataset name %q (want [a-zA-Z0-9._-], max 64 chars)", name)

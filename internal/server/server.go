@@ -2,10 +2,11 @@
 // disclosure-auditing service over the paper's O(|B|·k³) MaxDisclosure
 // check. It keeps a dataset registry (register a CSV table + hierarchies
 // once, reference by name thereafter); each registered dataset's
-// anonymize.Problem owns its warm state — bucketization cache and
-// disclosure-engine memo — which every request on the dataset (disclosure,
-// check, release audit, anonymize job) shares, while inline client-chosen
-// groups run on one separate bounded engine. It runs lattice-search
+// anonymize.Problem owns its warm state — the bucketization cache, whose
+// buckets carry their MINIMIZE1 rows, and the engine that counts them —
+// which every request on the dataset (disclosure, check, release audit,
+// anonymize job) shares, while inline client-chosen groups run on a
+// fresh engine over their own buckets. It runs lattice-search
 // anonymization as asynchronous jobs on a bounded queue, enforces
 // per-request k/size limits plus a global concurrency gate for
 // backpressure, and exports its counters in Prometheus text format.
@@ -80,15 +81,6 @@ type Config struct {
 	// the bound. Snapshots share structure, so the window is cheap.
 	// Default 128.
 	MaxPinnedVersions int
-	// MemoMaxBytes bounds every disclosure-engine memo the daemon runs:
-	// the engine serving inline client-chosen bucketizations, and each
-	// registered dataset's problem-scoped engine (which serves all of that
-	// dataset's disclosure, check, release-audit and anonymize traffic).
-	// Worst-case resident memo memory is therefore (1 + MaxDatasets) ×
-	// MemoMaxBytes — every term individually capped — instead of growing
-	// with every distinct histogram ever seen. 0 means
-	// core.DefaultMemoMaxBytes; negative disables the bound.
-	MemoMaxBytes int64
 }
 
 // Fixed limits: no deployment tunes them, so they are not Config fields.
@@ -140,9 +132,7 @@ func (c Config) withDefaults() Config {
 		c.MaxPinnedVersions = 128
 	}
 	// SearchWorkers is passed through: anonymize.Options already treats
-	// values below 1 as one per CPU core. MemoMaxBytes is passed through:
-	// core.NewEngineWithConfig resolves 0 to its default and treats
-	// negatives as unbounded.
+	// values below 1 as one per CPU core.
 	return c
 }
 
@@ -151,15 +141,13 @@ func (c Config) withDefaults() Config {
 func (c Config) problemOptions() anonymize.Options {
 	o := anonymize.DefaultOptions()
 	o.Workers = c.SearchWorkers
-	o.MemoMaxBytes = c.MemoMaxBytes
 	return o
 }
 
-// Server is the resident service: inline engine, dataset registry, job
-// manager and metrics, wired onto a method-pattern ServeMux.
+// Server is the resident service: dataset registry, job manager and
+// metrics, wired onto a method-pattern ServeMux.
 type Server struct {
 	cfg      Config
-	inline   *core.Engine
 	registry *registry
 	jobs     *jobManager
 	metrics  *metrics
@@ -180,12 +168,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg: cfg,
-		// Inline (client-chosen) bucketizations get their own bounded memo:
-		// they still warm across requests, but hostile or high-cardinality
-		// inline traffic can neither grow resident memory without limit nor
-		// evict the registered datasets' warm entries.
-		inline:   core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: cfg.MemoMaxBytes}),
+		cfg:      cfg,
 		registry: newRegistry(cfg.MaxDatasets),
 		metrics:  newMetrics(),
 		gate:     make(chan struct{}, cfg.MaxConcurrent),
@@ -199,17 +182,14 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// InlineEngine exposes the bounded engine serving inline (client-chosen)
-// bucketizations (for tests and embedding callers).
-func (s *Server) InlineEngine() *core.Engine { return s.inline }
-
 // engineFor is the disclosure engine a disclosure or check request runs
 // on: the dataset's own problem-scoped engine, which its anonymize jobs
-// and release audits share, or the inline engine when ds is nil (inline
-// groups).
+// and release audits share, or a fresh one when ds is nil (inline
+// groups). An inline request's rows live on its own buckets and go with
+// them, so inline traffic holds no memory past its request.
 func (s *Server) engineFor(ds *dataset) *core.Engine {
 	if ds == nil {
-		return s.inline
+		return core.NewEngine()
 	}
 	return ds.problem.Engine()
 }

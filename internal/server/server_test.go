@@ -213,7 +213,8 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// The identical repeat must hit the warm per-dataset bucketization
-	// cache and the engine memo; /metrics proves it.
+	// cache, and the witness must read the rows the disclosure published
+	// on the node's buckets; /metrics proves it.
 	var disc2 disclosureResponse
 	if code := postJSON(t, ts.URL+"/v1/disclosure", req, &disc2); code != http.StatusOK {
 		t.Fatalf("repeat disclosure = %d", code)
@@ -226,7 +227,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("metrics do not show the warm bucketization-cache hit:\n%s", grepMetrics(metrics, "dataset_cache"))
 	}
 	if strings.Contains(metrics, "ckprivacyd_engine_memo_hits_total 0\n") {
-		t.Errorf("engine memo shows no hits after a repeated identical request:\n%s", grepMetrics(metrics, "engine_memo"))
+		t.Errorf("engine shows no row hits after a repeated identical request:\n%s", grepMetrics(metrics, "engine_memo"))
 	}
 
 	// (c,k)-safety verdict through /v1/check: the Figure 3 partition is
@@ -572,7 +573,7 @@ func TestMetricsShape(t *testing.T) {
 		`ckprivacyd_requests_total{route="POST /v1/datasets",code="201"} 1`,
 		`ckprivacyd_requests_total{route="POST /v1/disclosure",code="200"} 1`,
 		`ckprivacyd_request_seconds_count{route="POST /v1/disclosure"} 1`,
-		"ckprivacyd_engine_memo_entries",
+		"ckprivacyd_engine_memo_hits_total",
 		`ckprivacyd_dataset_cache_entries{dataset="h"} 1`,
 		"ckprivacyd_datasets_registered 1",
 		"ckprivacyd_jobs_queue_depth 0",
@@ -693,47 +694,10 @@ func TestEstimateZeroAcceptance(t *testing.T) {
 	}
 }
 
-// TestInlineEngineBoundedAndWarm: inline (client-chosen) bucketizations
-// flow through the shared bounded inline engine — warm across requests,
-// isolated from the registered datasets' engines, and byte-bounded.
-func TestInlineEngineBoundedAndWarm(t *testing.T) {
-	s, ts := newTestServer(t, Config{MemoMaxBytes: 1 << 20})
-	registerHospital(t, ts.URL, "h")
-	ds, _ := s.registry.get("h")
-
-	req := map[string]any{"groups": [][]string{{"a", "a", "b", "c"}, {"a", "b", "b"}}, "k": 2}
-	var d1, d2 disclosureResponse
-	if code := postJSON(t, ts.URL+"/v1/disclosure", req, &d1); code != http.StatusOK {
-		t.Fatalf("inline disclosure = %d", code)
-	}
-	cold := s.InlineEngine().Stats()
-	if cold.Misses == 0 {
-		t.Fatal("inline engine saw no traffic; requests are not routed through it")
-	}
-	if code := postJSON(t, ts.URL+"/v1/disclosure", req, &d2); code != http.StatusOK {
-		t.Fatalf("repeat inline disclosure = %d", code)
-	}
-	warm := s.InlineEngine().Stats()
-	if warm.Hits <= cold.Hits {
-		t.Errorf("repeat inline request did not hit the warm inline memo: %+v -> %+v", cold, warm)
-	}
-	if d1.Disclosure != d2.Disclosure {
-		t.Errorf("warm inline disclosure %v != cold %v", d2.Disclosure, d1.Disclosure)
-	}
-	// Inline traffic must never touch a dataset's engine.
-	if es := ds.problem.Engine().Stats(); es.Misses != 0 || es.Hits != 0 {
-		t.Errorf("inline traffic leaked into the dataset engine: %+v", es)
-	}
-	// And the inline memo is byte-bounded.
-	if warm.Bytes > 1<<20 {
-		t.Errorf("inline memo %d bytes exceeds the 1 MiB bound", warm.Bytes)
-	}
-}
-
 // TestDatasetRequestsShareOneEngine: every request on a registered dataset
 // — disclosure, check, anonymize job and release audit — runs on that
-// dataset's own engine, so each warms the next; inline traffic stays on
-// the inline engine.
+// dataset's own engine and over its cached buckets, so each warms the
+// next; inline traffic never touches a dataset's engine.
 func TestDatasetRequestsShareOneEngine(t *testing.T) {
 	s, ts := newTestServer(t, Config{SearchWorkers: 1})
 	registerHospital(t, ts.URL, "h")
@@ -781,16 +745,23 @@ func TestDatasetRequestsShareOneEngine(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/v1/datasets/h/releases?k=2", nil); code != http.StatusOK {
 		t.Fatalf("audit = %d", code)
 	}
-	if audit := eng.Stats(); audit.Hits+audit.Misses <= job.Hits+job.Misses {
+	audit := eng.Stats()
+	if audit.Hits+audit.Misses <= job.Hits+job.Misses {
 		t.Errorf("release audit did not land on the dataset engine: %+v -> %+v", job, audit)
 	}
-	if is := s.InlineEngine().Stats(); is.Hits != 0 || is.Misses != 0 {
-		t.Errorf("dataset traffic leaked into the inline engine: %+v", is)
+	if code := postJSON(t, ts.URL+"/v1/disclosure",
+		map[string]any{"groups": [][]string{{"a", "a", "b", "c"}, {"a", "b", "b"}}, "k": 2}, nil); code != http.StatusOK {
+		t.Fatalf("inline disclosure = %d", code)
+	}
+	if inline := eng.Stats(); inline != audit {
+		t.Errorf("inline traffic reached the dataset engine: %+v -> %+v", audit, inline)
 	}
 }
 
-// TestMetricsMemoFamilies pins the new memo gauges: bytes and evictions
-// per engine, and the lock-free entries gauge.
+// TestMetricsMemoFamilies pins the engine row counters: the datasets'
+// engines' hits and misses are exported (a dataset disclosure builds
+// rows, so misses are positive), and no family reports a memo size,
+// entry count or eviction, since rows live on the buckets.
 func TestMetricsMemoFamilies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	registerHospital(t, ts.URL, "h")
@@ -799,24 +770,24 @@ func TestMetricsMemoFamilies(t *testing.T) {
 
 	metrics := getText(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		`ckprivacyd_engine_memo_bytes{engine="datasets"}`,
-		`ckprivacyd_engine_memo_bytes{engine="inline"}`,
-		`ckprivacyd_engine_memo_evictions_total{engine="datasets"} 0`,
-		`ckprivacyd_engine_memo_evictions_total{engine="inline"} 0`,
-		"ckprivacyd_engine_memo_entries",
-		`ckprivacyd_dataset_memo_bytes{dataset="h"}`,
+		"ckprivacyd_engine_memo_hits_total ",
+		"ckprivacyd_engine_memo_misses_total ",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, grepMetrics(metrics, "memo"))
 		}
 	}
-	// The dataset's engine computed something for the dataset request, so
-	// the datasets' accounted bytes must be positive.
-	for _, line := range strings.Split(metrics, "\n") {
-		if strings.HasPrefix(line, `ckprivacyd_engine_memo_bytes{engine="datasets"} `) {
-			if strings.HasSuffix(line, " 0") {
-				t.Errorf("datasets memo bytes still 0 after a dataset disclosure: %s", line)
-			}
+	if strings.Contains(metrics, "ckprivacyd_engine_memo_misses_total 0\n") {
+		t.Errorf("no row built after a dataset disclosure:\n%s", grepMetrics(metrics, "memo"))
+	}
+	for _, gone := range []string{
+		"ckprivacyd_engine_memo_entries",
+		"ckprivacyd_engine_memo_bytes",
+		"ckprivacyd_engine_memo_evictions_total",
+		"ckprivacyd_dataset_memo_bytes",
+	} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("metrics still export %s:\n%s", gone, grepMetrics(metrics, "memo"))
 		}
 	}
 }

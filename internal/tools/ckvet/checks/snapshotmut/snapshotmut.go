@@ -8,8 +8,9 @@
 //     the same backing arrays;
 //   - bucket.Bucket — finalized histogram buckets shared by every
 //     minimization pass over the same generalization, and by the
-//     bucketizations an append derives; their memoized hash and entropy
-//     are valid only while the histogram never changes;
+//     bucketizations an append derives; their memoized hash, entropy
+//     and MINIMIZE1 row are valid only while the histogram never
+//     changes;
 //   - bucket.Bucketization — built by the scan, coarsening, append and
 //     value-list constructors, then shared; its histogram-class index
 //     and cached MinEntropy are valid only while its buckets never
@@ -53,7 +54,8 @@ var Analyzer = &analysis.Analyzer{
 // exercise identical rules.
 var pinned = map[string]map[string]bool{
 	// A bucket's hash and entropy memos are atomic words set on first
-	// use, never by assignment.
+	// use, and its MINIMIZE1 row memo an atomic pointer published by
+	// compare-and-swap, never by assignment.
 	"bucket.Bucket": {"bucket.go": true},
 	// A bucketization's constructors span four files; the class index
 	// (classes.go) and the MinEntropy cache are published through atomic

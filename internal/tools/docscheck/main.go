@@ -20,7 +20,12 @@
 // Fuzz*, Benchmark* or Example* name in the last ("Verified by") column
 // of docs/PAPER-MAP.md's tables is defined in some _test.go outside
 // bench/, a name with a * wildcard matching at least one, so a claim
-// cannot rest on a test that was renamed or deleted. Bare file names,
+// cannot rest on a test that was renamed or deleted, and (7) checks
+// every `go test ... -run '<pattern>' ./pkg` line of the CI workflow
+// names tests ./pkg defines: each name of an anchored alternation
+// ^(A|B)$ must be a Test*, Fuzz* or Example* function there, and any
+// other pattern but ^$ must match at least one, so a renamed or deleted
+// test cannot silently shrink a repeated CI step. Bare file names,
 // package paths and symbols are not file paths and are not checked. It
 // exits non-zero listing every offender.
 //
@@ -60,6 +65,7 @@ func main() {
 	problems = append(problems, checkOracleTable("docs/ARCHITECTURE.md", tests)...)
 	problems = append(problems, checkCitedFiles("docs/PAPER-MAP.md", "docs/ARCHITECTURE.md")...)
 	problems = append(problems, checkVerifiedBy("docs/PAPER-MAP.md", tests)...)
+	problems = append(problems, checkCIRuns(ciWorkflow, tests)...)
 	problems = append(problems, checkDocComments(".", "ckprivacy")...)
 	problems = append(problems, checkDocComments("internal/server", "server")...)
 	problems = append(problems, checkDocComments("internal/store", "store")...)
@@ -86,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list, oracle table, cited files and cited tests OK")
+	fmt.Println("docscheck: markdown links, doc-comment coverage, fuzz-smoke list, oracle table, cited files, cited tests and CI -run patterns OK")
 }
 
 // ---- markdown link checking ----
@@ -459,6 +465,74 @@ func matchTests(tests map[string][]testFunc, name string) []string {
 		}
 	}
 	return names
+}
+
+// ---- CI -run patterns ----
+
+// ciWorkflow is the CI workflow whose go test -run lines checkCIRuns
+// resolves.
+const ciWorkflow = ".github/workflows/ci.yml"
+
+// ciRunRE matches a go test command line with a quoted -run pattern,
+// capturing the pattern.
+var ciRunRE = regexp.MustCompile(`\bgo test\b.*\s-run[= ]'([^']*)'`)
+
+// alternationRE matches an anchored alternation of names, ^(A|B)$,
+// capturing the names.
+var alternationRE = regexp.MustCompile(`^\^\(([\w|]+)\)\$$`)
+
+// checkCIRuns reports every go test line of the workflow whose -run
+// pattern names a function its package directory does not define: a
+// name of an anchored alternation ^(A|B)$ that no Test*, Fuzz* or
+// Example* function there has, or any other pattern (^$ aside, which
+// runs nothing on purpose) that matches none. A line's packages are its
+// ./dir arguments; ./... patterns span the module and are not checked.
+func checkCIRuns(workflow string, tests map[string][]testFunc) []string {
+	data, err := os.ReadFile(workflow)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	byDir := map[string][]string{}
+	for name, decls := range tests {
+		if strings.HasPrefix(name, "Benchmark") {
+			continue
+		}
+		for _, d := range decls {
+			byDir[d.dir] = append(byDir[d.dir], name)
+		}
+	}
+	var problems []string
+	for i, line := range strings.Split(string(data), "\n") {
+		m := ciRunRE.FindStringSubmatch(line)
+		if m == nil || m[1] == "^$" {
+			continue
+		}
+		pattern := m[1]
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s:%d: -run pattern %q: %v", workflow, i+1, pattern, err))
+			continue
+		}
+		for _, arg := range strings.Fields(line) {
+			if !strings.HasPrefix(arg, "./") || strings.Contains(arg, "...") {
+				continue
+			}
+			dir := path.Clean(arg)
+			names := byDir[dir]
+			if alt := alternationRE.FindStringSubmatch(pattern); alt != nil {
+				for _, name := range strings.Split(alt[1], "|") {
+					if !slices.Contains(names, name) {
+						problems = append(problems, fmt.Sprintf("%s:%d: -run names %s, which %s does not define", workflow, i+1, name, arg))
+					}
+				}
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				problems = append(problems, fmt.Sprintf("%s:%d: -run %q matches no test in %s", workflow, i+1, pattern, arg))
+			}
+		}
+	}
+	return problems
 }
 
 // ---- the executable claims ledger (make paper) ----
