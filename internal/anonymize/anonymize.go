@@ -385,55 +385,70 @@ func (s *Snapshot) Problem() *Problem { return s.p }
 // columns directly.
 func (s *Snapshot) Encoded() *table.Encoded { return s.st.enc }
 
-// Bucketize materializes the bucketization at a lattice node. Attributes
-// outside the problem's QI list are fully ignored for grouping only if they
-// are not quasi-identifiers of the schema; schema QI attributes not listed
-// in p.QI are treated as suppressed. A node outside the lattice is an
-// error.
+// Bucketize materializes the bucketization at a lattice node, with its
+// row ids. Attributes outside the problem's QI list are fully ignored for
+// grouping only if they are not quasi-identifiers of the schema; schema
+// QI attributes not listed in p.QI are treated as suppressed. A node
+// outside the lattice is an error.
 func (s *Snapshot) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 	return s.BucketizeSubset(s.p.layout.all, node)
 }
 
 // BucketizeSubset materializes the bucketization induced by a subset of the
-// QI dimensions at the given (subset-aligned) levels; the remaining QI
-// attributes are fully suppressed. Incognito's subset lattices are checked
-// through this path. The request is named by the complete level vector it
-// induces, so a subset node and the full node it equals share one cache
-// entry. A cache miss runs as a one-node sweep plan, so it derives from
-// the cheapest already-materialized finer node exactly like a planned
-// frontier does, and scans the rows only when none exists.
+// QI dimensions at the given (subset-aligned) levels, with its row ids;
+// the remaining QI attributes are fully suppressed. The request is named
+// by the complete level vector it induces, so a subset node and the full
+// node it equals share one cache entry. A cache miss runs as a one-node
+// sweep plan, so it derives from the cheapest already-materialized finer
+// node exactly like a planned frontier does, and scans the rows only when
+// none exists; an entry cached without row ids (a search's, or
+// BucketizeHistograms') has them filled in by one scan.
 func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
-	return s.bucketize(subset, node, true)
+	return s.bucketize(subset, node, true, true)
 }
 
-// bucketize is BucketizeSubset, with a cached bucketization counted as a
-// cache hit only when count is set. A search's predicate reads without
-// counting: its frontier hand-off (subsetPrefetch) already counted the
-// vector.
-func (s *Snapshot) bucketize(subset []int, node lattice.Node, count bool) (*bucket.Bucketization, error) {
+// bucketize is BucketizeSubset for row-id readers (rowIDs) or histogram
+// readers, with a cached bucketization counted as a cache hit only when
+// count is set. A search's predicate reads histograms without counting:
+// its frontier hand-off (subsetPrefetch) already counted the vector.
+func (s *Snapshot) bucketize(subset []int, node lattice.Node, count, rowIDs bool) (*bucket.Bucketization, error) {
 	vec, err := s.p.vector(subset, node)
 	if err != nil {
 		return nil, err
 	}
+	// The cache answers the vector when it holds it in either form: a
+	// row-id read of the histogram form only fills in the row ids.
 	key := lattice.Node(vec).Key()
-	if bz, ok := s.st.cache.peek(key); ok {
-		if count {
+	if count {
+		if _, ok := s.st.cache.peek(key, false); ok {
 			s.st.cache.countHit()
 		}
+	}
+	if bz, ok := s.st.cache.peek(key, rowIDs); ok {
 		return bz, nil
 	}
-	if err := s.prefetch([][]int{vec}); err != nil {
+	if err := s.prefetch([][]int{vec}, rowIDs, nil); err != nil {
 		return nil, err
 	}
-	bz, _ := s.st.cache.peek(key)
+	return s.cached(vec, rowIDs)
+}
+
+// cached returns the bucketization a plan has just cached at vec for
+// row-id or histogram readers. Entries of a version are never dropped
+// once published, so it is there.
+func (s *Snapshot) cached(vec []int, rowIDs bool) (*bucket.Bucketization, error) {
+	bz, ok := s.st.cache.peek(lattice.Node(vec).Key(), rowIDs)
+	if !ok {
+		return nil, fmt.Errorf("anonymize: %v is not cached after its plan", vec)
+	}
 	return bz, nil
 }
 
 // pred adapts a privacy criterion to a search's lattice predicate over
-// full nodes.
+// full nodes. The criterion reads the histogram form.
 func (s *Snapshot) pred(crit privacy.Criterion) lattice.Pred {
 	return func(n lattice.Node) (bool, error) {
-		bz, err := s.bucketize(s.p.layout.all, n, false)
+		bz, err := s.bucketize(s.p.layout.all, n, false, false)
 		if err != nil {
 			return false, err
 		}
@@ -456,7 +471,7 @@ func (s *Snapshot) MinimalSafe(crit privacy.Criterion) ([]lattice.Node, lattice.
 // worker budget.
 func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
 	check := func(subset []int, node lattice.Node) (bool, error) {
-		bz, err := s.bucketize(subset, node, false)
+		bz, err := s.bucketize(subset, node, false, false)
 		if err != nil {
 			return false, err
 		}

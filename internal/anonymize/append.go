@@ -75,8 +75,8 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	snap := p.master.Snapshot()
 
 	// Patch the warm state: every cached bucketization absorbs just the
-	// appended rows, once per level vector; entries a patch cannot serve
-	// are dropped and rebuilt lazily. Patched entries keep their level
+	// appended rows, once per level vector and in the form it was cached
+	// in; entries a patch cannot serve are dropped and rebuilt lazily. Patched entries keep their level
 	// vectors, so the next cache miss still derives from the cheapest
 	// compatible source.
 	cache := newBucketizeCache()
@@ -88,13 +88,13 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 		Appended: len(rows),
 		NewCodes: newCodeCounts(snap.Table.Schema, delta),
 	}
-	old.cache.each(func(key string, e *cacheEntry) {
+	old.cache.each(func(key string, e cached) {
 		bz, err := bucket.AppendRows(e.bz, snap, newCompiled, p.levels(e.vec), delta.Start)
 		if err != nil {
 			res.InvalidatedNodes++
 			return
 		}
-		cache.put(key, e.vec, bz)
+		cache.put(key, e.vec, bz, e.rowIDs)
 		res.PatchedNodes++
 	})
 	p.cur.Store(&state{

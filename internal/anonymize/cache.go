@@ -16,23 +16,55 @@ const cacheShards = 32
 // cacheEntry is one complete level vector's slot in the cache, keyed by
 // the vector's lattice key. It is pending while the leader that claimed
 // it materializes it: bz is nil and waiters block on done. publish sets
-// bz, and from then on the entry is an immutable cached bucketization.
-// abandon removes a pending entry and hands the leader's error to its
-// waiters. A patched entry (Problem.Append) is born published and has no
-// done channel.
+// bz, and from then on the entry is an immutable cached bucketization,
+// with its row ids (rowIDs) or without, as the plan that built it served
+// row-id or histogram readers. abandon removes a pending entry and hands
+// the leader's error to its waiters. A patched entry (Problem.Append) is
+// born published and has no done channel.
+//
+// A row-id read of a published entry without row ids replaces it with a
+// pending fill-in entry, whose hist is the published bucketization:
+// histogram readers keep reading hist while the leader fills in its row
+// ids, and waiters get the filled-in bucketization. An abandoned fill-in
+// puts the histogram entry back.
 type cacheEntry struct {
-	vec  []int // complete level vector, schema QI order
-	bz   *bucket.Bucketization
-	err  error
-	done chan struct{} // closed by publish or abandon
+	vec    []int // complete level vector, schema QI order
+	bz     *bucket.Bucketization
+	rowIDs bool
+	hist   *bucket.Bucketization
+	err    error
+	done   chan struct{} // closed by publish or abandon
 }
 
 // wait blocks until the entry's leader publishes or abandons it.
-func (e *cacheEntry) wait() (*bucket.Bucketization, error) {
+func (e *cacheEntry) wait() (*bucket.Bucketization, bool, error) {
 	if e.done != nil {
 		<-e.done
 	}
-	return e.bz, e.err
+	return e.bz, e.rowIDs, e.err
+}
+
+// serves returns the bucketization the entry serves a reader with, nil
+// when the reader must wait for it: a published one that holds row ids
+// when the reader needs them, or, for a histogram reader, any published
+// one or the one a pending fill-in is filling in. The caller holds the
+// entry's shard lock.
+func (e *cacheEntry) serves(rowIDs bool) *bucket.Bucketization {
+	switch {
+	case e.bz != nil && (e.rowIDs || !rowIDs):
+		return e.bz
+	case !rowIDs:
+		return e.hist
+	}
+	return nil
+}
+
+// cached is a point-in-time view of a published entry: its vector and its
+// bucketization, which a pending fill-in reports in the histogram form.
+type cached struct {
+	vec    []int
+	bz     *bucket.Bucketization
+	rowIDs bool
 }
 
 // cacheShard is one lock and map of the cache. bz of an entry in m is
@@ -47,10 +79,11 @@ type cacheShard struct {
 // searches hit it from every worker at once; sharding by key hash keeps
 // the fast path (read of a published entry) off a single global lock.
 //
-// A vector is materialized once per version: the first plan to need it
-// claims its entry and leads, every other one waits on the entry. An
-// entry is held pending only while its leader works, never while the
-// leader waits on another entry, so claims cannot deadlock. Each cache
+// A vector is materialized once per version, and filled in with row ids
+// at most once: the first plan to need it claims its entry and leads,
+// every other one waits on the entry. An entry is held pending only while
+// its leader works, never while the leader waits on another entry, so
+// claims cannot deadlock. Each cache
 // belongs to one problem version; an append builds the next version's
 // cache by patching this one's published entries rather than mutating
 // them (snapshots pinned on this version keep reading it).
@@ -90,51 +123,67 @@ func (c *bucketizeCache) shard(key string) *cacheShard {
 // no miss.
 func (c *bucketizeCache) countHit() { c.hits.Add(1) }
 
-// peek returns the bucketization published at key without touching the
-// hit/miss counters: the sweep planner probes the cache while deciding
-// what to materialize, and a probe is neither a hit nor a
-// materialization. A pending entry is not a bucketization yet.
-func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
+// peek returns the bucketization the entry at key serves a reader with
+// (serves), without touching the hit/miss counters: the sweep planner
+// probes the cache while deciding what to materialize, and a probe is
+// neither a hit nor a materialization. A pending entry is not a
+// bucketization yet.
+func (c *bucketizeCache) peek(key string, rowIDs bool) (*bucket.Bucketization, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	var bz *bucket.Bucketization
 	if e := s.m[key]; e != nil {
-		bz = e.bz
+		bz = e.serves(rowIDs)
 	}
 	s.mu.RUnlock()
 	return bz, bz != nil
 }
 
-// claim returns the entry at key, pending or published, or, when there is
-// none, a new pending entry for vec that the caller leads (leader true)
-// and must end with publish or abandon.
-func (c *bucketizeCache) claim(key string, vec []int) (e *cacheEntry, leader bool) {
+// claim returns the entry at key and the bucketization it serves a reader
+// that needs row ids (rowIDs) or histograms only, or nil when the reader
+// must wait on the entry. When there is no entry, it adds a new pending
+// one for vec; when a row-id reader finds the histogram form published,
+// it replaces that entry with a pending fill-in of it. In both cases the
+// caller leads (leader true) and must end the claim with publish or
+// abandon.
+func (c *bucketizeCache) claim(key string, vec []int, rowIDs bool) (e *cacheEntry, bz *bucket.Bucketization, leader bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.m[key]; e != nil {
-		return e, false
+	cur := s.m[key]
+	switch {
+	case cur == nil:
+		e = &cacheEntry{vec: vec, done: make(chan struct{})}
+	case cur.serves(rowIDs) != nil || cur.bz == nil:
+		return cur, cur.serves(rowIDs), false
+	default:
+		e = &cacheEntry{vec: cur.vec, hist: cur.bz, done: make(chan struct{})}
 	}
-	e = &cacheEntry{vec: vec, done: make(chan struct{})}
 	s.m[key] = e
-	return e, true
+	return e, nil, true
 }
 
 // publish ends a claim with its bucketization and wakes its waiters.
-func (c *bucketizeCache) publish(key string, e *cacheEntry, bz *bucket.Bucketization) {
+func (c *bucketizeCache) publish(key string, e *cacheEntry, bz *bucket.Bucketization, rowIDs bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	e.bz = bz
+	e.bz, e.rowIDs = bz, rowIDs
 	s.mu.Unlock()
 	close(e.done)
 }
 
-// abandon ends a failed claim: the entry leaves the cache, so a later
-// request claims the vector afresh, and its waiters fail with err.
+// abandon ends a failed claim, and its waiters fail with err. A failed
+// materialization leaves the cache, so a later request claims the vector
+// afresh; a failed fill-in puts the histogram entry it was filling in
+// back.
 func (c *bucketizeCache) abandon(key string, e *cacheEntry, err error) {
 	s := c.shard(key)
 	s.mu.Lock()
-	delete(s.m, key)
+	if e.hist != nil {
+		s.m[key] = &cacheEntry{vec: e.vec, bz: e.hist}
+	} else {
+		delete(s.m, key)
+	}
 	e.err = err
 	s.mu.Unlock()
 	close(e.done)
@@ -142,10 +191,10 @@ func (c *bucketizeCache) abandon(key string, e *cacheEntry, err error) {
 
 // put stores a published entry: Problem.Append's patched bucketization at
 // vec, in a successor cache no reader sees yet.
-func (c *bucketizeCache) put(key string, vec []int, bz *bucket.Bucketization) {
+func (c *bucketizeCache) put(key string, vec []int, bz *bucket.Bucketization, rowIDs bool) {
 	s := c.shard(key)
 	s.mu.Lock()
-	s.m[key] = &cacheEntry{vec: vec, bz: bz}
+	s.m[key] = &cacheEntry{vec: vec, bz: bz, rowIDs: rowIDs}
 	s.mu.Unlock()
 }
 
@@ -154,15 +203,15 @@ func (c *bucketizeCache) put(key string, vec []int, bz *bucket.Bucketization) {
 // materializations.
 func (c *bucketizeCache) countMiss() { c.misses.Add(1) }
 
-// each calls fn on a point-in-time copy of every published entry, outside
-// the shard locks. Entries published by racing readers after their shard
-// is visited are simply missed — for the append patcher that only costs a
-// later cache miss, and for the sweep planner a costlier source, never
-// correctness.
-func (c *bucketizeCache) each(fn func(key string, e *cacheEntry)) {
+// each calls fn on a point-in-time view of every published entry, a
+// pending fill-in's histogram form included, outside the shard locks.
+// Entries published by racing readers after their shard is visited are
+// simply missed — for the append patcher that only costs a later cache
+// miss, and for the sweep planner a costlier source, never correctness.
+func (c *bucketizeCache) each(fn func(key string, e cached)) {
 	type keyed struct {
 		key string
-		e   *cacheEntry
+		e   cached
 	}
 	var snapshot []keyed
 	for i := range c.shards {
@@ -170,8 +219,8 @@ func (c *bucketizeCache) each(fn func(key string, e *cacheEntry)) {
 		s.mu.RLock()
 		snapshot = snapshot[:0]
 		for k, e := range s.m {
-			if e.bz != nil {
-				snapshot = append(snapshot, keyed{k, e})
+			if bz := e.serves(false); bz != nil {
+				snapshot = append(snapshot, keyed{k, cached{vec: e.vec, bz: bz, rowIDs: bz == e.bz && e.rowIDs}})
 			}
 		}
 		s.mu.RUnlock()
@@ -205,6 +254,6 @@ func (c *bucketizeCache) stats() CacheStats {
 // size reports the number of published bucketizations.
 func (c *bucketizeCache) size() int {
 	n := 0
-	c.each(func(string, *cacheEntry) { n++ })
+	c.each(func(string, cached) { n++ })
 	return n
 }

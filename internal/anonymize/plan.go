@@ -1,6 +1,7 @@
 package anonymize
 
 import (
+	"slices"
 	"sort"
 
 	"ckprivacy/internal/bucket"
@@ -21,6 +22,21 @@ import (
 // parent's own (predicted or actual) count — both capped by the row
 // count.
 //
+// A plan serves one of two kinds of reader. A histogram plan serves
+// readers of sizes, keys, representative rows and histograms (the
+// searches' frontiers and predicates, BucketizeHistograms): it builds the
+// histogram form, in which a coarsening costs O(source buckets) and reads
+// no row, so it derives from cached entries of either form, and when it
+// would scan two or more roots it scans their component-wise minimum
+// once and derives the roots from that. The minimum is scratch: no reader
+// asked for it, so the cache does not keep it, but the search that
+// planned it offers it to its later plans as a source. A
+// row-id plan serves the accessors that hand out row ids: it builds the
+// row-id form and derives only from entries that hold row ids. A plan
+// drops the vectors cached in a form that serves it, so a row-id plan
+// keeps a vector cached only in the histogram form as a node, whose
+// claim the executor (sweep.go) turns into a fill-in of its row ids.
+//
 // planNode values are written only here (the snapshotmut analyzer pins
 // the type to this file); the executor and its concurrent frontier
 // workers treat the finished plan as read-only.
@@ -39,24 +55,68 @@ type planNode struct {
 	parent    int
 	source    *bucket.Bucketization
 	predicted int // predicted output bucket count
+	// scratch marks a histogram plan's added root, the minimum of the
+	// roots it would otherwise scan: the plan derives from it, but no
+	// reader asked for it, so it is neither claimed nor cached.
+	scratch bool
 }
 
-// sweepPlan is a finished derivation DAG: nodes in planning order and the
+// sweepPlan is a finished derivation DAG: nodes in planning order, the
 // execution frontiers — node indices grouped by ascending height, so
-// every parent completes a frontier before its children start.
+// every parent completes a frontier before its children start — and
+// whether it serves row-id readers.
 type sweepPlan struct {
 	nodes     []planNode
 	frontiers [][]int
+	rowIDs    bool
 }
 
 // buildPlan collects the level vectors the sweep must materialize
-// (deduplicated, and already-cached vectors dropped), then schedules each
-// node's derivation. Nodes are planned in (height, lexicographic) order,
-// so the plan is deterministic for a given cache state, and candidate
-// ties break fewest buckets first, then lexicographically smallest
-// vector, with cached sources preferred over same-cost planned
-// predictions (their counts are actual, not estimates).
-func (s *Snapshot) buildPlan(vecs [][]int) *sweepPlan {
+// (deduplicated, and vectors already cached in a form that serves the
+// plan dropped), then schedules each node's derivation. Nodes are
+// planned in (height, lexicographic) order, so the plan is deterministic
+// for a given cache state, and candidate ties break fewest buckets
+// first, then lexicographically smallest vector, with cached sources
+// preferred over same-cost planned predictions (their counts are actual,
+// not estimates).
+// A histogram plan also derives from scratch, the scratch roots earlier
+// plans of its search scanned, and with two or more base-scan roots it is
+// planned again with their component-wise minimum added as a scratch
+// node, which then is its one root.
+func (s *Snapshot) buildPlan(vecs [][]int, rowIDs bool, scratch []cached) *sweepPlan {
+	if rowIDs {
+		return s.planVecs(vecs, true, nil)
+	}
+	pl := s.planVecs(vecs, false, scratch)
+	var meet []int
+	roots := 0
+	for i := range pl.nodes {
+		if n := &pl.nodes[i]; n.parent < 0 && n.source == nil {
+			roots++
+			if meet == nil {
+				meet = slices.Clone(n.vec)
+			}
+			for d, l := range n.vec {
+				meet[d] = min(meet[d], l)
+			}
+		}
+	}
+	if roots < 2 {
+		return pl
+	}
+	pl = s.planVecs(append(slices.Clip(vecs), meet), false, scratch)
+	key := lattice.Node(meet).Key()
+	for i := range pl.nodes {
+		if pl.nodes[i].key == key {
+			pl.nodes[i].scratch = true
+		}
+	}
+	return pl
+}
+
+// planVecs is buildPlan without the histogram plan's single root: the
+// plan's sources are the cache's entries of the plan's form and extra.
+func (s *Snapshot) planVecs(vecs [][]int, rowIDs bool, extra []cached) *sweepPlan {
 	st := s.st
 	planned := map[string]bool{}
 	var nodes []planNode
@@ -65,14 +125,14 @@ func (s *Snapshot) buildPlan(vecs [][]int) *sweepPlan {
 		if planned[key] {
 			continue
 		}
-		if _, ok := st.cache.peek(key); ok {
+		if _, ok := st.cache.peek(key, rowIDs); ok {
 			continue
 		}
 		planned[key] = true
 		nodes = append(nodes, planNode{vec: vec, key: key, height: vecHeight(vec), parent: -1})
 	}
 	if len(nodes) == 0 {
-		return &sweepPlan{}
+		return &sweepPlan{rowIDs: rowIDs}
 	}
 	sort.Slice(nodes, func(i, j int) bool {
 		if nodes[i].height != nodes[j].height {
@@ -81,8 +141,13 @@ func (s *Snapshot) buildPlan(vecs [][]int) *sweepPlan {
 		return lessVec(nodes[i].vec, nodes[j].vec)
 	})
 
-	var sources []*cacheEntry
-	st.cache.each(func(_ string, e *cacheEntry) { sources = append(sources, e) })
+	// Sources: the cached entries the plan's form may derive from.
+	sources := slices.Clone(extra)
+	st.cache.each(func(_ string, e cached) {
+		if e.rowIDs || !rowIDs {
+			sources = append(sources, e)
+		}
+	})
 	rows := st.tab.Len()
 	cards := s.levelCards()
 	for idx := range nodes {
@@ -133,7 +198,7 @@ func (s *Snapshot) buildPlan(vecs [][]int) *sweepPlan {
 		}
 	}
 
-	pl := &sweepPlan{nodes: nodes}
+	pl := &sweepPlan{nodes: nodes, rowIDs: rowIDs}
 	for i := range nodes {
 		if n := len(pl.frontiers); n == 0 || nodes[pl.frontiers[n-1][0]].height != nodes[i].height {
 			pl.frontiers = append(pl.frontiers, []int{i})

@@ -256,7 +256,7 @@ func TestPlannedIndexesMapRows(t *testing.T) {
 			label := fmt.Sprintf("case %d root %s", i, root)
 			snap := rootedSnapshot(t, root, tab, hs, qi, extra)
 			scans := snap.p.SweepStats().BaseScans
-			pl := snap.buildPlan(fullNodeUnits(t, snap, snap.p.Space().All()...))
+			pl := snap.buildPlan(fullNodeUnits(t, snap, snap.p.Space().All()...), true, nil)
 			results, err := snap.runPlan(pl)
 			if err != nil {
 				t.Fatalf("%s: run: %v", label, err)
@@ -306,7 +306,7 @@ func TestIndexChainRoots(t *testing.T) {
 				if root == "scan" {
 					units = fullNodeUnits(t, snap, bottom, a, top)
 				}
-				if cand := snap.buildPlan(units); isChain(cand, root == "scan") {
+				if cand := snap.buildPlan(units, true, nil); isChain(cand, root == "scan") {
 					pl = cand
 					break
 				}

@@ -15,9 +15,10 @@ import (
 // O(appended rows + buckets at the node): appended rows are scanned and
 // histogrammed once, untouched buckets are shared by pointer with the old
 // bucketization (only a key-to-index map entry each), and only buckets the
-// appended rows land in are rebuilt. Nothing rescans the pre-existing
-// rows, which is what makes refreshing a warm lattice node after a small
-// append cheap. The derived state the append leaves valid comes along:
+// appended rows land in are rebuilt, in the old bucketization's form: a
+// histogram-form node is patched without row ids. Nothing rescans the
+// pre-existing rows, which is what makes refreshing a warm lattice node
+// after a small append cheap. The derived state the append leaves valid comes along:
 // the size, the minimum entropy (carryMinEntropy), the class index
 // (carryClasses), and, through the shared buckets, each untouched
 // bucket's memoized hash, entropy and MINIMIZE1 row.
@@ -33,8 +34,9 @@ import (
 // enc.Table at these levels (codes and hierarchies unchanged for those
 // rows — appends only ever add dictionary codes), and enc/chs reflect the
 // post-append state. The result is then byte-identical — keys, bucket
-// order, tuple order, histograms — to FromGeneralizationEncoded(enc, chs,
-// levels) on the grown table. It starts with its Size cached (old's plus
+// order, sizes, representative rows, histograms, and tuple order when old
+// holds row ids — to ScanIndexed(enc, chs, levels) on the grown table in
+// old's form. It starts with its Size cached (old's plus
 // the appended rows), with its MinEntropy cached when old's carries
 // (carryMinEntropy), and, when old is indexed, with the class index a
 // complete ClassScan would publish, carried forward from old's.
@@ -61,9 +63,10 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 	// path the current cardinalities select (the old bucketization's key
 	// path is irrelevant: matching below goes through the decoded string
 	// keys, which both paths share).
+	rowIDs := old.hasTuples()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	gr := scanRows(enc, dims, start, rows, sc, directLimit(rows-start))
+	gr := scanRows(enc, dims, start, rows, sc, directLimit(rows-start), rowIDs)
 
 	// Match each appended bucket to an existing one through its string
 	// key, and tally its histogram: the matched bucket's (coded over an
@@ -92,16 +95,25 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 		hb.close()
 		if !ok {
 			below := sort.Search(len(old.Buckets), func(j int) bool { return old.Buckets[j].Key > key })
-			changed = append(changed, appended{b: hb.bucket(p, key, added), at: below + fresh, from: -1})
+			changed = append(changed, appended{b: hb.bucket(p, key, added, gr.size(p), gr.reps[p]), at: below + fresh, from: -1})
 			fresh++
 			continue
 		}
 		// Every appended row index exceeds every old one, so the tuples
-		// stay in row order.
-		tuples := make([]int, 0, len(old.Buckets[i].Tuples)+len(added))
-		tuples = append(tuples, old.Buckets[i].Tuples...)
-		tuples = append(tuples, added...)
-		changed = append(changed, appended{b: hb.bucket(p, key, tuples), at: i + fresh, from: i})
+		// stay in row order and the old bucket's smallest row stays the
+		// smallest.
+		ob := old.Buckets[i]
+		var tuples []int
+		if rowIDs {
+			tuples = make([]int, 0, len(ob.Tuples)+len(added))
+			tuples = append(tuples, ob.Tuples...)
+			tuples = append(tuples, added...)
+		}
+		rep := ob.Rep()
+		if ob.Size() == 0 {
+			rep = gr.reps[p]
+		}
+		changed = append(changed, appended{b: hb.bucket(p, key, tuples, ob.Size()+gr.size(p), rep), at: i + fresh, from: i})
 	}
 	// Lay out the result in key order: the old buckets' runs between the
 	// changed buckets' positions.

@@ -17,21 +17,24 @@ import (
 // nested-coarsening law guarantees all its rows generalize identically),
 // fine buckets with equal coarse keys are merged, and their code-space
 // histograms are summed. Its cost is O(fine buckets and their histogram
-// entries) plus, when some groups merge, one sequential pass over the row
-// index that scatters the merged groups' row ids: 4 bytes read per row and
-// one write per merged row. It merges into scratch drawn from a pooled
-// arena and precomputes every output size from the source bucketization,
-// so a planned sweep materializing dozens of lattice nodes allocates each
-// tuple and histogram slab exactly once and reuses its grouping maps,
-// permutation and key buffers across calls.
+// entries). The row-id form adds, when some groups merge, one sequential
+// pass over the row index that scatters the merged groups' row ids: 4
+// bytes read per row and one write per merged row. The histogram form
+// skips it and writes no index, so it never reads a row. A call merges
+// into scratch drawn from a pooled arena and precomputes every output
+// size from the source bucketization, so a planned sweep materializing
+// dozens of lattice nodes allocates each slab exactly once and reuses its
+// grouping maps, permutation and key buffers across calls.
 //
-// The output is byte-identical to a direct scan at the coarse levels: same
-// keys, same bucket order, same tuple order, same histograms. Three
-// mechanical choices make it cheap:
+// The output is byte-identical to a direct scan at the coarse levels in
+// the same form: same keys, same bucket order, same sizes and
+// representative rows, same histograms, and on the row-id form the same
+// tuple order. Three mechanical choices make it cheap:
 //
 //   - groups that merge no fine buckets (one source bucket → one output
-//     bucket) share the source bucket's tuple and histogram storage
-//     outright under the re-decoded key instead of copying it;
+//     bucket) share the source bucket's histogram storage and memo
+//     outright under the re-decoded key, and on the row-id form its tuple
+//     storage, instead of copying them;
 //   - tuples of merged groups are written by one ascending pass over the
 //     row index into an exactly-sized slab, each root bucket's output
 //     bucket resolved once beforehand, so no per-group sort runs and no
@@ -59,10 +62,11 @@ type arena struct {
 }
 
 // cgroup is the pass-one state of one coarse group: its representative
-// row, the index of the first fine bucket that mapped to it, how many fine
-// buckets and rows it absorbs, and — for groups that actually merge — its
-// offset in the tuple slab, its merged slot and the offset of its fine
-// buckets in the arena's member list.
+// row (the smallest of its fine buckets'), the index of the first fine
+// bucket that mapped to it, how many fine buckets and rows it absorbs,
+// and — for groups that actually merge — its offset in the tuple slab, its
+// merged slot and the offset of its fine buckets in the arena's member
+// list.
 type cgroup struct {
 	rep   int
 	first int32
@@ -144,18 +148,21 @@ func (ar *arena) buffers(n int) (cur []int, keys []string, perm []int, posOf []i
 	return ar.cursor[:n], ar.keys[:n], ar.perm[:n], ar.posOf[:n]
 }
 
-// CoarsenIndexed derives the bucketization at the given levels from fine,
-// whose row index is idx (from ScanIndexed, IndexOf or an earlier
-// CoarsenIndexed), and returns the result's index, which shares idx's row
-// array. It merges through a pooled arena: the grouping maps and ordering
-// buffers are reused across calls instead of being allocated per call,
-// tuple and histogram slabs are exact-size, and fine buckets that coarsen
-// alone share their storage.
+// CoarsenIndexed derives the bucketization at the given levels from fine.
+// Given fine's row index idx (from ScanIndexed, IndexOf or an earlier
+// CoarsenIndexed), it builds the row-id form and returns the result's
+// index, which shares idx's row array; fine must then hold its row ids.
+// Given a nil idx, it builds the histogram form (every Bucket.Tuples nil)
+// from fine in either form, reads no row and returns a nil index. It
+// merges through a pooled arena: the grouping maps and ordering buffers
+// are reused across calls instead of being allocated per call, slabs are
+// exact-size, and fine buckets that coarsen alone share their storage.
 //
 // Precondition: fine partitions enc.Table at levels that are
 // component-wise ≤ the requested levels (on every schema QI attribute),
-// and idx indexes fine over all of enc's rows. The result is then
-// byte-identical to FromGeneralizationEncoded at the requested levels.
+// and idx, when given, indexes fine over all of enc's rows. The result is
+// then byte-identical to ScanIndexed at the requested levels in the same
+// form.
 func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, *Index, error) {
 	arenaGets.Add(1)
 	ar := arenaPool.Get().(*arena)
@@ -164,55 +171,64 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 	if err != nil {
 		return nil, nil, err
 	}
-	if idx.Rows() != enc.Rows() {
-		return nil, nil, fmt.Errorf("bucket: row index covers %d rows, table has %d", idx.Rows(), enc.Rows())
+	rowIDs := idx != nil
+	if rowIDs {
+		if idx.Rows() != enc.Rows() {
+			return nil, nil, fmt.Errorf("bucket: row index covers %d rows, table has %d", idx.Rows(), enc.Rows())
+		}
+		if !fine.hasTuples() {
+			return nil, nil, errNoTuples("a row-id coarsening")
+		}
 	}
 	ar.reset(len(dims), len(fine.Buckets))
 
 	// Pass 1: assign every non-empty fine bucket a coarse group through its
 	// representative row (the nested-coarsening law: all its rows
 	// generalize identically), accumulating each group's bucket and row
-	// counts so every output slab below is allocated at exact size.
+	// counts and its smallest row, so every output slab below is
+	// allocated at exact size.
 	groups := ar.groups[:0]
 	groupOf := ar.groupOf
+	join := func(fi int, b *Bucket, gi int, ok bool) {
+		if !ok {
+			groups = append(groups, cgroup{rep: b.Rep(), first: int32(fi), mi: -1})
+		}
+		g := &groups[gi]
+		g.rep = min(g.rep, b.Rep())
+		g.nb++
+		g.rows += b.Size()
+		groupOf[fi] = int32(gi)
+	}
 	if packable(dims) {
 		by := ar.by64
 		for fi, b := range fine.Buckets {
-			if len(b.Tuples) == 0 {
+			if b.Size() == 0 {
 				groupOf[fi] = -1
 				continue
 			}
-			key := packKey(dims, b.Tuples[0])
+			key := packKey(dims, b.Rep())
 			gi, ok := by[key]
 			if !ok {
 				gi = len(groups)
 				by[key] = gi
-				groups = append(groups, cgroup{rep: b.Tuples[0], first: int32(fi), mi: -1})
 			}
-			g := &groups[gi]
-			g.nb++
-			g.rows += len(b.Tuples)
-			groupOf[fi] = int32(gi)
+			join(fi, b, gi, ok)
 		}
 	} else {
 		by := ar.byStr
 		buf := ar.buf[:4*len(dims)]
 		for fi, b := range fine.Buckets {
-			if len(b.Tuples) == 0 {
+			if b.Size() == 0 {
 				groupOf[fi] = -1
 				continue
 			}
-			appendTupleKey(dims, b.Tuples[0], buf)
+			appendTupleKey(dims, b.Rep(), buf)
 			gi, ok := by[string(buf)]
 			if !ok {
 				gi = len(groups)
 				by[string(buf)] = gi
-				groups = append(groups, cgroup{rep: b.Tuples[0], first: int32(fi), mi: -1})
 			}
-			g := &groups[gi]
-			g.nb++
-			g.rows += len(b.Tuples)
-			groupOf[fi] = int32(gi)
+			join(fi, b, gi, ok)
 		}
 	}
 	ar.groups = groups
@@ -251,32 +267,38 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 		mergedMembers += int(g.nb)
 	}
 
-	// The result's index: each root bucket's output position, resolved
-	// once through its fine bucket and that bucket's group.
-	of := make([]int32, len(idx.of))
-	for r, fi := range idx.of {
-		of[r] = -1
-		if fi >= 0 {
-			if gi := groupOf[fi]; gi >= 0 {
-				of[r] = posOf[gi]
+	var out *Index
+	var tupSlab []int
+	if rowIDs {
+		// The result's index: each root bucket's output position, resolved
+		// once through its fine bucket and that bucket's group.
+		of := make([]int32, len(idx.of))
+		for r, fi := range idx.of {
+			of[r] = -1
+			if fi >= 0 {
+				if gi := groupOf[fi]; gi >= 0 {
+					of[r] = posOf[gi]
+				}
+			}
+		}
+		out = &Index{root: idx.root, of: of}
+		if nMerged > 0 {
+			// Merged tuples: one ascending pass over the row index scatters
+			// each merged row to its group's cursor, so every slab section
+			// comes out in global row order, as a scan writes it.
+			tupSlab = make([]int, mergedRows)
+			for row, r := range idx.root {
+				p := of[r]
+				if at := cur[p]; at >= 0 {
+					tupSlab[at] = row
+					cur[p] = at + 1
+				}
 			}
 		}
 	}
 
-	var tupSlab []int
 	var slabs histSlabs
 	if nMerged > 0 {
-		// Merged tuples: one ascending pass over the row index scatters
-		// each merged row to its group's cursor, so every slab section
-		// comes out in global row order, as a scan writes it.
-		tupSlab = make([]int, mergedRows)
-		for row, r := range idx.root {
-			p := of[r]
-			if at := cur[p]; at >= 0 {
-				tupSlab[at] = row
-				cur[p] = at + 1
-			}
-		}
 		// Merged histograms: list each merged group's fine buckets, then
 		// tally them group by group in output order. A fine histogram
 		// coded over an older view of the dictionary (one that predates an
@@ -311,12 +333,21 @@ func CoarsenIndexed(fine *Bucketization, idx *Index, enc *table.Encoded, chs hie
 	for oi, gi := range perm {
 		g := &groups[gi]
 		if g.nb == 1 {
-			bz.Buckets[oi] = rekeyBucket(fine.Buckets[g.first], keys[gi])
+			b := fine.Buckets[g.first]
+			var tuples []int
+			if rowIDs {
+				tuples = b.Tuples
+			}
+			bz.Buckets[oi] = rekeyBucket(b, keys[gi], tuples)
 			continue
 		}
-		bz.Buckets[oi] = slabs.bucket(int(g.mi), keys[gi], tupSlab[g.off:g.off+g.rows:g.off+g.rows])
+		var tuples []int
+		if rowIDs {
+			tuples = tupSlab[g.off : g.off+g.rows : g.off+g.rows]
+		}
+		bz.Buckets[oi] = slabs.bucket(int(g.mi), keys[gi], tuples, g.rows, g.rep)
 	}
-	return bz, &Index{root: idx.root, of: of}, nil
+	return bz, out, nil
 }
 
 // keysAreSorted reports whether keys are already in ascending order — the

@@ -21,7 +21,11 @@ type Bucket struct {
 	// Key identifies the bucket, e.g. the generalized quasi-identifier
 	// signature that formed it.
 	Key string
-	// Tuples lists the row indices (person identities) in the bucket.
+	// Tuples lists the row indices (person identities) in the bucket. It
+	// is nil on a bucketization built for histogram readers (a search's
+	// nodes, Figure 6's sweep): under the random-worlds model a bucket's
+	// privacy state is its histogram, and Size, Rep and the histogram are
+	// set on every bucket.
 	Tuples []int
 
 	// hist is the sensitive histogram: counts in decreasing order, ties
@@ -33,48 +37,78 @@ type Bucket struct {
 	hist  []int
 	codes []uint32
 	dict  *table.Dict
+	// memo holds the state derived from the histogram. A renamed copy of
+	// the bucket (rekeyBucket) shares it, so what either computes the
+	// other reads.
+	memo *memo
+	// size is n_b, and rep the bucket's smallest row (-1 when empty).
+	// Both are set whether or not the bucket holds its row ids.
+	size, rep int32
+}
 
-	// hash and entropy memoize HistogramHash and Entropy, each computed on
-	// first use, so every bucketization that shares the bucket (an append
-	// shares its untouched buckets by pointer) reads them for free. Zero
-	// means not yet computed: a hash of zero is recomputed on every call,
-	// and entropy holds the entropy's bits with the sign bit set, which an
-	// entropy (never negative) leaves free.
+// memo is the derived state of one histogram: HistogramHash, Entropy and
+// the MINIMIZE1 row internal/core publishes (series.go), each computed
+// on first use. A constructor call allocates its buckets' memos as one
+// slab beside their histogram slabs, and every bucket that shares the
+// histogram shares its memo: an append's untouched buckets by pointer, a
+// coarsening's renamed ones through rekeyBucket. Zero means not yet
+// computed: a hash of zero is recomputed on every call, and entropy holds
+// the entropy's bits with the sign bit set, which an entropy (never
+// negative) leaves free.
+type memo struct {
 	hash    atomic.Uint64
 	entropy atomic.Uint64
-	// m1 is the MINIMIZE1 row internal/core published on the bucket
-	// (series.go); nil until one is.
-	m1 atomic.Pointer[[]float64]
+	m1      atomic.Pointer[[]float64]
 }
 
-// newBucket assembles a bucket from its sorted histogram.
-func newBucket(key string, tuples []int, hist []int, codes []uint32, dict *table.Dict) *Bucket {
-	return &Bucket{Key: key, Tuples: tuples, hist: hist, codes: codes, dict: dict}
+// newBucket assembles a bucket of size rows, the smallest of them rep,
+// from its sorted histogram and its memo slot. tuples is nil on the
+// histogram form.
+func newBucket(key string, tuples []int, size, rep int, hist []int, codes []uint32, dict *table.Dict, m *memo) *Bucket {
+	return &Bucket{Key: key, Tuples: tuples, hist: hist, codes: codes, dict: dict, memo: m, size: int32(size), rep: int32(rep)}
 }
 
-// rekeyBucket returns a bucket identical to b under a new key, sharing
-// its tuple and histogram storage and starting with whatever hash,
-// entropy and MINIMIZE1 row b has memoized. Coarsening a group of one
-// fine bucket changes nothing but the key, so the derived state can be
+// ownedBucket is a bucket allocated together with its memo, for the
+// constructors that build buckets one at a time (Merge, and an append's
+// rebuilt buckets): one allocation a bucket, and no slab that a longer
+// lived sibling would pin.
+type ownedBucket struct {
+	b Bucket
+	m memo
+}
+
+// newOwnedBucket is newBucket with a memo of the bucket's own.
+func newOwnedBucket(key string, tuples []int, size, rep int, hist []int, codes []uint32, dict *table.Dict) *Bucket {
+	ob := &ownedBucket{}
+	ob.b = Bucket{Key: key, Tuples: tuples, hist: hist, codes: codes, dict: dict, memo: &ob.m, size: int32(size), rep: int32(rep)}
+	return &ob.b
+}
+
+// rekeyBucket returns a bucket identical to b under key, with tuples as
+// its row ids (nil on the histogram form), sharing b's histogram storage
+// and its memo. Coarsening a group of one fine bucket changes nothing but
+// the key, and a fill-in adds only the row ids, so the derived state is
 // shared outright: buckets are immutable once built (the snapshotmut
 // analyzer pins them to this file) and appends rebuild touched buckets
-// rather than mutating them, so the sharing is never observable.
-func rekeyBucket(b *Bucket, key string) *Bucket {
-	nb := newBucket(key, b.Tuples, b.hist, b.codes, b.dict)
-	if h := b.hash.Load(); h != 0 {
-		nb.hash.Store(h)
-	}
-	if e := b.entropy.Load(); e != 0 {
-		nb.entropy.Store(e)
-	}
-	if u := b.m1.Load(); u != nil {
-		nb.m1.Store(u)
-	}
-	return nb
+// rather than mutating them, so the sharing is never observable, and a
+// MINIMIZE1 row either bucket publishes serves both.
+func rekeyBucket(b *Bucket, key string, tuples []int) *Bucket {
+	return &Bucket{Key: key, Tuples: tuples, hist: b.hist, codes: b.codes, dict: b.dict, memo: b.memo, size: b.size, rep: b.rep}
 }
 
+// hasTuples reports whether b holds its row ids. An empty bucket always
+// does.
+func (b *Bucket) hasTuples() bool { return len(b.Tuples) == b.Size() }
+
 // Size returns n_b, the number of tuples in the bucket.
-func (b *Bucket) Size() int { return len(b.Tuples) }
+func (b *Bucket) Size() int { return int(b.size) }
+
+// Rep returns the bucket's representative row: its smallest row index
+// (person identity), or -1 for an empty bucket. It is set whether or not
+// the bucket holds its row ids (Tuples), and every row of the bucket
+// generalizes to the bucket's key, so a coarser key or one person to
+// name can be read from it alone.
+func (b *Bucket) Rep() int { return int(b.rep) }
 
 // Value returns s^j_b, the j-th most frequent sensitive value (s⁰_b
 // first, ties by increasing value).
@@ -131,11 +165,11 @@ func (b *Bucket) Histogram() []int { return b.hist }
 // HistogramHash returns HistogramHash(b.Histogram()), computed on first
 // use and memoized on the bucket.
 func (b *Bucket) HistogramHash() uint64 {
-	if h := b.hash.Load(); h != 0 {
+	if h := b.memo.hash.Load(); h != 0 {
 		return h
 	}
 	h := bucketHash(b.hist)
-	b.hash.Store(h)
+	b.memo.hash.Store(h)
 	return h
 }
 
@@ -254,7 +288,13 @@ func fromValueLists(keys []string, tuples [][]int, values [][]string) []*Bucket 
 	slabs := hb.slabs()
 	out := make([]*Bucket, len(keys))
 	for i, key := range keys {
-		out[i] = slabs.bucket(i, key, tuples[i])
+		rep := -1
+		for _, id := range tuples[i] {
+			if rep < 0 || id < rep {
+				rep = id
+			}
+		}
+		out[i] = slabs.bucket(i, key, tuples[i], len(tuples[i]), rep)
 	}
 	return out
 }
@@ -264,7 +304,7 @@ type Levels map[string]int
 
 // Merge returns a new bucketization with buckets i and j merged (a single
 // step up the paper's ⪯ partial order). The source table, if any, carries
-// over.
+// over. It needs the two buckets' row ids.
 func (bz *Bucketization) Merge(i, j int) (*Bucketization, error) {
 	if i == j || i < 0 || j < 0 || i >= len(bz.Buckets) || j >= len(bz.Buckets) {
 		return nil, fmt.Errorf("bucket: cannot merge buckets %d and %d of %d", i, j, len(bz.Buckets))
@@ -273,6 +313,9 @@ func (bz *Bucketization) Merge(i, j int) (*Bucketization, error) {
 		i, j = j, i
 	}
 	a, c := bz.Buckets[i], bz.Buckets[j]
+	if !a.hasTuples() || !c.hasTuples() {
+		return nil, errNoTuples("Merge")
+	}
 	// The buckets share one code space; the longer view of its dictionary
 	// decodes both (after an append, untouched buckets keep the older one).
 	dict := a.dict
@@ -288,13 +331,17 @@ func (bz *Bucketization) Merge(i, j int) (*Bucketization, error) {
 	tuples := make([]int, 0, len(a.Tuples)+len(c.Tuples))
 	tuples = append(tuples, a.Tuples...)
 	tuples = append(tuples, c.Tuples...)
+	rep := a.Rep()
+	if r := c.Rep(); rep < 0 || (r >= 0 && r < rep) {
+		rep = r
+	}
 
 	out := &Bucketization{Source: bz.Source}
 	for k, b := range bz.Buckets {
 		switch k {
 		case j:
 		case i:
-			out.Buckets = append(out.Buckets, hb.bucket(0, a.Key+"+"+c.Key, tuples))
+			out.Buckets = append(out.Buckets, hb.bucket(0, a.Key+"+"+c.Key, tuples, len(tuples), rep))
 		default:
 			out.Buckets = append(out.Buckets, b)
 		}
@@ -326,25 +373,50 @@ type sizeCache struct {
 }
 
 // BucketOf returns the index of the bucket containing tuple (person) id, or
-// -1 if absent.
-func (bz *Bucketization) BucketOf(id int) int {
+// -1 if absent. It needs the buckets' row ids, and fails on a
+// bucketization built without them.
+func (bz *Bucketization) BucketOf(id int) (int, error) {
+	if !bz.hasTuples() {
+		return -1, errNoTuples("BucketOf")
+	}
 	for i, b := range bz.Buckets {
 		for _, t := range b.Tuples {
 			if t == id {
-				return i
+				return i, nil
 			}
 		}
 	}
-	return -1
+	return -1, nil
+}
+
+// hasTuples reports whether every bucket holds its row ids: false on a
+// bucketization built for histogram readers.
+func (bz *Bucketization) hasTuples() bool {
+	for _, b := range bz.Buckets {
+		if !b.hasTuples() {
+			return false
+		}
+	}
+	return true
+}
+
+// errNoTuples is the error of an operation that needs row ids, called on
+// a bucketization built without them.
+func errNoTuples(op string) error {
+	return fmt.Errorf("bucket: %s needs row ids, and the bucketization was built for histogram readers without them", op)
 }
 
 // Publish materializes the sanitized release: for each bucket, the tuples'
 // non-sensitive attributes together with an independently random permutation
 // of the bucket's sensitive values (the paper's Figure 3 form). The first
-// output column is the bucket key. Publish requires a Source table.
+// output column is the bucket key. Publish requires a Source table and the
+// buckets' row ids.
 func (bz *Bucketization) Publish(rng *rand.Rand) ([][]string, error) {
 	if bz.Source == nil {
 		return nil, fmt.Errorf("bucket: Publish needs a source table")
+	}
+	if !bz.hasTuples() {
+		return nil, errNoTuples("Publish")
 	}
 	t := bz.Source
 	qi := t.Schema.QuasiIdentifiers()

@@ -90,8 +90,10 @@ func TestFromValues(t *testing.T) {
 		t.Errorf("PrefixSum wrong: %d %d %d", b.PrefixSum(1), b.PrefixSum(2), b.PrefixSum(3))
 	}
 	// Person identities are assigned sequentially across buckets.
-	if bz.BucketOf(0) != 0 || bz.BucketOf(7) != 1 || bz.BucketOf(99) != -1 {
-		t.Errorf("BucketOf wrong")
+	for id, want := range map[int]int{0: 0, 7: 1, 99: -1} {
+		if got, err := bz.BucketOf(id); got != want || err != nil {
+			t.Errorf("BucketOf(%d) = %d, %v; want %d", id, got, err, want)
+		}
 	}
 }
 

@@ -21,9 +21,13 @@ import (
 // larger than the rows scanned, and falls back to a byte-tuple key
 // otherwise — the fallback is exact, not a lossy hash, so every key path
 // groups identically. Sensitive histograms are tallied in code space and
-// sorted (hist.go). Every bucket's row ids live in one exact-size slab per
-// call, and the per-row group ids the scan keeps become the row index
-// (index.go) that coarsening reads.
+// sorted (hist.go). A scan builds one of two forms. The row-id form keeps
+// every bucket's row ids in one exact-size slab per call, and the per-row
+// group ids the scan keeps become the row index (index.go) that
+// coarsening reads. The histogram form, for callers that read only sizes,
+// keys, representative rows and histograms (the paper's §2.1 privacy
+// state), writes neither: its per-row scratch is pooled, so a scan
+// allocates O(buckets).
 //
 // Byte-identity contract (relied on by the randomized parity tests against
 // the string-path reference in internal/oracle, and by the lattice
@@ -201,14 +205,15 @@ func directLimit(n int) uint64 { return max(uint64(n), minDirectSlots) }
 // scratch is the reusable state of a scan: the grouping slot table and
 // maps from a row's key to its group id (cleared, not reallocated,
 // between scans — map bucket growth is the dominant allocation of a map
-// scan), the byte-tuple key buffer, and the sensitive codes of the rows
-// in bucket order.
+// scan), the byte-tuple key buffer, the sensitive codes of the rows in
+// bucket order, and the per-row group ids of a histogram-form scan.
 type scratch struct {
 	slots []int32 // packed key → group id + 1; 0 is unseen
 	by64  map[uint64]int32
 	byStr map[string]int32
 	buf   []byte
 	sens  []uint32
+	gid   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -216,20 +221,29 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // grouping is what the scan loop hands back for rows [lo, hi): the
-// buckets in key order, bucket p's rows (ascending) in
-// rows[off[p]:off[p+1]] of one exact-size slab and their sensitive codes
-// in the same section of sens (scan scratch, valid until the scratch is
-// put back), and index[row-lo], the position of row's bucket.
+// buckets in key order, bucket p's size off[p+1]-off[p] and smallest row
+// reps[p], its sensitive codes in sens[off[p]:off[p+1]] (scan scratch,
+// valid until the scratch is put back), and on the row-id form its rows
+// (ascending) in the same section of one exact-size slab and index[row-lo],
+// the position of row's bucket. rows and index are nil on the histogram
+// form.
 type grouping struct {
 	keys  []string
 	off   []int
+	reps  []int
 	rows  []int
 	sens  []uint32
 	index []int32
 }
 
-// tuples returns bucket p's rows.
+// size returns bucket p's row count.
+func (gr *grouping) size(p int) int { return gr.off[p+1] - gr.off[p] }
+
+// tuples returns bucket p's rows, or nil on the histogram form.
 func (gr *grouping) tuples(p int) []int {
+	if gr.rows == nil {
+		return nil
+	}
 	return gr.rows[gr.off[p]:gr.off[p+1]:gr.off[p+1]]
 }
 
@@ -248,12 +262,22 @@ func (gr *grouping) addRows(hb *histBuilder, p int) {
 // but fits 64 bits, the exact byte-tuple key's otherwise) and counts group
 // sizes. Groups are then
 // ordered by their decoded keys, which fixes every bucket's slab section.
-// The second pass walks the rows in ascending order, writes each row id
-// and its sensitive code at its bucket's cursor, and overwrites its group
-// id with the bucket's position, which leaves the index behind. The
+// The second pass walks the rows in ascending order and writes each row's
+// sensitive code at its bucket's cursor. On the row-id form it also
+// writes the row id there, and overwrites the row's group id with the
+// bucket's position, which leaves the index behind; the histogram form
+// keeps the group ids in scratch and allocates nothing per row. The
 // grouping reads sc until the caller puts it back.
-func scanRows(enc *table.Encoded, dims []dim, lo, hi int, sc *scratch, limit uint64) *grouping {
-	index := make([]int32, hi-lo)
+func scanRows(enc *table.Encoded, dims []dim, lo, hi int, sc *scratch, limit uint64, rowIDs bool) *grouping {
+	var index []int32
+	if rowIDs {
+		index = make([]int32, hi-lo)
+	} else {
+		if cap(sc.gid) < hi-lo {
+			sc.gid = make([]int32, hi-lo)
+		}
+		index = sc.gid[:hi-lo]
+	}
 	reps, sizes := sc.group(dims, lo, hi, index, limit)
 	ng := len(reps)
 
@@ -273,10 +297,11 @@ func scanRows(enc *table.Encoded, dims []dim, lo, hi int, sc *scratch, limit uin
 		slices.SortFunc(perm, func(a, b int32) int { return strings.Compare(byGroup[a], byGroup[b]) })
 	}
 	posOf, cur := make([]int32, ng), make([]int, ng)
-	gr := &grouping{keys: make([]string, ng), off: make([]int, ng+1), rows: make([]int, hi-lo), index: index}
+	gr := &grouping{keys: make([]string, ng), off: make([]int, ng+1), reps: make([]int, ng)}
 	for p, g := range perm {
 		posOf[g] = int32(p)
 		gr.keys[p] = byGroup[g]
+		gr.reps[p] = reps[g]
 		cur[p] = gr.off[p]
 		gr.off[p+1] = gr.off[p] + sizes[g]
 	}
@@ -285,7 +310,18 @@ func scanRows(enc *table.Encoded, dims []dim, lo, hi int, sc *scratch, limit uin
 		sc.sens = make([]uint32, hi-lo)
 	}
 	gr.sens = sc.sens[:hi-lo]
-	sens, rows, codes := enc.SensitiveCol(), gr.rows, gr.sens
+	sens, codes := enc.SensitiveCol(), gr.sens
+	if !rowIDs {
+		for i, g := range index {
+			p := posOf[g]
+			at := cur[p]
+			codes[at] = sens[lo+i]
+			cur[p] = at + 1
+		}
+		return gr
+	}
+	gr.rows, gr.index = make([]int, hi-lo), index
+	rows := gr.rows
 	for i, g := range index {
 		p := posOf[g]
 		row := lo + i
@@ -378,28 +414,46 @@ func keyString(dims []dim, row int, parts []string) string {
 // Attributes absent from levels default to level 0 (no generalization).
 // This realizes the paper's equivalence of full-domain generalization and
 // bucketization under full identification information. The rows are
-// grouped by a two-pass counting sort over the code columns (scanRows).
+// grouped by a two-pass counting sort over the code columns (scanRows),
+// and the result holds its row ids.
 func FromGeneralizationEncoded(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, error) {
-	bz, _, err := ScanIndexed(enc, chs, levels)
+	bz, _, err := ScanIndexed(enc, chs, levels, true, nil)
 	return bz, err
 }
 
-// ScanIndexed is FromGeneralizationEncoded that also returns the scan's
-// row index, so a planned sweep can coarsen the result's children through
-// CoarsenIndexed without indexing its tuples again.
-func ScanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (*Bucketization, *Index, error) {
-	return scanIndexed(enc, chs, levels, directLimit(enc.Rows()))
+// ScanIndexed partitions enc at levels in one counting-sort scan, as
+// FromGeneralizationEncoded does. With rowIDs it returns the row-id form
+// and the scan's row index, so a planned sweep can coarsen the result's
+// children through CoarsenIndexed without indexing its tuples again.
+// Without, it returns the histogram form (every Bucket.Tuples nil) and a
+// nil index, and writes neither the row-id slab nor the index.
+//
+// A non-nil hist fills in row ids, whatever rowIDs says: hist must be
+// enc's bucketization at levels, and the scan then builds no histograms.
+// The result holds hist's buckets with their row ids added, sharing their
+// histograms and memos, and starts with hist's published class index,
+// disclosure series, Size and MinEntropy. A hist whose keys, sizes or
+// representative rows differ from the scan's fails with an error.
+func ScanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, rowIDs bool, hist *Bucketization) (*Bucketization, *Index, error) {
+	return scanIndexed(enc, chs, levels, directLimit(enc.Rows()), rowIDs, hist)
 }
 
 // scanIndexed is ScanIndexed with the direct-addressing limit given.
-func scanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, limit uint64) (*Bucketization, *Index, error) {
+func scanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, limit uint64, rowIDs bool, hist *Bucketization) (*Bucketization, *Index, error) {
 	dims, err := buildDims(enc, chs, levels)
 	if err != nil {
 		return nil, nil, err
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	gr := scanRows(enc, dims, 0, enc.Rows(), sc, limit)
+	gr := scanRows(enc, dims, 0, enc.Rows(), sc, limit, rowIDs || hist != nil)
+	if hist != nil {
+		bz, err := fillTuples(hist, gr, enc.Table)
+		if err != nil {
+			return nil, nil, err
+		}
+		return bz, rootIndex(gr.index, len(gr.keys)), nil
+	}
 	hb := histPool.Get().(*histBuilder)
 	defer histPool.Put(hb)
 	hb.reset(enc.SensitiveDict())
@@ -410,9 +464,45 @@ func scanIndexed(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, l
 	slabs := hb.slabs()
 	bz := &Bucketization{Source: enc.Table, Buckets: make([]*Bucket, len(gr.keys))}
 	for p, key := range gr.keys {
-		bz.Buckets[p] = slabs.bucket(p, key, gr.tuples(p))
+		bz.Buckets[p] = slabs.bucket(p, key, gr.tuples(p), gr.size(p), gr.reps[p])
+	}
+	if !rowIDs {
+		return bz, nil, nil
 	}
 	return bz, rootIndex(gr.index, len(gr.keys)), nil
+}
+
+// fillTuples gives hist's buckets the row ids of a row-id scan at hist's
+// levels: the buckets share hist's histograms and memos, and the result
+// starts with hist's published derived state, which describes the same
+// buckets in the same order.
+func fillTuples(hist *Bucketization, gr *grouping, src *table.Table) (*Bucketization, error) {
+	if len(hist.Buckets) != len(gr.keys) {
+		return nil, fmt.Errorf("bucket: filling in row ids: %d buckets, the scan finds %d", len(hist.Buckets), len(gr.keys))
+	}
+	bz := &Bucketization{Source: src, Buckets: make([]*Bucket, len(gr.keys))}
+	for p, b := range hist.Buckets {
+		if b.Key != gr.keys[p] || b.Size() != gr.size(p) || b.Rep() != gr.reps[p] {
+			return nil, fmt.Errorf("bucket: filling in row ids: bucket %d is %q of %d rows from row %d, the scan finds %q of %d from %d",
+				p, b.Key, b.Size(), b.Rep(), gr.keys[p], gr.size(p), gr.reps[p])
+		}
+		bz.Buckets[p] = rekeyBucket(b, b.Key, gr.tuples(p))
+	}
+	if ix := hist.classes.Load(); ix != nil {
+		bz.classes.Store(ix)
+	}
+	for v := range hist.series {
+		if s := hist.series[v].Load(); s != nil {
+			bz.series[v].Store(s)
+		}
+	}
+	if c := hist.size.Load(); c != nil {
+		bz.size.Store(c)
+	}
+	if c := hist.minEntropy.Load(); c != nil {
+		bz.minEntropy.Store(c)
+	}
+	return bz, nil
 }
 
 // Bucketize is the one-shot form of FromGeneralizationEncoded: it encodes

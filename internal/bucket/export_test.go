@@ -52,7 +52,7 @@ func Packable(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels) (boo
 // scan addresses a packed key space of at most limit keys through its slot
 // table and groups a larger one through its map.
 func ScanLimit(enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, limit uint64) (*Bucketization, *Index, error) {
-	return scanIndexed(enc, chs, levels, limit)
+	return scanIndexed(enc, chs, levels, limit, true, nil)
 }
 
 // KeySpace returns the packed key space at levels (ok false when keys do
@@ -77,7 +77,7 @@ func DiscoveryKeys(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compil
 	seen := map[string]bool{}
 	var keys []string
 	for _, b := range fine.Buckets {
-		k := keyString(dims, b.Tuples[0], parts)
+		k := keyString(dims, b.Rep(), parts)
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)

@@ -149,11 +149,13 @@ func sortByValue(hist []int, codes []uint32, dict *table.Dict) {
 }
 
 // histSlabs holds the staged histograms of one call in two exact-size
-// slabs, so the call's buckets share two allocations.
+// slabs, and their buckets' memos in a third, so the call's buckets share
+// three allocations.
 type histSlabs struct {
 	hist  []int
 	codes []uint32
 	ends  []int
+	memos []memo
 	dict  *table.Dict
 }
 
@@ -163,6 +165,7 @@ func (hb *histBuilder) slabs() histSlabs {
 		hist:  make([]int, len(hb.hist)),
 		codes: make([]uint32, len(hb.codes)),
 		ends:  slices.Clone(hb.ends),
+		memos: make([]memo, len(hb.ends)),
 		dict:  hb.dict,
 	}
 	copy(s.hist, hb.hist)
@@ -170,19 +173,20 @@ func (hb *histBuilder) slabs() histSlabs {
 	return s
 }
 
-// bucket builds a bucket holding staged histogram i.
-func (s *histSlabs) bucket(i int, key string, tuples []int) *Bucket {
+// bucket builds a bucket of size rows, the smallest of them rep, holding
+// staged histogram i; tuples is nil on the histogram form.
+func (s *histSlabs) bucket(i int, key string, tuples []int, size, rep int) *Bucket {
 	lo, hi := span(s.ends, i)
-	return newBucket(key, tuples, s.hist[lo:hi:hi], s.codes[lo:hi:hi], s.dict)
+	return newBucket(key, tuples, size, rep, s.hist[lo:hi:hi], s.codes[lo:hi:hi], s.dict, &s.memos[i])
 }
 
 // bucket builds a bucket holding a copy of staged histogram i in
 // allocations of its own. Appends use it: the buckets one rebuilds are
 // rebuilt again by later appends, and a slab would stay pinned by the
 // buckets of its batch that later appends leave alone.
-func (hb *histBuilder) bucket(i int, key string, tuples []int) *Bucket {
+func (hb *histBuilder) bucket(i int, key string, tuples []int, size, rep int) *Bucket {
 	lo, hi := span(hb.ends, i)
-	return newBucket(key, tuples, slices.Clone(hb.hist[lo:hi]), slices.Clone(hb.codes[lo:hi]), hb.dict)
+	return newOwnedBucket(key, tuples, size, rep, slices.Clone(hb.hist[lo:hi]), slices.Clone(hb.codes[lo:hi]), hb.dict)
 }
 
 // span returns the bounds of staged histogram i.

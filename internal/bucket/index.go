@@ -56,11 +56,15 @@ func (x *Index) Bucket(row int) int { return int(x.of[x.root[row]]) }
 
 // IndexOf builds the index of a bucketization that came without one (a
 // cached or append-patched entry) from its tuples: one write per row. It
-// fails unless the buckets partition rows [0, rows) exactly, so
-// coarsening never reads a row the index misses.
+// fails on a bucketization built without row ids, and unless the buckets
+// partition rows [0, rows) exactly, so coarsening never reads a row the
+// index misses.
 func IndexOf(bz *Bucketization, rows int) (*Index, error) {
 	if err := checkIndexRows(rows); err != nil {
 		return nil, err
+	}
+	if !bz.hasTuples() {
+		return nil, errNoTuples("IndexOf")
 	}
 	root := make([]int32, rows)
 	for i := range root {

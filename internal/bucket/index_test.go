@@ -58,7 +58,7 @@ func TestIndexedChainParityRandom(t *testing.T) {
 		la := randLevels(rng, hs, lb)
 		l0 := randLevels(rng, hs, la)
 		label := fmt.Sprintf("case %d %v -> %v -> %v", i, l0, la, lb)
-		root, idx, err := bucket.ScanIndexed(enc, chs, l0)
+		root, idx, err := bucket.ScanIndexed(enc, chs, l0, true, nil)
 		if err != nil {
 			t.Fatalf("%s: scan: %v", label, err)
 		}

@@ -88,7 +88,7 @@ func TestCoarseningAndAppendCarryRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	fineLevels := bucket.Levels{"Zip": 0, "Age": 0, "Sex": 0}
-	fine, idx, err := bucket.ScanIndexed(enc.Snapshot(), chs, fineLevels)
+	fine, idx, err := bucket.ScanIndexed(enc.Snapshot(), chs, fineLevels, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func (bz *Bucketization) PublishDisclosureSeries(variant int, d []float64) {
 // width values, and nil otherwise. The slice may be longer than width and
 // is shared: callers must not modify it.
 func (b *Bucket) M1Row(width int) []float64 {
-	if u := b.m1.Load(); u != nil && len(*u) >= width {
+	if u := b.memo.m1.Load(); u != nil && len(*u) >= width {
 		return *u
 	}
 	return nil
@@ -79,11 +79,11 @@ func (b *Bucket) M1Row(width int) []float64 {
 func (b *Bucket) PublishM1Row(u []float64) {
 	next := &u
 	for {
-		cur := b.m1.Load()
+		cur := b.memo.m1.Load()
 		if cur != nil && len(*cur) >= len(u) {
 			return
 		}
-		if b.m1.CompareAndSwap(cur, next) {
+		if b.memo.m1.CompareAndSwap(cur, next) {
 			return
 		}
 	}

@@ -7,7 +7,7 @@ import "math"
 // of this quantity over all buckets. It is computed on first use and
 // memoized on the bucket.
 func (b *Bucket) Entropy() float64 {
-	if e := b.entropy.Load(); e != 0 {
+	if e := b.memo.entropy.Load(); e != 0 {
 		return math.Float64frombits(e &^ entropySet)
 	}
 	h := 0.0
@@ -17,7 +17,7 @@ func (b *Bucket) Entropy() float64 {
 			h -= p * math.Log(p)
 		}
 	}
-	b.entropy.Store(math.Float64bits(h) | entropySet)
+	b.memo.entropy.Store(math.Float64bits(h) | entropySet)
 	return h
 }
 

@@ -471,7 +471,15 @@ func TestWitnessCrossBucketFigure3(t *testing.T) {
 	bz := fig3()
 	ai, _ := strconv.Atoi(imp.Ante.Person)
 	ti, _ := strconv.Atoi(w.Target.Person)
-	if bz.BucketOf(ai) == bz.BucketOf(ti) {
+	ab, err := bz.BucketOf(ai)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := bz.BucketOf(ti)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ab == tb {
 		t.Errorf("cross-bucket witness uses same bucket: %v", w)
 	}
 	// The oracle agrees with the claimed probability.

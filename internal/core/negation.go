@@ -89,7 +89,9 @@ func (w NegationWitness) Phi(domain []string) (logic.Conjunction, error) {
 }
 
 // NegationWitnessFor reconstructs a worst-case negation set. Person names
-// are produced by name (nil means the decimal tuple id).
+// are produced by name (nil means the decimal tuple id). Every atom is
+// about the target bucket's representative row (bucket.Bucket.Rep), so a
+// bucketization built without row ids serves as well.
 func NegationWitnessFor(bz *bucket.Bucketization, k int, name func(id int) string) (NegationWitness, error) {
 	d, bi, si, err := negationBest(bz, k)
 	if err != nil {
@@ -99,7 +101,7 @@ func NegationWitnessFor(bz *bucket.Bucketization, k int, name func(id int) strin
 		name = strconv.Itoa
 	}
 	b := bz.Buckets[bi]
-	person := name(b.Tuples[0])
+	person := name(b.Rep())
 	w := NegationWitness{
 		Disclosure:   d,
 		Target:       logic.Atom{Person: person, Value: b.Value(si)},

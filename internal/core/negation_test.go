@@ -2,10 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"ckprivacy/internal/bucket"
+	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/table"
 	"ckprivacy/internal/worlds"
 )
 
@@ -211,5 +215,60 @@ func TestNegationWitnessAchieves(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bothForms scans a small table at one generalization in the row-id form
+// and in the histogram form, which holds no row ids.
+func bothForms(t *testing.T) (rows, hist *bucket.Bucketization) {
+	t.Helper()
+	s, err := table.NewSchema([]table.Attribute{
+		{Name: "Age", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "Disease", Kind: table.Categorical, Domain: []string{"flu", "cancer", "mumps"}},
+	}, "Disease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := table.New(s)
+	for i, d := range []string{"flu", "flu", "cancer", "mumps", "flu", "cancer", "cancer", "flu", "mumps"} {
+		tab.MustAppend(table.Row{strconv.Itoa(20 + 7*i), d})
+	}
+	enc := tab.Encode()
+	chs, err := bucket.CompileHierarchies(enc, hierarchy.Set{"Age": hierarchy.MustInterval("Age", []int{1, 30, 0})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := bucket.Levels{"Age": 1}
+	if rows, _, err = bucket.ScanIndexed(enc, chs, levels, true, nil); err != nil {
+		t.Fatal(err)
+	}
+	if hist, _, err = bucket.ScanIndexed(enc, chs, levels, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	return rows, hist
+}
+
+// TestWitnessesWithoutRowIDs: a negation witness names one person, its
+// bucket's representative row, so the histogram form yields the row-id
+// form's witness; an implication witness names several persons by row id,
+// so on the histogram form it fails rather than naming too few.
+func TestWitnessesWithoutRowIDs(t *testing.T) {
+	rows, hist := bothForms(t)
+	for k := 0; k <= 2; k++ {
+		want, err := NegationWitnessFor(rows, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NegationWitnessFor(hist, k, nil)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: negation witness %+v (%v), row-id form %+v", k, got, err, want)
+		}
+		e := NewEngine()
+		if _, err := e.Witness(rows, k, Options{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if w, err := e.Witness(hist, k, Options{}, nil); err == nil {
+			t.Fatalf("k=%d: witness %+v without row ids", k, w)
+		}
 	}
 }

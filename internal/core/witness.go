@@ -36,7 +36,8 @@ func (w Witness) Phi() logic.Conjunction {
 
 // Witness reconstructs a maximizing set of implications alongside the
 // maximum disclosure. Person names are produced by name (nil means the
-// decimal tuple id).
+// decimal tuple id). It names several persons per bucket, so it needs
+// the buckets' row ids and fails on a bucketization built without them.
 func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func(id int) string) (Witness, error) {
 	if err := checkArgs(bz, k); err != nil {
 		return Witness{}, err
@@ -90,6 +91,9 @@ func witnessFrom(bz *bucket.Bucketization, k int, rmin float64, sc *m2Scratch, n
 	var antecedents []logic.Atom
 	for _, pl := range placements {
 		b := bz.Buckets[pl.bucket]
+		if len(b.Tuples) != b.Size() {
+			return Witness{}, fmt.Errorf("core: witness names persons by row id, and bucket %d was built without row ids", pl.bucket)
+		}
 		atoms := pl.cnt
 		if pl.hasA {
 			atoms++

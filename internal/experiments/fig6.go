@@ -99,22 +99,19 @@ func fig6Sweep(p *anonymize.Problem, cfg Fig6Config) (*Fig6Result, error) {
 	// in lattice order before the entropy sort, keeping the result identical
 	// to the serial sweep.
 	nodes := p.Space().All()
-	snap := p.Snapshot()
-	// Materialize the whole lattice as one planned sweep first: one base
+	// Bucketize the whole lattice as one histogram plan: one base
 	// scan at the bottom, everything else coarsened along the derivation
-	// DAG, each frontier on the problem's worker budget. The per-node loop
-	// below then only ever hits the cache; results are byte-identical to
+	// DAG without reading a row, each frontier on the problem's worker
+	// budget. A node's entropy and disclosure read only its histograms, so
+	// no node needs its row ids; results are byte-identical to
 	// bucketizing each node independently.
-	if err := snap.MaterializeNodes(nodes); err != nil {
+	bzs, err := p.Snapshot().BucketizeHistograms(nodes)
+	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6 sweep: %w", err)
 	}
 	res.Points = make([]Fig6Point, len(nodes))
-	err := parallel.ForEach(cfg.Workers, len(nodes), func(i int) error {
-		node := nodes[i]
-		bz, err := snap.Bucketize(node)
-		if err != nil {
-			return fmt.Errorf("experiments: fig6 at %v: %w", node, err)
-		}
+	err = parallel.ForEach(cfg.Workers, len(nodes), func(i int) error {
+		node, bz := nodes[i], bzs[i]
 		pt := Fig6Point{
 			Node:       node,
 			Buckets:    len(bz.Buckets),

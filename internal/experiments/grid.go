@@ -127,13 +127,13 @@ func RunSafetyGrid(tab *table.Table, cfg GridConfig) (*GridResult, error) {
 		}
 		cell := GridCell{C: cs[i], K: ks[j], Exists: ok, Height: -1, Evaluated: stats.Evaluated}
 		if ok {
-			bz, err := snap.Bucketize(node)
+			bzs, err := snap.BucketizeHistograms([]lattice.Node{node})
 			if err != nil {
 				return fmt.Errorf("experiments: grid at (c=%v, k=%d): %w", cs[i], ks[j], err)
 			}
 			cell.Node = node
 			cell.Height = node.Height()
-			cell.Buckets = len(bz.Buckets)
+			cell.Buckets = len(bzs[0].Buckets)
 		}
 		res.Cells[i][j] = cell
 		return nil

@@ -83,9 +83,9 @@ func Bucketize(t *table.Table, hs hierarchy.Set, levels bucket.Levels) (*bucket.
 }
 
 // RequireIdentical fails the test unless two bucketizations agree on
-// everything observable: bucket count and order, keys, tuple ids and
-// their order, the sensitive frequency table, the histogram and its
-// signature.
+// everything observable: bucket count and order, keys, sizes and
+// representative rows, tuple ids and their order, the sensitive frequency
+// table, the histogram and its signature.
 func RequireIdentical(t testing.TB, want, got *bucket.Bucketization, label string) {
 	t.Helper()
 	if len(want.Buckets) != len(got.Buckets) {
@@ -95,6 +95,9 @@ func RequireIdentical(t testing.TB, want, got *bucket.Bucketization, label strin
 		w, g := want.Buckets[i], got.Buckets[i]
 		if w.Key != g.Key {
 			t.Fatalf("%s: bucket %d key %q, want %q", label, i, g.Key, w.Key)
+		}
+		if w.Size() != g.Size() || w.Rep() != g.Rep() {
+			t.Fatalf("%s: bucket %d (%s) size %d from row %d, want %d from %d", label, i, w.Key, g.Size(), g.Rep(), w.Size(), w.Rep())
 		}
 		if !reflect.DeepEqual(w.Tuples, g.Tuples) {
 			t.Fatalf("%s: bucket %d (%s) tuples %v, want %v", label, i, w.Key, g.Tuples, w.Tuples)

@@ -7,6 +7,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -45,6 +46,12 @@ type Attribute struct {
 	// Min and Max bound the legal values of a numeric attribute
 	// (inclusive). They are ignored for categorical attributes.
 	Min, Max int
+
+	// domain holds Domain as a set, built once by NewSchema, so that
+	// Validate costs one lookup however large the domain. It is nil on an
+	// attribute NewSchema did not build (a Schema written as a literal),
+	// whose Validate walks Domain instead.
+	domain map[string]struct{}
 }
 
 // Validate reports whether v is a legal value for the attribute.
@@ -60,10 +67,12 @@ func (a *Attribute) Validate(v string) error {
 		}
 		return nil
 	case Categorical:
-		for _, d := range a.Domain {
-			if d == v {
+		if a.domain != nil {
+			if _, ok := a.domain[v]; ok {
 				return nil
 			}
+		} else if slices.Contains(a.Domain, v) {
+			return nil
 		}
 		return fmt.Errorf("table: attribute %q: %q not in domain", a.Name, v)
 	default:
@@ -80,11 +89,14 @@ type Schema struct {
 	SensitiveIndex int
 }
 
-// NewSchema builds a schema and validates its internal consistency.
+// NewSchema builds a schema and validates its internal consistency. The
+// schema holds a copy of attrs, with each categorical domain indexed as a
+// set for Validate; the domains must not change afterwards.
 func NewSchema(attrs []Attribute, sensitive string) (*Schema, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("table: schema needs at least one attribute")
 	}
+	attrs = slices.Clone(attrs)
 	seen := make(map[string]bool, len(attrs))
 	si := -1
 	for i, a := range attrs {
@@ -97,6 +109,13 @@ func NewSchema(attrs []Attribute, sensitive string) (*Schema, error) {
 		seen[a.Name] = true
 		if a.Kind == Categorical && len(a.Domain) == 0 {
 			return nil, fmt.Errorf("table: categorical attribute %q has empty domain", a.Name)
+		}
+		if a.Kind == Categorical {
+			set := make(map[string]struct{}, len(a.Domain))
+			for _, d := range a.Domain {
+				set[d] = struct{}{}
+			}
+			attrs[i].domain = set
 		}
 		if a.Kind == Numeric && a.Min > a.Max {
 			return nil, fmt.Errorf("table: numeric attribute %q has Min > Max", a.Name)

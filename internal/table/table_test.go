@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -302,5 +303,63 @@ func TestSortCountsProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSchemaDomainSet: NewSchema validates categorical values through a
+// set it builds over a copy of the caller's attributes, and a Schema
+// written as a literal (no set) accepts and rejects the same values with
+// the same error text.
+func TestSchemaDomainSet(t *testing.T) {
+	attrs := []Attribute{
+		{Name: "Sex", Kind: Categorical, Domain: []string{"M", "F"}},
+		{Name: "Disease", Kind: Categorical, Domain: []string{"flu", "cancer"}},
+	}
+	built, err := NewSchema(attrs, "Disease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &built.Attrs[0] == &attrs[0] || attrs[0].domain != nil {
+		t.Fatal("NewSchema wrote into the caller's attributes")
+	}
+	literal := &Schema{Attrs: attrs, SensitiveIndex: 1}
+	for _, v := range []string{"M", "F", "X", "", "flu"} {
+		got, want := built.Attrs[0].Validate(v), literal.Attrs[0].Validate(v)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("Validate(%q): built %v, literal %v", v, got, want)
+		}
+	}
+	if err := New(literal).Append(Row{"F", "cancer"}); err != nil {
+		t.Errorf("literal schema rejects a legal row: %v", err)
+	}
+}
+
+// BenchmarkReadCSVLargeDomain loads 200,000 two-column rows whose
+// quasi-identifier takes 20,000 categorical values: validation costs one
+// set lookup per cell, not a walk of the domain.
+func BenchmarkReadCSVLargeDomain(b *testing.B) {
+	const rows, values = 200_000, 20_000
+	domain := make([]string, values)
+	for i := range domain {
+		domain[i] = fmt.Sprintf("v%05d", i)
+	}
+	s, err := NewSchema([]Attribute{
+		{Name: "Q", Kind: Categorical, Domain: domain},
+		{Name: "S", Kind: Categorical, Domain: []string{"a", "b", "c"}},
+	}, "S")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString("Q,S\n")
+	for r := 0; r < rows; r++ {
+		fmt.Fprintf(&buf, "%s,%s\n", domain[(r*7919)%values], []string{"a", "b", "c"}[r%3])
+	}
+	data := buf.Bytes()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadCSV(bytes.NewReader(data), s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

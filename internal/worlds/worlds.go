@@ -48,13 +48,17 @@ func New(buckets ...Bucket) (Instance, error) {
 // come from the source table when the bucketization carries one; without
 // one (bucket.FromValues) each bucket's values are its histogram in Freq
 // order — under random worlds only a bucket's multiset matters, not which
-// person holds which value.
+// person holds which value. Persons are the buckets' row ids, so a
+// bucketization built without them fails.
 func FromBucketization(bz *bucket.Bucketization, name func(id int) string) (Instance, error) {
 	if name == nil {
 		name = strconv.Itoa
 	}
 	var in Instance
-	for _, b := range bz.Buckets {
+	for i, b := range bz.Buckets {
+		if len(b.Tuples) != b.Size() {
+			return Instance{}, fmt.Errorf("worlds: bucket %d was built without row ids, which name its persons", i)
+		}
 		wb := Bucket{}
 		for _, id := range b.Tuples {
 			wb.Persons = append(wb.Persons, name(id))

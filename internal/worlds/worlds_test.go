@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 
 	"ckprivacy/internal/bucket"
+	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/logic"
+	"ckprivacy/internal/table"
 )
 
 // figure3 is the paper's published bucketization (Figure 3): a male bucket
@@ -390,5 +392,32 @@ func TestUniformMarginals(t *testing.T) {
 			t.Fatal(err)
 		}
 		ratEq(t, p, 1, 5, "Pr("+person+"=mumps)")
+	}
+}
+
+// TestFromBucketizationNeedsRowIDs: persons are row ids, so a
+// bucketization built without them (the histogram form a search caches)
+// fails instead of yielding buckets with no persons.
+func TestFromBucketizationNeedsRowIDs(t *testing.T) {
+	s, err := table.NewSchema([]table.Attribute{
+		{Name: "Sex", Kind: table.Categorical, Domain: []string{"M", "F"}},
+		{Name: "Disease", Kind: table.Categorical, Domain: []string{"flu", "mumps"}},
+	}, "Disease")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := table.New(s)
+	for _, r := range []table.Row{{"M", "flu"}, {"F", "mumps"}, {"M", "mumps"}} {
+		tab.MustAppend(r)
+	}
+	for _, rowIDs := range []bool{true, false} {
+		bz, _, err := bucket.ScanIndexed(tab.Encode(), hierarchy.CompiledSet{}, bucket.Levels{}, rowIDs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := FromBucketization(bz, nil)
+		if (err == nil) != rowIDs {
+			t.Fatalf("row ids %v: instance %+v, error %v", rowIDs, in, err)
+		}
 	}
 }
