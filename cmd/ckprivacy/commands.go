@@ -151,14 +151,17 @@ func cmdSafe(args []string) error {
 		return nil
 	}
 	fmt.Printf("safe nodes:  %d  (levels over %v)\n", len(nodes), b.QI)
-	for _, n := range nodes {
-		bz, err := p.Bucketize(n)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %v  buckets=%d minEntropy=%.3f\n", n, len(bz.Buckets), bz.MinEntropy())
+	// Bucket counts, entropies and utilities read only histograms, so the
+	// nodes the search cached are read without row ids.
+	snap := p.Snapshot()
+	bzs, err := snap.BucketizeHistograms(nodes)
+	if err != nil {
+		return err
 	}
-	idx, best, err := p.BestByUtility(nodes, metric)
+	for i, n := range nodes {
+		fmt.Printf("  %v  buckets=%d minEntropy=%.3f\n", n, len(bzs[i].Buckets), bzs[i].MinEntropy())
+	}
+	idx, best, err := snap.BestByUtility(nodes, metric)
 	if err != nil {
 		return err
 	}

@@ -497,28 +497,18 @@ func (s *Snapshot) ChainSearch(crit privacy.Criterion) (lattice.Node, bool, latt
 	return chain[idx], true, stats, nil
 }
 
-// BestByUtility materializes the candidate nodes and returns the index of
-// the one maximizing the metric (§3.4: pick the minimal safe bucketization
-// with the highest utility), together with its bucketization.
+// BestByUtility returns the index of the candidate node maximizing the
+// metric (§3.4: pick the minimal safe bucketization with the highest
+// utility), together with its bucketization. A metric reads only sizes
+// and histograms, so the candidates are read through one
+// BucketizeHistograms call (usually they are cached from the search that
+// produced them, and the call plans nothing), and the returned
+// bucketization may hold no row ids: Bucketize the chosen node for them.
 func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *bucket.Bucketization, error) {
 	if len(nodes) == 0 {
 		return -1, nil, fmt.Errorf("anonymize: no candidate nodes")
 	}
-	// The candidates are one frontier: materialize them as a planned batch
-	// before ranking (usually they are cached from the search that
-	// produced them, in which case this is a no-op).
-	if err := s.MaterializeNodes(nodes); err != nil {
-		return -1, nil, err
-	}
-	bzs := make([]*bucket.Bucketization, len(nodes))
-	err := parallel.ForEach(s.p.opts.Workers, len(nodes), func(i int) error {
-		bz, err := s.Bucketize(nodes[i])
-		if err != nil {
-			return err
-		}
-		bzs[i] = bz
-		return nil
-	})
+	bzs, err := s.BucketizeHistograms(nodes)
 	if err != nil {
 		return -1, nil, err
 	}

@@ -266,6 +266,8 @@ func TestBestByUtility(t *testing.T) {
 	if idx < 0 || idx >= len(minimal) || bz == nil {
 		t.Fatalf("BestByUtility = %d, %v", idx, bz)
 	}
+	// A metric reads only histograms, so ranking fills no row ids in.
+	requireNoRowIDs(t, "after BestByUtility", p.Snapshot())
 	// The returned bucketization must beat-or-tie every other candidate.
 	for _, n := range minimal {
 		other, err := p.Bucketize(n)

@@ -375,29 +375,39 @@ func (s *Snapshot) MaterializeNodes(nodes []lattice.Node) error {
 // size, key, representative row and histogram, which is all that every
 // criterion in internal/privacy, every metric in internal/utility and the
 // MINIMIZE1/2 DP read. A returned bucketization may hold no row ids
-// (every Bucket.Tuples nil). The nodes not cached in either form are
-// materialized as one histogram plan: one base scan at most, and every
-// other node coarsened in O(source buckets) without reading a row. A node
-// outside the lattice fails the call before anything is materialized.
-// Each requested node found cached counts a hit, and each materialized
-// one a miss.
+// (every Bucket.Tuples nil). A node cached in either form costs one cache
+// peek; the nodes cached in neither are materialized as one histogram
+// plan: one base scan at most, and every other node coarsened in
+// O(source buckets) without reading a row. A node outside the lattice
+// fails the call before anything is materialized. Each requested node
+// found cached counts a hit, and each materialized one a miss.
 func (s *Snapshot) BucketizeHistograms(nodes []lattice.Node) ([]*bucket.Bucketization, error) {
 	vecs, err := s.vectors(s.fullSubsets(len(nodes)), nodes)
 	if err != nil {
 		return nil, err
 	}
-	for _, vec := range vecs {
-		if _, ok := s.st.cache.peek(lattice.Node(vec).Key(), false); ok {
-			s.st.cache.countHit()
+	out := make([]*bucket.Bucketization, len(vecs))
+	var missing [][]int
+	for i, vec := range vecs {
+		bz, ok := s.st.cache.peek(lattice.Node(vec).Key(), false)
+		if !ok {
+			missing = append(missing, vec)
+			continue
 		}
+		s.st.cache.countHit()
+		out[i] = bz
 	}
-	if err := s.prefetch(vecs, false, nil); err != nil {
+	if len(missing) == 0 {
+		return out, nil
+	}
+	if err := s.prefetch(missing, false, nil); err != nil {
 		return nil, err
 	}
-	out := make([]*bucket.Bucketization, len(vecs))
 	for i, vec := range vecs {
-		if out[i], err = s.cached(vec, false); err != nil {
-			return nil, err
+		if out[i] == nil {
+			if out[i], err = s.cached(vec, false); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

@@ -13,6 +13,7 @@ import (
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataset/adult"
+	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/table"
 )
@@ -71,9 +72,11 @@ func RunFig5Config(tab *table.Table, cfg Fig5Config) (*Fig5Result, error) {
 		return nil, fmt.Errorf("experiments: negative maxK")
 	}
 	// Materialize the figure's generalization through the problem (a cold
-	// Bucketize is a one-node plan: encode once, base-scan at the DAG
-	// root), so fig5 exercises the same machinery the full-lattice sweeps
-	// run on.
+	// read is a one-node plan: encode once, base-scan at the DAG root), so
+	// fig5 exercises the same machinery the full-lattice sweeps run on.
+	// The figure reads the two series, the bucket count and the minimum
+	// entropy, all made of histograms, so the node is read in the
+	// histogram form: its scan writes no row ids.
 	p, err := anonymize.NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5: %w", err)
@@ -82,10 +85,11 @@ func RunFig5Config(tab *table.Table, cfg Fig5Config) (*Fig5Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5: %w", err)
 	}
-	bz, err := p.Bucketize(node)
+	bzs, err := p.Snapshot().BucketizeHistograms([]lattice.Node{node})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5 bucketize: %w", err)
 	}
+	bz := bzs[0]
 	var impl, neg []float64
 	tasks := []func() error{
 		func() error {

@@ -210,6 +210,45 @@ func TestReleasesAudit(t *testing.T) {
 	}
 }
 
+// TestReleasesAuditDifferencing is the differencing attack across an
+// append. The hospital table is released fully generalized, one bucket of
+// its ten patients; one flu patient is appended and the same
+// generalization released again. Holding both releases, an adversary
+// subtracts the first bucket's histogram from the second's and learns the
+// new patient's disease, so the pair discloses 1 at k = 0, although
+// neither release does on its own. The pair's common persons stay ten.
+func TestReleasesAuditDifferencing(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	registerHospital(t, ts.URL, "h")
+	top := map[string]any{"levels": map[string]int{"Zip": 2, "Age": 2, "Sex": 1}}
+	var created releaseCreated
+	if code := postJSON(t, ts.URL+"/v1/datasets/h/releases", top, &created); code != http.StatusCreated || created.Release.Buckets != 1 {
+		t.Fatalf("release 1 = %d, %+v", code, created.Release)
+	}
+	if code := postJSON(t, ts.URL+"/v1/datasets/h/rows",
+		map[string]any{"rows": [][]string{{"14850", "26", "M", "flu"}}}, nil); code != http.StatusOK {
+		t.Fatalf("append = %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/v1/datasets/h/releases", top, &created); code != http.StatusCreated || created.Release.Rows != 11 {
+		t.Fatalf("release 2 = %d, %+v", code, created.Release)
+	}
+	var audit releasesResponse
+	if code := getJSON(t, ts.URL+"/v1/datasets/h/releases?k=0", &audit); code != http.StatusOK || len(audit.Pairs) != 1 {
+		t.Fatalf("audit = %d, %+v", code, audit)
+	}
+	for _, rel := range audit.Releases {
+		if *rel.Disclosure >= 1 {
+			t.Fatalf("release %d alone discloses %v; the pair should be what discloses", rel.Index, *rel.Disclosure)
+		}
+	}
+	if pair := audit.Pairs[0]; pair.CommonTuples != 10 || pair.Buckets != 2 || pair.Disclosure != 1 {
+		t.Fatalf("pair = %+v, want 10 common persons in 2 cells disclosing 1", pair)
+	}
+	if audit.MaxPairDisclosure == nil || *audit.MaxPairDisclosure != 1 {
+		t.Fatalf("max pair disclosure %v, want 1", audit.MaxPairDisclosure)
+	}
+}
+
 // TestReleasesBounded checks the release log evicts its oldest entry past
 // MaxReleases and reports the eviction.
 func TestReleasesBounded(t *testing.T) {

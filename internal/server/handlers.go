@@ -14,6 +14,7 @@ import (
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/dataload"
+	"ckprivacy/internal/lattice"
 	"ckprivacy/internal/logic"
 	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/utility"
@@ -452,8 +453,11 @@ func writeHTTPError(w http.ResponseWriter, err error) {
 // number is returned (responses echo it); ds is nil and version 0 for
 // inline groups. pin, when non-zero (?version=), selects a retained
 // historical version: on a follower any pinned version, on a leader only
-// the current one; an unretained version is a 404.
-func (s *Server) resolve(src bucketizationSource, pin int64) (*bucket.Bucketization, *dataset, int64, error) {
+// the current one; an unretained version is a 404. A route whose answer
+// is made of histograms reads the histogram form, which may hold no row
+// ids; one that names persons (a witness, an estimate) asks for rowIDs,
+// which the cache fills in for that node only.
+func (s *Server) resolve(src bucketizationSource, pin int64, rowIDs bool) (*bucket.Bucketization, *dataset, int64, error) {
 	switch {
 	case src.Dataset != "" && src.Groups != nil:
 		return nil, nil, 0, badRequest("dataset and groups are mutually exclusive")
@@ -491,7 +495,15 @@ func (s *Server) resolve(src bucketizationSource, pin int64) (*bucket.Bucketizat
 			}
 			snap = pinned
 		}
-		bz, err := snap.Bucketize(node)
+		var bz *bucket.Bucketization
+		if rowIDs {
+			bz, err = snap.Bucketize(node)
+		} else {
+			var bzs []*bucket.Bucketization
+			if bzs, err = snap.BucketizeHistograms([]lattice.Node{node}); err == nil {
+				bz = bzs[0]
+			}
+		}
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -579,7 +591,7 @@ func (s *Server) handleDisclosure(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	begin := time.Now()
-	bz, ds, version, err := s.resolve(req.bucketizationSource, pin)
+	bz, ds, version, err := s.resolve(req.bucketizationSource, pin, req.Witness)
 	if err != nil {
 		writeHTTPError(w, err)
 		return
@@ -735,7 +747,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	begin := time.Now()
-	bz, _, version, err := s.resolve(req.bucketizationSource, pin)
+	bz, _, version, err := s.resolve(req.bucketizationSource, pin, false)
 	if err != nil {
 		writeHTTPError(w, err)
 		return
@@ -825,7 +837,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	begin := time.Now()
-	bz, ds, version, err := s.resolve(req.bucketizationSource, pin)
+	bz, ds, version, err := s.resolve(req.bucketizationSource, pin, true)
 	if err != nil {
 		writeHTTPError(w, err)
 		return

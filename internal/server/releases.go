@@ -17,11 +17,15 @@ import (
 // of retained releases. Repeated releases of an evolving table are
 // themselves an attack surface: an adversary holding releases A and B
 // knows each common person lies in the intersection of their bucket in A
-// and their bucket in B, a partition strictly finer than either release —
-// so per-release (c,k)-safety does not compose, and the pairwise
-// intersection disclosure is the number that has to be watched (Riboni et
+// and their bucket in B, a partition strictly finer than either release,
+// and each person appended between them lies among the appended persons
+// of their bucket in B, whose values B's histogram minus the common
+// persons' pins down — so per-release (c,k)-safety does not compose, and
+// the pairwise disclosure is the number that has to be watched (Riboni et
 // al.'s sequential background-knowledge setting, checked with Martin et
-// al.'s worst-case machinery).
+// al.'s worst-case machinery). The audit is pairwise: it bounds what an
+// adversary learns from any two retained releases, not from three or
+// more at once, whose common refinement can be finer still.
 
 // release is one recorded publication of a dataset generalization, pinned
 // to the dataset version it was bucketized at.
@@ -94,27 +98,38 @@ func (l *releaseLog) exportState() (rs []*release, evicted, next int) {
 }
 
 // intersect builds the partition an attacker holding both releases can
-// derive over the persons present in both: one cell per (bucket in a,
-// bucket in b) pair, with the cell's sensitive multiset read off the
-// pinned source table of the later (superset) release. Row identities are
-// stable across appends — version v's rows are a prefix of version v+1's —
-// so the common persons are exactly the rows of the earlier release.
-func intersect(a, b *release) *bucket.Bucketization {
+// derive, and counts the persons present in both. Row identities are
+// stable across appends — version v's rows are a prefix of version v+1's
+// — so the common persons are exactly the rows of the earlier release.
+// Each common person lies in one cell per (bucket in a, bucket in b)
+// pair. Each bucket of the later release b also gets one cell of its
+// appended persons (rows at or past the earlier release's row count):
+// the attacker subtracts what the common persons contribute from that
+// bucket's histogram in b, which pins the appended persons' values down
+// as a multiset (the differencing attack). Every cell's sensitive
+// multiset is read off the pinned source table of b.
+func intersect(a, b *release) (cut *bucket.Bucketization, common int) {
 	if b.rows < a.rows {
 		a, b = b, a
 	}
-	common := a.rows
 	src := b.bz.Source
 	// bucketOf[t] = index of t's bucket in b, for common tuples.
-	bucketOf := make([]int, common)
+	bucketOf := make([]int, a.rows)
 	for i := range bucketOf {
 		bucketOf[i] = -1
 	}
+	var appended [][]string
 	for bi, bb := range b.bz.Buckets {
+		var fresh []string
 		for _, t := range bb.Tuples {
-			if t < common {
+			if t < a.rows {
 				bucketOf[t] = bi
+			} else {
+				fresh = append(fresh, src.SensitiveValue(t))
 			}
+		}
+		if fresh != nil {
+			appended = append(appended, fresh)
 		}
 	}
 	type cellKey struct{ ai, bi int }
@@ -122,7 +137,7 @@ func intersect(a, b *release) *bucket.Bucketization {
 	var order []cellKey
 	for ai, ab := range a.bz.Buckets {
 		for _, t := range ab.Tuples {
-			if t >= common || bucketOf[t] < 0 {
+			if t >= a.rows || bucketOf[t] < 0 {
 				continue
 			}
 			k := cellKey{ai, bucketOf[t]}
@@ -130,6 +145,7 @@ func intersect(a, b *release) *bucket.Bucketization {
 				order = append(order, k)
 			}
 			cells[k] = append(cells[k], src.SensitiveValue(t))
+			common++
 		}
 	}
 	sort.Slice(order, func(i, j int) bool {
@@ -138,11 +154,11 @@ func intersect(a, b *release) *bucket.Bucketization {
 		}
 		return order[i].bi < order[j].bi
 	})
-	groups := make([][]string, len(order))
+	groups := make([][]string, len(order), len(order)+len(appended))
 	for i, k := range order {
 		groups[i] = cells[k]
 	}
-	return bucket.FromValues(groups...)
+	return bucket.FromValues(append(groups, appended...)...), common
 }
 
 // ---- wire shapes ----
@@ -173,12 +189,16 @@ type releaseCreated struct {
 
 // releasePair is one pairwise intersection-attack audit result.
 type releasePair struct {
-	A            int `json:"a"`
-	B            int `json:"b"`
+	A int `json:"a"`
+	B int `json:"b"`
+	// CommonTuples counts the persons in both releases.
 	CommonTuples int `json:"common_tuples"`
-	Buckets      int `json:"buckets"`
-	// Disclosure is the worst-case disclosure of the intersection
-	// partition at the audit's k — the sequential-release number.
+	// Buckets counts the partition's cells: the bucket-pair cells of the
+	// common persons and one cell per later bucket that holds appended
+	// persons.
+	Buckets int `json:"buckets"`
+	// Disclosure is the worst-case disclosure of that partition at the
+	// audit's k — the sequential-release number.
 	Disclosure float64 `json:"disclosure"`
 }
 
@@ -326,7 +346,7 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := 0; i < len(rs); i++ {
 		for j := i + 1; j < len(rs); j++ {
-			cut := intersect(rs[i], rs[j])
+			cut, common := intersect(rs[i], rs[j])
 			d, err := eng.MaxDisclosure(cut, k)
 			if err != nil {
 				writeHTTPError(w, err)
@@ -335,7 +355,7 @@ func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
 			resp.Pairs = append(resp.Pairs, releasePair{
 				A:            rs[i].index,
 				B:            rs[j].index,
-				CommonTuples: cut.Size(),
+				CommonTuples: common,
 				Buckets:      len(cut.Buckets),
 				Disclosure:   d,
 			})
